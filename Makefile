@@ -2,7 +2,7 @@
 # here is a thin wrapper over go / msched invocations, so CI and humans
 # run the identical commands.
 
-.PHONY: all build test race bench bench-placement bench-parallel profile compare baseline serve loadtest trace exec lint fmt
+.PHONY: all build test race bench bench-placement bench-parallel bench-e2e profile compare baseline serve loadtest trace exec lint fmt
 
 all: build test
 
@@ -31,6 +31,15 @@ bench-placement:
 # ratio to mean anything.
 bench-parallel:
 	go test -run '^$$' -bench BenchmarkCompileParallel -cpu 1,4 -benchmem ./internal/core/
+
+# The benchmark module (bench/): its unit tests, then one quick pass
+# over every workload. bench/ is a nested module, so `go test ./...`
+# never compiles it — this is what catches a break in the public API
+# its hand-written Prober driver (bench/pipeline.go) uses. CI gates on
+# the same two commands.
+bench-e2e:
+	cd bench && go test ./...
+	bash bench/run.sh -workload all -seed 1 -quick
 
 # Capture CPU + allocation pprof profiles from the benchmarks; inspect
 # with `go tool pprof bench_cpu.pprof` (see README "Performance &

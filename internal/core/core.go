@@ -100,8 +100,7 @@ func Backends() []sched.Scheduler {
 }
 
 // Opts carries the optional knobs of a compilation. The zero value is
-// the default pipeline; CompileWithContext is CompileWithOpts with the
-// zero Opts.
+// the default pipeline.
 type Opts struct {
 	// Recorder, when non-nil, receives the backend's search trace
 	// (pkg/trace): II attempts, placements, ejections, spills. A nil
@@ -123,19 +122,19 @@ type Opts struct {
 	// every loop of a corpus exercises different addresses and operand
 	// values while the whole sweep stays byte-deterministic.
 	Exec bool
-	// Portfolio races the stock heterogeneous strategy mix
-	// (search.DefaultPortfolio) instead of the single backend s and
-	// keeps the deterministic best by (fits, II, MaxLive, spill
-	// traffic); the winning strategy's index lands in
-	// Schedule.Stats["portfolio_winner"]. ParallelProbes is ignored
-	// while racing — the portfolio's strategy-level parallelism already
-	// uses the extra cores.
-	Portfolio bool
 }
 
-// CompileSafeWith is CompileSafe with explicit Opts — the entry point
-// for callers that want panic isolation and a trace of the search (the
-// `msched trace` explainer, the driver's slow-loop sampling).
+// CompileSafeWith is CompileWithOpts with panic isolation: a panicking
+// backend (or analysis layer) is converted into an ordinary per-loop
+// error instead of taking down the caller. This is the non-fatal error
+// path batch drivers, the serving layer and the `msched trace`/`exec`
+// explainers compile untrusted or generated populations through — one
+// pathological loop must cost one result, not the whole sweep. The
+// error carries the recovered value and a trimmed stack so shaken-out
+// bugs stay diagnosable from a batch report. Cancelling ctx (deadline or
+// explicit) aborts the in-flight compilation at the backend's next II
+// checkpoint; the returned error then wraps ctx.Err(), so callers
+// classify timeouts with errors.Is.
 func CompileSafeWith(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine, opts Opts) (r *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -149,50 +148,23 @@ func CompileSafeWith(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *mach
 	return CompileWithOpts(ctx, s, l, m, opts)
 }
 
-// CompileSafe is CompileWithContext with panic isolation: a panicking
-// backend (or analysis layer) is converted into an ordinary per-loop
-// error instead of taking down the caller. This is the non-fatal error
-// path batch drivers and the serving layer compile untrusted or
-// generated populations through — one pathological loop must cost one
-// result, not the whole sweep. The error carries the recovered value
-// and a trimmed stack so shaken-out bugs stay diagnosable from a batch
-// report. Cancelling ctx (deadline or explicit) aborts the in-flight
-// compilation at the backend's next II checkpoint; the returned error
-// then wraps ctx.Err(), so callers classify timeouts with errors.Is.
-func CompileSafe(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine) (r *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			stack := debug.Stack()
-			if len(stack) > 2048 {
-				stack = stack[:2048]
-			}
-			r, err = nil, fmt.Errorf("core: panic compiling loop %q: %v\n%s", l.Name, p, stack)
-		}
-	}()
-	return CompileWithContext(ctx, s, l, m)
-}
-
-// CompileWith is Compile with an explicit scheduler backend and no
-// cancellation — the signature test and benchmark callers use when no
-// deadline applies. It is CompileWithContext with a background context.
+// CompileWith is Compile with an explicit scheduler backend, no
+// cancellation and the default Opts — the signature test and benchmark
+// callers use when no deadline applies.
 func CompileWith(s sched.Scheduler, l *ir.Loop, m *machine.Machine) (*Result, error) {
-	return CompileWithContext(context.Background(), s, l, m)
+	return CompileWithOpts(context.Background(), s, l, m, Opts{})
 }
 
-// CompileWithContext runs the full pipeline with an explicit scheduler
+// CompileWithOpts runs the full pipeline with an explicit scheduler
 // backend under a cancellable context: it builds the dependence graph,
-// computes MII, schedules, validates and analyses register pressure.
-// The context is threaded into the backend via sched.Request.Ctx, so a
-// deadline cancels an in-flight II search instead of abandoning its
-// goroutine. The returned schedule is guaranteed Validate-clean:
-// regpress.Analyze re-validates backend output, so a buggy backend is
-// caught at this boundary rather than downstream.
-func CompileWithContext(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine) (*Result, error) {
-	return CompileWithOpts(ctx, s, l, m, Opts{})
-}
-
-// CompileWithOpts is CompileWithContext with explicit Opts; see Opts for
-// what each knob does.
+// computes MII, schedules, validates and analyses register pressure,
+// then expands (and, with Opts.Exec, executes) the result; see Opts for
+// the other knobs. The context is threaded into the backend via
+// sched.Request.Ctx, so a deadline cancels an in-flight II search
+// instead of abandoning its goroutine. The returned schedule is
+// guaranteed Validate-clean: regpress.Analyze re-validates backend
+// output, so a buggy backend is caught at this boundary rather than
+// downstream.
 func CompileWithOpts(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine, opts Opts) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil scheduler")
@@ -210,9 +182,6 @@ func CompileWithOpts(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *mach
 	mii, err := sched.ComputeMII(g, m)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Portfolio {
-		s = Portfolio()
 	}
 	req := &sched.Request{Ctx: ctx, Loop: l, Machine: m, Graph: g, MII: &mii, Recorder: opts.Recorder}
 	var out *sched.Schedule
@@ -277,8 +246,8 @@ func Opt(budget int64) sched.Scheduler {
 // with a doubled force budget vs MIRS with the fewest-uses victim
 // policy, best result kept by the deterministic (fits, II, MaxLive,
 // spill traffic) order. It is not part of Backends() — quality gates
-// compare the individual backends — but `msched run -backend portfolio`
-// and Opts.Portfolio compile through it.
+// compare the individual backends — but `msched run -backends portfolio`
+// and `msched run -portfolio` compile through it.
 func Portfolio() sched.Scheduler {
 	return search.DefaultPortfolio()
 }

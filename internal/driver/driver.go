@@ -325,7 +325,7 @@ func Run(spec Spec, opts Options) *Report {
 }
 
 // runOne executes a single compilation with panic isolation (inside
-// core.CompileSafe) and a wall-clock budget enforced through context
+// core.CompileSafeWith) and a wall-clock budget enforced through context
 // cancellation: the deadline both frees the worker slot and unwinds the
 // in-flight II search at the backend's next checkpoint, so a
 // pathological loop costs one timeout outcome, not a leaked goroutine.

@@ -9,8 +9,8 @@
 // depth is shed with 429 + Retry-After rather than buffered — the
 // backpressure contract that keeps tail latency bounded — and every
 // compilation runs under a per-request deadline that cancels the
-// in-flight II search through context plumbing (core.CompileSafe →
-// sched.Request.Ctx). Counters for all of it are exposed in Prometheus
+// in-flight II search through context plumbing (core.CompileSafeWith
+// → sched.Request.Ctx). Counters for all of it are exposed in Prometheus
 // text format on /v1/statsz.
 //
 // Endpoints:

@@ -128,91 +128,26 @@ const stagnationLimit = 10
 // with its residual overflow in Stats["pressure_excess"]; the error path
 // is reserved for invalid input and loops with no complete schedule at
 // all.
-//
-// The II search is expressed as the sweep/attempter pair Probe exposes,
-// driven here strictly in order — the same machine pkg/sched/search
-// drives speculatively, so the parallel path's output is this one's by
-// construction.
-func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) {
-	sw, at, err := s.probe(req)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		cand, done := sw.Next()
-		if done {
-			break
-		}
-		// Cancellation checkpoint: one II attempt is bounded work (the
-		// force budget caps backtracking, and state.poll bounds even
-		// that), so polling here keeps a timed-out compilation from
-		// finishing a search nobody awaits while costing nothing on the
-		// uncancellable batch path.
-		if err := req.Cancelled(); err != nil {
-			return nil, err
-		}
-		sw.Consume(cand, at.AttemptII(nil, cand, req.Recorder))
-	}
-	return sw.Result()
-}
+func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) { return sched.Drive(req, s) }
 
 // Probe implements sched.Prober: the MIRS II search as a candidate-keyed
 // sweep whose keys are the candidate IIs themselves. The sweep and every
 // attempter share the graph, MII, heights and live-in analysis read-only;
 // each attempter owns a full pooled scheduler state (MRT, pressure
-// tracker, window cache, spill-augmented loop clones), so attempters
-// never share mutable state (see the sched.Prober sharing contract).
+// tracker, window cache, spill-augmented loop clones), built lazily on
+// first use, so attempters never share mutable state (see the
+// sched.Prober sharing contract).
 func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
-	sw, at, err := s.probe(req)
+	g, mii, maxII, err := sched.Prepare(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sw, func() sched.Attempter {
-		cp := *at
-		cp.st = nil // each attempter owns its pooled state; lazily built on first use
-		return &cp
-	}, nil
-}
-
-// probe performs the per-request analyses once and returns the concrete
-// sweep/attempter pair both Schedule and Probe drive.
-func (s *Scheduler) probe(req *sched.Request) (*iiSweep, *attempter, error) {
-	if req == nil || req.Loop == nil || req.Machine == nil {
-		return nil, nil, fmt.Errorf("mirs: request missing loop or machine")
-	}
-	g := req.Graph
-	if g == nil {
-		var err error
-		g, err = ir.Build(req.Loop, req.Machine, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var mii sched.MII
-	if req.MII != nil {
-		mii = *req.MII
-	} else {
-		var err error
-		mii, err = sched.ComputeMII(g, req.Machine)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	maxII := req.MaxII
-	if maxII <= 0 {
-		// Safe horizon as in the list scheduler, doubled with headroom:
-		// spill code grows the loop, and every II past the bound trivially
-		// satisfies loop-carried edges, so the search always terminates.
-		// An explicit cap below MII is honoured as stated (and fails).
-		base := 1
-		bus := req.Machine.BusLatency()
-		for _, in := range req.Loop.Instrs {
-			base += req.Machine.Latency(in.Class) + bus + 1
-		}
-		maxII = 2*base + 8
-		if maxII < mii.MII {
-			maxII = mii.MII
-		}
+	if req.MaxII <= 0 {
+		// The safe horizon doubled with headroom: spill code grows the
+		// loop, and every II past the bound trivially satisfies
+		// loop-carried edges, so the search always terminates. An explicit
+		// cap below MII is honoured as stated (and fails).
+		maxII = 2*maxII + 8
 	}
 	maxSpills := s.opts.MaxSpills
 	if maxSpills < 0 {
@@ -223,13 +158,12 @@ func (s *Scheduler) probe(req *sched.Request) (*iiSweep, *attempter, error) {
 		return nil, nil, err
 	}
 	sw := &iiSweep{
-		req:        req,
-		mii:        mii.MII,
-		maxII:      maxII,
-		next:       mii.MII,
-		bestExcess: -1,
+		LinearSweep: sched.LinearSweep{Cursor: mii.MII, Last: maxII},
+		req:         req,
+		mii:         mii.MII,
+		bestExcess:  -1,
 	}
-	at := &attempter{
+	at := attempter{
 		s:          s,
 		req:        req,
 		g:          g,
@@ -238,7 +172,10 @@ func (s *Scheduler) probe(req *sched.Request) (*iiSweep, *attempter, error) {
 		height:     height,
 		liveInUses: life.LiveInUses(req.Loop),
 	}
-	return sw, at, nil
+	return sw, func() sched.Attempter {
+		cp := at
+		return &cp
+	}, nil
 }
 
 // iiSweep is the MIRS II search as a state machine: linear escalation
@@ -247,9 +184,9 @@ func (s *Scheduler) probe(req *sched.Request) (*iiSweep, *attempter, error) {
 // least overflowing complete schedule as the graceful-degradation
 // fallback. Candidate keys are the candidate IIs.
 type iiSweep struct {
-	req   *sched.Request
-	mii   int
-	maxII int
+	sched.LinearSweep // Cursor and Last are IIs; Last is the horizon
+	req               *sched.Request
+	mii               int
 	// firstComplete is the smallest II at which a complete placement
 	// existed, pressure aside — the baseline for spill_ii_increase.
 	firstComplete int
@@ -257,43 +194,12 @@ type iiSweep struct {
 	bestExcess    int
 	bestII        int
 	stagnant      int
-	next          int
-	done          bool
-	out           *sched.Schedule
-	err           error
-}
-
-// Next implements sched.Sweep.
-func (w *iiSweep) Next() (int, bool) {
-	if w.done || w.next > w.maxII {
-		return 0, true
-	}
-	return w.next, false
-}
-
-// Speculate implements sched.Sweep: linear escalation is predicted
-// (next II, next+1, ...). The geometric stagnation jump is not — a
-// plateau deep enough to trigger it means every nearby candidate
-// overflows anyway, so the speculated attempts the jump skips are
-// wasted work the engine simply discards, never wrong answers.
-func (w *iiSweep) Speculate(dst []int, after, max int) []int {
-	if w.done {
-		return dst
-	}
-	for c := after + 1; c <= w.maxII && len(dst) < max; c++ {
-		dst = append(dst, c)
-	}
-	return dst
 }
 
 // Consume implements sched.Sweep, folding one candidate's attempt into
 // the search exactly as the pre-split sequential loop did.
 func (w *iiSweep) Consume(cand int, a sched.Attempt) {
-	if w.done || cand != w.next {
-		return
-	}
-	if a.Err != nil {
-		w.err, w.done = a.Err, true
+	if !w.Accept(cand, a) {
 		return
 	}
 	if a.Completed && w.firstComplete == 0 {
@@ -302,7 +208,7 @@ func (w *iiSweep) Consume(cand int, a sched.Attempt) {
 	if a.Schedule != nil && a.Excess == 0 {
 		a.Schedule.AddStat("ii_over_mii", cand-w.mii)
 		a.Schedule.AddStat("spill_ii_increase", cand-w.firstComplete)
-		w.out, w.done = a.Schedule, true
+		w.Succeed(a.Schedule)
 		return
 	}
 	if a.Schedule != nil {
@@ -315,26 +221,23 @@ func (w *iiSweep) Consume(cand int, a sched.Attempt) {
 	}
 	if w.stagnant >= stagnationLimit {
 		// Overflow plateau: probe geometrically, but never skip the
-		// horizon itself — maxII is where lifetimes span the fewest
+		// horizon itself — Last is where lifetimes span the fewest
 		// copies, so it is always worth one attempt before settling
 		// for an overflowing schedule.
 		next := cand + 1 + cand/2
-		if next > w.maxII && cand < w.maxII {
-			next = w.maxII
+		if next > w.Last && cand < w.Last {
+			next = w.Last
 		}
-		w.next = next
+		w.Cursor = next
 	} else {
-		w.next = cand + 1
+		w.Cursor = cand + 1
 	}
 }
 
 // Result implements sched.Sweep.
 func (w *iiSweep) Result() (*sched.Schedule, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	if w.out != nil {
-		return w.out, nil
+	if w.Settled() {
+		return w.Out, w.Err
 	}
 	if w.best != nil {
 		w.best.AddStat("ii_over_mii", w.bestII-w.mii)
@@ -343,7 +246,7 @@ func (w *iiSweep) Result() (*sched.Schedule, error) {
 		return w.best, nil
 	}
 	return nil, fmt.Errorf("mirs: no valid schedule for loop %q on %q within II <= %d",
-		w.req.Loop.Name, w.req.Machine.Name, w.maxII)
+		w.req.Loop.Name, w.req.Machine.Name, w.Last)
 }
 
 // attempter runs one candidate II per call on its own pooled state,

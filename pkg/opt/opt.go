@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/opt/sat"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
@@ -82,81 +81,26 @@ func New(opts ...Option) *Scheduler {
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return Name }
 
-// Schedule implements sched.Scheduler: the II sweep driven strictly in
-// order — the same sweep/attempter pair Probe exposes, so the parallel
-// path's output equals this one's by construction.
-func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) {
-	sw, at, err := s.probe(req)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		cand, done := sw.Next()
-		if done {
-			break
-		}
-		if err := req.Cancelled(); err != nil {
-			return nil, err
-		}
-		sw.Consume(cand, at.AttemptII(nil, cand, req.Recorder))
-	}
-	return sw.Result()
-}
+// Schedule implements sched.Scheduler.
+func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) { return sched.Drive(req, s) }
 
-// Probe implements sched.Prober. The sweep and every attempter share
-// the analysis (graph, MII, unit tables, transfer groups) read-only;
-// each attempt builds a fresh solver, so attempters carry no mutable
-// state at all and the factory can hand out copies freely.
+// Probe implements sched.Prober: candidate key k is II = MII + k, up to
+// the safe horizon past which a serial schedule always exists. The sweep
+// and every attempter share the analysis (graph, MII, unit tables,
+// transfer groups) read-only; each attempt builds a fresh solver, so
+// attempters carry no mutable state at all and the factory can hand out
+// copies freely.
 func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
-	sw, at, err := s.probe(req)
+	g, mii, maxII, err := sched.Prepare(req)
 	if err != nil {
 		return nil, nil, err
 	}
+	sw := &optSweep{LinearSweep: sched.LinearSweep{Last: maxII - mii.MII}, req: req, maxII: maxII}
+	at := optAttempter{ana: newAnalysis(req, g, mii, maxII), budget: s.opts.Budget}
 	return sw, func() sched.Attempter {
-		cp := *at
+		cp := at
 		return &cp
 	}, nil
-}
-
-// probe performs the per-request analyses once and returns the concrete
-// sweep/attempter pair both Schedule and Probe drive.
-func (s *Scheduler) probe(req *sched.Request) (*optSweep, *optAttempter, error) {
-	if req.Loop == nil || req.Machine == nil {
-		return nil, nil, fmt.Errorf("opt: request missing loop or machine")
-	}
-	g := req.Graph
-	if g == nil {
-		var err error
-		if g, err = ir.Build(req.Loop, req.Machine, nil); err != nil {
-			return nil, nil, err
-		}
-	}
-	mii := sched.MII{}
-	if req.MII != nil {
-		mii = *req.MII
-	} else {
-		var err error
-		if mii, err = sched.ComputeMII(g, req.Machine); err != nil {
-			return nil, nil, err
-		}
-	}
-	maxII := req.MaxII
-	if maxII <= 0 {
-		// The same safe horizon the list baseline uses: past it a serial
-		// schedule always exists, so the sweep terminates.
-		maxII = 1
-		bus := req.Machine.BusLatency()
-		for _, in := range req.Loop.Instrs {
-			maxII += req.Machine.Latency(in.Class) + bus + 1
-		}
-		if maxII < mii.MII {
-			maxII = mii.MII
-		}
-	}
-	ana := newAnalysis(req, g, mii, maxII)
-	sw := &optSweep{req: req, mii: mii.MII, maxII: maxII}
-	at := &optAttempter{ana: ana, budget: s.opts.Budget}
-	return sw, at, nil
 }
 
 // optSweep is the exact backend's II search state: candidate key k is
@@ -164,54 +108,22 @@ func (s *Scheduler) probe(req *sched.Request) (*optSweep, *optAttempter, error) 
 // the certificates: UNSAT answers below the final II (the optimality
 // proof) and budget-exhausted unknowns (the holes in it).
 type optSweep struct {
+	sched.LinearSweep
 	req   *sched.Request
-	mii   int
 	maxII int
-
-	next int
-	done bool
-	out  *sched.Schedule
-	err  error
 
 	unsatBelow     int
 	unknownBelow   int
 	conflictsBelow int
 }
 
-func (w *optSweep) span() int { return w.maxII - w.mii }
-
-// Next implements sched.Sweep.
-func (w *optSweep) Next() (int, bool) {
-	if w.done || w.next > w.span() {
-		return 0, true
-	}
-	return w.next, false
-}
-
-// Speculate implements sched.Sweep: the sweep always advances by one,
-// so prediction is exact up to the horizon.
-func (w *optSweep) Speculate(dst []int, after, max int) []int {
-	if w.done {
-		return dst
-	}
-	for c := after + 1; c <= w.span() && len(dst) < max; c++ {
-		dst = append(dst, c)
-	}
-	return dst
-}
-
 // Consume implements sched.Sweep. The attempt vocabulary (see
 // optAttempter.AttemptII): a schedule means SAT; no schedule with
 // Completed=true means a finished UNSAT proof; Completed=false means the
-// conflict budget ran out first. Schedule-less attempts carry the
-// conflicts spent in Excess (safe: Attempt.Success needs a schedule, so
-// the search engine can never mistake them for a win).
+// conflict budget ran out first. Every attempt carries the conflicts it
+// spent in Work.
 func (w *optSweep) Consume(cand int, a sched.Attempt) {
-	if w.done || cand != w.next {
-		return
-	}
-	if a.Err != nil {
-		w.err, w.done = a.Err, true
+	if !w.Accept(cand, a) {
 		return
 	}
 	if a.Schedule != nil {
@@ -224,7 +136,7 @@ func (w *optSweep) Consume(cand int, a sched.Attempt) {
 		}
 		a.Schedule.AddStat("opt_proved", proved)
 		a.Schedule.AddStat("opt_conflicts", w.conflictsBelow)
-		w.out, w.done = a.Schedule, true
+		w.Succeed(a.Schedule)
 		return
 	}
 	if a.Completed {
@@ -232,17 +144,14 @@ func (w *optSweep) Consume(cand int, a sched.Attempt) {
 	} else {
 		w.unknownBelow++
 	}
-	w.conflictsBelow += a.Excess
-	w.next++
+	w.conflictsBelow += a.Work
+	w.Cursor++
 }
 
 // Result implements sched.Sweep.
 func (w *optSweep) Result() (*sched.Schedule, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	if w.out != nil {
-		return w.out, nil
+	if w.Settled() {
+		return w.Out, w.Err
 	}
 	return nil, fmt.Errorf("opt: no schedule found for loop %q on %q within II <= %d (budget may be too small)",
 		w.req.Loop.Name, w.req.Machine.Name, w.maxII)
@@ -258,11 +167,12 @@ type optAttempter struct {
 
 // AttemptII implements sched.Attempter. Outcome vocabulary:
 //
-//   - SAT: Attempt{Schedule, Completed: true} — the decoded, validated
-//     schedule, its own conflicts in Stats["opt_conflicts"].
-//   - UNSAT: Attempt{Completed: true, Excess: conflicts} — a proof that
+//   - SAT: Attempt{Schedule, Completed: true, Work: conflicts} — the
+//     decoded, validated schedule, its own conflicts also in
+//     Stats["opt_conflicts"].
+//   - UNSAT: Attempt{Completed: true, Work: conflicts} — a proof that
 //     no schedule exists at this II.
-//   - budget exhausted: Attempt{Completed: false, Excess: conflicts}.
+//   - budget exhausted: Attempt{Completed: false, Work: conflicts}.
 //   - cancelled (engine ctx or request ctx): Attempt{Err}.
 //
 // The first three are pure functions of (request, candidate, budget);
@@ -309,10 +219,10 @@ func (at *optAttempter) AttemptII(ctx context.Context, cand int, rec trace.Recor
 		}
 		s.AddStat("opt_conflicts", conflicts)
 		emitEnd(1)
-		return sched.Attempt{Schedule: s, Completed: true}
+		return sched.Attempt{Schedule: s, Completed: true, Work: conflicts}
 	case sat.Unsat:
 		emitEnd(0)
-		return sched.Attempt{Completed: true, Excess: conflicts}
+		return sched.Attempt{Completed: true, Work: conflicts}
 	default:
 		if ctx != nil && ctx.Err() != nil {
 			return sched.Attempt{Err: fmt.Errorf("opt: probe cancelled: %w", ctx.Err())}
@@ -321,6 +231,6 @@ func (at *optAttempter) AttemptII(ctx context.Context, cand int, rec trace.Recor
 			return sched.Attempt{Err: fmt.Errorf("opt: request cancelled: %w", reqCtx.Err())}
 		}
 		emitEnd(0)
-		return sched.Attempt{Completed: false, Excess: conflicts}
+		return sched.Attempt{Completed: false, Work: conflicts}
 	}
 }

@@ -29,28 +29,7 @@ func (ListScheduler) Name() string { return "list" }
 // Schedule.Validate; it returns an error only for invalid input (bad
 // loop/graph, unsupported op class, intra-iteration cycle) or when the
 // II search exceeds Request.MaxII.
-//
-// The search is expressed as the sweep/attempter pair Probe exposes,
-// driven here strictly in order — the same machine pkg/sched/search
-// drives speculatively, so the parallel path's output is this one's by
-// construction.
-func (ls ListScheduler) Schedule(req *Request) (*Schedule, error) {
-	sw, at, err := ls.probe(req)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		cand, done := sw.Next()
-		if done {
-			break
-		}
-		if err := req.Cancelled(); err != nil {
-			return nil, err
-		}
-		sw.Consume(cand, at.AttemptII(nil, cand, req.Recorder))
-	}
-	return sw.Result()
-}
+func (ls ListScheduler) Schedule(req *Request) (*Schedule, error) { return Drive(req, ls) }
 
 // Probe implements Prober: the list scheduler's II search as a
 // candidate-keyed sweep. Keys [0, span] are the normal multi-cluster
@@ -58,30 +37,9 @@ func (ls ListScheduler) Schedule(req *Request) (*Schedule, error) {
 // fallback phase at the same II range, present only when a sole cluster
 // covers the loop. The sweep and every attempter share the graph and
 // the placement order read-only; each attempter owns its reservation
-// table and placement scratch.
+// table and placement scratch, lazily sized on first use.
 func (ls ListScheduler) Probe(req *Request) (Sweep, func() Attempter, error) {
-	sw, at, err := ls.probe(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sw, func() Attempter {
-		cp := *at
-		cp.sc = nil // each attempter owns its scratch; lazily sized on first use
-		return &cp
-	}, nil
-}
-
-// probe performs the per-request analyses once and returns the concrete
-// sweep/attempter pair both Schedule and Probe drive.
-func (ls ListScheduler) probe(req *Request) (*listSweep, *listAttempter, error) {
-	if req.Loop == nil || req.Machine == nil {
-		return nil, nil, fmt.Errorf("sched: list: request missing loop or machine")
-	}
-	g, err := req.graph()
-	if err != nil {
-		return nil, nil, err
-	}
-	mii, err := req.mii(g)
+	g, mii, maxII, err := Prepare(req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -89,38 +47,17 @@ func (ls ListScheduler) probe(req *Request) (*listSweep, *listAttempter, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	maxII := req.MaxII
-	if maxII <= 0 {
-		// Safe horizon: flat start cycles are bounded by the sum of all
-		// effective latencies plus one resource stall per instruction,
-		// and any II past that bound satisfies every loop-carried edge,
-		// so the search always terminates.
-		maxII = 1
-		bus := req.Machine.BusLatency()
-		for _, in := range req.Loop.Instrs {
-			maxII += req.Machine.Latency(in.Class) + bus + 1
-		}
-		if maxII < mii.MII {
-			maxII = mii.MII
-		}
+	keys := listKeys{mii: mii.MII, span: maxII - mii.MII, fallback: soleClusterFor(req)}
+	sw := &listSweep{listKeys: keys, req: req, maxII: maxII}
+	sw.Last = keys.span
+	if keys.fallback >= 0 {
+		sw.Last = 2*keys.span + 1
 	}
-	sw := &listSweep{
-		req:      req,
-		mii:      mii.MII,
-		maxII:    maxII,
-		span:     maxII - mii.MII,
-		fallback: soleClusterFor(req),
-	}
-	at := &listAttempter{
-		ls:       ls,
-		req:      req,
-		g:        g,
-		mii:      mii.MII,
-		span:     sw.span,
-		fallback: sw.fallback,
-		order:    order,
-	}
-	return sw, at, nil
+	at := listAttempter{listKeys: keys, ls: ls, req: req, g: g, order: order}
+	return sw, func() Attempter {
+		cp := at
+		return &cp
+	}, nil
 }
 
 // listSweep is the list scheduler's II search state: candidate keys
@@ -135,61 +72,33 @@ func (ls ListScheduler) probe(req *Request) (*listSweep, *listAttempter, error) 
 // dependences the bus constraint is vacuous, so a serial schedule
 // always exists at some II within the horizon.
 type listSweep struct {
-	req      *Request
-	mii      int
-	maxII    int
-	span     int // maxII - mii: candidate keys per phase, minus one
-	fallback int // sole covering cluster for phase two, or -1
-	next     int
-	done     bool
-	out      *Schedule
-	err      error
+	LinearSweep // Last is span, or 2*span+1 with a fallback phase
+	listKeys
+	req   *Request
+	maxII int
 }
 
-// maxKey is the last candidate key of the search.
-func (w *listSweep) maxKey() int {
-	if w.fallback < 0 {
-		return w.span
-	}
-	return 2*w.span + 1
+// listKeys is the list search's candidate-key encoding, shared by the
+// sweep and its attempters.
+type listKeys struct {
+	mii      int
+	span     int // maxII - mii: candidate keys per phase, minus one
+	fallback int // sole covering cluster for phase two, or -1
 }
 
 // decode maps a candidate key to its (II, restricted-cluster) pair;
 // onlyCluster is -1 in the normal phase.
-func (w *listSweep) decode(cand int) (ii, onlyCluster int) {
-	if cand <= w.span {
-		return w.mii + cand, -1
+func (k listKeys) decode(cand int) (ii, onlyCluster int) {
+	if cand <= k.span {
+		return k.mii + cand, -1
 	}
-	return w.mii + cand - w.span - 1, w.fallback
+	return k.mii + cand - k.span - 1, k.fallback
 }
 
-// Next implements Sweep.
-func (w *listSweep) Next() (int, bool) {
-	if w.done || w.next > w.maxKey() {
-		return 0, true
-	}
-	return w.next, false
-}
-
-// Speculate implements Sweep: the list search always advances by one
-// key, so prediction is exact up to the horizon.
-func (w *listSweep) Speculate(dst []int, after, max int) []int {
-	if w.done {
-		return dst
-	}
-	for c := after + 1; c <= w.maxKey() && len(dst) < max; c++ {
-		dst = append(dst, c)
-	}
-	return dst
-}
-
-// Consume implements Sweep.
+// Consume implements Sweep: the first schedule wins, anything else
+// advances one key.
 func (w *listSweep) Consume(cand int, a Attempt) {
-	if w.done || cand != w.next {
-		return
-	}
-	if a.Err != nil {
-		w.err, w.done = a.Err, true
+	if !w.Accept(cand, a) {
 		return
 	}
 	if a.Schedule != nil {
@@ -198,19 +107,16 @@ func (w *listSweep) Consume(cand int, a Attempt) {
 		if only >= 0 {
 			a.Schedule.AddStat("single_cluster_fallback", 1)
 		}
-		w.out, w.done = a.Schedule, true
+		w.Succeed(a.Schedule)
 		return
 	}
-	w.next++
+	w.Cursor++
 }
 
 // Result implements Sweep.
 func (w *listSweep) Result() (*Schedule, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	if w.out != nil {
-		return w.out, nil
+	if w.Settled() {
+		return w.Out, w.Err
 	}
 	return nil, fmt.Errorf("sched: list: no valid schedule for loop %q on %q within II <= %d",
 		w.req.Loop.Name, w.req.Machine.Name, w.maxII)
@@ -220,14 +126,12 @@ func (w *listSweep) Result() (*Schedule, error) {
 // (reservation table, placement buffers). The graph and placement order
 // are shared read-only with every other attempter of the same probe.
 type listAttempter struct {
-	ls       ListScheduler
-	req      *Request
-	g        *ir.Graph
-	mii      int
-	span     int
-	fallback int
-	order    []int
-	sc       *listScratch
+	listKeys
+	ls    ListScheduler
+	req   *Request
+	g     *ir.Graph
+	order []int
+	sc    *listScratch
 }
 
 // AttemptII implements Attempter. List attempts carry no backtracking,
@@ -245,12 +149,7 @@ func (at *listAttempter) AttemptII(ctx context.Context, cand int, rec trace.Reco
 		}
 		at.sc = sc
 	}
-	ii := at.mii + cand
-	onlyCluster := -1
-	if cand > at.span {
-		ii = at.mii + cand - at.span - 1
-		onlyCluster = at.fallback
-	}
+	ii, onlyCluster := at.decode(cand)
 	if rec != nil {
 		if onlyCluster < 0 {
 			mark := int64(0)
@@ -271,11 +170,7 @@ func (at *listAttempter) AttemptII(ctx context.Context, cand int, rec trace.Reco
 		if valid {
 			completed = 1
 		}
-		cl := int32(-1)
-		if onlyCluster >= 0 {
-			cl = int32(onlyCluster)
-		}
-		rec.Emit(trace.Event{Kind: trace.KindIIEnd, II: int32(ii), Op: -1, Cluster: cl, Cycle: -1, Reg: -1, Arg: completed})
+		rec.Emit(trace.Event{Kind: trace.KindIIEnd, II: int32(ii), Op: -1, Cluster: int32(onlyCluster), Cycle: -1, Reg: -1, Arg: completed})
 	}
 	if !valid {
 		return Attempt{}

@@ -25,9 +25,10 @@ import (
 // Request bundles the inputs of a scheduling run.
 type Request struct {
 	// Ctx, when non-nil, carries the caller's cancellation signal into
-	// the II search: backends poll Request.Cancelled at every candidate
-	// II (the natural checkpoint — one II attempt is bounded work) and
-	// abandon the search with the context's error once it fires. A nil
+	// the II search: the drivers (Drive, pkg/sched/search) poll
+	// Request.Cancelled at every candidate II (the natural checkpoint —
+	// one II attempt is bounded work) and abandon the search with the
+	// context's error once it fires. A nil
 	// Ctx means "never cancelled" and costs nothing to poll, so batch
 	// and test callers that want no deadline simply leave it unset.
 	Ctx context.Context
@@ -70,22 +71,6 @@ func (r *Request) Cancelled() error {
 		return fmt.Errorf("sched: request cancelled: %w", err)
 	}
 	return nil
-}
-
-// mii returns the request's MII bound, computing it on demand.
-func (r *Request) mii(g *ir.Graph) (MII, error) {
-	if r.MII != nil {
-		return *r.MII, nil
-	}
-	return ComputeMII(g, r.Machine)
-}
-
-// graph returns the request's dependence graph, building it on demand.
-func (r *Request) graph() (*ir.Graph, error) {
-	if r.Graph != nil {
-		return r.Graph, nil
-	}
-	return ir.Build(r.Loop, r.Machine, nil)
 }
 
 // Scheduler is the pluggable modulo-scheduler interface. Implementations

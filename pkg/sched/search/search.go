@@ -4,7 +4,7 @@
 // The backends expose their searches through sched.Prober: a
 // deterministic state machine (sched.Sweep) plus a pure per-candidate
 // attempt function (sched.Attempter). Run drives the sweep exactly the
-// way the sequential backends do — candidates consumed strictly in the
+// way the sequential sched.Drive does — candidates consumed strictly in the
 // order the sweep asks for them — but *attempts* candidates
 // speculatively on a pool of workers, each worker on its own pooled
 // scheduler state with its own trace buffer. Because the sweep only ever
@@ -61,12 +61,12 @@ func (s *Stats) Add(other Stats) {
 
 // Run executes p's II search for req with up to probes concurrent
 // speculative attempts and returns the schedule the sequential
-// p.Schedule(req) would return, byte-identical — placements, stats and
-// trace events included. probes <= 1 falls through to the sequential
-// path with zero goroutines and zero Stats.
+// sched.Drive(req, p) would return, byte-identical — placements, stats
+// and trace events included. probes <= 1 is sched.Drive itself, with
+// zero goroutines and zero Stats.
 func Run(req *sched.Request, p sched.Prober, probes int) (*sched.Schedule, Stats, error) {
 	if probes <= 1 {
-		s, err := p.Schedule(req)
+		s, err := sched.Drive(req, p)
 		return s, Stats{}, err
 	}
 	sw, mk, err := p.Probe(req)
@@ -181,7 +181,7 @@ func (l *launcher) run() (*sched.Schedule, error) {
 		if done {
 			return l.sw.Result()
 		}
-		// Same checkpoint the sequential drivers poll between attempts,
+		// Same checkpoint sched.Drive polls between attempts,
 		// so a cancelled request errors out at the same point in the
 		// candidate order.
 		if err := l.req.Cancelled(); err != nil {

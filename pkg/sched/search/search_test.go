@@ -134,19 +134,7 @@ type fakeProber struct {
 func (f *fakeProber) Name() string { return "fake" }
 
 func (f *fakeProber) Schedule(req *sched.Request) (*sched.Schedule, error) {
-	sw, mk, err := f.Probe(req)
-	if err != nil {
-		return nil, err
-	}
-	at := mk()
-	for {
-		cand, done := sw.Next()
-		if done {
-			break
-		}
-		sw.Consume(cand, at.AttemptII(nil, cand, req.Recorder))
-	}
-	return sw.Result()
+	return sched.Drive(req, f)
 }
 
 func (f *fakeProber) Probe(_ *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
