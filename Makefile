@@ -2,7 +2,7 @@
 # here is a thin wrapper over go / msched invocations, so CI and humans
 # run the identical commands.
 
-.PHONY: all build test race bench bench-placement bench-parallel bench-e2e profile compare baseline serve loadtest trace exec lint fmt
+.PHONY: all build test race bench bench-placement bench-parallel bench-e2e profile compare baseline trace exec lint fmt
 
 all: build test
 
@@ -58,17 +58,6 @@ compare:
 # change; commit the result.
 baseline:
 	go run ./cmd/msched compare -update-baseline
-
-# Run the HTTP/JSON scheduling service locally (content-addressed
-# cache, singleflight collapse, 429 load shedding); see README
-# "Serving" for the curl quickstart.
-serve:
-	go run ./cmd/msched serve
-
-# Deterministic closed-loop load test against an in-process server,
-# gated against the committed thresholds — the same command CI runs.
-loadtest:
-	go run ./cmd/msched loadtest -o loadtest.json -gate LOADTEST_baseline.json
 
 # Explain one schedule: compile a register-starved seeded loop with the
 # flight recorder attached and print the "why this II" report (see

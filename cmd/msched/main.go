@@ -7,6 +7,8 @@
 //	msched run     -seed 1 -n 200 [-strict] [-timing] [-o report.json]
 //	msched gen     -seed 1 -n 3 [-corner pressure] [-json]
 //	msched compare [-baseline BENCH_baseline.json] [-update-baseline]
+//	msched trace   -seed 1 -i 7 -machine tight [-chrome trace.json]
+//	msched exec    -loop fir8 -machine tight [-backend mirs]
 //
 // `run` sweeps a generated population over backends × machines and
 // reports II/MII distributions, spill traffic, fit rates and throughput;
@@ -64,10 +66,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return cmdGen(args[1:], stdout, stderr)
 	case "compare":
 		return cmdCompare(args[1:], stdout, stderr)
-	case "serve":
-		return cmdServe(args[1:], stdout, stderr)
-	case "loadtest":
-		return cmdLoadtest(args[1:], stdout, stderr)
 	case "trace":
 		return cmdTrace(args[1:], stdout, stderr)
 	case "exec":
@@ -83,17 +81,13 @@ func Main(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprint(w, `usage: msched <run|gen|compare|serve|loadtest|trace|exec> [flags]
+	fmt.Fprint(w, `usage: msched <run|gen|compare|trace|exec> [flags]
 
   run       generate a loop population and batch-compile it across
             backends x machines; emit aggregate quality tables
   gen       print generated loops
   compare   gate current scheduler quality against BENCH_baseline.json
-            (-update-baseline to refresh it)
-  serve     run the HTTP/JSON scheduling service (content-addressed
-            cache, singleflight, load shedding)
-  loadtest  drive an in-process server with a deterministic closed
-            loop and emit/gate the load report
+            (-update-baseline to refresh it; -gap for the optimality gap)
   trace     compile one loop with the flight recorder attached and
             explain the II search (optional Chrome trace export)
   exec      compile one loop, emit VLIW bundles, and differentially
@@ -103,37 +97,76 @@ run 'msched <cmd> -h' for per-command flags
 `)
 }
 
+// cannedMachines is the one table of built-in machine configurations,
+// in the order "all" expands to.
+var cannedMachines = []struct {
+	name  string
+	build func() *machine.Machine
+}{
+	{"unified", machine.Unified},
+	{"paper-4cluster", machine.Paper4Cluster},
+	{"tight", machine.Tight},
+}
+
 // machinesByName resolves a comma-separated machine list. "all" expands
 // to every canned configuration; an entry ending in .json is loaded and
 // validated as a machine description file, so a malformed file fails
 // the command with a clear message instead of a panic or empty report.
+// A machine named twice is an error: the driver aggregates by name, so
+// a repeat would silently fold two sweeps into one combo.
 func machinesByName(spec string) ([]*machine.Machine, error) {
-	canned := map[string]func() *machine.Machine{
-		"unified":        machine.Unified,
-		"paper-4cluster": machine.Paper4Cluster,
-		"tight":          machine.Tight,
-	}
 	if spec == "all" {
-		return []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()}, nil
+		out := make([]*machine.Machine, len(cannedMachines))
+		for i, c := range cannedMachines {
+			out[i] = c.build()
+		}
+		return out, nil
 	}
 	var out []*machine.Machine
+	seen := map[string]bool{}
 	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if strings.HasSuffix(name, ".json") {
-			m, err := machineFromFile(name)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-			continue
+		m, err := machineByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
-		f, ok := canned[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown machine %q (have: unified, paper-4cluster, tight, all, or a .json file)", name)
+		if seen[m.Name] {
+			return nil, fmt.Errorf("duplicate machine %q in %q", m.Name, spec)
 		}
-		out = append(out, f())
+		seen[m.Name] = true
+		out = append(out, m)
 	}
 	return out, nil
+}
+
+// machineByName resolves one machine list entry: a canned name or a
+// .json machine description file.
+func machineByName(name string) (*machine.Machine, error) {
+	if strings.HasSuffix(name, ".json") {
+		return machineFromFile(name)
+	}
+	names := make([]string, len(cannedMachines))
+	for i, c := range cannedMachines {
+		if c.name == name {
+			return c.build(), nil
+		}
+		names[i] = c.name
+	}
+	return nil, fmt.Errorf("unknown machine %q (have: %s, all, or a .json file)", name, strings.Join(names, ", "))
+}
+
+// machineFromFile loads and validates one machine description from a
+// JSON file, wrapping errors with the path so a malformed file fails
+// with a clear message instead of a panic or an empty report.
+func machineFromFile(path string) (*machine.Machine, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("machine file %s: %w", path, err)
+	}
+	m, err := machine.FromJSON(data)
+	if err != nil {
+		return nil, fmt.Errorf("machine file %s: %w", path, err)
+	}
+	return m, nil
 }
 
 // backendsByName resolves a comma-separated backend list against the
@@ -143,7 +176,8 @@ func machinesByName(spec string) ([]*machine.Machine, error) {
 // resolvable by name but deliberately not part of "all" — the portfolio
 // duplicates whichever strategy wins, and opt's role is the optimality
 // yardstick, so sweeping either alongside the real backends would
-// double-count without informing.
+// double-count without informing. A backend named twice is an error,
+// for the same reason as a repeated machine.
 func backendsByName(spec string, optBudget int64) ([]sched.Scheduler, error) {
 	reg := core.Backends()
 	if spec == "all" {
@@ -154,20 +188,22 @@ func backendsByName(spec string, optBudget int64) ([]sched.Scheduler, error) {
 		byName[b.Name()] = b
 	}
 	var out []sched.Scheduler
+	seen := map[string]bool{}
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
-		if name == "portfolio" {
-			out = append(out, core.Portfolio())
-			continue
-		}
-		if name == "opt" {
-			out = append(out, core.Opt(optBudget))
-			continue
-		}
 		b, ok := byName[name]
-		if !ok {
+		switch {
+		case name == "portfolio":
+			b = core.Portfolio()
+		case name == "opt":
+			b = core.Opt(optBudget)
+		case !ok:
 			return nil, fmt.Errorf("unknown backend %q (have: %s, opt, portfolio, all)", name, strings.Join(backendNames(reg), ", "))
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("duplicate backend %q in %q", name, spec)
+		}
+		seen[name] = true
 		out = append(out, b)
 	}
 	return out, nil
@@ -191,7 +227,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	probes := fs.Int("probes", 1, "parallel candidate-II probes per compilation (outputs stay byte-identical)")
 	exec := fs.Bool("exec", false, "differentially execute every successful compilation (emitted bundles vs the sequential reference); any mismatch fails the run")
-	portfolio := fs.Bool("portfolio", false, "also sweep the strategy-racing portfolio backend")
 	timeout := fs.Duration("timeout", driver.DefaultTimeout, "per-compilation budget")
 	budget := fs.Int64("budget", 0, "opt backend: conflict budget per candidate II (0 = default)")
 	timing := fs.Bool("timing", false, "include wall-clock fields (breaks byte-determinism)")
@@ -217,9 +252,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "msched run:", err)
 		return 2
-	}
-	if *portfolio {
-		bes = append(bes, core.Portfolio())
 	}
 	spec := driver.Spec{
 		Corpus:   fmt.Sprintf("gen:seed=%d,n=%d", *seed, *n),
@@ -378,7 +410,7 @@ func cmdGen(args []string, stdout, stderr io.Writer) int {
 // count as a failure in its own right rather than letting a shrunken
 // population be baselined away (or misread as "baseline stale").
 func gateRows(seed uint64, n, workers int, timeout time.Duration, stderr io.Writer) (rows *report.File, failures int) {
-	machines := []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()}
+	machines, _ := machinesByName("all")
 	opts := driver.Options{Workers: workers, Timeout: timeout}
 	rows = &report.File{}
 	for _, spec := range []driver.Spec{
@@ -426,17 +458,17 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "msched compare: -gap-o and -oracle-dir need -gap (or -gap-only)")
 		return 2
 	}
+	if !*gapOnly && *noPerf && *update {
+		// Refreshing the baseline without perf rows would silently strip
+		// them and disable the allocs/op gate for every later run.
+		fmt.Fprintln(stderr, "msched compare: -no-perf cannot be combined with -update-baseline (it would drop the perf rows from the baseline)")
+		return 2
+	}
 	if !*gapOnly {
 		current, failed := gateRows(*seed, *n, *workers, *timeout, stderr)
 		if failed > 0 {
 			fmt.Fprintf(stderr, "msched compare: %d gate-corpus compilation(s) failed — fix the backends before gating or refreshing the baseline\n", failed)
 			return 1
-		}
-		if *noPerf && *update {
-			// Refreshing the baseline without perf rows would silently strip
-			// them and disable the allocs/op gate for every later run.
-			fmt.Fprintln(stderr, "msched compare: -no-perf cannot be combined with -update-baseline (it would drop the perf rows from the baseline)")
-			return 2
 		}
 		if !*noPerf {
 			pf, err := perfRows()

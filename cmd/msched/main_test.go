@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/internal/report"
+	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
 
 // capture runs Main with buffered stdout/stderr and returns (exit code,
@@ -24,17 +25,108 @@ func TestUsageAndBadInput(t *testing.T) {
 	if code, _, _ := capture(t); code != 2 {
 		t.Error("no args must exit 2")
 	}
-	if code, _, _ := capture(t, "bogus"); code != 2 {
-		t.Error("unknown subcommand must exit 2")
-	}
 	if code, out, _ := capture(t, "help"); code != 0 || !strings.Contains(out, "compare") {
 		t.Error("help must print usage and exit 0")
 	}
-	if code, _, errOut := capture(t, "run", "-machines", "nope"); code != 2 || !strings.Contains(errOut, "unknown machine") {
-		t.Error("unknown machine must exit 2")
+	for _, c := range []struct {
+		args    []string
+		errWant string
+	}{
+		{[]string{"bogus"}, "unknown subcommand"},
+		{[]string{"run", "-machines", "nope"}, "unknown machine"},
+		{[]string{"run", "-backends", "nope"}, "unknown backend"},
+		{[]string{"run", "-portfolio"}, "flag provided but not defined"},
+		// Usage errors must be raised before any compilation: the 1ns
+		// timeout fails every gate-corpus job, so a check that ran after
+		// the sweep would exit 1 instead.
+		{[]string{"compare", "-no-perf", "-update-baseline", "-n", "1", "-timeout", "1ns"}, "-no-perf cannot be combined"},
+	} {
+		if code, _, errOut := capture(t, c.args...); code != 2 || !strings.Contains(errOut, c.errWant) {
+			t.Errorf("msched %s: got exit %d, want 2 with %q; stderr: %s", strings.Join(c.args, " "), code, c.errWant, errOut)
+		}
 	}
-	if code, _, errOut := capture(t, "run", "-backends", "nope"); code != 2 || !strings.Contains(errOut, "unknown backend") {
-		t.Error("unknown backend must exit 2")
+}
+
+// TestDuplicateGridNamesRejected pins that a backend or machine named
+// twice is a usage error. The driver aggregates outcomes by (backend,
+// machine) name, so a repeat used to fold two jobs into one combo and
+// report doubled counts and sums.
+func TestDuplicateGridNamesRejected(t *testing.T) {
+	data, err := machine.Unified().ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	for _, p := range []string{a, b} {
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name, backends, machines, errWant string
+	}{
+		{"backend", "mirs,mirs", "unified", `duplicate backend "mirs"`},
+		{"portfolio", "portfolio, portfolio", "unified", `duplicate backend "portfolio"`},
+		{"machine", "list", "unified,unified", `duplicate machine "unified"`},
+		{"machine files", "list", a + "," + b, `duplicate machine "unified"`},
+		{"file shadows canned", "list", "unified," + a, `duplicate machine "unified"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			code, _, errOut := capture(t, "run", "-seed", "1", "-n", "2", "-backends", c.backends, "-machines", c.machines)
+			if code != 2 || !strings.Contains(errOut, c.errWant) {
+				t.Fatalf("got exit %d, want 2 with %q; stderr: %s", code, c.errWant, errOut)
+			}
+		})
+	}
+}
+
+// TestMalformedMachineFileFails is the regression test for the failure
+// mode where a bad machine description used to slip through as a panic
+// or an empty report: the command must exit non-zero with a message
+// naming the file and the parse problem.
+func TestMalformedMachineFileFails(t *testing.T) {
+	dir := t.TempDir()
+	cases := map[string]string{
+		"truncated.json": `{"name": "broken", "clusters": [`,
+		"notjson.json":   `this is not json at all`,
+		"invalid.json":   `{"name": "empty"}`, // parses, but validates empty (no clusters)
+		"missing.json":   "",                  // never written
+	}
+	for file, content := range cases {
+		path := filepath.Join(dir, file)
+		if content != "" {
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		code, _, errOut := capture(t, "run", "-seed", "1", "-n", "1", "-machines", path)
+		if code == 0 {
+			t.Errorf("msched run accepted malformed machine %s", file)
+		}
+		if !strings.Contains(errOut, file) {
+			t.Errorf("msched run error does not name the file %s: %q", file, errOut)
+		}
+	}
+}
+
+// TestRunWithMachineFile checks the happy path: a valid machine JSON
+// file participates in a run exactly like a canned machine.
+func TestRunWithMachineFile(t *testing.T) {
+	data, err := machine.Unified().ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "custom.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := capture(t, "run", "-seed", "1", "-n", "2", "-backends", "list", "-machines", path)
+	if code != 0 {
+		t.Fatalf("run with machine file failed (%d): %s", code, errOut)
+	}
+	if !strings.Contains(out, "2 loops") {
+		t.Fatalf("run summary missing: %s", out)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package core wires the public packages into a single compilation entry
 // point: dependence analysis, MII computation, modulo scheduling and
-// register-pressure analysis in one call. It is the facade the future
-// service/CLI layers build on, and re-exports the few types callers need
-// so casual users can depend on core alone.
+// register-pressure analysis in one call. It is the facade the batch
+// driver and the msched CLI build on, and re-exports the few types
+// callers need so casual users can depend on core alone.
 package core
 
 import (
@@ -127,8 +127,8 @@ type Opts struct {
 // CompileSafeWith is CompileWithOpts with panic isolation: a panicking
 // backend (or analysis layer) is converted into an ordinary per-loop
 // error instead of taking down the caller. This is the non-fatal error
-// path batch drivers, the serving layer and the `msched trace`/`exec`
-// explainers compile untrusted or generated populations through — one
+// path the batch driver and the `msched trace`/`exec` explainers
+// compile untrusted or generated populations through — one
 // pathological loop must cost one result, not the whole sweep. The
 // error carries the recovered value and a trimmed stack so shaken-out
 // bugs stay diagnosable from a batch report. Cancelling ctx (deadline or
@@ -247,7 +247,7 @@ func Opt(budget int64) sched.Scheduler {
 // policy, best result kept by the deterministic (fits, II, MaxLive,
 // spill traffic) order. It is not part of Backends() — quality gates
 // compare the individual backends — but `msched run -backends portfolio`
-// and `msched run -portfolio` compile through it.
+// compiles through it.
 func Portfolio() sched.Scheduler {
 	return search.DefaultPortfolio()
 }

@@ -42,7 +42,7 @@ import (
 // depends on which goroutine finishes first — so they are returned out
 // of band and must never be folded into deterministic artifacts
 // (Schedule.Stats, report rows); surface them only through timing-mode
-// reports and server counters.
+// reports.
 type Stats struct {
 	// Launched counts attempts handed to workers, including relaunches
 	// of candidates whose first probe was cancelled.

@@ -22,13 +22,10 @@
 // assigns — never wall clock — so traces of a fixed seed are
 // byte-deterministic across runs and machines.
 //
-// Two recorders ship: Buffer retains the full stream for the Chrome
-// trace exporter and the aggregated search Profile (msched trace), and
-// Counters folds the stream into per-kind atomic totals cheap enough to
-// attach to every compilation a server performs (/v1/statsz).
+// Buffer is the recorder that ships: it retains the full stream for the
+// Chrome trace exporter and the aggregated search Profile (msched
+// trace, msched run -trace-slowest).
 package trace
-
-import "sync/atomic"
 
 // Kind classifies one search event. The values are stable artifact
 // vocabulary: docs/PAPER_MAP.md maps each kind to the paper's algorithm
@@ -174,35 +171,3 @@ func (b *Buffer) Len() int { return len(b.events) }
 
 // Reset clears the buffer for reuse, keeping its backing allocation.
 func (b *Buffer) Reset() { b.events, b.seq = b.events[:0], 0 }
-
-// Counters is the folding Recorder: per-kind atomic totals and nothing
-// else, cheap and race-free enough to share across every compilation a
-// server runs. /v1/statsz exposes the totals as
-// msched_search_events_total{kind=...}.
-type Counters struct {
-	counts [NumKinds]atomic.Int64
-}
-
-// Emit implements Recorder.
-func (c *Counters) Emit(e Event) {
-	if int(e.Kind) < NumKinds {
-		c.counts[e.Kind].Add(1)
-	}
-}
-
-// Count returns the total for one kind.
-func (c *Counters) Count(k Kind) int64 {
-	if int(k) >= NumKinds {
-		return 0
-	}
-	return c.counts[k].Load()
-}
-
-// Total returns the sum over all kinds.
-func (c *Counters) Total() int64 {
-	var t int64
-	for i := range c.counts {
-		t += c.counts[i].Load()
-	}
-	return t
-}

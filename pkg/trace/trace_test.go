@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -63,29 +62,6 @@ func TestKindNamesStable(t *testing.T) {
 	}
 	if Kind(200).String() != "unknown" {
 		t.Fatalf("out-of-range kind should be unknown")
-	}
-}
-
-func TestCountersConcurrent(t *testing.T) {
-	var c Counters
-	const per = 1000
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Emit(Event{Kind: KindPlace})
-				c.Emit(Event{Kind: KindEject})
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Count(KindPlace); got != 8*per {
-		t.Fatalf("place count = %d, want %d", got, 8*per)
-	}
-	if got := c.Total(); got != 2*8*per {
-		t.Fatalf("total = %d, want %d", got, 2*8*per)
 	}
 }
 
