@@ -16,9 +16,12 @@ race:
 	go test -race ./...
 
 # Full-pipeline benchmark (graph build + schedule + analysis + MVE) with
-# allocation counts; writes BENCH_results.json next to the package.
+# allocation counts; writes BENCH_results.json next to the package. Then
+# the differential oracle alone (emitted programs run on pkg/vm), which
+# covers everything after Expand.
 bench:
 	go test -run '^$$' -bench '^(BenchmarkCompile)$$' -benchmem ./internal/core/
+	go test -run '^$$' -bench '^(BenchmarkVerifyProgram)$$' -benchmem ./pkg/vm/
 
 # Placement-path-only benchmark: graph and MII prebuilt, so allocs/op
 # isolates the scheduler hot path the zero-allocation claim covers.

@@ -293,7 +293,8 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 		tr := sched.Transfer{From: e.From, Reg: e.Reg, Dest: st.plc[e.To].Cluster,
 			Cycle: sched.TransferCycle(st.m, st.loop, st.plc, e.From)}
 		if err := st.mrt.AddTransfer(tr); err != nil {
-			panic(fmt.Sprintf("mirs: re-seating transfer from %d after spill: %v", e.From, err))
+			panic(fmt.Sprintf("mirs: re-seating transfer of %s from %d to cluster %d at cycle %d after spill: %v",
+				tr.Reg, e.From, tr.Dest, tr.Cycle, err))
 		}
 	}
 	for nid := 0; nid < n; nid++ {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -285,11 +286,18 @@ func (t *MRT) findTransfer(from int, reg ir.VReg, dest int) int {
 	return -1
 }
 
+// ErrBusBusy is AddTransfer's failure: the transfer's cycle row has no
+// bus left. It is a fixed value, not a formatted message, because the
+// backends probe candidate placements with add-then-remove and hit it in
+// their inner loop; AddTransfers returns the blocking Transfer alongside
+// it for callers that need the cycle.
+var ErrBusBusy = errors.New("sched: all buses busy")
+
 // AddTransfer reserves bus bandwidth for one cross-cluster dependence
 // edge. Edges sharing the same (producer, register, destination cluster)
 // ride the same physical transfer, so only the first of them claims a
-// bus; subsequent calls just bump its reference count. It fails when the
-// transfer's cycle row has no bus left.
+// bus; subsequent calls just bump its reference count. It returns
+// ErrBusBusy when the transfer's cycle row has no bus left.
 func (t *MRT) AddTransfer(tr Transfer) error {
 	if i := t.findTransfer(tr.From, tr.Reg, tr.Dest); i >= 0 {
 		t.busRefs[i].refs++
@@ -297,8 +305,7 @@ func (t *MRT) AddTransfer(tr Transfer) error {
 	}
 	c := t.mod(tr.Cycle)
 	if t.busUsed[c] >= t.busCap {
-		return fmt.Errorf("sched: all %d buses busy at cycle %d (mod II=%d) for transfer of %s from instruction %d to cluster %d",
-			t.busCap, c, t.ii, tr.Reg, tr.From, tr.Dest)
+		return ErrBusBusy
 	}
 	t.busUsed[c]++
 	t.busRefs = append(t.busRefs, busEntry{from: tr.From, reg: tr.Reg, dest: tr.Dest, cycle: c, refs: 1})
@@ -307,7 +314,7 @@ func (t *MRT) AddTransfer(tr Transfer) error {
 
 // AddTransfers reserves a batch of transfers all-or-nothing: on the
 // first failure every transfer already added by this call is removed
-// again and the blocking transfer is returned with the error, so a
+// again and the blocking transfer is returned with ErrBusBusy, so a
 // backtracking scheduler knows which bus cycle to fight for.
 func (t *MRT) AddTransfers(trs []Transfer) (Transfer, error) {
 	for i, tr := range trs {

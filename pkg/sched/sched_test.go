@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -282,8 +283,8 @@ func TestMRTBusTransfers(t *testing.T) {
 		t.Errorf("BusUsed = %d, want 1 (broadcast shares a bus)", got)
 	}
 	// A different destination at a congruent cycle needs a second bus.
-	if err := mrt.AddTransfer(Transfer{From: 0, Reg: 5, Dest: 2, Cycle: 5}); err == nil {
-		t.Error("AddTransfer accepted a second transfer on a 1-bus machine")
+	if err := mrt.AddTransfer(Transfer{From: 0, Reg: 5, Dest: 2, Cycle: 5}); !errors.Is(err, ErrBusBusy) {
+		t.Errorf("AddTransfer of a second transfer on a 1-bus machine: err = %v, want ErrBusBusy", err)
 	}
 	// One RemoveTransfer drops one reference; the bus frees on the last.
 	mrt.RemoveTransfer(0, 5, 1)
@@ -299,8 +300,8 @@ func TestMRTBusTransfers(t *testing.T) {
 		{From: 1, Reg: 2, Dest: 1, Cycle: 0},
 		{From: 2, Reg: 3, Dest: 2, Cycle: 3}, // 3 mod 3 == 0: bus full
 	}
-	if fail, err := mrt.AddTransfers(batch); err == nil {
-		t.Error("AddTransfers accepted an over-capacity batch")
+	if fail, err := mrt.AddTransfers(batch); !errors.Is(err, ErrBusBusy) {
+		t.Errorf("AddTransfers of an over-capacity batch: err = %v, want ErrBusBusy", err)
 	} else if fail != batch[1] {
 		t.Errorf("AddTransfers blocking transfer = %+v, want %+v", fail, batch[1])
 	}

@@ -3,7 +3,6 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"github.com/paper-repo-growth/mirs/pkg/emit"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
@@ -33,18 +32,57 @@ func (m Mode) String() string {
 }
 
 // regCommit is one in-flight register write: the value lands in loc at a
-// fixed cycle. issue orders same-location commits (a later-issued write
-// architecturally wins and makes any slower earlier write stale); seq
-// breaks remaining ties deterministically.
+// fixed cycle. issue orders same-location commits: a later-issued write
+// architecturally wins and makes any slower earlier write stale.
 type regCommit struct {
-	loc        emit.Loc
-	val        uint64
-	issue, seq int
+	loc   emit.Loc
+	val   uint64
+	issue int
 }
 
 type memCommit struct {
 	addr int
 	val  uint64
+}
+
+// maxDelay scans the bundles a run in mode issues and returns the
+// longest op latency or transfer delay: how far ahead of its issue cycle
+// a commit can land, which sizes the writeback ring. A latency or delay
+// below 1 is an error — such a commit would land in a cycle whose
+// writebacks were already applied.
+func maxDelay(prog *emit.Program, mode Mode) (int, error) {
+	segs := [][]emit.Bundle{prog.Kernel}
+	if mode == ModeMVE {
+		segs = append(segs, prog.Prologue, prog.Epilogue)
+	}
+	longest := 1
+	for _, seg := range segs {
+		for bi := range seg {
+			for oi := range seg[bi].Ops {
+				op := &seg[bi].Ops[oi]
+				if op.Latency < 1 {
+					return 0, fmt.Errorf("vm: run: op %d has latency %d", op.ID, op.Latency)
+				}
+				longest = max(longest, op.Latency)
+				for _, x := range op.Xfers {
+					if x.Delay < 1 {
+						return 0, fmt.Errorf("vm: run: op %d has transfer delay %d", op.ID, x.Delay)
+					}
+					longest = max(longest, x.Delay)
+				}
+			}
+		}
+	}
+	return longest, nil
+}
+
+// negOnes returns n entries of -1: a last-writer table before any write.
+func negOnes(n int) []int {
+	t := make([]int, n)
+	for i := range t {
+		t[i] = -1
+	}
+	return t
 }
 
 // RunProgram interprets the emitted program on machine state derived
@@ -54,9 +92,13 @@ type memCommit struct {
 // the register and memory writebacks due (results commit their latency
 // after issue, bus transfers their extra bus latency later), then issues
 // the cycle's bundle — operands are read at issue, which is exactly the
-// contract Schedule.Validate enforced with its latency checks. The
+// contract Schedule.Validate enforced with its latency checks. Every op
+// latency and transfer delay in the plan must be at least 1; RunProgram
+// checks that before running and names the offending op otherwise. The
 // semantics must have been bound with Bind (the final-state extraction
-// needs the kernel's renaming and placements).
+// needs the kernel's renaming and placements). A run allocates its
+// machine state up front and reuses its writeback buckets, so nothing
+// is allocated per cycle or per operation.
 func RunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*State, error) {
 	if sem.ek == nil {
 		return nil, fmt.Errorf("vm: run: semantics not bound to a schedule (use Bind, not BindLoop)")
@@ -74,15 +116,26 @@ func RunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*State
 		return nil, fmt.Errorf("vm: run needs trip >= 1, got %d", trip)
 	}
 
+	longest, err := maxDelay(prog, mode)
+	if err != nil {
+		return nil, err
+	}
+
 	m := prog.Machine
 	regs := make([][]uint64, m.NumClusters())
+	// lastReg and lastFrame are the dense last-writer tables, shaped like
+	// regs and frame: the issue cycle of the write that owns each
+	// location, -1 before the first.
+	lastReg := make([][]int, len(regs))
 	for ci := range regs {
 		regs[ci] = make([]uint64, m.RegsPerCluster(ci))
+		lastReg[ci] = negOnes(len(regs[ci]))
 		for idx, name := range prog.Names[ci] {
 			regs[ci][idx] = sem.initReg(name.Reg)
 		}
 	}
 	frame := make([]uint64, len(prog.Frame))
+	lastFrame := negOnes(len(frame))
 	for idx, fs := range prog.Frame {
 		frame[idx] = sem.initReg(fs.Name.Reg)
 	}
@@ -94,18 +147,25 @@ func RunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*State
 		}
 		return regs[l.Cluster][l.Index]
 	}
-	writeLoc := func(l emit.Loc, v uint64) {
+	cell := func(l emit.Loc) (val *uint64, last *int) {
 		if l.Frame {
-			frame[l.Index] = v
-		} else {
-			regs[l.Cluster][l.Index] = v
+			return &frame[l.Index], &lastFrame[l.Index]
 		}
+		return &regs[l.Cluster][l.Index], &lastReg[l.Cluster][l.Index]
 	}
 
-	pendingR := map[int][]regCommit{}
-	pendingW := map[int][]memCommit{}
-	lastIssue := map[emit.Loc]int{}
-	seq := 0
+	// The writeback rings: bucket c%depth holds the commits landing at
+	// cycle c, and is truncated, keeping its backing array, once applied.
+	// Every delay is in [1, longest], so a commit issued at c lands in one
+	// of the next longest buckets, never in c's own, and bucket c%depth
+	// is drained at c before the first commit for c+depth can be queued
+	// (at c+1 at the earliest). Cycles issue in order, so each bucket
+	// fills in (issue cycle, slot) order — the order later-issue-wins
+	// needs — and is applied front to back without sorting.
+	depth := longest + 1
+	ringR := make([][]regCommit, depth)
+	ringW := make([][]memCommit, depth)
+	inflight := 0
 
 	// bundleAt maps a timeline cycle to the bundle issuing then and the
 	// pass offset its kernel ops add to their base iteration; ok=false
@@ -139,32 +199,24 @@ func RunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*State
 		}
 	}
 
-	for c := 0; c < issueSpan || len(pendingR) > 0 || len(pendingW) > 0; c++ {
+	for c := 0; c < issueSpan || inflight > 0; c++ {
 		// Writeback first: a result with latency L committed at cycle c is
 		// readable by an op issuing at c — the = in the scheduler's
 		// issue(consumer) >= issue(producer) + L contract.
-		if rcs, ok := pendingR[c]; ok {
-			sort.Slice(rcs, func(a, b int) bool {
-				if rcs[a].issue != rcs[b].issue {
-					return rcs[a].issue < rcs[b].issue
-				}
-				return rcs[a].seq < rcs[b].seq
-			})
-			for _, rc := range rcs {
-				if last, seen := lastIssue[rc.loc]; seen && rc.issue < last {
-					continue // stale: a later-issued write already owns the location
-				}
-				lastIssue[rc.loc] = rc.issue
-				writeLoc(rc.loc, rc.val)
+		b := c % depth
+		for _, rc := range ringR[b] {
+			val, last := cell(rc.loc)
+			if rc.issue < *last {
+				continue // stale: a later-issued write already owns the location
 			}
-			delete(pendingR, c)
+			*last = rc.issue
+			*val = rc.val
 		}
-		if wcs, ok := pendingW[c]; ok {
-			for _, wc := range wcs {
-				binary.LittleEndian.PutUint64(mem[wc.addr:], wc.val)
-			}
-			delete(pendingW, c)
+		for _, wc := range ringW[b] {
+			binary.LittleEndian.PutUint64(mem[wc.addr:], wc.val)
 		}
+		inflight -= len(ringR[b]) + len(ringW[b])
+		ringR[b], ringW[b] = ringR[b][:0], ringW[b][:0]
 		if c >= issueSpan {
 			continue
 		}
@@ -181,20 +233,20 @@ func RunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*State
 			out, wAddr, wVal := sem.eval(mem, op.ID, i, func(j int) uint64 {
 				return readLoc(op.Srcs[j])
 			})
+			wb := (c + op.Latency) % depth
 			if wAddr >= 0 {
-				wb := c + op.Latency
-				pendingW[wb] = append(pendingW[wb], memCommit{addr: wAddr, val: wVal})
+				ringW[wb] = append(ringW[wb], memCommit{addr: wAddr, val: wVal})
+				inflight++
 			}
 			for _, d := range op.Defs {
-				wb := c + op.Latency
-				pendingR[wb] = append(pendingR[wb], regCommit{loc: d, val: out, issue: c, seq: seq})
-				seq++
+				ringR[wb] = append(ringR[wb], regCommit{loc: d, val: out, issue: c})
 			}
+			inflight += len(op.Defs)
 			for _, x := range op.Xfers {
-				wb := c + x.Delay
-				pendingR[wb] = append(pendingR[wb], regCommit{loc: x.Dst, val: out, issue: c, seq: seq})
-				seq++
+				xb := (c + x.Delay) % depth
+				ringR[xb] = append(ringR[xb], regCommit{loc: x.Dst, val: out, issue: c})
 			}
+			inflight += len(op.Xfers)
 		}
 	}
 

@@ -3,7 +3,9 @@ package vm_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/paper-repo-growth/mirs/pkg/emit"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
@@ -249,6 +251,86 @@ func TestSequentialTripExtension(t *testing.T) {
 	// identical. Compare the load-region prefix.
 	if len(short.Mem) != len(long.Mem) {
 		t.Fatalf("memory image size depends on trip: %d vs %d", len(short.Mem), len(long.Mem))
+	}
+}
+
+// TestRunRejectsNonPositiveDelay: a latency or transfer delay below 1
+// would commit into a cycle whose writebacks were already applied, so
+// RunProgram must refuse the program up front and name the op — under
+// both plans — rather than run it. (Such a commit was once queued for a
+// cycle that never drained again, and the run never ended.)
+func TestRunRejectsNonPositiveDelay(t *testing.T) {
+	ek, prog := compile(t, mirs.New(), exampleLoop(t, "fir8"), machine.Paper4Cluster())
+	sem, err := vm.Bind(ek, vm.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var op *emit.Op
+	for bi := range prog.Kernel {
+		for oi := range prog.Kernel[bi].Ops {
+			if o := &prog.Kernel[bi].Ops[oi]; op == nil && len(o.Xfers) > 0 {
+				op = o
+			}
+		}
+	}
+	if op == nil {
+		t.Fatal("fir8 on paper-4cluster has no kernel op with a bus transfer")
+	}
+	for _, tc := range []struct {
+		name  string
+		field *int
+	}{
+		{"latency", &op.Latency},
+		{"transfer delay", &op.Xfers[0].Delay},
+	} {
+		saved := *tc.field
+		*tc.field = 0
+		want := fmt.Sprintf("vm: run: op %d has %s 0", op.ID, tc.name)
+		for _, mode := range []vm.Mode{vm.ModeMVE, vm.ModePredicated} {
+			done := make(chan error, 1)
+			go func() {
+				_, err := vm.RunProgram(sem, prog, mode, prog.Trip)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s 0, %s plan: err = %v, want %q", tc.name, mode, err, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s 0, %s plan: RunProgram still running after 10s", tc.name, mode)
+			}
+		}
+		*tc.field = saved
+	}
+}
+
+// TestRunProgramAllocsIndependentOfTrip: the machine state is allocated
+// before the first cycle and the writeback buckets are reused, so a
+// predicated run allocates the same at trip 512 as at Trip+1 — nothing
+// per cycle, nothing per operation.
+func TestRunProgramAllocsIndependentOfTrip(t *testing.T) {
+	for _, be := range backends() {
+		for _, m := range machines() {
+			for _, l := range ir.ExampleLoops() {
+				ek, prog := compile(t, be, l, m)
+				sem, err := vm.Bind(ek, vm.DefaultSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				allocs := func(trip int) float64 {
+					return testing.AllocsPerRun(5, func() {
+						if _, err := vm.RunProgram(sem, prog, vm.ModePredicated, trip); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+				if short, long := allocs(prog.Trip+1), allocs(512); long != short {
+					t.Errorf("%s on %s by %s: %v allocs at trip 512, %v at trip %d",
+						l.Name, m.Name, be.Name(), long, short, prog.Trip+1)
+				}
+			}
+		}
 	}
 }
 
