@@ -2,7 +2,7 @@
 # here is a thin wrapper over go / msched invocations, so CI and humans
 # run the identical commands.
 
-.PHONY: all build test race bench bench-placement bench-parallel bench-e2e profile compare baseline trace exec lint fmt
+.PHONY: all build test race bench bench-placement bench-e2e profile compare baseline trace exec lint fmt
 
 all: build test
 
@@ -27,13 +27,6 @@ bench:
 # isolates the scheduler hot path the zero-allocation claim covers.
 bench-placement:
 	go test -run '^$$' -bench BenchmarkPlacement -benchmem ./internal/core/
-
-# Speculative II search at 1 and 4 CPUs over the tail-heavy corpus; the
-# cpu=4 row reports a speedup metric vs cpu=1 and both rows land in
-# internal/core/BENCH_parallel.json. Needs >= 4 physical cores for the
-# ratio to mean anything.
-bench-parallel:
-	go test -run '^$$' -bench BenchmarkCompileParallel -cpu 1,4 -benchmem ./internal/core/
 
 # The benchmark module (bench/): its unit tests, then one quick pass
 # over every workload. bench/ is a nested module, so `go test ./...`

@@ -171,7 +171,7 @@ func machineFromFile(path string) (*machine.Machine, error) {
 
 // backendsByName resolves a comma-separated backend list against the
 // core registry. "all" expands to every registered backend; "portfolio"
-// (the strategy-racing scheduler, core.Portfolio) and "opt" (the exact
+// (the strategy portfolio, core.Portfolio) and "opt" (the exact
 // SAT backend, core.Opt with optBudget conflicts per candidate II) are
 // resolvable by name but deliberately not part of "all" — the portfolio
 // duplicates whichever strategy wins, and opt's role is the optimality
@@ -225,7 +225,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	backends := fs.String("backends", "all", "comma-separated backends, or all")
 	machines := fs.String("machines", "unified,paper-4cluster", "comma-separated machines, or all")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	probes := fs.Int("probes", 1, "parallel candidate-II probes per compilation (outputs stay byte-identical)")
 	exec := fs.Bool("exec", false, "differentially execute every successful compilation (emitted bundles vs the sequential reference); any mismatch fails the run")
 	timeout := fs.Duration("timeout", driver.DefaultTimeout, "per-compilation budget")
 	budget := fs.Int64("budget", 0, "opt backend: conflict budget per candidate II (0 = default)")
@@ -261,7 +260,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	}
 	rep := driver.Run(spec, driver.Options{
 		Workers: *workers, Timeout: *timeout, Timing: *timing, KeepOutcomes: *keep,
-		TraceSlowest: *traceSlowest, TraceDir: *traceDir, Probes: *probes, Exec: *exec,
+		TraceSlowest: *traceSlowest, TraceDir: *traceDir, Exec: *exec,
 	})
 	printSummary(stdout, rep)
 	if rep.TraceErr != "" {
@@ -324,11 +323,7 @@ func printSummary(w io.Writer, rep *driver.Report) {
 	if rep.ElapsedSeconds > 0 {
 		fmt.Fprintf(w, "wall clock %.2fs, %.0f compilations/sec across %d workers\n",
 			rep.ElapsedSeconds, rep.LoopsPerSec, rep.Workers)
-		fmt.Fprintf(w, "per-compilation latency p50 %dus p99 %dus", rep.P50Micros, rep.P99Micros)
-		if rep.Probes > 1 {
-			fmt.Fprintf(w, " (probes %d: %d launched, %d cancelled)", rep.Probes, rep.ProbesLaunched, rep.ProbesCancelled)
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "per-compilation latency p50 %dus p99 %dus\n", rep.P50Micros, rep.P99Micros)
 	}
 	for _, o := range rep.Outcomes {
 		if o.Err != "" {

@@ -36,6 +36,8 @@ func TestUsageAndBadInput(t *testing.T) {
 		{[]string{"run", "-machines", "nope"}, "unknown machine"},
 		{[]string{"run", "-backends", "nope"}, "unknown backend"},
 		{[]string{"run", "-portfolio"}, "flag provided but not defined"},
+		{[]string{"run", "-probes", "2"}, "flag provided but not defined"},
+		{[]string{"trace", "-probes", "2"}, "flag provided but not defined"},
 		// Usage errors must be raised before any compilation: the 1ns
 		// timeout fails every gate-corpus job, so a check that ran after
 		// the sweep would exit 1 instead.

@@ -34,7 +34,6 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	index := fs.Int("i", 0, "index of the generated loop to trace")
 	backend := fs.String("backend", "mirs", "scheduler backend to trace")
 	machineSpec := fs.String("machine", "tight", "machine to compile for (canned name or .json file)")
-	probes := fs.Int("probes", 1, "parallel candidate-II probes (the trace stays byte-identical)")
 	timeout := fs.Duration("timeout", driver.DefaultTimeout, "compilation budget")
 	chromeOut := fs.String("chrome", "", "write the Chrome trace-event JSON to this file")
 	profileOut := fs.String("profile", "", "write the aggregated profile JSON to this file")
@@ -68,7 +67,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	buf := &trace.Buffer{}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	r, err := core.CompileSafeWith(ctx, be, loop, m, core.Opts{Recorder: buf, ParallelProbes: *probes})
+	r, err := core.CompileSafeWith(ctx, be, loop, m, core.Opts{Recorder: buf})
 	if err != nil {
 		fmt.Fprintf(stderr, "msched trace: compiling %s on %s with %s: %v\n", loop.Name, m.Name, be.Name(), err)
 		return 1

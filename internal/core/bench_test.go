@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"runtime"
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/internal/report"
-	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
@@ -117,130 +115,6 @@ func BenchmarkCompile(b *testing.B) {
 	if err := results.WriteFile(benchResultsPath()); err != nil {
 		b.Logf("bench results not written: %v", err)
 	}
-}
-
-// parallelBenchRows accumulates BenchmarkCompileParallel rows across
-// the -cpu values of one `go test` invocation (the harness calls the
-// benchmark once per cpu value, sequentially, in the same process), so
-// the written artifact holds the cpu=1 and cpu=N rows side by side and
-// the speedup is one division away.
-var parallelBenchRows = map[string]report.Row{}
-
-// parallelBenchResultsPath mirrors benchResultsPath for the parallel
-// benchmark's artifact. A separate file, because `-bench
-// BenchmarkCompile` is an unanchored regex that matches this benchmark
-// too, and the two artifacts would otherwise clobber each other.
-func parallelBenchResultsPath() string {
-	if p := os.Getenv("BENCH_PARALLEL_RESULTS"); p != "" {
-		return p
-	}
-	return "BENCH_parallel.json"
-}
-
-// cornerKnobs resolves a generator corner by tag; the benchmark fails
-// loudly if the corner set ever drops a tag it depends on.
-func cornerKnobs(b *testing.B, tag string) gen.Knobs {
-	for _, c := range gen.Corners() {
-		if c.Tag == tag {
-			return c
-		}
-	}
-	b.Fatalf("generator has no %q corner", tag)
-	return gen.Knobs{}
-}
-
-// BenchmarkCompileParallel measures the speculative II search
-// (pkg/sched/search) on the corpus it exists for: tail-heavy loops —
-// the pressure and storm corners on the tight machine — where mirs
-// walks many candidate IIs before one fits, so probing IIs concurrently
-// shortens the critical path. Run with -cpu 1,4 to get the speedup as
-// the ns/op ratio between the two rows:
-//
-//	go test -run '^$' -bench BenchmarkCompileParallel -cpu 1,4 ./internal/core/
-//
-// Every parallel compilation is checked against a sequential reference
-// computed outside the timed loop — the determinism contract (same
-// II/MaxLive/unroll at any probe count) is enforced here too, not just
-// in the differential tests. Rows land in BENCH_parallel.json keyed by
-// cpu count; cpu>1 runs also report a "speedup" metric against the
-// cpu=1 row of the same invocation.
-//
-// The speedup needs real cores: with fewer physical CPUs than probes,
-// speculative attempts timeshare the needed attempt's core and the
-// ratio sits at or below 1 — on a single-core host this benchmark
-// documents the overhead bound of the engine, not its gain.
-func BenchmarkCompileParallel(b *testing.B) {
-	const probes = 4
-	loops := append(
-		gen.CornerCorpus(11, 6, cornerKnobs(b, "pressure")),
-		gen.CornerCorpus(12, 6, cornerKnobs(b, "storm"))...)
-	m := machine.Tight()
-	var be sched.Scheduler
-	for _, s := range Backends() {
-		if s.Name() == "mirs" {
-			be = s
-		}
-	}
-	if be == nil {
-		b.Fatal("mirs backend not registered")
-	}
-
-	// Sequential reference: the answer every probe count must reproduce.
-	type ref struct{ ii, maxLive, unroll int }
-	refs := make([]ref, len(loops))
-	for i, l := range loops {
-		r, err := CompileWith(be, l, m)
-		if err != nil {
-			b.Fatalf("sequential %s: %v", l.Name, err)
-		}
-		refs[i] = ref{r.Schedule.II, r.Pressure.MaxLive, r.Expanded.Unroll}
-	}
-
-	// GOMAXPROCS must be read inside the sub-benchmark: the testing
-	// harness re-runs the leaf once per -cpu value (suffixing the name
-	// with -N), while this parent body runs only once.
-	b.Run("tail", func(b *testing.B) {
-		cpus := runtime.GOMAXPROCS(0)
-		key := fmt.Sprintf("cpu=%d", cpus)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, l := range loops {
-				r, err := CompileWithOpts(context.Background(), be, l, m, Opts{ParallelProbes: probes})
-				if err != nil {
-					b.Fatalf("parallel %s: %v", l.Name, err)
-				}
-				if r.Schedule.II != refs[j].ii || r.Pressure.MaxLive != refs[j].maxLive || r.Expanded.Unroll != refs[j].unroll {
-					b.Fatalf("parallel %s diverged: got (II=%d, MaxLive=%d, unroll=%d), sequential (II=%d, MaxLive=%d, unroll=%d)",
-						l.Name, r.Schedule.II, r.Pressure.MaxLive, r.Expanded.Unroll, refs[j].ii, refs[j].maxLive, refs[j].unroll)
-				}
-			}
-		}
-		b.StopTimer()
-		nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		loopsPerSec := 0.0
-		if nsPerOp > 0 {
-			loopsPerSec = float64(len(loops)) / (nsPerOp / 1e9)
-		}
-		if base, ok := parallelBenchRows["cpu=1"]; ok && cpus > 1 && nsPerOp > 0 {
-			b.ReportMetric(base.NsPerOp/nsPerOp, "speedup")
-		}
-		parallelBenchRows[key] = report.Row{
-			Backend:     be.Name(),
-			Machine:     m.Name,
-			Corpus:      fmt.Sprintf("parallel:tail,probes=%d,cpu=%d", probes, cpus),
-			Loops:       len(loops),
-			NsPerOp:     nsPerOp,
-			LoopsPerSec: loopsPerSec,
-		}
-		var results report.File
-		for _, r := range parallelBenchRows {
-			results.Rows = append(results.Rows, r)
-		}
-		if err := results.WriteFile(parallelBenchResultsPath()); err != nil {
-			b.Logf("parallel bench results not written: %v", err)
-		}
-	})
 }
 
 // BenchmarkPlacement isolates the steady-state placement path: the

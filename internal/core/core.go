@@ -16,7 +16,6 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/opt"
 	"github.com/paper-repo-growth/mirs/pkg/regpress"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
-	"github.com/paper-repo-growth/mirs/pkg/sched/search"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 	"github.com/paper-repo-growth/mirs/pkg/vm"
 )
@@ -51,13 +50,6 @@ type Result struct {
 	// maps. It is always Validate-clean — CompileWith fails instead of
 	// returning a kernel with a wrap-around redefinition.
 	Expanded *sched.ExpandedKernel
-	// ProbeStats counts the speculative probes the parallel search ran
-	// for this compilation (zero when Opts.ParallelProbes <= 1 or the
-	// backend is not a sched.Prober). The counts are timing-dependent —
-	// they depend on goroutine completion order — so they must never be
-	// folded into deterministic artifacts; everything else in Result is
-	// a pure function of (loop, machine, options).
-	ProbeStats search.Stats
 	// Verified is the differential-execution report (pkg/vm): the
 	// expanded kernel emitted to architectural bundles and executed
 	// against the sequential reference on identical machine images. Nil
@@ -108,13 +100,6 @@ type Opts struct {
 	// zero cost; attaching one never changes the compilation result,
 	// only observes it.
 	Recorder trace.Recorder
-	// ParallelProbes > 1 probes that many candidate IIs concurrently
-	// through pkg/sched/search when the backend supports it
-	// (sched.Prober); <= 1 — the default — is the plain sequential
-	// search with zero extra goroutines and zero extra allocations.
-	// The compilation result is byte-identical at any setting; only
-	// wall clock and Result.ProbeStats change.
-	ParallelProbes int
 	// Exec differentially executes every successful compilation: the
 	// expanded kernel is emitted to bundles (pkg/emit) and interpreted
 	// (pkg/vm) against the sequential reference, with the outcome on
@@ -184,13 +169,7 @@ func CompileWithOpts(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *mach
 		return nil, err
 	}
 	req := &sched.Request{Ctx: ctx, Loop: l, Machine: m, Graph: g, MII: &mii, Recorder: opts.Recorder}
-	var out *sched.Schedule
-	var pstats search.Stats
-	if p, ok := s.(sched.Prober); ok && opts.ParallelProbes > 1 {
-		out, pstats, err = search.Run(req, p, opts.ParallelProbes)
-	} else {
-		out, err = s.Schedule(req)
-	}
+	out, err := s.Schedule(req)
 	if err != nil {
 		return nil, fmt.Errorf("core: backend %q: %w", s.Name(), err)
 	}
@@ -208,7 +187,7 @@ func CompileWithOpts(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *mach
 	if err != nil {
 		return nil, fmt.Errorf("core: backend %q: %w", s.Name(), err)
 	}
-	res := &Result{Graph: g, MII: mii, Schedule: out, Pressure: press, Expanded: ek, ProbeStats: pstats}
+	res := &Result{Graph: g, MII: mii, Schedule: out, Pressure: press, Expanded: ek}
 	if opts.Exec {
 		res.Verified, err = vm.Verify(ek, vm.Options{Seed: ExecSeed(l.Name)})
 		if err != nil {
@@ -239,15 +218,4 @@ func ExecSeed(loopName string) uint64 {
 // yardstick the heuristics are measured against.
 func Opt(budget int64) sched.Scheduler {
 	return opt.New(opt.WithBudget(budget))
-}
-
-// Portfolio returns the stock heterogeneous strategy race
-// (search.DefaultPortfolio) as a scheduler backend: list vs MIRS vs MIRS
-// with a doubled force budget vs MIRS with the fewest-uses victim
-// policy, best result kept by the deterministic (fits, II, MaxLive,
-// spill traffic) order. It is not part of Backends() — quality gates
-// compare the individual backends — but `msched run -backends portfolio`
-// compiles through it.
-func Portfolio() sched.Scheduler {
-	return search.DefaultPortfolio()
 }

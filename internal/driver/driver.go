@@ -22,7 +22,6 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
-	"github.com/paper-repo-growth/mirs/pkg/sched/search"
 )
 
 // Spec names one batch: the loop population and the backend × machine
@@ -75,16 +74,6 @@ type Options struct {
 	// byte-identical across runs; the CI exec-verify gate double-runs and
 	// diffs them.
 	Exec bool
-	// Probes > 1 turns on intra-compilation parallelism: each
-	// compilation speculatively attempts that many candidate IIs at
-	// once (core.Opts.ParallelProbes). The worker budget is split
-	// between the two axes — the pool shrinks to Workers/Probes loops
-	// in flight so total concurrency stays near the configured budget,
-	// trading breadth for depth on the tail loops whose long II
-	// searches dominate batch wall clock. Compilation outputs are
-	// byte-identical at any setting; only wall clock and the
-	// timing-block probe counters move.
-	Probes int
 }
 
 // DefaultTimeout is the per-compilation budget when Options.Timeout is
@@ -206,18 +195,10 @@ type Report struct {
 	LoopsPerSec float64 `json:"loops_per_sec,omitempty"`
 	// P50Micros/P99Micros are per-compilation wall-clock percentiles
 	// (nearest-rank over every job, failures included) — the numbers
-	// that show whether intra-compilation parallelism shortened the
-	// tail. Timing block: zero and absent on untimed reports.
+	// that show how long the tail loops' II searches run. Timing block:
+	// zero and absent on untimed reports.
 	P50Micros int64 `json:"p50_micros,omitempty"`
 	P99Micros int64 `json:"p99_micros,omitempty"`
-	// Probes echoes Options.Probes and ProbesLaunched/ProbesCancelled
-	// sum the speculative-search counters across the sweep. All three
-	// live in the timing block: the counters are goroutine-timing
-	// dependent and the echo varies with flags, so folding any of them
-	// into untimed reports would break the byte-determinism contract.
-	Probes          int   `json:"probes,omitempty"`
-	ProbesLaunched  int64 `json:"probes_launched,omitempty"`
-	ProbesCancelled int64 `json:"probes_cancelled,omitempty"`
 	// TraceArtifacts lists the file names traceSlowest wrote into
 	// Options.TraceDir (sorted); TraceErr records a sampling failure.
 	// Both are empty — and absent from the JSON — unless trace sampling
@@ -257,17 +238,6 @@ func Run(spec Spec, opts Options) *Report {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Probes > 1 {
-		// Split the concurrency budget between the axes: Probes cores
-		// per compilation, so at most Workers/Probes loops in flight
-		// keeps total goroutine pressure near the configured budget
-		// while the tail loops — the ones a whole pool ends up waiting
-		// on — get intra-loop parallelism.
-		workers = (workers + opts.Probes - 1) / opts.Probes
-		if workers < 1 {
-			workers = 1
-		}
-	}
 	timeout := opts.Timeout
 	if timeout <= 0 {
 		timeout = DefaultTimeout
@@ -284,14 +254,13 @@ func Run(spec Spec, opts Options) *Report {
 
 	outcomes := make([]Outcome, len(jobs))
 	durs := make([]time.Duration, len(jobs))
-	pstats := make([]search.Stats, len(jobs))
 	jobCh := make(chan int)
 	done := make(chan struct{})
 	start := time.Now()
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range jobCh {
-				outcomes[i], durs[i], pstats[i] = runOne(jobs[i], timeout, opts.Timing, opts.Probes, opts.Exec)
+				outcomes[i], durs[i] = runOne(jobs[i], timeout, opts.Timing, opts.Exec)
 			}
 			done <- struct{}{}
 		}()
@@ -308,11 +277,6 @@ func Run(spec Spec, opts Options) *Report {
 	rep := aggregate(spec, opts, workers, outcomes, elapsed)
 	if opts.Timing {
 		rep.P50Micros, rep.P99Micros = percentiles(durs)
-		rep.Probes = opts.Probes
-		for _, ps := range pstats {
-			rep.ProbesLaunched += ps.Launched
-			rep.ProbesCancelled += ps.Cancelled
-		}
 	}
 	if opts.TraceSlowest > 0 && opts.TraceDir != "" {
 		names, err := traceSlowest(jobs, outcomes, durs, opts.TraceSlowest, opts.TraceDir, timeout)
@@ -335,7 +299,7 @@ func Run(spec Spec, opts Options) *Report {
 // The returned duration is always measured (trace sampling ranks by it)
 // but only surfaces on the Outcome as Micros when timing is set, keeping
 // untimed reports byte-identical.
-func runOne(j job, timeout time.Duration, timing bool, probes int, exec bool) (Outcome, time.Duration, search.Stats) {
+func runOne(j job, timeout time.Duration, timing, exec bool) (Outcome, time.Duration) {
 	o := Outcome{Loop: j.loop.Name, Backend: j.backend.Name(), Machine: j.mach.Name}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -346,7 +310,7 @@ func runOne(j job, timeout time.Duration, timing bool, probes int, exec bool) (O
 	ch := make(chan res, 1)
 	begin := time.Now()
 	go func() {
-		r, err := core.CompileSafeWith(ctx, j.backend, j.loop, j.mach, core.Opts{ParallelProbes: probes, Exec: exec})
+		r, err := core.CompileSafeWith(ctx, j.backend, j.loop, j.mach, core.Opts{Exec: exec})
 		ch <- res{r, err}
 	}()
 	var r res
@@ -355,12 +319,12 @@ func runOne(j job, timeout time.Duration, timing bool, probes int, exec bool) (O
 		if r.err != nil && errors.Is(r.err, context.DeadlineExceeded) {
 			o.TimedOut = true
 			o.Err = fmt.Sprintf("timeout after %s", timeout)
-			return o, time.Since(begin), search.Stats{}
+			return o, time.Since(begin)
 		}
 	case <-ctx.Done():
 		o.TimedOut = true
 		o.Err = fmt.Sprintf("timeout after %s", timeout)
-		return o, time.Since(begin), search.Stats{}
+		return o, time.Since(begin)
 	}
 	dur := time.Since(begin)
 	if timing {
@@ -368,7 +332,7 @@ func runOne(j job, timeout time.Duration, timing bool, probes int, exec bool) (O
 	}
 	if r.err != nil {
 		o.Err = r.err.Error()
-		return o, dur, search.Stats{}
+		return o, dur
 	}
 	o.II = r.r.Schedule.II
 	o.MII = r.r.MII.MII
@@ -393,7 +357,7 @@ func runOne(j job, timeout time.Duration, timing bool, probes int, exec bool) (O
 			o.ExecErr = strings.Join(ms, "; ")
 		}
 	}
-	return o, dur, r.r.ProbeStats
+	return o, dur
 }
 
 // percentiles returns the nearest-rank p50 and p99 of the per-job wall

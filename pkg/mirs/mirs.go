@@ -56,7 +56,7 @@ const (
 	// VictimFewestUses inverts the tie-break: fewest uses first, ties
 	// toward the longest lifetime. It minimises reload traffic at the
 	// cost of freeing fewer registers per spill — a different point on
-	// the spill-traffic/pressure curve worth racing in a portfolio.
+	// the spill-traffic/pressure curve worth trying in a portfolio.
 	VictimFewestUses
 )
 
@@ -134,9 +134,7 @@ func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) { retu
 // sweep whose keys are the candidate IIs themselves. The sweep and every
 // attempter share the graph, MII, heights and live-in analysis read-only;
 // each attempter owns a full pooled scheduler state (MRT, pressure
-// tracker, window cache, spill-augmented loop clones), built lazily on
-// first use, so attempters never share mutable state (see the
-// sched.Prober sharing contract).
+// tracker, window cache, spill-augmented loop clones).
 func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
 	g, mii, maxII, err := sched.Prepare(req)
 	if err != nil {
@@ -199,7 +197,7 @@ type iiSweep struct {
 // Consume implements sched.Sweep, folding one candidate's attempt into
 // the search exactly as the pre-split sequential loop did.
 func (w *iiSweep) Consume(cand int, a sched.Attempt) {
-	if !w.Accept(cand, a) {
+	if !w.Accept(a) {
 		return
 	}
 	if a.Completed && w.firstComplete == 0 {
@@ -250,9 +248,9 @@ func (w *iiSweep) Result() (*sched.Schedule, error) {
 }
 
 // attempter runs one candidate II per call on its own pooled state,
-// sharing the per-request analyses (graph, MII, heights, live-in uses)
-// read-only with every other attempter of the same probe. The state is
-// built lazily so speculated-but-never-run attempters cost nothing.
+// reusing the per-request analyses (graph, MII, heights, live-in uses)
+// across candidates. The state is built on the first attempt, sized for
+// that candidate, and reset for every later one.
 type attempter struct {
 	s          *Scheduler
 	req        *sched.Request
@@ -265,11 +263,9 @@ type attempter struct {
 }
 
 // AttemptII implements sched.Attempter: one candidate II on a freshly
-// reset state. ctx is the engine's per-probe cancellation, polled inside
-// the backtracking loop (state.poll) so a probe made redundant by a
-// lower II's success stops mid-fight instead of finishing a bounded but
-// possibly long ejection battle.
-func (at *attempter) AttemptII(ctx context.Context, ii int, rec trace.Recorder) sched.Attempt {
+// reset state. ctx is unused (see sched.Attempter); the request's own
+// context is polled inside the backtracking loop (state.poll).
+func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sched.Attempt {
 	if at.st == nil {
 		st, err := newState(at.g, at.req.Machine, ii)
 		if err != nil {
@@ -280,7 +276,6 @@ func (at *attempter) AttemptII(ctx context.Context, ii int, rec trace.Recorder) 
 	st := at.st
 	st.rec = rec
 	st.req = at.req
-	st.actx = ctx
 	st.steps = 0
 	st.vpolicy = at.s.opts.Victim
 	if err := st.reset(at.req.Loop, at.g, ii, at.s.opts.MaxRetries, at.maxSpills, at.height, at.liveInUses); err != nil {
@@ -325,10 +320,9 @@ func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 	completed := false
 	for {
 		// Bounded cancellation latency inside the backtracking loop:
-		// ejection fights re-enter here once per placement, so a cancel
-		// (request deadline or engine probe-cancel) lands within a few
-		// dozen force-ejects even when one pathological II would churn
-		// for milliseconds more.
+		// ejection fights re-enter here once per placement, so a request
+		// deadline or cancel lands within a few dozen force-ejects even
+		// when one pathological II would churn for milliseconds more.
 		if err := st.poll(); err != nil {
 			return nil, completed, 0, err
 		}

@@ -1,7 +1,6 @@
 package mirs
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -90,38 +89,25 @@ type state struct {
 	vpolicy VictimPolicy
 
 	// Cancellation plumbing for poll: req carries the request's own
-	// deadline/cancel, actx — non-nil only under the parallel search
-	// engine — the per-probe cancel, and steps counts placement-loop
-	// iterations so the checks run every 64th step instead of every
-	// step. All three are rebound per attempt.
+	// deadline/cancel, and steps counts placement-loop iterations so the
+	// check runs every 64th step instead of every step. Both are rebound
+	// per attempt.
 	req   *sched.Request
-	actx  context.Context
 	steps int
 }
 
 // poll is the bounded-latency cancellation check inside the backtracking
 // loop. The fast path is one increment and one branch — no allocation,
 // no atomic — so the uncancellable batch path pays nothing measurable;
-// every 64th call it consults the request context and, under the
-// parallel engine, the per-probe context, so a cancel lands within 64
-// placement steps even when a single pathological II would otherwise
-// churn through a long ejection fight.
+// every 64th call it consults the request context, so a cancel lands
+// within 64 placement steps even when a single pathological II would
+// otherwise churn through a long ejection fight.
 func (st *state) poll() error {
 	st.steps++
 	if st.steps&63 != 0 {
 		return nil
 	}
-	if st.req != nil {
-		if err := st.req.Cancelled(); err != nil {
-			return err
-		}
-	}
-	if st.actx != nil {
-		if err := st.actx.Err(); err != nil {
-			return fmt.Errorf("mirs: probe cancelled: %w", err)
-		}
-	}
-	return nil
+	return st.req.Cancelled()
 }
 
 type defKey struct {

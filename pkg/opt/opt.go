@@ -22,8 +22,8 @@
 // after the fact by pkg/regpress, so the MaxLive-gap column is
 // informational, not an optimum.
 //
-// The backend implements sched.Prober, so `-probes` speculation and the
-// portfolio machinery drive it unchanged.
+// The backend implements sched.Prober, so sched.Drive runs its II search
+// like every other backend's.
 package opt
 
 import (
@@ -88,8 +88,7 @@ func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) { retu
 // the safe horizon past which a serial schedule always exists. The sweep
 // and every attempter share the analysis (graph, MII, unit tables,
 // transfer groups) read-only; each attempt builds a fresh solver, so
-// attempters carry no mutable state at all and the factory can hand out
-// copies freely.
+// attempters carry no mutable state at all.
 func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
 	g, mii, maxII, err := sched.Prepare(req)
 	if err != nil {
@@ -123,7 +122,7 @@ type optSweep struct {
 // conflict budget ran out first. Every attempt carries the conflicts it
 // spent in Work.
 func (w *optSweep) Consume(cand int, a sched.Attempt) {
-	if !w.Accept(cand, a) {
+	if !w.Accept(a) {
 		return
 	}
 	if a.Schedule != nil {
@@ -159,7 +158,7 @@ func (w *optSweep) Result() (*sched.Schedule, error) {
 
 // optAttempter runs one candidate II per call. It holds only the shared
 // read-only analysis plus the budget; every attempt builds a fresh
-// encoder and solver, so attempts are pure and trivially parallel.
+// encoder and solver, so attempts are pure.
 type optAttempter struct {
 	ana    *analysis
 	budget int64
@@ -173,15 +172,12 @@ type optAttempter struct {
 //   - UNSAT: Attempt{Completed: true, Work: conflicts} — a proof that
 //     no schedule exists at this II.
 //   - budget exhausted: Attempt{Completed: false, Work: conflicts}.
-//   - cancelled (engine ctx or request ctx): Attempt{Err}.
+//   - request cancelled: Attempt{Err}.
 //
 // The first three are pure functions of (request, candidate, budget);
-// only cancellation is timing-dependent, and the engine discards
-// cancelled attempts.
-func (at *optAttempter) AttemptII(ctx context.Context, cand int, rec trace.Recorder) sched.Attempt {
-	if ctx != nil && ctx.Err() != nil {
-		return sched.Attempt{Err: fmt.Errorf("opt: probe cancelled: %w", ctx.Err())}
-	}
+// only cancellation is timing-dependent. ctx is unused (see
+// sched.Attempter); the solver polls the request's own context.
+func (at *optAttempter) AttemptII(_ context.Context, cand int, rec trace.Recorder) sched.Attempt {
 	ii := at.ana.mii.MII + cand
 	if rec != nil {
 		mark := int64(0)
@@ -193,10 +189,8 @@ func (at *optAttempter) AttemptII(ctx context.Context, cand int, rec trace.Recor
 	enc := newEncoder(at.ana, ii)
 	reqCtx := at.ana.req.Ctx
 	var stop func() bool
-	if ctx != nil || reqCtx != nil {
-		stop = func() bool {
-			return (ctx != nil && ctx.Err() != nil) || (reqCtx != nil && reqCtx.Err() != nil)
-		}
+	if reqCtx != nil {
+		stop = func() bool { return reqCtx.Err() != nil }
 	}
 	st := enc.s.Solve(at.budget, stop)
 	conflicts := int(enc.s.Conflicts())
@@ -224,9 +218,6 @@ func (at *optAttempter) AttemptII(ctx context.Context, cand int, rec trace.Recor
 		emitEnd(0)
 		return sched.Attempt{Completed: true, Work: conflicts}
 	default:
-		if ctx != nil && ctx.Err() != nil {
-			return sched.Attempt{Err: fmt.Errorf("opt: probe cancelled: %w", ctx.Err())}
-		}
 		if reqCtx != nil && reqCtx.Err() != nil {
 			return sched.Attempt{Err: fmt.Errorf("opt: request cancelled: %w", reqCtx.Err())}
 		}

@@ -10,7 +10,6 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/mirs"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
-	"github.com/paper-repo-growth/mirs/pkg/sched/search"
 )
 
 func machines(t testing.TB) []*machine.Machine {
@@ -118,46 +117,6 @@ func TestOptPinnedII(t *testing.T) {
 		}
 		if sc.II != c.ii {
 			t.Errorf("%s on %s: II = %d, want %d", c.loop.Name, c.mach.Name, sc.II, c.ii)
-		}
-	}
-}
-
-// TestOptProberMatchesSequential pins the Prober contract: driving the
-// sweep through the speculative engine at several probe widths yields
-// the identical schedule, stats included.
-func TestOptProberMatchesSequential(t *testing.T) {
-	// A small budget keeps the hard example loops quick; the contract
-	// under test (parallel == sequential) is budget-independent.
-	s := New(WithBudget(2000))
-	for _, m := range machines(t) {
-		for _, l := range ir.ExampleLoops() {
-			seq, err := s.Schedule(&sched.Request{Loop: l, Machine: m})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
-			}
-			for _, probes := range []int{2, 4} {
-				par, _, err := search.Run(&sched.Request{Loop: l, Machine: m}, s, probes)
-				if err != nil {
-					t.Fatalf("%s on %s probes=%d: %v", l.Name, m.Name, probes, err)
-				}
-				if par.II != seq.II {
-					t.Fatalf("%s on %s probes=%d: II %d != sequential %d", l.Name, m.Name, probes, par.II, seq.II)
-				}
-				for id := range seq.Placements {
-					if par.Placements[id] != seq.Placements[id] {
-						t.Fatalf("%s on %s probes=%d: placement %d diverged: %v vs %v",
-							l.Name, m.Name, probes, id, par.Placements[id], seq.Placements[id])
-					}
-				}
-				if len(par.Stats) != len(seq.Stats) {
-					t.Fatalf("%s on %s probes=%d: stats diverged: %v vs %v", l.Name, m.Name, probes, par.Stats, seq.Stats)
-				}
-				for k, v := range seq.Stats {
-					if par.Stats[k] != v {
-						t.Fatalf("%s on %s probes=%d: stat %s = %d, sequential %d", l.Name, m.Name, probes, k, par.Stats[k], v)
-					}
-				}
-			}
 		}
 	}
 }

@@ -37,7 +37,7 @@ func (ls ListScheduler) Schedule(req *Request) (*Schedule, error) { return Drive
 // fallback phase at the same II range, present only when a sole cluster
 // covers the loop. The sweep and every attempter share the graph and
 // the placement order read-only; each attempter owns its reservation
-// table and placement scratch, lazily sized on first use.
+// table and placement scratch, sized on its first attempt.
 func (ls ListScheduler) Probe(req *Request) (Sweep, func() Attempter, error) {
 	g, mii, maxII, err := Prepare(req)
 	if err != nil {
@@ -98,7 +98,7 @@ func (k listKeys) decode(cand int) (ii, onlyCluster int) {
 // Consume implements Sweep: the first schedule wins, anything else
 // advances one key.
 func (w *listSweep) Consume(cand int, a Attempt) {
-	if !w.Accept(cand, a) {
+	if !w.Accept(a) {
 		return
 	}
 	if a.Schedule != nil {
@@ -123,8 +123,7 @@ func (w *listSweep) Result() (*Schedule, error) {
 }
 
 // listAttempter runs one candidate key per call on its own scratch
-// (reservation table, placement buffers). The graph and placement order
-// are shared read-only with every other attempter of the same probe.
+// (reservation table, placement buffers), reused across candidates.
 type listAttempter struct {
 	listKeys
 	ls    ListScheduler
@@ -134,14 +133,10 @@ type listAttempter struct {
 	sc    *listScratch
 }
 
-// AttemptII implements Attempter. List attempts carry no backtracking,
-// so they are short and engine cancellation (ctx) is honoured at
-// attempt boundaries only — the coordinator simply discards the result
-// of a cancelled probe.
-func (at *listAttempter) AttemptII(ctx context.Context, cand int, rec trace.Recorder) Attempt {
-	if ctx != nil && ctx.Err() != nil {
-		return Attempt{Err: fmt.Errorf("sched: list: probe cancelled: %w", ctx.Err())}
-	}
+// AttemptII implements Attempter; ctx is unused (see Attempter). List
+// attempts carry no backtracking, so they are short and Drive's poll of
+// the request context between candidates bounds cancellation latency.
+func (at *listAttempter) AttemptII(_ context.Context, cand int, rec trace.Recorder) Attempt {
 	if at.sc == nil {
 		sc, err := newListScratch(at.req.Machine, at.g, at.mii)
 		if err != nil {
@@ -267,9 +262,7 @@ func placementOrder(g *ir.Graph) ([]int, error) {
 
 // listScratch is the state one attempter reuses across its attempts:
 // the reservation table, the placement buffers and a transfer scratch
-// slice. Nothing in the per-candidate placement loop allocates. It is
-// mutable per-attempter state — never shared across goroutines (see the
-// Prober sharing contract).
+// slice. Nothing in the per-candidate placement loop allocates.
 type listScratch struct {
 	mrt    *MRT
 	placed []bool
@@ -294,8 +287,7 @@ func newListScratch(m *machine.Machine, g *ir.Graph, ii int) (*listScratch, erro
 // fallback mode). ok=false means some instruction found no free slot
 // within its II-cycle window. On success the returned schedule owns a
 // fresh copy of the placements, so the scratch stays reusable. rec is
-// the attempt's recorder — per-probe under the parallel engine, the
-// request's own on the sequential path.
+// the attempt's recorder.
 func (ls ListScheduler) tryII(req *Request, g *ir.Graph, order []int, ii, onlyCluster int, sc *listScratch, rec trace.Recorder) (*Schedule, bool) {
 	m := req.Machine
 	sc.mrt.Reset(ii)

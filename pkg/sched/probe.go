@@ -8,18 +8,11 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 )
 
-// This file defines the speculative-search contract: a backend's II
-// search split into a deterministic state machine (Sweep) and a pure
-// per-candidate attempt function (Attempter). The split is what lets
-// pkg/sched/search probe several candidate IIs concurrently without
-// changing a single output byte: the engine may *attempt* candidates in
-// any order and in parallel, but results are fed back to the sweep
-// strictly in the order the sweep asks for them, so the schedule (and
-// its stats, and its trace) is a pure function of (loop, machine,
-// options) — never of goroutine completion order. Every backend's
-// Schedule is Drive: the identical sweep/attempter pair run by one
-// in-order loop, so "parallel output equals sequential output" holds by
-// construction, not by a re-implementation kept in sync by hand.
+// This file defines the II-search contract: a backend's II search split
+// into a deterministic state machine (Sweep) and a per-candidate attempt
+// function (Attempter). Every backend's Schedule is Drive, one in-order
+// loop over the pair, so the schedule (and its stats, and its trace) is
+// a pure function of (loop, machine, options).
 //
 // The skeleton every backend shares lives here too: Prepare does the
 // per-request analyses a Probe starts with, and LinearSweep is the
@@ -30,8 +23,7 @@ import (
 // Attempt is the outcome of scheduling one candidate (one candidate II,
 // or one phase-encoded candidate key — see Sweep). It must be a pure
 // function of (request, candidate): two attempts of the same candidate
-// return equivalent results and emit identical trace events, whichever
-// goroutine runs them.
+// return equivalent results and emit identical trace events.
 type Attempt struct {
 	// Schedule is the complete, Validate-clean schedule the attempt
 	// produced, or nil when the candidate yielded none. A backend that
@@ -49,8 +41,7 @@ type Attempt struct {
 	// backend, the CDCL conflicts it spent. It never decides success.
 	Work int
 	// Err is the attempt's failure: invalid input, an internal
-	// validation error, or a cancellation (the request's context or the
-	// engine's per-probe context).
+	// validation error, or a cancellation of the request's context.
 	Err error
 }
 
@@ -64,28 +55,19 @@ func (a Attempt) Success() bool {
 // are integer keys, strictly increasing in the order Next returns them;
 // a key encodes whatever the backend escalates over (for the list
 // scheduler the single-cluster fallback phase rides in the key's upper
-// range). The contract the search engine relies on:
+// range). The contract Drive follows:
 //
 //   - Next/Consume alternate: every candidate Next returns is consumed
 //     exactly once, in order, before Next is called again. The sweep
 //     never sees attempts for candidates it did not ask for.
-//   - Speculate predicts candidates the sweep *may* ask for later.
-//     Wrong predictions cost wasted work, never wrong answers — the
-//     engine discards results the sweep does not request.
 //   - After Consume of a successful attempt (or the final candidate),
 //     Next reports done and Result returns the search's outcome.
 //
-// Sweep implementations are not safe for concurrent use; the engine
-// confines each sweep to its coordinating goroutine.
+// Sweep implementations are not safe for concurrent use.
 type Sweep interface {
 	// Next returns the next candidate to attempt, or done=true when the
 	// search is decided (success, error, or candidates exhausted).
 	Next() (cand int, done bool)
-	// Speculate appends up to max candidate keys strictly greater than
-	// after that the sweep may request in the future, in ascending
-	// order, and returns the extended slice. It must not change the
-	// sweep's state.
-	Speculate(dst []int, after, max int) []int
 	// Consume folds the attempt of cand — the candidate the last Next
 	// returned — into the search state.
 	Consume(cand int, a Attempt)
@@ -94,36 +76,26 @@ type Sweep interface {
 	Result() (*Schedule, error)
 }
 
-// Attempter runs single-candidate attempts. Each Attempter owns its
-// mutable scheduler state (reservation table, pressure tracker, scratch
-// pools) and is confined to one goroutine at a time; the immutable
-// analyses behind it (graph, MII, heights) are shared read-only across
-// the attempters one Probe call hands out. See the "sharing contract"
-// note on Prober.
+// Attempter runs single-candidate attempts, reusing its mutable
+// scheduler state (reservation table, pressure tracker, scratch pools)
+// from one candidate to the next. It is not safe for concurrent use.
 type Attempter interface {
 	// AttemptII schedules candidate cand from a fresh per-candidate
-	// state. ctx, when non-nil, is the engine's per-probe cancellation
-	// — distinct from Request.Ctx — polled inside long backtracking
-	// fights so a probe made redundant by a lower II's success stops
-	// promptly; a cancelled attempt returns an Attempt whose Err wraps
-	// the context error. rec, when non-nil, receives the attempt's
-	// trace events; the engine hands each attempt a private buffer and
-	// replays the winning candidates' buffers into the caller's
-	// recorder in consume order, which is how exports stay
-	// byte-identical to a sequential run.
+	// state. ctx is unused: backends ignore it and poll Request.Ctx
+	// instead. It stays in the signature because hand-written drivers
+	// (the benchmark module's traced pipeline) call
+	// AttemptII(nil, cand, rec). rec, when
+	// non-nil, receives the attempt's trace events.
 	AttemptII(ctx context.Context, cand int, rec trace.Recorder) Attempt
 }
 
 // Prober is a Scheduler whose II search can be driven candidate by
-// candidate — the hook pkg/sched/search parallelises through.
-//
-// Sharing contract: Probe performs the per-request analyses once (graph
-// construction, MII, heights, priority orders) and the sweep plus every
-// attempter from the factory share them strictly read-only. All mutable
+// candidate, by Drive or by a hand-written driver that times each
+// attempt. Probe performs the per-request analyses once (graph
+// construction, MII, heights, priority orders); the sweep and the
+// attempters from the factory share them read-only, and all mutable
 // state — MRTs, pressure trackers, window caches, placement buffers,
-// spill-augmented loop clones — is owned by exactly one attempter, and
-// each attempter by one goroutine. The factory itself must be safe to
-// call from multiple goroutines.
+// spill-augmented loop clones — belongs to one attempter.
 type Prober interface {
 	Scheduler
 	// Probe starts one search: the sweep, a factory minting
@@ -132,13 +104,12 @@ type Prober interface {
 	Probe(req *Request) (Sweep, func() Attempter, error)
 }
 
-// Drive runs p's II search sequentially: one Probe, one attempter, and
-// every candidate attempted and consumed strictly in Next order on the
-// request's own recorder. It is every backend's Schedule and the
-// probes <= 1 path of pkg/sched/search. The request's context is polled
-// between candidates — one attempt is bounded work — so a timed-out
-// compilation stops at the next candidate instead of finishing a search
-// nobody awaits.
+// Drive runs p's II search: one Probe, one attempter, and every
+// candidate attempted and consumed strictly in Next order on the
+// request's own recorder. It is every backend's Schedule. The request's
+// context is polled between candidates — one attempt is bounded work —
+// so a timed-out compilation stops at the next candidate instead of
+// finishing a search nobody awaits.
 func Drive(req *Request, p Prober) (*Schedule, error) {
 	sw, mk, err := p.Probe(req)
 	if err != nil {
@@ -197,10 +168,9 @@ func Prepare(req *Request) (*ir.Graph, MII, int, error) {
 
 // LinearSweep is the state every ascending candidate sweep shares,
 // meant for embedding: the cursor (the candidate Next returns), the last
-// candidate key, and the settled outcome. It implements Next and a
-// linear Speculate; the embedding sweep implements Consume — opening
-// with Accept, closing with Succeed or a cursor move — and Result,
-// opening with Settled.
+// candidate key, and the settled outcome. It implements Next; the
+// embedding sweep implements Consume — opening with Accept, closing with
+// Succeed or a cursor move — and Result, opening with Settled.
 type LinearSweep struct {
 	// Cursor is the candidate the search needs next.
 	Cursor int
@@ -222,28 +192,11 @@ func (w *LinearSweep) Next() (int, bool) {
 	return w.Cursor, false
 }
 
-// Speculate implements Sweep: the candidates after `after` in ascending
-// order up to Last — exact for a sweep that advances by one, and a safe
-// guess for one that sometimes jumps (skipped predictions are wasted
-// work the engine discards).
-func (w *LinearSweep) Speculate(dst []int, after, max int) []int {
-	if w.Done {
-		return dst
-	}
-	for c := after + 1; c <= w.Last && len(dst) < max; c++ {
-		dst = append(dst, c)
-	}
-	return dst
-}
-
 // Accept is the guard Consume opens with. It reports whether the attempt
-// of cand is live and error-free: false for a stale candidate (not the
-// cursor) or an already decided search, and false — after recording the
-// error and ending the search — for a failed attempt.
-func (w *LinearSweep) Accept(cand int, a Attempt) bool {
-	if w.Done || cand != w.Cursor {
-		return false
-	}
+// is error-free; a failed attempt records its error, ends the search and
+// reports false. Drivers feed candidates in Next order, so the attempt
+// is always the cursor's.
+func (w *LinearSweep) Accept(a Attempt) bool {
 	if a.Err != nil {
 		w.Err, w.Done = a.Err, true
 		return false

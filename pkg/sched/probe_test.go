@@ -22,7 +22,7 @@ type scriptProber struct {
 
 	sweep     *scriptSweep
 	attempted []int
-	badCalls  int // attempts with an engine ctx or a foreign recorder
+	badCalls  int // attempts with a non-nil ctx or a foreign recorder
 	rec       trace.Recorder
 }
 
@@ -66,8 +66,6 @@ func (w *scriptSweep) Next() (int, bool) {
 	return w.cands[w.i], false
 }
 
-func (w *scriptSweep) Speculate(dst []int, _, _ int) []int { return dst }
-
 func (w *scriptSweep) Consume(cand int, a Attempt) {
 	w.consumed = append(w.consumed, cand)
 	w.i++
@@ -96,7 +94,7 @@ func TestDriveProbeErrorPropagates(t *testing.T) {
 
 // TestDriveConsumesInNextOrder pins the sequential contract: each
 // candidate Next returns is attempted once on the request's recorder with
-// no engine context, then consumed, in exactly Next's order — including
+// a nil ctx, then consumed, in exactly Next's order — including
 // a sweep that jumps — and the sweep's Result is returned.
 func TestDriveConsumesInNextOrder(t *testing.T) {
 	buf := &trace.Buffer{}
@@ -113,7 +111,7 @@ func TestDriveConsumesInNextOrder(t *testing.T) {
 		t.Fatalf("attempted %v, consumed %v, want both %v", p.attempted, p.sweep.consumed, want)
 	}
 	if p.badCalls != 0 {
-		t.Fatalf("%d attempts ran with an engine ctx or a foreign recorder", p.badCalls)
+		t.Fatalf("%d attempts ran with a non-nil ctx or a foreign recorder", p.badCalls)
 	}
 
 	p = &scriptProber{cands: []int{0, 1, 2}, win: -1}
@@ -138,37 +136,15 @@ func TestDriveStopsOnCancel(t *testing.T) {
 	}
 }
 
-// TestLinearSweepSpeculate pins the prediction contract: ascending,
-// strictly after `after`, capped by max and by Last, empty once Done.
-func TestLinearSweepSpeculate(t *testing.T) {
-	w := &LinearSweep{Cursor: 2, Last: 5}
-	if got := w.Speculate(nil, 2, 10); !reflect.DeepEqual(got, []int{3, 4, 5}) {
-		t.Fatalf("Speculate(after=2, max=10) = %v, want [3 4 5]", got)
-	}
-	if got := w.Speculate([]int{9}, 1, 3); !reflect.DeepEqual(got, []int{9, 2, 3}) {
-		t.Fatalf("Speculate must append up to max total: got %v, want [9 2 3]", got)
-	}
-	if got := w.Speculate(nil, 5, 10); len(got) != 0 {
-		t.Fatalf("Speculate past Last = %v, want empty", got)
-	}
-	w.Succeed(&Schedule{})
-	if got := w.Speculate(nil, 0, 10); len(got) != 0 {
-		t.Fatalf("Speculate after Done = %v, want empty", got)
-	}
-}
-
-// TestLinearSweepAccept pins the Consume guard: stale candidates and
-// anything after the search is decided are ignored without touching the
-// state, and an attempt error ends the search as its outcome.
+// TestLinearSweepAccept pins the Consume guard: an error-free attempt is
+// accepted without touching the state, an attempt error ends the search
+// as its outcome, and Succeed settles the sweep.
 func TestLinearSweepAccept(t *testing.T) {
 	w := &LinearSweep{Cursor: 1, Last: 3}
 	if c, done := w.Next(); done || c != 1 {
 		t.Fatalf("Next = (%d, %v), want (1, false)", c, done)
 	}
-	if w.Accept(0, Attempt{Err: errors.New("stale")}) || w.Done || w.Err != nil {
-		t.Fatalf("stale candidate changed the sweep: %+v", w)
-	}
-	if !w.Accept(1, Attempt{}) {
+	if !w.Accept(Attempt{}) {
 		t.Fatal("live candidate rejected")
 	}
 	if w.Settled() {
@@ -176,7 +152,7 @@ func TestLinearSweepAccept(t *testing.T) {
 	}
 
 	boom := errors.New("attempt failed")
-	if w.Accept(1, Attempt{Err: boom}) {
+	if w.Accept(Attempt{Err: boom}) {
 		t.Fatal("failed attempt accepted")
 	}
 	if !w.Done || !errors.Is(w.Err, boom) || !w.Settled() {
@@ -185,14 +161,11 @@ func TestLinearSweepAccept(t *testing.T) {
 	if _, done := w.Next(); !done {
 		t.Fatal("Next after an attempt error is not done")
 	}
-	if w.Accept(1, Attempt{}) {
-		t.Fatal("attempt accepted after the search was decided")
-	}
 
 	w = &LinearSweep{Last: 2}
 	s := &Schedule{II: 4}
 	w.Succeed(s)
-	if w.Accept(0, Attempt{}) || w.Out != s || !w.Settled() {
+	if _, done := w.Next(); !done || w.Out != s || !w.Settled() {
 		t.Fatalf("Succeed did not settle the sweep: %+v", w)
 	}
 	w = &LinearSweep{Cursor: 3, Last: 2}

@@ -25,10 +25,9 @@ import (
 // Request bundles the inputs of a scheduling run.
 type Request struct {
 	// Ctx, when non-nil, carries the caller's cancellation signal into
-	// the II search: the drivers (Drive, pkg/sched/search) poll
-	// Request.Cancelled at every candidate II (the natural checkpoint —
-	// one II attempt is bounded work) and abandon the search with the
-	// context's error once it fires. A nil
+	// the II search: Drive polls Request.Cancelled at every candidate II
+	// (the natural checkpoint — one II attempt is bounded work) and
+	// abandons the search with the context's error once it fires. A nil
 	// Ctx means "never cancelled" and costs nothing to poll, so batch
 	// and test callers that want no deadline simply leave it unset.
 	Ctx context.Context
