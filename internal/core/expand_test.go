@@ -1,13 +1,16 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/mirs"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
+	"github.com/paper-repo-growth/mirs/pkg/vm"
 )
 
 // TestCompileExpandsEveryResult: the facade always attaches a validated
@@ -94,6 +97,64 @@ func TestMVEOnHighPressureLoops(t *testing.T) {
 				t.Errorf("expanded kernel invalid: %v", err)
 			}
 		})
+	}
+}
+
+// TestRelaxedGraphSurvivesSpilling: integrated spilling must keep the
+// renaming relaxation the request graph was built with. On the
+// register-starved machine MIRS spills heavily, and every spill rewrites
+// the graph; the register edges of the returned graph must be exactly
+// what the relaxed options derive for the returned loop (memory edges
+// aside), and every schedule must still expand and execute clean. A
+// spill that re-derived strict edges would both over-constrain the
+// schedule and, at worst, fail validation mid-search.
+func TestRelaxedGraphSurvivesSpilling(t *testing.T) {
+	m := machine.Tight()
+	relaxed := &ir.BuildOptions{OutputLatency: 1, RenameCopies: 3}
+	spilled := 0
+	for _, l := range append(ir.ExampleLoops(), gen.Corpus(1, 120)...) {
+		g, err := ir.Build(l, m, relaxed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := mirs.New().Schedule(&sched.Request{Loop: l, Machine: m, Graph: g})
+		if err != nil {
+			t.Errorf("%s: %v", l.Name, err)
+			continue
+		}
+		if out.Stats["spill_stores"]+out.Stats["spill_loads"] > 0 {
+			spilled++
+		}
+		want, err := ir.Build(out.Loop, m, relaxed)
+		if err != nil {
+			t.Fatalf("%s: rebuilding the returned loop: %v", l.Name, err)
+		}
+		var got []ir.Edge
+		for _, e := range out.Graph.Edges {
+			if e.Kind != ir.DepMem {
+				got = append(got, e)
+			}
+		}
+		if !slices.Equal(got, want.Edges) {
+			t.Errorf("%s: returned graph's register edges differ from the relaxed build of its loop", l.Name)
+			continue
+		}
+		ek, err := out.Expand()
+		if err != nil {
+			t.Errorf("%s: Expand: %v", l.Name, err)
+			continue
+		}
+		rep, err := vm.Verify(ek, vm.Options{})
+		if err != nil {
+			t.Errorf("%s: Verify: %v", l.Name, err)
+			continue
+		}
+		if !rep.OK() {
+			t.Errorf("%s: execution mismatch: %s", l.Name, rep)
+		}
+	}
+	if spilled == 0 {
+		t.Fatal("no loop spilled; the population no longer covers the spill path")
 	}
 }
 

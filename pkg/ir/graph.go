@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/paper-repo-growth/mirs/pkg/machine"
@@ -64,25 +65,48 @@ type Edge struct {
 }
 
 // Graph is the data dependence graph of one loop body. Nodes are the
-// loop's instruction IDs; edges carry kind, distance and latency.
+// loop's instruction IDs; edges carry kind, distance and latency. AddEdge
+// and the spill splices (SpliceSpill, SpliceLiveInSpill) mutate a graph,
+// and each mutation invalidates the Succs/Preds views handed out before.
 type Graph struct {
-	// Loop is the loop the graph was built from.
+	// Loop is the loop the graph was built from; splices rewrite it.
 	Loop *Loop
 	// Edges holds every dependence. Do not append directly; use AddEdge
 	// so adjacency stays consistent.
 	Edges []Edge
+
+	// m and opts are what Build derived the edges with, which splices
+	// re-derive edges with; nextReg is the next fresh reload register.
+	m       *machine.Machine
+	opts    BuildOptions
+	nextReg VReg
+	// Edges[:nReg] are the register dependences, grouped by ascending
+	// register; edges added by AddEdge follow.
+	nReg int
 
 	succs [][]int // node -> indices into Edges (outgoing)
 	preds [][]int // node -> indices into Edges (incoming)
 
 	// succPtrs/predPtrs are the prebuilt adjacency views Succs and Preds
 	// return. They are (re)built eagerly — at the end of Build and after
-	// every AddEdge — so the accessors are allocation-free and safe for
+	// every mutation — so the accessors are allocation-free and safe for
 	// concurrent readers of a graph that is no longer being mutated.
-	// Slices share one backing array per direction; pointers go stale if
-	// Edges reallocates, which is why mutation rebuilds them immediately.
+	// All rows share one backing array; pointers go stale if Edges
+	// reallocates, which is why mutation rebuilds them immediately.
 	succPtrs [][]*Edge
 	predPtrs [][]*Edge
+
+	// Storage that splices and CloneInto reuse: index and view backing,
+	// the previous edge array, the last Spill, spill instruction batches,
+	// a clone's flat instructions and operands, and scratch.
+	idxBack                              []int
+	ptrBack                              []*Edge
+	spare                                []Edge
+	spill                                Spill
+	spillFree                            []spillInstr
+	instrBack                            []Instruction
+	regBack                              []VReg
+	cons, dist, mark, defSites, useSites []int
 }
 
 // BuildOptions tunes dependence-edge latencies and distances.
@@ -142,10 +166,7 @@ func Build(l *Loop, m *machine.Machine, opts *BuildOptions) (*Graph, error) {
 	if o.RenameCopies < 1 {
 		o.RenameCopies = 1
 	}
-	g := &Graph{Loop: l}
-	n := l.NumInstrs()
-	g.succs = make([][]int, n)
-	g.preds = make([][]int, n)
+	g := &Graph{Loop: l, m: m, opts: o}
 
 	// Gather def and use positions per register, in body order.
 	defs := map[VReg][]int{}
@@ -153,8 +174,10 @@ func Build(l *Loop, m *machine.Machine, opts *BuildOptions) (*Graph, error) {
 	for i, in := range l.Instrs {
 		for _, d := range in.Defs {
 			defs[d] = append(defs[d], i)
+			g.nextReg = max(g.nextReg, d+1)
 		}
 		for _, u := range in.Uses {
+			g.nextReg = max(g.nextReg, u+1)
 			// A register read twice by one instruction (v1 * v1) is one
 			// dependence, not two.
 			if n := len(uses[u]); n > 0 && uses[u][n-1] == i {
@@ -179,91 +202,99 @@ func Build(l *Loop, m *machine.Machine, opts *BuildOptions) (*Graph, error) {
 		nEdges += 2*len(uses[v]) + len(defs[v])
 	}
 	g.Edges = make([]Edge, 0, nEdges)
-
 	for _, v := range regs {
-		dv := defs[v]
-		last := dv[len(dv)-1]
-
-		// True edges: each use reads its reaching definition.
-		for _, u := range uses[v] {
-			if k, carried := carriedDistance(l.Instrs[u], v); carried {
-				g.addEdge(Edge{From: last, To: u, Kind: DepTrue, Distance: k,
-					Latency: m.Latency(l.Instrs[last].Class), Reg: v})
-				continue
-			}
-			from, dist := -1, 0
-			for _, d := range dv {
-				if d < u {
-					from = d
-				}
-			}
-			if from == -1 {
-				from, dist = last, 1
-			}
-			g.addEdge(Edge{From: from, To: u, Kind: DepTrue, Distance: dist,
-				Latency: m.Latency(l.Instrs[from].Class), Reg: v})
-		}
-
-		// Anti edges: each use must issue no later than the conflicting
-		// redefinition of what it reads. With a single definition site
-		// and RenameCopies = k, a use reading δ iterations back
-		// conflicts with the redefinition k-δ iterations ahead (the
-		// ones between write different renamed copies); the strict
-		// k = 1 reproduces the classic rule — wrap-around reads bind
-		// the same iteration's definition, same-iteration reads the
-		// next iteration's. Multi-site registers keep strict edges to
-		// the next definition in body order.
-		single := len(dv) == 1
-		for _, u := range uses[v] {
-			if single {
-				delta := 0
-				if k, carried := carriedDistance(l.Instrs[u], v); carried {
-					delta = k
-				} else if u <= dv[0] {
-					delta = 1 // no definition precedes the use: a wrap-around read
-				}
-				dist := o.RenameCopies - delta
-				if dist < 0 {
-					dist = 0
-				}
-				if u == dv[0] && dist < 1 {
-					// A self anti edge (the instruction reads what it
-					// writes) is vacuous at distance >= 1 but would be
-					// unsatisfiable at 0 under a positive AntiLatency.
-					dist = 1
-				}
-				g.addEdge(Edge{From: u, To: dv[0], Kind: DepAnti, Distance: dist, Latency: o.AntiLatency, Reg: v})
-				continue
-			}
-			to, dist := -1, 0
-			for _, d := range dv {
-				if d > u {
-					to = d
-					break
-				}
-			}
-			if to == -1 {
-				to, dist = dv[0], 1
-			}
-			g.addEdge(Edge{From: u, To: to, Kind: DepAnti, Distance: dist, Latency: o.AntiLatency, Reg: v})
-		}
-
-		// Output edges: chain successive definitions, wrapping around.
-		// The wrap edge of a single-site register relaxes with
-		// RenameCopies — the same copy name recurs only every k
-		// iterations.
-		for i := 0; i+1 < len(dv); i++ {
-			g.addEdge(Edge{From: dv[i], To: dv[i+1], Kind: DepOutput, Distance: 0, Latency: o.OutputLatency, Reg: v})
-		}
-		wrapOut := 1
-		if single {
-			wrapOut = o.RenameCopies
-		}
-		g.addEdge(Edge{From: last, To: dv[0], Kind: DepOutput, Distance: wrapOut, Latency: o.OutputLatency, Reg: v})
+		g.Edges = g.appendRegEdges(g.Edges, v, defs[v], uses[v])
 	}
+	g.nReg = len(g.Edges)
 	g.buildIndex()
-	g.rebuildAdjacency()
 	return g, nil
+}
+
+// appendRegEdges appends the dependences register v induces — true edges,
+// then anti edges, then output edges — given v's definition sites dv
+// (non-empty) and its distinct use sites uv, both in body order. Build
+// runs it once per defined register; the splices rerun it for the
+// registers they rewire.
+func (g *Graph) appendRegEdges(dst []Edge, v VReg, dv, uv []int) []Edge {
+	l, m, o := g.Loop, g.m, &g.opts
+	last := dv[len(dv)-1]
+
+	// True edges: each use reads its reaching definition.
+	for _, u := range uv {
+		if k, carried := carriedDistance(l.Instrs[u], v); carried {
+			dst = append(dst, Edge{From: last, To: u, Kind: DepTrue, Distance: k,
+				Latency: m.Latency(l.Instrs[last].Class), Reg: v})
+			continue
+		}
+		from, dist := -1, 0
+		for _, d := range dv {
+			if d < u {
+				from = d
+			}
+		}
+		if from == -1 {
+			from, dist = last, 1
+		}
+		dst = append(dst, Edge{From: from, To: u, Kind: DepTrue, Distance: dist,
+			Latency: m.Latency(l.Instrs[from].Class), Reg: v})
+	}
+
+	// Anti edges: each use must issue no later than the conflicting
+	// redefinition of what it reads. With a single definition site
+	// and RenameCopies = k, a use reading δ iterations back
+	// conflicts with the redefinition k-δ iterations ahead (the
+	// ones between write different renamed copies); the strict
+	// k = 1 reproduces the classic rule — wrap-around reads bind
+	// the same iteration's definition, same-iteration reads the
+	// next iteration's. Multi-site registers keep strict edges to
+	// the next definition in body order.
+	single := len(dv) == 1
+	for _, u := range uv {
+		if single {
+			delta := 0
+			if k, carried := carriedDistance(l.Instrs[u], v); carried {
+				delta = k
+			} else if u <= dv[0] {
+				delta = 1 // no definition precedes the use: a wrap-around read
+			}
+			dist := o.RenameCopies - delta
+			if dist < 0 {
+				dist = 0
+			}
+			if u == dv[0] && dist < 1 {
+				// A self anti edge (the instruction reads what it
+				// writes) is vacuous at distance >= 1 but would be
+				// unsatisfiable at 0 under a positive AntiLatency.
+				dist = 1
+			}
+			dst = append(dst, Edge{From: u, To: dv[0], Kind: DepAnti, Distance: dist, Latency: o.AntiLatency, Reg: v})
+			continue
+		}
+		to, dist := -1, 0
+		for _, d := range dv {
+			if d > u {
+				to = d
+				break
+			}
+		}
+		if to == -1 {
+			to, dist = dv[0], 1
+		}
+		dst = append(dst, Edge{From: u, To: to, Kind: DepAnti, Distance: dist, Latency: o.AntiLatency, Reg: v})
+	}
+
+	// Output edges: chain successive definitions, wrapping around.
+	// The wrap edge of a single-site register relaxes with
+	// RenameCopies — the same copy name recurs only every k
+	// iterations.
+	for i := 0; i+1 < len(dv); i++ {
+		dst = append(dst, Edge{From: dv[i], To: dv[i+1], Kind: DepOutput, Distance: 0, Latency: o.OutputLatency, Reg: v})
+	}
+	wrapOut := 1
+	if single {
+		wrapOut = o.RenameCopies
+	}
+	return append(dst, Edge{From: last, To: dv[0], Kind: DepOutput, Distance: wrapOut, Latency: o.OutputLatency, Reg: v})
 }
 
 func carriedDistance(in *Instruction, v VReg) (int, bool) {
@@ -293,7 +324,7 @@ func (g *Graph) AddEdge(e Edge) error {
 	}
 	idx := len(g.Edges)
 	grew := len(g.Edges) == cap(g.Edges)
-	g.addEdge(e)
+	g.Edges = append(g.Edges, e)
 	g.succs[e.From] = append(g.succs[e.From], idx)
 	g.preds[e.To] = append(g.preds[e.To], idx)
 	// Keep the pointer views current. When the edge array grew in place
@@ -315,31 +346,28 @@ func (g *Graph) AddEdge(e Edge) error {
 	return nil
 }
 
-// addEdge appends the edge only; Build defers the adjacency index to one
-// buildIndex pass over the finished edge array.
-func (g *Graph) addEdge(e Edge) {
-	g.Edges = append(g.Edges, e)
-}
-
-// buildIndex constructs the succs/preds index in CSR style: exact
-// per-node counts first, then one shared backing array per direction.
+// buildIndex constructs the succs/preds index in CSR style — exact
+// per-node counts first, then one backing array shared by both
+// directions and reused across rebuilds — and then the pointer views.
 // Rows are capacity-capped so a later AddEdge append copies the row
 // instead of clobbering a neighbour's.
 func (g *Graph) buildIndex() {
-	n := len(g.succs)
-	sc := make([]int, n)
-	pc := make([]int, n)
+	n, ne := g.Loop.NumInstrs(), len(g.Edges)
+	g.succs, g.preds = grow(g.succs, n), grow(g.preds, n)
+	g.idxBack = grow(g.idxBack, 2*ne+2*n)
+	back := g.idxBack
+	sc, pc := back[2*ne:2*ne+n], back[2*ne+n:]
+	clear(sc)
+	clear(pc)
 	for i := range g.Edges {
 		sc[g.Edges[i].From]++
 		pc[g.Edges[i].To]++
 	}
-	sback := make([]int, len(g.Edges))
-	pback := make([]int, len(g.Edges))
-	so, po := 0, 0
+	so, po := 0, ne
 	for v := 0; v < n; v++ {
-		g.succs[v] = sback[so : so : so+sc[v]]
+		g.succs[v] = back[so : so : so+sc[v]]
 		so += sc[v]
-		g.preds[v] = pback[po : po : po+pc[v]]
+		g.preds[v] = back[po : po : po+pc[v]]
 		po += pc[v]
 	}
 	for i := range g.Edges {
@@ -347,35 +375,44 @@ func (g *Graph) buildIndex() {
 		g.succs[e.From] = append(g.succs[e.From], i)
 		g.preds[e.To] = append(g.preds[e.To], i)
 	}
+	g.rebuildAdjacency()
 }
 
-// rebuildAdjacency regenerates the pointer views Succs/Preds hand out.
-// Two allocations total (one backing array per direction), regardless of
-// node count, so even per-AddEdge rebuilds stay cheap on loop-sized
+// rebuildAdjacency regenerates the pointer views Succs/Preds hand out
+// into one backing array shared by both directions and reused across
+// rebuilds, so even per-AddEdge rebuilds stay cheap on loop-sized
 // graphs.
 func (g *Graph) rebuildAdjacency() {
-	n := len(g.succs)
-	if g.succPtrs == nil {
-		g.succPtrs = make([][]*Edge, n)
-		g.predPtrs = make([][]*Edge, n)
-	}
-	sback := make([]*Edge, len(g.Edges))
-	pback := make([]*Edge, len(g.Edges))
-	si, pi := 0, 0
+	n, ne := len(g.succs), len(g.Edges)
+	g.succPtrs, g.predPtrs = grow(g.succPtrs, n), grow(g.predPtrs, n)
+	g.ptrBack = grow(g.ptrBack, 2*ne)
+	back := g.ptrBack
+	si, pi := 0, ne
 	for v := 0; v < n; v++ {
 		s0 := si
 		for _, ei := range g.succs[v] {
-			sback[si] = &g.Edges[ei]
+			back[si] = &g.Edges[ei]
 			si++
 		}
-		g.succPtrs[v] = sback[s0:si:si]
+		g.succPtrs[v] = back[s0:si:si]
 		p0 := pi
 		for _, ei := range g.preds[v] {
-			pback[pi] = &g.Edges[ei]
+			back[pi] = &g.Edges[ei]
 			pi++
 		}
-		g.predPtrs[v] = pback[p0:pi:pi]
+		g.predPtrs[v] = back[p0:pi:pi]
 	}
+}
+
+// grow returns s with length n, reusing its storage when large enough
+// and growing it geometrically otherwise, so a graph that grows a few
+// nodes per splice reallocates only now and then. The contents are
+// unspecified; callers overwrite or clear them.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = slices.Grow(s[:0], n)
+	}
+	return s[:n]
 }
 
 // NumNodes returns the number of instructions in the graph.
@@ -383,7 +420,7 @@ func (g *Graph) NumNodes() int { return len(g.succs) }
 
 // Succs returns the outgoing edges of node id. The returned slice is a
 // shared adjacency view: callers must not mutate it, and it is
-// invalidated by the next AddEdge.
+// invalidated by the next AddEdge or splice.
 func (g *Graph) Succs(id int) []*Edge {
 	if g.succPtrs == nil {
 		g.rebuildAdjacency()
@@ -393,7 +430,7 @@ func (g *Graph) Succs(id int) []*Edge {
 
 // Preds returns the incoming edges of node id. The returned slice is a
 // shared adjacency view: callers must not mutate it, and it is
-// invalidated by the next AddEdge.
+// invalidated by the next AddEdge or splice.
 func (g *Graph) Preds(id int) []*Edge {
 	if g.predPtrs == nil {
 		g.rebuildAdjacency()
@@ -407,31 +444,36 @@ func (g *Graph) Preds(id int) []*Edge {
 // iteration boundary. Schedulers use this as their placement order.
 func (g *Graph) IntraTopoOrder() ([]int, error) {
 	n := g.NumNodes()
-	indeg := make([]int, n)
-	for _, e := range g.Edges {
-		if e.Distance == 0 {
+	return g.IntraTopoOrderInto(make([]int, 0, n), make([]int, n))
+}
+
+// IntraTopoOrderInto is IntraTopoOrder appending to order[:0], with
+// indeg (length NumNodes) as scratch. The order doubles as the FIFO work
+// queue, so once order has grown to the graph nothing is allocated.
+func (g *Graph) IntraTopoOrderInto(order, indeg []int) ([]int, error) {
+	n := g.NumNodes()
+	indeg = indeg[:n]
+	clear(indeg)
+	for i := range g.Edges {
+		if e := &g.Edges[i]; e.Distance == 0 {
 			indeg[e.To]++
 		}
 	}
-	queue := make([]int, 0, n)
+	order = order[:0]
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, i)
+			order = append(order, i)
 		}
 	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, ei := range g.succs[id] {
+	for head := 0; head < len(order); head++ {
+		for _, ei := range g.succs[order[head]] {
 			e := &g.Edges[ei]
 			if e.Distance != 0 {
 				continue
 			}
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
+				order = append(order, e.To)
 			}
 		}
 	}

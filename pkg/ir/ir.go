@@ -48,7 +48,7 @@ type Instruction struct {
 	CarriedUses map[VReg]int
 	// SpillOf records, on OpSpillReload instructions only, which virtual
 	// register's value the reload reproduces. Paired reloads also carry a
-	// store→reload DepMem edge; live-in reloads (MaterializeLiveInSpill)
+	// store→reload DepMem edge; live-in reloads (SpliceLiveInSpill)
 	// have no such edge and no use operand, so without this field nothing
 	// would say which live-in the preheader parked in the slot — the
 	// execution layer (pkg/vm) needs it to bind the reload's semantics.

@@ -14,21 +14,22 @@ func TestMaterializeSpillStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Spill v5, defined by the fmul (id 2), consumed by the fadd (id 3).
-	sp, err := MaterializeSpill(l, m, g, 2, 5, nil)
+	sg := g.Clone()
+	sp, err := sg.SpliceSpill(2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sp.Loop.NumInstrs(), l.NumInstrs()+2; got != want {
+	if got, want := sg.Loop.NumInstrs(), l.NumInstrs()+2; got != want {
 		t.Fatalf("augmented loop has %d instructions, want %d", got, want)
 	}
-	if err := sp.Loop.Validate(); err != nil {
+	if err := sg.Loop.Validate(); err != nil {
 		t.Fatalf("augmented loop invalid: %v", err)
 	}
 	// The store sits right after the (remapped) definition and reads v5.
 	if sp.StoreID != sp.OldToNew[2]+1 {
 		t.Errorf("store at %d, want right after definition %d", sp.StoreID, sp.OldToNew[2])
 	}
-	st := sp.Loop.Instrs[sp.StoreID]
+	st := sg.Loop.Instrs[sp.StoreID]
 	if st.Op != OpSpillStore || st.Class != machine.ClassMem || len(st.Uses) != 1 || st.Uses[0] != 5 {
 		t.Errorf("store malformed: %v", st)
 	}
@@ -41,7 +42,7 @@ func TestMaterializeSpillStructure(t *testing.T) {
 	if rid != sp.OldToNew[3]-1 {
 		t.Errorf("reload at %d, want right before consumer %d", rid, sp.OldToNew[3])
 	}
-	consumer := sp.Loop.Instrs[sp.OldToNew[3]]
+	consumer := sg.Loop.Instrs[sp.OldToNew[3]]
 	readsFresh, readsOld := false, false
 	for _, u := range consumer.Uses {
 		if u == rreg {
@@ -56,7 +57,7 @@ func TestMaterializeSpillStructure(t *testing.T) {
 	}
 	// The store->reload memory edge carries the consumer's distance (0)
 	// and memory latency.
-	e := findEdge(sp.Graph, sp.StoreID, rid, DepMem)
+	e := findEdge(sg, sp.StoreID, rid, DepMem)
 	if e == nil {
 		t.Fatal("missing store->reload memory edge")
 	}
@@ -65,7 +66,7 @@ func TestMaterializeSpillStructure(t *testing.T) {
 	}
 	// Every original instruction survives under its mapped ID.
 	for old, in := range l.Instrs {
-		if got := sp.Loop.Instrs[sp.OldToNew[old]].Op; got != in.Op {
+		if got := sg.Loop.Instrs[sp.OldToNew[old]].Op; got != in.Op {
 			t.Errorf("OldToNew[%d]: op %q, want %q", old, got, in.Op)
 		}
 	}
@@ -80,21 +81,22 @@ func TestMaterializeSpillCarriedConsumer(t *testing.T) {
 	}
 	// v4 is defined by the fmul (id 2) and read two iterations later by
 	// the fadd (id 1, CarriedUses[v4]=2) plus same-iteration by the store.
-	sp, err := MaterializeSpill(l, m, g, 2, 4, nil)
+	sg := g.Clone()
+	sp, err := sg.SpliceSpill(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.Loop.Validate(); err != nil {
+	if err := sg.Loop.Validate(); err != nil {
 		t.Fatalf("augmented loop invalid: %v", err)
 	}
 	// The carried consumer's reload inherits distance 2 on the memory
 	// edge, and the consumer itself drops its CarriedUses entry.
-	fadd := sp.Loop.Instrs[sp.OldToNew[1]]
+	fadd := sg.Loop.Instrs[sp.OldToNew[1]]
 	if _, still := fadd.CarriedUses[4]; still {
 		t.Error("rewritten consumer still declares a carried use of v4")
 	}
 	reload := sp.OldToNew[1] - 1
-	e := findEdge(sp.Graph, sp.StoreID, reload, DepMem)
+	e := findEdge(sg, sp.StoreID, reload, DepMem)
 	if e == nil {
 		t.Fatal("missing store->reload memory edge for carried consumer")
 	}
@@ -113,18 +115,19 @@ func TestMaterializeSpillSelfRecurrence(t *testing.T) {
 	// v4 is the accumulator: defined by the fadd (id 3) and consumed by
 	// itself one iteration later. Both the reload (before) and the store
 	// (after) must materialise around the same instruction.
-	sp, err := MaterializeSpill(l, m, g, 3, 4, nil)
+	sg := g.Clone()
+	sp, err := sg.SpliceSpill(3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.Loop.Validate(); err != nil {
+	if err := sg.Loop.Validate(); err != nil {
 		t.Fatalf("augmented loop invalid: %v", err)
 	}
 	newID := sp.OldToNew[3]
 	if len(sp.ReloadIDs) != 1 || sp.ReloadIDs[0] != newID-1 || sp.StoreID != newID+1 {
 		t.Errorf("self-recurrence spill: reloads=%v store=%d around %d", sp.ReloadIDs, sp.StoreID, newID)
 	}
-	if e := findEdge(sp.Graph, sp.StoreID, sp.ReloadIDs[0], DepMem); e == nil || e.Distance != 1 {
+	if e := findEdge(sg, sp.StoreID, sp.ReloadIDs[0], DepMem); e == nil || e.Distance != 1 {
 		t.Errorf("self-recurrence mem edge = %+v, want distance 1", e)
 	}
 }
@@ -141,11 +144,12 @@ func TestMaterializeSpillPreservesMemEdges(t *testing.T) {
 	if err := g.AddEdge(Edge{From: 11, To: 0, Kind: DepMem, Distance: 1, Latency: 1}); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := MaterializeSpill(l, m, g, 0, 5, nil)
+	sg := g.Clone()
+	sp, err := sg.SpliceSpill(0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := findEdge(sp.Graph, sp.OldToNew[11], sp.OldToNew[0], DepMem); e == nil || e.Distance != 1 {
+	if e := findEdge(sg, sp.OldToNew[11], sp.OldToNew[0], DepMem); e == nil || e.Distance != 1 {
 		t.Errorf("caller mem edge not carried over: %+v", e)
 	}
 }
@@ -157,15 +161,11 @@ func TestMaterializeSpillErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MaterializeSpill(l, m, g, 6, 0, nil); err == nil {
+	if _, err := g.SpliceSpill(6, 0); err == nil {
 		t.Error("spilling a register the instruction does not define succeeded")
 	}
-	if _, err := MaterializeSpill(l, m, g, 99, 0, nil); err == nil {
+	if _, err := g.SpliceSpill(99, 0); err == nil {
 		t.Error("spilling an out-of-range instruction succeeded")
-	}
-	other, _ := Build(DotProduct(), m, nil)
-	if _, err := MaterializeSpill(l, m, other, 2, 5, nil); err == nil {
-		t.Error("spilling with a foreign graph succeeded")
 	}
 }
 
@@ -176,7 +176,8 @@ func TestMaterializeLiveInSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := MaterializeLiveInSpill(l, m, g, 1, nil)
+	sg := g.Clone()
+	sp, err := sg.SpliceLiveInSpill(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +187,11 @@ func TestMaterializeLiveInSpill(t *testing.T) {
 	if len(sp.ReloadIDs) != 1 {
 		t.Fatalf("reloads = %v, want one (v1 has one consumer)", sp.ReloadIDs)
 	}
-	if err := sp.Loop.Validate(); err != nil {
+	if err := sg.Loop.Validate(); err != nil {
 		t.Fatalf("augmented loop invalid: %v", err)
 	}
 	// v1 must no longer be read anywhere.
-	for _, in := range sp.Loop.Instrs {
+	for _, in := range sg.Loop.Instrs {
 		for _, u := range in.Uses {
 			if u == 1 {
 				t.Errorf("instruction %d still reads spilled live-in v1", in.ID)
@@ -198,10 +199,10 @@ func TestMaterializeLiveInSpill(t *testing.T) {
 		}
 	}
 	// Spilling a defined register through the live-in path must fail.
-	if _, err := MaterializeLiveInSpill(l, m, g, 5, nil); err == nil {
+	if _, err := g.SpliceLiveInSpill(5); err == nil {
 		t.Error("live-in spill of a defined register succeeded")
 	}
-	if _, err := MaterializeLiveInSpill(l, m, g, 99, nil); err == nil {
+	if _, err := g.SpliceLiveInSpill(99); err == nil {
 		t.Error("live-in spill of an unused register succeeded")
 	}
 }
@@ -215,11 +216,11 @@ func TestSpilledLoopSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := MaterializeSpill(l, m, g, 2, 5, nil)
-	if err != nil {
+	sg := g.Clone()
+	if _, err := sg.SpliceSpill(2, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sp.Graph.IntraTopoOrder(); err != nil {
+	if _, err := sg.IntraTopoOrder(); err != nil {
 		t.Fatalf("augmented graph has an intra-iteration cycle: %v", err)
 	}
 }

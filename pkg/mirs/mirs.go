@@ -16,10 +16,10 @@
 // budget. Whenever a cluster's register pressure exceeds its file
 // (tracked incrementally per placement, settled authoritatively by
 // regpress.Analyze), it selects a victim lifetime — longest lifetime,
-// fewest uses, per the paper — materialises a store/reload pair as new IR
-// instructions with memory dependence edges (ir.MaterializeSpill), and
-// schedules the spill code inside the ongoing schedule. Only when the
-// budget is exhausted does II escalate.
+// fewest uses, per the paper — splices a store/reload pair into the live
+// dependence graph as new IR instructions with memory dependence edges
+// (ir.Graph.SpliceSpill), and schedules the spill code inside the ongoing
+// schedule. Only when the budget is exhausted does II escalate.
 //
 // Some loops cannot be made to fit at any II: once every long lifetime
 // has been spilled, what remains is short-lifetime congestion from the
@@ -293,6 +293,9 @@ func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sc
 	out, completed, excess, err := at.s.tryII(st)
 	if err != nil {
 		return sched.Attempt{Err: err}
+	}
+	if out != nil && out.Graph == st.own {
+		st.own = nil // the schedule keeps the spill-augmented loop and graph
 	}
 	if rec != nil {
 		hits, misses := st.wc.Stats()

@@ -2,19 +2,19 @@ package mirs
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
-	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/regpress"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 )
 
 // This file is the integrated-spilling half of MIRS: picking the victim
-// lifetime when a cluster's register file overflows, materialising the
-// store/reload pair through ir.MaterializeSpill, and carrying the
-// in-flight schedule across to the augmented loop so only the new spill
-// code needs placing.
+// lifetime when a cluster's register file overflows, splicing the
+// store/reload pair into the live graph (ir.Graph.SpliceSpill), and
+// carrying the in-flight schedule across the renumbering so only the new
+// spill code needs placing.
 
 // victim selects the lifetime to spill from an over-pressure cluster.
 // Under the default VictimLongest policy it follows the paper: prefer
@@ -35,7 +35,8 @@ func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
 		uses    int
 		carried bool
 	}
-	var best *cand
+	var best cand
+	found := false
 	better := func(a, b *cand) bool { // is a better than b
 		if a.carried != b.carried {
 			return !a.carried
@@ -95,9 +96,9 @@ func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
 			if !any {
 				continue // dead value; spilling it frees nothing
 			}
-			c := &cand{id: id, reg: reg, length: length, uses: uses, carried: carried}
-			if best == nil || better(c, best) {
-				best = c
+			c := cand{id: id, reg: reg, length: length, uses: uses, carried: carried}
+			if !found || better(&c, &best) {
+				best, found = c, true
 			}
 		}
 	}
@@ -118,13 +119,13 @@ func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
 					}
 				}
 			}
-			c := &cand{id: -1, reg: reg, length: st.ii, uses: uses}
-			if best == nil || better(c, best) {
-				best = c
+			c := cand{id: -1, reg: reg, length: st.ii, uses: uses}
+			if !found || better(&c, &best) {
+				best, found = c, true
 			}
 		}
 	}
-	if best == nil {
+	if !found {
 		return 0, 0, false
 	}
 	if st.rec != nil {
@@ -195,19 +196,26 @@ func (st *state) relieveWorst(press *regpress.Result) bool {
 	return st.applySpill(id, reg)
 }
 
-// applySpill rewrites the loop with spill code for (id, reg) — a
+// applySpill splices spill code for (id, reg) into the loop — a
 // store/reload pair for a definition, reloads only for a live-in (id ==
 // -1) — and migrates every piece of scheduling state to the new
 // instruction numbering. Placed instructions keep their placements — the
-// materialised spill code is exactly the unplaced remainder, so the spill
-// is scheduled *inside* the ongoing schedule rather than restarting it.
+// spliced spill code is exactly the unplaced remainder, so the spill is
+// scheduled *inside* the ongoing schedule rather than restarting it.
+// The first spill of an attempt moves it onto state-owned copies of the
+// request's loop and graph (see state.own); later spills splice in place.
 func (st *state) applySpill(id int, reg ir.VReg) bool {
+	if st.g != st.own {
+		st.own = st.g.CloneInto(st.own)
+		st.g, st.loop = st.own, st.own.Loop
+		st.ownLiveInUses()
+	}
 	var sp *ir.Spill
 	var err error
 	if id < 0 {
-		sp, err = ir.MaterializeLiveInSpill(st.loop, st.m, st.g, reg, nil)
+		sp, err = st.g.SpliceLiveInSpill(reg)
 	} else {
-		sp, err = ir.MaterializeSpill(st.loop, st.m, st.g, id, reg, nil)
+		sp, err = st.g.SpliceSpill(id, reg)
 	}
 	if err != nil {
 		return false
@@ -226,47 +234,49 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 			Cluster: -1, Cycle: -1, Reg: int32(reg), Arg: stores, Aux: int64(len(sp.ReloadIDs))})
 	}
 
-	n := sp.Loop.NumInstrs()
+	n := st.loop.NumInstrs()
 	// The force budget is a per-instruction allowance (MaxRetries × n);
 	// spill code grows n, so it earns budget at the same rate. Without
 	// this, heavy spilling starves the budget that was sized for the
 	// original body and placement dies half-done at every II.
-	st.budget += st.maxRetries * (n - st.loop.NumInstrs())
-	plc := make([]sched.Placement, n)
-	placed := make([]bool, n)
-	noSpill := make([]bool, n)
-	forcedAt := make([]int, n)
-	for old, now := range sp.OldToNew {
-		plc[now] = st.plc[old]
-		placed[now] = st.placed[old]
-		noSpill[now] = st.noSpill[old]
-		forcedAt[now] = st.forcedAt[old]
-	}
+	st.budget += st.maxRetries * (n - len(sp.OldToNew))
+	st.plc = spread(st.plc, sp.OldToNew, n)
+	st.placed = spread(st.placed, sp.OldToNew, n)
+	st.noSpill = spread(st.noSpill, sp.OldToNew, n)
+	st.forcedAt = spread(st.forcedAt, sp.OldToNew, n)
 	if id >= 0 {
-		noSpill[sp.OldToNew[id]] = true // a spilled value is not spilled twice
+		st.noSpill[sp.OldToNew[id]] = true // a spilled value is not spilled twice
 	}
 	if sp.StoreID >= 0 {
-		noSpill[sp.StoreID] = true
+		st.noSpill[sp.StoreID] = true
 	}
 	for _, rid := range sp.ReloadIDs {
-		noSpill[rid] = true
+		st.noSpill[rid] = true
+	}
+	// Only a live-in spill changes live-in uses: its consumers read their
+	// reloads instead.
+	st.liveInUses = spread(st.liveInUses, sp.OldToNew, n)
+	st.ownRows = st.liveInUses
+	if id < 0 {
+		for _, rid := range sp.ReloadIDs {
+			c := rid + 1
+			st.liveInUses[c] = slices.DeleteFunc(st.liveInUses[c], func(v ir.VReg) bool { return v == reg })
+		}
 	}
 	// Failures below this point would leave the state half-migrated, and
-	// none can occur for a well-formed spill (the rebuilt graph is acyclic
+	// none can occur for a well-formed spill (the spliced graph is acyclic
 	// intra-iteration, II is unchanged, and the re-seated reservations are
 	// the surviving subset of what was reserved before), so they panic as
 	// internal bugs rather than corrupting the in-flight schedule.
-	height, err := sched.Heights(sp.Graph)
+	height, err := st.hb.Heights(st.g)
 	if err != nil {
 		panic(fmt.Sprintf("mirs: spill of %s (def %d): %v", reg, id, err))
 	}
+	st.height = height
 
-	st.loop, st.g = sp.Loop, sp.Graph
-	st.plc, st.placed, st.noSpill, st.forcedAt, st.height = plc, placed, noSpill, forcedAt, height
 	st.mrt.Reset(st.ii)
 	st.track.Reset(st.ii)
 	st.wc.Reset(st.g, st.m, st.ii)
-	st.liveInUses = life.LiveInUses(st.loop)
 	st.rebindLoop()
 
 	// Re-seat the surviving placements in the fresh MRT: unit slots,
@@ -311,8 +321,8 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 	// (often empty) window squeezed between the store and the consumer's
 	// old slot, and every empty window costs a forced placement; ejecting
 	// up front lets the reload seat itself and the consumer follow it.
-	// MaterializeSpill emits each reload immediately before its consumer,
-	// so the consumer is always the next instruction.
+	// The splice puts each reload immediately before its consumer, so the
+	// consumer is always the next instruction.
 	for _, rid := range sp.ReloadIDs {
 		if c := rid + 1; st.placed[c] {
 			st.unplace(c)

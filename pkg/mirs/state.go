@@ -2,7 +2,7 @@ package mirs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/life"
@@ -60,6 +60,15 @@ type state struct {
 	// liveInUses[i] are the distinct live-in registers instruction i
 	// reads (life.LiveInUses), the refcount basis of liveInAdjust.
 	liveInUses [][]ir.VReg
+	// own is the storage of the spill-augmented graph (and own.Loop of
+	// the loop), ownRows/ownRegs of its live-in rows and hb of its
+	// heights; the request's are shared by every attempt and never
+	// written. A schedule returned from an attempt keeps own, so
+	// AttemptII drops it; otherwise the next attempt reuses it.
+	own     *ir.Graph
+	ownRows [][]ir.VReg
+	ownRegs []ir.VReg
+	hb      sched.HeightBuf
 	// liveIn holds the live-in refcounts densely: liveIn[ci*nregs+reg]
 	// counts cluster ci's placed consumers of live-in register reg.
 	liveIn []int32
@@ -216,8 +225,7 @@ func (st *state) rebindLoop() {
 		st.defRegs = append(st.defRegs, in.Defs...)
 		// Registers ascend within an instruction so the victim scan's
 		// (id, reg) order matches the old sorted-key iteration.
-		slot := st.defRegs[st.defBase[i]:]
-		sort.Slice(slot, func(a, b int) bool { return slot[a] < slot[b] })
+		slices.Sort(st.defRegs[st.defBase[i]:])
 	}
 	st.defBase[n] = len(st.defRegs)
 	if cap(st.charged) < len(st.defRegs) {
@@ -230,6 +238,34 @@ func (st *state) rebindLoop() {
 	for i := range st.charged {
 		st.charged[i] = st.charged[i][:0]
 	}
+}
+
+// ownLiveInUses copies the shared live-in rows into state storage that
+// spills may edit. A row stays valid if a later append moves ownRegs.
+func (st *state) ownLiveInUses() {
+	st.ownRegs, st.ownRows = st.ownRegs[:0], st.ownRows[:0]
+	for _, row := range st.liveInUses {
+		i := len(st.ownRegs)
+		st.ownRegs = append(st.ownRegs, row...)
+		st.ownRows = append(st.ownRows, st.ownRegs[i:len(st.ownRegs):len(st.ownRegs)])
+	}
+	st.liveInUses = st.ownRows
+}
+
+// spread carries a per-instruction table across a spill in place: grown
+// to n, each s[old] moves to s[oldToNew[old]] back to front (oldToNew
+// increases) and the inserted instructions' slots are zeroed.
+func spread[T any](s []T, oldToNew []int, n int) []T {
+	s = slices.Grow(s, n-len(s))[:n]
+	next := n
+	for old := len(oldToNew) - 1; old >= 0; old-- {
+		now := oldToNew[old]
+		clear(s[now+1 : next])
+		s[now] = s[old]
+		next = now
+	}
+	clear(s[:next])
+	return s
 }
 
 func resizeInts(s []int, n int) []int {

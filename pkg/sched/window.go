@@ -244,11 +244,28 @@ func (wc *WindowCache) Window(plc []Placement, placed []bool, id, cluster int) (
 // the longest latency path to a sink through intra-iteration (distance-0)
 // edges. It fails if the intra-iteration subgraph has a cycle.
 func Heights(g *ir.Graph) ([]int, error) {
-	topo, err := g.IntraTopoOrder()
-	if err != nil {
+	var b HeightBuf
+	return b.Heights(g)
+}
+
+// HeightBuf is the reusable storage of Heights, the result and the
+// topological-order scratch. The zero value is ready to use.
+type HeightBuf struct{ height, topo, indeg []int }
+
+// Heights is Heights computed into b, allocation-free once b has grown
+// to the graph. The result stays valid until the next call.
+func (b *HeightBuf) Heights(g *ir.Graph) ([]int, error) {
+	n := g.NumNodes()
+	if cap(b.indeg) < n { // with headroom: spills grow the graph a few nodes at a time
+		b.height, b.topo, b.indeg = make([]int, n, 2*n), make([]int, 0, 2*n), make([]int, n, 2*n)
+	}
+	var err error
+	if b.topo, err = g.IntraTopoOrderInto(b.topo, b.indeg[:n]); err != nil {
 		return nil, err
 	}
-	height := make([]int, g.NumNodes())
+	topo := b.topo
+	height := b.height[:n]
+	clear(height)
 	for i := len(topo) - 1; i >= 0; i-- {
 		v := topo[i]
 		for _, e := range g.Succs(v) {

@@ -59,7 +59,7 @@ const (
 	// pairDist iterations earlier.
 	opSpillReload
 	// opLiveInReload reproduces a live-in register's initial value (the
-	// preheader parked it in the slot; see ir.MaterializeLiveInSpill).
+	// preheader parked it in the slot; see ir.Graph.SpliceLiveInSpill).
 	opLiveInReload
 )
 
