@@ -2,7 +2,7 @@
 # here is a thin wrapper over go / msched invocations, so CI and humans
 # run the identical commands.
 
-.PHONY: all build test race bench bench-placement bench-e2e profile compare baseline trace exec lint fmt
+.PHONY: all build test race bench bench-e2e profile compare baseline trace exec lint fmt
 
 all: build test
 
@@ -15,18 +15,14 @@ test:
 race:
 	go test -race ./...
 
-# Full-pipeline benchmark (graph build + schedule + analysis + MVE) with
-# allocation counts; writes BENCH_results.json next to the package. Then
-# the differential oracle alone (emitted programs run on pkg/vm), which
-# covers everything after Expand.
+# Placement-path benchmark (graph and MII prebuilt, so allocs/op
+# isolates the scheduler hot path the zero-allocation claim covers),
+# then differential execution of emitted programs on pkg/vm. Allocations
+# per full-pipeline compile are pinned by TestCompileAllocs in `make
+# test`; end-to-end numbers come from `make bench-e2e`.
 bench:
-	go test -run '^$$' -bench '^(BenchmarkCompile)$$' -benchmem ./internal/core/
+	go test -run '^$$' -bench '^(BenchmarkPlacement)$$' -benchmem ./internal/core/
 	go test -run '^$$' -bench '^(BenchmarkVerifyProgram)$$' -benchmem ./pkg/vm/
-
-# Placement-path-only benchmark: graph and MII prebuilt, so allocs/op
-# isolates the scheduler hot path the zero-allocation claim covers.
-bench-placement:
-	go test -run '^$$' -bench BenchmarkPlacement -benchmem ./internal/core/
 
 # The benchmark module (bench/): its unit tests, then one quick pass
 # over every workload. bench/ is a nested module, so `go test ./...`
@@ -37,21 +33,25 @@ bench-e2e:
 	cd bench && go test ./...
 	bash bench/run.sh -workload all -seed 1 -quick
 
-# Capture CPU + allocation pprof profiles from the benchmarks; inspect
-# with `go tool pprof bench_cpu.pprof` (see README "Performance &
-# profiling").
+# Capture CPU + allocation pprof profiles from the two benchmarks;
+# inspect with `go tool pprof sched_cpu.pprof` (see README "Performance
+# & profiling").
 profile:
-	go test -run '^$$' -bench 'BenchmarkCompile|BenchmarkPlacement' -benchmem \
-		-cpuprofile bench_cpu.pprof -memprofile bench_mem.pprof ./internal/core/
-	@echo "profiles: bench_cpu.pprof bench_mem.pprof (go tool pprof <file>)"
+	go test -run '^$$' -bench '^(BenchmarkPlacement)$$' -benchmem \
+		-cpuprofile sched_cpu.pprof -memprofile sched_mem.pprof ./internal/core/
+	go test -run '^$$' -bench '^(BenchmarkVerifyProgram)$$' -benchmem \
+		-cpuprofile vm_cpu.pprof -memprofile vm_mem.pprof ./pkg/vm/
+	@echo "profiles: sched_cpu.pprof sched_mem.pprof vm_cpu.pprof vm_mem.pprof (go tool pprof <file>)"
 
-# Gate current quality (ΣII, ΣMaxLive) and throughput (allocs/op)
-# against the committed baseline — the same command CI runs.
+# The one gate, the same command CI runs: compile and differentially
+# execute the gate corpora, build the optimality-gap table, and fail on
+# any compile failure, execution mismatch, or ΣII / ΣMaxLive / Σcycles /
+# Σbundles / gap regression vs BENCH_baseline.json and GAP_baseline.json.
 compare:
 	go run ./cmd/msched compare
 
-# Refresh BENCH_baseline.json after an intentional quality or perf
-# change; commit the result.
+# Refresh BENCH_baseline.json and GAP_baseline.json after an intentional
+# quality or code change; commit the result.
 baseline:
 	go run ./cmd/msched compare -update-baseline
 
@@ -61,10 +61,11 @@ baseline:
 trace:
 	go run ./cmd/msched trace -seed 1 -i 7 -machine tight
 
-# Differentially execute the whole generated sweep — emitted VLIW
-# bundles vs the sequential reference semantics — with the same grid
-# and seed the CI exec-verify gate uses; exits non-zero on any
-# mismatch (see README "Execution & verification").
+# Differentially execute the gate's generated sweep — emitted VLIW
+# bundles vs the sequential reference semantics — and print its
+# per-combo table; exits non-zero on any mismatch (see README "Execution
+# & verification"). `make compare` executes the same grid as part of
+# the gate.
 exec:
 	go run ./cmd/msched run -exec -seed 1 -n 120 -backends all -machines all -strict
 

@@ -6,7 +6,7 @@
 //
 //	msched run     -seed 1 -n 200 [-strict] [-timing] [-o report.json]
 //	msched gen     -seed 1 -n 3 [-corner pressure] [-json]
-//	msched compare [-baseline BENCH_baseline.json] [-update-baseline]
+//	msched compare [-update-baseline] [-o dir] [-oracle-dir dir]
 //	msched trace   -seed 1 -i 7 -machine tight [-chrome trace.json]
 //	msched exec    -loop fir8 -machine tight [-backend mirs]
 //
@@ -19,16 +19,16 @@
 // `gen` prints generated loops for eyeballing and for reducing driver
 // findings to standalone repro cases.
 //
-// `compare` recomputes the gated quality rows (examples corpus + a
-// pinned generated population, every backend × gate machine) and diffs
-// them against the committed baseline: any ΣII or ΣMaxLive regression
-// fails the gate (exit 1). It also benchmarks the "perf:examples" rows
-// — allocations per full-corpus compile, gated with headroom
-// (report.AllocHeadroom), plus informational loops/sec — so a hot-path
-// allocation regression fails CI the same way a quality regression
-// does; -no-perf skips that measurement. -update-baseline rewrites the
-// baseline file instead — the one-command local refresh after an
-// intentional change.
+// `compare` is the one gate. It compiles the gate rows (examples corpus
+// + a pinned generated population, every backend × canned machine),
+// executes every compilation differentially, and builds the
+// optimality-gap table (exact backend vs MIRS on a small-loop corpus).
+// Any compile failure or execution mismatch fails it (exit 1), as does
+// any ΣII, ΣMaxLive, Σcycles or Σbundles regression against
+// BENCH_baseline.json or a lost proof, changed proved optimum or grown
+// II gap against GAP_baseline.json. -update-baseline rewrites both
+// files instead — the one-command local refresh after an intentional
+// change.
 package main
 
 import (
@@ -37,8 +37,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
-	"time"
 
 	"github.com/paper-repo-growth/mirs/internal/core"
 	"github.com/paper-repo-growth/mirs/internal/driver"
@@ -86,8 +86,9 @@ func usage(w io.Writer) {
   run       generate a loop population and batch-compile it across
             backends x machines; emit aggregate quality tables
   gen       print generated loops
-  compare   gate current scheduler quality against BENCH_baseline.json
-            (-update-baseline to refresh it; -gap for the optimality gap)
+  compare   compile, execute and gate the quality, cycle and optimality-gap
+            rows against BENCH_baseline.json and GAP_baseline.json
+            (-update-baseline to refresh both)
   trace     compile one loop with the flight recorder attached and
             explain the II search (optional Chrome trace export)
   exec      compile one loop, emit VLIW bundles, and differentially
@@ -238,6 +239,10 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *n < 0 {
+		fmt.Fprintln(stderr, "msched run: -n must be >= 0")
+		return 2
+	}
 	if (*traceSlowest > 0) != (*traceDir != "") {
 		fmt.Fprintln(stderr, "msched run: -trace-slowest and -trace-dir must be set together")
 		return 2
@@ -357,6 +362,10 @@ func cmdGen(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *n < 0 {
+		fmt.Fprintln(stderr, "msched gen: -n must be >= 0")
+		return 2
+	}
 	var loops []*ir.Loop
 	if *corner != "" {
 		var k gen.Knobs
@@ -397,166 +406,100 @@ func cmdGen(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// gateRows recomputes the baseline-gated quality rows: the hand-written
-// example corpus plus a pinned generated population, across every
-// registered backend and every canned machine, untimed — fully
-// deterministic in (seed, n). failures counts compilations that errored
-// out; the gate corpus must compile clean, so callers treat a nonzero
-// count as a failure in its own right rather than letting a shrunken
-// population be baselined away (or misread as "baseline stale").
-func gateRows(seed uint64, n, workers int, timeout time.Duration, stderr io.Writer) (rows *report.File, failures int) {
+// gateSpec pins the corpora `compare` gates. Each value is part of its
+// baseline's identity (the corpus labels embed them), so they are
+// constants of the gate (defaultGate) rather than flags; tests pass a
+// smaller spec to runCompare.
+type gateSpec struct {
+	seed            uint64 // generated population: gen.Corpus(seed, n)
+	n               int
+	gapSeed         uint64 // gap population: driver.GapCorpus(gapSeed, gapN, gapMaxOps)
+	gapN, gapMaxOps int
+}
+
+var defaultGate = gateSpec{seed: 1, n: 120, gapSeed: 1, gapN: 24, gapMaxOps: 12}
+
+// gateRows compiles and differentially executes the baseline-gated
+// rows: the hand-written example corpus plus the pinned generated
+// population, across every registered backend and every canned machine
+// — fully deterministic in the gate spec. failures counts compilations
+// that errored out or executed to a state that differs from the
+// sequential reference: the gate corpus must compile and execute clean,
+// so callers treat any failure as one in its own right rather than
+// letting a shrunken population be baselined away (or misread as
+// "baseline stale").
+func gateRows(gate gateSpec, stdout, stderr io.Writer) (rows *report.File, failures int) {
 	machines, _ := machinesByName("all")
-	opts := driver.Options{Workers: workers, Timeout: timeout}
 	rows = &report.File{}
+	executed, mismatches := 0, 0
 	for _, spec := range []driver.Spec{
 		{Corpus: "examples", Loops: ir.ExampleLoops(), Backends: core.Backends(), Machines: machines},
-		{Corpus: fmt.Sprintf("gen:seed=%d,n=%d", seed, n), Loops: gen.Corpus(seed, n), Backends: core.Backends(), Machines: machines},
+		{Corpus: fmt.Sprintf("gen:seed=%d,n=%d", gate.seed, gate.n), Loops: gen.Corpus(gate.seed, gate.n), Backends: core.Backends(), Machines: machines},
 	} {
-		rep := driver.Run(spec, opts)
+		rep := driver.Run(spec, driver.Options{Exec: true})
 		failures += rep.Failures
+		mismatches += len(rep.ExecFailures)
 		for _, o := range rep.Outcomes {
 			if o.Err != "" {
 				fmt.Fprintf(stderr, "msched compare: %s [%s x %s]: %s\n", o.Loop, o.Backend, o.Machine, o.Err)
 			}
+			if o.ExecErr != "" {
+				fmt.Fprintf(stderr, "msched compare: EXEC MISMATCH %s [%s x %s]: %s\n", o.Loop, o.Backend, o.Machine, o.ExecErr)
+			}
+		}
+		for _, c := range rep.Combos {
+			executed += c.Executed
 		}
 		rows.Rows = append(rows.Rows, rep.Rows()...)
 	}
-	return rows, failures
+	fmt.Fprintf(stdout, "exec-verify: %d compilations executed differentially, %d mismatches\n", executed, mismatches)
+	return rows, failures + mismatches
 }
 
 func cmdCompare(args []string, stdout, stderr io.Writer) int {
+	return runCompare(defaultGate, args, stdout, stderr)
+}
+
+// runCompare is the one gate. In a single pass it compiles and executes
+// the gate rows and builds the optimality-gap table — the exact backend
+// vs MIRS over the small-loop gap corpus at opt's default budget — then
+// either gates both against their baselines or (-update-baseline)
+// rewrites them.
+func runCompare(gate gateSpec, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("msched compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	baseline := fs.String("baseline", "BENCH_baseline.json", "baseline rows to gate against")
-	update := fs.Bool("update-baseline", false, "rewrite the baseline(s) from current results instead of gating")
-	seed := fs.Uint64("seed", 1, "generated-population seed (must match the baseline's)")
-	n := fs.Int("n", 120, "generated-population size (must match the baseline's)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	timeout := fs.Duration("timeout", driver.DefaultTimeout, "per-compilation budget")
-	noPerf := fs.Bool("no-perf", false, "skip the benchmarked perf:examples rows (allocs/op gate)")
-	gap := fs.Bool("gap", false, "also build the optimality-gap table (opt vs mirs) and gate it vs -gap-baseline")
-	gapOnly := fs.Bool("gap-only", false, "run only the gap pipeline, skipping the quality and perf gates (implies -gap)")
-	gapBaseline := fs.String("gap-baseline", "GAP_baseline.json", "gap baseline to gate against")
-	gapOut := fs.String("gap-o", "", "write the gap artifact JSON to this file")
-	gapSeed := fs.Uint64("gap-seed", 1, "gap-corpus seed (must match the gap baseline's)")
-	gapN := fs.Int("gap-n", 24, "gap-corpus size (must match the gap baseline's)")
-	gapMaxOps := fs.Int("gap-max-ops", 12, "gap-corpus loop size bound in instructions")
-	budget := fs.Int64("budget", 0, "opt backend: conflict budget per candidate II (0 = default)")
+	baseline := fs.String("baseline", "BENCH_baseline.json", "quality and cycle rows to gate against")
+	gapBaseline := fs.String("gap-baseline", "GAP_baseline.json", "optimality-gap table to gate against")
+	update := fs.Bool("update-baseline", false, "rewrite both baselines from current results instead of gating")
+	outDir := fs.String("o", "", "write the current artifacts (bench.json, gap.json) into this directory")
 	oracleDir := fs.String("oracle-dir", "", "write minimised regression seeds for loops opt schedules but mirs fails")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *gapOnly {
-		*gap = true
-	}
-	if !*gap && (*gapOut != "" || *oracleDir != "") {
-		fmt.Fprintln(stderr, "msched compare: -gap-o and -oracle-dir need -gap (or -gap-only)")
-		return 2
-	}
-	if !*gapOnly && *noPerf && *update {
-		// Refreshing the baseline without perf rows would silently strip
-		// them and disable the allocs/op gate for every later run.
-		fmt.Fprintln(stderr, "msched compare: -no-perf cannot be combined with -update-baseline (it would drop the perf rows from the baseline)")
-		return 2
-	}
-	if !*gapOnly {
-		current, failed := gateRows(*seed, *n, *workers, *timeout, stderr)
-		if failed > 0 {
-			fmt.Fprintf(stderr, "msched compare: %d gate-corpus compilation(s) failed — fix the backends before gating or refreshing the baseline\n", failed)
-			return 1
-		}
-		if !*noPerf {
-			pf, err := perfRows()
-			if err != nil {
-				fmt.Fprintf(stderr, "msched compare: perf measurement: %v\n", err)
-				return 1
-			}
-			current.Rows = append(current.Rows, pf.Rows...)
-		}
-		if *update {
-			if err := current.WriteFile(*baseline); err != nil {
-				fmt.Fprintln(stderr, "msched compare:", err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "baseline %s updated: %d rows\n", *baseline, len(current.Rows))
-		} else {
-			base, err := report.ReadFile(*baseline)
-			if err != nil {
-				fmt.Fprintf(stderr, "msched compare: %v\n(run 'msched compare -update-baseline' to create it)\n", err)
-				return 1
-			}
-			if *noPerf {
-				// The perf rows were not measured this run; drop them from the
-				// baseline too so they do not read as missing regressions.
-				kept := base.Rows[:0]
-				for _, r := range base.Rows {
-					if !strings.HasPrefix(r.Corpus, "perf:") {
-						kept = append(kept, r)
-					}
-				}
-				base.Rows = kept
-			}
-			regs, unbaselined := report.Compare(base, current)
-			for _, u := range unbaselined {
-				fmt.Fprintf(stdout, "note: %s has no baseline row yet (refresh with -update-baseline)\n", u)
-			}
-			if len(regs) > 0 {
-				for _, r := range regs {
-					fmt.Fprintln(stderr, "REGRESSION:", r)
-				}
-				fmt.Fprintf(stderr, "msched compare: %d quality regression(s) vs %s\n", len(regs), *baseline)
-				return 1
-			}
-			fmt.Fprintf(stdout, "quality gate clean: %d rows no worse than %s\n", len(base.Rows), *baseline)
-		}
-	}
-	if *gap {
-		return compareGap(stdout, stderr, gapParams{
-			baseline: *gapBaseline, update: *update, out: *gapOut,
-			seed: *gapSeed, n: *gapN, maxOps: *gapMaxOps,
-			budget: *budget, workers: *workers, timeout: *timeout,
-			oracleDir: *oracleDir,
-		})
-	}
-	return 0
-}
 
-// gapParams carries the -gap* flag values into compareGap.
-type gapParams struct {
-	baseline  string
-	update    bool
-	out       string
-	seed      uint64
-	n, maxOps int
-	budget    int64
-	workers   int
-	timeout   time.Duration
-	oracleDir string
-}
-
-// compareGap builds the optimality-gap table — the exact backend vs
-// MIRS over the seeded small-loop corpus — prints it, optionally writes
-// the artifact and the oracle regression seeds, and gates (or
-// refreshes) the gap baseline.
-func compareGap(stdout, stderr io.Writer, p gapParams) int {
-	corpus := fmt.Sprintf("gap:seed=%d,n=%d,max-ops=%d", p.seed, p.n, p.maxOps)
-	loops := driver.GapCorpus(p.seed, p.n, p.maxOps)
-	if len(loops) < p.n {
-		fmt.Fprintf(stderr, "msched compare: gap corpus came up short (%d of %d loops within %d ops)\n", len(loops), p.n, p.maxOps)
+	current, failed := gateRows(gate, stdout, stderr)
+	if failed > 0 {
+		fmt.Fprintf(stderr, "msched compare: %d gate-corpus compilation(s) failed to compile or execute clean — fix the backends before gating or refreshing the baseline\n", failed)
+		return 1
+	}
+	loops := driver.GapCorpus(gate.gapSeed, gate.gapN, gate.gapMaxOps)
+	if len(loops) < gate.gapN {
+		fmt.Fprintf(stderr, "msched compare: gap corpus came up short (%d of %d loops within %d ops)\n", len(loops), gate.gapN, gate.gapMaxOps)
 		return 1
 	}
 	ms, _ := machinesByName("all")
-	gf := driver.RunGap(corpus, loops, ms, driver.GapOptions{Budget: p.budget, Workers: p.workers, Timeout: p.timeout})
+	corpus := fmt.Sprintf("gap:seed=%d,n=%d,max-ops=%d", gate.gapSeed, gate.gapN, gate.gapMaxOps)
+	gf := driver.RunGap(corpus, loops, ms, driver.GapOptions{})
 	printGapTable(stdout, gf)
-	if p.out != "" {
-		if err := gf.WriteFile(p.out); err != nil {
+	if *outDir != "" {
+		if err := writeArtifacts(*outDir, current, gf); err != nil {
 			fmt.Fprintln(stderr, "msched compare:", err)
 			return 1
 		}
 	}
-	if p.oracleDir != "" {
-		findings := oracle.FromGap(gf, loops, ms, p.budget, p.timeout)
-		names, err := oracle.WriteSeeds(p.oracleDir, findings)
+	if *oracleDir != "" {
+		findings := oracle.FromGap(gf, loops, ms, 0, driver.DefaultTimeout)
+		names, err := oracle.WriteSeeds(*oracleDir, findings)
 		if err != nil {
 			fmt.Fprintln(stderr, "msched compare: oracle:", err)
 			return 1
@@ -568,28 +511,58 @@ func compareGap(stdout, stderr io.Writer, p gapParams) int {
 			fmt.Fprintln(stdout, "oracle sweep: no loops where opt fits and mirs fails")
 		}
 	}
-	if p.update {
-		if err := gf.WriteFile(p.baseline); err != nil {
+
+	if *update {
+		if err := current.WriteFile(*baseline); err != nil {
 			fmt.Fprintln(stderr, "msched compare:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "gap baseline %s updated: %d rows\n", p.baseline, len(gf.Rows))
+		if err := gf.WriteFile(*gapBaseline); err != nil {
+			fmt.Fprintln(stderr, "msched compare:", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "baselines updated: %s (%d rows), %s (%d rows)\n", *baseline, len(current.Rows), *gapBaseline, len(gf.Rows))
 		return 0
 	}
-	base, err := report.ReadGapFile(p.baseline)
+	base, err := report.ReadFile(*baseline)
 	if err != nil {
-		fmt.Fprintf(stderr, "msched compare: %v\n(run 'msched compare -gap -update-baseline' to create it)\n", err)
+		fmt.Fprintf(stderr, "msched compare: %v\n(run 'msched compare -update-baseline' to create it)\n", err)
 		return 1
 	}
-	if v := report.CompareGap(base, gf); len(v) > 0 {
-		for _, s := range v {
-			fmt.Fprintln(stderr, "GAP REGRESSION:", s)
-		}
-		fmt.Fprintf(stderr, "msched compare: %d gap regression(s) vs %s\n", len(v), p.baseline)
+	gapBase, err := report.ReadGapFile(*gapBaseline)
+	if err != nil {
+		fmt.Fprintf(stderr, "msched compare: %v\n(run 'msched compare -update-baseline' to create it)\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "gap gate clean: %d rows no worse than %s\n", len(gf.Rows), p.baseline)
+	regs, unbaselined := report.Compare(base, current)
+	for _, u := range unbaselined {
+		fmt.Fprintf(stdout, "note: %s has no baseline row yet (refresh with -update-baseline)\n", u)
+	}
+	for _, r := range regs {
+		fmt.Fprintln(stderr, "REGRESSION:", r)
+	}
+	gapRegs := report.CompareGap(gapBase, gf)
+	for _, s := range gapRegs {
+		fmt.Fprintln(stderr, "GAP REGRESSION:", s)
+	}
+	if len(regs)+len(gapRegs) > 0 {
+		fmt.Fprintf(stderr, "msched compare: %d regression(s) vs %s, %d vs %s\n", len(regs), *baseline, len(gapRegs), *gapBaseline)
+		return 1
+	}
+	fmt.Fprintf(stdout, "gate clean: %d rows no worse than %s, %d rows no worse than %s\n", len(base.Rows), *baseline, len(gapBase.Rows), *gapBaseline)
 	return 0
+}
+
+// writeArtifacts writes compare's current results into dir as
+// bench.json and gap.json, in their baselines' byte layout.
+func writeArtifacts(dir string, rows *report.File, gf *report.GapFile) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := rows.WriteFile(filepath.Join(dir, "bench.json")); err != nil {
+		return err
+	}
+	return gf.WriteFile(filepath.Join(dir, "gap.json"))
 }
 
 // printGapTable renders the per-loop gap table and its aggregate for

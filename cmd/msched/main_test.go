@@ -38,10 +38,9 @@ func TestUsageAndBadInput(t *testing.T) {
 		{[]string{"run", "-portfolio"}, "flag provided but not defined"},
 		{[]string{"run", "-probes", "2"}, "flag provided but not defined"},
 		{[]string{"trace", "-probes", "2"}, "flag provided but not defined"},
-		// Usage errors must be raised before any compilation: the 1ns
-		// timeout fails every gate-corpus job, so a check that ran after
-		// the sweep would exit 1 instead.
-		{[]string{"compare", "-no-perf", "-update-baseline", "-n", "1", "-timeout", "1ns"}, "-no-perf cannot be combined"},
+		{[]string{"compare", "-gap-only"}, "flag provided but not defined"},
+		{[]string{"run", "-n", "-5"}, "-n must be >= 0"},
+		{[]string{"gen", "-n", "-1"}, "-n must be >= 0"},
 	} {
 		if code, _, errOut := capture(t, c.args...); code != 2 || !strings.Contains(errOut, c.errWant) {
 			t.Errorf("msched %s: got exit %d, want 2 with %q; stderr: %s", strings.Join(c.args, " "), code, c.errWant, errOut)
@@ -179,72 +178,75 @@ func TestGenPrintsLoops(t *testing.T) {
 	}
 }
 
-// TestCompareGateEndToEnd drives the full baseline workflow: refresh the
-// baseline, gate clean against it, then inject an II regression into the
-// baseline (making the current results look worse) and require the gate
-// to fail — the acceptance criterion for the CI quality gate.
-func TestCompareGateEndToEnd(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "base.json")
-	small := []string{"-n", "10", "-baseline", base}
+// TestCompareEndToEnd drives the one-gate workflow through the CLI on a
+// shrunken gate spec: refresh both baselines, gate clean with
+// byte-identical artifacts across two runs, then corrupt the baselines
+// one way at a time — a tightened ΣII, a tightened Σcycles, a changed
+// proved optimum, a tightened II gap — and require each to fail the
+// gate naming the row.
+func TestCompareEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	base, gapBase := filepath.Join(dir, "base.json"), filepath.Join(dir, "gap_base.json")
+	o1, o2 := filepath.Join(dir, "o1"), filepath.Join(dir, "o2")
+	small := gateSpec{seed: 1, n: 10, gapSeed: 1, gapN: 4, gapMaxOps: 12}
+	compare := func(extra ...string) (int, string, string) {
+		var out, errOut bytes.Buffer
+		code := runCompare(small, append([]string{"-baseline", base, "-gap-baseline", gapBase}, extra...), &out, &errOut)
+		return code, out.String(), errOut.String()
+	}
 
-	if code, _, errOut := capture(t, append([]string{"compare"}, small...)...); code != 1 || !strings.Contains(errOut, "update-baseline") {
+	if code, _, errOut := compare(); code != 1 || !strings.Contains(errOut, "update-baseline") {
 		t.Fatalf("missing baseline must fail with a refresh hint, got %d: %s", code, errOut)
 	}
-	if code, out, errOut := capture(t, append([]string{"compare", "-update-baseline"}, small...)...); code != 0 {
+	if code, out, errOut := compare("-update-baseline"); code != 0 {
 		t.Fatalf("update-baseline failed: %s%s", out, errOut)
 	}
-	if code, out, errOut := capture(t, append([]string{"compare"}, small...)...); code != 0 || !strings.Contains(out, "quality gate clean") {
-		t.Fatalf("gate against fresh baseline must pass, got %d: %s%s", code, out, errOut)
+	code, out, errOut := compare("-o", o1)
+	if code != 0 || !strings.Contains(out, "gate clean") || !strings.Contains(out, "0 mismatches") {
+		t.Fatalf("gate against fresh baselines must pass, got %d: %s%s", code, out, errOut)
+	}
+	if code, _, errOut := compare("-o", o2); code != 0 {
+		t.Fatalf("second gate run failed: %s", errOut)
+	}
+	for _, name := range []string{"bench.json", "gap.json"} {
+		a, _ := os.ReadFile(filepath.Join(o1, name))
+		b, _ := os.ReadFile(filepath.Join(o2, name))
+		if len(a) == 0 || !bytes.Equal(a, b) {
+			t.Fatalf("%s differs across runs (or is empty)", name)
+		}
 	}
 
-	// Inject the regression: tighten one baseline row's SumII below what
-	// the schedulers actually achieve, as if a previous commit had been
-	// better. The gate must catch the delta and name the row.
+	// Each injection tightens a baseline below what the schedulers
+	// actually achieve, as if a previous commit had been better, and is
+	// undone before the next one.
 	f, err := report.ReadFile(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Rows[0].SumII--
-	injected := f.Rows[0]
+	clean := append([]report.Row(nil), f.Rows...)
+	for _, inj := range []struct {
+		metric string
+		bump   func(r *report.Row)
+	}{
+		{"sum_ii", func(r *report.Row) { r.SumII-- }},
+		{"sum_cycles", func(r *report.Row) { r.SumCycles-- }},
+	} {
+		f.Rows = append([]report.Row(nil), clean...)
+		inj.bump(&f.Rows[0])
+		if err := f.WriteFile(base); err != nil {
+			t.Fatal(err)
+		}
+		code, _, errOut := compare()
+		if code != 1 || !strings.Contains(errOut, inj.metric+" regressed") || !strings.Contains(errOut, f.Rows[0].Key()) {
+			t.Fatalf("injected %s regression not caught (code %d):\n%s", inj.metric, code, errOut)
+		}
+	}
+	f.Rows = clean
 	if err := f.WriteFile(base); err != nil {
 		t.Fatal(err)
 	}
-	code, _, errOut := capture(t, append([]string{"compare"}, small...)...)
-	if code != 1 || !strings.Contains(errOut, "sum_ii regressed") || !strings.Contains(errOut, injected.Backend) {
-		t.Fatalf("injected II regression not caught (code %d):\n%s", code, errOut)
-	}
-}
 
-// TestCompareGapEndToEnd drives the optimality-gap workflow through the
-// CLI: refresh the gap baseline, gate clean (byte-identical artifacts
-// across the two runs), then corrupt the baseline two ways — a changed
-// proved optimum and a tightened II gap — and require the gate to fail
-// naming the row.
-func TestCompareGapEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "gap_base.json")
-	o1, o2 := filepath.Join(dir, "gap1.json"), filepath.Join(dir, "gap2.json")
-	small := []string{"-gap-only", "-gap-n", "4", "-gap-baseline", base}
-
-	if code, _, errOut := capture(t, append([]string{"compare"}, small...)...); code != 1 || !strings.Contains(errOut, "-gap -update-baseline") {
-		t.Fatalf("missing gap baseline must fail with a refresh hint, got %d: %s", code, errOut)
-	}
-	if code, _, errOut := capture(t, append([]string{"compare", "-update-baseline"}, small...)...); code != 0 {
-		t.Fatalf("gap update-baseline failed: %s", errOut)
-	}
-	if code, out, errOut := capture(t, append([]string{"compare", "-gap-o", o1}, small...)...); code != 0 || !strings.Contains(out, "gap gate clean") {
-		t.Fatalf("gate against fresh gap baseline must pass, got %d: %s%s", code, out, errOut)
-	}
-	if code, _, errOut := capture(t, append([]string{"compare", "-gap-o", o2}, small...)...); code != 0 {
-		t.Fatalf("second gap run failed: %s", errOut)
-	}
-	a, _ := os.ReadFile(o1)
-	b, _ := os.ReadFile(o2)
-	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Fatal("gap artifacts differ across runs (or are empty)")
-	}
-
-	gf, err := report.ReadGapFile(base)
+	gf, err := report.ReadGapFile(gapBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,23 +264,19 @@ func TestCompareGapEndToEnd(t *testing.T) {
 	// encoding-semantics alarm; a baseline claiming a smaller gap must
 	// read as a MIRS regression.
 	gf.Rows[victim].OptII++
-	if err := gf.WriteFile(base); err != nil {
+	if err := gf.WriteFile(gapBase); err != nil {
 		t.Fatal(err)
 	}
-	if code, _, errOut := capture(t, append([]string{"compare"}, small...)...); code != 1 || !strings.Contains(errOut, "optimal II changed") || !strings.Contains(errOut, gf.Rows[victim].Loop) {
+	if code, _, errOut := compare(); code != 1 || !strings.Contains(errOut, "optimal II changed") || !strings.Contains(errOut, gf.Rows[victim].Loop) {
 		t.Fatalf("changed proved optimum not caught (code %d):\n%s", code, errOut)
 	}
 	gf.Rows[victim].OptII--
 	gf.Rows[victim].IIGap--
-	if err := gf.WriteFile(base); err != nil {
+	if err := gf.WriteFile(gapBase); err != nil {
 		t.Fatal(err)
 	}
-	if code, _, errOut := capture(t, append([]string{"compare"}, small...)...); code != 1 || !strings.Contains(errOut, "II gap grew") {
+	if code, _, errOut := compare(); code != 1 || !strings.Contains(errOut, "II gap grew") {
 		t.Fatalf("grown II gap not caught (code %d):\n%s", code, errOut)
-	}
-
-	if code, _, errOut := capture(t, "compare", "-gap-o", o1); code != 2 || !strings.Contains(errOut, "need -gap") {
-		t.Fatalf("-gap-o without -gap must exit 2, got %d: %s", code, errOut)
 	}
 }
 

@@ -126,9 +126,5 @@ func traceLoop(name string, seed uint64, index int) (*ir.Loop, error) {
 	if index < 0 {
 		return nil, fmt.Errorf("-i must be >= 0")
 	}
-	loops := gen.Corpus(seed, index+1)
-	if index >= len(loops) {
-		return nil, fmt.Errorf("generator produced %d loop(s) for seed %d, index %d out of range", len(loops), seed, index)
-	}
-	return loops[index], nil
+	return gen.CorpusLoop(seed, index), nil
 }

@@ -214,7 +214,7 @@ func ExecSeed(loopName string) uint64 {
 // Like Portfolio it resolves by name in the CLI ("-backend opt") but is
 // deliberately not part of Backends(): the quality gates sweep heuristic
 // backends over large corpora, while opt's role is the optimality-gap
-// table (`msched compare -gap`), where its per-loop proofs are the
+// table (`msched compare`), where its per-loop proofs are the
 // yardstick the heuristics are measured against.
 func Opt(budget int64) sched.Scheduler {
 	return opt.New(opt.WithBudget(budget))

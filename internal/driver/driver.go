@@ -71,8 +71,8 @@ type Options struct {
 	// are interpreted against the sequential reference and any word-level
 	// divergence becomes an exec-failure outcome. The verdicts are a pure
 	// function of (loop, machine, backend), so reports stay
-	// byte-identical across runs; the CI exec-verify gate double-runs and
-	// diffs them.
+	// byte-identical across runs; `msched compare` runs its gate corpora
+	// this way and CI double-runs it and diffs the artifacts.
 	Exec bool
 }
 
@@ -105,8 +105,12 @@ type Outcome struct {
 	// executed (Options.Exec and the compile succeeded); ExecErr carries
 	// the first mismatch lines when the emitted code diverged from the
 	// sequential reference, and is empty when execution verified clean.
+	// Cycles and Bundles are the executed MVE program's issue span and
+	// code size (vm.Report.MVECycles, MVEBundles).
 	Executed bool   `json:"executed,omitempty"`
 	ExecErr  string `json:"exec_err,omitempty"`
+	Cycles   int    `json:"cycles,omitempty"`
+	Bundles  int    `json:"bundles,omitempty"`
 	// Micros is the compilation wall-clock in microseconds; zero unless
 	// Options.Timing is set.
 	Micros int64 `json:"micros,omitempty"`
@@ -147,9 +151,13 @@ type Combo struct {
 	Stats map[string]int `json:"stats,omitempty"`
 	// Executed counts differentially executed compilations in this cell
 	// and ExecFailed the ones whose emitted code diverged from the
-	// sequential reference. Both stay zero unless Options.Exec.
+	// sequential reference; SumCycles and SumBundles sum the executed
+	// programs' Outcome.Cycles and Outcome.Bundles (baseline-gated). All
+	// four stay zero unless Options.Exec.
 	Executed   int `json:"executed,omitempty"`
 	ExecFailed int `json:"exec_failed,omitempty"`
+	SumCycles  int `json:"sum_cycles,omitempty"`
+	SumBundles int `json:"sum_bundles,omitempty"`
 }
 
 // HistBin is one bucket of the II-over-MII histogram.
@@ -181,8 +189,8 @@ type Report struct {
 	// whole grid; the offending outcomes are always retained below.
 	Failures int `json:"failures"`
 	// ExecFailures lists the outcome keys whose differential execution
-	// found a mismatch, sorted; always empty unless Options.Exec. The CI
-	// exec-verify gate requires it empty.
+	// found a mismatch, sorted; always empty unless Options.Exec.
+	// `msched compare` requires it empty.
 	ExecFailures []string `json:"exec_failures,omitempty"`
 	Combos       []Combo  `json:"combos"`
 	// Outcomes holds per-compilation rows: failures always, everything
@@ -217,6 +225,7 @@ func (r *Report) Rows() []report.Row {
 		rows = append(rows, report.Row{
 			Backend: c.Backend, Machine: c.Machine, Corpus: r.Corpus,
 			Loops: c.Compiled, SumII: c.SumII, SumMaxLive: c.SumMaxLive, SumUnroll: c.SumUnroll,
+			SumCycles: c.SumCycles, SumBundles: c.SumBundles,
 		})
 	}
 	return rows
@@ -346,6 +355,8 @@ func runOne(j job, timeout time.Duration, timing, exec bool) (Outcome, time.Dura
 	}
 	if v := r.r.Verified; v != nil {
 		o.Executed = true
+		o.Cycles = v.MVECycles
+		o.Bundles = v.MVEBundles
 		if !v.OK() {
 			// The mismatch lines are already deterministic and bounded;
 			// keep the first few so the report stays readable when a bug
@@ -427,6 +438,8 @@ func aggregate(spec Spec, opts Options, workers int, outcomes []Outcome, elapsed
 			c.SpillStores += o.SpillStores
 			if o.Executed {
 				c.Executed++
+				c.SumCycles += o.Cycles
+				c.SumBundles += o.Bundles
 				if o.ExecErr != "" {
 					c.ExecFailed++
 					rep.ExecFailures = append(rep.ExecFailures, o.Key())

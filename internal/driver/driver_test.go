@@ -200,6 +200,43 @@ func TestReportDeterminism(t *testing.T) {
 	}
 }
 
+// TestExecSumsCycles pins the emitted-code columns: with Exec every
+// compiled loop is executed, and each combo's SumCycles/SumBundles (and
+// the projected rows) are the sums of its outcomes' Cycles/Bundles.
+// Without Exec the columns stay zero, so untimed reports keep their
+// layout.
+func TestExecSumsCycles(t *testing.T) {
+	spec := exampleSpec()
+	rep := Run(spec, Options{Exec: true, KeepOutcomes: true})
+	if rep.Failures != 0 || len(rep.ExecFailures) != 0 {
+		t.Fatalf("unexpected failures: %+v", rep.Outcomes)
+	}
+	type sums struct{ cycles, bundles int }
+	want := map[string]sums{}
+	for _, o := range rep.Outcomes {
+		if !o.Executed || o.Cycles <= 0 || o.Bundles <= 0 {
+			t.Fatalf("%s: not executed or no cycles/bundles: %+v", o.Key(), o)
+		}
+		k := o.Backend + "|" + o.Machine
+		want[k] = sums{want[k].cycles + o.Cycles, want[k].bundles + o.Bundles}
+	}
+	rows := rep.Rows()
+	for i, c := range rep.Combos {
+		w := want[c.Backend+"|"+c.Machine]
+		if c.Executed != c.Compiled || c.SumCycles != w.cycles || c.SumBundles != w.bundles {
+			t.Fatalf("%s x %s: combo %+v, want executed %d, cycles %d, bundles %d", c.Backend, c.Machine, c, c.Compiled, w.cycles, w.bundles)
+		}
+		if rows[i].SumCycles != c.SumCycles || rows[i].SumBundles != c.SumBundles {
+			t.Fatalf("row %+v does not carry combo sums %+v", rows[i], c)
+		}
+	}
+	for _, c := range Run(spec, Options{}).Combos {
+		if c.SumCycles != 0 || c.SumBundles != 0 {
+			t.Fatalf("%s x %s: cycle sums without Exec: %+v", c.Backend, c.Machine, c)
+		}
+	}
+}
+
 // TestTraceSlowestWritesArtifacts runs a small sweep with trace
 // sampling on and checks the artifact pair per sampled compilation: a
 // parseable Chrome trace and a report naming the loop, both listed on

@@ -1,7 +1,7 @@
 // gap.go is the optimality-gap artifact: per-loop × machine rows
 // comparing the exact backend (pkg/opt) against the paper's MIRS on a
-// seeded small-loop corpus, plus the aggregate summary `msched compare
-// -gap` prints and gates against GAP_baseline.json. Unlike the
+// seeded small-loop corpus, plus the aggregate summary `msched compare`
+// prints and gates against GAP_baseline.json. Unlike the
 // trajectory rows in report.go — aggregates over whole corpora — gap
 // rows are per-loop, because a proof of optimality is a per-loop fact:
 // the gap columns are only meaningful where opt completed its UNSAT
@@ -58,7 +58,7 @@ type GapRow struct {
 // Key is the row's sort/merge identity.
 func (r GapRow) Key() string { return r.Loop + "|" + r.Machine }
 
-// GapSummary is the aggregate `msched compare -gap` prints and the
+// GapSummary is the aggregate `msched compare` prints and the
 // acceptance bar reads: how much of the population is proved, and the
 // total measured gap over the rows where a gap is defined.
 type GapSummary struct {

@@ -1,15 +1,14 @@
 // Package report defines the machine-readable quality-trajectory
-// artifact shared by the benchmark (internal/core), the batch driver
-// (internal/driver) and the CLI (cmd/msched): per backend × machine ×
-// corpus rows of summed schedule-quality metrics, emitted with a fully
+// artifact shared by the batch driver (internal/driver) and the CLI
+// (cmd/msched): per backend × machine × corpus rows of summed
+// schedule-quality and emitted-code metrics, emitted with a fully
 // deterministic byte layout so CI can diff artifacts across runs and
 // gate on regressions.
 //
 // Determinism is the point of this package. Rows are sorted by
 // (corpus, backend, machine) on every emit path — JSON and CSV — and
-// wall-clock fields are explicitly informational: Compare never reads
-// them, and writers that need byte-identical output across runs (the CI
-// determinism smoke) simply leave them zero.
+// every field is a pure function of the compiled population: rows carry
+// no wall-clock data.
 package report
 
 import (
@@ -23,8 +22,7 @@ import (
 )
 
 // Row is one backend × machine × corpus line of the trajectory: the
-// summed quality metrics (lower is better on every axis) and an
-// informational timing figure.
+// summed quality metrics, lower is better on every axis.
 type Row struct {
 	// Backend names the scheduler that produced the row.
 	Backend string `json:"backend"`
@@ -44,32 +42,13 @@ type Row struct {
 	// SumUnroll is the summed kernel unroll factor (informational —
 	// unroll trades against II by design).
 	SumUnroll int `json:"sum_unroll"`
-	// NsPerOp is wall-clock nanoseconds per full-corpus compile.
-	// Informational only: Compare ignores it and deterministic emitters
-	// leave it zero.
-	NsPerOp float64 `json:"ns_per_op,omitempty"`
-	// AllocsPerOp is heap allocations per full-corpus compile — the
-	// gated throughput metric. Unlike wall clock it is near-deterministic
-	// for a fixed toolchain, so Compare fails a row whose current value
-	// exceeds the baseline by more than AllocHeadroom (the slack absorbs
-	// Go-version and map-growth jitter). Zero means "not measured" and is
-	// never gated.
-	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
-	// LoopsPerSec is full compilations per second for the row's corpus.
-	// Informational only, like NsPerOp: it records the throughput of the
-	// machine that refreshed the baseline as a reference point, and
-	// Compare never reads it.
-	LoopsPerSec float64 `json:"loops_per_sec,omitempty"`
+	// SumCycles is the summed issue span of the emitted MVE programs
+	// (vm.Report.MVECycles) and SumBundles their summed code size
+	// (vm.Report.MVEBundles), both gated. They are zero, and absent from
+	// the JSON, unless the compilations were differentially executed.
+	SumCycles  int `json:"sum_cycles,omitempty"`
+	SumBundles int `json:"sum_bundles,omitempty"`
 }
-
-// AllocHeadroom is the fractional slack Compare allows on AllocsPerOp
-// before calling a row a regression: current > baseline*(1+AllocHeadroom)
-// fails. Allocation counts are deterministic for one binary but drift a
-// few percent across Go releases; a quarter of headroom keeps the gate
-// insensitive to toolchain bumps while still catching a hot path that
-// regressed to per-probe allocation (those regress by integer factors,
-// not percents).
-const AllocHeadroom = 0.25
 
 // Key is the row's sort/merge identity.
 func (r Row) Key() string { return r.Corpus + "|" + r.Backend + "|" + r.Machine }
@@ -107,14 +86,12 @@ func (f *File) CSV() string {
 	f.Sort()
 	var b strings.Builder
 	w := csv.NewWriter(&b)
-	_ = w.Write([]string{"corpus", "backend", "machine", "loops", "sum_ii", "sum_max_live", "sum_unroll", "ns_per_op", "allocs_per_op", "loops_per_sec"})
+	_ = w.Write([]string{"corpus", "backend", "machine", "loops", "sum_ii", "sum_max_live", "sum_unroll", "sum_cycles", "sum_bundles"})
 	for _, r := range f.Rows {
 		_ = w.Write([]string{
 			r.Corpus, r.Backend, r.Machine,
 			strconv.Itoa(r.Loops), strconv.Itoa(r.SumII), strconv.Itoa(r.SumMaxLive), strconv.Itoa(r.SumUnroll),
-			strconv.FormatFloat(r.NsPerOp, 'f', 0, 64),
-			strconv.FormatInt(r.AllocsPerOp, 10),
-			strconv.FormatFloat(r.LoopsPerSec, 'f', 0, 64),
+			strconv.Itoa(r.SumCycles), strconv.Itoa(r.SumBundles),
 		})
 	}
 	w.Flush()
@@ -151,8 +128,8 @@ func ReadFile(path string) (*File, error) {
 type Regression struct {
 	// Row keys the offending backend × machine × corpus combination.
 	Row string
-	// Metric is "sum_ii", "sum_max_live", "allocs_per_op", "missing" or
-	// "population".
+	// Metric is "sum_ii", "sum_max_live", "sum_cycles", "sum_bundles",
+	// "missing" or "population".
 	Metric string
 	// Baseline and Current are the compared values (zero for structural
 	// violations).
@@ -172,10 +149,8 @@ func (r Regression) String() string {
 
 // Compare gates current against baseline: for every baseline row the
 // current results must contain a same-key row over the same population
-// whose SumII and SumMaxLive are no worse, and — when the baseline row
-// carries a nonzero AllocsPerOp — whose allocations per op stay within
-// AllocHeadroom of it. NsPerOp, LoopsPerSec and SumUnroll are
-// informational (timing is noisy; unroll trades against II by design).
+// whose SumII, SumMaxLive, SumCycles and SumBundles are no worse.
+// SumUnroll is informational (unroll trades against II by design).
 // Extra current rows — new backends, machines or corpora not yet in the
 // baseline — are reported via the second return so callers can warn
 // that the baseline wants refreshing without failing the gate.
@@ -196,16 +171,17 @@ func Compare(baseline, current *File) (regs []Regression, unbaselined []string) 
 			regs = append(regs, Regression{Row: b.Key(), Metric: "population", Baseline: b.Loops, Current: c.Loops})
 			continue
 		}
-		if c.SumII > b.SumII {
-			regs = append(regs, Regression{Row: b.Key(), Metric: "sum_ii", Baseline: b.SumII, Current: c.SumII})
-		}
-		if c.SumMaxLive > b.SumMaxLive {
-			regs = append(regs, Regression{Row: b.Key(), Metric: "sum_max_live", Baseline: b.SumMaxLive, Current: c.SumMaxLive})
-		}
-		if b.AllocsPerOp > 0 {
-			limit := b.AllocsPerOp + int64(float64(b.AllocsPerOp)*AllocHeadroom)
-			if c.AllocsPerOp > limit {
-				regs = append(regs, Regression{Row: b.Key(), Metric: "allocs_per_op", Baseline: int(b.AllocsPerOp), Current: int(c.AllocsPerOp)})
+		for _, m := range []struct {
+			name     string
+			was, now int
+		}{
+			{"sum_ii", b.SumII, c.SumII},
+			{"sum_max_live", b.SumMaxLive, c.SumMaxLive},
+			{"sum_cycles", b.SumCycles, c.SumCycles},
+			{"sum_bundles", b.SumBundles, c.SumBundles},
+		} {
+			if m.now > m.was {
+				regs = append(regs, Regression{Row: b.Key(), Metric: m.name, Baseline: m.was, Current: m.now})
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 func sample() *File {
 	return &File{Rows: []Row{
-		{Backend: "mirs", Machine: "unified", Corpus: "examples", Loops: 8, SumII: 20, SumMaxLive: 90, SumUnroll: 12, NsPerOp: 1234.5},
+		{Backend: "mirs", Machine: "unified", Corpus: "examples", Loops: 8, SumII: 20, SumMaxLive: 90, SumUnroll: 12, SumCycles: 4321, SumBundles: 77},
 		{Backend: "list", Machine: "unified", Corpus: "examples", Loops: 8, SumII: 22, SumMaxLive: 95, SumUnroll: 12},
 		{Backend: "list", Machine: "paper-4cluster", Corpus: "examples", Loops: 8, SumII: 25, SumMaxLive: 99, SumUnroll: 13},
 	}}
@@ -51,13 +51,13 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Rows) != 3 || back.Rows[2].NsPerOp != 1234.5 {
+	if len(back.Rows) != 3 || back.Rows[2].SumCycles != 4321 || back.Rows[2].SumBundles != 77 {
 		t.Fatalf("round trip mangled rows: %+v", back.Rows)
 	}
 }
 
-// TestCompareGates covers the gate semantics: clean pass, an injected
-// SumII regression, an injected MaxLive regression, a missing row, a
+// TestCompareGates covers the gate semantics: clean pass, injected
+// SumII, MaxLive, cycle and bundle regressions, a missing row, a
 // population change, and unbaselined extra rows staying non-gating.
 func TestCompareGates(t *testing.T) {
 	base := sample()
@@ -83,8 +83,20 @@ func TestCompareGates(t *testing.T) {
 		}
 	}
 
+	// The emitted-code columns gate the same way: more cycles or more
+	// bundles than the baseline fails the row.
+	slower := sample()
+	slower.Rows[0].SumCycles++
+	slower.Rows[0].SumBundles += 3
+	regs, _ = Compare(base, slower)
+	if len(regs) != 2 || regs[0].Metric != "sum_bundles" || regs[1].Metric != "sum_cycles" ||
+		regs[1].Baseline != 4321 || regs[1].Current != 4322 {
+		t.Fatalf("want sum_bundles and sum_cycles regressions, got %v", regs)
+	}
+
 	better := sample()
 	better.Rows[0].SumII--
+	better.Rows[0].SumCycles--
 	if regs, _ := Compare(base, better); len(regs) != 0 {
 		t.Fatalf("improvement must not gate: %v", regs)
 	}
@@ -105,46 +117,5 @@ func TestCompareGates(t *testing.T) {
 	regs, unb := Compare(base, extra)
 	if len(regs) != 0 || len(unb) != 1 || unb[0] != "examples|smt|unified" {
 		t.Fatalf("extra rows must warn, not gate: %v / %v", regs, unb)
-	}
-}
-
-func TestCompareAllocsGate(t *testing.T) {
-	base := sample()
-	base.Rows[0].AllocsPerOp = 1000
-
-	// Inside the headroom: allocation counts drift a few percent across
-	// toolchains, so up to baseline*(1+AllocHeadroom) passes.
-	within := sample()
-	within.Rows[0].AllocsPerOp = 1250
-	if regs, _ := Compare(base, within); len(regs) != 0 {
-		t.Fatalf("within-headroom allocs must not gate: %v", regs)
-	}
-
-	over := sample()
-	over.Rows[0].AllocsPerOp = 1251
-	regs, _ := Compare(base, over)
-	if len(regs) != 1 || regs[0].Metric != "allocs_per_op" {
-		t.Fatalf("want one allocs_per_op regression, got %v", regs)
-	}
-
-	// A baseline row without a measurement (zero) never gates, whatever
-	// the current value — rows from untimed deterministic sweeps stay
-	// quality-only.
-	unmeasured := sample()
-	unmeasured.Rows[0].AllocsPerOp = 0
-	cur := sample()
-	cur.Rows[0].AllocsPerOp = 1 << 30
-	if regs, _ := Compare(unmeasured, cur); len(regs) != 0 {
-		t.Fatalf("unmeasured baseline must not gate allocs: %v", regs)
-	}
-
-	// LoopsPerSec and NsPerOp are informational: wildly worse values
-	// never gate.
-	slow := sample()
-	slow.Rows[0].AllocsPerOp = 1000
-	slow.Rows[0].NsPerOp = 1e12
-	slow.Rows[0].LoopsPerSec = 0.001
-	if regs, _ := Compare(base, slow); len(regs) != 0 {
-		t.Fatalf("timing fields must not gate: %v", regs)
 	}
 }

@@ -299,13 +299,21 @@ func Corners() []Knobs {
 	}
 }
 
-// corpusLoop generates corpus member i: seed derivation and the
-// "g%04d-tag" naming shared by Corpus and CornerCorpus, so a loop named
-// in a driver report can always be re-derived from (seed, i, knobs).
-func corpusLoop(seed uint64, i int, k Knobs) *ir.Loop {
+// cornerLoop generates corpus member i under knobs k: seed derivation
+// and the "g%04d-tag" naming shared by Corpus and CornerCorpus, so a
+// loop named in a driver report can always be re-derived from (seed, i,
+// knobs).
+func cornerLoop(seed uint64, i int, k Knobs) *ir.Loop {
 	l := Generate(Mix(seed, i), k)
 	l.Name = fmt.Sprintf("g%04d-%s", i, k.normalized().Tag)
 	return l
+}
+
+// CorpusLoop generates member i of Corpus(seed, n) for any n > i without
+// generating the members before it.
+func CorpusLoop(seed uint64, i int) *ir.Loop {
+	corners := Corners()
+	return cornerLoop(seed, i, corners[i%len(corners)])
 }
 
 // Corpus generates n loops from a master seed, cycling the knob corners
@@ -316,7 +324,7 @@ func Corpus(seed uint64, n int) []*ir.Loop {
 	corners := Corners()
 	loops := make([]*ir.Loop, 0, n)
 	for i := 0; i < n; i++ {
-		loops = append(loops, corpusLoop(seed, i, corners[i%len(corners)]))
+		loops = append(loops, cornerLoop(seed, i, corners[i%len(corners)]))
 	}
 	return loops
 }
@@ -328,7 +336,7 @@ func Corpus(seed uint64, n int) []*ir.Loop {
 func CornerCorpus(seed uint64, n int, k Knobs) []*ir.Loop {
 	loops := make([]*ir.Loop, 0, n)
 	for i := 0; i < n; i++ {
-		loops = append(loops, corpusLoop(seed, i, k))
+		loops = append(loops, cornerLoop(seed, i, k))
 	}
 	return loops
 }

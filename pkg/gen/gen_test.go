@@ -126,3 +126,16 @@ func TestCorpusPrefixStable(t *testing.T) {
 		t.Fatalf("CornerCorpus did not reproduce corpus loop 12:\n%+v\nvs\n%+v", single[12], long[12])
 	}
 }
+
+// TestCorpusLoopMatchesCorpus pins that the per-index generator the
+// single-loop commands (msched trace/exec -i N) use builds exactly the
+// loop Corpus places at that index.
+func TestCorpusLoopMatchesCorpus(t *testing.T) {
+	const n = 25
+	corpus := Corpus(7, n)
+	for i := 0; i < n; i++ {
+		if got := CorpusLoop(7, i); !reflect.DeepEqual(got, corpus[i]) {
+			t.Fatalf("CorpusLoop(7, %d) differs from Corpus(7, %d)[%d]:\n%+v\nvs\n%+v", i, n, i, got, corpus[i])
+		}
+	}
+}

@@ -129,11 +129,11 @@ func TestReturnedScheduleOwnsItsGraph(t *testing.T) {
 }
 
 // TestSpillPathAllocs gates the allocations of a spilling Schedule, which
-// the committed perf rows (unified and paper-4cluster only) never
-// exercise. Each spill used to rebuild the loop and graph — 29755 allocs
-// for hydro and 9989 for fir8 on tight — where it now splices them in
-// place. The limits are the measured counts plus 25% headroom, the
-// report.AllocHeadroom convention.
+// internal/core's TestCompileAllocs (unified and paper-4cluster only)
+// never exercises. Each spill used to rebuild the loop and graph — 29755
+// allocs for hydro and 9989 for fir8 on tight — where it now splices
+// them in place. The limits are the measured counts plus 25% headroom,
+// the convention TestCompileAllocs follows.
 func TestSpillPathAllocs(t *testing.T) {
 	m := machine.Tight()
 	for _, tc := range []struct {

@@ -7,7 +7,7 @@
 // UNSAT answer is a *certificate* that no schedule exists at that II, so
 // when every candidate below the found II came back UNSAT the result is
 // provably optimal — the measured floor the II-gap reporting
-// (internal/report, msched compare -gap) tracks MIRS against.
+// (internal/report, msched compare) tracks MIRS against.
 //
 // The search is time-boxed per candidate by a conflict budget rather
 // than a wall clock, which keeps the outcome — schedule, stats, proof

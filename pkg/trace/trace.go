@@ -9,9 +9,9 @@
 //   - Disabled is free. A nil Recorder on sched.Request is the default;
 //     every emission site in the backends is guarded by a nil check, so
 //     the disabled path costs one predicted branch and constructs no
-//     Event. The allocs/op gate (BENCH_baseline.json) and the
-//     byte-determinism smoke pin this: tracing compiled in but off
-//     changes neither allocations nor output.
+//     Event. The allocs/op gate (TestCompileAllocs in internal/core)
+//     and the byte-determinism smoke pin this: tracing compiled in but
+//     off changes neither allocations nor output.
 //   - Enabled is passive. Recorders observe, they never steer: a
 //     compilation with any recorder attached produces a bit-identical
 //     schedule to one with none (TestTraceZeroPerturbation in
