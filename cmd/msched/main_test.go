@@ -178,29 +178,37 @@ func TestGenPrintsLoops(t *testing.T) {
 	}
 }
 
-// TestCompareEndToEnd drives the one-gate workflow through the CLI on a
-// shrunken gate spec: refresh both baselines, gate clean with
-// byte-identical artifacts across two runs, then corrupt the baselines
-// one way at a time — a tightened ΣII, a tightened Σcycles, a changed
-// proved optimum, a tightened II gap — and require each to fail the
-// gate naming the row.
-func TestCompareEndToEnd(t *testing.T) {
+// freshGate refreshes both baselines of the one gate on a shrunken gate
+// spec under a temp dir, after checking that a missing baseline fails
+// with a refresh hint. It returns a compare runner bound to those
+// baselines, the quality/cycles baseline path and the gap baseline path.
+func freshGate(t *testing.T) (compare func(extra ...string) (int, string, string), base, gapBase string) {
+	t.Helper()
 	dir := t.TempDir()
-	base, gapBase := filepath.Join(dir, "base.json"), filepath.Join(dir, "gap_base.json")
-	o1, o2 := filepath.Join(dir, "o1"), filepath.Join(dir, "o2")
+	base, gapBase = filepath.Join(dir, "base.json"), filepath.Join(dir, "gap_base.json")
 	small := gateSpec{seed: 1, n: 10, gapSeed: 1, gapN: 4, gapMaxOps: 12}
-	compare := func(extra ...string) (int, string, string) {
+	compare = func(extra ...string) (int, string, string) {
 		var out, errOut bytes.Buffer
 		code := runCompare(small, append([]string{"-baseline", base, "-gap-baseline", gapBase}, extra...), &out, &errOut)
 		return code, out.String(), errOut.String()
 	}
-
 	if code, _, errOut := compare(); code != 1 || !strings.Contains(errOut, "update-baseline") {
 		t.Fatalf("missing baseline must fail with a refresh hint, got %d: %s", code, errOut)
 	}
 	if code, out, errOut := compare("-update-baseline"); code != 0 {
 		t.Fatalf("update-baseline failed: %s%s", out, errOut)
 	}
+	return compare, base, gapBase
+}
+
+// TestCompareGateEndToEnd drives the one-gate workflow through the CLI:
+// refresh both baselines, gate clean with byte-identical artifacts
+// across two runs, then tighten the quality baseline one way at a time —
+// ΣII, then Σcycles — and require each to fail the gate naming the row.
+func TestCompareGateEndToEnd(t *testing.T) {
+	compare, base, _ := freshGate(t)
+	dir := t.TempDir()
+	o1, o2 := filepath.Join(dir, "o1"), filepath.Join(dir, "o2")
 	code, out, errOut := compare("-o", o1)
 	if code != 0 || !strings.Contains(out, "gate clean") || !strings.Contains(out, "0 mismatches") {
 		t.Fatalf("gate against fresh baselines must pass, got %d: %s%s", code, out, errOut)
@@ -241,11 +249,13 @@ func TestCompareEndToEnd(t *testing.T) {
 			t.Fatalf("injected %s regression not caught (code %d):\n%s", inj.metric, code, errOut)
 		}
 	}
-	f.Rows = clean
-	if err := f.WriteFile(base); err != nil {
-		t.Fatal(err)
-	}
+}
 
+// TestCompareGapEndToEnd corrupts the gap baseline of the one gate two
+// ways — a changed proved optimum and a tightened II gap — and requires
+// each to fail the gate naming the row.
+func TestCompareGapEndToEnd(t *testing.T) {
+	compare, _, gapBase := freshGate(t)
 	gf, err := report.ReadGapFile(gapBase)
 	if err != nil {
 		t.Fatal(err)
