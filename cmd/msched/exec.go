@@ -38,6 +38,9 @@ func cmdExec(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if rejectNegative(stderr, "msched exec", nonNeg{"budget", *budget < 0}, nonNeg{"timeout", *timeout < 0}) {
+		return 2
+	}
 	loop, err := traceLoop(*loopName, *seed, *index)
 	if err != nil {
 		fmt.Fprintln(stderr, "msched exec:", err)

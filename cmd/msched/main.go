@@ -218,6 +218,25 @@ func backendNames(bs []sched.Scheduler) []string {
 	return out
 }
 
+// nonNeg names a numeric flag and whether its value is negative.
+type nonNeg struct {
+	name string
+	neg  bool
+}
+
+// rejectNegative reports the first negative flag as "-X must be >= 0"
+// and returns true; flags whose zero means "default" must not let a
+// negative value quietly mean the same.
+func rejectNegative(stderr io.Writer, cmd string, flags ...nonNeg) bool {
+	for _, f := range flags {
+		if f.neg {
+			fmt.Fprintf(stderr, "%s: -%s must be >= 0\n", cmd, f.name)
+			return true
+		}
+	}
+	return false
+}
+
 func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("msched run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -239,8 +258,8 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *n < 0 {
-		fmt.Fprintln(stderr, "msched run: -n must be >= 0")
+	if rejectNegative(stderr, "msched run", nonNeg{"n", *n < 0}, nonNeg{"workers", *workers < 0},
+		nonNeg{"timeout", *timeout < 0}, nonNeg{"budget", *budget < 0}, nonNeg{"trace-slowest", *traceSlowest < 0}) {
 		return 2
 	}
 	if (*traceSlowest > 0) != (*traceDir != "") {
@@ -362,8 +381,7 @@ func cmdGen(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *n < 0 {
-		fmt.Fprintln(stderr, "msched gen: -n must be >= 0")
+	if rejectNegative(stderr, "msched gen", nonNeg{"n", *n < 0}) {
 		return 2
 	}
 	var loops []*ir.Loop

@@ -41,6 +41,14 @@ func TestUsageAndBadInput(t *testing.T) {
 		{[]string{"compare", "-gap-only"}, "flag provided but not defined"},
 		{[]string{"run", "-n", "-5"}, "-n must be >= 0"},
 		{[]string{"gen", "-n", "-1"}, "-n must be >= 0"},
+		// Negative values used to be coerced to the flag's default.
+		{[]string{"run", "-budget", "-5"}, "-budget must be >= 0"},
+		{[]string{"run", "-workers", "-2"}, "-workers must be >= 0"},
+		{[]string{"run", "-timeout", "-1s"}, "-timeout must be >= 0"},
+		{[]string{"run", "-trace-slowest", "-1", "-trace-dir", "d"}, "-trace-slowest must be >= 0"},
+		{[]string{"trace", "-timeout", "-1s"}, "-timeout must be >= 0"},
+		{[]string{"exec", "-timeout", "-1s"}, "-timeout must be >= 0"},
+		{[]string{"exec", "-budget", "-1"}, "-budget must be >= 0"},
 	} {
 		if code, _, errOut := capture(t, c.args...); code != 2 || !strings.Contains(errOut, c.errWant) {
 			t.Errorf("msched %s: got exit %d, want 2 with %q; stderr: %s", strings.Join(c.args, " "), code, c.errWant, errOut)

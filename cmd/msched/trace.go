@@ -41,6 +41,9 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if rejectNegative(stderr, "msched trace", nonNeg{"timeout", *timeout < 0}) {
+		return 2
+	}
 	if *list {
 		for _, l := range ir.ExampleLoops() {
 			fmt.Fprintf(stdout, "%s (%d instrs)\n", l.Name, l.NumInstrs())

@@ -81,13 +81,14 @@ func newAnalysis(req *sched.Request, g *ir.Graph, mii sched.MII, maxII int) *ana
 	a.compat = make([][]int, a.n)
 	a.unitIdx = make([][]int, a.n)
 	a.lat = make([]int, a.n)
+	nu := len(a.units)
+	compat, unitIdx := make([]int, a.n*nu), make([]int, a.n*nu)
 	for i, in := range req.Loop.Instrs {
 		a.lat[i] = m.Latency(in.Class)
-		a.unitIdx[i] = make([]int, len(a.units))
-		for u := range a.unitIdx[i] {
-			a.unitIdx[i][u] = -1
-		}
+		a.unitIdx[i] = unitIdx[i*nu : (i+1)*nu : (i+1)*nu]
+		a.compat[i] = compat[i*nu : i*nu : (i+1)*nu]
 		for u, ur := range a.units {
+			a.unitIdx[i][u] = -1
 			if m.Clusters[ur.cluster].Units[ur.slot].Supports(in.Class) {
 				a.unitIdx[i][u] = len(a.compat[i])
 				a.compat[i] = append(a.compat[i], u)
@@ -161,19 +162,41 @@ type encoder struct {
 	p   [][]int // p[i][k]: i runs on compat[i][k]
 	c   [][]int // c[i][cl]: i's cluster (nclust > 1 only); exact by AMO+channel
 	tr  [][]int // tr[gi][cl]: group gi delivers its value into cluster cl
+
+	// Auxiliary variables (cross flags, bus occupancy, counter bits) are
+	// allocated with the rows and handed out in order from next, so the
+	// solver's tables grow once per formula.
+	next int
+
+	lits    []sat.Lit // clause scratch, sized for the longest clause
+	counter []int     // atMostK scratch: two k-wide counter rows
 }
 
 // newEncoder builds the full CNF for "a valid schedule exists at exactly
 // ii" on a fresh solver.
 func newEncoder(ana *analysis, ii int) *encoder {
 	e := &encoder{s: sat.New(), ana: ana, ii: ii, h: ii + ana.pad}
+	// The longest scratch clause is an at-least-one issue row (h
+	// literals) or unit row, a symmetry row (n+1) or a bus residue
+	// (groups×clusters).
+	e.lits = make([]sat.Lit, 0, max(e.h, len(ana.units), ana.n+1, len(ana.groups)*ana.nclust))
 	e.allocVars()
 	e.instrClauses()
 	e.dependenceClauses()
 	e.resourceClauses()
 	e.busClauses()
 	e.symmetryClauses()
+	if e.next != e.s.NumVars() {
+		panic(fmt.Sprintf("opt: internal: %d variables allocated, %d used", e.s.NumVars(), e.next))
+	}
 	return e
+}
+
+// newVar hands out the next auxiliary variable allocated by allocVars.
+func (e *encoder) newVar() int {
+	v := e.next
+	e.next++
+	return v
 }
 
 // symmetryClauses breaks the cluster-relabeling symmetry on machines
@@ -188,7 +211,7 @@ func (e *encoder) symmetryClauses() {
 	if !ana.symm {
 		return
 	}
-	lits := make([]sat.Lit, 0, ana.n+1)
+	lits := e.lits
 	for i := 0; i < ana.n; i++ {
 		for j := 1; j < ana.nclust; j++ {
 			lits = lits[:0]
@@ -202,22 +225,40 @@ func (e *encoder) symmetryClauses() {
 }
 
 // allocVars lays out every variable in a fixed order; determinism of the
-// whole solve depends on this order never varying between runs.
+// whole solve depends on this order never varying between runs. The
+// rows come first, numbered consecutively and backed by one array; the
+// auxiliary variables the clause families introduce follow, counted
+// here so one NewVars call sizes the solver for the whole formula.
 func (e *encoder) allocVars() {
 	ana, n := e.ana, e.ana.n
+	rowVars, rows := 0, 4*n
+	for i := 0; i < n; i++ {
+		rowVars += 2*e.h + e.ii + len(ana.compat[i])
+	}
+	if ana.nclust > 1 {
+		rowVars += (n + len(ana.groups)) * ana.nclust
+		rows += n + len(ana.groups)
+	}
+	first := e.s.NewVars(rowVars + e.auxVars())
+	e.next = first + rowVars
+	ids := make([]int, rowVars)
+	for j := range ids {
+		ids[j] = first + j
+	}
+	table := make([][]int, rows)
+	newRows := func(k int) [][]int {
+		t := table[:k:k]
+		table = table[k:]
+		return t
+	}
 	newRow := func(k int) []int {
-		row := make([]int, k)
-		for j := range row {
-			row[j] = e.s.NewVar()
-		}
+		row := ids[:k:k]
+		ids = ids[k:]
 		return row
 	}
-	e.x = make([][]int, n)
-	e.a = make([][]int, n)
-	e.m = make([][]int, n)
-	e.p = make([][]int, n)
+	e.x, e.a, e.m, e.p = newRows(n), newRows(n), newRows(n), newRows(n)
 	if ana.nclust > 1 {
-		e.c = make([][]int, n)
+		e.c = newRows(n)
 	}
 	for i := 0; i < n; i++ {
 		e.x[i] = newRow(e.h)
@@ -229,11 +270,35 @@ func (e *encoder) allocVars() {
 		}
 	}
 	if ana.nclust > 1 {
-		e.tr = make([][]int, len(ana.groups))
+		e.tr = newRows(len(ana.groups))
 		for gi := range ana.groups {
 			e.tr[gi] = newRow(ana.nclust)
 		}
 	}
+}
+
+// auxVars counts the auxiliary variables the clause families allocate
+// through newVar: one cross flag per bus-crossing dependence
+// (dependenceClauses), and per residue one occupancy variable per
+// (transfer group, cluster) plus the atMostK counter bits (busClauses).
+// newEncoder checks the count against what the families used.
+func (e *encoder) auxVars() int {
+	ana := e.ana
+	if ana.nclust <= 1 {
+		return 0
+	}
+	n := 0
+	if ana.busLat != 0 {
+		for ei := range ana.g.Edges {
+			if ed := &ana.g.Edges[ei]; ed.Kind == ir.DepTrue && ed.From != ed.To {
+				n++
+			}
+		}
+	}
+	if occ := len(ana.groups) * ana.nclust; occ > ana.busCap {
+		n += e.ii * (occ + ana.busCap*(occ-1))
+	}
+	return n
 }
 
 // aGe returns the literal for "start(i) >= t" plus a constant marker:
@@ -254,7 +319,7 @@ func (e *encoder) aGe(i, t int) (sat.Lit, int) {
 // channeling, and exactly-one functional unit with cluster channeling.
 func (e *encoder) instrClauses() {
 	ana := e.ana
-	lits := make([]sat.Lit, 0, e.h)
+	lits := e.lits
 	for i := 0; i < ana.n; i++ {
 		lits = lits[:0]
 		for t := 0; t < e.h; t++ {
@@ -332,7 +397,7 @@ func (e *encoder) dependenceClauses() {
 		// true it arms the penalty family below. The reverse channel
 		// (same cluster forces it false) is redundant for correctness but
 		// cheap and helps propagation.
-		cross := e.s.NewVar()
+		cross := e.newVar()
 		for cl := 0; cl < ana.nclust; cl++ {
 			e.s.AddClause(sat.Neg(e.c[ed.From][cl]), sat.Pos(e.c[ed.To][cl]), sat.Pos(cross))
 			e.s.AddClause(sat.Neg(e.c[ed.From][cl]), sat.Neg(e.c[ed.To][cl]), sat.Neg(cross))
@@ -354,8 +419,9 @@ func (e *encoder) dependenceClauses() {
 // instructions on the same functional unit in the same residue class.
 func (e *encoder) resourceClauses() {
 	ana := e.ana
+	on := make([]int, 0, ana.n) // instructions that can run on u, ascending
 	for u := range ana.units {
-		var on []int // instructions that can run on u, ascending
+		on = on[:0]
 		for i := 0; i < ana.n; i++ {
 			if ana.unitIdx[i][u] >= 0 {
 				on = append(on, i)
@@ -397,7 +463,7 @@ func (e *encoder) busClauses() {
 	if len(ana.groups)*ana.nclust <= ana.busCap {
 		return // can never exceed the cap
 	}
-	occ := make([]sat.Lit, 0, len(ana.groups)*ana.nclust)
+	occ := e.lits
 	for r := 0; r < e.ii; r++ {
 		occ = occ[:0]
 		for gi, grp := range ana.groups {
@@ -405,7 +471,7 @@ func (e *encoder) busClauses() {
 			// and the producer's issue residue is r - latency (mod II).
 			rs := ((r-ana.lat[grp.from])%e.ii + e.ii) % e.ii
 			for cl := 0; cl < ana.nclust; cl++ {
-				u := e.s.NewVar()
+				u := e.newVar()
 				e.s.AddClause(sat.Neg(e.tr[gi][cl]), sat.Neg(e.m[grp.from][rs]), sat.Pos(u))
 				occ = append(occ, sat.Pos(u))
 			}
@@ -428,10 +494,12 @@ func (e *encoder) atMostK(lits []sat.Lit, k int) {
 		}
 		return
 	}
-	prev := make([]int, k)
-	cur := make([]int, k)
+	if cap(e.counter) < 2*k {
+		e.counter = make([]int, 2*k)
+	}
+	prev, cur := e.counter[:k], e.counter[k:2*k]
 	for j := range prev {
-		prev[j] = e.s.NewVar()
+		prev[j] = e.newVar()
 	}
 	e.s.AddClause(lits[0].Not(), sat.Pos(prev[0]))
 	for j := 1; j < n; j++ {
@@ -441,7 +509,7 @@ func (e *encoder) atMostK(lits []sat.Lit, k int) {
 			break
 		}
 		for kk := range cur {
-			cur[kk] = e.s.NewVar()
+			cur[kk] = e.newVar()
 		}
 		e.s.AddClause(lits[j].Not(), sat.Pos(cur[0]))
 		e.s.AddClause(sat.Neg(prev[0]), sat.Pos(cur[0]))

@@ -20,7 +20,18 @@
 // Completeness is traded away only through the explicit conflict budget:
 // Solve returns Unknown once the budget is exhausted, and callers treat
 // Unknown as "no proof either way" — never as UNSAT.
+//
+// Storage is built for one-shot formulas of tens of thousands of short
+// clauses: NewVars grows the per-variable tables once for a block of
+// variables, clause literals are cut from shared chunks that grow
+// geometrically (each clause a full slice expression, so none aliases
+// another), and watch lists live in shared watcher chunks. A formula
+// therefore costs a few dozen allocations, not one per clause, and the
+// layout never influences the search: variable numbering, clause refs
+// and watch order are exactly those of clause-at-a-time appends.
 package sat
+
+import "slices"
 
 // Lit is a literal: variable index shifted left once, with the low bit
 // set for negation. Variables are dense non-negative ints handed out by
@@ -72,9 +83,6 @@ const (
 	lUndef int8 = 0
 )
 
-// Solver is one CDCL instance. Build the problem with NewVar/AddClause,
-// then call Solve once; the solver is single-shot and not safe for
-// concurrent use.
 // watcher is one entry of a literal's watch list: the clause reference
 // plus a blocker literal (some other literal of the clause) checked
 // before the clause itself is touched — most visits end at the blocker,
@@ -84,12 +92,24 @@ type watcher struct {
 	blocker Lit
 }
 
+// Solver is one CDCL instance. Build the problem with NewVar/NewVars and
+// AddClause, then call Solve once; the solver is single-shot and not
+// safe for concurrent use.
 type Solver struct {
 	nVars   int
 	clauses [][]Lit // problem and learnt clauses, by clause reference
 	watches [][]watcher
 
-	assign   []int8 // per variable: lTrue/lFalse/lUndef
+	// Clause literals and watch lists are cut from shared chunks (see
+	// carve) instead of being allocated one by one: the free tails of
+	// the current chunks, and the totals carved so far, which size the
+	// next chunks.
+	litFree    []Lit
+	litTotal   int
+	watchFree  []watcher
+	watchTotal int
+
+	value    []int8 // per literal: lTrue/lFalse/lUndef (both polarities kept)
 	level    []int32
 	reason   []int32 // clause ref forcing the variable, or -1
 	polarity []bool  // saved phase; decisions reuse the last value
@@ -108,10 +128,11 @@ type Solver struct {
 	clearBuf  []int32 // vars whose seen flag analyze must reset
 
 	// Learnt-clause management: clauses below nProblem are the problem
-	// and immortal; learnt clauses above it carry an activity and the
-	// low-activity half is deleted once the live count passes a limit
-	// that grows with restarts — without this, propagation slows to a
-	// crawl on long runs as the watch lists bloat.
+	// and immortal; learnt clauses above it carry an activity
+	// (claActivity[ref-nProblem]) and the low-activity half is deleted
+	// once the live count passes a limit that grows with restarts —
+	// without this, propagation slows to a crawl on long runs as the
+	// watch lists bloat.
 	nProblem    int
 	claActivity []float64
 	claInc      float64
@@ -127,19 +148,31 @@ func New() *Solver {
 }
 
 // NewVar allocates a fresh variable and returns its index.
-func (s *Solver) NewVar() int {
-	v := s.nVars
-	s.nVars++
-	s.watches = append(s.watches, nil, nil)
-	s.assign = append(s.assign, lUndef)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, -1)
-	s.polarity = append(s.polarity, false)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
-	s.heapPos = append(s.heapPos, -1)
-	s.heapInsert(int32(v))
-	return v
+func (s *Solver) NewVar() int { return s.NewVars(1) }
+
+// NewVars allocates k fresh variables and returns the first index; they
+// are numbered first, first+1, …, first+k-1, exactly as k NewVar calls
+// would number them, but every per-variable table grows once.
+func (s *Solver) NewVars(k int) int {
+	first := s.nVars
+	s.nVars += k
+	s.watches = append(s.watches, make([][]watcher, 2*k)...)
+	s.value = append(s.value, make([]int8, 2*k)...) // lUndef is 0
+	s.level = append(s.level, make([]int32, k)...)
+	s.reason = slices.Grow(s.reason, k)
+	for range k {
+		s.reason = append(s.reason, -1)
+	}
+	s.heapPos = append(s.heapPos, make([]int32, k)...) // set by heapInsert below
+	s.polarity = append(s.polarity, make([]bool, k)...)
+	s.activity = append(s.activity, make([]float64, k)...)
+	s.seen = append(s.seen, make([]bool, k)...)
+	s.trail = slices.Grow(s.trail, s.nVars-len(s.trail)) // a trail never outgrows the variables
+	s.heap = slices.Grow(s.heap, k)
+	for v := first; v < s.nVars; v++ {
+		s.heapInsert(int32(v))
+	}
+	return first
 }
 
 // NumVars returns the number of allocated variables.
@@ -153,15 +186,9 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 func (s *Solver) Conflicts() int64 { return s.conflicts }
 
 // Value returns the model value of variable v after Solve returned Sat.
-func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
+func (s *Solver) Value(v int) bool { return s.value[Pos(v)] == lTrue }
 
-func (s *Solver) litValue(l Lit) int8 {
-	a := s.assign[l.Var()]
-	if l.Sign() {
-		return -a
-	}
-	return a
-}
+func (s *Solver) litValue(l Lit) int8 { return s.value[l] }
 
 // AddClause adds a clause over the given literals. It must be called
 // before Solve (the solver is at decision level 0). Tautologies are
@@ -215,30 +242,78 @@ func (s *Solver) AddClause(lits ...Lit) {
 		}
 		return
 	}
-	s.attach(append([]Lit(nil), out...))
+	s.attach(out)
 }
 
-// attach stores a (already normalised, >= 2 literal) clause and watches
-// its first two literals.
-func (s *Solver) attach(c []Lit) int32 {
+const (
+	minLitChunk   = 1024
+	minWatchChunk = 1024
+	minWatchCap   = 4 // first capacity of a watch list
+	minClauses    = 256
+)
+
+// carve cuts a span of n elements (capacity n) off the free tail of a
+// chunk, first replacing the tail with a fresh chunk when it is too
+// short. A fresh chunk holds at least min elements, the request, and
+// everything carved before it, so chunk sizes grow geometrically and a
+// formula costs O(log size) chunk allocations.
+func carve[T any](free *[]T, total *int, n, min int) []T {
+	if len(*free) < n {
+		size := max(n, *total, min)
+		*free = make([]T, size)
+		*total += size
+	}
+	span := (*free)[:n:n]
+	*free = (*free)[n:]
+	return span
+}
+
+// attach copies a (already normalised, >= 2 literal) clause into the
+// literal chunks, stores it and watches its first two literals. Each
+// clause is a full slice expression of its chunk — its capacity ends
+// where its literals do — so no clause can ever grow into a neighbour.
+// A learnt clause reduceDB deletes leaves its literals in the chunk; a
+// solver is single-shot, so that waste is bounded by what it learns.
+func (s *Solver) attach(lits []Lit) int32 {
+	c := carve(&s.litFree, &s.litTotal, len(lits), minLitChunk)
+	copy(c, lits)
 	ref := int32(len(s.clauses))
+	if len(s.clauses) == cap(s.clauses) {
+		// Double rather than let append grow large tables by 1.25×,
+		// which reallocates a formula's clause table a dozen more times.
+		s.clauses = slices.Grow(s.clauses, max(len(s.clauses), minClauses))
+	}
 	s.clauses = append(s.clauses, c)
-	s.claActivity = append(s.claActivity, 0)
-	s.watches[c[0].Not()] = append(s.watches[c[0].Not()], watcher{ref, c[1]})
-	s.watches[c[1].Not()] = append(s.watches[c[1].Not()], watcher{ref, c[0]})
+	s.watch(c[0].Not(), watcher{ref, c[1]})
+	s.watch(c[1].Not(), watcher{ref, c[0]})
 	return ref
+}
+
+// watch appends w to l's watch list. A full list moves to a span of
+// twice its capacity carved from the watcher chunks (its old span is
+// abandoned there), so watch lists cost no allocation of their own and
+// keep their order exactly as plain append would.
+func (s *Solver) watch(l Lit, w watcher) {
+	ws := s.watches[l]
+	if len(ws) == cap(ws) {
+		grown := carve(&s.watchFree, &s.watchTotal, max(2*cap(ws), minWatchCap), minWatchChunk)
+		copy(grown, ws)
+		ws = grown[:len(ws)]
+	}
+	s.watches[l] = append(ws, w)
 }
 
 // bumpClause raises a learnt clause's activity (problem clauses are
 // immortal and skip the bookkeeping).
 func (s *Solver) bumpClause(ref int32) {
-	if int(ref) < s.nProblem {
+	i := int(ref) - s.nProblem
+	if i < 0 {
 		return
 	}
-	s.claActivity[ref] += s.claInc
-	if s.claActivity[ref] > 1e100 {
-		for i := s.nProblem; i < len(s.claActivity); i++ {
-			s.claActivity[i] *= 1e-100
+	s.claActivity[i] += s.claInc
+	if s.claActivity[i] > 1e100 {
+		for j := range s.claActivity {
+			s.claActivity[j] *= 1e-100
 		}
 		s.claInc *= 1e-100
 	}
@@ -254,12 +329,13 @@ func (s *Solver) reduceDB() {
 	for _, l := range s.trail {
 		s.reason[l.Var()] = -1
 	}
-	// Collect deletable learnt refs: activity ascending, ref ascending
-	// on ties, so deletion order is reproducible.
+	// Collect deletable learnt clauses by learnt index (ref - nProblem,
+	// which orders like the ref): activity ascending, index ascending on
+	// ties, so deletion order is reproducible.
 	var del []int32
-	for ref := s.nProblem; ref < len(s.clauses); ref++ {
-		if s.clauses[ref] != nil && len(s.clauses[ref]) > 2 {
-			del = append(del, int32(ref))
+	for i, c := range s.clauses[s.nProblem:] {
+		if len(c) > 2 {
+			del = append(del, int32(i))
 		}
 	}
 	if len(del) < 2 {
@@ -267,8 +343,8 @@ func (s *Solver) reduceDB() {
 	}
 	// Insertion-free sort via sort of a small slice: activity asc.
 	sortRefsByActivity(del, s.claActivity)
-	for _, ref := range del[:len(del)/2] {
-		s.clauses[ref] = nil
+	for _, i := range del[:len(del)/2] {
+		s.clauses[s.nProblem+int(i)] = nil
 		s.liveLearnts--
 	}
 	for li := range s.watches {
@@ -283,8 +359,8 @@ func (s *Solver) reduceDB() {
 	}
 }
 
-// sortRefsByActivity sorts clause refs by ascending activity, breaking
-// ties on the ref itself (stable under identical inputs).
+// sortRefsByActivity sorts learnt indices by ascending activity, breaking
+// ties on the index itself (stable under identical inputs).
 func sortRefsByActivity(refs []int32, act []float64) {
 	// Simple bottom-up merge sort on a scratch copy: deterministic and
 	// allocation-light for the few thousand refs reduceDB sees.
@@ -328,11 +404,7 @@ func sortRefsByActivity(refs []int32, act []float64) {
 // enqueue asserts literal l with the given reason clause (or -1).
 func (s *Solver) enqueue(l Lit, reason int32) {
 	v := l.Var()
-	if l.Sign() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.value[l], s.value[l.Not()] = lTrue, lFalse
 	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = reason
 	s.trail = append(s.trail, l)
@@ -368,7 +440,7 @@ func (s *Solver) propagate() int32 {
 			for k := 2; k < len(c); k++ {
 				if s.litValue(c[k]) != lFalse {
 					c[1], c[k] = c[k], c[1]
-					s.watches[c[1].Not()] = append(s.watches[c[1].Not()], watcher{w.ref, c[0]})
+					s.watch(c[1].Not(), watcher{w.ref, c[0]})
 					moved = true
 					break
 				}
@@ -404,8 +476,8 @@ func (s *Solver) cancelUntil(lvl int) {
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
-		s.polarity[v] = s.assign[v] == lTrue
-		s.assign[v] = lUndef
+		s.polarity[v] = s.value[Pos(v)] == lTrue
+		s.value[Pos(v)], s.value[Neg(v)] = lUndef, lUndef
 		s.reason[v] = -1
 		if s.heapPos[v] < 0 {
 			s.heapInsert(int32(v))
@@ -611,7 +683,7 @@ func (s *Solver) heapPopUnassigned() int {
 		if len(s.heap) > 1 {
 			s.heapDown(0)
 		}
-		if s.assign[v] == lUndef {
+		if s.value[Pos(int(v))] == lUndef {
 			return int(v)
 		}
 	}
@@ -693,9 +765,9 @@ func (s *Solver) search(limit, budget int64, stop func() bool) Status {
 			if len(learnt) == 1 {
 				s.enqueue(learnt[0], -1)
 			} else {
-				ref := s.attach(append([]Lit(nil), learnt...))
+				ref := s.attach(learnt)
 				s.liveLearnts++
-				s.claActivity[ref] = s.claInc
+				s.claActivity = append(s.claActivity, s.claInc)
 				s.enqueue(learnt[0], ref)
 			}
 			s.decayActivities()

@@ -1,6 +1,9 @@
 package sat
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // mk builds a solver with n fresh variables.
 func mk(n int) *Solver {
@@ -245,6 +248,114 @@ func TestLuby(t *testing.T) {
 	for i, w := range want {
 		if got := luby(int64(i + 1)); got != w {
 			t.Fatalf("luby(%d) = %d, want %d", i+1, got, w)
+		}
+	}
+}
+
+// TestChunkedStorageIntegrity drives instances large enough that clause
+// literals and watch lists span several chunks, with learnt clauses cut
+// from the same chunks during search. propagate and analyze swap
+// literals in place, so a clause whose storage aliased a neighbour's
+// would corrupt it: every model must satisfy every clause as it was
+// added, and every stored problem clause must still hold the literal
+// set it held before Solve.
+func TestChunkedStorageIntegrity(t *testing.T) {
+	rng := splitmix64(2024)
+	var sats, conflicts int
+	for iter := 0; iter < 40; iter++ {
+		nvars := 150 + int(rng.next()%150)
+		nclauses := nvars * (3 + int(rng.next()%2)) // around the 3-SAT threshold
+		s := mk(nvars)
+		added := make([][]Lit, nclauses)
+		for i := range added {
+			c := make([]Lit, 2+int(rng.next()%4))
+			for j := range c {
+				v := int(rng.next() % uint64(nvars))
+				if rng.next()%2 == 0 {
+					c[j] = Pos(v)
+				} else {
+					c[j] = Neg(v)
+				}
+			}
+			added[i] = c
+			s.AddClause(c...)
+		}
+		if s.litTotal <= minLitChunk || s.watchTotal <= minWatchChunk {
+			t.Fatalf("iter %d: storage fits one chunk (%d literals, %d watchers); grow the instance",
+				iter, s.litTotal, s.watchTotal)
+		}
+		before := make([][]Lit, len(s.clauses))
+		for ref, c := range s.clauses {
+			before[ref] = sortedLits(c)
+		}
+		st := s.Solve(0, nil)
+		conflicts += int(s.Conflicts())
+		for ref, want := range before {
+			if got := sortedLits(s.clauses[ref]); !slices.Equal(got, want) {
+				t.Fatalf("iter %d: problem clause %d changed during Solve: %v, want %v", iter, ref, got, want)
+			}
+		}
+		if st != Sat {
+			continue
+		}
+		sats++
+		for i, c := range added {
+			if !slices.ContainsFunc(c, func(l Lit) bool { return s.Value(l.Var()) != l.Sign() }) {
+				t.Fatalf("iter %d: model violates added clause %d %v", iter, i, c)
+			}
+		}
+	}
+	if sats == 0 || conflicts == 0 {
+		t.Fatalf("%d SAT instances, %d conflicts: the corpus no longer exercises models and learnt clauses", sats, conflicts)
+	}
+}
+
+func sortedLits(c []Lit) []Lit {
+	out := slices.Clone(c)
+	slices.Sort(out)
+	return out
+}
+
+// TestNewVarsMatchesNewVar pins that one NewVars(k) block numbers its
+// variables, and orders the decision heap, exactly as k NewVar calls:
+// the same clause set then takes the same conflicts to the same model.
+func TestNewVarsMatchesNewVar(t *testing.T) {
+	build := func(block bool) *Solver {
+		s := New()
+		if block {
+			if first := s.NewVars(25); first != 0 {
+				t.Fatalf("NewVars(25) on an empty solver = %d, want 0", first)
+			}
+			if first := s.NewVars(15); first != 25 {
+				t.Fatalf("second NewVars = %d, want 25", first)
+			}
+		} else {
+			for i := 0; i < 40; i++ {
+				s.NewVar()
+			}
+		}
+		rng := splitmix64(11)
+		for i := 0; i < 170; i++ {
+			c := make([]Lit, 3)
+			for j := range c {
+				c[j] = Lit(rng.next() % 80)
+			}
+			s.AddClause(c...)
+		}
+		return s
+	}
+	a, b := build(false), build(true)
+	sa, sb := a.Solve(0, nil), b.Solve(0, nil)
+	if sa != sb || a.Conflicts() != b.Conflicts() || a.NumVars() != b.NumVars() {
+		t.Fatalf("NewVar run (%v, %d conflicts, %d vars) vs NewVars run (%v, %d, %d)",
+			sa, a.Conflicts(), a.NumVars(), sb, b.Conflicts(), b.NumVars())
+	}
+	if a.Conflicts() == 0 {
+		t.Fatal("instance needs no conflicts; it no longer exercises the heap order")
+	}
+	for v := 0; v < a.NumVars(); v++ {
+		if a.Value(v) != b.Value(v) {
+			t.Fatalf("models differ at variable %d", v)
 		}
 	}
 }
