@@ -32,7 +32,7 @@ func cmdExec(args []string, stdout, stderr io.Writer) int {
 	machineSpec := fs.String("machine", "unified", "machine to compile for (canned name or .json file)")
 	budget := fs.Int64("budget", 0, "opt backend: conflict budget per candidate II (0 = default)")
 	timeout := fs.Duration("timeout", driver.DefaultTimeout, "compilation budget")
-	trips := fs.String("trips", "", "extra comma-separated trip counts for the predicated plan")
+	trips := fs.String("trips", "", "extra comma-separated trip counts for the predicated plan (at most vm.MaxTrip each)")
 	listing := fs.Int("listing", 12, "bundles of the emitted program to print (0 = none)")
 	execSeed := fs.Uint64("exec-seed", 0, "oracle seed (0 = the per-loop seed `msched run -exec` uses)")
 	if err := fs.Parse(args); err != nil {
@@ -60,8 +60,8 @@ func cmdExec(args []string, stdout, stderr io.Writer) int {
 	if *trips != "" {
 		for _, s := range strings.Split(*trips, ",") {
 			t, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || t < 1 {
-				fmt.Fprintf(stderr, "msched exec: -trips wants positive integers, got %q\n", s)
+			if err != nil || t < 1 || t > vm.MaxTrip {
+				fmt.Fprintf(stderr, "msched exec: -trips wants integers in [1, %d], got %q\n", vm.MaxTrip, s)
 				return 2
 			}
 			predTrips = append(predTrips, t)

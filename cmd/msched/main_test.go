@@ -49,6 +49,11 @@ func TestUsageAndBadInput(t *testing.T) {
 		{[]string{"trace", "-timeout", "-1s"}, "-timeout must be >= 0"},
 		{[]string{"exec", "-timeout", "-1s"}, "-timeout must be >= 0"},
 		{[]string{"exec", "-budget", "-1"}, "-budget must be >= 0"},
+		// The oracle's run time grows with the trip; -timeout covers only
+		// compilation, so this used to run unbounded.
+		{[]string{"exec", "-trips", "4611686018427387904"}, "-trips wants integers in [1, 1048576]"},
+		{[]string{"exec", "-trips", "1,1048577"}, "-trips wants integers in [1, 1048576]"},
+		{[]string{"exec", "-trips", "0"}, "-trips wants integers in [1, 1048576]"},
 	} {
 		if code, _, errOut := capture(t, c.args...); code != 2 || !strings.Contains(errOut, c.errWant) {
 			t.Errorf("msched %s: got exit %d, want 2 with %q; stderr: %s", strings.Join(c.args, " "), code, c.errWant, errOut)

@@ -24,8 +24,10 @@
 package vm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
@@ -105,7 +107,18 @@ type Semantics struct {
 
 	ops     []opSem
 	histLen int
+	outs    []liveOut
 	ek      *sched.ExpandedKernel
+}
+
+// liveOut is an observable register — one defined by at least one
+// non-spill instruction — and its last defining site in program order:
+// the definition whose iteration trip-1 value is the register's
+// live-out. Spill-reload defs are fresh registers private to one
+// backend's spill choices and are deliberately not observable.
+type liveOut struct {
+	reg  ir.VReg
+	site int
 }
 
 // Bind derives the semantics of an expanded kernel's loop, sizing the
@@ -145,12 +158,17 @@ func bind(l *ir.Loop, g *ir.Graph, seed uint64, slackK int) (*Semantics, error) 
 	// (highest-indexed edge wins, matching the renaming derivation in
 	// pkg/sched, so semantics and renaming can never disagree about which
 	// value a use reads).
+	nuses := 0
+	for _, in := range l.Instrs {
+		nuses += len(in.Uses)
+	}
+	back := make([]srcRef, nuses)
+	for j := range back {
+		back[j] = srcRef{site: -1}
+	}
 	srcs := make([][]srcRef, n)
 	for id, in := range l.Instrs {
-		srcs[id] = make([]srcRef, len(in.Uses))
-		for j := range srcs[id] {
-			srcs[id][j] = srcRef{site: -1}
-		}
+		srcs[id], back = back[:len(in.Uses):len(in.Uses)], back[len(in.Uses):]
 	}
 	maxDist := 1
 	for i := range g.Edges {
@@ -239,6 +257,25 @@ func bind(l *ir.Loop, g *ir.Graph, seed uint64, slackK int) (*Semantics, error) 
 			ord++
 		}
 	}
+
+	// Live-outs in register order: every definition site, latest first,
+	// sorted stably by register, then the first (last defining) of each.
+	ndefs := 0
+	for _, in := range l.Instrs {
+		ndefs += len(in.Defs)
+	}
+	sem.outs = make([]liveOut, 0, ndefs)
+	for id := n - 1; id >= 0; id-- {
+		in := l.Instrs[id]
+		if in.Op == ir.OpSpillReload || in.Op == ir.OpSpillStore {
+			continue
+		}
+		for _, d := range in.Defs {
+			sem.outs = append(sem.outs, liveOut{d, id})
+		}
+	}
+	slices.SortStableFunc(sem.outs, func(a, b liveOut) int { return cmp.Compare(a.reg, b.reg) })
+	sem.outs = slices.CompactFunc(sem.outs, func(a, b liveOut) bool { return a.reg == b.reg })
 	return sem, nil
 }
 
@@ -307,79 +344,8 @@ func (sem *Semantics) NewMemImage() []byte {
 	return mem
 }
 
-// loadAddr is load ordinal li's address at iteration i: a seed-odd
-// stride walk of its 64-word region.
-func (sem *Semantics) loadAddr(li, i, stride int) int {
-	return li*regionSize + ((i*stride)&63)*8
-}
-
-// storeAddr is store ordinal si's address at iteration i, in the store
-// band after all load regions.
-func (sem *Semantics) storeAddr(si, i, stride int) int {
-	return (sem.NLoads+si)*regionSize + ((i*stride)&63)*8
-}
-
 // slotAddr is slot s of spill group g, in the band after all store
 // regions.
 func (sem *Semantics) slotAddr(g, s int) int {
 	return (sem.NLoads+sem.NStores)*regionSize + (g*sem.K+s)*8
-}
-
-// eval computes one instruction instance's result and memory effect.
-// srcVal(j) supplies the value of use operand j; the caller owns where
-// that value comes from (dataflow history for the sequential executor,
-// architectural registers for the pipelined one). The returned memory
-// write (addr >= 0) is the store the instance performs, which the caller
-// applies with its own timing.
-func (sem *Semantics) eval(mem []byte, id, i int, srcVal func(j int) uint64) (out uint64, wAddr int, wVal uint64) {
-	op := &sem.ops[id]
-	wAddr = -1
-	switch op.kind {
-	case opALU:
-		out = fold(op.token, uint64(i))
-		for j := range op.srcs {
-			out = fold(out, srcVal(j))
-		}
-	case opLoad:
-		w := binary.LittleEndian.Uint64(mem[sem.loadAddr(op.memIdx, i, op.stride):])
-		out = fold(fold(op.token, uint64(i)), w)
-		for j := range op.srcs {
-			out = fold(out, srcVal(j))
-		}
-	case opStore:
-		out = fold(op.token, uint64(i))
-		for j := range op.srcs {
-			out = fold(out, srcVal(j))
-		}
-		wAddr, wVal = sem.storeAddr(op.memIdx, i, op.stride), out
-	case opSpillStore:
-		out = srcVal(0)
-		wAddr, wVal = sem.slotAddr(op.memIdx, i%sem.K), out
-	case opSpillReload:
-		s := ((i-op.pairDist)%sem.K + sem.K) % sem.K
-		out = binary.LittleEndian.Uint64(mem[sem.slotAddr(op.memIdx, s):])
-	case opLiveInReload:
-		out = sem.initReg(op.spillOf)
-	}
-	return out, wAddr, wVal
-}
-
-// finalSites maps every observable register — one defined by at least
-// one non-spill instruction — to its last defining site in program
-// order: the definition whose iteration trip-1 value is the register's
-// live-out. Spill-reload defs are fresh registers private to one
-// backend's spill choices and are deliberately excluded.
-func (sem *Semantics) finalSites() map[ir.VReg]int {
-	sites := map[ir.VReg]int{}
-	for id, in := range sem.Loop.Instrs {
-		if in.Op == ir.OpSpillReload || in.Op == ir.OpSpillStore {
-			continue
-		}
-		for _, d := range in.Defs {
-			if last, ok := sites[d]; !ok || id > last {
-				sites[d] = id
-			}
-		}
-	}
-	return sites
 }

@@ -3,7 +3,7 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 )
@@ -60,7 +60,7 @@ func DiffStates(tag string, got, want *State, memLen int) []string {
 	for v := range want.RegFinal {
 		regs = append(regs, v)
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
+	slices.Sort(regs)
 	listed, extra = 0, 0
 	for _, v := range regs {
 		g, ok := got.RegFinal[v]

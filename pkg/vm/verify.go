@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/paper-repo-growth/mirs/pkg/emit"
@@ -63,13 +64,6 @@ func (r *Report) String() string {
 	return s
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Verify closes the loop on one compilation: it emits the expanded
 // kernel to architectural bundles, binds the seeded operation semantics,
 // and executes the sequential reference against the pipelined program —
@@ -86,7 +80,10 @@ func Verify(ek *sched.ExpandedKernel, opts Options) (*Report, error) {
 }
 
 // VerifyProgram is Verify for callers that already emitted the program
-// (the exec explainer, which also wants the listing).
+// (the exec explainer, which also wants the listing). It decodes the
+// program once for all its runs, and runs the sequential reference once,
+// up to the largest trip, taking each trip's reference as the run
+// passes it. Every trip must be at most MaxTrip.
 func VerifyProgram(ek *sched.ExpandedKernel, prog *emit.Program, opts Options) (*Report, error) {
 	seed := opts.Seed
 	if seed == 0 {
@@ -96,6 +93,9 @@ func VerifyProgram(ek *sched.ExpandedKernel, prog *emit.Program, opts Options) (
 	if err != nil {
 		return nil, err
 	}
+	if err := checkProgram(sem, prog); err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		Loop: prog.Loop.Name, Machine: prog.Machine.Name,
 		II: prog.II, Unroll: prog.Unroll, Stages: prog.Stages, Trip: prog.Trip,
@@ -103,46 +103,62 @@ func VerifyProgram(ek *sched.ExpandedKernel, prog *emit.Program, opts Options) (
 		FrameSlots: len(prog.Frame),
 	}
 
-	ref, err := RunSequential(sem, prog.Trip)
-	if err != nil {
-		return nil, err
+	if prog.Trip < 1 {
+		return nil, fmt.Errorf("vm: sequential run needs trip >= 1, got %d", prog.Trip)
 	}
-	rep.SeqCycles = ref.Cycles
-
-	mve, err := RunProgram(sem, prog, ModeMVE, prog.Trip)
-	if err != nil {
-		return nil, err
-	}
-	rep.MVECycles = mve.Cycles
-	rep.Trips = append(rep.Trips, prog.Trip)
-	rep.Mismatches = append(rep.Mismatches, DiffStates("mve", mve, ref, len(ref.Mem))...)
-
 	trips := opts.PredTrips
 	if trips == nil {
 		// Shorter than the pipeline fill (every op squashes at least
 		// once) and one extra iteration past a pass boundary.
 		trips = []int{prog.Stages, prog.Trip + 1}
 	}
-	trips = append([]int{prog.Trip}, trips...)
-	seen := map[int]bool{}
-	for _, trip := range trips {
-		if trip < 1 || seen[trip] {
-			continue
+	// The predicated plan's trips in run order: the MVE trip first,
+	// then each requested trip >= 1 once.
+	pred := make([]int, 0, len(trips)+1)
+	for _, trip := range append([]int{prog.Trip}, trips...) {
+		if trip >= 1 && !slices.Contains(pred, trip) {
+			pred = append(pred, trip)
 		}
-		seen[trip] = true
-		want := ref
-		if trip != prog.Trip {
-			if want, err = RunSequential(sem, trip); err != nil {
-				return nil, err
-			}
+	}
+	for _, trip := range pred {
+		if err := checkTrip("verify", trip); err != nil {
+			return nil, err
 		}
-		got, err := RunProgram(sem, prog, ModePredicated, trip)
+	}
+
+	p, err := decodeProgram(sem, prog)
+	if err != nil {
+		return nil, err
+	}
+	h, err := decodeSeq(sem)
+	if err != nil {
+		return nil, err
+	}
+	sorted := slices.Clone(pred)
+	slices.Sort(sorted)
+	refs := h.run(slices.Clone(p.mem), sorted)
+	ref := func(trip int) *State {
+		i, _ := slices.BinarySearch(sorted, trip)
+		return refs[i]
+	}
+	want := ref(prog.Trip)
+	rep.SeqCycles = want.Cycles
+
+	m := p.newRunState()
+	mve, err := p.run(m, ModeMVE, prog.Trip)
+	if err != nil {
+		return nil, err
+	}
+	rep.MVECycles = mve.Cycles
+	rep.Mismatches = append(rep.Mismatches, DiffStates("mve", mve, want, len(want.Mem))...)
+
+	for _, trip := range pred {
+		got, err := p.run(m, ModePredicated, trip)
 		if err != nil {
 			return nil, err
 		}
-		if trip != prog.Trip {
-			rep.Trips = append(rep.Trips, trip)
-		}
+		rep.Trips = append(rep.Trips, trip)
+		want = ref(trip)
 		rep.Mismatches = append(rep.Mismatches,
 			DiffStates(fmt.Sprintf("pred@%d", trip), got, want, len(want.Mem))...)
 	}

@@ -31,11 +31,12 @@ func (m Mode) String() string {
 	return "mve"
 }
 
-// regCommit is one in-flight register write: the value lands in loc at a
-// fixed cycle. issue orders same-location commits: a later-issued write
-// architecturally wins and makes any slower earlier write stale.
+// regCommit is one in-flight register write: the value lands in flat
+// location loc at a fixed cycle. issue orders same-location commits: a
+// later-issued write architecturally wins and makes any slower earlier
+// write stale.
 type regCommit struct {
-	loc   emit.Loc
+	loc   int32
 	val   uint64
 	issue int
 }
@@ -43,46 +44,6 @@ type regCommit struct {
 type memCommit struct {
 	addr int
 	val  uint64
-}
-
-// maxDelay scans the bundles a run in mode issues and returns the
-// longest op latency or transfer delay: how far ahead of its issue cycle
-// a commit can land, which sizes the writeback ring. A latency or delay
-// below 1 is an error — such a commit would land in a cycle whose
-// writebacks were already applied.
-func maxDelay(prog *emit.Program, mode Mode) (int, error) {
-	segs := [][]emit.Bundle{prog.Kernel}
-	if mode == ModeMVE {
-		segs = append(segs, prog.Prologue, prog.Epilogue)
-	}
-	longest := 1
-	for _, seg := range segs {
-		for bi := range seg {
-			for oi := range seg[bi].Ops {
-				op := &seg[bi].Ops[oi]
-				if op.Latency < 1 {
-					return 0, fmt.Errorf("vm: run: op %d has latency %d", op.ID, op.Latency)
-				}
-				longest = max(longest, op.Latency)
-				for _, x := range op.Xfers {
-					if x.Delay < 1 {
-						return 0, fmt.Errorf("vm: run: op %d has transfer delay %d", op.ID, x.Delay)
-					}
-					longest = max(longest, x.Delay)
-				}
-			}
-		}
-	}
-	return longest, nil
-}
-
-// negOnes returns n entries of -1: a last-writer table before any write.
-func negOnes(n int) []int {
-	t := make([]int, n)
-	for i := range t {
-		t[i] = -1
-	}
-	return t
 }
 
 // RunProgram interprets the emitted program on machine state derived
@@ -93,21 +54,15 @@ func negOnes(n int) []int {
 // after issue, bus transfers their extra bus latency later), then issues
 // the cycle's bundle — operands are read at issue, which is exactly the
 // contract Schedule.Validate enforced with its latency checks. Every op
-// latency and transfer delay in the plan must be at least 1; RunProgram
-// checks that before running and names the offending op otherwise. The
-// semantics must have been bound with Bind (the final-state extraction
-// needs the kernel's renaming and placements). A run allocates its
-// machine state up front and reuses its writeback buckets, so nothing
-// is allocated per cycle or per operation.
+// latency and transfer delay in the plan must be at least 1, and trip at
+// most MaxTrip; RunProgram checks that before running and names the
+// offending op otherwise. The semantics must have been bound with Bind
+// (the final-state extraction needs the kernel's renaming and
+// placements). Each call decodes the program; VerifyProgram decodes
+// once for all its runs.
 func RunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*State, error) {
-	if sem.ek == nil {
-		return nil, fmt.Errorf("vm: run: semantics not bound to a schedule (use Bind, not BindLoop)")
-	}
-	if prog == nil {
-		return nil, fmt.Errorf("vm: run: nil program")
-	}
-	if sem.Loop != prog.Loop {
-		return nil, fmt.Errorf("vm: run: program and semantics are for different loops")
+	if err := checkProgram(sem, prog); err != nil {
+		return nil, err
 	}
 	if mode == ModeMVE && trip != prog.Trip {
 		return nil, fmt.Errorf("vm: run: the mve plan executes exactly %d iterations, got trip %d", prog.Trip, trip)
@@ -115,161 +70,215 @@ func RunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*State
 	if trip < 1 {
 		return nil, fmt.Errorf("vm: run needs trip >= 1, got %d", trip)
 	}
-
-	longest, err := maxDelay(prog, mode)
+	if err := checkTrip("run", trip); err != nil {
+		return nil, err
+	}
+	p, err := decodeProgram(sem, prog)
 	if err != nil {
 		return nil, err
 	}
+	return p.run(p.newRunState(), mode, trip)
+}
 
-	m := prog.Machine
-	regs := make([][]uint64, m.NumClusters())
-	// lastReg and lastFrame are the dense last-writer tables, shaped like
-	// regs and frame: the issue cycle of the write that owns each
-	// location, -1 before the first.
-	lastReg := make([][]int, len(regs))
-	for ci := range regs {
-		regs[ci] = make([]uint64, m.RegsPerCluster(ci))
-		lastReg[ci] = negOnes(len(regs[ci]))
-		for idx, name := range prog.Names[ci] {
-			regs[ci][idx] = sem.initReg(name.Reg)
-		}
+// checkProgram rejects a semantics/program pair no plan can run.
+func checkProgram(sem *Semantics, prog *emit.Program) error {
+	if sem.ek == nil {
+		return fmt.Errorf("vm: run: semantics not bound to a schedule (use Bind, not BindLoop)")
 	}
-	frame := make([]uint64, len(prog.Frame))
-	lastFrame := negOnes(len(frame))
-	for idx, fs := range prog.Frame {
-		frame[idx] = sem.initReg(fs.Name.Reg)
+	if prog == nil {
+		return fmt.Errorf("vm: run: nil program")
 	}
-	mem := sem.NewMemImage()
+	if sem.Loop != prog.Loop {
+		return fmt.Errorf("vm: run: program and semantics are for different loops")
+	}
+	return nil
+}
 
-	readLoc := func(l emit.Loc) uint64 {
-		if l.Frame {
-			return frame[l.Index]
-		}
-		return regs[l.Cluster][l.Index]
-	}
-	cell := func(l emit.Loc) (val *uint64, last *int) {
-		if l.Frame {
-			return &frame[l.Index], &lastFrame[l.Index]
-		}
-		return &regs[l.Cluster][l.Index], &lastReg[l.Cluster][l.Index]
-	}
-
-	// The writeback rings: bucket c%depth holds the commits landing at
+// runState is the mutable state of pipelined runs: the flat register
+// image, its last-writer table, memory, and the writeback rings. A run
+// resets it, so one serves every run of a VerifyProgram.
+type runState struct {
+	vals []uint64
+	// last holds the issue cycle of the write that owns each location,
+	// -1 before the first.
+	last []int
+	mem  []byte
+	// regs is the live-out map of the last run's State.
+	regs map[ir.VReg]uint64
+	// The writeback rings: bucket c&mask holds the commits landing at
 	// cycle c, and is truncated, keeping its backing array, once applied.
-	// Every delay is in [1, longest], so a commit issued at c lands in one
-	// of the next longest buckets, never in c's own, and bucket c%depth
-	// is drained at c before the first commit for c+depth can be queued
-	// (at c+1 at the earliest). Cycles issue in order, so each bucket
-	// fills in (issue cycle, slot) order — the order later-issue-wins
-	// needs — and is applied front to back without sorting.
-	depth := longest + 1
-	ringR := make([][]regCommit, depth)
-	ringW := make([][]memCommit, depth)
-	inflight := 0
+	// Every delay is in [1, longest] and the ring has more than longest
+	// buckets, so a commit issued at c lands in a later bucket, never in
+	// c's own, and bucket c&mask is drained at c before the first commit
+	// for the ring's next lap can be queued (at c+1 at the earliest).
+	// Cycles issue in order, so each bucket fills in (issue cycle, slot)
+	// order — the order later-issue-wins needs — and is applied front to
+	// back without sorting.
+	ringR [][]regCommit
+	ringW [][]memCommit
+	mask  int
+}
 
-	// bundleAt maps a timeline cycle to the bundle issuing then and the
-	// pass offset its kernel ops add to their base iteration; ok=false
-	// past the last issue cycle.
-	t0 := len(prog.Prologue)
-	period := prog.Period
-	kstart, passes := 0, prog.Passes
+func (p *plan) newRunState() *runState {
+	depth := 1
+	for depth <= p.longest {
+		depth <<= 1
+	}
+	m := &runState{
+		vals:  make([]uint64, len(p.init)),
+		last:  make([]int, len(p.init)),
+		mem:   make([]byte, len(p.mem)),
+		regs:  make(map[ir.VReg]uint64, len(p.sem.outs)),
+		ringR: make([][]regCommit, depth),
+		ringW: make([][]memCommit, depth),
+		mask:  depth - 1,
+	}
+	// Each bucket starts with room for one bundle's writes, cut from one
+	// array with full slice expressions, so a bucket that outgrows it
+	// moves to its own array instead of spilling into its neighbour.
+	r, w := make([]regCommit, depth*p.regWrites), make([]memCommit, depth*p.memWrites)
+	for b := 0; b < depth; b++ {
+		m.ringR[b] = r[b*p.regWrites : b*p.regWrites : (b+1)*p.regWrites]
+		m.ringW[b] = w[b*p.memWrites : b*p.memWrites : (b+1)*p.memWrites]
+	}
+	return m
+}
+
+// writeback applies the commits of ring bucket b — register writes
+// first, skipping any a later-issued write already owns, then stores —
+// empties the bucket and returns how many commits it held.
+func (m *runState) writeback(b int) int {
+	rs, ws := m.ringR[b], m.ringW[b]
+	for _, rc := range rs {
+		if rc.issue < m.last[rc.loc] {
+			continue // stale: a later-issued write already owns the location
+		}
+		m.last[rc.loc] = rc.issue
+		m.vals[rc.loc] = rc.val
+	}
+	for _, wc := range ws {
+		binary.LittleEndian.PutUint64(m.mem[wc.addr:], wc.val)
+	}
+	m.ringR[b], m.ringW[b] = rs[:0], ws[:0]
+	return len(rs) + len(ws)
+}
+
+// commit queues the writes of op's instance issued at cycle c — its
+// store, its defs at the op's latency, its transfers at their delays —
+// and returns how many it queued.
+func (m *runState) commit(op *dop, args []int32, c int, out uint64, wAddr int, wVal uint64) int {
+	n := int(op.nDef) + int(op.nXfer)
+	wb := (c + int(op.lat)) & m.mask
+	if wAddr >= 0 {
+		m.ringW[wb] = append(m.ringW[wb], memCommit{addr: wAddr, val: wVal})
+		n++
+	}
+	at := op.off + int32(op.nSrc)
+	for _, d := range args[at : at+int32(op.nDef)] {
+		m.ringR[wb] = append(m.ringR[wb], regCommit{loc: d, val: out, issue: c})
+	}
+	at += int32(op.nDef)
+	xs := args[at : at+2*int32(op.nXfer)]
+	for x := 0; x < len(xs); x += 2 {
+		xb := (c + int(xs[x+1])) & m.mask
+		m.ringR[xb] = append(m.ringR[xb], regCommit{loc: xs[x], val: out, issue: c})
+	}
+	return n
+}
+
+// run executes one plan of p at trip on m, which it first resets to the
+// initial image. The returned state's Mem and RegFinal are m's: they are
+// valid until m runs again.
+func (p *plan) run(m *runState, mode Mode, trip int) (*State, error) {
+	if mode == ModeMVE && p.mveErr != nil {
+		return nil, p.mveErr
+	}
+	prog := p.prog
+	copy(m.vals, p.init)
+	for i := range m.last {
+		m.last[i] = -1
+	}
+	copy(m.mem, p.mem)
+	clear(m.regs)
+	for b := range m.ringR {
+		m.ringR[b], m.ringW[b] = m.ringR[b][:0], m.ringW[b][:0]
+	}
+	vals, mem, rmask := m.vals, m.mem, m.mask
+	ops, args, bundles := p.ops, p.args, p.bundles
+
+	// The timeline is tracked incrementally: bi is the bundle issuing
+	// next (prologue, kernel and epilogue bundles are consecutive in
+	// p.bundles), pass the kernel pass it belongs to, and iterOff what
+	// that pass adds to a kernel op's base iteration.
+	t0, period := len(prog.Prologue), prog.Period
+	kend := t0 + period
+	bi, pass, iterOff, passes := 0, 0, 0, prog.Passes
+	issueSpan := t0 + passes*period + len(prog.Epilogue)
 	if mode == ModePredicated {
+		var kstart int
 		kstart, passes = prog.PredWindow(trip)
 		if passes == 0 {
 			return nil, fmt.Errorf("vm: run: predicated plan has no passes for trip %d", trip)
 		}
-	}
-	issueSpan := passes * period
-	if mode == ModeMVE {
-		issueSpan = t0 + passes*period + len(prog.Epilogue)
-	}
-	bundleAt := func(c int) (b *emit.Bundle, iterOff int) {
-		switch mode {
-		case ModeMVE:
-			switch {
-			case c < t0:
-				return &prog.Prologue[c], 0
-			case c < t0+passes*period:
-				return &prog.Kernel[(c-t0)%period], ((c - t0) / period) * prog.Unroll
-			default:
-				return &prog.Epilogue[c-t0-passes*period], 0
-			}
-		default:
-			return &prog.Kernel[c%period], (kstart + c/period) * prog.Unroll
-		}
+		bi, iterOff, issueSpan = t0, kstart*prog.Unroll, passes*period
 	}
 
+	inflight := 0
 	for c := 0; c < issueSpan || inflight > 0; c++ {
 		// Writeback first: a result with latency L committed at cycle c is
 		// readable by an op issuing at c — the = in the scheduler's
 		// issue(consumer) >= issue(producer) + L contract.
-		b := c % depth
-		for _, rc := range ringR[b] {
-			val, last := cell(rc.loc)
-			if rc.issue < *last {
-				continue // stale: a later-issued write already owns the location
-			}
-			*last = rc.issue
-			*val = rc.val
-		}
-		for _, wc := range ringW[b] {
-			binary.LittleEndian.PutUint64(mem[wc.addr:], wc.val)
-		}
-		inflight -= len(ringR[b]) + len(ringW[b])
-		ringR[b], ringW[b] = ringR[b][:0], ringW[b][:0]
+		inflight -= m.writeback(c & rmask)
 		if c >= issueSpan {
 			continue
 		}
-		bundle, iterOff := bundleAt(c)
-		for oi := range bundle.Ops {
-			op := &bundle.Ops[oi]
-			i := op.Iter + iterOff
+		if bi == t0 && pass >= passes {
+			bi = kend // an MVE plan without kernel passes
+		}
+		off := 0
+		if bi >= t0 && bi < kend {
+			off = iterOff
+		}
+		for k := bundles[bi]; k < bundles[bi+1]; k++ {
+			op := &ops[k]
+			i := int(op.iter) + off
 			if i < 0 || i >= trip {
 				if mode == ModePredicated {
 					continue // predicate false: squash the instance
 				}
-				return nil, fmt.Errorf("vm: run: mve op %d at cycle %d executes iteration %d outside [0, %d)", op.ID, c, i, trip)
+				return nil, fmt.Errorf("vm: run: mve op %d at cycle %d executes iteration %d outside [0, %d)", op.id, c, i, trip)
 			}
-			out, wAddr, wVal := sem.eval(mem, op.ID, i, func(j int) uint64 {
-				return readLoc(op.Srcs[j])
-			})
-			wb := (c + op.Latency) % depth
-			if wAddr >= 0 {
-				ringW[wb] = append(ringW[wb], memCommit{addr: wAddr, val: wVal})
-				inflight++
+			out, wAddr, wVal := p.apply(op, i, mem, vals, 0, -1)
+			inflight += m.commit(op, args, c, out, wAddr, wVal)
+		}
+		if bi++; bi == kend {
+			if pass++; pass < passes {
+				bi, iterOff = t0, iterOff+prog.Unroll
 			}
-			for _, d := range op.Defs {
-				ringR[wb] = append(ringR[wb], regCommit{loc: d, val: out, issue: c})
-			}
-			inflight += len(op.Defs)
-			for _, x := range op.Xfers {
-				xb := (c + x.Delay) % depth
-				ringR[xb] = append(ringR[xb], regCommit{loc: x.Dst, val: out, issue: c})
-			}
-			inflight += len(op.Xfers)
 		}
 	}
 
 	st := &State{
-		Mem: mem, RegFinal: map[ir.VReg]uint64{}, Trip: trip,
+		Mem: mem, RegFinal: m.regs, Trip: trip,
 		Cycles:        issueSpan,
-		ObservableLen: sem.ObservableLen(),
+		ObservableLen: p.sem.ObservableLen(),
 	}
 	// Live-outs: each observable register's final value sits in the
 	// renamed copy iteration trip-1 wrote, on the last defining site's
 	// cluster.
-	ek := sem.ek
-	for v, site := range sem.finalSites() {
-		c := ek.Copies[v]
+	ek := p.sem.ek
+	for _, o := range p.sem.outs {
+		c := ek.Copies[o.reg]
 		if c < 1 {
 			c = 1
 		}
-		name := sched.RegCopy{Reg: v, Copy: ((trip-1)%c + c) % c}
-		loc, ok := prog.LocOf(ek.Schedule.Placements[site].Cluster, name)
+		name := sched.RegCopy{Reg: o.reg, Copy: ((trip-1)%c + c) % c}
+		loc, ok := prog.LocOf(ek.Schedule.Placements[o.site].Cluster, name)
 		if !ok {
-			return nil, fmt.Errorf("vm: run: no location for live-out %s (site %d)", name, site)
+			return nil, fmt.Errorf("vm: run: no location for live-out %s (site %d)", name, o.site)
 		}
-		st.RegFinal[v] = readLoc(loc)
+		i, _ := p.flat(loc)
+		st.RegFinal[o.reg] = vals[i]
 	}
 	return st, nil
 }

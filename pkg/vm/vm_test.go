@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -227,33 +228,6 @@ func TestExecutionDeterminism(t *testing.T) {
 	}
 }
 
-// TestSequentialTripExtension: running trip+1 iterations must leave the
-// first trip iterations' stores untouched — the reference semantics are
-// prefix-stable, which is what lets the predicated plan be compared at
-// many trips against independently computed references.
-func TestSequentialTripExtension(t *testing.T) {
-	l := exampleLoop(t, "fir8")
-	ek, _ := compile(t, mirs.New(), l, machine.Unified())
-	sem, err := vm.Bind(ek, vm.DefaultSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	short, err := vm.RunSequential(sem, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := vm.RunSequential(sem, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stores are strided within per-instruction regions; iteration 5's
-	// stores may extend the image, but loads' regions are read-only and
-	// identical. Compare the load-region prefix.
-	if len(short.Mem) != len(long.Mem) {
-		t.Fatalf("memory image size depends on trip: %d vs %d", len(short.Mem), len(long.Mem))
-	}
-}
-
 // TestRunRejectsNonPositiveDelay: a latency or transfer delay below 1
 // would commit into a cycle whose writebacks were already applied, so
 // RunProgram must refuse the program up front and name the op — under
@@ -331,6 +305,49 @@ func TestRunProgramAllocsIndependentOfTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTripLimit: every entry point refuses a trip above vm.MaxTrip with
+// ErrTripLimit, at once — a run's work grows with its trip, so 2^62
+// used to run for as long as the caller waited — and MaxTrip leaves room
+// for the longest trips the benchmark and the gate run (512).
+func TestTripLimit(t *testing.T) {
+	if vm.MaxTrip < 512 {
+		t.Fatalf("MaxTrip = %d, want at least 512", vm.MaxTrip)
+	}
+	ek, prog := compile(t, mirs.New(), exampleLoop(t, "fir8"), machine.Paper4Cluster())
+	sem, err := vm.Bind(ek, vm.DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, trip := range []int{vm.MaxTrip + 1, 1 << 62} {
+		runs := map[string]func() error{
+			"RunSequential": func() error { _, err := vm.RunSequential(sem, trip); return err },
+			"RunProgram": func() error {
+				_, err := vm.RunProgram(sem, prog, vm.ModePredicated, trip)
+				return err
+			},
+			"VerifyProgram": func() error {
+				_, err := vm.VerifyProgram(ek, prog, vm.Options{PredTrips: []int{prog.Stages, trip}})
+				return err
+			},
+		}
+		for name, run := range runs {
+			done := make(chan error, 1)
+			go func() { done <- run() }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, vm.ErrTripLimit) {
+					t.Errorf("%s at trip %d: err = %v, want ErrTripLimit", name, trip, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s at trip %d still running after 10s", name, trip)
+			}
+		}
+	}
+	if _, err := vm.RunSequential(sem, 512); err != nil {
+		t.Errorf("RunSequential at trip 512: %v", err)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/pkg/emit"
@@ -16,14 +18,135 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
 
-// This file retains the original map-and-sort writeback loop of
-// RunProgram as a reference implementation and differentially tests the
-// ring-buffer interpreter against it: both run the same emitted programs
-// — a generated corpus through both heuristic backends on every canned
-// machine, under the MVE plan and the predicated plan at several trips —
-// and the final states must be identical. The ring is a pure
-// representation change of the pending-writeback queue; any divergence
-// is a bug.
+// This file retains the interpreter's original executors as reference
+// implementations and differentially tests the decoded ones against
+// them. refRunProgram is RunProgram's map-and-sort writeback loop; the
+// ring-buffer interpreter must reach identical final states on the same
+// emitted programs — a generated corpus through both heuristic backends
+// on every canned machine, under the MVE plan and the predicated plan at
+// several trips. refRunSequential is the per-trip sequential reference,
+// which the one-pass snapshots must reproduce at every trip. Both
+// references evaluate operations with eval, the closure-based rule the
+// decoded tables replaced. Each decoded executor is a pure
+// representation change; any divergence is a bug.
+
+// loadAddr is load ordinal li's address at iteration i: a seed-odd
+// stride walk of its 64-word region.
+func (sem *Semantics) loadAddr(li, i, stride int) int {
+	return li*regionSize + ((i*stride)&63)*8
+}
+
+// storeAddr is store ordinal si's address at iteration i, in the store
+// band after all load regions.
+func (sem *Semantics) storeAddr(si, i, stride int) int {
+	return (sem.NLoads+si)*regionSize + ((i*stride)&63)*8
+}
+
+// eval computes one instruction instance's result and memory effect.
+// srcVal(j) supplies the value of use operand j; the caller owns where
+// that value comes from (dataflow history for the sequential executor,
+// architectural registers for the pipelined one). The returned memory
+// write (addr >= 0) is the store the instance performs, which the caller
+// applies with its own timing.
+func (sem *Semantics) eval(mem []byte, id, i int, srcVal func(j int) uint64) (out uint64, wAddr int, wVal uint64) {
+	op := &sem.ops[id]
+	wAddr = -1
+	switch op.kind {
+	case opALU:
+		out = fold(op.token, uint64(i))
+		for j := range op.srcs {
+			out = fold(out, srcVal(j))
+		}
+	case opLoad:
+		w := binary.LittleEndian.Uint64(mem[sem.loadAddr(op.memIdx, i, op.stride):])
+		out = fold(fold(op.token, uint64(i)), w)
+		for j := range op.srcs {
+			out = fold(out, srcVal(j))
+		}
+	case opStore:
+		out = fold(op.token, uint64(i))
+		for j := range op.srcs {
+			out = fold(out, srcVal(j))
+		}
+		wAddr, wVal = sem.storeAddr(op.memIdx, i, op.stride), out
+	case opSpillStore:
+		out = srcVal(0)
+		wAddr, wVal = sem.slotAddr(op.memIdx, i%sem.K), out
+	case opSpillReload:
+		s := ((i-op.pairDist)%sem.K + sem.K) % sem.K
+		out = binary.LittleEndian.Uint64(mem[sem.slotAddr(op.memIdx, s):])
+	case opLiveInReload:
+		out = sem.initReg(op.spillOf)
+	}
+	return out, wAddr, wVal
+}
+
+// finalSites is the references' live-out rule, as it was: it maps
+// every observable register — one defined by at least one non-spill
+// instruction — to its last defining site in program order: the
+// definition whose iteration trip-1 value is the register's live-out.
+// Spill-reload defs are fresh registers private to one backend's spill
+// choices and are deliberately excluded.
+func (sem *Semantics) finalSites() map[ir.VReg]int {
+	sites := map[ir.VReg]int{}
+	for id, in := range sem.Loop.Instrs {
+		if in.Op == ir.OpSpillReload || in.Op == ir.OpSpillStore {
+			continue
+		}
+		for _, d := range in.Defs {
+			if last, ok := sites[d]; !ok || id > last {
+				sites[d] = id
+			}
+		}
+	}
+	return sites
+}
+
+// refRunSequential is the retained sequential reference: RunSequential
+// as it was, with a ring of results per instruction and operands read
+// through eval's closure, preserved verbatim apart from the name.
+func refRunSequential(sem *Semantics, trip int) (*State, error) {
+	if trip < 1 {
+		return nil, fmt.Errorf("vm: sequential run needs trip >= 1, got %d", trip)
+	}
+	n := sem.Loop.NumInstrs()
+	mem := sem.NewMemImage()
+	h := sem.histLen
+	// hist[id] is a ring of instruction id's last histLen results —
+	// histLen exceeds every dependence distance, so a reaching value is
+	// always still in the ring when its consumer reads it.
+	back := make([]uint64, n*h)
+	hist := make([][]uint64, n)
+	for id := range hist {
+		hist[id] = back[id*h : (id+1)*h]
+	}
+	for i := 0; i < trip; i++ {
+		for id, in := range sem.Loop.Instrs {
+			op := &sem.ops[id]
+			srcVal := func(j int) uint64 {
+				r := op.srcs[j]
+				if r.site < 0 || int(r.dist) > i {
+					return sem.initReg(in.Uses[j])
+				}
+				return hist[r.site][(i-int(r.dist))%h]
+			}
+			out, wAddr, wVal := sem.eval(mem, id, i, srcVal)
+			if wAddr >= 0 {
+				binary.LittleEndian.PutUint64(mem[wAddr:], wVal)
+			}
+			hist[id][i%h] = out
+		}
+	}
+	st := &State{
+		Mem: mem, RegFinal: map[ir.VReg]uint64{}, Trip: trip,
+		Cycles:        trip * n,
+		ObservableLen: sem.ObservableLen(),
+	}
+	for v, site := range sem.finalSites() {
+		st.RegFinal[v] = hist[site][(trip-1)%h]
+	}
+	return st, nil
+}
 
 // refCommit is the reference's in-flight register write; seq breaks
 // same-issue ties in its per-cycle sort.
@@ -202,78 +325,161 @@ func refRunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*St
 	return st, nil
 }
 
+// gridCase is one compilation of the differential grid.
+type gridCase struct {
+	at string // "loop on machine by backend"
+	ek *sched.ExpandedKernel
+}
+
+var (
+	gridOnce  sync.Once
+	gridCases []gridCase
+	gridErr   error
+)
+
+// diffGrid compiles gen.Corpus(1, 60) × {list, mirs} × the three canned
+// machines once per test binary. The expanded kernels are shared, so a
+// test that changes a program must emit its own.
+func diffGrid(t *testing.T) []gridCase {
+	t.Helper()
+	gridOnce.Do(func() {
+		for _, be := range []sched.Scheduler{sched.ListScheduler{}, mirs.New()} {
+			for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
+				for _, l := range gen.Corpus(1, 60) {
+					at := fmt.Sprintf("%s on %s by %s", l.Name, m.Name, be.Name())
+					s, err := be.Schedule(&sched.Request{Loop: l, Machine: m})
+					if err != nil {
+						gridErr = fmt.Errorf("Schedule(%s): %v", at, err)
+						return
+					}
+					ek, err := s.Expand()
+					if err != nil {
+						gridErr = fmt.Errorf("Expand(%s): %v", at, err)
+						return
+					}
+					gridCases = append(gridCases, gridCase{at, ek})
+				}
+			}
+		}
+	})
+	if gridErr != nil {
+		t.Fatal(gridErr)
+	}
+	return gridCases
+}
+
 // TestWritebackRingDifferential pins RunProgram's ring-buffer writeback
-// against refRunProgram over gen.Corpus(1, 60) × {list, mirs} × the
-// three canned machines, on the MVE plan and the predicated plan at
-// trips {Trip, Stages, Trip+1, 512}. The 4-cluster machine's transfers
-// land a bus latency after the result, so the sweep must include
-// programs whose transfer delay exceeds the producing op's latency —
-// those commits wrap further round the ring than the op's own. Each
-// program then runs again with perturbed timing (see perturb).
+// against refRunProgram over the diffGrid compilations, on the MVE plan
+// and the predicated plan at trips {Trip, Stages, Trip+1, 512}. The
+// 4-cluster machine's transfers land a bus latency after the result, so
+// the sweep must include programs whose transfer delay exceeds the
+// producing op's latency — those commits wrap further round the ring
+// than the op's own. Each program then runs again with perturbed timing
+// (see perturb).
 func TestWritebackRingDifferential(t *testing.T) {
 	type run struct {
 		mode Mode
 		trip int
 	}
 	wraps := 0
-	for _, be := range []sched.Scheduler{sched.ListScheduler{}, mirs.New()} {
-		for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
-			for _, l := range gen.Corpus(1, 60) {
-				s, err := be.Schedule(&sched.Request{Loop: l, Machine: m})
+	for _, gc := range diffGrid(t) {
+		prog, err := emit.Emit(gc.ek)
+		if err != nil {
+			t.Fatalf("Emit(%s): %v", gc.at, err)
+		}
+		if hasLongTransfer(prog) {
+			wraps++
+		}
+		sem, err := Bind(gc.ek, DefaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := []run{
+			{ModeMVE, prog.Trip},
+			{ModePredicated, prog.Trip},
+			{ModePredicated, prog.Stages},
+			{ModePredicated, prog.Trip + 1},
+			{ModePredicated, 512},
+		}
+		for _, timing := range []string{"emitted", "perturbed"} {
+			if timing == "perturbed" {
+				// Both plans, one trip each: enough to reach the
+				// stale-write path without doubling the sweep.
+				perturb(prog)
+				runs = []run{{ModeMVE, prog.Trip}, {ModePredicated, prog.Trip + 1}}
+			}
+			for _, r := range runs {
+				at := fmt.Sprintf("%s, %s timing, %s@%d", gc.at, timing, r.mode, r.trip)
+				got, err := RunProgram(sem, prog, r.mode, r.trip)
 				if err != nil {
-					t.Fatalf("Schedule(%s on %s by %s): %v", l.Name, m.Name, be.Name(), err)
+					t.Fatalf("%s: %v", at, err)
 				}
-				ek, err := s.Expand()
+				want, err := refRunProgram(sem, prog, r.mode, r.trip)
 				if err != nil {
-					t.Fatalf("Expand(%s on %s by %s): %v", l.Name, m.Name, be.Name(), err)
+					t.Fatalf("%s: reference: %v", at, err)
 				}
-				prog, err := emit.Emit(ek)
-				if err != nil {
-					t.Fatalf("Emit(%s on %s by %s): %v", l.Name, m.Name, be.Name(), err)
-				}
-				if hasLongTransfer(prog) {
-					wraps++
-				}
-				sem, err := Bind(ek, DefaultSeed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs := []run{
-					{ModeMVE, prog.Trip},
-					{ModePredicated, prog.Trip},
-					{ModePredicated, prog.Stages},
-					{ModePredicated, prog.Trip + 1},
-					{ModePredicated, 512},
-				}
-				for _, timing := range []string{"emitted", "perturbed"} {
-					if timing == "perturbed" {
-						// Both plans, one trip each: enough to reach the
-						// stale-write path without doubling the sweep.
-						perturb(prog)
-						runs = []run{{ModeMVE, prog.Trip}, {ModePredicated, prog.Trip + 1}}
-					}
-					for _, r := range runs {
-						at := fmt.Sprintf("%s on %s by %s, %s timing, %s@%d", l.Name, m.Name, be.Name(), timing, r.mode, r.trip)
-						got, err := RunProgram(sem, prog, r.mode, r.trip)
-						if err != nil {
-							t.Fatalf("%s: %v", at, err)
-						}
-						want, err := refRunProgram(sem, prog, r.mode, r.trip)
-						if err != nil {
-							t.Fatalf("%s: reference: %v", at, err)
-						}
-						if !bytes.Equal(got.Mem, want.Mem) || !reflect.DeepEqual(got.RegFinal, want.RegFinal) ||
-							got.Cycles != want.Cycles || got.Trip != want.Trip {
-							t.Errorf("%s: ring and reference disagree (cycles %d vs %d): %v",
-								at, got.Cycles, want.Cycles, DiffStates("ring", got, want, len(want.Mem)))
-						}
-					}
+				if !bytes.Equal(got.Mem, want.Mem) || !reflect.DeepEqual(got.RegFinal, want.RegFinal) ||
+					got.Cycles != want.Cycles || got.Trip != want.Trip {
+					t.Errorf("%s: ring and reference disagree (cycles %d vs %d): %v",
+						at, got.Cycles, want.Cycles, DiffStates("ring", got, want, len(want.Mem)))
 				}
 			}
 		}
 	}
 	if wraps == 0 {
 		t.Error("no compilation had a transfer delay above its result latency: the ring wrap went unexercised")
+	}
+}
+
+// TestSequentialTripExtension pins the one-pass sequential reference
+// against refRunSequential over the diffGrid compilations. The pass runs
+// once to the largest trip and snapshots memory and live-outs as it
+// passes each smaller one, which is sound only because the reference is
+// prefix-stable: the first t iterations of a longer run are exactly a
+// run of t. Every snapshot at trips {1, Stages, Trip, Trip+1, 512} must
+// equal an independent reference run of that trip, and RunSequential
+// must agree at Trip.
+func TestSequentialTripExtension(t *testing.T) {
+	for _, gc := range diffGrid(t) {
+		sem, err := Bind(gc.ek, DefaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := emit.Emit(gc.ek)
+		if err != nil {
+			t.Fatalf("Emit(%s): %v", gc.at, err)
+		}
+		trip := prog.Trip
+		trips := slices.Compact(slices.Sorted(slices.Values([]int{1, prog.Stages, trip, trip + 1, 512})))
+		h, err := decodeSeq(sem)
+		if err != nil {
+			t.Fatalf("%s: %v", gc.at, err)
+		}
+		got := h.run(sem.NewMemImage(), trips)
+		single, err := RunSequential(sem, trip)
+		if err != nil {
+			t.Fatalf("%s: %v", gc.at, err)
+		}
+		for i, tr := range trips {
+			want, err := refRunSequential(sem, tr)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", gc.at, err)
+			}
+			sameState(t, fmt.Sprintf("%s, snapshot at trip %d", gc.at, tr), got[i], want)
+			if tr == trip {
+				sameState(t, fmt.Sprintf("%s, RunSequential at trip %d", gc.at, tr), single, want)
+			}
+		}
+	}
+}
+
+// sameState fails t unless got and want are identical states.
+func sameState(t *testing.T, at string, got, want *State) {
+	t.Helper()
+	if !bytes.Equal(got.Mem, want.Mem) || !reflect.DeepEqual(got.RegFinal, want.RegFinal) ||
+		got.Cycles != want.Cycles || got.Trip != want.Trip || got.ObservableLen != want.ObservableLen {
+		t.Errorf("%s: decoded and reference disagree (cycles %d vs %d): %v",
+			at, got.Cycles, want.Cycles, DiffStates("decoded", got, want, len(want.Mem)))
 	}
 }
 
