@@ -29,7 +29,7 @@ import (
 func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("msched trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	loopName := fs.String("loop", "", "example loop to trace (by name; see -list)")
+	loopName := fs.String("loop", "", "example or gap-corpus loop to trace (by name; see -list and gap.json)")
 	seed := fs.Uint64("seed", 1, "generator master seed (used when -loop is empty)")
 	index := fs.Int("i", 0, "index of the generated loop to trace")
 	backend := fs.String("backend", "mirs", "scheduler backend to trace")
@@ -112,9 +112,10 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// traceLoop resolves the loop to trace: an example loop by name, or —
-// with an empty name — loop `index` of the seed-keyed generated corpus,
-// the same population `msched run -seed S` sweeps.
+// traceLoop resolves the loop to trace: by name, an example loop or a
+// loop of the gate's gap corpus (as gap.json names it, e.g.
+// gap0009-storm); with an empty name, loop `index` of the seed-keyed
+// generated corpus, the same population `msched run -seed S` sweeps.
 func traceLoop(name string, seed uint64, index int) (*ir.Loop, error) {
 	if name != "" {
 		var have []string
@@ -124,7 +125,13 @@ func traceLoop(name string, seed uint64, index int) (*ir.Loop, error) {
 			}
 			have = append(have, l.Name)
 		}
-		return nil, fmt.Errorf("unknown example loop %q (have: %s)", name, strings.Join(have, ", "))
+		g := defaultGate
+		for _, l := range driver.GapCorpus(g.gapSeed, g.gapN, g.gapMaxOps) {
+			if l.Name == name {
+				return l, nil
+			}
+		}
+		return nil, fmt.Errorf("unknown example loop %q (have: %s, or a gap.json loop)", name, strings.Join(have, ", "))
 	}
 	if index < 0 {
 		return nil, fmt.Errorf("-i must be >= 0")

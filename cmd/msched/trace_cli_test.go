@@ -74,3 +74,23 @@ func TestTraceCommandProfileJSON(t *testing.T) {
 		t.Error("-list must print example loop names")
 	}
 }
+
+// TestTraceOptVerdicts pins that the exact backend's trace tells a
+// proof from a hole: fir8 on tight runs out of conflict budget at its
+// MII of 5, while gap0009-storm (a gap-corpus loop, found by its
+// gap.json name) is proved infeasible at its MII of 2. Each attempt
+// names the conflicts it spent.
+func TestTraceOptVerdicts(t *testing.T) {
+	for _, c := range []struct{ loop, want string }{
+		{"fir8", "II=5   budget exhausted (10000 conflicts)"},
+		{"gap0009-storm", "II=2   infeasible (proof, 195 conflicts)"},
+	} {
+		code, out, errOut := capture(t, "trace", "-backend", "opt", "-loop", c.loop, "-machine", "tight")
+		if code != 0 {
+			t.Fatalf("trace %s failed: %s", c.loop, errOut)
+		}
+		if !strings.Contains(out, c.want) || !strings.Contains(out, "fits (") || strings.Contains(out, "gave up") {
+			t.Fatalf("%s report lacks %q and a conflict-counted fit, or still says gave up:\n%s", c.loop, c.want, out)
+		}
+	}
+}

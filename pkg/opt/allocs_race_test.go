@@ -1,0 +1,10 @@
+//go:build race
+
+package opt_test
+
+// The grid-pass counts TestOptAllocs bounds under the race detector,
+// which adds allocations of its own and makes sync.Pool drop a random
+// quarter of its Puts, so about one formula in four is built on a new
+// solver: the highest counts of 20 race runs. Building every formula on
+// a new solver made 13 584 allocations and 59 694 KiB here.
+const optAllocsMeasured, optKiBMeasured = 10258, 28031

@@ -2,6 +2,8 @@ package opt
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
@@ -98,26 +100,34 @@ func newAnalysis(req *sched.Request, g *ir.Graph, mii sched.MII, maxII int) *ana
 	}
 	if a.nclust > 1 {
 		a.symm = clustersInterchangeable(m)
-		// Transfer groups in first-appearance edge order — a fixed order
-		// so variable numbering (and therefore the whole solver run) is
-		// deterministic.
-		idx := map[[2]int]int{}
-		for ei := range g.Edges {
-			e := &g.Edges[ei]
-			if e.Kind != ir.DepTrue || e.From == e.To {
-				continue
-			}
-			k := [2]int{e.From, int(e.Reg)}
-			gi, ok := idx[k]
-			if !ok {
-				gi = len(a.groups)
-				idx[k] = gi
-				a.groups = append(a.groups, xferGroup{from: e.From, reg: e.Reg})
-			}
-			a.groups[gi].cons = append(a.groups[gi].cons, e.To)
-		}
+		a.groups = transferGroups(g)
 	}
 	return a
+}
+
+// transferGroups collects the potential bus transfers in
+// first-appearance edge order — a fixed order so variable numbering (and
+// therefore the whole solver run) is deterministic. A group is found by
+// scanning back over the groups for its producer and register; a loop
+// has few, so the scan beats hashing the pair.
+func transferGroups(g *ir.Graph) []xferGroup {
+	var groups []xferGroup
+	for ei := range g.Edges {
+		e := &g.Edges[ei]
+		if e.Kind != ir.DepTrue || e.From == e.To {
+			continue
+		}
+		gi := len(groups) - 1
+		for gi >= 0 && (groups[gi].from != e.From || groups[gi].reg != e.Reg) {
+			gi--
+		}
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, xferGroup{from: e.From, reg: e.Reg})
+		}
+		groups[gi].cons = append(groups[gi].cons, e.To)
+	}
+	return groups
 }
 
 // clustersInterchangeable reports whether every cluster carries the
@@ -150,7 +160,9 @@ func clustersInterchangeable(m *machine.Machine) bool {
 	return true
 }
 
-// encoder holds the variable layout of one candidate-II instance.
+// encoder holds the variable layout of one candidate-II instance, and
+// is the workspace the instance is built in: a solver plus the storage
+// its clause families reuse from one formula to the next.
 type encoder struct {
 	s   *sat.Solver
 	ana *analysis
@@ -168,18 +180,40 @@ type encoder struct {
 	// solver's tables grow once per formula.
 	next int
 
+	ids     []int     // allocVars: the row variables, backing every row
+	table   [][]int   // allocVars: the row headers, backing x, a, m, p, c, tr
 	lits    []sat.Lit // clause scratch, sized for the longest clause
 	counter []int     // atMostK scratch: two k-wide counter rows
+	on      []int     // resourceClauses scratch: instructions one unit runs
 }
 
-// newEncoder builds the full CNF for "a valid schedule exists at exactly
-// ii" on a fresh solver.
+// workspaces pools encoders, so the ~thousand candidate formulas of a
+// gap-grid pass reuse a few solvers' tables, chunks and scratch instead
+// of allocating and collecting each formula's. sync.Pool keeps any one
+// workspace with one goroutine at a time, and a pooled workspace holds
+// no reference to the loop it last encoded.
+var workspaces = sync.Pool{New: func() any { return &encoder{s: sat.New()} }}
+
+// newEncoder takes a workspace from the pool and builds the formula for
+// ii in it. Return the workspace with release once the model is decoded.
 func newEncoder(ana *analysis, ii int) *encoder {
-	e := &encoder{s: sat.New(), ana: ana, ii: ii, h: ii + ana.pad}
+	return workspaces.Get().(*encoder).build(ana, ii)
+}
+
+// build resets the workspace and builds on its solver the full CNF for
+// "a valid schedule exists at exactly ii". The reset solver numbers,
+// stores and watches every variable and clause as a new one would, so
+// the solve is the same.
+func (e *encoder) build(ana *analysis, ii int) *encoder {
+	e.s.Reset()
+	*e = encoder{
+		s: e.s, ana: ana, ii: ii, h: ii + ana.pad,
+		ids: e.ids, table: e.table, lits: e.lits, counter: e.counter, on: e.on,
+	}
 	// The longest scratch clause is an at-least-one issue row (h
 	// literals) or unit row, a symmetry row (n+1) or a bus residue
 	// (groups×clusters).
-	e.lits = make([]sat.Lit, 0, max(e.h, len(ana.units), ana.n+1, len(ana.groups)*ana.nclust))
+	e.lits = slices.Grow(e.lits[:0], max(e.h, len(ana.units), ana.n+1, len(ana.groups)*ana.nclust))
 	e.allocVars()
 	e.instrClauses()
 	e.dependenceClauses()
@@ -190,6 +224,13 @@ func newEncoder(ana *analysis, ii int) *encoder {
 		panic(fmt.Sprintf("opt: internal: %d variables allocated, %d used", e.s.NumVars(), e.next))
 	}
 	return e
+}
+
+// release returns the workspace to the pool. The caller must be done
+// with the solver and the layout: the next newEncoder overwrites both.
+func (e *encoder) release() {
+	e.ana = nil
+	workspaces.Put(e)
 }
 
 // newVar hands out the next auxiliary variable allocated by allocVars.
@@ -241,11 +282,12 @@ func (e *encoder) allocVars() {
 	}
 	first := e.s.NewVars(rowVars + e.auxVars())
 	e.next = first + rowVars
-	ids := make([]int, rowVars)
+	e.ids = slices.Grow(e.ids[:0], rowVars)[:rowVars]
+	e.table = slices.Grow(e.table[:0], rows)[:rows] // every header is set below
+	ids, table := e.ids, e.table
 	for j := range ids {
 		ids[j] = first + j
 	}
-	table := make([][]int, rows)
 	newRows := func(k int) [][]int {
 		t := table[:k:k]
 		table = table[k:]
@@ -419,7 +461,8 @@ func (e *encoder) dependenceClauses() {
 // instructions on the same functional unit in the same residue class.
 func (e *encoder) resourceClauses() {
 	ana := e.ana
-	on := make([]int, 0, ana.n) // instructions that can run on u, ascending
+	e.on = slices.Grow(e.on[:0], ana.n)
+	on := e.on // instructions that can run on u, ascending
 	for u := range ana.units {
 		on = on[:0]
 		for i := 0; i < ana.n; i++ {

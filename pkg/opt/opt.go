@@ -87,8 +87,9 @@ func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) { retu
 // Probe implements sched.Prober: candidate key k is II = MII + k, up to
 // the safe horizon past which a serial schedule always exists. The sweep
 // and every attempter share the analysis (graph, MII, unit tables,
-// transfer groups) read-only; each attempt builds a fresh solver, so
-// attempters carry no mutable state at all.
+// transfer groups) read-only; each attempt builds its formula in a
+// pooled workspace it holds only for that attempt, so attempters carry
+// no mutable state at all.
 func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
 	g, mii, maxII, err := sched.Prepare(req)
 	if err != nil {
@@ -157,8 +158,10 @@ func (w *optSweep) Result() (*sched.Schedule, error) {
 }
 
 // optAttempter runs one candidate II per call. It holds only the shared
-// read-only analysis plus the budget; every attempt builds a fresh
-// encoder and solver, so attempts are pure.
+// read-only analysis plus the budget; every attempt takes a workspace
+// from the pool, builds and solves its formula on the reset solver, and
+// returns the workspace once the model is decoded and validated. A reset
+// solver behaves exactly as a new one, so attempts are pure.
 type optAttempter struct {
 	ana    *analysis
 	budget int64
@@ -187,6 +190,7 @@ func (at *optAttempter) AttemptII(_ context.Context, cand int, rec trace.Recorde
 		rec.Emit(trace.Event{Kind: trace.KindIIStart, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: mark})
 	}
 	enc := newEncoder(at.ana, ii)
+	defer enc.release() // after decode and Validate, which read the model
 	reqCtx := at.ana.req.Ctx
 	var stop func() bool
 	if reqCtx != nil {
@@ -194,9 +198,13 @@ func (at *optAttempter) AttemptII(_ context.Context, cand int, rec trace.Recorde
 	}
 	st := enc.s.Solve(at.budget, stop)
 	conflicts := int(enc.s.Conflicts())
-	emitEnd := func(sat int64) {
+	emitEnd := func(complete int64, verdict string) {
 		if rec != nil {
-			rec.Emit(trace.Event{Kind: trace.KindIIEnd, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: sat})
+			e := trace.Event{Kind: trace.KindIIEnd, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: complete}
+			if verdict != "" {
+				e.Aux, e.Label = int64(conflicts), verdict
+			}
+			rec.Emit(e)
 		}
 	}
 	switch st {
@@ -208,20 +216,20 @@ func (at *optAttempter) AttemptII(_ context.Context, cand int, rec trace.Recorde
 		if err != nil {
 			// An invalid decode is an encoder bug: surface it loudly
 			// instead of quietly escalating II past the truth.
-			emitEnd(0)
+			emitEnd(0, "")
 			return sched.Attempt{Err: fmt.Errorf("opt: II=%d model failed validation: %w", ii, err)}
 		}
 		s.AddStat("opt_conflicts", conflicts)
-		emitEnd(1)
+		emitEnd(1, trace.VerdictSat)
 		return sched.Attempt{Schedule: s, Completed: true, Work: conflicts}
 	case sat.Unsat:
-		emitEnd(0)
+		emitEnd(0, trace.VerdictUnsat)
 		return sched.Attempt{Completed: true, Work: conflicts}
 	default:
 		if reqCtx != nil && reqCtx.Err() != nil {
 			return sched.Attempt{Err: fmt.Errorf("opt: request cancelled: %w", reqCtx.Err())}
 		}
-		emitEnd(0)
+		emitEnd(0, trace.VerdictUnknown)
 		return sched.Attempt{Completed: false, Work: conflicts}
 	}
 }

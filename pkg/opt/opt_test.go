@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/mirs"
+	"github.com/paper-repo-growth/mirs/pkg/opt/sat"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
 
@@ -217,4 +219,88 @@ func TestOptGenCorpusSmall(t *testing.T) {
 		t.Errorf("proved %d/%d < 80%%", proved, total)
 	}
 	t.Logf("proved %d/%d small loops in %v", proved, total, time.Since(start))
+}
+
+// TestWorkspaceMatchesNewSolver is the differential test of workspace
+// reuse on the formulas opt actually builds: every candidate formula
+// from MII to MII+2 of the small example and generated loops on every
+// machine, and of fir8 on tight, built one after another in one
+// workspace, must reach the same verdict after the same conflicts with
+// the same model as on a new solver. The loops vary in size and
+// machine, so each formula lands on tables and chunks the previous one
+// left dirty; the small budget cuts fir8's solves off.
+func TestWorkspaceMatchesNewSolver(t *testing.T) {
+	const budget = 300
+	reqs := []*sched.Request{{Loop: ir.FIR8(), Machine: machine.Tight()}}
+	for _, l := range append(ir.ExampleLoops(), gen.Corpus(1, 24)...) {
+		if l.NumInstrs() <= 12 {
+			for _, m := range machines(t) {
+				reqs = append(reqs, &sched.Request{Loop: l, Machine: m})
+			}
+		}
+	}
+	reused := &encoder{s: sat.New()}
+	seen := map[sat.Status]int{}
+	for _, req := range reqs {
+		l, m := req.Loop, req.Machine
+		g, mii, maxII, err := sched.Prepare(req)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
+		}
+		ana := newAnalysis(req, g, mii, maxII)
+		for ii := mii.MII; ii <= mii.MII+2; ii++ {
+			fresh := (&encoder{s: sat.New()}).build(ana, ii)
+			st := fresh.s.Solve(budget, nil)
+			rst := reused.build(ana, ii).s.Solve(budget, nil)
+			if rst != st || reused.s.Conflicts() != fresh.s.Conflicts() || reused.s.NumClauses() != fresh.s.NumClauses() {
+				t.Fatalf("%s on %s at II=%d: workspace (%v, %d conflicts, %d clauses) vs new solver (%v, %d, %d)",
+					l.Name, m.Name, ii, rst, reused.s.Conflicts(), reused.s.NumClauses(), st, fresh.s.Conflicts(), fresh.s.NumClauses())
+			}
+			if st == sat.Sat {
+				for v := 0; v < fresh.s.NumVars(); v++ {
+					if reused.s.Value(v) != fresh.s.Value(v) {
+						t.Fatalf("%s on %s at II=%d: models differ at variable %d", l.Name, m.Name, ii, v)
+					}
+				}
+			}
+			seen[st]++
+		}
+	}
+	if seen[sat.Sat] == 0 || seen[sat.Unsat] == 0 || seen[sat.Unknown] == 0 {
+		t.Fatalf("verdicts %v: the formulas must cover sat, unsat and budget-exhausted solves", seen)
+	}
+}
+
+// TestTransferGroupsFirstAppearance pins transferGroups against the
+// obvious keyed construction: one group per (producer, register) of a
+// cross-instruction true dependence, groups and consumers in
+// first-appearance edge order, which variable numbering depends on.
+func TestTransferGroupsFirstAppearance(t *testing.T) {
+	for _, l := range append(ir.ExampleLoops(), gen.Corpus(1, 24)...) {
+		g, err := ir.Build(l, machine.Paper4Cluster(), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		var want []xferGroup
+		idx := map[[2]int]int{}
+		for _, e := range g.Edges {
+			if e.Kind != ir.DepTrue || e.From == e.To {
+				continue
+			}
+			k := [2]int{e.From, int(e.Reg)}
+			gi, ok := idx[k]
+			if !ok {
+				gi = len(want)
+				idx[k] = gi
+				want = append(want, xferGroup{from: e.From, reg: e.Reg})
+			}
+			want[gi].cons = append(want[gi].cons, e.To)
+		}
+		got := transferGroups(g)
+		if !slices.EqualFunc(got, want, func(a, b xferGroup) bool {
+			return a.from == b.from && a.reg == b.reg && slices.Equal(a.cons, b.cons)
+		}) {
+			t.Fatalf("%s: transferGroups = %v, want %v", l.Name, got, want)
+		}
+	}
 }

@@ -21,14 +21,17 @@
 // Solve returns Unknown once the budget is exhausted, and callers treat
 // Unknown as "no proof either way" — never as UNSAT.
 //
-// Storage is built for one-shot formulas of tens of thousands of short
-// clauses: NewVars grows the per-variable tables once for a block of
-// variables, clause literals are cut from shared chunks that grow
-// geometrically (each clause a full slice expression, so none aliases
-// another), and watch lists live in shared watcher chunks. A formula
-// therefore costs a few dozen allocations, not one per clause, and the
-// layout never influences the search: variable numbering, clause refs
-// and watch order are exactly those of clause-at-a-time appends.
+// Storage is built for many formulas of tens of thousands of short
+// clauses solved one after another: NewVars grows the per-variable
+// tables once for a block of variables, clause literals are cut from
+// shared chunks that grow geometrically (each clause a full slice
+// expression, so none aliases another), and watch lists live in shared
+// watcher chunks. Reset returns a solver to its New state but keeps all
+// of that storage, so the next formula is carved from the same memory.
+// A formula therefore costs a few dozen allocations on a new solver and
+// next to none on a reset one, and the layout never influences the
+// search: variable numbering, clause refs and watch order are exactly
+// those of clause-at-a-time appends on a new solver.
 package sat
 
 import "slices"
@@ -93,21 +96,17 @@ type watcher struct {
 }
 
 // Solver is one CDCL instance. Build the problem with NewVar/NewVars and
-// AddClause, then call Solve once; the solver is single-shot and not
-// safe for concurrent use.
+// AddClause, then call Solve once; call Reset before building the next
+// problem on the same solver. A solver is not safe for concurrent use.
 type Solver struct {
 	nVars   int
 	clauses [][]Lit // problem and learnt clauses, by clause reference
 	watches [][]watcher
 
-	// Clause literals and watch lists are cut from shared chunks (see
-	// carve) instead of being allocated one by one: the free tails of
-	// the current chunks, and the totals carved so far, which size the
-	// next chunks.
-	litFree    []Lit
-	litTotal   int
-	watchFree  []watcher
-	watchTotal int
+	// Clause literals and watch lists are cut from shared chunks instead
+	// of being allocated one by one.
+	litChunks   chunks[Lit]
+	watchChunks chunks[watcher]
 
 	value    []int8 // per literal: lTrue/lFalse/lUndef (both polarities kept)
 	level    []int32
@@ -126,6 +125,8 @@ type Solver struct {
 	seen      []bool // scratch for conflict analysis
 	learntBuf []Lit
 	clearBuf  []int32 // vars whose seen flag analyze must reset
+	delBuf    []int32 // reduceDB scratch: deletable learnt indices
+	sortBuf   []int32 // reduceDB scratch: merge-sort buffer
 
 	// Learnt-clause management: clauses below nProblem are the problem
 	// and immortal; learnt clauses above it carry an activity
@@ -147,17 +148,54 @@ func New() *Solver {
 	return &Solver{ok: true, varInc: 1, claInc: 1}
 }
 
+// Reset returns the solver to exactly the state New returns — no
+// variables, no clauses, no learnt facts, activities, phases or
+// statistics — but keeps the capacity of every table, chunk and scratch
+// buffer, so building and solving the next formula allocates next to
+// nothing. A reset solver runs any formula exactly as a new one does:
+// the same conflicts to the same model.
+func (s *Solver) Reset() {
+	*s = Solver{
+		clauses:     s.clauses[:0],
+		watches:     s.watches[:0],
+		litChunks:   s.litChunks.rewound(),
+		watchChunks: s.watchChunks.rewound(),
+		value:       s.value[:0],
+		level:       s.level[:0],
+		reason:      s.reason[:0],
+		polarity:    s.polarity[:0],
+		activity:    s.activity[:0],
+		varInc:      1,
+		trail:       s.trail[:0],
+		trailLim:    s.trailLim[:0],
+		heap:        s.heap[:0],
+		heapPos:     s.heapPos[:0],
+		seen:        s.seen[:0],
+		learntBuf:   s.learntBuf[:0],
+		clearBuf:    s.clearBuf[:0],
+		delBuf:      s.delBuf[:0],
+		sortBuf:     s.sortBuf[:0],
+		claActivity: s.claActivity[:0],
+		claInc:      1,
+		ok:          true,
+	}
+}
+
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int { return s.NewVars(1) }
 
 // NewVars allocates k fresh variables and returns the first index; they
 // are numbered first, first+1, …, first+k-1, exactly as k NewVar calls
 // would number them, but every per-variable table grows once.
+//
+// Every new entry is written here (appending make(...) zeroes the
+// extension in place, without a temporary), which is what lets Reset
+// merely truncate the tables.
 func (s *Solver) NewVars(k int) int {
 	first := s.nVars
 	s.nVars += k
-	s.watches = append(s.watches, make([][]watcher, 2*k)...)
-	s.value = append(s.value, make([]int8, 2*k)...) // lUndef is 0
+	s.watches = append(s.watches, make([][]watcher, 2*k)...) // nil lists: no stale span survives a Reset
+	s.value = append(s.value, make([]int8, 2*k)...)          // lUndef is 0
 	s.level = append(s.level, make([]int32, k)...)
 	s.reason = slices.Grow(s.reason, k)
 	for range k {
@@ -252,30 +290,51 @@ const (
 	minClauses    = 256
 )
 
-// carve cuts a span of n elements (capacity n) off the free tail of a
-// chunk, first replacing the tail with a fresh chunk when it is too
-// short. A fresh chunk holds at least min elements, the request, and
-// everything carved before it, so chunk sizes grow geometrically and a
-// formula costs O(log size) chunk allocations.
-func carve[T any](free *[]T, total *int, n, min int) []T {
-	if len(*free) < n {
-		size := max(n, *total, min)
-		*free = make([]T, size)
-		*total += size
+// chunks hands out spans of T cut from a list of chunks. A new chunk
+// holds at least min elements, the request, and everything allocated
+// before it, so chunk sizes grow geometrically and a formula costs
+// O(log size) chunk allocations. rewound keeps every chunk for reuse.
+type chunks[T any] struct {
+	list  [][]T // every chunk allocated, in carving order
+	next  int   // index of the first chunk not yet carved from
+	free  []T   // free tail of the chunk being carved
+	total int   // elements in list, which sizes the next new chunk
+}
+
+// carve cuts a span of n elements (capacity n) off the free tail,
+// moving on to the next kept chunk — or a new one past the end of the
+// list — when the tail is too short.
+func (c *chunks[T]) carve(n, min int) []T {
+	for len(c.free) < n {
+		if c.next == len(c.list) {
+			size := max(n, c.total, min)
+			c.list = append(c.list, make([]T, size))
+			c.total += size
+		}
+		c.free = c.list[c.next]
+		c.next++
 	}
-	span := (*free)[:n:n]
-	*free = (*free)[n:]
+	span := c.free[:n:n]
+	c.free = c.free[n:]
 	return span
+}
+
+// rewound returns the chunk list with every chunk free again. Stale
+// elements stay in the chunks; carve's callers overwrite a span before
+// they read it, so none ever reaches a clause or a watch list.
+func (c chunks[T]) rewound() chunks[T] {
+	return chunks[T]{list: c.list, total: c.total}
 }
 
 // attach copies a (already normalised, >= 2 literal) clause into the
 // literal chunks, stores it and watches its first two literals. Each
 // clause is a full slice expression of its chunk — its capacity ends
 // where its literals do — so no clause can ever grow into a neighbour.
-// A learnt clause reduceDB deletes leaves its literals in the chunk; a
-// solver is single-shot, so that waste is bounded by what it learns.
+// A learnt clause reduceDB deletes leaves its literals in the chunk
+// until the next Reset, so that waste is bounded by what one solve
+// learns.
 func (s *Solver) attach(lits []Lit) int32 {
-	c := carve(&s.litFree, &s.litTotal, len(lits), minLitChunk)
+	c := s.litChunks.carve(len(lits), minLitChunk)
 	copy(c, lits)
 	ref := int32(len(s.clauses))
 	if len(s.clauses) == cap(s.clauses) {
@@ -296,7 +355,7 @@ func (s *Solver) attach(lits []Lit) int32 {
 func (s *Solver) watch(l Lit, w watcher) {
 	ws := s.watches[l]
 	if len(ws) == cap(ws) {
-		grown := carve(&s.watchFree, &s.watchTotal, max(2*cap(ws), minWatchCap), minWatchChunk)
+		grown := s.watchChunks.carve(max(2*cap(ws), minWatchCap), minWatchChunk)
 		copy(grown, ws)
 		ws = grown[:len(ws)]
 	}
@@ -332,17 +391,17 @@ func (s *Solver) reduceDB() {
 	// Collect deletable learnt clauses by learnt index (ref - nProblem,
 	// which orders like the ref): activity ascending, index ascending on
 	// ties, so deletion order is reproducible.
-	var del []int32
+	del := s.delBuf[:0]
 	for i, c := range s.clauses[s.nProblem:] {
 		if len(c) > 2 {
 			del = append(del, int32(i))
 		}
 	}
+	s.delBuf = del
 	if len(del) < 2 {
 		return
 	}
-	// Insertion-free sort via sort of a small slice: activity asc.
-	sortRefsByActivity(del, s.claActivity)
+	s.sortBuf = sortRefsByActivity(del, s.claActivity, s.sortBuf)
 	for _, i := range del[:len(del)/2] {
 		s.clauses[s.nProblem+int(i)] = nil
 		s.liveLearnts--
@@ -360,11 +419,12 @@ func (s *Solver) reduceDB() {
 }
 
 // sortRefsByActivity sorts learnt indices by ascending activity, breaking
-// ties on the index itself (stable under identical inputs).
-func sortRefsByActivity(refs []int32, act []float64) {
+// ties on the index itself (stable under identical inputs). tmp is the
+// merge buffer, grown as needed and returned for reuse.
+func sortRefsByActivity(refs []int32, act []float64, tmp []int32) []int32 {
 	// Simple bottom-up merge sort on a scratch copy: deterministic and
-	// allocation-light for the few thousand refs reduceDB sees.
-	tmp := make([]int32, len(refs))
+	// allocation-free once the buffer has grown.
+	tmp = slices.Grow(tmp[:0], len(refs))[:len(refs)]
 	for width := 1; width < len(refs); width *= 2 {
 		for lo := 0; lo < len(refs); lo += 2 * width {
 			mid, hi := lo+width, lo+2*width
@@ -399,6 +459,7 @@ func sortRefsByActivity(refs []int32, act []float64) {
 			copy(refs[lo:hi], tmp[lo:hi])
 		}
 	}
+	return tmp
 }
 
 // enqueue asserts literal l with the given reason clause (or -1).

@@ -73,30 +73,45 @@ func TestChainImplication(t *testing.T) {
 	}
 }
 
-// pigeonhole encodes n+1 pigeons into n holes — classically UNSAT and a
-// real workout for conflict analysis.
-func pigeonhole(n int) *Solver {
-	s := New()
-	v := func(p, h int) int { return p*n + h }
-	for i := 0; i < (n+1)*n; i++ {
-		s.NewVar()
+// formula is a clause set with the conflict budget to solve it under.
+type formula struct {
+	nvars   int
+	clauses [][]Lit
+	budget  int64
+}
+
+// load builds f on s and returns s.
+func load(s *Solver, f formula) *Solver {
+	s.NewVars(f.nvars)
+	for _, c := range f.clauses {
+		s.AddClause(c...)
 	}
+	return s
+}
+
+// pigeonholeCNF encodes n+1 pigeons into n holes — classically UNSAT
+// and a real workout for conflict analysis.
+func pigeonholeCNF(n int) formula {
+	f := formula{nvars: (n + 1) * n}
+	v := func(p, h int) int { return p*n + h }
 	for p := 0; p <= n; p++ {
 		lits := make([]Lit, n)
 		for h := 0; h < n; h++ {
 			lits[h] = Pos(v(p, h))
 		}
-		s.AddClause(lits...)
+		f.clauses = append(f.clauses, lits)
 	}
 	for h := 0; h < n; h++ {
 		for p1 := 0; p1 <= n; p1++ {
 			for p2 := p1 + 1; p2 <= n; p2++ {
-				s.AddClause(Neg(v(p1, h)), Neg(v(p2, h)))
+				f.clauses = append(f.clauses, []Lit{Neg(v(p1, h)), Neg(v(p2, h))})
 			}
 		}
 	}
-	return s
+	return f
 }
+
+func pigeonhole(n int) *Solver { return load(New(), pigeonholeCNF(n)) }
 
 func TestPigeonholeUnsat(t *testing.T) {
 	for n := 2; n <= 6; n++ {
@@ -252,43 +267,60 @@ func TestLuby(t *testing.T) {
 	}
 }
 
+// randomCNF draws nclauses clauses of 2-5 literals over nvars variables.
+func randomCNF(rng *splitmix64, nvars, nclauses int) formula {
+	f := formula{nvars: nvars, clauses: make([][]Lit, nclauses)}
+	for i := range f.clauses {
+		c := make([]Lit, 2+int(rng.next()%4))
+		for j := range c {
+			v := int(rng.next() % uint64(nvars))
+			if rng.next()%2 == 0 {
+				c[j] = Pos(v)
+			} else {
+				c[j] = Neg(v)
+			}
+		}
+		f.clauses[i] = c
+	}
+	return f
+}
+
 // TestChunkedStorageIntegrity drives instances large enough that clause
 // literals and watch lists span several chunks, with learnt clauses cut
 // from the same chunks during search. propagate and analyze swap
 // literals in place, so a clause whose storage aliased a neighbour's
 // would corrupt it: every model must satisfy every clause as it was
 // added, and every stored problem clause must still hold the literal
-// set it held before Solve.
+// set it held before Solve. Each instance is also built on one dirty
+// solver that Reset rewinds between instances, whose chunks still hold
+// the previous instances' literals: every clause it stores, problem or
+// learnt, must equal the new solver's clause of the same ref, before
+// and after Solve, so no stale literal ever reaches a clause.
 func TestChunkedStorageIntegrity(t *testing.T) {
 	rng := splitmix64(2024)
+	reused := New()
 	var sats, conflicts int
 	for iter := 0; iter < 40; iter++ {
 		nvars := 150 + int(rng.next()%150)
-		nclauses := nvars * (3 + int(rng.next()%2)) // around the 3-SAT threshold
-		s := mk(nvars)
-		added := make([][]Lit, nclauses)
-		for i := range added {
-			c := make([]Lit, 2+int(rng.next()%4))
-			for j := range c {
-				v := int(rng.next() % uint64(nvars))
-				if rng.next()%2 == 0 {
-					c[j] = Pos(v)
-				} else {
-					c[j] = Neg(v)
-				}
-			}
-			added[i] = c
-			s.AddClause(c...)
-		}
-		if s.litTotal <= minLitChunk || s.watchTotal <= minWatchChunk {
+		f := randomCNF(&rng, nvars, nvars*(3+int(rng.next()%2))) // around the 3-SAT threshold
+		s := load(New(), f)
+		reused.Reset()
+		load(reused, f)
+		if s.litChunks.total <= minLitChunk || s.watchChunks.total <= minWatchChunk {
 			t.Fatalf("iter %d: storage fits one chunk (%d literals, %d watchers); grow the instance",
-				iter, s.litTotal, s.watchTotal)
+				iter, s.litChunks.total, s.watchChunks.total)
 		}
+		sameClauses(t, iter, "after AddClause", s, reused)
 		before := make([][]Lit, len(s.clauses))
 		for ref, c := range s.clauses {
 			before[ref] = sortedLits(c)
 		}
 		st := s.Solve(0, nil)
+		if rst := reused.Solve(0, nil); rst != st || reused.Conflicts() != s.Conflicts() {
+			t.Fatalf("iter %d: reset solver (%v, %d conflicts) vs new solver (%v, %d)",
+				iter, rst, reused.Conflicts(), st, s.Conflicts())
+		}
+		sameClauses(t, iter, "after Solve", s, reused)
 		conflicts += int(s.Conflicts())
 		for ref, want := range before {
 			if got := sortedLits(s.clauses[ref]); !slices.Equal(got, want) {
@@ -299,7 +331,7 @@ func TestChunkedStorageIntegrity(t *testing.T) {
 			continue
 		}
 		sats++
-		for i, c := range added {
+		for i, c := range f.clauses {
 			if !slices.ContainsFunc(c, func(l Lit) bool { return s.Value(l.Var()) != l.Sign() }) {
 				t.Fatalf("iter %d: model violates added clause %d %v", iter, i, c)
 			}
@@ -307,6 +339,76 @@ func TestChunkedStorageIntegrity(t *testing.T) {
 	}
 	if sats == 0 || conflicts == 0 {
 		t.Fatalf("%d SAT instances, %d conflicts: the corpus no longer exercises models and learnt clauses", sats, conflicts)
+	}
+}
+
+// sameClauses fails unless the reused solver stores exactly the new
+// solver's clauses, ref by ref and literal by literal, each over
+// variables the formula declared.
+func sameClauses(t *testing.T, iter int, when string, s, reused *Solver) {
+	t.Helper()
+	if len(reused.clauses) != len(s.clauses) {
+		t.Fatalf("iter %d %s: reset solver stores %d clauses, new solver %d", iter, when, len(reused.clauses), len(s.clauses))
+	}
+	for ref, c := range reused.clauses {
+		if !slices.Equal(c, s.clauses[ref]) {
+			t.Fatalf("iter %d %s: clause %d is %v on the reset solver, %v on the new one", iter, when, ref, c, s.clauses[ref])
+		}
+		for _, l := range c {
+			if l.Var() >= reused.NumVars() {
+				t.Fatalf("iter %d %s: clause %d holds stale literal %d of %d variables", iter, when, ref, l, reused.NumVars())
+			}
+		}
+	}
+}
+
+// TestResetMatchesNew is the differential test of Reset: one solver
+// reused across a sequence of formulas — satisfiable and not, small and
+// large, finished and cut off by the conflict budget — must reach the
+// same status after the same conflicts with the same model as a new
+// solver per formula. The formulas shrink and grow in turn, so each one
+// lands on tables and chunks the previous one left dirty.
+func TestResetMatchesNew(t *testing.T) {
+	rng := splitmix64(99)
+	var seq []formula
+	for i := 0; i < 30; i++ {
+		nvars := 20 + int(rng.next()%200)
+		seq = append(seq, randomCNF(&rng, nvars, nvars*(3+int(rng.next()%3))))
+		if i%10 == 4 {
+			php := pigeonholeCNF(5 + i/10)
+			seq = append(seq, php)
+			php.budget = 10 // cut off long before the proof
+			seq = append(seq, php)
+		}
+	}
+	big := pigeonholeCNF(8)
+	big.budget = 4000 // long enough for reduceDB to run, short of the proof
+	seq = append(seq, big, randomCNF(&rng, 60, 250))
+	reused := New()
+	seen := map[Status]int{}
+	for i, f := range seq {
+		s := load(New(), f)
+		st := s.Solve(f.budget, nil)
+		reused.Reset()
+		rst := load(reused, f).Solve(f.budget, nil)
+		if rst != st || reused.Conflicts() != s.Conflicts() || reused.NumClauses() != s.NumClauses() {
+			t.Fatalf("formula %d: reset solver (%v, %d conflicts, %d clauses) vs new solver (%v, %d, %d)",
+				i, rst, reused.Conflicts(), reused.NumClauses(), st, s.Conflicts(), s.NumClauses())
+		}
+		if st == Sat {
+			for v := 0; v < f.nvars; v++ {
+				if reused.Value(v) != s.Value(v) {
+					t.Fatalf("formula %d: models differ at variable %d", i, v)
+				}
+			}
+		}
+		seen[st]++
+	}
+	if seen[Sat] == 0 || seen[Unsat] == 0 || seen[Unknown] == 0 {
+		t.Fatalf("outcomes %v: the sequence must cover sat, unsat and budget-exhausted formulas", seen)
+	}
+	if cap(reused.delBuf) == 0 {
+		t.Fatal("no formula ran reduceDB: the sequence no longer reuses its scratch")
 	}
 }
 

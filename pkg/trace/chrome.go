@@ -69,7 +69,12 @@ func WriteChrome(w io.Writer, meta Meta, events []Event) error {
 		case KindIIEnd:
 			ce.Name = fmt.Sprintf("II=%d", e.II)
 			ce.Phase = "E"
-			ce.Args = map[string]any{"completed": e.Arg == 1, "excess": e.Aux}
+			ce.Args = map[string]any{"completed": e.Arg == 1}
+			if e.Label != "" {
+				ce.Args["verdict"], ce.Args["conflicts"] = e.Label, e.Aux
+			} else {
+				ce.Args["excess"] = e.Aux
+			}
 		default:
 			ce.Name = e.Kind.String()
 			ce.Phase = "i"

@@ -22,6 +22,11 @@ type Attempt struct {
 	// fit and the search stopped here).
 	Completed bool `json:"completed"`
 	Excess    int  `json:"excess"`
+	// Verdict is the exact backend's solver verdict on the candidate
+	// (VerdictSat, VerdictUnsat or VerdictUnknown; empty for the
+	// heuristics), and Conflicts the conflicts the solver spent on it.
+	Verdict   string `json:"verdict,omitempty"`
+	Conflicts int    `json:"conflicts,omitempty"`
 	// Per-kind event counts inside the attempt.
 	Places       int `json:"places"`
 	WindowMisses int `json:"window_misses"`
@@ -133,7 +138,11 @@ func BuildProfile(meta Meta, events []Event) *Profile {
 		case KindIIEnd:
 			if cur != nil {
 				cur.Completed = e.Arg == 1
-				cur.Excess = int(e.Aux)
+				if e.Label != "" {
+					cur.Verdict, cur.Conflicts = e.Label, int(e.Aux)
+				} else {
+					cur.Excess = int(e.Aux)
+				}
 			}
 		case KindPlace:
 			if cur != nil {
@@ -227,8 +236,9 @@ func (p *Profile) final() *Attempt {
 
 // WriteReport renders the human-readable "why this II" explanation:
 // the final II against MII, the candidate-II path with what each
-// attempt spent (events, ejections, spills), the final attempt's spill
-// attribution per op, and the ops the search fought hardest over.
+// attempt spent (events, ejections, spills; the exact backend's verdict
+// and conflicts), the final attempt's spill attribution per op, and the
+// ops the search fought hardest over.
 func (p *Profile) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "why II=%d for loop %s on %s (backend %s)\n", p.FinalII, p.Loop, p.Machine, p.Backend)
 	fmt.Fprintf(w, "  MII=%d, final II=%d (+%d), %d candidate II(s), %d events\n",
@@ -237,6 +247,12 @@ func (p *Profile) WriteReport(w io.Writer) {
 		a := &p.Attempts[i]
 		verdict := "gave up"
 		switch {
+		case a.Verdict == VerdictSat:
+			verdict = fmt.Sprintf("fits (%d conflicts)", a.Conflicts)
+		case a.Verdict == VerdictUnsat:
+			verdict = fmt.Sprintf("infeasible (proof, %d conflicts)", a.Conflicts)
+		case a.Verdict == VerdictUnknown:
+			verdict = fmt.Sprintf("budget exhausted (%d conflicts)", a.Conflicts)
 		case a.Completed && a.Excess == 0:
 			verdict = "fits"
 		case a.Completed:

@@ -39,6 +39,9 @@ const (
 	KindIIStart Kind = iota
 	// KindIIEnd closes the attempt: Arg is 1 when a complete placement
 	// was reached, Aux the residual register overflow (0 = success).
+	// The exact backend, which never spills, labels the event with its
+	// solver's verdict (VerdictSat, VerdictUnsat, VerdictUnknown) and
+	// carries the conflicts the candidate spent in Aux instead.
 	KindIIEnd
 	// KindPlace is one committed placement: Op at (Cycle, Cluster).
 	KindPlace
@@ -97,6 +100,15 @@ var kindNames = [...]string{
 	KindCacheMiss:  "cache_miss",
 }
 
+// The exact backend's verdicts on a candidate II, the Label of its
+// KindIIEnd events. VerdictUnsat is a proof that no schedule exists at
+// the II; VerdictUnknown means the conflict budget ran out first.
+const (
+	VerdictSat     = "sat"
+	VerdictUnsat   = "unsat"
+	VerdictUnknown = "unknown"
+)
+
 // Kinds returns every kind in declaration order — the iteration order
 // exporters and tests use so artifact rows never depend on map order.
 func Kinds() []Kind {
@@ -133,7 +145,8 @@ type Event struct {
 	Arg int64
 	Aux int64
 	// Label is an optional pre-existing string (an instruction
-	// mnemonic); emission sites must not format strings to fill it.
+	// mnemonic, or a solver verdict); emission sites must not format
+	// strings to fill it.
 	Label string
 }
 

@@ -169,6 +169,46 @@ func TestReportNamesTheEssentials(t *testing.T) {
 	}
 }
 
+// TestReportSolverVerdicts pins how the exact backend's attempts read:
+// a proof, an exhausted budget and a model each name their verdict and
+// the conflicts spent, and a verdict's conflicts never pose as register
+// overflow.
+func TestReportSolverVerdicts(t *testing.T) {
+	b := &Buffer{}
+	for i, end := range []struct {
+		arg     int64
+		verdict string
+		confl   int64
+	}{{0, VerdictUnsat, 195}, {0, VerdictUnknown, 10000}, {1, VerdictSat, 8}} {
+		ii := int32(2 + i)
+		b.Emit(Event{Kind: KindIIStart, II: ii, Op: -1, Cluster: -1, Cycle: -1, Reg: -1})
+		b.Emit(Event{Kind: KindIIEnd, II: ii, Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: end.arg, Aux: end.confl, Label: end.verdict})
+	}
+	p := BuildProfile(Meta{Loop: "l", Machine: "tight", Backend: "opt"}, b.Events())
+	for i, want := range []Attempt{
+		{II: 2, Verdict: VerdictUnsat, Conflicts: 195},
+		{II: 3, Verdict: VerdictUnknown, Conflicts: 10000},
+		{II: 4, Completed: true, Verdict: VerdictSat, Conflicts: 8},
+	} {
+		got := p.Attempts[i]
+		if got.II != want.II || got.Completed != want.Completed || got.Excess != 0 ||
+			got.Verdict != want.Verdict || got.Conflicts != want.Conflicts {
+			t.Fatalf("attempt %d = %+v, want %+v", i, got, want)
+		}
+	}
+	var sb strings.Builder
+	p.WriteReport(&sb)
+	for _, want := range []string{
+		"II=2   infeasible (proof, 195 conflicts)",
+		"II=3   budget exhausted (10000 conflicts)",
+		"II=4   fits (8 conflicts)",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("report missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
 // TestEmitDisabledIsAllocFree pins the zero-cost half of the recorder
 // contract at its root: the emission pattern every backend call site
 // uses — a nil check guarding the Emit — must not allocate when the
