@@ -38,7 +38,7 @@ func cmdExec(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if rejectNegative(stderr, "msched exec", nonNeg{"budget", *budget < 0}, nonNeg{"timeout", *timeout < 0}) {
+	if rejectNegative(stderr, "msched exec", nonNeg{"budget", *budget < 0}, nonNeg{"timeout", *timeout < 0}, nonNeg{"listing", *listing < 0}) {
 		return 2
 	}
 	loop, err := traceLoop(*loopName, *seed, *index)

@@ -6,7 +6,7 @@
 //
 //	msched run     -seed 1 -n 200 [-strict] [-timing] [-o report.json]
 //	msched gen     -seed 1 -n 3 [-corner pressure] [-json]
-//	msched compare [-update-baseline] [-o dir] [-oracle-dir dir]
+//	msched compare [-update-baseline] [-o dir]
 //	msched trace   -seed 1 -i 7 -machine tight [-chrome trace.json]
 //	msched exec    -loop fir8 -machine tight [-backend mirs]
 //
@@ -19,11 +19,12 @@
 // `gen` prints generated loops for eyeballing and for reducing driver
 // findings to standalone repro cases.
 //
-// `compare` is the one gate. It compiles the gate rows (examples corpus
-// + a pinned generated population, every backend × canned machine),
-// executes every compilation differentially, and builds the
-// optimality-gap table (exact backend vs MIRS on a small-loop corpus).
-// Any compile failure or execution mismatch fails it (exit 1), as does
+// `compare` is the one gate. In one sweep it compiles the gate rows
+// (examples corpus + a pinned generated population, every backend ×
+// canned machine) and the small-loop gap corpus (exact backend and
+// MIRS × canned machine), executes every compilation differentially,
+// and joins the gap corpus into the optimality-gap table. Any compile
+// failure, timeout or execution mismatch fails it (exit 1), as does
 // any ΣII, ΣMaxLive, Σcycles or Σbundles regression against
 // BENCH_baseline.json or a lost proof, changed proved optimum or grown
 // II gap against GAP_baseline.json. -update-baseline rewrites both
@@ -42,11 +43,11 @@ import (
 
 	"github.com/paper-repo-growth/mirs/internal/core"
 	"github.com/paper-repo-growth/mirs/internal/driver"
-	"github.com/paper-repo-growth/mirs/internal/oracle"
 	"github.com/paper-repo-growth/mirs/internal/report"
 	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
+	"github.com/paper-repo-growth/mirs/pkg/mirs"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
 
@@ -173,13 +174,13 @@ func machineFromFile(path string) (*machine.Machine, error) {
 // backendsByName resolves a comma-separated backend list against the
 // core registry. "all" expands to every registered backend; "portfolio"
 // (the strategy portfolio, core.Portfolio) and "opt" (the exact
-// SAT backend, core.Opt with optBudget conflicts per candidate II) are
+// SAT backend, core.Opt with budget conflicts per candidate II) are
 // resolvable by name but deliberately not part of "all" — the portfolio
 // duplicates whichever strategy wins, and opt's role is the optimality
 // yardstick, so sweeping either alongside the real backends would
 // double-count without informing. A backend named twice is an error,
 // for the same reason as a repeated machine.
-func backendsByName(spec string, optBudget int64) ([]sched.Scheduler, error) {
+func backendsByName(spec string, budget int64) ([]sched.Scheduler, error) {
 	reg := core.Backends()
 	if spec == "all" {
 		return reg, nil
@@ -197,7 +198,7 @@ func backendsByName(spec string, optBudget int64) ([]sched.Scheduler, error) {
 		case name == "portfolio":
 			b = core.Portfolio()
 		case name == "opt":
-			b = core.Opt(optBudget)
+			b = core.Opt(budget)
 		case !ok:
 			return nil, fmt.Errorf("unknown backend %q (have: %s, opt, portfolio, all)", name, strings.Join(backendNames(reg), ", "))
 		}
@@ -437,24 +438,35 @@ type gateSpec struct {
 
 var defaultGate = gateSpec{seed: 1, n: 120, gapSeed: 1, gapN: 24, gapMaxOps: 12}
 
-// gateRows compiles and differentially executes the baseline-gated
-// rows: the hand-written example corpus plus the pinned generated
-// population, across every registered backend and every canned machine
-// — fully deterministic in the gate spec. failures counts compilations
-// that errored out or executed to a state that differs from the
-// sequential reference: the gate corpus must compile and execute clean,
-// so callers treat any failure as one in its own right rather than
-// letting a shrunken population be baselined away (or misread as
-// "baseline stale").
-func gateRows(gate gateSpec, stdout, stderr io.Writer) (rows *report.File, failures int) {
+// corpora returns the gate's sweeps, each across every canned machine:
+// the hand-written example corpus and the pinned generated population
+// over every registered backend (the baseline-gated rows), then the gap
+// population over the exact backend and MIRS — always last. It fails
+// when the gap population comes up short of gapN loops.
+func (g gateSpec) corpora() ([]driver.Spec, error) {
 	machines, _ := machinesByName("all")
-	rows = &report.File{}
-	executed, mismatches := 0, 0
-	for _, spec := range []driver.Spec{
+	gap := driver.GapCorpus(g.gapSeed, g.gapN, g.gapMaxOps)
+	if len(gap) < g.gapN {
+		return nil, fmt.Errorf("gap corpus came up short (%d of %d loops within %d ops)", len(gap), g.gapN, g.gapMaxOps)
+	}
+	return []driver.Spec{
 		{Corpus: "examples", Loops: ir.ExampleLoops(), Backends: core.Backends(), Machines: machines},
-		{Corpus: fmt.Sprintf("gen:seed=%d,n=%d", gate.seed, gate.n), Loops: gen.Corpus(gate.seed, gate.n), Backends: core.Backends(), Machines: machines},
-	} {
-		rep := driver.Run(spec, driver.Options{Exec: true})
+		{Corpus: fmt.Sprintf("gen:seed=%d,n=%d", g.seed, g.n), Loops: gen.Corpus(g.seed, g.n), Backends: core.Backends(), Machines: machines},
+		{Corpus: fmt.Sprintf("gap:seed=%d,n=%d,max-ops=%d", g.gapSeed, g.gapN, g.gapMaxOps), Loops: gap, Backends: []sched.Scheduler{core.Opt(0), mirs.New()}, Machines: machines},
+	}, nil
+}
+
+// sweep compiles and differentially executes every gate corpus, in
+// order, and returns their reports with every outcome kept. failures
+// counts compilations that errored out, timed out or executed to a
+// state that differs from the sequential reference: the gate corpora
+// must compile and execute clean, so callers treat any failure as one
+// in its own right rather than letting a shrunken population be
+// baselined away (or drop out of the gap sums).
+func sweep(corpora []driver.Spec, stdout, stderr io.Writer) (reps []*driver.Report, failures int) {
+	executed, mismatches := 0, 0
+	for _, spec := range corpora {
+		rep := driver.Run(spec, driver.Options{Exec: true, KeepOutcomes: true})
 		failures += rep.Failures
 		mismatches += len(rep.ExecFailures)
 		for _, o := range rep.Outcomes {
@@ -468,65 +480,53 @@ func gateRows(gate gateSpec, stdout, stderr io.Writer) (rows *report.File, failu
 		for _, c := range rep.Combos {
 			executed += c.Executed
 		}
-		rows.Rows = append(rows.Rows, rep.Rows()...)
+		reps = append(reps, rep)
 	}
 	fmt.Fprintf(stdout, "exec-verify: %d compilations executed differentially, %d mismatches\n", executed, mismatches)
-	return rows, failures + mismatches
+	return reps, failures + mismatches
 }
 
 func cmdCompare(args []string, stdout, stderr io.Writer) int {
-	return runCompare(defaultGate, args, stdout, stderr)
+	corpora, err := defaultGate.corpora()
+	if err != nil {
+		fmt.Fprintln(stderr, "msched compare:", err)
+		return 1
+	}
+	return runCompare(corpora, args, stdout, stderr)
 }
 
-// runCompare is the one gate. In a single pass it compiles and executes
-// the gate rows and builds the optimality-gap table — the exact backend
-// vs MIRS over the small-loop gap corpus at opt's default budget — then
-// either gates both against their baselines or (-update-baseline)
-// rewrites them.
-func runCompare(gate gateSpec, args []string, stdout, stderr io.Writer) int {
+// runCompare is the one gate. In a single sweep it compiles and
+// executes the gate corpora (gateSpec.corpora; the gap corpus last),
+// fails on any failure among them, joins the gap corpus into the
+// optimality-gap table and then either gates the rows and the table
+// against their baselines or (-update-baseline) rewrites them.
+func runCompare(corpora []driver.Spec, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("msched compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	baseline := fs.String("baseline", "BENCH_baseline.json", "quality and cycle rows to gate against")
 	gapBaseline := fs.String("gap-baseline", "GAP_baseline.json", "optimality-gap table to gate against")
 	update := fs.Bool("update-baseline", false, "rewrite both baselines from current results instead of gating")
 	outDir := fs.String("o", "", "write the current artifacts (bench.json, gap.json) into this directory")
-	oracleDir := fs.String("oracle-dir", "", "write minimised regression seeds for loops opt schedules but mirs fails")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	current, failed := gateRows(gate, stdout, stderr)
+	reps, failed := sweep(corpora, stdout, stderr)
 	if failed > 0 {
 		fmt.Fprintf(stderr, "msched compare: %d gate-corpus compilation(s) failed to compile or execute clean — fix the backends before gating or refreshing the baseline\n", failed)
 		return 1
 	}
-	loops := driver.GapCorpus(gate.gapSeed, gate.gapN, gate.gapMaxOps)
-	if len(loops) < gate.gapN {
-		fmt.Fprintf(stderr, "msched compare: gap corpus came up short (%d of %d loops within %d ops)\n", len(loops), gate.gapN, gate.gapMaxOps)
-		return 1
+	last := len(reps) - 1
+	current := &report.File{}
+	for _, rep := range reps[:last] {
+		current.Rows = append(current.Rows, rep.Rows()...)
 	}
-	ms, _ := machinesByName("all")
-	corpus := fmt.Sprintf("gap:seed=%d,n=%d,max-ops=%d", gate.gapSeed, gate.gapN, gate.gapMaxOps)
-	gf := driver.RunGap(corpus, loops, ms, driver.GapOptions{})
+	gf := driver.RunGap(reps[last], corpora[last].Loops)
 	printGapTable(stdout, gf)
 	if *outDir != "" {
 		if err := writeArtifacts(*outDir, current, gf); err != nil {
 			fmt.Fprintln(stderr, "msched compare:", err)
 			return 1
-		}
-	}
-	if *oracleDir != "" {
-		findings := oracle.FromGap(gf, loops, ms, 0, driver.DefaultTimeout)
-		names, err := oracle.WriteSeeds(*oracleDir, findings)
-		if err != nil {
-			fmt.Fprintln(stderr, "msched compare: oracle:", err)
-			return 1
-		}
-		for _, name := range names {
-			fmt.Fprintf(stdout, "oracle seed: %s (opt schedules it, mirs fails)\n", name)
-		}
-		if len(names) == 0 {
-			fmt.Fprintln(stdout, "oracle sweep: no loops where opt fits and mirs fails")
 		}
 	}
 

@@ -2,14 +2,20 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/paper-repo-growth/mirs/internal/driver"
 	"github.com/paper-repo-growth/mirs/internal/report"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
+	"github.com/paper-repo-growth/mirs/pkg/mirs"
+	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
 
 // capture runs Main with buffered stdout/stderr and returns (exit code,
@@ -39,6 +45,7 @@ func TestUsageAndBadInput(t *testing.T) {
 		{[]string{"run", "-probes", "2"}, "flag provided but not defined"},
 		{[]string{"trace", "-probes", "2"}, "flag provided but not defined"},
 		{[]string{"compare", "-gap-only"}, "flag provided but not defined"},
+		{[]string{"compare", "-oracle-dir", "x"}, "flag provided but not defined"},
 		{[]string{"run", "-n", "-5"}, "-n must be >= 0"},
 		{[]string{"gen", "-n", "-1"}, "-n must be >= 0"},
 		// Negative values used to be coerced to the flag's default.
@@ -49,6 +56,7 @@ func TestUsageAndBadInput(t *testing.T) {
 		{[]string{"trace", "-timeout", "-1s"}, "-timeout must be >= 0"},
 		{[]string{"exec", "-timeout", "-1s"}, "-timeout must be >= 0"},
 		{[]string{"exec", "-budget", "-1"}, "-budget must be >= 0"},
+		{[]string{"exec", "-listing", "-3"}, "-listing must be >= 0"},
 		// The oracle's run time grows with the trip; -timeout covers only
 		// compilation, so this used to run unbounded.
 		{[]string{"exec", "-trips", "4611686018427387904"}, "-trips wants integers in [1, 1048576]"},
@@ -191,6 +199,26 @@ func TestGenPrintsLoops(t *testing.T) {
 	}
 }
 
+// smallCorpora is a shrunken gate: 8 examples + 10 generated loops
+// over {list, mirs}, then 4 gap loops over {opt, mirs}, each on the
+// three canned machines — (8+10)×2×3 + 4×2×3 = 132 compilations.
+func smallCorpora(t *testing.T) []driver.Spec {
+	t.Helper()
+	corpora, err := gateSpec{seed: 1, n: 10, gapSeed: 1, gapN: 4, gapMaxOps: 12}.corpora()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return corpora
+}
+
+// compareOn runs the gate over corpora and returns (exit code, stdout,
+// stderr).
+func compareOn(corpora []driver.Spec, args ...string) (int, string, string) {
+	var out, errOut bytes.Buffer
+	code := runCompare(corpora, args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
 // freshGate refreshes both baselines of the one gate on a shrunken gate
 // spec under a temp dir, after checking that a missing baseline fails
 // with a refresh hint. It returns a compare runner bound to those
@@ -199,11 +227,9 @@ func freshGate(t *testing.T) (compare func(extra ...string) (int, string, string
 	t.Helper()
 	dir := t.TempDir()
 	base, gapBase = filepath.Join(dir, "base.json"), filepath.Join(dir, "gap_base.json")
-	small := gateSpec{seed: 1, n: 10, gapSeed: 1, gapN: 4, gapMaxOps: 12}
+	corpora := smallCorpora(t)
 	compare = func(extra ...string) (int, string, string) {
-		var out, errOut bytes.Buffer
-		code := runCompare(small, append([]string{"-baseline", base, "-gap-baseline", gapBase}, extra...), &out, &errOut)
-		return code, out.String(), errOut.String()
+		return compareOn(corpora, append([]string{"-baseline", base, "-gap-baseline", gapBase}, extra...)...)
 	}
 	if code, _, errOut := compare(); code != 1 || !strings.Contains(errOut, "update-baseline") {
 		t.Fatalf("missing baseline must fail with a refresh hint, got %d: %s", code, errOut)
@@ -223,7 +249,7 @@ func TestCompareGateEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	o1, o2 := filepath.Join(dir, "o1"), filepath.Join(dir, "o2")
 	code, out, errOut := compare("-o", o1)
-	if code != 0 || !strings.Contains(out, "gate clean") || !strings.Contains(out, "0 mismatches") {
+	if code != 0 || !strings.Contains(out, "gate clean") || !strings.Contains(out, "exec-verify: 132 compilations executed differentially, 0 mismatches") {
 		t.Fatalf("gate against fresh baselines must pass, got %d: %s%s", code, out, errOut)
 	}
 	if code, _, errOut := compare("-o", o2); code != 0 {
@@ -261,6 +287,69 @@ func TestCompareGateEndToEnd(t *testing.T) {
 		if code != 1 || !strings.Contains(errOut, inj.metric+" regressed") || !strings.Contains(errOut, f.Rows[0].Key()) {
 			t.Fatalf("injected %s regression not caught (code %d):\n%s", inj.metric, code, errOut)
 		}
+	}
+}
+
+// failOn is a backend that fails on one loop with err and delegates to
+// the embedded backend (whose name it keeps) otherwise.
+type failOn struct {
+	sched.Scheduler
+	loop string
+	err  error
+}
+
+func (f failOn) Schedule(req *sched.Request) (*sched.Schedule, error) {
+	if req.Loop.Name == f.loop {
+		return nil, f.err
+	}
+	return f.Scheduler.Schedule(req)
+}
+
+// TestCompareFailsOnGapCorpusFailure is the regression test for a gap
+// row whose MIRS side failed: the row used to drop out of the gap sums
+// and the gate passed. A MIRS compile error, and then a timeout, on one
+// gap-corpus loop must each fail the gate naming loop × backend ×
+// machine, and must refuse to refresh the baselines.
+func TestCompareFailsOnGapCorpusFailure(t *testing.T) {
+	_, base, gapBase := freshGate(t)
+	var clean [2][]byte
+	for i, p := range []string{base, gapBase} {
+		var err error
+		if clean[i], err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name, want string
+		err        error
+	}{
+		{"error", "core: backend \"mirs\": stub: no schedule", errors.New("stub: no schedule")},
+		// The driver classifies a compilation ending in a deadline as a
+		// timeout outcome, so the stub need not wait out the budget.
+		{"timeout", "timeout after " + driver.DefaultTimeout.String(), fmt.Errorf("stub: %w", context.DeadlineExceeded)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			corpora := smallCorpora(t)
+			gap := &corpora[len(corpora)-1]
+			victim := gap.Loops[1].Name
+			gap.Backends = []sched.Scheduler{gap.Backends[0], failOn{Scheduler: mirs.New(), loop: victim, err: c.err}}
+			for _, extra := range [][]string{nil, {"-update-baseline"}} {
+				code, _, errOut := compareOn(corpora, append([]string{"-baseline", base, "-gap-baseline", gapBase}, extra...)...)
+				if code != 1 || !strings.Contains(errOut, "3 gate-corpus compilation(s) failed") {
+					t.Fatalf("compare %v: got exit %d, want 1 with 3 failures; stderr:\n%s", extra, code, errOut)
+				}
+				for _, m := range []string{"unified", "paper-4cluster", "tight"} {
+					if want := fmt.Sprintf("%s [mirs x %s]: %s", victim, m, c.want); !strings.Contains(errOut, want) {
+						t.Fatalf("compare %v: stderr does not name %q:\n%s", extra, want, errOut)
+					}
+				}
+			}
+			for i, p := range []string{base, gapBase} {
+				if got, _ := os.ReadFile(p); !bytes.Equal(got, clean[i]) {
+					t.Fatalf("%s rewritten despite a failing gate corpus", p)
+				}
+			}
+		})
 	}
 }
 

@@ -76,12 +76,6 @@ func (r *Result) Summary() string {
 	return s
 }
 
-// Compile runs the full pipeline on loop l for machine m with the default
-// baseline backend (the list scheduler).
-func Compile(l *ir.Loop, m *machine.Machine) (*Result, error) {
-	return CompileWith(sched.ListScheduler{}, l, m)
-}
-
 // Backends returns the registered scheduler backends, baseline first:
 // the greedy list scheduler and the paper's MIRS (backtracking with
 // integrated register spilling). Benchmarks and corpus sweeps iterate
@@ -133,9 +127,9 @@ func CompileSafeWith(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *mach
 	return CompileWithOpts(ctx, s, l, m, opts)
 }
 
-// CompileWith is Compile with an explicit scheduler backend, no
-// cancellation and the default Opts — the signature test and benchmark
-// callers use when no deadline applies.
+// CompileWith runs the full pipeline on loop l for machine m with
+// scheduler s, no cancellation and the default Opts — the signature
+// test and benchmark callers use when no deadline applies.
 func CompileWith(s sched.Scheduler, l *ir.Loop, m *machine.Machine) (*Result, error) {
 	return CompileWithOpts(context.Background(), s, l, m, Opts{})
 }

@@ -13,9 +13,9 @@ func TestCompileAllExamplesOnBothMachines(t *testing.T) {
 	for _, m := range []*Machine{machine.Unified(), machine.Paper4Cluster()} {
 		for _, l := range ir.ExampleLoops() {
 			t.Run(m.Name+"/"+l.Name, func(t *testing.T) {
-				r, err := Compile(l, m)
+				r, err := CompileWith(sched.ListScheduler{}, l, m)
 				if err != nil {
-					t.Fatalf("Compile: %v", err)
+					t.Fatalf("CompileWith: %v", err)
 				}
 				if err := r.Schedule.Validate(); err != nil {
 					t.Errorf("schedule invalid: %v", err)
@@ -104,7 +104,7 @@ func TestCompileRejectsUnschedulableLoop(t *testing.T) {
 	l := &ir.Loop{Name: "fp", Instrs: []*ir.Instruction{
 		{ID: 0, Op: "sqrt", Class: machine.OpClass("fpu"), Defs: []ir.VReg{0}},
 	}}
-	if _, err := Compile(l, machine.Unified()); err == nil {
-		t.Error("Compile accepted a loop with an unsupported op class")
+	if _, err := CompileWith(sched.ListScheduler{}, l, machine.Unified()); err == nil {
+		t.Error("CompileWith accepted a loop with an unsupported op class")
 	}
 }

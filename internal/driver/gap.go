@@ -1,22 +1,17 @@
-// gap.go builds the optimality-gap table (internal/report.GapFile): it
-// sweeps a seeded small-loop population over {opt, mirs} × the gate
-// machines through the normal batch pool — panic isolation, timeouts
-// and all — and joins the per-compilation outcomes into per-loop rows
-// measuring MIRS's distance from the proved optimum.
+// gap.go builds the optimality-gap table (internal/report.GapFile): a
+// seeded small-loop population, swept over {opt, mirs} × the gate
+// machines by Run like any other corpus, and a join of the
+// per-compilation outcomes into per-loop rows measuring MIRS's distance
+// from the proved optimum.
 package driver
 
 import (
 	"fmt"
-	"time"
 
-	"github.com/paper-repo-growth/mirs/internal/core"
 	"github.com/paper-repo-growth/mirs/internal/report"
 	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
-	"github.com/paper-repo-growth/mirs/pkg/machine"
-	"github.com/paper-repo-growth/mirs/pkg/mirs"
 	"github.com/paper-repo-growth/mirs/pkg/opt"
-	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
 
 // GapCorpus generates the seeded small-loop population the gap table
@@ -54,31 +49,15 @@ func GapCorpus(seed uint64, n, maxOps int) []*ir.Loop {
 	return out
 }
 
-// GapOptions tunes RunGap.
-type GapOptions struct {
-	// Budget is the per-candidate-II conflict budget handed to the exact
-	// backend; <= 0 means opt's default.
-	Budget int64
-	// Workers and Timeout pass through to the batch pool (Options).
-	Workers int
-	Timeout time.Duration
-}
-
-// RunGap compiles the population with both the exact backend and MIRS
-// on every machine and joins the outcomes into the gap table. Corpus
-// labels the population in the artifact (and is part of the baseline
-// identity). Failures do not abort the sweep: an opt or mirs failure
-// becomes that row's OptErr/MirsErr, visible in the artifact and
-// excluded from the gap columns.
-func RunGap(corpus string, loops []*ir.Loop, machines []*machine.Machine, o GapOptions) *report.GapFile {
-	optBE := core.Opt(o.Budget)
-	rep := Run(Spec{
-		Corpus:   corpus,
-		Loops:    loops,
-		Backends: []sched.Scheduler{optBE, mirs.New()},
-		Machines: machines,
-	}, Options{Workers: o.Workers, Timeout: o.Timeout, KeepOutcomes: true})
-
+// RunGap joins the outcomes of a gap sweep — the population compiled
+// by the exact backend and MIRS on every machine, run with
+// Options.KeepOutcomes — into the gap table, labelled with the sweep's
+// corpus. loops is the swept population (it supplies each row's op
+// count). The proofs ran at opt's default budget, which the artifact
+// records. A failed side leaves its row's OptErr/MirsErr set and the
+// row out of the gap columns; `msched compare` fails the gate on any
+// such failure before the table is gated or baselined.
+func RunGap(rep *Report, loops []*ir.Loop) *report.GapFile {
 	ops := make(map[string]int, len(loops))
 	for _, l := range loops {
 		ops[l.Name] = l.NumInstrs()
@@ -98,7 +77,7 @@ func RunGap(corpus string, loops []*ir.Loop, machines []*machine.Machine, o GapO
 	for _, oc := range rep.Outcomes {
 		r := row(oc.Loop, oc.Machine)
 		switch oc.Backend {
-		case optBE.Name():
+		case opt.Name:
 			if oc.Err != "" {
 				r.OptErr = oc.Err
 				continue
@@ -120,7 +99,7 @@ func RunGap(corpus string, loops []*ir.Loop, machines []*machine.Machine, o GapO
 			r.MirsMaxLive = oc.MaxLive
 		}
 	}
-	f := &report.GapFile{Corpus: corpus, Budget: optBudget(o.Budget)}
+	f := &report.GapFile{Corpus: rep.Corpus, Budget: opt.DefaultBudget}
 	for _, r := range ordered {
 		if r.Proved && r.MirsII > 0 {
 			r.IIGap = r.MirsII - r.OptII
@@ -131,13 +110,4 @@ func RunGap(corpus string, loops []*ir.Loop, machines []*machine.Machine, o GapO
 	f.Sort()
 	f.Recompute()
 	return f
-}
-
-// optBudget mirrors the exact backend's default resolution so the
-// artifact records the budget the proofs actually ran under.
-func optBudget(b int64) int64 {
-	if b <= 0 {
-		return opt.DefaultBudget
-	}
-	return b
 }

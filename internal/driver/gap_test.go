@@ -3,8 +3,13 @@ package driver
 import (
 	"testing"
 
+	"github.com/paper-repo-growth/mirs/internal/core"
 	"github.com/paper-repo-growth/mirs/internal/report"
+	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
+	"github.com/paper-repo-growth/mirs/pkg/mirs"
+	"github.com/paper-repo-growth/mirs/pkg/opt"
+	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
 
 // TestGapCorpus pins the gap population's contract: requested size,
@@ -38,17 +43,32 @@ func TestGapCorpus(t *testing.T) {
 	}
 }
 
+// gapTable sweeps loops over {opt, mirs} × ms the way `msched compare`
+// sweeps its gap corpus — executed, every outcome kept — and joins the
+// outcomes into the gap table.
+func gapTable(t *testing.T, loops []*ir.Loop, ms []*machine.Machine) *report.GapFile {
+	t.Helper()
+	rep := Run(Spec{
+		Corpus:   "gap:test",
+		Loops:    loops,
+		Backends: []sched.Scheduler{core.Opt(0), mirs.New()},
+		Machines: ms,
+	}, Options{Exec: true, KeepOutcomes: true})
+	if rep.Failures != 0 || len(rep.ExecFailures) != 0 {
+		t.Fatalf("gap sweep not clean: %d failures, exec failures %v", rep.Failures, rep.ExecFailures)
+	}
+	return RunGap(rep, loops)
+}
+
 // TestRunGap runs the real pipeline over a small population on two
-// machines and pins the artifact's invariants: every row joined from
-// both backends, summary arithmetic consistent, the acceptance bar
+// machines and pins the joined artifact's invariants: every row joined
+// from both backends, summary arithmetic consistent, the acceptance bar
 // (>= 80% proved), no negative II gap (opt never worse than mirs where
 // it proves optimality), and byte determinism across independent runs.
 func TestRunGap(t *testing.T) {
 	loops := GapCorpus(1, 8, 12)
 	ms := []*machine.Machine{machine.Unified(), machine.Tight()}
-	run := func() *report.GapFile {
-		return RunGap("gap:test", loops, ms, GapOptions{})
-	}
+	run := func() *report.GapFile { return gapTable(t, loops, ms) }
 	f := run()
 	if len(f.Rows) != len(loops)*len(ms) {
 		t.Fatalf("got %d rows, want %d", len(f.Rows), len(loops)*len(ms))
@@ -92,15 +112,12 @@ func TestRunGap(t *testing.T) {
 	}
 }
 
-// TestRunGapBudgetRecorded pins that the artifact records the budget the
-// proofs ran under, defaulting to opt's when unset.
+// TestRunGapBudgetRecorded pins that the artifact records the budget
+// the gate's proofs run under: opt's default, the only one the gap
+// sweep uses.
 func TestRunGapBudgetRecorded(t *testing.T) {
-	loops := GapCorpus(1, 2, 12)
-	ms := []*machine.Machine{machine.Unified()}
-	if f := RunGap("gap:test", loops, ms, GapOptions{Budget: 777}); f.Budget != 777 {
-		t.Fatalf("budget = %d, want 777", f.Budget)
-	}
-	if f := RunGap("gap:test", loops, ms, GapOptions{}); f.Budget != optBudget(0) {
-		t.Fatalf("budget = %d, want default %d", f.Budget, optBudget(0))
+	f := gapTable(t, GapCorpus(1, 2, 12), []*machine.Machine{machine.Unified()})
+	if f.Budget != opt.DefaultBudget {
+		t.Fatalf("budget = %d, want opt.DefaultBudget (%d)", f.Budget, opt.DefaultBudget)
 	}
 }

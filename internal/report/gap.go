@@ -73,8 +73,8 @@ type GapSummary struct {
 	ProvedAboveMII int `json:"proved_above_mii"`
 	Feasible       int `json:"feasible"`
 	OptFailed      int `json:"opt_failed"`
-	// MirsFailed counts rows MIRS could not compile — each is oracle
-	// material (see internal/oracle).
+	// MirsFailed counts rows MIRS could not compile. `msched compare`
+	// fails the gate on any, so a gated table always reads zero.
 	MirsFailed int `json:"mirs_failed"`
 	// GapRows is the number of rows with a defined gap (proved + MIRS
 	// compiled); SumIIGap/MaxIIGap/SumMaxLiveGap aggregate over them.

@@ -45,12 +45,6 @@ type Attempt struct {
 	Err error
 }
 
-// Success reports whether the attempt ended the search: a clean
-// schedule with no residual register overflow.
-func (a Attempt) Success() bool {
-	return a.Err == nil && a.Schedule != nil && a.Excess == 0
-}
-
 // Sweep is one II search as a deterministic state machine. Candidates
 // are integer keys, strictly increasing in the order Next returns them;
 // a key encodes whatever the backend escalates over (for the list

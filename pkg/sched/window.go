@@ -83,21 +83,15 @@ func TransferCycle(m *machine.Machine, loop *ir.Loop, plc []Placement, from int)
 	return plc[from].Cycle + m.Latency(loop.Instrs[from].Class)
 }
 
-// PlacementTransfers lists the bus transfers that placing instruction id
-// on (cluster, cycle) creates against already-placed neighbours: inbound
-// from placed true-dependence producers on other clusters (at their
-// fixed availability cycles) and outbound to placed consumers elsewhere
-// (leaving at cycle plus id's latency). Loop-carried edges mean
-// consumers can be placed before their producer, so both directions
-// matter.
-func PlacementTransfers(g *ir.Graph, m *machine.Machine, loop *ir.Loop, plc []Placement, placed []bool, id, cluster, cycle int) []Transfer {
-	return AppendPlacementTransfers(nil, g, m, loop, plc, placed, id, cluster, cycle)
-}
-
-// AppendPlacementTransfers is PlacementTransfers appending into dst
-// (which may be a truncated scratch buffer, dst[:0]) so placement loops
-// probing many candidate positions reuse one allocation instead of
-// allocating per probe.
+// AppendPlacementTransfers appends to dst the bus transfers that
+// placing instruction id on (cluster, cycle) creates against
+// already-placed neighbours: inbound from placed true-dependence
+// producers on other clusters (at their fixed availability cycles) and
+// outbound to placed consumers elsewhere (leaving at cycle plus id's
+// latency). Loop-carried edges mean consumers can be placed before
+// their producer, so both directions matter. dst may be a truncated
+// scratch buffer (dst[:0]), so placement loops probing many candidate
+// positions reuse one allocation instead of allocating per probe.
 func AppendPlacementTransfers(dst []Transfer, g *ir.Graph, m *machine.Machine, loop *ir.Loop, plc []Placement, placed []bool, id, cluster, cycle int) []Transfer {
 	for _, e := range g.Preds(id) {
 		if e.Kind != ir.DepTrue || e.From == id || !placed[e.From] || plc[e.From].Cluster == cluster {

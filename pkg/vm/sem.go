@@ -302,10 +302,6 @@ func (sem *Semantics) initReg(v ir.VReg) uint64 {
 	return splitmix64(sem.Seed ^ 0x9e6c_63d0_876a_3f00 ^ uint64(v)*0xff51_afd7_ed55_8ccd)
 }
 
-// InitReg exposes the initial value of register v (tests and the exec
-// explainer print it).
-func (sem *Semantics) InitReg(v ir.VReg) uint64 { return sem.initReg(v) }
-
 // MemLen is the full memory image size: load regions, store regions,
 // spill-slot groups.
 func (sem *Semantics) MemLen() int {
