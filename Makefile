@@ -66,13 +66,13 @@ baseline:
 trace:
 	go run ./cmd/msched trace -seed 1 -i 7 -machine tight
 
-# Differentially execute the gate's generated sweep — emitted VLIW
-# bundles vs the sequential reference semantics — and print its
-# per-combo table; exits non-zero on any mismatch (see README "Execution
-# & verification"). `make compare` executes the same grid as part of
-# the gate.
+# Explain one execution: compile a spill-heavy example loop, emit its
+# VLIW bundles and differentially execute them against the sequential
+# reference, printing the listing and the verdicts (see README
+# "Execution & verification"). `make compare` executes every gate
+# corpus this way.
 exec:
-	go run ./cmd/msched run -exec -seed 1 -n 120 -backends all -machines all -strict
+	go run ./cmd/msched exec -loop fir8 -machine tight
 
 lint:
 	golangci-lint run

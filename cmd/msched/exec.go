@@ -19,13 +19,14 @@ import (
 // differential oracle (pkg/vm) — the sequential reference against the
 // pipelined MVE plan and the predicated kernel at several trip counts —
 // printing the bundle listing, the per-plan verdicts, and the realised
-// speedup. It is the single-compilation view of what `msched run -exec`
-// does corpus-wide, and the first stop when that gate reports a
-// mismatch.
+// speedup. It is the single-compilation view of the differential
+// execution `msched compare` runs over every gate corpus, and the first
+// stop when that gate reports an EXEC MISMATCH: pass the named loop,
+// backend and machine here.
 func cmdExec(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("msched exec", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	loopName := fs.String("loop", "", "example loop to execute (by name; see 'msched trace -list')")
+	loopName := fs.String("loop", "", "example or gap-corpus loop to execute (by name; see 'msched trace -list' and gap.json)")
 	seed := fs.Uint64("seed", 1, "generator master seed (used when -loop is empty)")
 	index := fs.Int("i", 0, "index of the generated loop to execute")
 	backend := fs.String("backend", "mirs", "scheduler backend")

@@ -172,14 +172,12 @@ func machineFromFile(path string) (*machine.Machine, error) {
 }
 
 // backendsByName resolves a comma-separated backend list against the
-// core registry. "all" expands to every registered backend; "portfolio"
-// (the strategy portfolio, core.Portfolio) and "opt" (the exact
-// SAT backend, core.Opt with budget conflicts per candidate II) are
-// resolvable by name but deliberately not part of "all" — the portfolio
-// duplicates whichever strategy wins, and opt's role is the optimality
-// yardstick, so sweeping either alongside the real backends would
-// double-count without informing. A backend named twice is an error,
-// for the same reason as a repeated machine.
+// core registry. "all" expands to every registered backend; "opt" (the
+// exact SAT backend, core.Opt with budget conflicts per candidate II) is
+// resolvable by name but deliberately not part of "all" — its role is
+// the optimality yardstick, so sweeping it alongside the heuristic
+// backends would double-count without informing. A backend named twice
+// is an error, for the same reason as a repeated machine.
 func backendsByName(spec string, budget int64) ([]sched.Scheduler, error) {
 	reg := core.Backends()
 	if spec == "all" {
@@ -195,12 +193,10 @@ func backendsByName(spec string, budget int64) ([]sched.Scheduler, error) {
 		name = strings.TrimSpace(name)
 		b, ok := byName[name]
 		switch {
-		case name == "portfolio":
-			b = core.Portfolio()
 		case name == "opt":
 			b = core.Opt(budget)
 		case !ok:
-			return nil, fmt.Errorf("unknown backend %q (have: %s, opt, portfolio, all)", name, strings.Join(backendNames(reg), ", "))
+			return nil, fmt.Errorf("unknown backend %q (have: %s, opt, all)", name, strings.Join(backendNames(reg), ", "))
 		}
 		if seen[name] {
 			return nil, fmt.Errorf("duplicate backend %q in %q", name, spec)
@@ -254,17 +250,11 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	strict := fs.Bool("strict", false, "exit 1 if any compilation fails")
 	out := fs.String("o", "", "write the full JSON report to this file")
 	csvOut := fs.String("csv", "", "write baseline-style rows as CSV to this file")
-	traceSlowest := fs.Int("trace-slowest", 0, "re-compile the N slowest loops with the flight recorder and write their trace artifacts (needs -trace-dir)")
-	traceDir := fs.String("trace-dir", "", "directory for -trace-slowest artifacts")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if rejectNegative(stderr, "msched run", nonNeg{"n", *n < 0}, nonNeg{"workers", *workers < 0},
-		nonNeg{"timeout", *timeout < 0}, nonNeg{"budget", *budget < 0}, nonNeg{"trace-slowest", *traceSlowest < 0}) {
-		return 2
-	}
-	if (*traceSlowest > 0) != (*traceDir != "") {
-		fmt.Fprintln(stderr, "msched run: -trace-slowest and -trace-dir must be set together")
+		nonNeg{"timeout", *timeout < 0}, nonNeg{"budget", *budget < 0}) {
 		return 2
 	}
 	bes, err := backendsByName(*backends, *budget)
@@ -284,17 +274,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		Machines: ms,
 	}
 	rep := driver.Run(spec, driver.Options{
-		Workers: *workers, Timeout: *timeout, Timing: *timing, KeepOutcomes: *keep,
-		TraceSlowest: *traceSlowest, TraceDir: *traceDir, Exec: *exec,
+		Workers: *workers, Timeout: *timeout, Timing: *timing, KeepOutcomes: *keep, Exec: *exec,
 	})
 	printSummary(stdout, rep)
-	if rep.TraceErr != "" {
-		fmt.Fprintln(stderr, "msched run: trace sampling:", rep.TraceErr)
-		return 1
-	}
-	for _, name := range rep.TraceArtifacts {
-		fmt.Fprintf(stdout, "trace artifact: %s\n", name)
-	}
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

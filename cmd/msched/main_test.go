@@ -42,6 +42,10 @@ func TestUsageAndBadInput(t *testing.T) {
 		{[]string{"run", "-machines", "nope"}, "unknown machine"},
 		{[]string{"run", "-backends", "nope"}, "unknown backend"},
 		{[]string{"run", "-portfolio"}, "flag provided but not defined"},
+		{[]string{"run", "-trace-slowest", "1"}, "flag provided but not defined"},
+		{[]string{"run", "-trace-dir", "d"}, "flag provided but not defined"},
+		{[]string{"run", "-backends", "portfolio"}, `unknown backend "portfolio" (have: list, mirs, opt, all)`},
+		{[]string{"trace", "-backend", "portfolio"}, `unknown backend "portfolio" (have: list, mirs, opt, all)`},
 		{[]string{"run", "-probes", "2"}, "flag provided but not defined"},
 		{[]string{"trace", "-probes", "2"}, "flag provided but not defined"},
 		{[]string{"compare", "-gap-only"}, "flag provided but not defined"},
@@ -52,7 +56,6 @@ func TestUsageAndBadInput(t *testing.T) {
 		{[]string{"run", "-budget", "-5"}, "-budget must be >= 0"},
 		{[]string{"run", "-workers", "-2"}, "-workers must be >= 0"},
 		{[]string{"run", "-timeout", "-1s"}, "-timeout must be >= 0"},
-		{[]string{"run", "-trace-slowest", "-1", "-trace-dir", "d"}, "-trace-slowest must be >= 0"},
 		{[]string{"trace", "-timeout", "-1s"}, "-timeout must be >= 0"},
 		{[]string{"exec", "-timeout", "-1s"}, "-timeout must be >= 0"},
 		{[]string{"exec", "-budget", "-1"}, "-budget must be >= 0"},
@@ -89,7 +92,6 @@ func TestDuplicateGridNamesRejected(t *testing.T) {
 		name, backends, machines, errWant string
 	}{
 		{"backend", "mirs,mirs", "unified", `duplicate backend "mirs"`},
-		{"portfolio", "portfolio, portfolio", "unified", `duplicate backend "portfolio"`},
 		{"machine", "list", "unified,unified", `duplicate machine "unified"`},
 		{"machine files", "list", a + "," + b, `duplicate machine "unified"`},
 		{"file shadows canned", "list", "unified," + a, `duplicate machine "unified"`},
@@ -100,6 +102,19 @@ func TestDuplicateGridNamesRejected(t *testing.T) {
 				t.Fatalf("got exit %d, want 2 with %q; stderr: %s", code, c.errWant, errOut)
 			}
 		})
+	}
+}
+
+// TestExecGapLoop pins that `msched exec -loop` resolves a gap-corpus
+// loop by its gap.json name, as a gate failure names it, and executes
+// it to a clean verdict.
+func TestExecGapLoop(t *testing.T) {
+	code, out, errOut := capture(t, "exec", "-loop", "gap0001-tiny", "-machine", "unified", "-listing", "0")
+	if code != 0 {
+		t.Fatalf("exec gap0001-tiny: exit %d; stderr: %s", code, errOut)
+	}
+	if !strings.Contains(out, "exec gap0001-tiny on unified:") || !strings.HasSuffix(strings.TrimSpace(out), " ok") {
+		t.Fatalf("no ok verdict for gap0001-tiny:\n%s", out)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package core wires the public packages into a single compilation entry
 // point: dependence analysis, MII computation, modulo scheduling and
 // register-pressure analysis in one call. It is the facade the batch
-// driver and the msched CLI build on, and re-exports the few types
-// callers need so casual users can depend on core alone.
+// driver and the msched CLI build on.
 package core
 
 import (
@@ -18,19 +17,6 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 	"github.com/paper-repo-growth/mirs/pkg/vm"
-)
-
-// Re-exported aliases so entry-point users can name the pipeline's main
-// types without importing every layer.
-type (
-	// Machine is the clustered VLIW machine description (pkg/machine).
-	Machine = machine.Machine
-	// Loop is a loop body in the dependence-graph IR (pkg/ir).
-	Loop = ir.Loop
-	// Schedule is a modulo schedule (pkg/sched).
-	Schedule = sched.Schedule
-	// Scheduler is the pluggable backend interface (pkg/sched).
-	Scheduler = sched.Scheduler
 )
 
 // Result is everything one compilation produces.
@@ -205,11 +191,11 @@ func ExecSeed(loopName string) uint64 {
 
 // Opt returns the exact SAT-based backend (pkg/opt) with the given
 // per-candidate-II conflict budget; budget <= 0 means opt.DefaultBudget.
-// Like Portfolio it resolves by name in the CLI ("-backend opt") but is
-// deliberately not part of Backends(): the quality gates sweep heuristic
-// backends over large corpora, while opt's role is the optimality-gap
-// table (`msched compare`), where its per-loop proofs are the
-// yardstick the heuristics are measured against.
+// It resolves by name in the CLI ("-backend opt") but is deliberately
+// not part of Backends(): the quality gates sweep heuristic backends
+// over large corpora, while opt's role is the optimality-gap table
+// (`msched compare`), where its per-loop proofs are the yardstick the
+// heuristics are measured against.
 func Opt(budget int64) sched.Scheduler {
 	return opt.New(opt.WithBudget(budget))
 }

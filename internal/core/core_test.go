@@ -4,13 +4,15 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
+	"github.com/paper-repo-growth/mirs/pkg/mirs"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
 
 func TestCompileAllExamplesOnBothMachines(t *testing.T) {
-	for _, m := range []*Machine{machine.Unified(), machine.Paper4Cluster()} {
+	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster()} {
 		for _, l := range ir.ExampleLoops() {
 			t.Run(m.Name+"/"+l.Name, func(t *testing.T) {
 				r, err := CompileWith(sched.ListScheduler{}, l, m)
@@ -78,7 +80,7 @@ func TestBackendsRunFullCorpus(t *testing.T) {
 		t.Fatalf("Backends() = %d entries, want the baseline and mirs", len(Backends()))
 	}
 	for _, be := range Backends() {
-		for _, m := range []*Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
+		for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
 			for _, l := range ir.ExampleLoops() {
 				t.Run(be.Name()+"/"+m.Name+"/"+l.Name, func(t *testing.T) {
 					r, err := CompileWith(be, l, m)
@@ -106,5 +108,26 @@ func TestCompileRejectsUnschedulableLoop(t *testing.T) {
 	}}
 	if _, err := CompileWith(sched.ListScheduler{}, l, machine.Unified()); err == nil {
 		t.Error("CompileWith accepted a loop with an unsupported op class")
+	}
+}
+
+// TestConcurrentRuns is the -race regression for the batch driver's
+// concurrency: many CompileWith calls running at once over one shared
+// machine and the package-level caches (unit-preference tables). Any
+// mutable sharing between compilations shows up as a race report here.
+func TestConcurrentRuns(t *testing.T) {
+	loops := gen.Corpus(11, 24)
+	m := machine.Paper4Cluster()
+	done := make(chan error, len(loops))
+	for _, l := range loops {
+		go func(l *ir.Loop) {
+			_, err := CompileWith(mirs.New(), l, m)
+			done <- err
+		}(l)
+	}
+	for range loops {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

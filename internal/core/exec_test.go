@@ -12,7 +12,7 @@ import (
 )
 
 // TestExecAllBackendsAgree: every backend — the two registered ones
-// plus the exact SAT scheduler and the racing portfolio — compiles to
+// plus the exact SAT scheduler — compiles to
 // code that *executes* to the same observable state as the plain
 // sequential semantics of the source loop, across machines. The
 // reference is bound to the unscheduled loop (BindLoop), so it knows
@@ -21,7 +21,7 @@ import (
 // registers' final values, which spill traffic must not disturb.
 func TestExecAllBackendsAgree(t *testing.T) {
 	const trip = 40
-	backends := append(Backends(), Opt(0), Portfolio())
+	backends := append(Backends(), Opt(0))
 	for _, l := range []*ir.Loop{ir.DotProduct(), ir.Livermore(), ir.LongChain()} {
 		g, err := ir.Build(l, machine.Unified(), nil)
 		if err != nil {

@@ -18,7 +18,7 @@ import (
 // post-expansion MaxLive.
 func TestCompileExpandsEveryResult(t *testing.T) {
 	for _, be := range Backends() {
-		for _, m := range []*Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
+		for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
 			for _, l := range ir.ExampleLoops() {
 				r, err := CompileWith(be, l, m)
 				if err != nil {

@@ -17,7 +17,7 @@ import (
 // the benchmark allocation gate.
 func TestTraceZeroPerturbation(t *testing.T) {
 	for _, be := range Backends() {
-		for _, m := range []*Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
+		for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
 			for _, l := range ir.ExampleLoops() {
 				t.Run(be.Name()+"/"+m.Name+"/"+l.Name, func(t *testing.T) {
 					plain, errPlain := CompileWith(be, l, m)

@@ -57,15 +57,6 @@ type Options struct {
 	// bounds report size on large sweeps; the aggregate tables are
 	// unaffected either way.
 	KeepOutcomes bool
-	// TraceSlowest, together with TraceDir, re-compiles the N slowest
-	// successful compilations of the sweep with a flight recorder
-	// (pkg/trace) attached and writes their Chrome trace + search report
-	// artifacts into TraceDir. Which loops get sampled depends on wall
-	// clock; every artifact's contents are deterministic. Zero (or an
-	// empty TraceDir) disables sampling and keeps the report
-	// byte-identical across runs.
-	TraceSlowest int
-	TraceDir     string
 	// Exec differentially executes every successful compilation through
 	// the pkg/emit → pkg/vm pipeline (core.Opts.Exec): emitted bundles
 	// are interpreted against the sequential reference and any word-level
@@ -207,12 +198,6 @@ type Report struct {
 	// zero and absent on untimed reports.
 	P50Micros int64 `json:"p50_micros,omitempty"`
 	P99Micros int64 `json:"p99_micros,omitempty"`
-	// TraceArtifacts lists the file names traceSlowest wrote into
-	// Options.TraceDir (sorted); TraceErr records a sampling failure.
-	// Both are empty — and absent from the JSON — unless trace sampling
-	// was requested, so untraced reports stay byte-identical.
-	TraceArtifacts []string `json:"trace_artifacts,omitempty"`
-	TraceErr       string   `json:"trace_err,omitempty"`
 }
 
 // Rows projects the aggregate into baseline-comparable report rows, one
@@ -287,13 +272,6 @@ func Run(spec Spec, opts Options) *Report {
 	if opts.Timing {
 		rep.P50Micros, rep.P99Micros = percentiles(durs)
 	}
-	if opts.TraceSlowest > 0 && opts.TraceDir != "" {
-		names, err := traceSlowest(jobs, outcomes, durs, opts.TraceSlowest, opts.TraceDir, timeout)
-		rep.TraceArtifacts = names
-		if err != nil {
-			rep.TraceErr = err.Error()
-		}
-	}
 	return rep
 }
 
@@ -305,9 +283,9 @@ func Run(spec Spec, opts Options) *Report {
 // The select on ctx.Done() is a backstop for a backend stuck inside a
 // single II attempt — the slot still moves on at the deadline even if
 // the checkpoint is slow to come around.
-// The returned duration is always measured (trace sampling ranks by it)
-// but only surfaces on the Outcome as Micros when timing is set, keeping
-// untimed reports byte-identical.
+// The returned duration is always measured (the timing percentiles rank
+// it) but only surfaces on the Outcome as Micros when timing is set,
+// keeping untimed reports byte-identical.
 func runOne(j job, timeout time.Duration, timing, exec bool) (Outcome, time.Duration) {
 	o := Outcome{Loop: j.loop.Name, Backend: j.backend.Name(), Machine: j.mach.Name}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)

@@ -3,8 +3,6 @@ package driver
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -234,65 +232,5 @@ func TestExecSumsCycles(t *testing.T) {
 		if c.SumCycles != 0 || c.SumBundles != 0 {
 			t.Fatalf("%s x %s: cycle sums without Exec: %+v", c.Backend, c.Machine, c)
 		}
-	}
-}
-
-// TestTraceSlowestWritesArtifacts runs a small sweep with trace
-// sampling on and checks the artifact pair per sampled compilation: a
-// parseable Chrome trace and a report naming the loop, both listed on
-// the report, and both byte-identical when the same loop is re-traced.
-func TestTraceSlowestWritesArtifacts(t *testing.T) {
-	dir := t.TempDir()
-	spec := exampleSpec()
-	rep := Run(spec, Options{Workers: 2, TraceSlowest: 2, TraceDir: dir})
-	if rep.TraceErr != "" {
-		t.Fatalf("trace sampling failed: %s", rep.TraceErr)
-	}
-	if len(rep.TraceArtifacts) != 4 {
-		t.Fatalf("artifacts = %v, want 2 trace + 2 report files", rep.TraceArtifacts)
-	}
-	var traces, reports int
-	for _, name := range rep.TraceArtifacts {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("artifact missing: %v", err)
-		}
-		switch {
-		case strings.HasSuffix(name, ".trace.json"):
-			traces++
-			var parsed struct {
-				TraceEvents []json.RawMessage `json:"traceEvents"`
-			}
-			if err := json.Unmarshal(b, &parsed); err != nil {
-				t.Fatalf("%s is not valid chrome trace JSON: %v", name, err)
-			}
-			if len(parsed.TraceEvents) == 0 {
-				t.Fatalf("%s has no events", name)
-			}
-		case strings.HasSuffix(name, ".report.txt"):
-			reports++
-			if !strings.Contains(string(b), "why II=") {
-				t.Fatalf("%s does not explain the II:\n%s", name, b)
-			}
-		default:
-			t.Fatalf("unexpected artifact %s", name)
-		}
-	}
-	if traces != 2 || reports != 2 {
-		t.Fatalf("got %d traces and %d reports, want 2+2", traces, reports)
-	}
-}
-
-// TestTraceSamplingOffKeepsReportClean pins that the default options
-// leave no trace fields on the report JSON, preserving the determinism
-// contract untraced sweeps are gated on.
-func TestTraceSamplingOffKeepsReportClean(t *testing.T) {
-	rep := Run(exampleSpec(), Options{Workers: 2})
-	b, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(b, []byte("trace_artifacts")) || bytes.Contains(b, []byte("trace_err")) {
-		t.Fatalf("untraced report leaks trace fields: %s", b)
 	}
 }

@@ -42,65 +42,25 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 )
 
-// VictimPolicy selects the tie-break order when picking the lifetime to
-// spill from an over-pressure cluster. All policies deprioritise
-// lifetimes with only loop-carried consumers first (spilling those
-// threads memory latency into a recurrence) and break final ties toward
-// the lowest definition id, so every policy is deterministic.
-type VictimPolicy int
-
-const (
-	// VictimLongest is the paper's rule: longest lifetime first, ties
-	// toward fewest uses (cheapest reload traffic). The default.
-	VictimLongest VictimPolicy = iota
-	// VictimFewestUses inverts the tie-break: fewest uses first, ties
-	// toward the longest lifetime. It minimises reload traffic at the
-	// cost of freeing fewer registers per spill — a different point on
-	// the spill-traffic/pressure curve worth trying in a portfolio.
-	VictimFewestUses
-)
-
-// Options tunes the backtracking and spilling budgets.
-type Options struct {
-	// MaxRetries scales the backtracking budget: at each candidate II the
-	// scheduler may force-place (ejecting conflicting operations) at most
-	// MaxRetries times per instruction before escalating II.
-	MaxRetries int
-	// MaxSpills caps the spills materialised at one candidate II; past it
-	// the scheduler escalates II instead of spilling further. Zero
-	// disables spilling entirely; negative means "derive from loop size"
-	// (2 × the instruction count), which is the default.
-	MaxSpills int
-	// Victim selects the spill-victim tie-break order; the zero value is
-	// the paper's longest-lifetime rule.
-	Victim VictimPolicy
-}
-
-// Option mutates Options; pass them to New.
-type Option func(*Options)
-
-// WithMaxRetries overrides the per-instruction force-placement budget.
-func WithMaxRetries(n int) Option { return func(o *Options) { o.MaxRetries = n } }
-
-// WithMaxSpills overrides the per-II spill cap; 0 disables spilling.
-func WithMaxSpills(n int) Option { return func(o *Options) { o.MaxSpills = n } }
-
-// WithVictimPolicy overrides the spill-victim selection order.
-func WithVictimPolicy(p VictimPolicy) Option { return func(o *Options) { o.Victim = p } }
-
 // Scheduler is the MIRS backend. The zero value is not useful; construct
 // with New.
 type Scheduler struct {
-	opts Options
+	// maxRetries scales the backtracking budget: at each candidate II the
+	// scheduler may force-place (ejecting conflicting operations) at most
+	// maxRetries times per instruction before escalating II.
+	maxRetries int
+	// maxSpills caps the spills materialised at one candidate II; past it
+	// the scheduler escalates II instead of spilling further. Zero
+	// disables spilling entirely; negative means 2 × the instruction
+	// count.
+	maxSpills int
 }
 
-// New returns a MIRS scheduler with default budgets, adjusted by opts.
-func New(opts ...Option) *Scheduler {
-	o := Options{MaxRetries: 8, MaxSpills: -1}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return &Scheduler{opts: o}
+// New returns the MIRS scheduler in its one configuration: up to eight
+// forced placements and two spills per instruction at each candidate
+// II.
+func New() *Scheduler {
+	return &Scheduler{maxRetries: 8, maxSpills: -1}
 }
 
 // Name returns "mirs".
@@ -147,7 +107,7 @@ func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempt
 		// cap below MII is honoured as stated (and fails).
 		maxII = 2*maxII + 8
 	}
-	maxSpills := s.opts.MaxSpills
+	maxSpills := s.maxSpills
 	if maxSpills < 0 {
 		maxSpills = 2 * req.Loop.NumInstrs()
 	}
@@ -277,8 +237,7 @@ func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sc
 	st.rec = rec
 	st.req = at.req
 	st.steps = 0
-	st.vpolicy = at.s.opts.Victim
-	if err := st.reset(at.req.Loop, at.g, ii, at.s.opts.MaxRetries, at.maxSpills, at.height, at.liveInUses); err != nil {
+	if err := st.reset(at.req.Loop, at.g, ii, at.s.maxRetries, at.maxSpills, at.height, at.liveInUses); err != nil {
 		return sched.Attempt{Err: err}
 	}
 	if rec != nil {

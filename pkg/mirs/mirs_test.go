@@ -7,6 +7,7 @@ import (
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/regpress"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
+	"github.com/paper-repo-growth/mirs/pkg/trace"
 )
 
 func schedule(t *testing.T, s sched.Scheduler, l *ir.Loop, m *machine.Machine) (*sched.Schedule, *regpress.Result) {
@@ -185,29 +186,73 @@ func TestMIRSBacktracks(t *testing.T) {
 func TestMIRSOptions(t *testing.T) {
 	m := machine.Unified()
 	l := ir.Hydro()
-	out, _ := schedule(t, New(WithMaxRetries(0)), l, m)
+	out, _ := schedule(t, &Scheduler{maxRetries: 0, maxSpills: -1}, l, m)
 	if out.Stats["ejections"] != 0 {
-		t.Errorf("MaxRetries=0 but %d ejections", out.Stats["ejections"])
+		t.Errorf("maxRetries=0 but %d ejections", out.Stats["ejections"])
 	}
 	strict, _ := schedule(t, New(), l, m)
 	if out.II < strict.II {
 		t.Errorf("budget-less run got II=%d, better than backtracking's %d", out.II, strict.II)
 	}
-	// WithMaxSpills(0) disables spilling entirely: any schedule that
+	// maxSpills=0 disables spilling entirely: any schedule that
 	// comes back must be spill-free and valid (failing to schedule at all
 	// is also acceptable on the register-starved machine).
 	for _, l := range ir.ExampleLoops() {
-		out2, err := New(WithMaxSpills(0)).Schedule(&sched.Request{Loop: l, Machine: machine.Tight()})
+		out2, err := (&Scheduler{maxRetries: 8}).Schedule(&sched.Request{Loop: l, Machine: machine.Tight()})
 		if err != nil {
 			continue
 		}
 		if verr := out2.Validate(); verr != nil {
-			t.Errorf("%s: WithMaxSpills(0): invalid schedule: %v", l.Name, verr)
+			t.Errorf("%s: maxSpills=0: invalid schedule: %v", l.Name, verr)
 		}
 		if out2.Stats["spill_stores"]+out2.Stats["spill_loads"] != 0 {
-			t.Errorf("%s: WithMaxSpills(0) still spilled: %v", l.Name, out2.Stats)
+			t.Errorf("%s: maxSpills=0 still spilled: %v", l.Name, out2.Stats)
 		}
 	}
+}
+
+// TestVictimLongestFirst pins the paper's spill-victim order: longest
+// lifetime first, ties toward fewest uses. On a one-cluster machine with
+// three registers, v0 (defined by "a", read by the multiply and by "c")
+// lives 8 cycles with two uses, while the multiply's v1 lives 7 cycles
+// with one use — so fewest-uses-first would pick v1 instead.
+func TestVictimLongestFirst(t *testing.T) {
+	m := machine.NewBuilder("one").
+		Latency(machine.ClassALU, 1).
+		Latency(machine.ClassMul, 6).
+		Latency(machine.ClassMem, 2).
+		Cluster("c0", 3, machine.FU("alu", machine.ClassALU), machine.FU("mul", machine.ClassMul), machine.FU("mem", machine.ClassMem)).
+		MustBuild()
+	l := &ir.Loop{Name: "victims", Instrs: []*ir.Instruction{
+		{ID: 0, Op: "a", Class: machine.ClassALU, Defs: []ir.VReg{0}},
+		{ID: 1, Op: "mul", Class: machine.ClassMul, Defs: []ir.VReg{1}, Uses: []ir.VReg{0}},
+		{ID: 2, Op: "c", Class: machine.ClassALU, Defs: []ir.VReg{2}, Uses: []ir.VReg{0, 1}},
+		{ID: 3, Op: "st", Class: machine.ClassMem, Uses: []ir.VReg{2}},
+	}}
+	// A six-op ALU chain sets ResMII and adds short-lived pressure.
+	for i := 0; i < 6; i++ {
+		in := &ir.Instruction{ID: 4 + i, Op: "f", Class: machine.ClassALU, Defs: []ir.VReg{ir.VReg(10 + i)}}
+		if i > 0 {
+			in.Uses = []ir.VReg{ir.VReg(9 + i)}
+		}
+		l.Instrs = append(l.Instrs, in)
+	}
+	l.Instrs = append(l.Instrs, &ir.Instruction{ID: 10, Op: "st", Class: machine.ClassMem, Uses: []ir.VReg{15}})
+
+	var buf trace.Buffer
+	if _, err := New().Schedule(&sched.Request{Loop: l, Machine: m, Recorder: &buf}); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range buf.Events() {
+		if e.Kind != trace.KindVictim {
+			continue
+		}
+		if e.Op != 0 || e.Reg != 0 || e.Arg != 8 || e.Aux != 2 {
+			t.Fatalf("first victim is op %d v%d (length %d, %d uses), want op 0 v0 (length 8, 2 uses)", e.Op, e.Reg, e.Arg, e.Aux)
+		}
+		return
+	}
+	t.Fatal("no victim chosen; the loop no longer overflows three registers")
 }
 
 // TestMIRSRespectsMaxII: the II search must honour the request's cap,

@@ -17,9 +17,9 @@ import (
 // spill code needs placing.
 
 // victim selects the lifetime to spill from an over-pressure cluster.
-// Under the default VictimLongest policy it follows the paper: prefer
-// the longest lifetime, break ties toward fewest uses (cheapest reload
-// traffic); VictimFewestUses inverts the order. Live-in values consumed
+// It follows the paper: prefer the longest lifetime, break ties toward
+// fewest uses (cheapest reload traffic), then toward the lowest
+// definition id. Live-in values consumed
 // on the cluster are candidates too — they hold a register on every
 // kernel cycle, making them the longest lifetimes of all, and they spill
 // for reloads only (id -1 in the result marks one). Lifetimes with only
@@ -41,20 +41,11 @@ func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
 		if a.carried != b.carried {
 			return !a.carried
 		}
-		if st.vpolicy == VictimFewestUses {
-			if a.uses != b.uses {
-				return a.uses < b.uses
-			}
-			if a.length != b.length {
-				return a.length > b.length
-			}
-		} else {
-			if a.length != b.length {
-				return a.length > b.length
-			}
-			if a.uses != b.uses {
-				return a.uses < b.uses
-			}
+		if a.length != b.length {
+			return a.length > b.length
+		}
+		if a.uses != b.uses {
+			return a.uses < b.uses
 		}
 		return a.id < b.id
 	}
@@ -235,7 +226,7 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 	}
 
 	n := st.loop.NumInstrs()
-	// The force budget is a per-instruction allowance (MaxRetries × n);
+	// The force budget is a per-instruction allowance (maxRetries × n);
 	// spill code grows n, so it earns budget at the same rate. Without
 	// this, heavy spilling starves the budget that was sized for the
 	// original body and placement dies half-done at every II.

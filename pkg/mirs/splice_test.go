@@ -94,7 +94,7 @@ func TestSpillNeverWritesRequest(t *testing.T) {
 // same attempter.
 func TestReturnedScheduleOwnsItsGraph(t *testing.T) {
 	l, m := ir.Hydro(), machine.Tight()
-	sw, newAttempter, err := New(WithMaxSpills(2)).Probe(&sched.Request{Loop: l, Machine: m})
+	sw, newAttempter, err := (&Scheduler{maxRetries: 8, maxSpills: 2}).Probe(&sched.Request{Loop: l, Machine: m})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,10 +93,6 @@ type state struct {
 	// allocates nothing.
 	rec trace.Recorder
 
-	// vpolicy is the spill-victim tie-break order (Options.Victim),
-	// rebound per attempt alongside rec.
-	vpolicy VictimPolicy
-
 	// Cancellation plumbing for poll: req carries the request's own
 	// deadline/cancel, and steps counts placement-loop iterations so the
 	// check runs every 64th step instead of every step. Both are rebound

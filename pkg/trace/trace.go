@@ -24,7 +24,7 @@
 //
 // Buffer is the recorder that ships: it retains the full stream for the
 // Chrome trace exporter and the aggregated search Profile (msched
-// trace, msched run -trace-slowest).
+// trace).
 package trace
 
 // Kind classifies one search event. The values are stable artifact
