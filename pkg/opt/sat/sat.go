@@ -2,8 +2,8 @@
 // — the decision engine behind the exact modulo-scheduling backend
 // (pkg/opt). It exists so the repository needs no cgo and no external
 // solver binary: the whole optimality story (SAT models decoded into
-// schedules, UNSAT certificates proving an II infeasible) rests on ~600
-// lines of auditable Go.
+// schedules, UNSAT certificates proving an II infeasible) rests on one
+// file of auditable Go.
 //
 // The solver implements the standard conflict-driven clause-learning
 // loop: two-watched-literal unit propagation, first-UIP conflict
@@ -16,6 +16,15 @@
 // byte-diffed CI artifacts, so Solve must be a pure function of the
 // clause set and the budget. There is no randomness, no map iteration,
 // and no wall-clock anywhere in the search.
+//
+// Two storage choices make the kernel fast without changing what it
+// decides. A 2-literal clause has binary watchers, whose blocker is the
+// clause's other literal: propagate settles such a clause from the
+// watcher alone and loads the clause only to report a conflict. And
+// since the decision order is a strict total order, any structure that
+// yields its maximum makes the same decisions: the order has two tiers,
+// a bitset of the variables never bumped (activity 0), scanned in index
+// order, and a heap of the bumped ones.
 //
 // Completeness is traded away only through the explicit conflict budget:
 // Solve returns Unknown once the budget is exhausted, and callers treat
@@ -34,7 +43,10 @@
 // those of clause-at-a-time appends on a new solver.
 package sat
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Lit is a literal: variable index shifted left once, with the low bit
 // set for negation. Variables are dense non-negative ints handed out by
@@ -89,7 +101,10 @@ const (
 // watcher is one entry of a literal's watch list: the clause reference
 // plus a blocker literal (some other literal of the clause) checked
 // before the clause itself is touched — most visits end at the blocker,
-// which keeps propagation cache-friendly.
+// which keeps propagation cache-friendly. The blocker of a 2-literal
+// clause is always the clause's other literal, so its watcher stores
+// ^ref (a negative ref) and propagate settles the clause from the
+// watcher alone, without loading it.
 type watcher struct {
 	ref     int32
 	blocker Lit
@@ -119,8 +134,15 @@ type Solver struct {
 	trailLim []int
 	qhead    int
 
-	heap    []int32 // binary max-heap of unassigned decision candidates
-	heapPos []int32 // var -> heap index, -1 when absent
+	// The decision candidates are split by activity. Variables never
+	// bumped (activity 0) sit in the cold bitset, which is scanned in
+	// index order from the word coldNext; bumped ones sit in a binary
+	// max-heap. Every heap variable outranks every cold one, so the
+	// pair yields candidates in exactly heapLess order.
+	heap     []int32  // binary max-heap of candidates with activity > 0
+	heapPos  []int32  // var -> heap index, -1 when absent
+	cold     []uint64 // bit v set: v is a candidate with activity 0
+	coldNext int      // no cold bit is set in a word below this one
 
 	seen      []bool // scratch for conflict analysis
 	learntBuf []Lit
@@ -140,6 +162,7 @@ type Solver struct {
 	liveLearnts int
 
 	ok        bool // false once an empty clause is derived at level 0
+	solved    bool // Solve has run; only Reset makes the solver usable again
 	conflicts int64
 }
 
@@ -170,6 +193,7 @@ func (s *Solver) Reset() {
 		trailLim:    s.trailLim[:0],
 		heap:        s.heap[:0],
 		heapPos:     s.heapPos[:0],
+		cold:        s.cold[:0],
 		seen:        s.seen[:0],
 		learntBuf:   s.learntBuf[:0],
 		clearBuf:    s.clearBuf[:0],
@@ -201,14 +225,20 @@ func (s *Solver) NewVars(k int) int {
 	for range k {
 		s.reason = append(s.reason, -1)
 	}
-	s.heapPos = append(s.heapPos, make([]int32, k)...) // set by heapInsert below
+	s.heapPos = slices.Grow(s.heapPos, k)
+	for range k {
+		s.heapPos = append(s.heapPos, -1)
+	}
 	s.polarity = append(s.polarity, make([]bool, k)...)
 	s.activity = append(s.activity, make([]float64, k)...)
 	s.seen = append(s.seen, make([]bool, k)...)
 	s.trail = slices.Grow(s.trail, s.nVars-len(s.trail)) // a trail never outgrows the variables
 	s.heap = slices.Grow(s.heap, k)
+	// New variables have activity 0, so they start cold. Bits past the
+	// old last variable are still clear: nothing ever sets one.
+	s.cold = append(s.cold, make([]uint64, (s.nVars+63)/64-len(s.cold))...)
 	for v := first; v < s.nVars; v++ {
-		s.heapInsert(int32(v))
+		s.setCold(v)
 	}
 	return first
 }
@@ -226,23 +256,34 @@ func (s *Solver) Conflicts() int64 { return s.conflicts }
 // Value returns the model value of variable v after Solve returned Sat.
 func (s *Solver) Value(v int) bool { return s.value[Pos(v)] == lTrue }
 
-func (s *Solver) litValue(l Lit) int8 { return s.value[l] }
-
 // AddClause adds a clause over the given literals. It must be called
-// before Solve (the solver is at decision level 0). Tautologies are
-// dropped, duplicate literals merged, and literals already false at
-// level 0 removed; an empty (or emptied) clause makes the instance
-// trivially unsatisfiable. The literal slice is copied.
+// before Solve (the solver is at decision level 0); it panics on a
+// solver that has solved and not been Reset. Tautologies are dropped,
+// duplicate literals merged, and literals already false at level 0
+// removed; an empty (or emptied) clause makes the instance trivially
+// unsatisfiable. The literal slice is copied.
 func (s *Solver) AddClause(lits ...Lit) {
+	if s.solved {
+		panic("sat: AddClause after Solve; call Reset before building the next formula")
+	}
 	if !s.ok {
 		return
+	}
+	// Most clauses are two distinct unassigned literals, which need no
+	// normalisation at all.
+	if len(lits) == 2 {
+		a, b := lits[0], lits[1]
+		if a.Var() != b.Var() && s.value[a] == lUndef && s.value[b] == lUndef {
+			s.attach(lits)
+			return
+		}
 	}
 	// Sort-free small-clause normalisation: clauses here are tiny (2-4
 	// literals except the per-instruction at-least-one rows), so the
 	// quadratic dedup is cheaper than sorting.
 	out := s.learntBuf[:0]
 	for _, l := range lits {
-		switch s.litValue(l) {
+		switch s.value[l] {
 		case lTrue:
 			s.learntBuf = out
 			return // satisfied at level 0
@@ -327,7 +368,8 @@ func (c chunks[T]) rewound() chunks[T] {
 }
 
 // attach copies a (already normalised, >= 2 literal) clause into the
-// literal chunks, stores it and watches its first two literals. Each
+// literal chunks, stores it and watches its first two literals, a
+// 2-literal clause with binary watchers (^ref). Each
 // clause is a full slice expression of its chunk — its capacity ends
 // where its literals do — so no clause can ever grow into a neighbour.
 // A learnt clause reduceDB deletes leaves its literals in the chunk
@@ -343,8 +385,12 @@ func (s *Solver) attach(lits []Lit) int32 {
 		s.clauses = slices.Grow(s.clauses, max(len(s.clauses), minClauses))
 	}
 	s.clauses = append(s.clauses, c)
-	s.watch(c[0].Not(), watcher{ref, c[1]})
-	s.watch(c[1].Not(), watcher{ref, c[0]})
+	wref := ref
+	if len(c) == 2 {
+		wref = ^ref
+	}
+	s.watch(c[0].Not(), watcher{wref, c[1]})
+	s.watch(c[1].Not(), watcher{wref, c[0]})
 	return ref
 }
 
@@ -410,7 +456,7 @@ func (s *Solver) reduceDB() {
 		ws := s.watches[li]
 		kept := ws[:0]
 		for _, w := range ws {
-			if s.clauses[w.ref] != nil {
+			if w.ref < 0 || s.clauses[w.ref] != nil { // binary clauses are never deleted
 				kept = append(kept, w)
 			}
 		}
@@ -472,76 +518,101 @@ func (s *Solver) enqueue(l Lit, reason int32) {
 }
 
 // propagate runs unit propagation to fixpoint. It returns the reference
-// of a conflicting clause, or -1 when no conflict arose.
+// of a conflicting clause, or -1 when no conflict arose. Each watch
+// list is compacted in place: kept watchers move down to ws[:j].
 func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; visit clauses watching ¬p
 		s.qhead++
+		falseLit := p.Not()
 		ws := s.watches[p]
-		kept := ws[:0]
-		for wi := 0; wi < len(ws); wi++ {
-			w := ws[wi]
+		j := 0
+	visit:
+		for i := 0; i < len(ws); i++ {
+			w := ws[i]
 			// Blocker check: if any known-true literal of the clause is
 			// cached here the clause is satisfied and never loaded.
-			if s.litValue(w.blocker) == lTrue {
-				kept = append(kept, w)
+			bv := s.value[w.blocker]
+			if bv == lTrue {
+				ws[j] = w
+				j++
+				continue
+			}
+			if w.ref < 0 {
+				// Binary clause [blocker, ¬p]: unit or conflicting.
+				ws[j] = w
+				j++
+				ref := ^w.ref
+				if bv == lFalse {
+					// analyze reads a conflict clause in memory order.
+					c := s.clauses[ref]
+					c[0], c[1] = w.blocker, falseLit
+					return s.conflict(p, ws, i, j, ref)
+				}
+				s.enqueue(w.blocker, ref)
 				continue
 			}
 			c := s.clauses[w.ref]
 			// Normalise so c[0] is the other watched literal.
-			if c[0] == p.Not() {
-				c[0], c[1] = c[1], c[0]
+			if c[0] == falseLit {
+				c[0], c[1] = c[1], falseLit
 			}
-			if s.litValue(c[0]) == lTrue {
-				kept = append(kept, watcher{w.ref, c[0]})
+			first := c[0]
+			fv := s.value[first]
+			if fv == lTrue {
+				ws[j] = watcher{w.ref, first}
+				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			moved := false
 			for k := 2; k < len(c); k++ {
-				if s.litValue(c[k]) != lFalse {
-					c[1], c[k] = c[k], c[1]
-					s.watch(c[1].Not(), watcher{w.ref, c[0]})
-					moved = true
-					break
+				if s.value[c[k]] != lFalse {
+					c[1], c[k] = c[k], falseLit
+					s.watch(c[1].Not(), watcher{w.ref, first})
+					continue visit
 				}
 			}
-			if moved {
-				continue
-			}
 			// Clause is unit or conflicting under the current assignment.
-			kept = append(kept, watcher{w.ref, c[0]})
-			if s.litValue(c[0]) == lFalse {
-				// Conflict: keep the remaining watchers, restore and bail.
-				kept = append(kept, ws[wi+1:]...)
-				s.watches[p] = kept
-				s.qhead = len(s.trail)
-				return w.ref
+			ws[j] = watcher{w.ref, first}
+			j++
+			if fv == lFalse {
+				return s.conflict(p, ws, i, j, w.ref)
 			}
-			s.enqueue(c[0], w.ref)
+			s.enqueue(first, w.ref)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 	}
 	return -1
+}
+
+// conflict ends propagate on clause ref, found at watcher i of p's
+// list ws with j watchers kept: the unvisited watchers are kept too, and
+// the propagation queue is emptied.
+func (s *Solver) conflict(p Lit, ws []watcher, i, j int, ref int32) int32 {
+	j += copy(ws[j:], ws[i+1:])
+	s.watches[p] = ws[:j]
+	s.qhead = len(s.trail)
+	return ref
 }
 
 // decisionLevel returns the current decision level.
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // cancelUntil backtracks to the given decision level, saving phases and
-// re-inserting unassigned variables into the order heap.
+// returning unassigned variables to the decision order.
 func (s *Solver) cancelUntil(lvl int) {
 	if s.decisionLevel() <= lvl {
 		return
 	}
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.polarity[v] = s.value[Pos(v)] == lTrue
-		s.value[Pos(v)], s.value[Neg(v)] = lUndef, lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.polarity[v] = !l.Sign()
+		s.value[l], s.value[l.Not()] = lUndef, lUndef
 		s.reason[v] = -1
-		if s.heapPos[v] < 0 {
-			s.heapInsert(int32(v))
+		if s.heapPos[v] < 0 && !s.isCold(v) {
+			s.insertCandidate(v)
 		}
 	}
 	s.trail = s.trail[:bound]
@@ -661,26 +732,53 @@ func (s *Solver) redundant(l Lit) bool {
 	return true
 }
 
-// bump raises a variable's activity and rescales all activities when
-// they grow past the overflow guard.
+// bump raises a variable's activity, moving a cold candidate into the
+// heap, and rescales all activities when they grow past the overflow
+// guard.
 func (s *Solver) bump(v int) {
 	s.activity[v] += s.varInc
 	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
-		}
-		s.varInc *= 1e-100
+		s.rescale()
 	}
 	if s.heapPos[v] >= 0 {
 		s.heapUp(int(s.heapPos[v]))
+	} else if s.isCold(v) {
+		s.cold[v>>6] &^= 1 << (v & 63)
+		s.heapInsert(int32(v))
+	}
+}
+
+// rescale shrinks every activity and the increment by 1e-100. Scaling
+// can underflow an activity to 0, which sends its heap variable back to
+// cold, or merge two activities into a tie, so the heap is rebuilt.
+func (s *Solver) rescale() {
+	for i := range s.activity {
+		s.activity[i] *= 1e-100
+	}
+	s.varInc *= 1e-100
+	h := s.heap[:0]
+	for _, v := range s.heap {
+		if s.activity[v] == 0 {
+			s.heapPos[v] = -1
+			s.setCold(int(v))
+			continue
+		}
+		s.heapPos[v] = int32(len(h))
+		h = append(h, v)
+	}
+	s.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		s.heapDown(i)
 	}
 }
 
 // decayActivities implements VSIDS decay by growing the increment.
 func (s *Solver) decayActivities() { s.varInc *= 1 / 0.95 }
 
-// heapLess orders the decision heap: higher activity first, lower
-// variable index on ties — the fixed tie-break determinism rests on.
+// heapLess is the decision order: higher activity first, lower variable
+// index on ties — the fixed tie-break determinism rests on. It is a
+// strict total order, so the next decision is the unique maximum of the
+// candidates however they are stored.
 func (s *Solver) heapLess(a, b int32) bool {
 	if s.activity[a] != s.activity[b] {
 		return s.activity[a] > s.activity[b]
@@ -731,9 +829,26 @@ func (s *Solver) heapDown(i int) {
 	s.heapPos[v] = int32(i)
 }
 
-// heapPopUnassigned removes and returns the best unassigned variable, or
-// -1 when every variable is assigned.
-func (s *Solver) heapPopUnassigned() int {
+func (s *Solver) isCold(v int) bool { return s.cold[v>>6]&(1<<(v&63)) != 0 }
+
+func (s *Solver) setCold(v int) {
+	s.cold[v>>6] |= 1 << (v & 63)
+	s.coldNext = min(s.coldNext, v>>6)
+}
+
+// insertCandidate makes v a decision candidate again, by its activity.
+func (s *Solver) insertCandidate(v int) {
+	if s.activity[v] == 0 {
+		s.setCold(v)
+	} else {
+		s.heapInsert(int32(v))
+	}
+}
+
+// popUnassigned removes candidates in decision order and returns the
+// first unassigned one, or -1 when every variable is assigned: the heap
+// first, then the cold variables by index.
+func (s *Solver) popUnassigned() int {
 	for len(s.heap) > 0 {
 		v := s.heap[0]
 		last := len(s.heap) - 1
@@ -746,6 +861,15 @@ func (s *Solver) heapPopUnassigned() int {
 		}
 		if s.value[Pos(int(v))] == lUndef {
 			return int(v)
+		}
+	}
+	for ; s.coldNext < len(s.cold); s.coldNext++ {
+		for w := s.cold[s.coldNext]; w != 0; w &= w - 1 {
+			v := s.coldNext<<6 | bits.TrailingZeros64(w)
+			s.cold[s.coldNext] &^= 1 << (v & 63)
+			if s.value[Pos(v)] == lUndef {
+				return v
+			}
 		}
 	}
 	return -1
@@ -773,8 +897,14 @@ const restartBase = 100
 // with Unknown (the caller's cancellation hook — using it forfeits
 // determinism of the *outcome*, never of a completed answer). The result
 // is Sat (model readable via Value), Unsat (proof completed), or Unknown
-// (budget or stop).
+// (budget or stop). A solver solves once: calling Solve again without
+// Reset panics, since the search leaves decisions on the trail that the
+// next formula must not inherit.
 func (s *Solver) Solve(budget int64, stop func() bool) Status {
+	if s.solved {
+		panic("sat: Solve called twice; call Reset before building the next formula")
+	}
+	s.solved = true
 	if !s.ok {
 		return Unsat
 	}
@@ -841,7 +971,7 @@ func (s *Solver) search(limit, budget int64, stop func() bool) Status {
 			}
 			continue
 		}
-		v := s.heapPopUnassigned()
+		v := s.popUnassigned()
 		if v < 0 {
 			return Sat
 		}

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -419,8 +420,9 @@ func sortedLits(c []Lit) []Lit {
 }
 
 // TestNewVarsMatchesNewVar pins that one NewVars(k) block numbers its
-// variables, and orders the decision heap, exactly as k NewVar calls:
-// the same clause set then takes the same conflicts to the same model.
+// variables, and enters them in the decision order (as cold, never
+// bumped candidates), exactly as k NewVar calls: the same clause set
+// then takes the same conflicts to the same model.
 func TestNewVarsMatchesNewVar(t *testing.T) {
 	build := func(block bool) *Solver {
 		s := New()
@@ -453,11 +455,145 @@ func TestNewVarsMatchesNewVar(t *testing.T) {
 			sa, a.Conflicts(), a.NumVars(), sb, b.Conflicts(), b.NumVars())
 	}
 	if a.Conflicts() == 0 {
-		t.Fatal("instance needs no conflicts; it no longer exercises the heap order")
+		t.Fatal("instance needs no conflicts; it no longer exercises the decision order")
 	}
 	for v := 0; v < a.NumVars(); v++ {
 		if a.Value(v) != b.Value(v) {
 			t.Fatalf("models differ at variable %d", v)
 		}
 	}
+}
+
+// TestSolvedSolverNeedsReset pins that a solver solves once. Without
+// Reset, the second formula's clauses would be added at the decision
+// level the first Solve ended on: adding the negation of the model of
+// (x0∨x1)(x1∨x2) dropped literals false only under the first solve's
+// decisions and answered Unsat, though the formula is satisfiable. Both
+// AddClause and Solve on a solved solver panic naming Reset; after
+// Reset the same formula is solved correctly.
+func TestSolvedSolverNeedsReset(t *testing.T) {
+	build := func(s *Solver, extra ...[]Lit) *Solver {
+		s.NewVars(3)
+		s.AddClause(Pos(0), Pos(1))
+		s.AddClause(Pos(1), Pos(2))
+		for _, c := range extra {
+			s.AddClause(c...)
+		}
+		return s
+	}
+	for _, call := range []struct {
+		name string
+		do   func(s *Solver, negModel []Lit)
+	}{
+		{"AddClause", func(s *Solver, negModel []Lit) { s.AddClause(negModel...) }},
+		{"Solve", func(s *Solver, _ []Lit) { s.Solve(0, nil) }},
+	} {
+		s := build(New())
+		if st := s.Solve(0, nil); st != Sat {
+			t.Fatalf("first Solve = %v, want sat", st)
+		}
+		negModel := make([]Lit, 3)
+		for v := range negModel {
+			if s.Value(v) {
+				negModel[v] = Neg(v)
+			} else {
+				negModel[v] = Pos(v)
+			}
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Reset") {
+					t.Errorf("%s on a solved solver: recovered %q, want a panic naming Reset", call.name, msg)
+				}
+			}()
+			call.do(s, negModel)
+		}()
+		s.Reset()
+		if st := build(s, negModel).Solve(0, nil); st != Sat {
+			t.Fatalf("after Reset, the formula plus the first model's negation = %v, want sat", st)
+		}
+	}
+}
+
+// maxFuzzVars bounds FuzzSolve's formulas so bruteForce stays cheap.
+const maxFuzzVars = 12
+
+// decodeCNF reads a formula from fuzz bytes: the first byte picks the
+// variable count (1 to maxFuzzVars), and each later byte is either a
+// clause end (0xf0 and up) or a literal over those variables. The
+// clause still open at the end is kept when it has a literal; an empty
+// clause from two ends in a row is kept too.
+func decodeCNF(data []byte) formula {
+	if len(data) == 0 {
+		return formula{nvars: 1}
+	}
+	f := formula{nvars: 1 + int(data[0])%maxFuzzVars}
+	var c []Lit
+	for _, b := range data[1:] {
+		if b >= 0xf0 {
+			f.clauses = append(f.clauses, c)
+			c = nil
+			continue
+		}
+		c = append(c, Lit(int(b)%(2*f.nvars)))
+	}
+	if len(c) > 0 {
+		f.clauses = append(f.clauses, c)
+	}
+	return f
+}
+
+// FuzzSolve checks the solver against brute-force enumeration on small
+// formulas: the status must agree, a model must satisfy every clause,
+// and a solver left dirty by another formula and then Reset must reach
+// the new solver's status after the same conflicts with the same model.
+func FuzzSolve(f *testing.F) {
+	f.Add([]byte{2, 0, 2, 0xff, 3, 5, 0xff, 1, 4})
+	f.Add([]byte{0, 0, 0xff, 1})
+	f.Add([]byte{11, 0, 3, 9, 0xf0, 1, 2, 0xf0, 0xf0})
+	f.Add([]byte{5, 0, 2, 4, 0xff, 1, 3, 0xff, 0, 3, 0xff, 1, 2, 0xff, 5, 7, 0xff, 6, 8, 0xff, 9, 11})
+	for _, seed := range []uint64{1, 2, 3} {
+		rng := splitmix64(seed)
+		data := []byte{byte(maxFuzzVars - 1)}
+		for range 200 {
+			data = append(data, byte(rng.next()%28))
+			if rng.next()%3 == 0 {
+				data = append(data, 0xff)
+			}
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			return
+		}
+		fm := decodeCNF(data)
+		want := bruteForce(fm.nvars, fm.clauses)
+		s := load(New(), fm)
+		st := s.Solve(0, nil)
+		if (st == Sat) != want || st == Unknown {
+			t.Fatalf("Solve = %v, brute force says sat=%v\nclauses: %v", st, want, fm.clauses)
+		}
+		if st == Sat {
+			for _, c := range fm.clauses {
+				if !slices.ContainsFunc(c, func(l Lit) bool { return s.Value(l.Var()) != l.Sign() }) {
+					t.Fatalf("model violates clause %v", c)
+				}
+			}
+		}
+		dirty := pigeonhole(4)
+		dirty.Solve(0, nil)
+		dirty.Reset()
+		if rst := load(dirty, fm).Solve(0, nil); rst != st || dirty.Conflicts() != s.Conflicts() {
+			t.Fatalf("reset solver (%v, %d conflicts) vs new solver (%v, %d)", rst, dirty.Conflicts(), st, s.Conflicts())
+		}
+		if st == Sat {
+			for v := range fm.nvars {
+				if dirty.Value(v) != s.Value(v) {
+					t.Fatalf("models differ at variable %d", v)
+				}
+			}
+		}
+	})
 }
