@@ -35,11 +35,12 @@ func cmdExec(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", driver.DefaultTimeout, "compilation budget")
 	trips := fs.String("trips", "", "extra comma-separated trip counts for the predicated plan (at most vm.MaxTrip each)")
 	listing := fs.Int("listing", 12, "bundles of the emitted program to print (0 = none)")
-	execSeed := fs.Uint64("exec-seed", 0, "oracle seed (0 = the per-loop seed `msched run -exec` uses)")
-	if err := fs.Parse(args); err != nil {
+	execSeed := fs.Uint64("exec-seed", 0, "oracle seed (0 = the per-loop seed `msched run` and `compare` use)")
+	if !parseArgs(fs, args) {
 		return 2
 	}
-	if rejectNegative(stderr, "msched exec", nonNeg{"budget", *budget < 0}, nonNeg{"timeout", *timeout < 0}, nonNeg{"listing", *listing < 0}) {
+	if rejectOutOfRange(stderr, "msched exec", flagRange{"budget", ">= 0", *budget < 0},
+		flagRange{"timeout", "> 0", *timeout <= 0}, flagRange{"listing", ">= 0", *listing < 0}) {
 		return 2
 	}
 	loop, err := traceLoop(*loopName, *seed, *index)
@@ -72,7 +73,7 @@ func cmdExec(args []string, stdout, stderr io.Writer) int {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	r, err := core.CompileSafeWith(ctx, be, loop, m, core.Opts{})
+	r, err := core.CompileWithOpts(ctx, be, loop, m, core.Opts{})
 	if err != nil {
 		fmt.Fprintf(stderr, "msched exec: compiling %s on %s with %s: %v\n", loop.Name, m.Name, be.Name(), err)
 		return 1

@@ -1,20 +1,23 @@
 // Command msched is the batch front-end of the modulo-scheduling stack:
 // it generates seed-keyed loop populations (pkg/gen), compiles them
 // concurrently across scheduler backends and machine configurations
-// (internal/driver), and emits the aggregate quality tables as JSON/CSV
-// — the same artifact CI gates on and humans read.
+// (internal/driver), differentially executes every compilation, and
+// emits the aggregate quality tables as JSON — the same artifact CI
+// gates on and humans read.
 //
-//	msched run     -seed 1 -n 200 [-strict] [-timing] [-o report.json]
+//	msched run     -seed 1 -n 200 [-timing] [-o report.json]
 //	msched gen     -seed 1 -n 3 [-corner pressure] [-json]
 //	msched compare [-update-baseline] [-o dir]
 //	msched trace   -seed 1 -i 7 -machine tight [-chrome trace.json]
 //	msched exec    -loop fir8 -machine tight [-backend mirs]
 //
-// `run` sweeps a generated population over backends × machines and
-// reports II/MII distributions, spill traffic, fit rates and throughput;
-// with -strict any per-loop failure makes the exit status non-zero.
-// Without -timing the report is byte-deterministic in (seed, n, grid) —
-// the CI determinism smoke runs it twice and diffs.
+// `run` sweeps a generated population over backends × machines,
+// executes every compilation's emitted code against the sequential
+// reference, and reports II/MII distributions, spill traffic, fit
+// rates, executed cycles and throughput. Any compile failure, timeout
+// or execution mismatch makes the exit status 1, after the report is
+// written. Without -timing the report is byte-deterministic in (seed,
+// n, grid) — the CI determinism smoke runs it twice and diffs.
 //
 // `gen` prints generated loops for eyeballing and for reducing driver
 // findings to standalone repro cases.
@@ -54,7 +57,8 @@ import (
 func main() { os.Exit(Main(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // Main is the testable entry point: it dispatches the subcommand and
-// returns the process exit code (0 ok, 1 gate/strict failure, 2 usage).
+// returns the process exit code (0 ok, 1 compile, execution or gate
+// failure, 2 usage).
 func Main(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		usage(stderr)
@@ -84,8 +88,9 @@ func Main(args []string, stdout, stderr io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage: msched <run|gen|compare|trace|exec> [flags]
 
-  run       generate a loop population and batch-compile it across
-            backends x machines; emit aggregate quality tables
+  run       generate a loop population, batch-compile and execute it
+            across backends x machines; emit aggregate quality tables
+            (exit 1 on any compile failure or execution mismatch)
   gen       print generated loops
   compare   compile, execute and gate the quality, cycle and optimality-gap
             rows against BENCH_baseline.json and GAP_baseline.json
@@ -215,19 +220,35 @@ func backendNames(bs []sched.Scheduler) []string {
 	return out
 }
 
-// nonNeg names a numeric flag and whether its value is negative.
-type nonNeg struct {
-	name string
-	neg  bool
+// parseArgs parses a subcommand's flags and rejects a leftover
+// argument: flag stops at the first positional one, so a stray word
+// would otherwise silently drop every flag after it. Errors go to the
+// flag set's output; false means exit 2.
+func parseArgs(fs *flag.FlagSet, args []string) bool {
+	if err := fs.Parse(args); err != nil {
+		return false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		return false
+	}
+	return true
 }
 
-// rejectNegative reports the first negative flag as "-X must be >= 0"
-// and returns true; flags whose zero means "default" must not let a
-// negative value quietly mean the same.
-func rejectNegative(stderr io.Writer, cmd string, flags ...nonNeg) bool {
+// flagRange names a numeric flag, the range its value must lie in —
+// ">= 0" where zero means "default", "> 0" for a time budget — and
+// whether it lies outside.
+type flagRange struct {
+	name, want string
+	bad        bool
+}
+
+// rejectOutOfRange reports the first out-of-range flag as "-X must be
+// >= 0" (or "> 0") and returns true.
+func rejectOutOfRange(stderr io.Writer, cmd string, flags ...flagRange) bool {
 	for _, f := range flags {
-		if f.neg {
-			fmt.Fprintf(stderr, "%s: -%s must be >= 0\n", cmd, f.name)
+		if f.bad {
+			fmt.Fprintf(stderr, "%s: -%s must be %s\n", cmd, f.name, f.want)
 			return true
 		}
 	}
@@ -242,19 +263,15 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	backends := fs.String("backends", "all", "comma-separated backends, or all")
 	machines := fs.String("machines", "unified,paper-4cluster", "comma-separated machines, or all")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	exec := fs.Bool("exec", false, "differentially execute every successful compilation (emitted bundles vs the sequential reference); any mismatch fails the run")
 	timeout := fs.Duration("timeout", driver.DefaultTimeout, "per-compilation budget")
 	budget := fs.Int64("budget", 0, "opt backend: conflict budget per candidate II (0 = default)")
 	timing := fs.Bool("timing", false, "include wall-clock fields (breaks byte-determinism)")
-	keep := fs.Bool("keep-outcomes", false, "retain every per-compilation outcome in the report")
-	strict := fs.Bool("strict", false, "exit 1 if any compilation fails")
-	out := fs.String("o", "", "write the full JSON report to this file")
-	csvOut := fs.String("csv", "", "write baseline-style rows as CSV to this file")
-	if err := fs.Parse(args); err != nil {
+	out := fs.String("o", "", "write the full JSON report, every outcome included, to this file")
+	if !parseArgs(fs, args) {
 		return 2
 	}
-	if rejectNegative(stderr, "msched run", nonNeg{"n", *n < 0}, nonNeg{"workers", *workers < 0},
-		nonNeg{"timeout", *timeout < 0}, nonNeg{"budget", *budget < 0}) {
+	if rejectOutOfRange(stderr, "msched run", flagRange{"n", ">= 0", *n < 0}, flagRange{"workers", ">= 0", *workers < 0},
+		flagRange{"timeout", "> 0", *timeout <= 0}, flagRange{"budget", ">= 0", *budget < 0}) {
 		return 2
 	}
 	bes, err := backendsByName(*backends, *budget)
@@ -273,9 +290,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		Backends: bes,
 		Machines: ms,
 	}
-	rep := driver.Run(spec, driver.Options{
-		Workers: *workers, Timeout: *timeout, Timing: *timing, KeepOutcomes: *keep, Exec: *exec,
-	})
+	rep := driver.Run(spec, driver.Options{Workers: *workers, Timeout: *timeout, Timing: *timing})
 	printSummary(stdout, rep)
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -288,30 +303,26 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if *csvOut != "" {
-		f := &report.File{Rows: rep.Rows()}
-		if err := os.WriteFile(*csvOut, []byte(f.CSV()), 0o644); err != nil {
-			fmt.Fprintln(stderr, "msched run:", err)
-			return 1
-		}
-	}
-	if *exec {
-		executed, execFailed := 0, 0
-		for i := range rep.Combos {
-			executed += rep.Combos[i].Executed
-			execFailed += rep.Combos[i].ExecFailed
-		}
-		fmt.Fprintf(stdout, "exec-verify: %d compilations executed differentially, %d mismatches\n", executed, execFailed)
-		if len(rep.ExecFailures) > 0 {
-			fmt.Fprintf(stderr, "msched run: %d compilation(s) executed to a state that differs from the sequential reference\n", len(rep.ExecFailures))
-			return 1
-		}
-	}
-	if *strict && rep.Failures > 0 {
-		fmt.Fprintf(stderr, "msched run: %d of %d compilations failed (strict mode)\n", rep.Failures, rep.Jobs)
+	if failed := rep.Failures + printExecVerify(stdout, rep); failed > 0 {
+		fmt.Fprintf(stderr, "msched run: %d of %d compilations failed to compile or execute clean\n", failed, rep.Jobs)
 		return 1
 	}
 	return 0
+}
+
+// printExecVerify prints the differential-execution tally of reps —
+// the driver executes every compiled loop — and returns the number of
+// execution mismatches.
+func printExecVerify(w io.Writer, reps ...*driver.Report) (mismatches int) {
+	executed := 0
+	for _, rep := range reps {
+		for _, c := range rep.Combos {
+			executed += c.Compiled
+		}
+		mismatches += len(rep.ExecFailures)
+	}
+	fmt.Fprintf(w, "exec-verify: %d compilations executed differentially, %d mismatches\n", executed, mismatches)
+	return mismatches
 }
 
 // printSummary renders the paper-style aggregate table for humans.
@@ -361,10 +372,10 @@ func cmdGen(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 3, "number of loops to print")
 	corner := fs.String("corner", "", "single knob corner to use (default: cycle all)")
 	asJSON := fs.Bool("json", false, "emit loops as JSON instead of text")
-	if err := fs.Parse(args); err != nil {
+	if !parseArgs(fs, args) {
 		return 2
 	}
-	if rejectNegative(stderr, "msched gen", nonNeg{"n", *n < 0}) {
+	if rejectOutOfRange(stderr, "msched gen", flagRange{"n", ">= 0", *n < 0}) {
 		return 2
 	}
 	var loops []*ir.Loop
@@ -439,18 +450,16 @@ func (g gateSpec) corpora() ([]driver.Spec, error) {
 }
 
 // sweep compiles and differentially executes every gate corpus, in
-// order, and returns their reports with every outcome kept. failures
-// counts compilations that errored out, timed out or executed to a
-// state that differs from the sequential reference: the gate corpora
-// must compile and execute clean, so callers treat any failure as one
-// in its own right rather than letting a shrunken population be
-// baselined away (or drop out of the gap sums).
+// order, and returns their reports. failures counts compilations that
+// errored out, timed out or executed to a state that differs from the
+// sequential reference: the gate corpora must compile and execute
+// clean, so callers treat any failure as one in its own right rather
+// than letting a shrunken population be baselined away (or drop out of
+// the gap sums).
 func sweep(corpora []driver.Spec, stdout, stderr io.Writer) (reps []*driver.Report, failures int) {
-	executed, mismatches := 0, 0
 	for _, spec := range corpora {
-		rep := driver.Run(spec, driver.Options{Exec: true, KeepOutcomes: true})
+		rep := driver.Run(spec, driver.Options{})
 		failures += rep.Failures
-		mismatches += len(rep.ExecFailures)
 		for _, o := range rep.Outcomes {
 			if o.Err != "" {
 				fmt.Fprintf(stderr, "msched compare: %s [%s x %s]: %s\n", o.Loop, o.Backend, o.Machine, o.Err)
@@ -459,13 +468,9 @@ func sweep(corpora []driver.Spec, stdout, stderr io.Writer) (reps []*driver.Repo
 				fmt.Fprintf(stderr, "msched compare: EXEC MISMATCH %s [%s x %s]: %s\n", o.Loop, o.Backend, o.Machine, o.ExecErr)
 			}
 		}
-		for _, c := range rep.Combos {
-			executed += c.Executed
-		}
 		reps = append(reps, rep)
 	}
-	fmt.Fprintf(stdout, "exec-verify: %d compilations executed differentially, %d mismatches\n", executed, mismatches)
-	return reps, failures + mismatches
+	return reps, failures + printExecVerify(stdout, reps...)
 }
 
 func cmdCompare(args []string, stdout, stderr io.Writer) int {
@@ -489,7 +494,7 @@ func runCompare(corpora []driver.Spec, args []string, stdout, stderr io.Writer) 
 	gapBaseline := fs.String("gap-baseline", "GAP_baseline.json", "optimality-gap table to gate against")
 	update := fs.Bool("update-baseline", false, "rewrite both baselines from current results instead of gating")
 	outDir := fs.String("o", "", "write the current artifacts (bench.json, gap.json) into this directory")
-	if err := fs.Parse(args); err != nil {
+	if !parseArgs(fs, args) {
 		return 2
 	}
 

@@ -55,9 +55,14 @@ func TestUsageAndBadInput(t *testing.T) {
 		// Negative values used to be coerced to the flag's default.
 		{[]string{"run", "-budget", "-5"}, "-budget must be >= 0"},
 		{[]string{"run", "-workers", "-2"}, "-workers must be >= 0"},
-		{[]string{"run", "-timeout", "-1s"}, "-timeout must be >= 0"},
-		{[]string{"trace", "-timeout", "-1s"}, "-timeout must be >= 0"},
-		{[]string{"exec", "-timeout", "-1s"}, "-timeout must be >= 0"},
+		// A zero budget used to mean the 30 s default in run but an
+		// already-expired deadline in exec and trace.
+		{[]string{"run", "-timeout", "-1s"}, "-timeout must be > 0"},
+		{[]string{"run", "-timeout", "0"}, "-timeout must be > 0"},
+		{[]string{"trace", "-timeout", "-1s"}, "-timeout must be > 0"},
+		{[]string{"trace", "-timeout", "0"}, "-timeout must be > 0"},
+		{[]string{"exec", "-timeout", "-1s"}, "-timeout must be > 0"},
+		{[]string{"exec", "-timeout", "0"}, "-timeout must be > 0"},
 		{[]string{"exec", "-budget", "-1"}, "-budget must be >= 0"},
 		{[]string{"exec", "-listing", "-3"}, "-listing must be >= 0"},
 		// The oracle's run time grows with the trip; -timeout covers only
@@ -65,6 +70,19 @@ func TestUsageAndBadInput(t *testing.T) {
 		{[]string{"exec", "-trips", "4611686018427387904"}, "-trips wants integers in [1, 1048576]"},
 		{[]string{"exec", "-trips", "1,1048577"}, "-trips wants integers in [1, 1048576]"},
 		{[]string{"exec", "-trips", "0"}, "-trips wants integers in [1, 1048576]"},
+		// run executes every compilation, keeps every outcome, fails on
+		// any failure and writes only the JSON report.
+		{[]string{"run", "-exec"}, "flag provided but not defined"},
+		{[]string{"run", "-strict"}, "flag provided but not defined"},
+		{[]string{"run", "-keep-outcomes"}, "flag provided but not defined"},
+		{[]string{"run", "-csv", "x"}, "flag provided but not defined"},
+		// flag stops at the first positional argument, so a stray word
+		// used to drop every flag after it silently.
+		{[]string{"run", "-n", "2", "stray", "-machines", "tight"}, `msched run: unexpected argument "stray"`},
+		{[]string{"gen", "-n", "1", "stray", "-json"}, `msched gen: unexpected argument "stray"`},
+		{[]string{"compare", "stray", "-o", "x"}, `msched compare: unexpected argument "stray"`},
+		{[]string{"trace", "-loop", "fir8", "stray", "-machine", "unified"}, `msched trace: unexpected argument "stray"`},
+		{[]string{"exec", "-loop", "fir8", "stray", "-machine", "tight"}, `msched exec: unexpected argument "stray"`},
 	} {
 		if code, _, errOut := capture(t, c.args...); code != 2 || !strings.Contains(errOut, c.errWant) {
 			t.Errorf("msched %s: got exit %d, want 2 with %q; stderr: %s", strings.Join(c.args, " "), code, c.errWant, errOut)
@@ -168,35 +186,62 @@ func TestRunWithMachineFile(t *testing.T) {
 }
 
 // TestRunDeterministicReport is the in-process version of the CI
-// determinism smoke: two untimed runs write byte-identical reports and
-// CSVs.
+// determinism smoke: two untimed runs execute every compilation and
+// write byte-identical reports.
 func TestRunDeterministicReport(t *testing.T) {
 	dir := t.TempDir()
 	r1, r2 := filepath.Join(dir, "r1.json"), filepath.Join(dir, "r2.json")
-	c1, c2 := filepath.Join(dir, "r1.csv"), filepath.Join(dir, "r2.csv")
-	if code, _, errOut := capture(t, "run", "-seed", "9", "-n", "25", "-strict", "-o", r1, "-csv", c1); code != 0 {
-		t.Fatalf("run failed: %s", errOut)
-	}
-	if code, _, errOut := capture(t, "run", "-seed", "9", "-n", "25", "-strict", "-o", r2, "-csv", c2); code != 0 {
-		t.Fatalf("run failed: %s", errOut)
-	}
-	for _, pair := range [][2]string{{r1, r2}, {c1, c2}} {
-		a, _ := os.ReadFile(pair[0])
-		b, _ := os.ReadFile(pair[1])
-		if len(a) == 0 || !bytes.Equal(a, b) {
-			t.Fatalf("%s and %s differ (or are empty)", pair[0], pair[1])
+	for _, r := range []string{r1, r2} {
+		code, out, errOut := capture(t, "run", "-seed", "9", "-n", "25", "-o", r)
+		if code != 0 {
+			t.Fatalf("run failed: %s", errOut)
+		}
+		if !strings.Contains(out, "exec-verify: 100 compilations executed differentially, 0 mismatches") {
+			t.Fatalf("run did not execute every compilation:\n%s", out)
 		}
 	}
-	var rep struct {
-		Jobs     int `json:"jobs"`
-		Failures int `json:"failures"`
+	a, _ := os.ReadFile(r1)
+	b, _ := os.ReadFile(r2)
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("%s and %s differ (or are empty)", r1, r2)
 	}
-	data, _ := os.ReadFile(r1)
+	var rep struct {
+		Jobs     int              `json:"jobs"`
+		Failures int              `json:"failures"`
+		Outcomes []driver.Outcome `json:"outcomes"`
+	}
+	if err := json.Unmarshal(a, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Jobs != 25*4 || rep.Failures != 0 || len(rep.Outcomes) != rep.Jobs {
+		t.Fatalf("want 100 clean jobs, every outcome kept; got %d jobs, %d failures, %d outcomes", rep.Jobs, rep.Failures, len(rep.Outcomes))
+	}
+}
+
+// TestRunFailureIsFatalAfterReport pins run's failure contract: a
+// compilation that times out makes the exit status 1, and the report,
+// every outcome included, is written first.
+func TestRunFailureIsFatalAfterReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.json")
+	code, _, errOut := capture(t, "run", "-n", "3", "-timeout", "1ns", "-o", path)
+	if code != 1 || !strings.Contains(errOut, "12 of 12 compilations failed") {
+		t.Fatalf("got exit %d, want 1 naming 12 failures; stderr: %s", code, errOut)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("report not written before failing: %v", err)
+	}
+	var rep driver.Report
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Jobs != 25*4 || rep.Failures != 0 {
-		t.Fatalf("want 100 clean jobs, got %+v", rep)
+	if rep.Failures != 12 || len(rep.Outcomes) != 12 {
+		t.Fatalf("want 12 failed outcomes, got %d failures, %d outcomes", rep.Failures, len(rep.Outcomes))
+	}
+	for _, o := range rep.Outcomes {
+		if !o.TimedOut {
+			t.Fatalf("%s not marked timed_out: %+v", o.Key(), o)
+		}
 	}
 }
 
@@ -412,7 +457,7 @@ func TestCompareGapEndToEnd(t *testing.T) {
 // population.
 func TestRunOptBackend(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "opt.json")
-	code, _, errOut := capture(t, "run", "-backends", "opt", "-n", "6", "-machines", "unified", "-budget", "5000", "-strict", "-keep-outcomes", "-o", out)
+	code, _, errOut := capture(t, "run", "-backends", "opt", "-n", "6", "-machines", "unified", "-budget", "5000", "-o", out)
 	if code != 0 {
 		t.Fatalf("run -backends opt failed: %s", errOut)
 	}

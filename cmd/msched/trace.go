@@ -38,10 +38,10 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	chromeOut := fs.String("chrome", "", "write the Chrome trace-event JSON to this file")
 	profileOut := fs.String("profile", "", "write the aggregated profile JSON to this file")
 	list := fs.Bool("list", false, "list the example loop names and exit")
-	if err := fs.Parse(args); err != nil {
+	if !parseArgs(fs, args) {
 		return 2
 	}
-	if rejectNegative(stderr, "msched trace", nonNeg{"timeout", *timeout < 0}) {
+	if rejectOutOfRange(stderr, "msched trace", flagRange{"timeout", "> 0", *timeout <= 0}) {
 		return 2
 	}
 	if *list {
@@ -70,7 +70,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 	buf := &trace.Buffer{}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	r, err := core.CompileSafeWith(ctx, be, loop, m, core.Opts{Recorder: buf})
+	r, err := core.CompileWithOpts(ctx, be, loop, m, core.Opts{Recorder: buf})
 	if err != nil {
 		fmt.Fprintf(stderr, "msched trace: compiling %s on %s with %s: %v\n", loop.Name, m.Name, be.Name(), err)
 		return 1

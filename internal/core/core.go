@@ -89,30 +89,6 @@ type Opts struct {
 	Exec bool
 }
 
-// CompileSafeWith is CompileWithOpts with panic isolation: a panicking
-// backend (or analysis layer) is converted into an ordinary per-loop
-// error instead of taking down the caller. This is the non-fatal error
-// path the batch driver and the `msched trace`/`exec` explainers
-// compile untrusted or generated populations through — one
-// pathological loop must cost one result, not the whole sweep. The
-// error carries the recovered value and a trimmed stack so shaken-out
-// bugs stay diagnosable from a batch report. Cancelling ctx (deadline or
-// explicit) aborts the in-flight compilation at the backend's next II
-// checkpoint; the returned error then wraps ctx.Err(), so callers
-// classify timeouts with errors.Is.
-func CompileSafeWith(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine, opts Opts) (r *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			stack := debug.Stack()
-			if len(stack) > 2048 {
-				stack = stack[:2048]
-			}
-			r, err = nil, fmt.Errorf("core: panic compiling loop %q: %v\n%s", l.Name, p, stack)
-		}
-	}()
-	return CompileWithOpts(ctx, s, l, m, opts)
-}
-
 // CompileWith runs the full pipeline on loop l for machine m with
 // scheduler s, no cancellation and the default Opts — the signature
 // test and benchmark callers use when no deadline applies.
@@ -124,16 +100,26 @@ func CompileWith(s sched.Scheduler, l *ir.Loop, m *machine.Machine) (*Result, er
 // backend under a cancellable context: it builds the dependence graph,
 // computes MII, schedules, validates and analyses register pressure,
 // then expands (and, with Opts.Exec, executes) the result; see Opts for
-// the other knobs. The context is threaded into the backend via
-// sched.Request.Ctx, so a deadline cancels an in-flight II search
-// instead of abandoning its goroutine. The returned schedule is
-// guaranteed Validate-clean: regpress.Analyze re-validates backend
-// output, so a buggy backend is caught at this boundary rather than
-// downstream.
-func CompileWithOpts(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine, opts Opts) (*Result, error) {
-	if s == nil {
-		return nil, fmt.Errorf("core: nil scheduler")
+// the other knobs. The returned schedule is guaranteed Validate-clean:
+// regpress.Analyze re-validates backend output. Every failure is an
+// error: a backend or analysis panic is recovered into one carrying the
+// recovered value and a trimmed stack, so one pathological loop costs a
+// batch one outcome, not the sweep. ctx reaches the backend via
+// sched.Request.Ctx; a deadline aborts the II search at its next
+// checkpoint and the error wraps ctx.Err() for errors.Is.
+func CompileWithOpts(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *machine.Machine, opts Opts) (r *Result, err error) {
+	if s == nil || l == nil || m == nil {
+		return nil, fmt.Errorf("core: nil scheduler, loop or machine")
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			stack := debug.Stack()
+			if len(stack) > 2048 {
+				stack = stack[:2048]
+			}
+			r, err = nil, fmt.Errorf("core: panic compiling loop %q: %v\n%s", l.Name, p, stack)
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -69,6 +69,45 @@ func TestCompileWithNilScheduler(t *testing.T) {
 	if _, err := CompileWith(nil, ir.DotProduct(), machine.Unified()); err == nil {
 		t.Error("CompileWith(nil) succeeded")
 	}
+	if _, err := CompileWith(sched.ListScheduler{}, nil, machine.Unified()); err == nil {
+		t.Error("CompileWith with a nil loop succeeded")
+	}
+	if _, err := CompileWith(sched.ListScheduler{}, ir.DotProduct(), nil); err == nil {
+		t.Error("CompileWith with a nil machine succeeded")
+	}
+}
+
+// panicOn is a backend that panics on one loop and delegates to the
+// list scheduler otherwise.
+type panicOn struct{ victim string }
+
+func (panicOn) Name() string { return "panicky" }
+
+func (p panicOn) Schedule(req *sched.Request) (*sched.Schedule, error) {
+	if req.Loop.Name == p.victim {
+		panic("backend exploded")
+	}
+	return sched.ListScheduler{}.Schedule(req)
+}
+
+// TestCompilePanicIsAnError pins the facade's panic isolation: a
+// backend panicking on one loop makes CompileWithOpts return an error
+// naming the loop and the panic, with a stack, instead of crashing the
+// caller; the next loop through the same backend compiles.
+func TestCompilePanicIsAnError(t *testing.T) {
+	be, m := panicOn{victim: "dotprod"}, machine.Unified()
+	r, err := CompileWith(be, ir.DotProduct(), m)
+	if r != nil || err == nil {
+		t.Fatalf("want an error from a panicking backend, got result %v, err %v", r, err)
+	}
+	for _, want := range []string{`core: panic compiling loop "dotprod"`, "backend exploded", "goroutine"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+	if _, err := CompileWith(be, ir.FIR8(), m); err != nil {
+		t.Fatalf("non-victim loop: %v", err)
+	}
 }
 
 // TestBackendsRunFullCorpus: every registered backend compiles the whole

@@ -77,7 +77,8 @@ func TestExecAllBackendsAgree(t *testing.T) {
 
 // TestCompileExecVerifies: the Opts.Exec wiring — a compile with Exec
 // set attaches a clean differential report; without it Verified stays
-// nil (execution is strictly opt-in, the perf gate depends on that).
+// nil (in the facade execution is opt-in: TestCompileAllocs and the
+// bench harness measure compilation alone).
 func TestCompileExecVerifies(t *testing.T) {
 	l, m := ir.FIR8(), machine.Tight()
 	for _, be := range Backends() {

@@ -22,7 +22,7 @@ func TestTraceZeroPerturbation(t *testing.T) {
 				t.Run(be.Name()+"/"+m.Name+"/"+l.Name, func(t *testing.T) {
 					plain, errPlain := CompileWith(be, l, m)
 					buf := &trace.Buffer{}
-					traced, errTraced := CompileSafeWith(context.Background(), be, l, m, Opts{Recorder: buf})
+					traced, errTraced := CompileWithOpts(context.Background(), be, l, m, Opts{Recorder: buf})
 					if (errPlain == nil) != (errTraced == nil) {
 						t.Fatalf("error divergence: plain=%v traced=%v", errPlain, errTraced)
 					}

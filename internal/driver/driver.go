@@ -1,11 +1,13 @@
 // Package driver is the batch-compilation pipeline: it fans a loop
 // population out over every requested backend × machine combination
-// through a bounded worker pool, isolates per-loop failures (errors,
-// panics, timeouts) so one pathological loop costs one result rather
-// than the sweep, and folds the outcomes into the paper-style aggregate
-// tables — II vs MII distribution, spill traffic, MaxLive-vs-registers
-// fit rate, unroll factors and wall-clock throughput — that CI and the
-// msched CLI consume as one artifact.
+// through a bounded worker pool, differentially executes every
+// compilation, isolates per-loop failures (errors, panics, timeouts,
+// execution mismatches) so one pathological loop costs one result
+// rather than the sweep, and folds the outcomes into the paper-style
+// aggregate tables — II vs MII distribution, spill traffic,
+// MaxLive-vs-registers fit rate, unroll factors, executed cycles and
+// wall-clock throughput — that CI and the msched CLI consume as one
+// artifact.
 package driver
 
 import (
@@ -52,19 +54,6 @@ type Options struct {
 	// loops/sec, per-outcome durations). Leave false for byte-identical
 	// reports across runs — the CI determinism smoke diffs two of them.
 	Timing bool
-	// KeepOutcomes retains every per-compilation Outcome on the report
-	// (population × grid rows). The default keeps only failures, which
-	// bounds report size on large sweeps; the aggregate tables are
-	// unaffected either way.
-	KeepOutcomes bool
-	// Exec differentially executes every successful compilation through
-	// the pkg/emit → pkg/vm pipeline (core.Opts.Exec): emitted bundles
-	// are interpreted against the sequential reference and any word-level
-	// divergence becomes an exec-failure outcome. The verdicts are a pure
-	// function of (loop, machine, backend), so reports stay
-	// byte-identical across runs; `msched compare` runs its gate corpora
-	// this way and CI double-runs it and diffs the artifacts.
-	Exec bool
 }
 
 // DefaultTimeout is the per-compilation budget when Options.Timeout is
@@ -92,16 +81,15 @@ type Outcome struct {
 	// Stats carries the backend's Schedule.Stats counters verbatim
 	// (ejections, spill_ii_increase, single_cluster_fallback, ...).
 	Stats map[string]int `json:"stats,omitempty"`
-	// Executed marks an outcome whose compilation was differentially
-	// executed (Options.Exec and the compile succeeded); ExecErr carries
-	// the first mismatch lines when the emitted code diverged from the
-	// sequential reference, and is empty when execution verified clean.
-	// Cycles and Bundles are the executed MVE program's issue span and
-	// code size (vm.Report.MVECycles, MVEBundles).
-	Executed bool   `json:"executed,omitempty"`
-	ExecErr  string `json:"exec_err,omitempty"`
-	Cycles   int    `json:"cycles,omitempty"`
-	Bundles  int    `json:"bundles,omitempty"`
+	// Every compiled loop is differentially executed (pkg/emit →
+	// pkg/vm, core.Opts.Exec). ExecErr carries the first mismatch lines
+	// when the emitted code diverged from the sequential reference, and
+	// is empty when execution verified clean. Cycles and Bundles are the
+	// executed MVE program's issue span and code size
+	// (vm.Report.MVECycles, MVEBundles).
+	ExecErr string `json:"exec_err,omitempty"`
+	Cycles  int    `json:"cycles,omitempty"`
+	Bundles int    `json:"bundles,omitempty"`
 	// Micros is the compilation wall-clock in microseconds; zero unless
 	// Options.Timing is set.
 	Micros int64 `json:"micros,omitempty"`
@@ -140,12 +128,9 @@ type Combo struct {
 	SpillStores int `json:"spill_stores"`
 	// Stats folds every backend-reported Schedule.Stats counter.
 	Stats map[string]int `json:"stats,omitempty"`
-	// Executed counts differentially executed compilations in this cell
-	// and ExecFailed the ones whose emitted code diverged from the
-	// sequential reference; SumCycles and SumBundles sum the executed
-	// programs' Outcome.Cycles and Outcome.Bundles (baseline-gated). All
-	// four stay zero unless Options.Exec.
-	Executed   int `json:"executed,omitempty"`
+	// ExecFailed counts compiled loops whose emitted code diverged from
+	// the sequential reference; SumCycles and SumBundles sum the executed
+	// programs' Outcome.Cycles and Outcome.Bundles (baseline-gated).
 	ExecFailed int `json:"exec_failed,omitempty"`
 	SumCycles  int `json:"sum_cycles,omitempty"`
 	SumBundles int `json:"sum_bundles,omitempty"`
@@ -176,17 +161,16 @@ type Report struct {
 	// throughput and, like it, is machine-dependent, so untimed reports
 	// zero it — byte-determinism must not hinge on core counts.
 	Workers int `json:"workers,omitempty"`
-	// Failures is the count of non-successful compilations across the
-	// whole grid; the offending outcomes are always retained below.
+	// Failures is the count of compilations across the whole grid that
+	// errored or timed out.
 	Failures int `json:"failures"`
 	// ExecFailures lists the outcome keys whose differential execution
-	// found a mismatch, sorted; always empty unless Options.Exec.
-	// `msched compare` requires it empty.
+	// found a mismatch, sorted. `msched run` and `msched compare` fail
+	// on it, as on Failures.
 	ExecFailures []string `json:"exec_failures,omitempty"`
 	Combos       []Combo  `json:"combos"`
-	// Outcomes holds per-compilation rows: failures always, everything
-	// when Options.KeepOutcomes is set. Sorted by (loop, backend,
-	// machine).
+	// Outcomes holds one row per compilation, population × grid, sorted
+	// by (loop, backend, machine).
 	Outcomes []Outcome `json:"outcomes,omitempty"`
 	// Timing block; zero unless Options.Timing is set.
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
@@ -223,10 +207,11 @@ type job struct {
 	mach    *machine.Machine
 }
 
-// Run compiles the spec's population across its grid under the given
-// options and aggregates the outcome. It never fails as a whole: every
-// per-loop error, panic and timeout is an Outcome row and a Failures
-// increment, so callers decide strictness.
+// Run compiles and differentially executes the spec's population across
+// its grid under the given options and aggregates the outcome. It never
+// fails as a whole: every per-loop error, panic and timeout is an
+// Outcome row and a Failures increment, and every execution mismatch an
+// ExecFailures entry, so callers decide what fails.
 func Run(spec Spec, opts Options) *Report {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -254,7 +239,7 @@ func Run(spec Spec, opts Options) *Report {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range jobCh {
-				outcomes[i], durs[i] = runOne(jobs[i], timeout, opts.Timing, opts.Exec)
+				outcomes[i], durs[i] = runOne(jobs[i], timeout, opts.Timing)
 			}
 			done <- struct{}{}
 		}()
@@ -275,8 +260,8 @@ func Run(spec Spec, opts Options) *Report {
 	return rep
 }
 
-// runOne executes a single compilation with panic isolation (inside
-// core.CompileSafeWith) and a wall-clock budget enforced through context
+// runOne compiles and executes a single job with panic isolation (inside
+// core.CompileWithOpts) and a wall-clock budget enforced through context
 // cancellation: the deadline both frees the worker slot and unwinds the
 // in-flight II search at the backend's next checkpoint, so a
 // pathological loop costs one timeout outcome, not a leaked goroutine.
@@ -286,7 +271,7 @@ func Run(spec Spec, opts Options) *Report {
 // The returned duration is always measured (the timing percentiles rank
 // it) but only surfaces on the Outcome as Micros when timing is set,
 // keeping untimed reports byte-identical.
-func runOne(j job, timeout time.Duration, timing, exec bool) (Outcome, time.Duration) {
+func runOne(j job, timeout time.Duration, timing bool) (Outcome, time.Duration) {
 	o := Outcome{Loop: j.loop.Name, Backend: j.backend.Name(), Machine: j.mach.Name}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -297,7 +282,7 @@ func runOne(j job, timeout time.Duration, timing, exec bool) (Outcome, time.Dura
 	ch := make(chan res, 1)
 	begin := time.Now()
 	go func() {
-		r, err := core.CompileSafeWith(ctx, j.backend, j.loop, j.mach, core.Opts{Exec: exec})
+		r, err := core.CompileWithOpts(ctx, j.backend, j.loop, j.mach, core.Opts{Exec: true})
 		ch <- res{r, err}
 	}()
 	var r res
@@ -331,20 +316,18 @@ func runOne(j job, timeout time.Duration, timing, exec bool) (Outcome, time.Dura
 		o.SpillLoads = st["spill_loads"]
 		o.Stats = st
 	}
-	if v := r.r.Verified; v != nil {
-		o.Executed = true
-		o.Cycles = v.MVECycles
-		o.Bundles = v.MVEBundles
-		if !v.OK() {
-			// The mismatch lines are already deterministic and bounded;
-			// keep the first few so the report stays readable when a bug
-			// breaks many loops at once.
-			ms := v.Mismatches
-			if len(ms) > 4 {
-				ms = append(append([]string(nil), ms[:4]...), fmt.Sprintf("... %d more", len(v.Mismatches)-4))
-			}
-			o.ExecErr = strings.Join(ms, "; ")
+	v := r.r.Verified
+	o.Cycles = v.MVECycles
+	o.Bundles = v.MVEBundles
+	if !v.OK() {
+		// The mismatch lines are already deterministic and bounded;
+		// keep the first few so the report stays readable when a bug
+		// breaks many loops at once.
+		ms := v.Mismatches
+		if len(ms) > 4 {
+			ms = append(append([]string(nil), ms[:4]...), fmt.Sprintf("... %d more", len(v.Mismatches)-4))
 		}
+		o.ExecErr = strings.Join(ms, "; ")
 	}
 	return o, dur
 }
@@ -414,14 +397,11 @@ func aggregate(spec Spec, opts Options, workers int, outcomes []Outcome, elapsed
 			}
 			c.SpillLoads += o.SpillLoads
 			c.SpillStores += o.SpillStores
-			if o.Executed {
-				c.Executed++
-				c.SumCycles += o.Cycles
-				c.SumBundles += o.Bundles
-				if o.ExecErr != "" {
-					c.ExecFailed++
-					rep.ExecFailures = append(rep.ExecFailures, o.Key())
-				}
+			c.SumCycles += o.Cycles
+			c.SumBundles += o.Bundles
+			if o.ExecErr != "" {
+				c.ExecFailed++
+				rep.ExecFailures = append(rep.ExecFailures, o.Key())
 			}
 			for key, n := range o.Stats {
 				if c.Stats == nil {
@@ -446,20 +426,8 @@ func aggregate(spec Spec, opts Options, workers int, outcomes []Outcome, elapsed
 		return a.Machine < b.Machine
 	})
 	sort.Strings(rep.ExecFailures)
-	kept := outcomes
-	if !opts.KeepOutcomes {
-		kept = nil
-		for _, o := range outcomes {
-			// Retain every failure row: compile errors, timeouts, and
-			// execution mismatches — the exec gate needs the word-level
-			// diff in the artifact, not just the count.
-			if o.Err != "" || o.ExecErr != "" {
-				kept = append(kept, o)
-			}
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Key() < kept[j].Key() })
-	rep.Outcomes = kept
+	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].Key() < outcomes[j].Key() })
+	rep.Outcomes = outcomes
 	if opts.Timing {
 		rep.ElapsedSeconds = elapsed.Seconds()
 		if s := elapsed.Seconds(); s > 0 {

@@ -114,10 +114,15 @@ func TestPanicIsolation(t *testing.T) {
 	if rep.Failures != 1 {
 		t.Fatalf("want exactly 1 failure, got %d: %+v", rep.Failures, rep.Outcomes)
 	}
-	if len(rep.Outcomes) != 1 {
-		t.Fatalf("failures must be retained: %+v", rep.Outcomes)
+	if len(rep.Outcomes) != len(spec.Loops) {
+		t.Fatalf("want every outcome kept, got %d of %d", len(rep.Outcomes), len(spec.Loops))
 	}
-	o := rep.Outcomes[0]
+	var o Outcome
+	for _, oc := range rep.Outcomes {
+		if oc.Err != "" {
+			o = oc
+		}
+	}
 	if o.Loop != "dotprod" || !strings.Contains(o.Err, "backend exploded") || !strings.Contains(o.Err, "panic") {
 		t.Fatalf("panic not captured: %+v", o)
 	}
@@ -198,21 +203,19 @@ func TestReportDeterminism(t *testing.T) {
 	}
 }
 
-// TestExecSumsCycles pins the emitted-code columns: with Exec every
-// compiled loop is executed, and each combo's SumCycles/SumBundles (and
-// the projected rows) are the sums of its outcomes' Cycles/Bundles.
-// Without Exec the columns stay zero, so untimed reports keep their
-// layout.
+// TestExecSumsCycles pins the emitted-code columns: every compiled loop
+// is executed, and each combo's SumCycles/SumBundles (and the projected
+// rows) are the sums of its outcomes' Cycles/Bundles.
 func TestExecSumsCycles(t *testing.T) {
 	spec := exampleSpec()
-	rep := Run(spec, Options{Exec: true, KeepOutcomes: true})
+	rep := Run(spec, Options{})
 	if rep.Failures != 0 || len(rep.ExecFailures) != 0 {
 		t.Fatalf("unexpected failures: %+v", rep.Outcomes)
 	}
 	type sums struct{ cycles, bundles int }
 	want := map[string]sums{}
 	for _, o := range rep.Outcomes {
-		if !o.Executed || o.Cycles <= 0 || o.Bundles <= 0 {
+		if o.Cycles <= 0 || o.Bundles <= 0 {
 			t.Fatalf("%s: not executed or no cycles/bundles: %+v", o.Key(), o)
 		}
 		k := o.Backend + "|" + o.Machine
@@ -221,16 +224,11 @@ func TestExecSumsCycles(t *testing.T) {
 	rows := rep.Rows()
 	for i, c := range rep.Combos {
 		w := want[c.Backend+"|"+c.Machine]
-		if c.Executed != c.Compiled || c.SumCycles != w.cycles || c.SumBundles != w.bundles {
-			t.Fatalf("%s x %s: combo %+v, want executed %d, cycles %d, bundles %d", c.Backend, c.Machine, c, c.Compiled, w.cycles, w.bundles)
+		if c.SumCycles != w.cycles || c.SumBundles != w.bundles {
+			t.Fatalf("%s x %s: combo %+v, want cycles %d, bundles %d", c.Backend, c.Machine, c, w.cycles, w.bundles)
 		}
 		if rows[i].SumCycles != c.SumCycles || rows[i].SumBundles != c.SumBundles {
 			t.Fatalf("row %+v does not carry combo sums %+v", rows[i], c)
-		}
-	}
-	for _, c := range Run(spec, Options{}).Combos {
-		if c.SumCycles != 0 || c.SumBundles != 0 {
-			t.Fatalf("%s x %s: cycle sums without Exec: %+v", c.Backend, c.Machine, c)
 		}
 	}
 }

@@ -50,9 +50,8 @@ func GapCorpus(seed uint64, n, maxOps int) []*ir.Loop {
 }
 
 // RunGap joins the outcomes of a gap sweep — the population compiled
-// by the exact backend and MIRS on every machine, run with
-// Options.KeepOutcomes — into the gap table, labelled with the sweep's
-// corpus. loops is the swept population (it supplies each row's op
+// by the exact backend and MIRS on every machine — into the gap table,
+// labelled with the sweep's corpus. loops is the swept population (it supplies each row's op
 // count). The proofs ran at opt's default budget, which the artifact
 // records. A failed side leaves its row's OptErr/MirsErr set and the
 // row out of the gap columns; `msched compare` fails the gate on any

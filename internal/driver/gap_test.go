@@ -44,8 +44,7 @@ func TestGapCorpus(t *testing.T) {
 }
 
 // gapTable sweeps loops over {opt, mirs} × ms the way `msched compare`
-// sweeps its gap corpus — executed, every outcome kept — and joins the
-// outcomes into the gap table.
+// sweeps its gap corpus and joins the outcomes into the gap table.
 func gapTable(t *testing.T, loops []*ir.Loop, ms []*machine.Machine) *report.GapFile {
 	t.Helper()
 	rep := Run(Spec{
@@ -53,7 +52,7 @@ func gapTable(t *testing.T, loops []*ir.Loop, ms []*machine.Machine) *report.Gap
 		Loops:    loops,
 		Backends: []sched.Scheduler{core.Opt(0), mirs.New()},
 		Machines: ms,
-	}, Options{Exec: true, KeepOutcomes: true})
+	}, Options{})
 	if rep.Failures != 0 || len(rep.ExecFailures) != 0 {
 		t.Fatalf("gap sweep not clean: %d failures, exec failures %v", rep.Failures, rep.ExecFailures)
 	}

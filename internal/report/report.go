@@ -6,19 +6,16 @@
 // gate on regressions.
 //
 // Determinism is the point of this package. Rows are sorted by
-// (corpus, backend, machine) on every emit path — JSON and CSV — and
-// every field is a pure function of the compiled population: rows carry
-// no wall-clock data.
+// (corpus, backend, machine) before they are emitted, and every field
+// is a pure function of the compiled population: rows carry no
+// wall-clock data.
 package report
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Row is one backend × machine × corpus line of the trajectory: the
@@ -76,26 +73,6 @@ func (f *File) Marshal() ([]byte, error) {
 		return nil, fmt.Errorf("report: marshal: %w", err)
 	}
 	return append(data, '\n'), nil
-}
-
-// CSV renders the rows as an RFC-4180 table (header first) in canonical
-// order, for spreadsheet consumption of the same artifact. Fields are
-// quoted as needed — corpus labels routinely contain commas
-// ("gen:seed=1,n=200").
-func (f *File) CSV() string {
-	f.Sort()
-	var b strings.Builder
-	w := csv.NewWriter(&b)
-	_ = w.Write([]string{"corpus", "backend", "machine", "loops", "sum_ii", "sum_max_live", "sum_unroll", "sum_cycles", "sum_bundles"})
-	for _, r := range f.Rows {
-		_ = w.Write([]string{
-			r.Corpus, r.Backend, r.Machine,
-			strconv.Itoa(r.Loops), strconv.Itoa(r.SumII), strconv.Itoa(r.SumMaxLive), strconv.Itoa(r.SumUnroll),
-			strconv.Itoa(r.SumCycles), strconv.Itoa(r.SumBundles),
-		})
-	}
-	w.Flush()
-	return b.String()
 }
 
 // WriteFile emits the canonical JSON rendering to path.
