@@ -18,14 +18,17 @@ race:
 # Placement-path benchmark (graph and MII prebuilt, so allocs/op
 # isolates the scheduler hot path the zero-allocation claim covers),
 # then differential execution of emitted programs on pkg/vm, then the
-# exact backend (CNF building + CDCL search) over the gap grid.
-# Allocations per full-pipeline compile are pinned by TestCompileAllocs
-# and per opt grid pass by TestOptAllocs in `make test`; end-to-end
-# numbers come from `make bench-e2e`.
+# exact backend (CNF building + CDCL search) over the gap grid, then
+# lowering of expanded kernels to bundles. Allocations per
+# full-pipeline compile are pinned by TestCompileAllocs, per opt grid
+# pass by TestOptAllocs, per oracle pass by TestVerifyAllocs and per
+# emit pass by TestEmitAllocs in `make test`; end-to-end numbers come
+# from `make bench-e2e`.
 bench:
 	go test -run '^$$' -bench '^(BenchmarkPlacement)$$' -benchmem ./internal/core/
 	go test -run '^$$' -bench '^(BenchmarkVerifyProgram)$$' -benchmem ./pkg/vm/
 	go test -run '^$$' -bench '^(BenchmarkOptSchedule)$$' -benchmem ./pkg/opt/
+	go test -run '^$$' -bench '^(BenchmarkEmit)$$' -benchmem ./pkg/emit/
 
 # The benchmark module (bench/): its unit tests, then one quick pass
 # over every workload. bench/ is a nested module, so `go test ./...`
@@ -36,7 +39,7 @@ bench-e2e:
 	cd bench && go test ./...
 	bash bench/run.sh -workload all -seed 1 -quick
 
-# Capture CPU + allocation pprof profiles from the three benchmarks;
+# Capture CPU + allocation pprof profiles from the four benchmarks;
 # inspect with `go tool pprof sched_cpu.pprof` (see README "Performance
 # & profiling").
 profile:
@@ -46,7 +49,9 @@ profile:
 		-cpuprofile vm_cpu.pprof -memprofile vm_mem.pprof ./pkg/vm/
 	go test -run '^$$' -bench '^(BenchmarkOptSchedule)$$' -benchmem \
 		-cpuprofile opt_cpu.pprof -memprofile opt_mem.pprof ./pkg/opt/
-	@echo "profiles: sched_cpu.pprof sched_mem.pprof vm_cpu.pprof vm_mem.pprof opt_cpu.pprof opt_mem.pprof (go tool pprof <file>)"
+	go test -run '^$$' -bench '^(BenchmarkEmit)$$' -benchmem \
+		-cpuprofile emit_cpu.pprof -memprofile emit_mem.pprof ./pkg/emit/
+	@echo "profiles: sched_cpu.pprof sched_mem.pprof vm_cpu.pprof vm_mem.pprof opt_cpu.pprof opt_mem.pprof emit_cpu.pprof emit_mem.pprof (go tool pprof <file>)"
 
 # The one gate, the same command CI runs: compile and differentially
 # execute the gate corpora, build the optimality-gap table, and fail on

@@ -36,10 +36,10 @@ func benchMachines() []struct {
 func TestCompileAllocs(t *testing.T) {
 	loops := ir.ExampleLoops()
 	measured := map[string]float64{
-		"list x Unified":       1200,
-		"list x Paper4Cluster": 1344,
-		"mirs x Unified":       1649,
-		"mirs x Paper4Cluster": 1980,
+		"list x Unified":       1157,
+		"list x Paper4Cluster": 1301,
+		"mirs x Unified":       1520,
+		"mirs x Paper4Cluster": 1851,
 	}
 	for _, be := range Backends() {
 		for _, mc := range benchMachines() {

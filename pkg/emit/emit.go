@@ -16,8 +16,9 @@
 package emit
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
@@ -122,19 +123,36 @@ type Program struct {
 	Names [][]sched.RegCopy
 	Frame []FrameSlot
 
-	alloc map[clusterName]Loc
+	regs []clusterRegs
 }
 
-type clusterName struct {
-	cluster int
-	name    sched.RegCopy
+// clusterRegs is one cluster's allocation: names lists every renamed
+// register read or written on the cluster, sorted; names[i] sits in
+// register i for i < nregs and in frame slot frame+i-nregs beyond.
+type clusterRegs struct {
+	names        []sched.RegCopy
+	nregs, frame int
+}
+
+func cmpRegCopy(a, b sched.RegCopy) int {
+	return cmp.Or(cmp.Compare(a.Reg, b.Reg), cmp.Compare(a.Copy, b.Copy))
 }
 
 // LocOf returns the location allocated to renamed register name on
 // cluster — where consumers on that cluster read it.
 func (p *Program) LocOf(cluster int, name sched.RegCopy) (Loc, bool) {
-	l, ok := p.alloc[clusterName{cluster, name}]
-	return l, ok
+	if cluster < 0 || cluster >= len(p.regs) {
+		return Loc{}, false
+	}
+	cr := &p.regs[cluster]
+	i, ok := slices.BinarySearchFunc(cr.names, name, cmpRegCopy)
+	switch {
+	case !ok:
+		return Loc{}, false
+	case i < cr.nregs:
+		return Loc{Cluster: cluster, Index: i}, true
+	}
+	return Loc{Cluster: cluster, Index: cr.frame + i - cr.nregs, Frame: true}, true
 }
 
 // PredWindow returns the kernel-pass window [kstart, kstart+passes) the
@@ -178,6 +196,13 @@ func floorDiv(a, b int) int {
 // Emit lowers ek to an architectural program. The expanded kernel must
 // come from the normal pipeline (Expand/ExpandWith), i.e. be
 // Validate-clean; Emit checks only what lowering itself can get wrong.
+//
+// The program is carved out of a few arrays sized by a counting pass:
+// one []Op backs the bundles of all three segments, one []Loc every
+// Defs and Srcs, one []Xfer every Xfers, and one []sched.RegCopy the
+// register allocation. Every slice handed out is capacity-capped and
+// no two overlap, so editing one op in place leaves the others alone
+// and appending to any slice copies it.
 func Emit(ek *sched.ExpandedKernel) (*Program, error) {
 	if ek == nil || ek.Schedule == nil {
 		return nil, fmt.Errorf("emit: nil expanded kernel")
@@ -194,7 +219,6 @@ func Emit(ek *sched.ExpandedKernel) (*Program, error) {
 	p := &Program{
 		Machine: m, Loop: s.Loop,
 		II: ii, Unroll: u, Stages: sc, Period: period,
-		alloc: map[clusterName]Loc{},
 	}
 
 	// Iteration count of the MVE plan: enough kernel passes that the
@@ -215,147 +239,179 @@ func Emit(ek *sched.ExpandedKernel) (*Program, error) {
 	// both defs and uses per issuing cluster covers transfer
 	// destinations too. One expanded period spans all unroll slots, and
 	// every copy count divides Unroll, so the kernel instances name every
-	// copy the prologue and epilogue will ever touch.
-	names := make([]map[sched.RegCopy]bool, m.NumClusters())
-	for ci := range names {
-		names[ci] = map[sched.RegCopy]bool{}
-	}
+	// copy the prologue and epilogue will ever touch. The clusters' names
+	// share one array: each cluster's are sorted and compacted in place,
+	// and the next cluster's start behind them.
+	total := 0
 	for i := range ek.Instrs {
-		xi := &ek.Instrs[i]
-		ci := s.Placements[xi.ID].Cluster
-		for _, d := range xi.Defs {
-			names[ci][d] = true
+		total += len(ek.Instrs[i].Defs) + len(ek.Instrs[i].Uses)
+	}
+	free := make([]sched.RegCopy, total)
+	p.regs = make([]clusterRegs, m.NumClusters())
+	p.Names = make([][]sched.RegCopy, len(p.regs))
+	nframe := 0
+	for ci := range p.regs {
+		names := free[:0]
+		for i := range ek.Instrs {
+			if xi := &ek.Instrs[i]; s.Placements[xi.ID].Cluster == ci {
+				names = append(names, xi.Defs...)
+				names = append(names, xi.Uses...)
+			}
 		}
-		for _, uv := range xi.Uses {
-			names[ci][uv] = true
+		slices.SortFunc(names, cmpRegCopy)
+		names = slices.Compact(names)
+		free = free[len(names):]
+		cr := &p.regs[ci]
+		cr.names = names[:len(names):len(names)]
+		cr.nregs = min(len(names), m.RegsPerCluster(ci))
+		cr.frame = nframe
+		nframe += len(names) - cr.nregs
+		if cr.nregs > 0 {
+			p.Names[ci] = names[:cr.nregs:cr.nregs]
 		}
 	}
-	p.Names = make([][]sched.RegCopy, m.NumClusters())
-	for ci := range names {
-		sorted := make([]sched.RegCopy, 0, len(names[ci]))
-		for name := range names[ci] {
-			sorted = append(sorted, name)
-		}
-		sort.Slice(sorted, func(a, b int) bool {
-			if sorted[a].Reg != sorted[b].Reg {
-				return sorted[a].Reg < sorted[b].Reg
+	if nframe > 0 {
+		p.Frame = make([]FrameSlot, 0, nframe)
+		for ci := range p.regs {
+			cr := &p.regs[ci]
+			for _, name := range cr.names[cr.nregs:] {
+				p.Frame = append(p.Frame, FrameSlot{Cluster: ci, Name: name})
 			}
-			return sorted[a].Copy < sorted[b].Copy
-		})
-		capRegs := m.RegsPerCluster(ci)
-		for i, name := range sorted {
-			if i < capRegs {
-				p.alloc[clusterName{ci, name}] = Loc{Cluster: ci, Index: i}
-				p.Names[ci] = append(p.Names[ci], name)
-				continue
-			}
-			p.alloc[clusterName{ci, name}] = Loc{Cluster: ci, Index: len(p.Frame), Frame: true}
-			p.Frame = append(p.Frame, FrameSlot{Cluster: ci, Name: name})
 		}
 	}
 
 	// Distinct bus transfers per producer: (register, destination
 	// cluster) pairs, destinations sorted for determinism. Consumers on
 	// one remote cluster share a broadcast, exactly as Schedule.Validate
-	// accounts buses.
-	type route struct {
-		defIdx int
-		dest   int
+	// accounts buses. All producers' routes share one array sorted by
+	// producer; producer id's are routes[routeAt[id]:routeAt[id+1]].
+	type route struct{ from, defIdx, dest int }
+	crosses := func(e *ir.Edge) bool {
+		return e.Kind == ir.DepTrue && s.Placements[e.From].Cluster != s.Placements[e.To].Cluster
 	}
-	routes := make([][]route, n)
-	busLat := m.BusLatency()
+	nroutes := 0
+	for i := range s.Graph.Edges {
+		if crosses(&s.Graph.Edges[i]) {
+			nroutes++
+		}
+	}
+	routes := make([]route, 0, nroutes)
 	for i := range s.Graph.Edges {
 		e := &s.Graph.Edges[i]
-		if e.Kind != ir.DepTrue || s.Placements[e.From].Cluster == s.Placements[e.To].Cluster {
+		if !crosses(e) {
 			continue
 		}
-		defIdx := -1
-		for j, d := range s.Loop.Instrs[e.From].Defs {
-			if d == e.Reg {
-				defIdx = j
-				break
-			}
-		}
+		defIdx := slices.Index(s.Loop.Instrs[e.From].Defs, e.Reg)
 		if defIdx < 0 {
 			return nil, fmt.Errorf("emit: true edge %d->%d for %s, but instruction %d does not define it", e.From, e.To, e.Reg, e.From)
 		}
-		r := route{defIdx: defIdx, dest: s.Placements[e.To].Cluster}
-		dup := false
-		for _, have := range routes[e.From] {
-			if have == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			routes[e.From] = append(routes[e.From], r)
-		}
+		routes = append(routes, route{from: e.From, defIdx: defIdx, dest: s.Placements[e.To].Cluster})
 	}
-	for id := range routes {
-		sort.Slice(routes[id], func(a, b int) bool {
-			if routes[id][a].defIdx != routes[id][b].defIdx {
-				return routes[id][a].defIdx < routes[id][b].defIdx
-			}
-			return routes[id][a].dest < routes[id][b].dest
-		})
+	slices.SortFunc(routes, func(a, b route) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.defIdx, b.defIdx), cmp.Compare(a.dest, b.dest))
+	})
+	routes = slices.Compact(routes)
+	routeAt := make([]int, n+1)
+	for _, r := range routes {
+		routeAt[r.from+1]++
+	}
+	for id := range n {
+		routeAt[id+1] += routeAt[id]
 	}
 
-	// makeOp lowers instance (id, iteration iter) using the renaming of
-	// the matching unroll slot — valid for any absolute iteration because
-	// copy counts divide Unroll, so iter and iter mod Unroll name the
-	// same copies.
-	xiAt := func(uidx, id int) *sched.ExpandedInstr { return &ek.Instrs[uidx*n+id] }
-	locsOf := func(ci int, rcs []sched.RegCopy) ([]Loc, error) {
-		if len(rcs) == 0 {
-			return nil, nil
-		}
-		out := make([]Loc, len(rcs))
-		for i, rc := range rcs {
-			l, ok := p.LocOf(ci, rc)
-			if !ok {
-				return nil, fmt.Errorf("emit: no location for %s on cluster %d", rc, ci)
-			}
-			out[i] = l
-		}
-		return out, nil
+	// Count every instance's op, operands and transfers per bundle, then
+	// turn the counts into each bundle's first slot in ops.
+	xiAt := func(id, iter int) *sched.ExpandedInstr { return &ek.Instrs[(((iter%u)+u)%u)*n+id] }
+	next := make([]int, 2*t0+period)
+	nops, nlocs, nxfers := 0, 0, 0
+	instances(ek, p.Trip, func(id, iter, b int) {
+		xi := xiAt(id, iter)
+		next[b]++
+		nlocs += len(xi.Defs) + len(xi.Uses)
+		nxfers += routeAt[id+1] - routeAt[id]
+	})
+	for b := range next {
+		nops, next[b] = nops+next[b], nops
 	}
-	makeOp := func(id, iter int) (Op, error) {
+
+	// Lower every instance into its bundle's next slot, using the
+	// renaming of the matching unroll slot — valid for any absolute
+	// iteration because copy counts divide Unroll, so iter and iter mod
+	// Unroll name the same copies.
+	ops := make([]Op, nops)
+	locs := make([]Loc, nlocs)
+	xfers := make([]Xfer, nxfers)
+	busLat := m.BusLatency()
+	var err error
+	instances(ek, p.Trip, func(id, iter, b int) {
+		if err != nil {
+			return
+		}
 		pl := s.Placements[id]
-		in := s.Loop.Instrs[id]
-		xi := xiAt(((iter%u)+u)%u, id)
-		op := Op{
+		xi := xiAt(id, iter)
+		op := &ops[next[b]]
+		next[b]++
+		*op = Op{
 			ID: id, Cluster: pl.Cluster, Slot: pl.Slot,
-			Latency: m.Latency(in.Class), Iter: iter,
+			Latency: m.Latency(s.Loop.Instrs[id].Class), Iter: iter,
+			Defs:  carve(&locs, len(xi.Defs)),
+			Srcs:  carve(&locs, len(xi.Uses)),
+			Xfers: carve(&xfers, routeAt[id+1]-routeAt[id]),
 		}
-		var err error
-		if op.Defs, err = locsOf(pl.Cluster, xi.Defs); err != nil {
-			return op, err
+		if err = p.locate(op.Defs, pl.Cluster, xi.Defs); err != nil {
+			return
 		}
-		if op.Srcs, err = locsOf(pl.Cluster, xi.Uses); err != nil {
-			return op, err
+		if err = p.locate(op.Srcs, pl.Cluster, xi.Uses); err != nil {
+			return
 		}
-		for _, r := range routes[id] {
+		for i, r := range routes[routeAt[id]:routeAt[id+1]] {
 			dst, ok := p.LocOf(r.dest, xi.Defs[r.defIdx])
 			if !ok {
-				return op, fmt.Errorf("emit: no location for %s on destination cluster %d", xi.Defs[r.defIdx], r.dest)
+				err = fmt.Errorf("emit: no location for %s on destination cluster %d", xi.Defs[r.defIdx], r.dest)
+				return
 			}
-			op.Xfers = append(op.Xfers, Xfer{DefIdx: r.defIdx, Dst: dst, Delay: op.Latency + busLat})
+			op.Xfers[i] = Xfer{DefIdx: r.defIdx, Dst: dst, Delay: op.Latency + busLat}
 		}
-		return op, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+
+	// Bundle b's ops end where next[b] stopped; deterministic slot order
+	// within each bundle.
+	bundles := make([]Bundle, len(next))
+	for b, lo := 0, 0; b < len(next); b++ {
+		if hi := next[b]; hi > lo {
+			bundles[b].Ops = ops[lo:hi:hi]
+			slices.SortFunc(bundles[b].Ops, func(x, y Op) int {
+				return cmp.Or(cmp.Compare(x.Cluster, y.Cluster), cmp.Compare(x.Slot, y.Slot), cmp.Compare(x.ID, y.ID))
+			})
+			lo = hi
+		}
+	}
+	p.Prologue = bundles[:t0:t0]
+	p.Kernel = bundles[t0 : t0+period : t0+period]
+	p.Epilogue = bundles[t0+period:]
+
+	p.KStart, p.PredPasses = p.PredWindow(p.Trip)
+	return p, nil
+}
+
+// instances calls f for every operation instance of the MVE plan, in
+// prologue, kernel, epilogue order, with its instruction, iteration and
+// bundle index b into the concatenation Prologue ++ Kernel ++ Epilogue.
+func instances(ek *sched.ExpandedKernel, trip int, f func(id, iter, b int)) {
+	s := ek.Schedule
+	ii := s.II
+	period := ek.Unroll * ii
+	t0 := (s.StageCount() - 1) * ii
 
 	// Prologue: stage p spans bundles [p*II, (p+1)*II); the instance
 	// (id, i = p - stage) issues at cycle i*II + start(id) = p*II +
 	// start(id) mod II.
-	p.Prologue = make([]Bundle, t0)
 	for stage, ops := range ek.Prologue {
 		for _, so := range ops {
-			op, err := makeOp(so.ID, so.Iteration)
-			if err != nil {
-				return nil, err
-			}
-			b := stage*ii + s.Start(so.ID)%ii
-			p.Prologue[b].Ops = append(p.Prologue[b].Ops, op)
+			f(so.ID, so.Iteration, stage*ii+s.Start(so.ID)%ii)
 		}
 	}
 
@@ -365,50 +421,42 @@ func Emit(ek *sched.ExpandedKernel) (*Program, error) {
 	// Iter + k*Unroll with Iter = ((sc-1)*II + j - start)/II — the
 	// smallest iteration of its unroll slot issuing at or after the
 	// prologue/kernel boundary.
-	p.Kernel = make([]Bundle, period)
 	for i := range ek.Instrs {
 		xi := &ek.Instrs[i]
 		j := ((xi.Cycle-t0)%period + period) % period
-		iter := (t0 + j - s.Start(xi.ID)) / ii
-		op, err := makeOp(xi.ID, iter)
-		if err != nil {
-			return nil, err
-		}
-		p.Kernel[j].Ops = append(p.Kernel[j].Ops, op)
+		f(xi.ID, (t0+j-s.Start(xi.ID))/ii, t0+j)
 	}
 
 	// Epilogue: stage e spans bundles [e*II, (e+1)*II) after the kernel;
 	// StageOp.Iteration counts back from the final iteration.
-	p.Epilogue = make([]Bundle, t0)
 	for stage, ops := range ek.Epilogue {
 		for _, so := range ops {
-			op, err := makeOp(so.ID, p.Trip-1-so.Iteration)
-			if err != nil {
-				return nil, err
-			}
-			b := stage*ii + s.Start(so.ID)%ii
-			p.Epilogue[b].Ops = append(p.Epilogue[b].Ops, op)
+			f(so.ID, trip-1-so.Iteration, t0+period+stage*ii+s.Start(so.ID)%ii)
 		}
 	}
+}
 
-	// Deterministic slot order within each bundle.
-	for _, seg := range [][]Bundle{p.Prologue, p.Kernel, p.Epilogue} {
-		for bi := range seg {
-			ops := seg[bi].Ops
-			sort.Slice(ops, func(a, b int) bool {
-				if ops[a].Cluster != ops[b].Cluster {
-					return ops[a].Cluster < ops[b].Cluster
-				}
-				if ops[a].Slot != ops[b].Slot {
-					return ops[a].Slot < ops[b].Slot
-				}
-				return ops[a].ID < ops[b].ID
-			})
-		}
+// carve cuts the first k elements off *buf as a capacity-capped slice,
+// nil when k is 0.
+func carve[T any](buf *[]T, k int) []T {
+	if k == 0 {
+		return nil
 	}
+	s := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return s
+}
 
-	p.KStart, p.PredPasses = p.PredWindow(p.Trip)
-	return p, nil
+// locate fills dst with the locations of rcs on cluster ci.
+func (p *Program) locate(dst []Loc, ci int, rcs []sched.RegCopy) error {
+	for i, rc := range rcs {
+		l, ok := p.LocOf(ci, rc)
+		if !ok {
+			return fmt.Errorf("emit: no location for %s on cluster %d", rc, ci)
+		}
+		dst[i] = l
+	}
+	return nil
 }
 
 // MVEBundles returns the total bundle count of the MVE plan — its code

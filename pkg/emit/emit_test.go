@@ -2,6 +2,8 @@ package emit_test
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -219,6 +221,89 @@ func TestRegisterAllocationRespectsFileSize(t *testing.T) {
 					t.Errorf("%s on %s: frame slot %s duplicated", l.Name, m.Name, key)
 				}
 				seen[key] = true
+			}
+		}
+	}
+}
+
+// cloneOp copies op with slices of its own, nil staying nil.
+func cloneOp(op emit.Op) emit.Op {
+	op.Defs, op.Srcs, op.Xfers = slices.Clone(op.Defs), slices.Clone(op.Srcs), slices.Clone(op.Xfers)
+	return op
+}
+
+// TestProgramSlicesDoNotAlias: a program's operand, transfer, bundle and
+// name slices share backing arrays, and the vm's fault-injection and
+// metamorphic tests edit programs in place. Every slice must be
+// capacity-capped, so an append copies instead of overwriting a
+// neighbour, and no two slices may overlap, so an in-place write stays
+// in its own op. Each op in turn gets its first source overwritten and
+// a def, a source and a transfer appended, then each bundle an op and
+// each cluster a name; after every edit, everything else must read as
+// before.
+func TestProgramSlicesDoNotAlias(t *testing.T) {
+	for _, m := range []*machine.Machine{machine.Paper4Cluster(), machine.Tight()} {
+		for _, name := range []string{"fir8", "hydro"} {
+			_, _, prog := compile(t, example(t, name), m)
+			segs := [][]emit.Bundle{prog.Prologue, prog.Kernel, prog.Epilogue}
+			want := make([][][]emit.Op, len(segs))
+			for s, seg := range segs {
+				want[s] = make([][]emit.Op, len(seg))
+				for b := range seg {
+					for _, op := range seg[b].Ops {
+						want[s][b] = append(want[s][b], cloneOp(op))
+					}
+				}
+			}
+			wantNames := make([][]sched.RegCopy, len(prog.Names))
+			for ci, ns := range prog.Names {
+				wantNames[ci] = slices.Clone(ns)
+			}
+			wantFrame := slices.Clone(prog.Frame)
+			check := func(edit string) {
+				t.Helper()
+				for s, seg := range segs {
+					for b := range seg {
+						if !reflect.DeepEqual(seg[b].Ops, want[s][b]) {
+							t.Fatalf("%s on %s: %s changed segment %d bundle %d", name, m.Name, edit, s, b)
+						}
+					}
+				}
+				for ci := range prog.Names {
+					if !slices.Equal(prog.Names[ci], wantNames[ci]) {
+						t.Fatalf("%s on %s: %s changed Names[%d]", name, m.Name, edit, ci)
+					}
+				}
+				if !slices.Equal(prog.Frame, wantFrame) {
+					t.Fatalf("%s on %s: %s changed Frame", name, m.Name, edit)
+				}
+			}
+			for s, seg := range segs {
+				for b := range seg {
+					for i := range seg[b].Ops {
+						op := &seg[b].Ops[i]
+						if len(op.Srcs) > 0 {
+							op.Srcs[0] = emit.Loc{Index: -1}
+						}
+						op.Defs = append(op.Defs, emit.Loc{Index: -2})
+						op.Srcs = append(op.Srcs, emit.Loc{Index: -3})
+						op.Xfers = append(op.Xfers, emit.Xfer{DefIdx: -4})
+						want[s][b][i] = cloneOp(*op)
+						check(fmt.Sprintf("editing op %d of segment %d bundle %d", i, s, b))
+					}
+				}
+			}
+			for s, seg := range segs {
+				for b := range seg {
+					seg[b].Ops = append(seg[b].Ops, emit.Op{ID: -5})
+					want[s][b] = append(want[s][b], emit.Op{ID: -5})
+					check(fmt.Sprintf("appending to segment %d bundle %d", s, b))
+				}
+			}
+			for ci := range prog.Names {
+				prog.Names[ci] = append(prog.Names[ci], sched.RegCopy{Reg: -6})
+				wantNames[ci] = append(wantNames[ci], sched.RegCopy{Reg: -6})
+				check(fmt.Sprintf("appending to Names[%d]", ci))
 			}
 		}
 	}

@@ -26,6 +26,8 @@
 package life
 
 import (
+	"slices"
+
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
@@ -242,24 +244,34 @@ func appendLiveIns(dst []Lifetime, v *View) []Lifetime {
 // in first-use order. Schedulers use it to reference-count live-in
 // pressure as consumers are placed and ejected.
 func LiveInUses(l *ir.Loop) [][]ir.VReg {
-	defined := map[ir.VReg]bool{}
+	maxDef, nuses := ir.VReg(-1), 0
+	for _, in := range l.Instrs {
+		for _, d := range in.Defs {
+			maxDef = max(maxDef, d)
+		}
+		nuses += len(in.Uses)
+	}
+	defined := make([]bool, maxDef+1)
 	for _, in := range l.Instrs {
 		for _, d := range in.Defs {
 			defined[d] = true
 		}
 	}
+	// The rows share one capacity-capped backing array; an instruction
+	// reads a handful of registers, so a linear scan of its row so far
+	// finds repeats.
+	regs := make([]ir.VReg, 0, nuses)
 	out := make([][]ir.VReg, len(l.Instrs))
 	for id, in := range l.Instrs {
-		var seen map[ir.VReg]bool
+		lo := len(regs)
 		for _, u := range in.Uses {
-			if defined[u] || seen[u] {
+			if (u <= maxDef && defined[u]) || slices.Contains(regs[lo:], u) {
 				continue
 			}
-			if seen == nil {
-				seen = map[ir.VReg]bool{}
-			}
-			seen[u] = true
-			out[id] = append(out[id], u)
+			regs = append(regs, u)
+		}
+		if len(regs) > lo {
+			out[id] = regs[lo:len(regs):len(regs)]
 		}
 	}
 	return out
