@@ -21,9 +21,9 @@ race:
 # exact backend (CNF building + CDCL search) over the gap grid, then
 # lowering of expanded kernels to bundles. Allocations per
 # full-pipeline compile are pinned by TestCompileAllocs, per opt grid
-# pass by TestOptAllocs, per oracle pass by TestVerifyAllocs and per
-# emit pass by TestEmitAllocs in `make test`; end-to-end numbers come
-# from `make bench-e2e`.
+# pass by TestOptAllocs, per oracle pass by TestVerifyAllocs, per
+# emit pass by TestEmitAllocs and per expansion by TestExpandAllocs in
+# `make test`; end-to-end numbers come from `make bench-e2e`.
 bench:
 	go test -run '^$$' -bench '^(BenchmarkPlacement)$$' -benchmem ./internal/core/
 	go test -run '^$$' -bench '^(BenchmarkVerifyProgram)$$' -benchmem ./pkg/vm/

@@ -36,10 +36,10 @@ func benchMachines() []struct {
 func TestCompileAllocs(t *testing.T) {
 	loops := ir.ExampleLoops()
 	measured := map[string]float64{
-		"list x Unified":       1157,
-		"list x Paper4Cluster": 1301,
-		"mirs x Unified":       1520,
-		"mirs x Paper4Cluster": 1851,
+		"list x Unified":       927,
+		"list x Paper4Cluster": 1076,
+		"mirs x Unified":       1241,
+		"mirs x Paper4Cluster": 1567,
 	}
 	for _, be := range Backends() {
 		for _, mc := range benchMachines() {

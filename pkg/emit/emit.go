@@ -238,24 +238,31 @@ func Emit(ek *sched.ExpandedKernel) (*Program, error) {
 	// producer names that cluster's bus-delivered copy, so collecting
 	// both defs and uses per issuing cluster covers transfer
 	// destinations too. One expanded period spans all unroll slots, and
-	// every copy count divides Unroll, so the kernel instances name every
-	// copy the prologue and epilogue will ever touch. The clusters' names
-	// share one array: each cluster's are sorted and compacted in place,
-	// and the next cluster's start behind them.
+	// every copy count divides Unroll, so the kernel's unroll slots name
+	// every copy the prologue and epilogue will ever touch. The clusters'
+	// names share one array: each cluster's are sorted and compacted in
+	// place, and the next cluster's start behind them.
 	total := 0
-	for i := range ek.Instrs {
-		total += len(ek.Instrs[i].Defs) + len(ek.Instrs[i].Uses)
+	for _, in := range s.Loop.Instrs {
+		total += len(in.Defs) + len(in.Uses)
 	}
-	free := make([]sched.RegCopy, total)
+	free := make([]sched.RegCopy, u*total)
 	p.regs = make([]clusterRegs, m.NumClusters())
 	p.Names = make([][]sched.RegCopy, len(p.regs))
 	nframe := 0
 	for ci := range p.regs {
 		names := free[:0]
-		for i := range ek.Instrs {
-			if xi := &ek.Instrs[i]; s.Placements[xi.ID].Cluster == ci {
-				names = append(names, xi.Defs...)
-				names = append(names, xi.Uses...)
+		for iter := range u {
+			for id, in := range s.Loop.Instrs {
+				if s.Placements[id].Cluster != ci {
+					continue
+				}
+				for j := range in.Defs {
+					names = append(names, ek.Def(id, j, iter))
+				}
+				for j := range in.Uses {
+					names = append(names, ek.Use(id, j, iter))
+				}
 			}
 		}
 		slices.SortFunc(names, cmpRegCopy)
@@ -321,23 +328,20 @@ func Emit(ek *sched.ExpandedKernel) (*Program, error) {
 
 	// Count every instance's op, operands and transfers per bundle, then
 	// turn the counts into each bundle's first slot in ops.
-	xiAt := func(id, iter int) *sched.ExpandedInstr { return &ek.Instrs[(((iter%u)+u)%u)*n+id] }
 	next := make([]int, 2*t0+period)
 	nops, nlocs, nxfers := 0, 0, 0
 	instances(ek, p.Trip, func(id, iter, b int) {
-		xi := xiAt(id, iter)
+		in := s.Loop.Instrs[id]
 		next[b]++
-		nlocs += len(xi.Defs) + len(xi.Uses)
+		nlocs += len(in.Defs) + len(in.Uses)
 		nxfers += routeAt[id+1] - routeAt[id]
 	})
 	for b := range next {
 		nops, next[b] = nops+next[b], nops
 	}
 
-	// Lower every instance into its bundle's next slot, using the
-	// renaming of the matching unroll slot — valid for any absolute
-	// iteration because copy counts divide Unroll, so iter and iter mod
-	// Unroll name the same copies.
+	// Lower every instance into its bundle's next slot, naming its
+	// operands by its absolute iteration.
 	ops := make([]Op, nops)
 	locs := make([]Loc, nlocs)
 	xfers := make([]Xfer, nxfers)
@@ -348,26 +352,29 @@ func Emit(ek *sched.ExpandedKernel) (*Program, error) {
 			return
 		}
 		pl := s.Placements[id]
-		xi := xiAt(id, iter)
+		in := s.Loop.Instrs[id]
 		op := &ops[next[b]]
 		next[b]++
 		*op = Op{
 			ID: id, Cluster: pl.Cluster, Slot: pl.Slot,
-			Latency: m.Latency(s.Loop.Instrs[id].Class), Iter: iter,
-			Defs:  carve(&locs, len(xi.Defs)),
-			Srcs:  carve(&locs, len(xi.Uses)),
+			Latency: m.Latency(in.Class), Iter: iter,
+			Defs:  carve(&locs, len(in.Defs)),
+			Srcs:  carve(&locs, len(in.Uses)),
 			Xfers: carve(&xfers, routeAt[id+1]-routeAt[id]),
 		}
-		if err = p.locate(op.Defs, pl.Cluster, xi.Defs); err != nil {
-			return
+		for j := range op.Defs {
+			if op.Defs[j], err = p.locate(pl.Cluster, ek.Def(id, j, iter)); err != nil {
+				return
+			}
 		}
-		if err = p.locate(op.Srcs, pl.Cluster, xi.Uses); err != nil {
-			return
+		for j := range op.Srcs {
+			if op.Srcs[j], err = p.locate(pl.Cluster, ek.Use(id, j, iter)); err != nil {
+				return
+			}
 		}
 		for i, r := range routes[routeAt[id]:routeAt[id+1]] {
-			dst, ok := p.LocOf(r.dest, xi.Defs[r.defIdx])
-			if !ok {
-				err = fmt.Errorf("emit: no location for %s on destination cluster %d", xi.Defs[r.defIdx], r.dest)
+			var dst Loc
+			if dst, err = p.locate(r.dest, ek.Def(id, r.defIdx, iter)); err != nil {
 				return
 			}
 			op.Xfers[i] = Xfer{DefIdx: r.defIdx, Dst: dst, Delay: op.Latency + busLat}
@@ -405,33 +412,40 @@ func instances(ek *sched.ExpandedKernel, trip int, f func(id, iter, b int)) {
 	ii := s.II
 	period := ek.Unroll * ii
 	t0 := (s.StageCount() - 1) * ii
+	n := s.Loop.NumInstrs()
 
-	// Prologue: stage p spans bundles [p*II, (p+1)*II); the instance
-	// (id, i = p - stage) issues at cycle i*II + start(id) = p*II +
-	// start(id) mod II.
-	for stage, ops := range ek.Prologue {
-		for _, so := range ops {
-			f(so.ID, so.Iteration, stage*ii+s.Start(so.ID)%ii)
+	// Prologue: fill stage p spans bundles [p*II, (p+1)*II) and runs
+	// every instruction of kernel stage <= p for iteration p - stage,
+	// which issues at cycle p*II + start(id) mod II.
+	for p := range t0 / ii {
+		for id := range n {
+			if ek.Stage[id] <= p {
+				f(id, p-ek.Stage[id], p*ii+s.Start(id)%ii)
+			}
 		}
 	}
 
 	// Kernel: bundle j of pass k issues at absolute cycle (sc-1)*II +
-	// k*Period + j, so the expanded instance at expanded-kernel cycle c
-	// lands in bundle (c - (sc-1)*II) mod Period, executing iteration
-	// Iter + k*Unroll with Iter = ((sc-1)*II + j - start)/II — the
-	// smallest iteration of its unroll slot issuing at or after the
-	// prologue/kernel boundary.
-	for i := range ek.Instrs {
-		xi := &ek.Instrs[i]
-		j := ((xi.Cycle-t0)%period + period) % period
-		f(xi.ID, (t0+j-s.Start(xi.ID))/ii, t0+j)
+	// k*Period + j, so unroll slot u's instance, at expanded-kernel
+	// cycle c = (u*II + start) mod Period, lands in bundle (c -
+	// (sc-1)*II) mod Period, executing iteration Iter + k*Unroll with
+	// Iter = ((sc-1)*II + j - start)/II — the smallest iteration of its
+	// unroll slot issuing at or after the prologue/kernel boundary.
+	for u := range ek.Unroll {
+		for id := range n {
+			j := ((u*ii+s.Start(id)-t0)%period + period) % period
+			f(id, (t0+j-s.Start(id))/ii, t0+j)
+		}
 	}
 
-	// Epilogue: stage e spans bundles [e*II, (e+1)*II) after the kernel;
-	// StageOp.Iteration counts back from the final iteration.
-	for stage, ops := range ek.Epilogue {
-		for _, so := range ops {
-			f(so.ID, trip-1-so.Iteration, t0+period+stage*ii+s.Start(so.ID)%ii)
+	// Epilogue: drain stage e spans bundles [e*II, (e+1)*II) after the
+	// kernel and runs every instruction of kernel stage >= e+1 for the
+	// iteration stage-(e+1) before the final one.
+	for e := range t0 / ii {
+		for id := range n {
+			if ek.Stage[id] >= e+1 {
+				f(id, trip-1-(ek.Stage[id]-(e+1)), t0+period+e*ii+s.Start(id)%ii)
+			}
 		}
 	}
 }
@@ -447,16 +461,13 @@ func carve[T any](buf *[]T, k int) []T {
 	return s
 }
 
-// locate fills dst with the locations of rcs on cluster ci.
-func (p *Program) locate(dst []Loc, ci int, rcs []sched.RegCopy) error {
-	for i, rc := range rcs {
-		l, ok := p.LocOf(ci, rc)
-		if !ok {
-			return fmt.Errorf("emit: no location for %s on cluster %d", rc, ci)
-		}
-		dst[i] = l
+// locate is LocOf with a missing location as an error.
+func (p *Program) locate(ci int, name sched.RegCopy) (Loc, error) {
+	l, ok := p.LocOf(ci, name)
+	if !ok {
+		return Loc{}, fmt.Errorf("emit: no location for %s on cluster %d", name, ci)
 	}
-	return nil
+	return l, nil
 }
 
 // MVEBundles returns the total bundle count of the MVE plan — its code

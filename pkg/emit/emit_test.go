@@ -41,19 +41,26 @@ func example(t *testing.T, name string) *ir.Loop {
 	return nil
 }
 
-// stageStr flattens prologue/epilogue stage maps to "id@iter" tokens,
-// stages separated by " | " — the shape the goldens pin.
-func stageStr(stages [][]sched.StageOp) string {
+// stageStr flattens an emitted prologue or epilogue to its stage map:
+// "id@iter" tokens in instruction order per stage of II bundles, stages
+// separated by " | " — the shape the goldens pin. iter maps an op's
+// iteration to the one the map records.
+func stageStr(bundles []emit.Bundle, ii int, iter func(int) int) string {
 	var b strings.Builder
-	for si, ops := range stages {
-		if si > 0 {
+	for lo := 0; lo < len(bundles); lo += ii {
+		if lo > 0 {
 			b.WriteString(" | ")
 		}
+		var ops []emit.Op
+		for _, bun := range bundles[lo : lo+ii] {
+			ops = append(ops, bun.Ops...)
+		}
+		slices.SortFunc(ops, func(x, y emit.Op) int { return x.ID - y.ID })
 		for oi, op := range ops {
 			if oi > 0 {
 				b.WriteByte(' ')
 			}
-			fmt.Fprintf(&b, "%d@%d", op.ID, op.Iteration)
+			fmt.Fprintf(&b, "%d@%d", op.ID, iter(op.Iter))
 		}
 	}
 	return b.String()
@@ -61,9 +68,12 @@ func stageStr(stages [][]sched.StageOp) string {
 
 // TestStageMapGoldens pins the shipped schedules' ramp code: the exact
 // prologue and epilogue stage maps (which instance of which instruction
-// fills and drains each pipeline stage) for three corpus loops on the
-// unified machine at their baseline IIs. Any change here changes the
-// emitted prologue/epilogue bundles and must be a conscious decision.
+// fills and drains each pipeline stage) of the emitted programs for
+// three corpus loops on the unified machine at their baseline IIs.
+// Prologue iterations count from the first, epilogue iterations back
+// from the final one (0 = iteration Trip-1). Any change here changes
+// the emitted prologue/epilogue bundles and must be a conscious
+// decision.
 func TestStageMapGoldens(t *testing.T) {
 	goldens := []struct {
 		loop               string
@@ -89,15 +99,15 @@ func TestStageMapGoldens(t *testing.T) {
 	m := machine.Unified()
 	for _, g := range goldens {
 		t.Run(g.loop, func(t *testing.T) {
-			s, ek, _ := compile(t, example(t, g.loop), m)
+			s, ek, prog := compile(t, example(t, g.loop), m)
 			if s.II != g.ii || ek.Unroll != g.unroll || s.StageCount() != g.stages {
 				t.Fatalf("shape II=%d unroll=%d stages=%d, golden II=%d unroll=%d stages=%d",
 					s.II, ek.Unroll, s.StageCount(), g.ii, g.unroll, g.stages)
 			}
-			if got := stageStr(ek.Prologue); got != g.prologue {
+			if got := stageStr(prog.Prologue, s.II, func(i int) int { return i }); got != g.prologue {
 				t.Errorf("prologue stage map drifted:\n got %s\nwant %s", got, g.prologue)
 			}
-			if got := stageStr(ek.Epilogue); got != g.epilogue {
+			if got := stageStr(prog.Epilogue, s.II, func(i int) int { return prog.Trip - 1 - i }); got != g.epilogue {
 				t.Errorf("epilogue stage map drifted:\n got %s\nwant %s", got, g.epilogue)
 			}
 		})

@@ -3,7 +3,6 @@ package ir
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
@@ -191,7 +190,7 @@ func Build(l *Loop, m *machine.Machine, opts *BuildOptions) (*Graph, error) {
 	for v := range defs {
 		regs = append(regs, v)
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
+	slices.Sort(regs)
 
 	// The edge population is known exactly up front — per defined
 	// register, one true and one anti edge per use plus one output edge

@@ -63,20 +63,6 @@ type Lifetime struct {
 // counting the definition cycle itself.
 func (lt Lifetime) Length() int { return lt.End - lt.Start + 1 }
 
-// Copies returns the number of rotating register copies modulo variable
-// expansion must allocate for the value at initiation interval ii:
-// ceil((End-Start)/ii), at least 1. A value live L cycles past its
-// definition overlaps the redefinitions of the next ceil(L/ii)-1
-// iterations; the copy reused exactly at the last-use cycle is legal
-// because operands are read at issue (the same convention as the
-// default AntiLatency of 0).
-func (lt Lifetime) Copies(ii int) int {
-	if n := (lt.End - lt.Start + ii - 1) / ii; n > 1 {
-		return n
-	}
-	return 1
-}
-
 // PlacementFunc reports where instruction id currently sits: its flat
 // issue cycle and cluster. ok is false while the instruction is
 // unplaced, in which case it contributes no lifetimes.

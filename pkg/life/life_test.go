@@ -147,26 +147,6 @@ func TestLiveInUsesDistinctInOrder(t *testing.T) {
 	}
 }
 
-func TestCopiesMath(t *testing.T) {
-	cases := []struct {
-		start, end, ii, want int
-	}{
-		{0, 0, 1, 1},  // dead value: one copy
-		{0, 3, 4, 1},  // fits inside one II
-		{0, 4, 4, 1},  // redefinition exactly at the last use: reuse is legal
-		{0, 5, 4, 2},  // one cycle past the boundary: two copies overlap
-		{2, 7, 4, 2},  // L=5 at II=4
-		{0, 6, 1, 6},  // II=1: a new iteration every cycle
-		{5, 11, 2, 3}, // L=6 at II=2
-	}
-	for _, c := range cases {
-		lt := Lifetime{Start: c.start, End: c.end}
-		if got := lt.Copies(c.ii); got != c.want {
-			t.Errorf("Copies([%d,%d], II=%d) = %d, want %d", c.start, c.end, c.ii, got, c.want)
-		}
-	}
-}
-
 func TestLifetimesFullEnumerationOrder(t *testing.T) {
 	m := machine.Unified()
 	l := &ir.Loop{Name: "order", Instrs: []*ir.Instruction{

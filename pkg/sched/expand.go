@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/life"
@@ -37,51 +39,28 @@ var ErrUnrollBound = errors.New("unroll factor exceeds bound")
 
 // RegCopy names one rotating copy of a virtual register in the expanded
 // kernel: copy c of register v holds the values produced by iterations
-// i with i mod Copies(v) == c. Live-in registers never rotate and always
+// i with i mod Copies[v] == c. Live-in registers never rotate and always
 // appear as copy 0.
 type RegCopy struct {
 	// Reg is the original virtual register.
 	Reg ir.VReg
-	// Copy is the rotating copy index in [0, Copies(Reg)).
+	// Copy is the rotating copy index in [0, Copies[Reg]).
 	Copy int
 }
 
 // String formats a renamed register as "v3.1".
 func (rc RegCopy) String() string { return fmt.Sprintf("%s.%d", rc.Reg, rc.Copy) }
 
-// ExpandedInstr is one instruction instance of the expanded kernel: the
-// original instruction, which unrolled iteration it belongs to, its
-// issue cycle within the expanded kernel, and its renamed operands.
-type ExpandedInstr struct {
-	// ID is the original instruction's ID in Schedule.Loop.
-	ID int
-	// Iteration is the unroll index u in [0, Unroll): this instance
-	// executes loop iterations i with i mod Unroll == u.
-	Iteration int
-	// Cycle is the issue cycle within the expanded kernel, in
-	// [0, Unroll*II): (u*II + flat cycle) mod (Unroll*II).
-	Cycle int
-	// Defs and Uses are the renamed operands, parallel to the original
-	// instruction's Defs and Uses slices.
-	Defs []RegCopy
-	Uses []RegCopy
-}
-
-// StageOp is one instruction instance of a prologue or epilogue stage.
-type StageOp struct {
-	// ID is the instruction executing.
-	ID int
-	// Iteration identifies the loop iteration the instance belongs to:
-	// in a prologue stage it counts from the first iteration (0 = the
-	// first), in an epilogue stage from the last (0 = the final
-	// iteration, 1 = the one before it, ...).
-	Iteration int
-}
-
 // ExpandedKernel is the modulo-variable-expanded form of a schedule:
-// the steady-state kernel unrolled Unroll times with rotating register
-// copies renamed per unrolled iteration, plus the prologue/epilogue
-// stage maps a code emitter needs to fill and drain the pipeline.
+// the steady-state kernel unrolled Unroll times, with every unrolled
+// iteration's operands renamed onto rotating register copies. It stores
+// the renaming rule, not its instances: Name, Def and Use compute the
+// copy any instance reads or writes, for kernel, prologue and epilogue
+// iterations alike. The prologue fills the pipeline stage by stage —
+// fill stage p runs every instruction with Stage <= p, for iteration
+// p - Stage — and the epilogue drains it — drain stage e runs every
+// instruction with Stage >= e+1, for iteration Stage-(e+1) counted back
+// from the final one.
 type ExpandedKernel struct {
 	// Schedule is the schedule the kernel was expanded from.
 	Schedule *Schedule
@@ -89,36 +68,62 @@ type ExpandedKernel struct {
 	// copy counts, so that after Unroll iterations every rotation
 	// realigns and the kernel can branch back to its own top.
 	Unroll int
-	// Copies maps each register defined in the loop to its rotating
-	// copy count: the maximum number of simultaneously live instances
-	// any of its definitions sustains (1 = no rotation needed).
-	Copies map[ir.VReg]int
+	// Copies is indexed by register: Copies[v] is v's rotating copy
+	// count — the maximum number of simultaneously live instances any
+	// of its definitions sustains (1 = no rotation needed) — and 0 for
+	// a register the loop does not define. Registers past the end of
+	// the slice are not defined either.
+	Copies []int
 	// Stage is each instruction's kernel stage, flat cycle / II.
 	Stage []int
-	// Instrs lists the Unroll × NumInstrs instruction instances of the
-	// expanded kernel, iteration-major, instruction-ID order within an
-	// iteration.
-	Instrs []ExpandedInstr
-	// Prologue maps the StageCount-1 fill stages: Prologue[p] lists the
-	// instances executing in prologue stage p — every instruction whose
-	// kernel stage is <= p, for iteration p - stage (counted from the
-	// first iteration).
-	Prologue [][]StageOp
-	// Epilogue maps the StageCount-1 drain stages: Epilogue[e] lists
-	// the instances executing in epilogue stage e — every instruction
-	// whose kernel stage is >= e+1, for iteration stage-(e+1) counted
-	// back from the final iteration (0 = the final one).
-	Epilogue [][]StageOp
 	// MaxLive is the post-expansion register pressure: the maximum
 	// number of simultaneously live renamed values over the expanded
 	// kernel's Unroll*II cycles. Renaming does not change what is live,
 	// so this equals the pre-expansion steady-state MaxLive — recomputed
 	// here from the expanded form as a consistency check.
 	MaxLive int
-	// Registers is the number of distinct architectural register names
-	// the expanded kernel consumes: the sum of Copies over defined
-	// registers plus one name per live-in register.
-	Registers int
+
+	// dists parallels Loop.Instrs[id].Uses: the dependence distance of
+	// each use's reaching definition, -1 where no true edge reaches it.
+	dists [][]int32
+}
+
+// Name returns the copy of register v that iteration iter writes:
+// copy iter mod Copies[v], or copy 0 for a register the loop does not
+// define (a live-in never rotates). Any iteration works, negative ones
+// included — the prologue and epilogue use the same names as the kernel
+// because every copy count divides Unroll.
+func (ek *ExpandedKernel) Name(v ir.VReg, iter int) RegCopy {
+	c := ek.copies(v)
+	if c < 1 {
+		return RegCopy{Reg: v}
+	}
+	return RegCopy{Reg: v, Copy: ((iter % c) + c) % c}
+}
+
+// Def returns the copy instruction id's j-th definition writes in
+// iteration iter.
+func (ek *ExpandedKernel) Def(id, j, iter int) RegCopy {
+	return ek.Name(ek.Schedule.Loop.Instrs[id].Defs[j], iter)
+}
+
+// Use returns the copy instruction id's j-th use reads in iteration
+// iter: the name its reaching definition wrote, iter minus the edge
+// distance, or the live-in name (copy 0) when no true edge reaches it.
+func (ek *ExpandedKernel) Use(id, j, iter int) RegCopy {
+	v := ek.Schedule.Loop.Instrs[id].Uses[j]
+	d := ek.dists[id][j]
+	if d < 0 {
+		return RegCopy{Reg: v}
+	}
+	return ek.Name(v, iter-int(d))
+}
+
+func (ek *ExpandedKernel) copies(v ir.VReg) int {
+	if v < 0 || int(v) >= len(ek.Copies) {
+		return 0
+	}
+	return ek.Copies[v]
 }
 
 // Expand performs modulo variable expansion on a valid schedule. It
@@ -126,9 +131,7 @@ type ExpandedKernel struct {
 // register's rotating copy count from its longest instance — a value
 // live L cycles past its definition needs ceil(L/II) register names,
 // reuse exactly at the last-use cycle being legal because operands are
-// read at issue — unrolls the
-// kernel by the lcm of those counts, renames every unrolled iteration's
-// operands onto its copies, and builds the prologue/epilogue stage maps.
+// read at issue — and unrolls the kernel by the lcm of those counts.
 // The result is self-checked: Expand returns an error if the expanded
 // kernel fails Validate, so a returned kernel is guaranteed free of
 // wrap-around redefinitions.
@@ -150,116 +153,59 @@ func (s *Schedule) ExpandWith(lts []life.Lifetime) (*ExpandedKernel, error) {
 
 	// Rotating copy counts. With several definition sites of one
 	// register in the body, all sites of one iteration share a copy
-	// name, and the name recurs Copies(v) iterations later at the
+	// name, and the name recurs Copies[v] iterations later at the
 	// *earliest* defining site — so the count is measured against the
 	// register's earliest definition cycle, not each site's own.
-	minStart := map[ir.VReg]int{}
+	nregs := 0
+	for _, in := range s.Loop.Instrs {
+		for _, d := range in.Defs {
+			nregs = max(nregs, int(d)+1)
+		}
+	}
+	// Every defined register starts at one copy, which also marks its
+	// minStart as set.
+	copies := make([]int, nregs)
+	minStart := make([]int, nregs)
 	for id, in := range s.Loop.Instrs {
 		for _, d := range in.Defs {
-			if cur, ok := minStart[d]; !ok || s.Start(id) < cur {
-				minStart[d] = s.Start(id)
+			if copies[d] == 0 || s.Start(id) < minStart[d] {
+				copies[d], minStart[d] = 1, s.Start(id)
 			}
 		}
 	}
-	copies := map[ir.VReg]int{}
 	for _, lt := range lts {
 		if lt.Def < 0 || lt.Cluster != s.Placements[lt.Def].Cluster {
 			continue // live-ins don't rotate; remote ends never exceed local
 		}
-		need := (lt.End - minStart[lt.Reg] + s.II - 1) / s.II
-		if need < 1 {
-			need = 1
-		}
-		if need > copies[lt.Reg] {
-			copies[lt.Reg] = need
-		}
+		copies[lt.Reg] = max(copies[lt.Reg], (lt.End-minStart[lt.Reg]+s.II-1)/s.II)
 	}
 	unroll := 1
 	for _, c := range copies {
-		unroll = lcm(unroll, c)
+		if c > 0 {
+			unroll = lcm(unroll, c)
+		}
 		if unroll > MaxUnroll {
 			return nil, fmt.Errorf("sched: expand: kernel unroll (lcm of rotating copy counts, >%d) %w", MaxUnroll, ErrUnrollBound)
 		}
 	}
-
-	dists, defined := useDists(s)
 
 	ek := &ExpandedKernel{
 		Schedule: s,
 		Unroll:   unroll,
 		Copies:   copies,
 		Stage:    make([]int, n),
+		dists:    useDists(s),
 	}
 	for id := range ek.Stage {
 		ek.Stage[id] = s.Start(id) / s.II
 	}
 
+	// Post-expansion pressure: fold every lifetime's Unroll
+	// per-iteration instances over the expanded period. An interval
+	// longer than the period covers every cycle floor(len/period) times
+	// plus a len-mod-period remainder, so the fold costs
+	// O(min(len, period)) per instance instead of O(len).
 	period := unroll * s.II
-	nameOf := func(v ir.VReg, iter int) RegCopy {
-		c := copies[v]
-		if c == 0 {
-			return RegCopy{Reg: v, Copy: 0} // live-in: never renamed
-		}
-		return RegCopy{Reg: v, Copy: ((iter % c) + c) % c}
-	}
-	// One backing array per operand direction, sized exactly, so the
-	// unroll×n instance loop allocates nothing per instance.
-	totalDefs, totalUses := 0, 0
-	for _, in := range s.Loop.Instrs {
-		totalDefs += len(in.Defs)
-		totalUses += len(in.Uses)
-	}
-	defsBack := make([]RegCopy, 0, unroll*totalDefs)
-	usesBack := make([]RegCopy, 0, unroll*totalUses)
-	ek.Instrs = make([]ExpandedInstr, 0, unroll*n)
-	for u := 0; u < unroll; u++ {
-		for id, in := range s.Loop.Instrs {
-			xi := ExpandedInstr{ID: id, Iteration: u, Cycle: (u*s.II + s.Start(id)) % period}
-			d0 := len(defsBack)
-			for _, d := range in.Defs {
-				defsBack = append(defsBack, nameOf(d, u))
-			}
-			xi.Defs = defsBack[d0:len(defsBack):len(defsBack)]
-			u0 := len(usesBack)
-			for j, uv := range in.Uses {
-				d := dists[id][j]
-				if d < 0 {
-					usesBack = append(usesBack, RegCopy{Reg: uv, Copy: 0})
-					continue
-				}
-				usesBack = append(usesBack, nameOf(uv, u-int(d)))
-			}
-			xi.Uses = usesBack[u0:len(usesBack):len(usesBack)]
-			ek.Instrs = append(ek.Instrs, xi)
-		}
-	}
-
-	// Prologue/epilogue stage maps: StageCount-1 stages each.
-	sc := s.StageCount()
-	for p := 0; p < sc-1; p++ {
-		var ops []StageOp
-		for id := 0; id < n; id++ {
-			if ek.Stage[id] <= p {
-				ops = append(ops, StageOp{ID: id, Iteration: p - ek.Stage[id]})
-			}
-		}
-		ek.Prologue = append(ek.Prologue, ops)
-	}
-	for e := 0; e < sc-1; e++ {
-		var ops []StageOp
-		for id := 0; id < n; id++ {
-			if ek.Stage[id] >= e+1 {
-				ops = append(ops, StageOp{ID: id, Iteration: ek.Stage[id] - (e + 1)})
-			}
-		}
-		ek.Epilogue = append(ek.Epilogue, ops)
-	}
-
-	// Post-expansion pressure and register-name count: fold every
-	// lifetime's Unroll per-iteration instances over the expanded
-	// period. An interval longer than the period covers every cycle
-	// floor(len/period) times plus a len-mod-period remainder, so the
-	// fold costs O(min(len, period)) per instance instead of O(len).
 	perCycle := make([]int, period)
 	for _, lt := range lts {
 		length := lt.End - lt.Start + 1
@@ -276,35 +222,22 @@ func (s *Schedule) ExpandWith(lts []life.Lifetime) (*ExpandedKernel, error) {
 			}
 		}
 	}
-	for _, c := range perCycle {
-		if c > ek.MaxLive {
-			ek.MaxLive = c
-		}
-	}
-	liveIns := map[ir.VReg]bool{}
-	for _, lt := range lts {
-		if lt.Def < 0 {
-			liveIns[lt.Reg] = true
-		}
-	}
-	for _, c := range copies {
-		ek.Registers += c
-	}
-	ek.Registers += len(liveIns)
+	ek.MaxLive = slices.Max(perCycle)
 
-	if err := ek.validate(lts, dists, defined); err != nil {
+	if err := ek.validate(lts, ek.dists); err != nil {
 		return nil, fmt.Errorf("sched: expand: internal: %w", err)
 	}
 	return ek, nil
 }
 
 // Validate checks the expanded kernel: the underlying schedule is valid,
-// and — the property expansion exists to establish — no renamed register
-// copy is redefined before the last use of the value it holds, i.e. the
-// wrap-around redefinition constraint of the unexpanded form is absent.
-// It also re-derives every instance's renaming from the dependence graph
-// and rejects any mismatch, so a hand-altered kernel cannot silently
-// mis-wire operands.
+// the unroll factor is within MaxUnroll and a multiple of every copy
+// count, and — the property expansion exists to establish — no renamed
+// register copy is redefined before the last use of the value it holds,
+// i.e. the wrap-around redefinition constraint of the unexpanded form
+// is absent. It re-derives the reaching definitions from the schedule's
+// graph, so a use that lost its reaching edge is rejected rather than
+// silently read as a live-in.
 func (ek *ExpandedKernel) Validate() error {
 	if ek.Schedule == nil {
 		return fmt.Errorf("sched: expanded kernel without schedule")
@@ -312,22 +245,25 @@ func (ek *ExpandedKernel) Validate() error {
 	if err := ek.Schedule.Validate(); err != nil {
 		return err
 	}
-	dists, defined := useDists(ek.Schedule)
-	return ek.validate(life.Lifetimes(ek.Schedule.LifeView()), dists, defined)
+	return ek.validate(life.Lifetimes(ek.Schedule.LifeView()), useDists(ek.Schedule))
 }
 
 // validate is Validate with the schedule check, lifetime enumeration and
 // reaching-definition derivation hoisted out, so Expand — which has just
 // validated the schedule and already holds all three — does not pay for
 // them twice.
-func (ek *ExpandedKernel) validate(lts []life.Lifetime, dists [][]int32, defined map[ir.VReg]bool) error {
+func (ek *ExpandedKernel) validate(lts []life.Lifetime, dists [][]int32) error {
 	s := ek.Schedule
 	if ek.Unroll < 1 {
 		return fmt.Errorf("sched: expanded kernel with unroll %d < 1", ek.Unroll)
 	}
-	if len(ek.Instrs) != ek.Unroll*s.Loop.NumInstrs() {
-		return fmt.Errorf("sched: expanded kernel has %d instances, want %d",
-			len(ek.Instrs), ek.Unroll*s.Loop.NumInstrs())
+	if ek.Unroll > MaxUnroll {
+		return fmt.Errorf("sched: expanded kernel unroll %d: %w (%d)", ek.Unroll, ErrUnrollBound, MaxUnroll)
+	}
+	for v, c := range ek.Copies {
+		if c > 0 && ek.Unroll%c != 0 {
+			return fmt.Errorf("sched: copy count %d of %s does not divide unroll %d", c, ir.VReg(v), ek.Unroll)
+		}
 	}
 	period := ek.Unroll * s.II
 
@@ -339,8 +275,7 @@ func (ek *ExpandedKernel) validate(lts []life.Lifetime, dists [][]int32, defined
 	// the last-use cycle is legal: operands are read at issue. Events
 	// live in one sorted slice, grouped by (register, copy).
 	type defEvent struct {
-		reg    ir.VReg
-		copy   int
+		name   RegCopy
 		t, end int
 	}
 	nLocal := 0
@@ -354,26 +289,19 @@ func (ek *ExpandedKernel) validate(lts []life.Lifetime, dists [][]int32, defined
 		if lt.Def < 0 || lt.Cluster != s.Placements[lt.Def].Cluster {
 			continue // live-ins are never redefined; remote copies mirror the local range
 		}
-		c := ek.Copies[lt.Reg]
-		if c < 1 {
+		if ek.copies(lt.Reg) < 1 {
 			return fmt.Errorf("sched: expanded kernel has no copy count for defined register %s", lt.Reg)
 		}
 		for u := 0; u < ek.Unroll; u++ {
-			events = append(events, defEvent{reg: lt.Reg, copy: u % c, t: lt.Start + u*s.II, end: lt.End + u*s.II})
+			events = append(events, defEvent{name: ek.Name(lt.Reg, u), t: lt.Start + u*s.II, end: lt.End + u*s.II})
 		}
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].reg != events[j].reg {
-			return events[i].reg < events[j].reg
-		}
-		if events[i].copy != events[j].copy {
-			return events[i].copy < events[j].copy
-		}
-		return events[i].t < events[j].t
+	slices.SortFunc(events, func(a, b defEvent) int {
+		return cmp.Or(cmp.Compare(a.name.Reg, b.name.Reg), cmp.Compare(a.name.Copy, b.name.Copy), cmp.Compare(a.t, b.t))
 	})
 	for lo := 0; lo < len(events); {
 		hi := lo
-		for hi < len(events) && events[hi].reg == events[lo].reg && events[hi].copy == events[lo].copy {
+		for hi < len(events) && events[hi].name == events[lo].name {
 			hi++
 		}
 		for i := lo; i < hi; i++ {
@@ -384,48 +312,22 @@ func (ek *ExpandedKernel) validate(lts []life.Lifetime, dists [][]int32, defined
 			}
 			if ev.end > next {
 				return fmt.Errorf("sched: renamed register %s defined at cycle %d is redefined at %d before its last use at %d (unroll %d, II %d)",
-					RegCopy{Reg: ev.reg, Copy: ev.copy}, ev.t, next, ev.end, ek.Unroll, s.II)
+					ev.name, ev.t, next, ev.end, ek.Unroll, s.II)
 			}
 		}
 		lo = hi
 	}
 
-	// Renaming consistency: every use reads the copy its reaching
-	// definition (Iteration - edge distance) wrote.
-	for _, xi := range ek.Instrs {
-		in := s.Loop.Instrs[xi.ID]
-		if len(xi.Defs) != len(in.Defs) || len(xi.Uses) != len(in.Uses) {
-			return fmt.Errorf("sched: expanded instance of instruction %d has %d/%d operands, want %d/%d",
-				xi.ID, len(xi.Defs), len(xi.Uses), len(in.Defs), len(in.Uses))
-		}
-		for j, d := range in.Defs {
-			c := ek.Copies[d]
-			if c < 1 {
-				return fmt.Errorf("sched: expanded kernel has no copy count for defined register %s", d)
-			}
-			if want := xi.Iteration % c; xi.Defs[j].Reg != d || xi.Defs[j].Copy != want {
-				return fmt.Errorf("sched: instance (%d, iter %d) defines %s, want %s.%d",
-					xi.ID, xi.Iteration, xi.Defs[j], d, want)
-			}
-		}
+	// A use no true edge reaches is read as the live-in name, copy 0 —
+	// sound only if the loop never defines the register, since the
+	// iterations with i mod Copies == 0 write that very name. An
+	// emitter's allocator would silently alias the two; reject the
+	// kernel instead.
+	for id, in := range s.Loop.Instrs {
 		for j, uv := range in.Uses {
-			want := RegCopy{Reg: uv, Copy: 0}
-			if d := dists[xi.ID][j]; d >= 0 && defined[uv] {
-				c := ek.Copies[uv]
-				want.Copy = (((xi.Iteration - int(d)) % c) + c) % c
-			} else if defined[uv] {
-				// No true edge reaches this use, so the renaming treated
-				// it as a live-in and pinned it to copy 0 — but the loop
-				// *defines* uv, and the unroll iterations with
-				// i mod Copies(uv) == 0 write that very name. An emitter's
-				// allocator would silently alias the "live-in" with the
-				// rotating copy; reject the kernel instead.
-				return fmt.Errorf("sched: instance (%d, iter %d) reads %s as a live-in, but %s is defined in the loop — the live-in name %s would be clobbered by the renamed copy 0 definitions",
-					xi.ID, xi.Iteration, uv, uv, RegCopy{Reg: uv, Copy: 0})
-			}
-			if xi.Uses[j] != want {
-				return fmt.Errorf("sched: instance (%d, iter %d) reads %s for %s, want %s",
-					xi.ID, xi.Iteration, xi.Uses[j], uv, want)
+			if dists[id][j] < 0 && ek.copies(uv) > 0 {
+				return fmt.Errorf("sched: instruction %d reads %s as a live-in, but %s is defined in the loop — the live-in name %s would be clobbered by the renamed copy 0 definitions",
+					id, uv, uv, RegCopy{Reg: uv})
 			}
 		}
 	}
@@ -433,43 +335,43 @@ func (ek *ExpandedKernel) validate(lts []life.Lifetime, dists [][]int32, defined
 }
 
 // String renders the expanded kernel header and per-iteration renamings,
-// for debugging and golden tests.
+// for debugging.
 func (ek *ExpandedKernel) String() string {
 	s := ek.Schedule
-	out := fmt.Sprintf("%s expanded: II=%d unroll=%d kernel=%d cycles regs=%d maxlive=%d\n",
-		s.Loop.Name, s.II, ek.Unroll, ek.Unroll*s.II, ek.Registers, ek.MaxLive)
-	for _, xi := range ek.Instrs {
-		in := s.Loop.Instrs[xi.ID]
-		line := fmt.Sprintf("  [i%%%d=%d c%d] %s", ek.Unroll, xi.Iteration, xi.Cycle, in.Op)
-		for j := range xi.Defs {
-			if j > 0 {
-				line += ","
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s expanded: II=%d unroll=%d kernel=%d cycles maxlive=%d\n",
+		s.Loop.Name, s.II, ek.Unroll, ek.Unroll*s.II, ek.MaxLive)
+	for u := 0; u < ek.Unroll; u++ {
+		for id, in := range s.Loop.Instrs {
+			fmt.Fprintf(&b, "  [i%%%d=%d c%d] %s", ek.Unroll, u, (u*s.II+s.Start(id))%(ek.Unroll*s.II), in.Op)
+			for j := range in.Defs {
+				fmt.Fprintf(&b, "%s %s", sep(j, ""), ek.Def(id, j, u))
 			}
-			line += " " + xi.Defs[j].String()
-		}
-		if len(xi.Uses) > 0 {
-			line += " <-"
-			for j := range xi.Uses {
-				if j > 0 {
-					line += ","
-				}
-				line += " " + xi.Uses[j].String()
+			for j := range in.Uses {
+				fmt.Fprintf(&b, "%s %s", sep(j, " <-"), ek.Use(id, j, u))
 			}
+			b.WriteByte('\n')
 		}
-		out += line + "\n"
 	}
-	return out
+	return b.String()
+}
+
+// sep is the operand separator: first before the first operand, a comma
+// before the others.
+func sep(j int, first string) string {
+	if j == 0 {
+		return first
+	}
+	return ","
 }
 
 // useDists derives, from the schedule's graph, the dependence distance
 // of each use's reaching definition — dists[id][j] parallels
-// Instrs[id].Uses, with -1 marking a use no true edge reaches — and the
-// set of registers the loop defines. The renaming builder and the kernel
-// validator both read the same derivation, so they cannot drift apart.
-// When several true edges target the same (consumer, register) pair the
+// Instrs[id].Uses, with -1 marking a use no true edge reaches. When
+// several true edges target the same (consumer, register) pair the
 // highest-indexed edge wins, matching the map-overwrite semantics the
 // derivation originally had.
-func useDists(s *Schedule) (dists [][]int32, defined map[ir.VReg]bool) {
+func useDists(s *Schedule) [][]int32 {
 	n := s.Loop.NumInstrs()
 	total := 0
 	for _, in := range s.Loop.Instrs {
@@ -479,7 +381,7 @@ func useDists(s *Schedule) (dists [][]int32, defined map[ir.VReg]bool) {
 	for i := range back {
 		back[i] = -1
 	}
-	dists = make([][]int32, n)
+	dists := make([][]int32, n)
 	off := 0
 	for id, in := range s.Loop.Instrs {
 		dists[id] = back[off : off+len(in.Uses)]
@@ -496,13 +398,7 @@ func useDists(s *Schedule) (dists [][]int32, defined map[ir.VReg]bool) {
 			}
 		}
 	}
-	defined = map[ir.VReg]bool{}
-	for _, in := range s.Loop.Instrs {
-		for _, d := range in.Defs {
-			defined[d] = true
-		}
-	}
-	return dists, defined
+	return dists
 }
 
 func gcd(a, b int) int {

@@ -1,10 +1,13 @@
 package sched
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
+	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
 
@@ -23,9 +26,10 @@ func expand(t *testing.T, l *ir.Loop, m *machine.Machine, g *ir.Graph) (*Schedul
 
 // TestExpandAllExamples: every corpus loop's baseline schedule must
 // expand into a Validate-clean kernel on both reference machines, with
-// the structural invariants holding: unroll = lcm of copy counts, one
-// instance per (iteration, instruction), and stage maps covering
-// StageCount-1 instances per instruction. (Post-expansion MaxLive
+// the structural invariants holding: every defined register has a copy
+// count dividing the unroll, every instruction's stage lies within the
+// schedule's StageCount, and every unrolled iteration defines the copy
+// its unroll slot names. (Post-expansion MaxLive
 // equalling the steady-state MaxLive is pinned against regpress.Analyze
 // in internal/core's TestCompileExpandsEveryResult.)
 func TestExpandAllExamples(t *testing.T) {
@@ -39,35 +43,21 @@ func TestExpandAllExamples(t *testing.T) {
 				if ek.Unroll < 1 {
 					t.Fatalf("Unroll = %d", ek.Unroll)
 				}
-				for _, c := range ek.Copies {
-					if c < 1 || ek.Unroll%c != 0 {
-						t.Errorf("copy count %d does not divide unroll %d", c, ek.Unroll)
+				for id, in := range l.Instrs {
+					if st := ek.Stage[id]; st < 0 || st >= s.StageCount() {
+						t.Errorf("instruction %d in stage %d, want [0, %d)", id, st, s.StageCount())
 					}
-				}
-				if got, want := len(ek.Instrs), ek.Unroll*l.NumInstrs(); got != want {
-					t.Errorf("%d expanded instances, want %d", got, want)
-				}
-				// Each instruction appears StageCount-1 times across the
-				// prologue and epilogue stage maps combined.
-				counts := make([]int, l.NumInstrs())
-				for _, stage := range ek.Prologue {
-					for _, op := range stage {
-						counts[op.ID]++
+					for j, d := range in.Defs {
+						c := ek.Copies[d]
+						if c < 1 || ek.Unroll%c != 0 {
+							t.Errorf("copy count %d of %s does not divide unroll %d", c, d, ek.Unroll)
+						}
+						for u := range ek.Unroll {
+							if got := ek.Def(id, j, u); got != (RegCopy{Reg: d, Copy: u % c}) {
+								t.Errorf("instruction %d iteration %d defines %s, want %s.%d", id, u, got, d, u%c)
+							}
+						}
 					}
-				}
-				for _, stage := range ek.Epilogue {
-					for _, op := range stage {
-						counts[op.ID]++
-					}
-				}
-				for id, c := range counts {
-					if c != s.StageCount()-1 {
-						t.Errorf("instruction %d appears %d times in prologue+epilogue, want %d",
-							id, c, s.StageCount()-1)
-					}
-				}
-				if ek.Registers < 1 {
-					t.Errorf("Registers = %d", ek.Registers)
 				}
 			})
 		}
@@ -77,12 +67,12 @@ func TestExpandAllExamples(t *testing.T) {
 // TestExpandSingleInstruction: the degenerate loop needs no rotation —
 // unroll 1, a single-stage kernel with empty prologue and epilogue.
 func TestExpandSingleInstruction(t *testing.T) {
-	_, ek := expand(t, ir.SingleInstruction(), machine.Unified(), nil)
+	s, ek := expand(t, ir.SingleInstruction(), machine.Unified(), nil)
 	if ek.Unroll != 1 {
 		t.Errorf("Unroll = %d, want 1", ek.Unroll)
 	}
-	if len(ek.Prologue) != 0 || len(ek.Epilogue) != 0 {
-		t.Errorf("prologue/epilogue = %d/%d stages, want none", len(ek.Prologue), len(ek.Epilogue))
+	if sc := s.StageCount(); sc != 1 || ek.Stage[0] != 0 {
+		t.Errorf("%d stages, instruction 0 in stage %d; want one stage, so no prologue or epilogue", sc, ek.Stage[0])
 	}
 }
 
@@ -104,16 +94,13 @@ func TestExpandCarriedCopy3(t *testing.T) {
 	// v4.((u-3) mod c) — the value three iterations old. (When c == 3
 	// the read lands on the name being redefined this very cycle; that
 	// is legal, operands are read at issue.)
-	for _, xi := range ek.Instrs {
-		if xi.ID != 0 {
-			continue
+	for u := range ek.Unroll {
+		def, use := ek.Def(0, 0, u), ek.Use(0, 0, u)
+		if wantDef := u % c; def.Copy != wantDef {
+			t.Errorf("iter %d defines %s, want copy %d", u, def, wantDef)
 		}
-		def, use := xi.Defs[0], xi.Uses[0]
-		if wantDef := xi.Iteration % c; def.Copy != wantDef {
-			t.Errorf("iter %d defines %s, want copy %d", xi.Iteration, def, wantDef)
-		}
-		if wantUse := ((xi.Iteration-3)%c + c) % c; use.Copy != wantUse {
-			t.Errorf("iter %d reads %s, want copy %d", xi.Iteration, use, wantUse)
+		if wantUse := ((u-3)%c + c) % c; use.Copy != wantUse {
+			t.Errorf("iter %d reads %s, want copy %d", u, use, wantUse)
 		}
 	}
 }
@@ -159,6 +146,29 @@ func TestExpandRemovesWrapPenalty(t *testing.T) {
 	if !overlapped {
 		t.Error("no register needs more than one copy, yet II dropped — inconsistent")
 	}
+	// Every use reads the copy its reaching definition wrote, the
+	// edge's distance earlier (the highest-indexed true edge wins).
+	type site struct{ from, dist int }
+	reach := map[[2]int]site{}
+	for _, e := range relaxed.Edges {
+		if e.Kind != ir.DepTrue {
+			continue
+		}
+		for j, uv := range l.Instrs[e.To].Uses {
+			if uv == e.Reg {
+				reach[[2]int{e.To, j}] = site{e.From, e.Distance}
+			}
+		}
+	}
+	for key, r := range reach {
+		jd := slices.Index(l.Instrs[r.from].Defs, l.Instrs[key[0]].Uses[key[1]])
+		for u := range 2 * ek.Unroll {
+			if got, want := ek.Use(key[0], key[1], u), ek.Def(r.from, jd, u-r.dist); got != want {
+				t.Errorf("instruction %d iteration %d reads %s, but instruction %d wrote %s in iteration %d",
+					key[0], u, got, r.from, want, u-r.dist)
+			}
+		}
+	}
 	// ...and the expanded form provably has no such redefinition
 	// (Validate's per-copy def-event scan).
 	if err := ek.Validate(); err != nil {
@@ -179,6 +189,110 @@ func TestExpandedKernelValidateCatchesClobber(t *testing.T) {
 	err := ek.Validate()
 	if err == nil || !strings.Contains(err.Error(), "redefined") {
 		t.Errorf("want redefinition error after collapsing copies, got %v", err)
+	}
+}
+
+// TestExpandedKernelValidateRejectsNonDividingCopies: names are
+// computed as iteration mod copy count, so the prologue, kernel and
+// epilogue agree only when every copy count divides the unroll —
+// Validate must reject a kernel where one does not.
+func TestExpandedKernelValidateRejectsNonDividingCopies(t *testing.T) {
+	_, ek := expand(t, ir.CarriedCopy3(), machine.Unified(), nil)
+	ek.Copies[ir.VReg(4)] = ek.Unroll + 1
+	err := ek.Validate()
+	if err == nil || !strings.Contains(err.Error(), "does not divide") {
+		t.Errorf("want a does-not-divide error for copy count %d at unroll %d, got %v", ek.Unroll+1, ek.Unroll, err)
+	}
+}
+
+// TestExpandCopyCounts pins ExpandWith's rotating copy count at the
+// reuse boundary on a two-instruction loop: v1 is defined at cycle def
+// and last read at cycle use, so it lives use-def cycles past its
+// definition and needs ceil((use-def)/II) names, at least one. Reuse
+// exactly at the last-use cycle is legal: operands are read at issue.
+func TestExpandCopyCounts(t *testing.T) {
+	cases := []struct {
+		name               string
+		def, use, ii, want int
+	}{
+		{"dead value", 0, 0, 1, 1},
+		{"fits inside one II", 0, 3, 4, 1},
+		{"reuse at the last-use cycle", 0, 4, 4, 1},
+		{"one cycle past the boundary", 0, 5, 4, 2},
+		{"late definition", 2, 7, 4, 2},
+		{"II=1: a new copy every cycle", 0, 6, 1, 6},
+		{"three IIs", 5, 11, 2, 3},
+	}
+	m := machine.Unified()
+	l := &ir.Loop{Name: "pair", Instrs: []*ir.Instruction{
+		{ID: 0, Op: "add", Class: machine.ClassALU, Defs: []ir.VReg{1}, Uses: []ir.VReg{9}},
+		{ID: 1, Op: "add", Class: machine.ClassALU, Defs: []ir.VReg{2}, Uses: []ir.VReg{1}},
+	}}
+	g, err := ir.Build(l, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := &Schedule{Loop: l, Machine: m, Graph: g, II: c.ii,
+				Placements: []Placement{{Cycle: c.def}, {Cycle: c.use}}}
+			ek, err := s.ExpandWith(life.Lifetimes(s.LifeView()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ek.Copies[1]; got != c.want {
+				t.Errorf("copies(v1) live [%d,%d] at II=%d = %d, want %d", c.def, c.use, c.ii, got, c.want)
+			}
+			if ek.Unroll != c.want {
+				t.Errorf("unroll = %d, want %d", ek.Unroll, c.want)
+			}
+		})
+	}
+}
+
+// TestExpandAllocs pins ExpandWith's allocations to one small constant
+// (8, measured with Go 1.24): the kernel stores its renaming rule, not
+// one renamed operand list per unrolled instance, so neither the unroll
+// factor nor the instruction count may show in the count. The kernels
+// span unroll 1 to 6 and 1 to 36 instructions.
+func TestExpandAllocs(t *testing.T) {
+	const limit = 8
+	var scheds []*Schedule
+	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
+		for _, l := range ir.ExampleLoops() {
+			s, _ := expand(t, l, m, nil)
+			scheds = append(scheds, s)
+		}
+	}
+	relaxed, err := ir.Build(ir.LongChain(), machine.Unified(), &ir.BuildOptions{OutputLatency: 1, RenameCopies: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := expand(t, ir.LongChain(), machine.Unified(), relaxed)
+	scheds = append(scheds, s)
+	maxUnroll, maxInstrs, lo, hi := 0, 0, math.Inf(1), 0.0
+	for _, s := range scheds {
+		lts := life.Lifetimes(s.LifeView())
+		var ek *ExpandedKernel
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if ek, err = s.ExpandWith(lts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		maxUnroll, maxInstrs = max(maxUnroll, ek.Unroll), max(maxInstrs, s.Loop.NumInstrs())
+		lo, hi = min(lo, allocs), max(hi, allocs)
+		if allocs > limit {
+			t.Errorf("%s on %s (unroll %d, %d instructions): %.0f allocs per ExpandWith, want <= %d",
+				s.Loop.Name, s.Machine.Name, ek.Unroll, s.Loop.NumInstrs(), allocs, limit)
+		}
+	}
+	t.Logf("%d kernels, unroll up to %d, up to %d instructions: %.0f-%.0f allocs per ExpandWith", len(scheds), maxUnroll, maxInstrs, lo, hi)
+	if hi != lo {
+		t.Errorf("allocs per ExpandWith range over %.0f-%.0f, want one constant", lo, hi)
+	}
+	if maxUnroll < 2 {
+		t.Errorf("largest unroll %d: the corpus must include rotating kernels", maxUnroll)
 	}
 }
 

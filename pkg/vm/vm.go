@@ -6,7 +6,6 @@ import (
 
 	"github.com/paper-repo-growth/mirs/pkg/emit"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
-	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
 
 // Mode selects which of the emitted program's execution plans the
@@ -268,11 +267,7 @@ func (p *plan) run(m *runState, mode Mode, trip int) (*State, error) {
 	// cluster.
 	ek := p.sem.ek
 	for _, o := range p.sem.outs {
-		c := ek.Copies[o.reg]
-		if c < 1 {
-			c = 1
-		}
-		name := sched.RegCopy{Reg: o.reg, Copy: ((trip-1)%c + c) % c}
+		name := ek.Name(o.reg, trip-1)
 		loc, ok := prog.LocOf(ek.Schedule.Placements[o.site].Cluster, name)
 		if !ok {
 			return nil, fmt.Errorf("vm: run: no location for live-out %s (site %d)", name, o.site)

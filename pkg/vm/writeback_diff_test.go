@@ -311,11 +311,7 @@ func refRunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*St
 	// cluster.
 	ek := sem.ek
 	for v, site := range sem.finalSites() {
-		c := ek.Copies[v]
-		if c < 1 {
-			c = 1
-		}
-		name := sched.RegCopy{Reg: v, Copy: ((trip-1)%c + c) % c}
+		name := ek.Name(v, trip-1)
 		loc, ok := prog.LocOf(ek.Schedule.Placements[site].Cluster, name)
 		if !ok {
 			return nil, fmt.Errorf("vm: run: no location for live-out %s (site %d)", name, site)
