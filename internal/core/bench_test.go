@@ -36,10 +36,10 @@ func benchMachines() []struct {
 func TestCompileAllocs(t *testing.T) {
 	loops := ir.ExampleLoops()
 	measured := map[string]float64{
-		"list x Unified":       927,
-		"list x Paper4Cluster": 1076,
-		"mirs x Unified":       1241,
-		"mirs x Paper4Cluster": 1567,
+		"list x Unified":       889,
+		"list x Paper4Cluster": 1038,
+		"mirs x Unified":       1108,
+		"mirs x Paper4Cluster": 1383,
 	}
 	for _, be := range Backends() {
 		for _, mc := range benchMachines() {

@@ -47,15 +47,15 @@ type Result struct {
 }
 
 // Summary renders a one-line result digest for logs and CLIs: the II
-// against its lower bound, steady-state and post-expansion pressure,
-// and the kernel unroll factor expansion needs. Backends that spill
+// against its lower bound, steady-state pressure, and the kernel unroll
+// factor expansion needs. Backends that spill
 // also report their store/reload traffic and the II increase pressure
 // cost them (from Schedule.Stats).
 func (r *Result) Summary() string {
-	s := fmt.Sprintf("%s on %s: II=%d (ResMII=%d RecMII=%d) stages=%d MaxLive=%d unroll=%d xMaxLive=%d by %s",
+	s := fmt.Sprintf("%s on %s: II=%d (ResMII=%d RecMII=%d) stages=%d MaxLive=%d unroll=%d by %s",
 		r.Schedule.Loop.Name, r.Schedule.Machine.Name, r.Schedule.II,
 		r.MII.Res, r.MII.Rec, r.Schedule.StageCount(), r.Pressure.MaxLive,
-		r.Expanded.Unroll, r.Expanded.MaxLive, r.Schedule.By)
+		r.Expanded.Unroll, r.Schedule.By)
 	if st := r.Schedule.Stats; st != nil && st["spill_stores"]+st["spill_loads"] > 0 {
 		s += fmt.Sprintf(" spills=%d/%d(+%dII)", st["spill_stores"], st["spill_loads"], st["spill_ii_increase"])
 	}

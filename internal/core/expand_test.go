@@ -14,8 +14,7 @@ import (
 )
 
 // TestCompileExpandsEveryResult: the facade always attaches a validated
-// expanded kernel, and the summary reports the unroll factor and
-// post-expansion MaxLive.
+// expanded kernel, and the summary reports the unroll factor.
 func TestCompileExpandsEveryResult(t *testing.T) {
 	for _, be := range Backends() {
 		for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
@@ -30,15 +29,8 @@ func TestCompileExpandsEveryResult(t *testing.T) {
 				if err := r.Expanded.Validate(); err != nil {
 					t.Errorf("%s/%s/%s: expanded kernel invalid: %v", be.Name(), m.Name, l.Name, err)
 				}
-				// Renaming changes names, not liveness: the expanded
-				// kernel's pressure fold must land exactly on the
-				// steady-state MaxLive Analyze reports.
-				if r.Expanded.MaxLive != r.Pressure.MaxLive {
-					t.Errorf("%s/%s/%s: post-expansion MaxLive %d != steady-state %d",
-						be.Name(), m.Name, l.Name, r.Expanded.MaxLive, r.Pressure.MaxLive)
-				}
-				if s := r.Summary(); !strings.Contains(s, "unroll=") || !strings.Contains(s, "xMaxLive=") {
-					t.Errorf("Summary = %q, want unroll and post-expansion MaxLive", s)
+				if s := r.Summary(); !strings.Contains(s, "unroll=") {
+					t.Errorf("Summary = %q, want the unroll factor", s)
 				}
 			}
 		}

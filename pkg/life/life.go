@@ -6,8 +6,9 @@
 //
 // Every layer that reasons about registers consumes this enumeration
 // instead of rolling its own: pkg/regpress folds the intervals into
-// per-kernel-cycle pressure counts (Analyze whole schedules, Tracker
-// incrementally), pkg/mirs selects spill victims from them, and
+// per-kernel-cycle pressure counts through one fold (Analyze whole
+// schedules, Tracker incrementally — the account pkg/mirs steers and
+// settles on), pkg/mirs selects spill victims from them, and
 // sched.Schedule.Expand derives modulo-variable-expansion copy counts
 // from them. Keeping one enumeration is what makes those layers agree
 // by construction: the MaxLive the scheduler steering sees, the MaxLive

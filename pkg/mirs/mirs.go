@@ -14,12 +14,12 @@
 // conflicts — the slot's occupant, successors whose deadlines broke, bus
 // transfers in the way — via MRT.Release, spending a bounded backtracking
 // budget. Whenever a cluster's register pressure exceeds its file
-// (tracked incrementally per placement, settled authoritatively by
-// regpress.Analyze), it selects a victim lifetime — longest lifetime,
-// fewest uses, per the paper — splices a store/reload pair into the live
-// dependence graph as new IR instructions with memory dependence edges
-// (ir.Graph.SpliceSpill), and schedules the spill code inside the ongoing
-// schedule. Only when the budget is exhausted does II escalate.
+// (tracked incrementally per placement by the same account that settles
+// each complete placement), it selects a victim lifetime — longest
+// lifetime, fewest uses, per the paper — splices a store/reload pair
+// into the live dependence graph as new IR instructions with memory
+// dependence edges (ir.Graph.SpliceSpill), and schedules the spill code
+// inside the ongoing schedule. Only when the budget is exhausted does II escalate.
 //
 // Some loops cannot be made to fit at any II: once every long lifetime
 // has been spilled, what remains is short-lifetime congestion from the
@@ -37,7 +37,6 @@ import (
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/life"
-	"github.com/paper-repo-growth/mirs/pkg/regpress"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 )
@@ -278,7 +277,7 @@ func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sc
 // II increases to spilling. A nil schedule with nil error means
 // "escalate II".
 func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
-	ii, m := st.ii, st.m
+	ii := st.ii
 	completed := false
 	for {
 		// Bounded cancellation latency inside the backtracking loop:
@@ -296,24 +295,20 @@ func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 			if err := out.Validate(); err != nil {
 				return nil, completed, 0, fmt.Errorf("mirs: internal: schedule failed validation at II=%d: %w", ii, err)
 			}
-			press, err := regpress.Analyze(out)
-			if err != nil {
-				return nil, completed, 0, fmt.Errorf("mirs: internal: %w", err)
-			}
+			// The tracker now holds every lifetime of the complete
+			// placement, so its account is the schedule's pressure.
 			excess := 0
-			for ci, ml := range press.MaxLivePerCluster {
-				if over := ml - m.Clusters[ci].RegFile.Size; over > 0 {
-					excess += over
-				}
+			for ci := range st.m.Clusters {
+				excess += st.track.Excess(ci)
 			}
 			if excess == 0 {
 				return out, completed, 0, nil
 			}
-			// The authoritative analysis says some register file
-			// overflows: spill and keep scheduling (the spill code is now
-			// unplaced). When out of victims or budget, hand the complete
-			// overflowing schedule back and let the II search decide.
-			if !st.relieveWorst(press) {
+			// Some register file overflows: spill and keep scheduling (the
+			// spill code is now unplaced). When out of victims or budget,
+			// hand the complete overflowing schedule back and let the II
+			// search decide.
+			if !st.relieve(true) {
 				return out, completed, excess, nil
 			}
 			continue
@@ -321,12 +316,8 @@ func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 		if !st.place(u) {
 			return nil, completed, 0, nil
 		}
-		// Opportunistic relief as pressure builds; the final
-		// regpress.Analyze pass above settles any disagreement.
-		for !st.track.FitsAll() {
-			if !st.relieveTracked() {
-				break
-			}
+		// Opportunistic relief as pressure builds.
+		for st.relieve(false) {
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
-	"github.com/paper-repo-growth/mirs/pkg/regpress"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 )
@@ -131,54 +130,26 @@ func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
 	return best.id, best.reg, true
 }
 
-// relieveTracked spills one victim from the cluster the incremental
-// tracker reports worst over budget. Mid-placement pressure is an
-// underestimate (consumers still unplaced will stretch lifetimes), so
-// only clearly profitable victims are taken here — the relaxed search
-// belongs to the authoritative final pass. It returns false when there is
-// nothing (more) it can do: no overflow, no victim, or spill budget
-// exhausted.
-func (st *state) relieveTracked() bool {
+// relieve spills one victim from the cluster the tracker reports worst
+// over budget. Mid-placement pressure is an underestimate (consumers
+// still unplaced will stretch lifetimes), so only victims long enough to
+// clearly profit from a store/reload round trip are taken there. On a
+// complete placement (final) lifetimes are fully known, so relief then
+// relaxes to anything longer than a single memory access before giving
+// up. It returns false when there is nothing (more) it can do: no
+// overflow, no victim, or spill budget exhausted.
+func (st *state) relieve(final bool) bool {
 	worst, excess := -1, 0
-	for ci := 0; ci < st.m.NumClusters(); ci++ {
+	for ci := range st.m.Clusters {
 		if e := st.track.Excess(ci); e > excess {
 			worst, excess = ci, e
 		}
 	}
-	if worst == -1 {
-		return false
-	}
-	if st.spills >= st.maxSpill {
+	if worst == -1 || st.spills >= st.maxSpill {
 		return false
 	}
 	id, reg, ok := st.victim(worst, 2*st.memLat+1)
-	if !ok {
-		return false
-	}
-	return st.applySpill(id, reg)
-}
-
-// relieveWorst spills one victim from the cluster the authoritative
-// regpress result reports worst over budget. This is the final-pass
-// relief: lifetimes are fully known here, so it first demands a victim
-// long enough to clearly profit from a store/reload round trip, then
-// relaxes to anything longer than a single memory access before giving
-// up.
-func (st *state) relieveWorst(press *regpress.Result) bool {
-	worst, excess := -1, 0
-	for ci, ml := range press.MaxLivePerCluster {
-		if over := ml - st.m.Clusters[ci].RegFile.Size; over > excess {
-			worst, excess = ci, over
-		}
-	}
-	if worst == -1 {
-		return false
-	}
-	if st.spills >= st.maxSpill {
-		return false
-	}
-	id, reg, ok := st.victim(worst, 2*st.memLat+1)
-	if !ok {
+	if !ok && final {
 		id, reg, ok = st.victim(worst, st.memLat)
 	}
 	if !ok {

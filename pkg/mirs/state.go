@@ -15,8 +15,9 @@ import (
 // state is the mutable scheduling state for one candidate II: the
 // (possibly spill-augmented) loop and graph, the partial placement, the
 // modulo reservation table (units and buses), and an incremental
-// register-pressure account that mirrors regpress.Analyze lifetime by
-// lifetime so the placement loop can consult pressure cheaply.
+// register-pressure account kept lifetime by lifetime, which the
+// placement loop consults cheaply and which settles each complete
+// placement (it then holds exactly regpress.Analyze's counts).
 //
 // One state value serves a whole Schedule call: reset retargets it to
 // the next candidate II while reusing every backing allocation — the
@@ -52,10 +53,11 @@ type state struct {
 
 	// lview is the life.View of the in-flight partial placement: the
 	// shared lifetime enumeration reads placements through it, so the
-	// pressure the placement loop steers on is, by construction, the
-	// same model regpress.Analyze settles with. The accessor closure is
-	// bound to the state and reads the *current* plc/placed/loop fields,
-	// so II retries and spill swaps need no re-closure.
+	// pressure the placement loop steers on and settles with is, by
+	// construction, the same model regpress.Analyze reports. The
+	// accessor closure is bound to the state and reads the *current*
+	// plc/placed/loop fields, so II retries and spill swaps need no
+	// re-closure.
 	lview *life.View
 	// liveInUses[i] are the distinct live-in registers instruction i
 	// reads (life.LiveInUses), the refcount basis of liveInAdjust.
@@ -726,8 +728,8 @@ func (st *state) refreshAround(x int) {
 // id writes to reg through the shared lifetime enumeration (life.OfDef):
 // the local lifetime to its last placed consumer plus one bus-delivered
 // copy per consuming remote cluster — the identical model
-// regpress.Analyze settles the schedule with. The charged slot's slice
-// is refilled in place, so steady-state refreshes allocate nothing.
+// regpress.Analyze reports for the finished schedule. The charged slot's
+// slice is refilled in place, so steady-state refreshes allocate nothing.
 func (st *state) refreshDef(id int, reg ir.VReg) {
 	fi := st.defSlot(id, reg)
 	for _, lt := range st.charged[fi] {

@@ -18,6 +18,7 @@ package regpress
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
@@ -85,23 +86,36 @@ func Analyze(s *sched.Schedule) (*Result, error) {
 	}
 	r.Lifetimes = life.Lifetimes(s.LifeView())
 	for _, lt := range r.Lifetimes {
-		for t := lt.Start; t <= lt.End; t++ {
-			c := t % s.II
-			r.PerCycle[c]++
-			r.PerCluster[lt.Cluster][c]++
-		}
+		fold(r.PerCluster[lt.Cluster], lt.Start, lt.End, 1)
 	}
-	for _, n := range r.PerCycle {
-		if n > r.MaxLive {
-			r.MaxLive = n
+	for ci, row := range r.PerCluster {
+		for c, n := range row {
+			r.PerCycle[c] += n
 		}
+		r.MaxLivePerCluster[ci] = slices.Max(row)
 	}
-	for ci := range r.PerCluster {
-		for _, n := range r.PerCluster[ci] {
-			if n > r.MaxLivePerCluster[ci] {
-				r.MaxLivePerCluster[ci] = n
-			}
-		}
-	}
+	r.MaxLive = slices.Max(r.PerCycle)
 	return r, nil
+}
+
+// fold adds delta to row at every kernel cycle the flat interval [start,
+// end] (inclusive, start >= 0) covers, once per flat cycle congruent to
+// it modulo II = len(row). Every full II-cycle wrap covers each kernel
+// cycle exactly once, so the fold costs O(min(length, II)). It is the
+// only interval-to-kernel fold: Analyze and Tracker both count through
+// it.
+func fold(row []int, start, end, delta int) {
+	if end < start {
+		return
+	}
+	ii := len(row)
+	length := end - start + 1
+	if full := length / ii; full > 0 {
+		for c := range row {
+			row[c] += full * delta
+		}
+	}
+	for f := start + (length/ii)*ii; f <= end; f++ {
+		row[f%ii] += delta
+	}
 }

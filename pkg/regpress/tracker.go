@@ -2,22 +2,20 @@ package regpress
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
 
 // Tracker is the incremental counterpart of Analyze: a per-cluster,
-// per-kernel-cycle live-value account that a scheduler can update lifetime
+// per-kernel-cycle live-value account that a scheduler updates lifetime
 // by lifetime as it places, ejects and spills operations. Each update is
 // O(min(length, II)) and queries are O(II), cheap enough to sit inside a
-// placement loop; Analyze remains the authoritative whole-schedule check.
-//
-// The tracker is deliberately ignorant of *what* a lifetime is — callers
-// add and remove flat [start, end] intervals charged to a cluster, using
-// the same folding rule as Analyze: an interval covers kernel cycle c once
-// per flat cycle congruent to c (mod II) it spans, which is the number of
-// simultaneously live copies the steady state sustains.
+// placement loop. Updates count through the same fold as Analyze, so a
+// tracker holding exactly a schedule's life.Lifetimes holds Analyze's
+// per-cluster rows: MIRS settles each complete placement on its tracker
+// instead of re-analysing it.
 type Tracker struct {
 	ii     int
 	sizes  []int
@@ -53,45 +51,19 @@ func (t *Tracker) Reset(ii int) {
 			continue
 		}
 		t.counts[ci] = t.counts[ci][:ii]
-		for c := range t.counts[ci] {
-			t.counts[ci][c] = 0
-		}
+		clear(t.counts[ci])
 	}
 }
 
 // II returns the tracker's initiation interval.
 func (t *Tracker) II() int { return t.ii }
 
-// Add charges the flat interval [start, end] (inclusive, start >= 0) to
-// cluster's register file.
-func (t *Tracker) Add(cluster, start, end int) { t.bump(cluster, start, end, 1) }
-
-// Remove undoes a previous Add of the same interval.
-func (t *Tracker) Remove(cluster, start, end int) { t.bump(cluster, start, end, -1) }
-
 // AddLifetime charges one enumerated live range (pkg/life) to its
-// cluster — the preferred interface for schedulers mirroring the
-// authoritative lifetime model interval by interval.
-func (t *Tracker) AddLifetime(lt life.Lifetime) { t.bump(lt.Cluster, lt.Start, lt.End, 1) }
+// cluster.
+func (t *Tracker) AddLifetime(lt life.Lifetime) { fold(t.counts[lt.Cluster], lt.Start, lt.End, 1) }
 
 // RemoveLifetime undoes a previous AddLifetime of the same range.
-func (t *Tracker) RemoveLifetime(lt life.Lifetime) { t.bump(lt.Cluster, lt.Start, lt.End, -1) }
-
-func (t *Tracker) bump(cluster, start, end, delta int) {
-	if end < start {
-		return
-	}
-	length := end - start + 1
-	// Every full II-cycle wrap covers each kernel cycle exactly once.
-	if full := length / t.ii; full > 0 {
-		for c := 0; c < t.ii; c++ {
-			t.counts[cluster][c] += full * delta
-		}
-	}
-	for f := start + (length/t.ii)*t.ii; f <= end; f++ {
-		t.counts[cluster][f%t.ii] += delta
-	}
-}
+func (t *Tracker) RemoveLifetime(lt life.Lifetime) { fold(t.counts[lt.Cluster], lt.Start, lt.End, -1) }
 
 // PressureAt returns the live count charged to cluster at kernel cycle
 // (cycle mod II).
@@ -101,13 +73,7 @@ func (t *Tracker) PressureAt(cluster, cycle int) int {
 
 // MaxLive returns the cluster's current maximum per-cycle live count.
 func (t *Tracker) MaxLive(cluster int) int {
-	max := 0
-	for _, n := range t.counts[cluster] {
-		if n > max {
-			max = n
-		}
-	}
-	return max
+	return slices.Max(t.counts[cluster])
 }
 
 // Excess returns how far the cluster currently overshoots its register
@@ -117,18 +83,4 @@ func (t *Tracker) Excess(cluster int) int {
 		return over
 	}
 	return 0
-}
-
-// Fits reports whether the cluster's tracked pressure fits its register
-// file.
-func (t *Tracker) Fits(cluster int) bool { return t.Excess(cluster) == 0 }
-
-// FitsAll reports whether every cluster fits.
-func (t *Tracker) FitsAll() bool {
-	for ci := range t.counts {
-		if !t.Fits(ci) {
-			return false
-		}
-	}
-	return true
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
+	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
@@ -19,7 +20,8 @@ func TestTrackerFolding(t *testing.T) {
 	}
 	// A lifetime spanning 6 flat cycles at II=4 overlaps itself: cycles
 	// 2..7 cover kernel cycles {2,3,0,1,2,3} -> two copies live at 2,3.
-	tr.Add(1, 2, 7)
+	lt := life.Lifetime{Cluster: 1, Start: 2, End: 7}
+	tr.AddLifetime(lt)
 	want := map[int]int{0: 1, 1: 1, 2: 2, 3: 2}
 	for c, n := range want {
 		if got := tr.PressureAt(1, c); got != n {
@@ -32,15 +34,15 @@ func TestTrackerFolding(t *testing.T) {
 	if got := tr.PressureAt(0, 2); got != 0 {
 		t.Errorf("cluster 0 charged %d, want 0", got)
 	}
-	// Remove restores the empty account exactly.
-	tr.Remove(1, 2, 7)
+	// RemoveLifetime restores the empty account exactly.
+	tr.RemoveLifetime(lt)
 	for c := 0; c < 4; c++ {
 		if got := tr.PressureAt(1, c); got != 0 {
-			t.Errorf("after Remove: PressureAt(1, %d) = %d, want 0", c, got)
+			t.Errorf("after RemoveLifetime: PressureAt(1, %d) = %d, want 0", c, got)
 		}
 	}
 	// A degenerate interval (end < start) charges nothing.
-	tr.Add(0, 3, 2)
+	tr.AddLifetime(life.Lifetime{Cluster: 0, Start: 3, End: 2})
 	if got := tr.MaxLive(0); got != 0 {
 		t.Errorf("empty interval charged %d", got)
 	}
@@ -55,21 +57,21 @@ func TestTrackerFitsAndExcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.FitsAll() {
-		t.Error("empty tracker does not fit")
+	if tr.Excess(0) != 0 || tr.Excess(1) != 0 {
+		t.Errorf("empty tracker: Excess = %d, %d", tr.Excess(0), tr.Excess(1))
 	}
 	for i := 0; i < machine.TightRegs; i++ {
-		tr.Add(0, 0, 1)
+		tr.AddLifetime(life.Lifetime{Cluster: 0, Start: 0, End: 1})
 	}
-	if !tr.Fits(0) || tr.Excess(0) != 0 {
-		t.Errorf("exactly full file: Fits=%v Excess=%d", tr.Fits(0), tr.Excess(0))
+	if tr.Excess(0) != 0 {
+		t.Errorf("exactly full file: Excess=%d", tr.Excess(0))
 	}
-	tr.Add(0, 0, 0)
-	if tr.Fits(0) || tr.Excess(0) != 1 {
-		t.Errorf("overflow by one: Fits=%v Excess=%d", tr.Fits(0), tr.Excess(0))
+	tr.AddLifetime(life.Lifetime{Cluster: 0, Start: 0, End: 0})
+	if tr.Excess(0) != 1 {
+		t.Errorf("overflow by one: Excess=%d", tr.Excess(0))
 	}
-	if !tr.Fits(1) || tr.FitsAll() {
-		t.Errorf("cluster 1 untouched: Fits=%v FitsAll=%v", tr.Fits(1), tr.FitsAll())
+	if tr.Excess(1) != 0 {
+		t.Errorf("cluster 1 untouched: Excess=%d", tr.Excess(1))
 	}
 }
 
@@ -92,7 +94,7 @@ func TestTrackerMatchesAnalyze(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, lt := range press.Lifetimes {
-				tr.Add(lt.Cluster, lt.Start, lt.End)
+				tr.AddLifetime(lt)
 			}
 			for ci := range m.Clusters {
 				if got, want := tr.MaxLive(ci), press.MaxLivePerCluster[ci]; got != want {
@@ -104,8 +106,12 @@ func TestTrackerMatchesAnalyze(t *testing.T) {
 					}
 				}
 			}
-			if tr.FitsAll() != press.Fits() {
-				t.Errorf("%s on %s: tracker FitsAll %v, Analyze Fits %v", l.Name, m.Name, tr.FitsAll(), press.Fits())
+			excess := 0
+			for ci := range m.Clusters {
+				excess += tr.Excess(ci)
+			}
+			if (excess == 0) != press.Fits() {
+				t.Errorf("%s on %s: tracker excess %d, Analyze Fits %v", l.Name, m.Name, excess, press.Fits())
 			}
 		}
 	}

@@ -76,12 +76,6 @@ type ExpandedKernel struct {
 	Copies []int
 	// Stage is each instruction's kernel stage, flat cycle / II.
 	Stage []int
-	// MaxLive is the post-expansion register pressure: the maximum
-	// number of simultaneously live renamed values over the expanded
-	// kernel's Unroll*II cycles. Renaming does not change what is live,
-	// so this equals the pre-expansion steady-state MaxLive — recomputed
-	// here from the expanded form as a consistency check.
-	MaxLive int
 
 	// dists parallels Loop.Instrs[id].Uses: the dependence distance of
 	// each use's reaching definition, -1 where no true edge reaches it.
@@ -200,30 +194,6 @@ func (s *Schedule) ExpandWith(lts []life.Lifetime) (*ExpandedKernel, error) {
 		ek.Stage[id] = s.Start(id) / s.II
 	}
 
-	// Post-expansion pressure: fold every lifetime's Unroll
-	// per-iteration instances over the expanded period. An interval
-	// longer than the period covers every cycle floor(len/period) times
-	// plus a len-mod-period remainder, so the fold costs
-	// O(min(len, period)) per instance instead of O(len).
-	period := unroll * s.II
-	perCycle := make([]int, period)
-	for _, lt := range lts {
-		length := lt.End - lt.Start + 1
-		for u := 0; u < unroll; u++ {
-			if full := length / period; full > 0 {
-				for i := range perCycle {
-					perCycle[i] += full
-				}
-			}
-			rem := length % period
-			start := (((lt.Start + u*s.II) % period) + period) % period
-			for k := 0; k < rem; k++ {
-				perCycle[(start+k)%period]++
-			}
-		}
-	}
-	ek.MaxLive = slices.Max(perCycle)
-
 	if err := ek.validate(lts, ek.dists); err != nil {
 		return nil, fmt.Errorf("sched: expand: internal: %w", err)
 	}
@@ -339,8 +309,8 @@ func (ek *ExpandedKernel) validate(lts []life.Lifetime, dists [][]int32) error {
 func (ek *ExpandedKernel) String() string {
 	s := ek.Schedule
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s expanded: II=%d unroll=%d kernel=%d cycles maxlive=%d\n",
-		s.Loop.Name, s.II, ek.Unroll, ek.Unroll*s.II, ek.MaxLive)
+	fmt.Fprintf(&b, "%s expanded: II=%d unroll=%d kernel=%d cycles\n",
+		s.Loop.Name, s.II, ek.Unroll, ek.Unroll*s.II)
 	for u := 0; u < ek.Unroll; u++ {
 		for id, in := range s.Loop.Instrs {
 			fmt.Fprintf(&b, "  [i%%%d=%d c%d] %s", ek.Unroll, u, (u*s.II+s.Start(id))%(ek.Unroll*s.II), in.Op)

@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
@@ -223,11 +224,8 @@ func placementOrder(g *ir.Graph) ([]int, error) {
 		pos[v] = i
 	}
 	order := append([]int(nil), topo...)
-	sort.SliceStable(order, func(a, b int) bool {
-		if height[order[a]] != height[order[b]] {
-			return height[order[a]] > height[order[b]]
-		}
-		return pos[order[a]] < pos[order[b]]
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(height[b], height[a]), cmp.Compare(pos[a], pos[b]))
 	})
 	// Sorting by height alone can break topological validity when a low
 	// node has high height; re-impose topology with a stable insertion

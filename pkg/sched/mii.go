@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
@@ -63,7 +63,7 @@ func ResMII(l *ir.Loop, m *machine.Machine) (int, machine.OpClass, error) {
 	for c := range counts {
 		classes = append(classes, c)
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	slices.Sort(classes)
 
 	res, crit := 0, machine.OpClass("")
 	for _, c := range classes {
@@ -101,7 +101,7 @@ func RecMII(g *ir.Graph) (int, []int, error) {
 		if ii > rec {
 			rec = ii
 			critical = append([]int(nil), scc...)
-			sort.Ints(critical)
+			slices.Sort(critical)
 		}
 	}
 	return rec, critical, nil

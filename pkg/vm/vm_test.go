@@ -24,7 +24,18 @@ func machines() []*machine.Machine {
 
 func compile(t *testing.T, be sched.Scheduler, l *ir.Loop, m *machine.Machine) (*sched.ExpandedKernel, *emit.Program) {
 	t.Helper()
-	s, err := be.Schedule(&sched.Request{Loop: l, Machine: m})
+	return compileOpts(t, be, l, m, nil)
+}
+
+// compileOpts is compile against the dependence graph ir.Build derives
+// under opts; nil is the strict default graph.
+func compileOpts(t *testing.T, be sched.Scheduler, l *ir.Loop, m *machine.Machine, opts *ir.BuildOptions) (*sched.ExpandedKernel, *emit.Program) {
+	t.Helper()
+	g, err := ir.Build(l, m, opts)
+	if err != nil {
+		t.Fatalf("Build(%s on %s): %v", l.Name, m.Name, err)
+	}
+	s, err := be.Schedule(&sched.Request{Loop: l, Machine: m, Graph: g})
 	if err != nil {
 		t.Fatalf("Schedule(%s on %s by %s): %v", l.Name, m.Name, be.Name(), err)
 	}
@@ -44,25 +55,35 @@ func compile(t *testing.T, be sched.Scheduler, l *ir.Loop, m *machine.Machine) (
 // and the predicated kernel must execute to the same final memory and
 // live-out registers as the sequential reference — including the
 // spill-heavy compilations on the tight machine, where correctness
-// additionally covers the synthesised spill code.
+// additionally covers the synthesised spill code. Each compilation also
+// runs against the renaming-relaxed graph (subtests under relaxed/),
+// where values outlive their register's redefinition, copy counts
+// exceed 1 and a use's reaching distance decides which renamed copy it
+// reads; the strict graph alone leaves that distance unexercised.
 func TestDifferentialExamples(t *testing.T) {
-	for _, be := range backends() {
-		for _, m := range machines() {
-			for _, l := range ir.ExampleLoops() {
-				t.Run(be.Name()+"/"+m.Name+"/"+l.Name, func(t *testing.T) {
-					ek, prog := compile(t, be, l, m)
-					rep, err := vm.VerifyProgram(ek, prog, vm.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !rep.OK() {
-						t.Fatalf("differential mismatch:\n%s", rep.String())
-					}
-					if rep.MVECycles >= rep.SeqCycles && l.NumInstrs() > 1 && prog.Trip > prog.Stages {
-						t.Errorf("pipelined execution (%d cyc) not faster than sequential (%d cyc)",
-							rep.MVECycles, rep.SeqCycles)
-					}
-				})
+	relaxed := &ir.BuildOptions{OutputLatency: 1, RenameCopies: 3}
+	for _, graph := range []struct {
+		prefix string
+		opts   *ir.BuildOptions
+	}{{"", nil}, {"relaxed/", relaxed}} {
+		for _, be := range backends() {
+			for _, m := range machines() {
+				for _, l := range ir.ExampleLoops() {
+					t.Run(graph.prefix+be.Name()+"/"+m.Name+"/"+l.Name, func(t *testing.T) {
+						ek, prog := compileOpts(t, be, l, m, graph.opts)
+						rep, err := vm.VerifyProgram(ek, prog, vm.Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !rep.OK() {
+							t.Fatalf("differential mismatch:\n%s", rep.String())
+						}
+						if rep.MVECycles >= rep.SeqCycles && l.NumInstrs() > 1 && prog.Trip > prog.Stages {
+							t.Errorf("pipelined execution (%d cyc) not faster than sequential (%d cyc)",
+								rep.MVECycles, rep.SeqCycles)
+						}
+					})
+				}
 			}
 		}
 	}
