@@ -36,10 +36,10 @@ func benchMachines() []struct {
 func TestCompileAllocs(t *testing.T) {
 	loops := ir.ExampleLoops()
 	measured := map[string]float64{
-		"list x Unified":       889,
-		"list x Paper4Cluster": 1038,
-		"mirs x Unified":       1108,
-		"mirs x Paper4Cluster": 1383,
+		"list x Unified":       503,
+		"list x Paper4Cluster": 652,
+		"mirs x Unified":       786,
+		"mirs x Paper4Cluster": 1062,
 	}
 	for _, be := range Backends() {
 		for _, mc := range benchMachines() {

@@ -167,42 +167,75 @@ func Build(l *Loop, m *machine.Machine, opts *BuildOptions) (*Graph, error) {
 	}
 	g := &Graph{Loop: l, m: m, opts: o}
 
-	// Gather def and use positions per register, in body order.
-	defs := map[VReg][]int{}
-	uses := map[VReg][]int{}
-	for i, in := range l.Instrs {
-		for _, d := range in.Defs {
-			defs[d] = append(defs[d], i)
-			g.nextReg = max(g.nextReg, d+1)
+	// Gather def and use positions per register, in body order, as two
+	// counting-sorted site tables sharing one array: register v's
+	// definition sites are sites[def[v]:def[v+1]] and its distinct use
+	// sites sites[use[v]:use[v+1]]. A register read twice by one
+	// instruction (v1 * v1) is one dependence, not two.
+	nSites := 0
+	for _, in := range l.Instrs {
+		for _, v := range in.Defs {
+			g.nextReg = max(g.nextReg, v+1)
 		}
-		for _, u := range in.Uses {
-			g.nextReg = max(g.nextReg, u+1)
-			// A register read twice by one instruction (v1 * v1) is one
-			// dependence, not two.
-			if n := len(uses[u]); n > 0 && uses[u][n-1] == i {
-				continue
+		for _, v := range in.Uses {
+			g.nextReg = max(g.nextReg, v+1)
+		}
+		nSites += len(in.Defs) + len(in.Uses)
+	}
+	nr := int(g.nextReg)
+	back := make([]int, 2*(nr+1)+nSites)
+	def, use, sites := back[:nr+1], back[nr+1:2*(nr+1)], back[2*(nr+1):]
+	for _, in := range l.Instrs {
+		for _, v := range in.Defs {
+			def[v]++
+		}
+		for j, v := range in.Uses {
+			if !slices.Contains(in.Uses[:j], v) {
+				use[v]++
 			}
-			uses[u] = append(uses[u], i)
 		}
 	}
-
-	regs := make([]VReg, 0, len(defs))
-	for v := range defs {
-		regs = append(regs, v)
+	// Inclusive prefix sums make def[v] and use[v] the end of v's table
+	// (the use tables follow the definition tables; no register is
+	// numbered nr, so def[nr] and use[nr] are the totals). Filling back
+	// to front decrements each to its start, leaving the sites in body
+	// order and the end of v's table at index v+1.
+	for v := 1; v <= nr; v++ {
+		def[v] += def[v-1]
 	}
-	slices.Sort(regs)
+	use[0] += def[nr]
+	for v := 1; v <= nr; v++ {
+		use[v] += use[v-1]
+	}
+	for i := len(l.Instrs) - 1; i >= 0; i-- {
+		in := l.Instrs[i]
+		for _, v := range in.Defs {
+			def[v]--
+			sites[def[v]] = i
+		}
+		for j, v := range in.Uses {
+			if !slices.Contains(in.Uses[:j], v) {
+				use[v]--
+				sites[use[v]] = i
+			}
+		}
+	}
 
 	// The edge population is known exactly up front — per defined
 	// register, one true and one anti edge per use plus one output edge
 	// per definition site (the chain and the wrap) — so the edge array
 	// and the adjacency index are sized once instead of grown per append.
 	nEdges := 0
-	for _, v := range regs {
-		nEdges += 2*len(uses[v]) + len(defs[v])
+	for v := 0; v < nr; v++ {
+		if nd := def[v+1] - def[v]; nd > 0 {
+			nEdges += 2*(use[v+1]-use[v]) + nd
+		}
 	}
 	g.Edges = make([]Edge, 0, nEdges)
-	for _, v := range regs {
-		g.Edges = g.appendRegEdges(g.Edges, v, defs[v], uses[v])
+	for v := 0; v < nr; v++ {
+		if def[v+1] > def[v] {
+			g.Edges = g.appendRegEdges(g.Edges, VReg(v), sites[def[v]:def[v+1]], sites[use[v]:use[v+1]])
+		}
 	}
 	g.nReg = len(g.Edges)
 	g.buildIndex()

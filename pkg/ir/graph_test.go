@@ -198,3 +198,18 @@ func TestInstructionString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// TestBuildRejectsNegativeRegister: registers index Build's site tables
+// and every dense per-register table downstream, so a negative one is a
+// named validation error, not an out-of-range panic.
+func TestBuildRejectsNegativeRegister(t *testing.T) {
+	for _, in := range []*Instruction{
+		{ID: 0, Op: "add", Class: machine.ClassALU, Defs: []VReg{-1}},
+		{ID: 0, Op: "add", Class: machine.ClassALU, Defs: []VReg{0}, Uses: []VReg{1, -2}},
+	} {
+		_, err := Build(&Loop{Name: "neg", Instrs: []*Instruction{in}}, machine.Unified(), nil)
+		if err == nil || !strings.Contains(err.Error(), "negative register") {
+			t.Errorf("Build(%s): error %v, want a negative-register error", in, err)
+		}
+	}
+}

@@ -126,7 +126,8 @@ func (l *Loop) VRegs() []VReg {
 }
 
 // Validate checks the loop is well formed: IDs match positions, every
-// instruction has a class, and carried uses refer to registers the
+// instruction has a class, registers are non-negative (they index
+// dense per-register tables), and carried uses refer to registers the
 // instruction actually uses with positive distance.
 func (l *Loop) Validate() error {
 	if l.Name == "" {
@@ -141,6 +142,16 @@ func (l *Loop) Validate() error {
 		}
 		if in.Class == "" {
 			return fmt.Errorf("ir: loop %q: instruction %d (%s) has no op class", l.Name, i, in.Op)
+		}
+		for _, v := range in.Defs {
+			if v < 0 {
+				return fmt.Errorf("ir: loop %q: instruction %d defines negative register %s", l.Name, i, v)
+			}
+		}
+		for _, v := range in.Uses {
+			if v < 0 {
+				return fmt.Errorf("ir: loop %q: instruction %d uses negative register %s", l.Name, i, v)
+			}
 		}
 		for v, dist := range in.CarriedUses {
 			if dist <= 0 {

@@ -91,7 +91,8 @@ func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) { retu
 
 // Probe implements sched.Prober: the MIRS II search as a candidate-keyed
 // sweep whose keys are the candidate IIs themselves. The sweep and every
-// attempter share the graph, MII, heights and live-in analysis read-only;
+// attempter share the graph, MII, heights, pick order and live-in
+// analysis read-only;
 // each attempter owns a full pooled scheduler state (MRT, pressure
 // tracker, window cache, spill-augmented loop clones).
 func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
@@ -114,6 +115,7 @@ func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempt
 	if err != nil {
 		return nil, nil, err
 	}
+	order := pickOrder(height)
 	sw := &iiSweep{
 		LinearSweep: sched.LinearSweep{Cursor: mii.MII, Last: maxII},
 		req:         req,
@@ -127,6 +129,7 @@ func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempt
 		mii:        mii.MII,
 		maxSpills:  maxSpills,
 		height:     height,
+		order:      order,
 		liveInUses: life.LiveInUses(req.Loop),
 	}
 	return sw, func() sched.Attempter {
@@ -207,9 +210,9 @@ func (w *iiSweep) Result() (*sched.Schedule, error) {
 }
 
 // attempter runs one candidate II per call on its own pooled state,
-// reusing the per-request analyses (graph, MII, heights, live-in uses)
-// across candidates. The state is built on the first attempt, sized for
-// that candidate, and reset for every later one.
+// reusing the per-request analyses (graph, MII, heights, pick order,
+// live-in uses) across candidates. The state is built on the first
+// attempt, sized for that candidate, and reset for every later one.
 type attempter struct {
 	s          *Scheduler
 	req        *sched.Request
@@ -217,6 +220,7 @@ type attempter struct {
 	mii        int
 	maxSpills  int
 	height     []int
+	order      []int
 	liveInUses [][]ir.VReg
 	st         *state
 }
@@ -236,9 +240,7 @@ func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sc
 	st.rec = rec
 	st.req = at.req
 	st.steps = 0
-	if err := st.reset(at.req.Loop, at.g, ii, at.s.maxRetries, at.maxSpills, at.height, at.liveInUses); err != nil {
-		return sched.Attempt{Err: err}
-	}
+	st.reset(at.req.Loop, at.g, ii, at.s.maxRetries, at.maxSpills, at.height, at.order, at.liveInUses)
 	if rec != nil {
 		// Arg carries the MII on the first attempt so a profile can
 		// report the search's starting point without recomputing it.

@@ -24,9 +24,15 @@ import (
 // for reloads only (id -1 in the result marks one). Lifetimes with only
 // loop-carried consumers are deprioritised — spilling them threads memory
 // latency into a recurrence and can raise RecMII — and spill-generated
-// values are never victims. minLen filters lifetimes too short for a
-// store/reload round trip to shorten.
-func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
+// values are never victims. bar selects the length filter, minLens[bar]:
+// bar 0 skips lifetimes too short for a store/reload round trip to
+// shorten, bar 1 only those within a single memory access. The
+// eligibility counts answer at once when nothing passes the filter.
+func (st *state) victim(cluster, bar int) (int, ir.VReg, bool) {
+	minLen := st.minLens[bar]
+	if st.eligible[bar*st.m.NumClusters()+cluster] == 0 && (st.ii < minLen || st.liveIns[cluster] == 0) {
+		return 0, 0, false
+	}
 	type cand struct {
 		id      int
 		reg     ir.VReg
@@ -72,21 +78,11 @@ func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
 			if length < minLen {
 				continue
 			}
-			uses, carried, any := 0, true, false
-			for _, e := range st.g.Succs(id) {
-				if e.Kind != ir.DepTrue || e.Reg != reg {
-					continue
-				}
-				any = true
-				uses++
-				if e.Distance == 0 {
-					carried = false
-				}
-			}
-			if !any {
+			uses := int(st.defUses[fi])
+			if uses == 0 {
 				continue // dead value; spilling it frees nothing
 			}
-			c := cand{id: id, reg: reg, length: length, uses: uses, carried: carried}
+			c := cand{id: id, reg: reg, length: length, uses: uses, carried: st.defCarried[fi]}
 			if !found || better(&c, &best) {
 				best, found = c, true
 			}
@@ -99,17 +95,7 @@ func (st *state) victim(cluster, minLen int) (int, ir.VReg, bool) {
 			if st.liveIn[cluster*st.nregs+r] <= 0 {
 				continue
 			}
-			reg := ir.VReg(r)
-			uses := 0
-			for _, in := range st.loop.Instrs {
-				for _, u := range in.Uses {
-					if u == reg {
-						uses++
-						break
-					}
-				}
-			}
-			c := cand{id: -1, reg: reg, length: st.ii, uses: uses}
+			c := cand{id: -1, reg: ir.VReg(r), length: st.ii, uses: int(st.readers[r])}
 			if !found || better(&c, &best) {
 				best, found = c, true
 			}
@@ -148,9 +134,9 @@ func (st *state) relieve(final bool) bool {
 	if worst == -1 || st.spills >= st.maxSpill {
 		return false
 	}
-	id, reg, ok := st.victim(worst, 2*st.memLat+1)
+	id, reg, ok := st.victim(worst, 0)
 	if !ok && final {
-		id, reg, ok = st.victim(worst, st.memLat)
+		id, reg, ok = st.victim(worst, 1)
 	}
 	if !ok {
 		return false
@@ -240,11 +226,13 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 	st.track.Reset(st.ii)
 	st.wc.Reset(st.g, st.m, st.ii)
 	st.rebindLoop()
+	st.settleOrder(sp.OldToNew)
 
 	// Re-seat the surviving placements in the fresh MRT: unit slots,
 	// then bus transfers (one per cross-cluster true edge with both ends
 	// placed — the same set that was reserved before the renumbering, so
-	// neither step can conflict), then the pressure account.
+	// neither step can conflict), then the pressure account and the
+	// placed-neighbour counts.
 	for nid := 0; nid < n; nid++ {
 		if !st.placed[nid] {
 			continue
@@ -269,6 +257,7 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 				tr.Reg, e.From, tr.Dest, tr.Cycle, err))
 		}
 	}
+	st.nbr = resizeInt32s(st.nbr, n)
 	for nid := 0; nid < n; nid++ {
 		if !st.placed[nid] {
 			continue
@@ -277,6 +266,10 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 			st.refreshDef(nid, d)
 		}
 		st.liveInAdjust(nid, 1)
+		st.neighboursPlaced(nid, 1)
+	}
+	if st.audit != nil {
+		st.audit("spill")
 	}
 	// Eject the rewritten consumers so they reschedule after their
 	// reloads. A consumer kept in place would leave each reload an

@@ -140,8 +140,8 @@ func TestSpillPathAllocs(t *testing.T) {
 		l     *ir.Loop
 		limit float64
 	}{
-		{ir.Hydro(), 576 * 1.25},
-		{ir.FIR8(), 505 * 1.25},
+		{ir.Hydro(), 566 * 1.25},
+		{ir.FIR8(), 463 * 1.25},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := New().Schedule(&sched.Request{Loop: tc.l, Machine: m}); err != nil {

@@ -84,6 +84,33 @@ type state struct {
 	defRegs []ir.VReg
 	charged [][]life.Lifetime
 
+	// What victim reads per definition slot and register, derived from
+	// the loop and graph by rebindLoop: defUses[fi] counts the true
+	// edges reading slot fi (0 marks a dead value), defCarried[fi] is
+	// whether all of them are loop-carried, and readers[r] counts the
+	// instructions reading register r.
+	defUses    []int32
+	defCarried []bool
+	readers    []int32
+	// Victim eligibility per cluster, kept by refreshDef and
+	// liveInAdjust: eligible[k*nc+ci] counts the definitions victim may
+	// pick whose lifetime on cluster ci is at least minLens[k] long, and
+	// liveIns[ci] the live-in registers charged on ci. victim returns at
+	// once when neither can produce a candidate. minLens are victim's
+	// two length bars: a store/reload round trip, then (on a complete
+	// placement, see relieve) a single memory access.
+	minLens  [2]int
+	eligible []int32
+	liveIns  []int32
+
+	// The pick bookkeeping of nextUnplaced: nbr[i] counts the dependence
+	// edges joining i to a placed other instruction (kept by commit and
+	// release), and order lists every instruction by descending height,
+	// ties by ascending ID (copied from the request's at reset,
+	// re-settled after each spill).
+	nbr   []int32
+	order []int
+
 	seenDefs []defKey         // refreshAround dedup scratch
 	trs      []sched.Transfer // transfer enumeration scratch
 
@@ -101,6 +128,10 @@ type state struct {
 	// per attempt.
 	req   *sched.Request
 	steps int
+
+	// audit, when set, runs after every commit, release and spill; the
+	// tests check the incremental bookkeeping against recounts there.
+	audit func(event string)
 }
 
 // poll is the bounded-latency cancellation check inside the backtracking
@@ -144,6 +175,7 @@ func newState(g *ir.Graph, m *machine.Machine, ii int) (*state, error) {
 		memLat: m.Latency(machine.ClassMem),
 		busLat: m.BusLatency(),
 	}
+	st.minLens = [2]int{2*st.memLat + 1, st.memLat}
 	st.lview = &life.View{At: func(id int) (int, int, bool) {
 		if !st.placed[id] {
 			return 0, 0, false
@@ -155,19 +187,10 @@ func newState(g *ir.Graph, m *machine.Machine, ii int) (*state, error) {
 }
 
 // reset retargets the state to candidate II ii over (loop, g), reusing
-// every backing allocation. height and liveInUses may carry precomputed
-// analyses of (g, loop); pass nil to recompute them.
-func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int, height []int, liveInUses [][]ir.VReg) error {
-	if height == nil {
-		var err error
-		height, err = sched.Heights(g)
-		if err != nil {
-			return err
-		}
-	}
-	if liveInUses == nil {
-		liveInUses = life.LiveInUses(loop)
-	}
+// every backing allocation. height, order and liveInUses are the
+// request's analyses of (g, loop): its heights, pick order and live-in
+// uses, shared read-only by every attempt.
+func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int, height, order []int, liveInUses [][]ir.VReg) {
 	n := loop.NumInstrs()
 	st.ii = ii
 	st.loop, st.g = loop, g
@@ -180,13 +203,14 @@ func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int
 	st.placed = resizeBools(st.placed, n)
 	st.noSpill = resizeBools(st.noSpill, n)
 	st.forcedAt = resizeInts(st.forcedAt, n)
+	st.nbr = resizeInt32s(st.nbr, n)
+	st.order = append(st.order[:0], order...)
 	st.budget = maxRetries * n
 	st.maxRetries = maxRetries
 	st.spills = 0
 	st.maxSpill = maxSpills
 	st.ejections, st.spillStores, st.spillLoads = 0, 0, 0
 	st.rebindLoop()
-	return nil
 }
 
 // rebindLoop refreshes every table derived from the current loop/graph
@@ -235,6 +259,98 @@ func (st *state) rebindLoop() {
 	}
 	for i := range st.charged {
 		st.charged[i] = st.charged[i][:0]
+	}
+
+	// Nothing is charged yet, so nothing is eligible.
+	nc := st.m.NumClusters()
+	st.eligible = resizeInt32s(st.eligible, len(st.minLens)*nc)
+	st.liveIns = resizeInt32s(st.liveIns, nc)
+	st.defUses = resizeInt32s(st.defUses, len(st.defRegs))
+	st.defCarried = resizeBools(st.defCarried, len(st.defRegs))
+	for fi := range st.defCarried {
+		st.defCarried[fi] = true
+	}
+	for id := 0; id < n; id++ {
+		for _, e := range st.g.Succs(id) {
+			if e.Kind != ir.DepTrue {
+				continue
+			}
+			fi := st.defSlot(id, e.Reg)
+			st.defUses[fi]++
+			if e.Distance == 0 {
+				st.defCarried[fi] = false
+			}
+		}
+	}
+	st.readers = resizeInt32s(st.readers, st.nregs)
+	for _, in := range st.loop.Instrs {
+		for j, u := range in.Uses {
+			if !slices.Contains(in.Uses[:j], u) {
+				st.readers[u]++
+			}
+		}
+	}
+}
+
+// pickOrder lists the instructions by descending height, ties by
+// ascending ID: the priority nextUnplaced scans in.
+func pickOrder(height []int) []int {
+	order := make([]int, len(height))
+	for i := range order {
+		order[i] = i
+	}
+	settle(order, height)
+	return order
+}
+
+// settleOrder restores the pick order after a spill renumbered the
+// instructions and changed their heights: every ID is mapped through
+// oldToNew, the spill code's IDs are appended, and settle moves the few
+// that are out of place.
+func (st *state) settleOrder(oldToNew []int) {
+	n := st.loop.NumInstrs()
+	for i, id := range st.order {
+		st.order[i] = oldToNew[id]
+	}
+	for id, next := 0, 0; id < n; id++ {
+		if next < len(oldToNew) && oldToNew[next] == id {
+			next++
+			continue
+		}
+		st.order = append(st.order, id)
+	}
+	settle(st.order, st.height)
+}
+
+// settle sorts order into the pick order by insertion, which costs little
+// on the nearly sorted lists it gets: heights mostly fall along the body,
+// and a splice displaces only its spill code and a few ancestors.
+func settle(order, height []int) {
+	for i := 1; i < len(order); i++ {
+		id, j := order[i], i
+		for ; j > 0; j-- {
+			prev := order[j-1]
+			if height[prev] > height[id] || height[prev] == height[id] && prev < id {
+				break
+			}
+			order[j] = prev
+		}
+		order[j] = id
+	}
+}
+
+// neighboursPlaced adds delta to the counts of x's neighbours as x is
+// placed (+1) or released (-1).
+func (st *state) neighboursPlaced(x int, delta int32) {
+	for _, e := range st.g.Succs(x) {
+		if e.To != x {
+			st.nbr[e.To] += delta
+		}
+	}
+	for _, e := range st.g.Preds(x) {
+		if e.From != x {
+			st.nbr[e.From] += delta
+		}
 	}
 }
 
@@ -330,37 +446,24 @@ func (st *state) defSlot(id int, reg ir.VReg) int {
 // a layer's worth of values alive at once. When nothing placed borders an
 // unplaced op (the first pick, or a disconnected component), the globally
 // highest op seeds a new region. Returns -1 when everything is placed.
+//
+// The scan follows the pick order (height descending, ties by ID), so
+// the first unplaced op with a placed neighbour wins, and the first
+// unplaced op seeds when none borders the region.
 func (st *state) nextUnplaced() int {
-	best, bestAdj := -1, false
-	adjacent := func(id int) bool {
-		for _, e := range st.g.Preds(id) {
-			if e.From != id && st.placed[e.From] {
-				return true
-			}
-		}
-		for _, e := range st.g.Succs(id) {
-			if e.To != id && st.placed[e.To] {
-				return true
-			}
-		}
-		return false
-	}
-	for id := range st.placed {
+	seed := -1
+	for _, id := range st.order {
 		if st.placed[id] {
 			continue
 		}
-		adj := adjacent(id)
-		if adj != bestAdj {
-			if adj {
-				best, bestAdj = id, true
-			}
-			continue
+		if st.nbr[id] > 0 {
+			return id
 		}
-		if best == -1 || st.height[id] > st.height[best] {
-			best = id
+		if seed == -1 {
+			seed = id
 		}
 	}
-	return best
+	return seed
 }
 
 // clusterSupports reports whether any unit of cluster ci executes class.
@@ -656,8 +759,12 @@ func (st *state) commit(u, ci, t, slot int) {
 			Cluster: int32(ci), Cycle: int32(t), Reg: -1})
 	}
 	st.wc.Invalidate(u)
+	st.neighboursPlaced(u, 1)
 	st.refreshAround(u)
 	st.liveInAdjust(u, 1)
+	if st.audit != nil {
+		st.audit("commit")
+	}
 }
 
 // unplace ejects x from the schedule: frees its unit slot, drops the bus
@@ -694,7 +801,11 @@ func (st *state) release(x int) {
 	st.liveInAdjust(x, -1)
 	st.placed[x] = false
 	st.wc.Invalidate(x)
+	st.neighboursPlaced(x, -1)
 	st.refreshAround(x)
+	if st.audit != nil {
+		st.audit("release")
+	}
 }
 
 // refreshAround recomputes the charged lifetimes x's placement change
@@ -732,6 +843,7 @@ func (st *state) refreshAround(x int) {
 // slice is refilled in place, so steady-state refreshes allocate nothing.
 func (st *state) refreshDef(id int, reg ir.VReg) {
 	fi := st.defSlot(id, reg)
+	st.countEligible(id, fi, -1)
 	for _, lt := range st.charged[fi] {
 		st.track.RemoveLifetime(lt)
 	}
@@ -740,6 +852,25 @@ func (st *state) refreshDef(id int, reg ir.VReg) {
 		st.track.AddLifetime(lt)
 	}
 	st.charged[fi] = lts
+	st.countEligible(id, fi, 1)
+}
+
+// countEligible adds delta to the eligibility counts of the lifetimes
+// charged to slot fi (definition id), if victim may pick the definition
+// at all. AppendOfDef yields at most one lifetime per cluster, so each
+// lifetime is its cluster's length for the slot.
+func (st *state) countEligible(id, fi int, delta int32) {
+	if st.noSpill[id] || st.defUses[fi] == 0 {
+		return
+	}
+	nc := st.m.NumClusters()
+	for _, lt := range st.charged[fi] {
+		for k, minLen := range st.minLens {
+			if lt.Length() >= minLen {
+				st.eligible[k*nc+lt.Cluster] += delta
+			}
+		}
+	}
 }
 
 // liveInAdjust charges (delta=+1) or releases (delta=-1) whole-kernel
@@ -753,9 +884,11 @@ func (st *state) liveInAdjust(x, delta int) {
 		lt := life.Lifetime{Reg: u, Def: -1, Cluster: ci, Start: 0, End: st.ii - 1}
 		if delta > 0 && st.liveIn[i] == 1 {
 			st.track.AddLifetime(lt)
+			st.liveIns[ci]++
 		}
 		if delta < 0 && st.liveIn[i] == 0 {
 			st.track.RemoveLifetime(lt)
+			st.liveIns[ci]--
 		}
 	}
 }

@@ -54,26 +54,37 @@ func ComputeMII(g *ir.Graph, m *machine.Machine) (MII, error) {
 // class that binds it. It is a per-class bound: units serving several
 // classes are counted once per class, so the value is a valid (if
 // sometimes loose) lower bound even on machines with shared units.
+// Classes are weighed in ascending order, so ties bind to the smallest.
 func ResMII(l *ir.Loop, m *machine.Machine) (int, machine.OpClass, error) {
-	counts := map[machine.OpClass]int{}
+	// A loop uses a handful of classes: count them in a small sorted
+	// table, which stays on the stack for the canned machines' four.
+	type classCount struct {
+		class machine.OpClass
+		n     int
+	}
+	var buf [8]classCount
+	counts := buf[:0]
 	for _, in := range l.Instrs {
-		counts[in.Class]++
+		i := 0
+		for i < len(counts) && counts[i].class < in.Class {
+			i++
+		}
+		if i < len(counts) && counts[i].class == in.Class {
+			counts[i].n++
+			continue
+		}
+		counts = slices.Insert(counts, i, classCount{in.Class, 1})
 	}
-	classes := make([]machine.OpClass, 0, len(counts))
-	for c := range counts {
-		classes = append(classes, c)
-	}
-	slices.Sort(classes)
 
 	res, crit := 0, machine.OpClass("")
-	for _, c := range classes {
-		units := m.UnitsForClass(c)
+	for _, c := range counts {
+		units := m.UnitsForClass(c.class)
 		if units == 0 {
-			return 0, "", fmt.Errorf("sched: machine %q has no unit for class %q used by loop %q", m.Name, c, l.Name)
+			return 0, "", fmt.Errorf("sched: machine %q has no unit for class %q used by loop %q", m.Name, c.class, l.Name)
 		}
-		bound := (counts[c] + units - 1) / units
+		bound := (c.n + units - 1) / units
 		if bound > res {
-			res, crit = bound, c
+			res, crit = bound, c.class
 		}
 	}
 	if res < 1 {
@@ -83,190 +94,159 @@ func ResMII(l *ir.Loop, m *machine.Machine) (int, machine.OpClass, error) {
 }
 
 // RecMII computes the recurrence-constrained lower bound of graph g and
-// the critical strongly connected component that binds it. For each
-// non-trivial SCC it finds, by binary search, the smallest II such that
-// no cycle has positive slack latency - II*distance; the component
-// maximising that II is critical. An acyclic graph yields RecMII = 1 and
-// a nil SCC.
+// the critical strongly connected component that binds it. One pass of
+// Tarjan's algorithm (over all edges, loop-carried included) enumerates
+// the components in reverse topological order; each component with an
+// internal edge is evaluated as it pops, finding by binary search the
+// smallest II such that no cycle has positive slack latency -
+// II*distance. The first component maximising that II is critical. An
+// acyclic graph yields RecMII = 1 and a nil SCC.
+//
+// All scratch — Tarjan's numbering, its two stacks, the component labels
+// and the longest-path values — lives in one array allocated per call.
 func RecMII(g *ir.Graph) (int, []int, error) {
-	rec, critical := 1, []int(nil)
-	for _, scc := range SCCs(g) {
-		if !sccHasCycle(g, scc) {
+	n := g.NumNodes()
+	scratch := make([]int, 7*n)
+	index, low, comp := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
+	stack, frames, next := scratch[3*n:3*n:4*n], scratch[4*n:4*n:5*n], scratch[5*n:6*n]
+	dist := scratch[6*n:]
+	for v := range index {
+		index[v], comp[v] = -1, -1
+	}
+	rec, critical, critLen, counter, comps := 1, -1, 0, 0, 0
+	for root := 0; root < n; root++ {
+		if index[root] != -1 {
 			continue
 		}
-		ii, err := sccMinII(g, scc)
-		if err != nil {
-			return 0, nil, err
-		}
-		if ii > rec {
-			rec = ii
-			critical = append([]int(nil), scc...)
-			slices.Sort(critical)
-		}
-	}
-	return rec, critical, nil
-}
-
-// SCCs enumerates the strongly connected components of g (over all edges,
-// loop-carried included) using Tarjan's algorithm. Components come out in
-// reverse topological order; single nodes without self edges are returned
-// as singleton components.
-func SCCs(g *ir.Graph) [][]int {
-	n := g.NumNodes()
-	index := make([]int, n)
-	lowlink := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var (
-		stack []int
-		next  int
-		out   [][]int
-	)
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		index[v] = next
-		lowlink[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, e := range g.Succs(v) {
-			w := e.To
-			if index[w] == -1 {
-				strongconnect(w)
-				if lowlink[w] < lowlink[v] {
-					lowlink[v] = lowlink[w]
+		// frames is the DFS call stack; next[v] is how many of v's
+		// successors v has visited.
+		index[root], low[root], next[root] = counter, counter, 0
+		counter++
+		stack, frames = append(stack, root), append(frames, root)
+		for len(frames) > 0 {
+			v := frames[len(frames)-1]
+			if succ := g.Succs(v); next[v] < len(succ) {
+				w := succ[next[v]].To
+				next[v]++
+				if index[w] == -1 {
+					index[w], low[w], next[w] = counter, counter, 0
+					counter++
+					stack, frames = append(stack, w), append(frames, w)
+				} else if comp[w] == -1 && index[w] < low[v] {
+					low[v] = index[w] // w is still on the stack
 				}
-			} else if onStack[w] && index[w] < lowlink[v] {
-				lowlink[v] = index[w]
+				continue
 			}
-		}
-		if lowlink[v] == index[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				if p := frames[len(frames)-1]; low[v] < low[p] {
+					low[p] = low[v]
 				}
 			}
-			out = append(out, comp)
+			if low[v] != index[v] {
+				continue
+			}
+			// v roots a component: the stack from v up.
+			base := len(stack) - 1
+			for stack[base] != v {
+				base--
+			}
+			members := stack[base:]
+			stack = stack[:base]
+			for _, w := range members {
+				comp[w] = comps
+			}
+			ii, cyclic, err := componentMinII(g, members, comp, comps, dist)
+			if err != nil {
+				return 0, nil, err
+			}
+			if cyclic && ii > rec {
+				rec, critical, critLen = ii, comps, len(members)
+			}
+			comps++
 		}
 	}
-	for v := 0; v < n; v++ {
-		if index[v] == -1 {
-			strongconnect(v)
+	if critical < 0 {
+		return rec, nil, nil
+	}
+	scc := make([]int, 0, critLen)
+	for v, c := range comp {
+		if c == critical {
+			scc = append(scc, v)
 		}
 	}
-	return out
+	return rec, scc, nil
 }
 
-// sccHasCycle reports whether the component contains at least one edge
-// internal to it (multi-node SCCs always do; singletons only via a self
-// edge).
-func sccHasCycle(g *ir.Graph, scc []int) bool {
-	if len(scc) > 1 {
-		return true
-	}
-	v := scc[0]
-	for _, e := range g.Succs(v) {
-		if e.To == v {
-			return true
-		}
-	}
-	return false
-}
-
-// sccMinII finds the smallest II >= 1 such that the component has no
-// cycle with positive slack latency - II*distance. Feasibility is
-// monotone in II because every cycle inside an SCC of a valid dependence
-// graph has total distance >= 1, so binary search applies. The upper
-// bound is the sum of internal edge latencies: any cycle's latency is at
-// most that sum while its distance is at least 1. The node-position
-// table and the Floyd–Warshall matrix are allocated once and reused by
-// every probe of the binary search.
-func sccMinII(g *ir.Graph, scc []int) (int, error) {
-	pos := make([]int, g.NumNodes())
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, v := range scc {
-		pos[v] = i
-	}
-	latSum := 0
-	for _, v := range scc {
+// componentMinII finds the smallest II >= 1 at which component id — its
+// members in stack order, comp labelling every node's component — has no
+// cycle with positive slack latency - II*distance, and reports whether
+// the component has an internal edge at all (a singleton has one only
+// through a self edge; without one there is no recurrence and no bound).
+// Feasibility is monotone in II because every cycle inside a component
+// of a valid dependence graph has total distance >= 1, so binary search
+// applies. The upper bound is the sum of internal edge latencies: any
+// cycle's latency is at most that sum while its distance is at least 1.
+// dist is scratch indexed by node.
+func componentMinII(g *ir.Graph, members, comp []int, id int, dist []int) (int, bool, error) {
+	latSum, cyclic := 0, false
+	for _, v := range members {
 		for _, e := range g.Succs(v) {
-			if pos[e.To] >= 0 {
+			if comp[e.To] == id {
 				latSum += e.Latency
+				cyclic = true
 			}
 		}
 	}
-	k := len(scc)
-	dist := make([]int64, k*k)
-	hi := latSum
-	if hi < 1 {
-		hi = 1
+	if !cyclic {
+		return 0, false, nil
 	}
-	if !sccFeasible(g, scc, pos, dist, hi) {
-		return 0, fmt.Errorf("sched: recurrence over %v unsatisfiable at II=%d (distance-0 cycle?)", scc, hi)
+	hi := max(latSum, 1)
+	if !componentFeasible(g, members, comp, id, dist, hi) {
+		// Name the members in the order Tarjan's algorithm pops them.
+		popped := slices.Clone(members)
+		slices.Reverse(popped)
+		return 0, true, fmt.Errorf("sched: recurrence over %v unsatisfiable at II=%d (distance-0 cycle?)", popped, hi)
 	}
 	lo := 1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if sccFeasible(g, scc, pos, dist, mid) {
+		if componentFeasible(g, members, comp, id, dist, mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return lo, nil
+	return lo, true, nil
 }
 
-// sccFeasible reports whether, at the given II, the component has no
-// positive-weight cycle under edge weights latency - II*distance. It runs
-// a Floyd–Warshall longest-path pass restricted to the component over
-// the caller's k×k scratch matrix (dist) and node-position table (pos,
-// -1 outside the component).
-func sccFeasible(g *ir.Graph, scc []int, pos []int, dist []int64, ii int) bool {
-	const negInf = -1 << 40
-	k := len(scc)
-	for i := range dist {
-		dist[i] = negInf
+// componentFeasible reports whether, at the given II, component id has
+// no positive-weight cycle under edge weights latency - II*distance. It
+// relaxes longest paths from every member at once (all values start at
+// 0) in rounds over the internal edges. Without a positive cycle the
+// values settle within k-1 rounds for k members; with one they never
+// settle, so a k-th round that still changes a value proves the cycle.
+// Each probe is O(k·E) and usually exits after a few rounds.
+func componentFeasible(g *ir.Graph, members, comp []int, id int, dist []int, ii int) bool {
+	for _, v := range members {
+		dist[v] = 0
 	}
-	for _, v := range scc {
-		for _, e := range g.Succs(v) {
-			j := pos[e.To]
-			if j < 0 {
-				continue
-			}
-			w := int64(e.Latency - ii*e.Distance)
-			if w > dist[pos[v]*k+j] {
-				dist[pos[v]*k+j] = w
-			}
-		}
-	}
-	for m := 0; m < k; m++ {
-		for i := 0; i < k; i++ {
-			if dist[i*k+m] == negInf {
-				continue
-			}
-			for j := 0; j < k; j++ {
-				if dist[m*k+j] == negInf {
+	for range members {
+		changed := false
+		for _, v := range members {
+			for _, e := range g.Succs(v) {
+				if comp[e.To] != id {
 					continue
 				}
-				if d := dist[i*k+m] + dist[m*k+j]; d > dist[i*k+j] {
-					dist[i*k+j] = d
+				if d := dist[v] + e.Latency - ii*e.Distance; d > dist[e.To] {
+					dist[e.To] = d
+					changed = true
 				}
 			}
 		}
-	}
-	for i := 0; i < k; i++ {
-		if dist[i*k+i] > 0 {
-			return false
+		if !changed {
+			return true
 		}
 	}
-	return true
+	return false
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
@@ -153,23 +154,66 @@ func TestResMIIUnsupportedClass(t *testing.T) {
 	}
 }
 
-func TestSCCsPartition(t *testing.T) {
-	for _, l := range ir.ExampleLoops() {
-		g := buildGraph(t, l, machine.Unified())
-		sccs := SCCs(g)
-		seen := map[int]int{}
-		for _, comp := range sccs {
-			for _, v := range comp {
-				seen[v]++
+// TestFrontEndAllocs pins the allocations of the per-loop front end as
+// constants: on every loop of gen.Corpus(1, 240) and every canned
+// machine, ir.Build makes as many as on the first loop (9 — the graph,
+// its site table, its edge array and its adjacency index and views;
+// the race detector adds a few) and ComputeMII as many as on the first
+// loop — RecMII's scratch — plus one for the critical component when
+// there is one. Nothing is allocated per register, edge or component.
+func TestFrontEndAllocs(t *testing.T) {
+	buildAllocs, miiAllocs := -1.0, -1.0
+	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
+		for _, l := range gen.Corpus(1, 240) {
+			var g *ir.Graph
+			build := testing.AllocsPerRun(10, func() {
+				var err error
+				if g, err = ir.Build(l, m, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			var mii MII
+			allocs := testing.AllocsPerRun(10, func() {
+				var err error
+				if mii, err = ComputeMII(g, m); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if mii.CriticalSCC != nil {
+				allocs--
+			}
+			if buildAllocs < 0 {
+				buildAllocs, miiAllocs = build, allocs
+				t.Logf("Build %.0f allocs, ComputeMII %.0f (+1 with a critical component)", build, allocs)
+			}
+			if build != buildAllocs || allocs != miiAllocs {
+				t.Fatalf("%s on %s: Build %.0f allocs, ComputeMII %.0f without the critical component; want %.0f and %.0f",
+					l.Name, m.Name, build, allocs, buildAllocs, miiAllocs)
 			}
 		}
-		if len(seen) != l.NumInstrs() {
-			t.Errorf("%s: SCCs cover %d nodes, want %d", l.Name, len(seen), l.NumInstrs())
-		}
-		for v, n := range seen {
-			if n != 1 {
-				t.Errorf("%s: node %d appears in %d components", l.Name, v, n)
+	}
+}
+
+// BenchmarkFrontEnd times the per-loop front end every compilation runs
+// before scheduling — ir.Build and ComputeMII — over gen.Corpus(1, 240)
+// on each canned machine; one op is one pass over the corpus. Run with
+// -benchmem: TestFrontEndAllocs pins the per-loop allocation counts.
+func BenchmarkFrontEnd(b *testing.B) {
+	loops := gen.Corpus(1, 240)
+	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
+		b.Run(m.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, l := range loops {
+					g, err := ir.Build(l, m, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := ComputeMII(g, m); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }
