@@ -17,17 +17,20 @@ race:
 
 # Placement-path benchmark (graph and MII prebuilt, so allocs/op
 # isolates the scheduler hot path the zero-allocation claim covers),
-# then the front end it skips (graph build and MII over a generated
-# corpus), then differential execution of emitted programs on pkg/vm,
-# then the exact backend (CNF building + CDCL search) over the gap
-# grid, then lowering of expanded kernels to bundles. Allocations per
-# full-pipeline compile are pinned by TestCompileAllocs, per loop of
-# the front end by TestFrontEndAllocs, per opt grid pass by
+# then MIRS on the register-starved machine over the generated loops
+# that spill there (the spill path), then the front end both skip
+# (graph build and MII over a generated corpus), then differential
+# execution of emitted programs on pkg/vm, then the exact backend (CNF
+# building + CDCL search) over the gap grid, then lowering of expanded
+# kernels to bundles. Allocations per full-pipeline compile are pinned
+# by TestCompileAllocs, per spilling schedule by TestSpillPathAllocs,
+# per loop of the front end by TestFrontEndAllocs, per opt grid pass by
 # TestOptAllocs, per oracle pass by TestVerifyAllocs, per emit pass by
 # TestEmitAllocs and per expansion by TestExpandAllocs in `make test`;
 # end-to-end numbers come from `make bench-e2e`.
 bench:
 	go test -run '^$$' -bench '^(BenchmarkPlacement)$$' -benchmem ./internal/core/
+	go test -run '^$$' -bench '^(BenchmarkSpillPath)$$' -benchmem ./pkg/mirs/
 	go test -run '^$$' -bench '^(BenchmarkFrontEnd)$$' -benchmem ./pkg/sched/
 	go test -run '^$$' -bench '^(BenchmarkVerifyProgram)$$' -benchmem ./pkg/vm/
 	go test -run '^$$' -bench '^(BenchmarkOptSchedule)$$' -benchmem ./pkg/opt/
@@ -42,12 +45,14 @@ bench-e2e:
 	cd bench && go test ./...
 	bash bench/run.sh -workload all -seed 1 -quick
 
-# Capture CPU + allocation pprof profiles from the five benchmarks;
+# Capture CPU + allocation pprof profiles from the six benchmarks;
 # inspect with `go tool pprof sched_cpu.pprof` (see README "Performance
 # & profiling").
 profile:
 	go test -run '^$$' -bench '^(BenchmarkPlacement)$$' -benchmem \
 		-cpuprofile sched_cpu.pprof -memprofile sched_mem.pprof ./internal/core/
+	go test -run '^$$' -bench '^(BenchmarkSpillPath)$$' -benchmem \
+		-cpuprofile spill_cpu.pprof -memprofile spill_mem.pprof ./pkg/mirs/
 	go test -run '^$$' -bench '^(BenchmarkFrontEnd)$$' -benchmem \
 		-cpuprofile frontend_cpu.pprof -memprofile frontend_mem.pprof ./pkg/sched/
 	go test -run '^$$' -bench '^(BenchmarkVerifyProgram)$$' -benchmem \
@@ -56,7 +61,7 @@ profile:
 		-cpuprofile opt_cpu.pprof -memprofile opt_mem.pprof ./pkg/opt/
 	go test -run '^$$' -bench '^(BenchmarkEmit)$$' -benchmem \
 		-cpuprofile emit_cpu.pprof -memprofile emit_mem.pprof ./pkg/emit/
-	@echo "profiles: sched_cpu.pprof sched_mem.pprof frontend_cpu.pprof frontend_mem.pprof vm_cpu.pprof vm_mem.pprof opt_cpu.pprof opt_mem.pprof emit_cpu.pprof emit_mem.pprof (go tool pprof <file>)"
+	@echo "profiles: sched_cpu.pprof sched_mem.pprof spill_cpu.pprof spill_mem.pprof frontend_cpu.pprof frontend_mem.pprof vm_cpu.pprof vm_mem.pprof opt_cpu.pprof opt_mem.pprof emit_cpu.pprof emit_mem.pprof (go tool pprof <file>)"
 
 # The one gate, the same command CI runs: compile and differentially
 # execute the gate corpora, build the optimality-gap table, and fail on

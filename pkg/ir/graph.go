@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
 
@@ -96,13 +97,15 @@ type Graph struct {
 	predPtrs [][]*Edge
 
 	// Storage that splices and CloneInto reuse: index and view backing,
-	// the previous edge array, the last Spill, spill instruction batches,
-	// a clone's flat instructions and operands, and scratch.
+	// the previous edge array, the last Spill, the spill instruction slab
+	// and how much of it the loop uses, a clone's flat instructions and
+	// operands, and scratch.
 	idxBack                              []int
 	ptrBack                              []*Edge
 	spare                                []Edge
 	spill                                Spill
-	spillFree                            []spillInstr
+	spillSlab                            []spillInstr
+	spillUsed                            int
 	instrBack                            []Instruction
 	regBack                              []VReg
 	cons, dist, mark, defSites, useSites []int
@@ -385,8 +388,8 @@ func (g *Graph) AddEdge(e Edge) error {
 // instead of clobbering a neighbour's.
 func (g *Graph) buildIndex() {
 	n, ne := g.Loop.NumInstrs(), len(g.Edges)
-	g.succs, g.preds = grow(g.succs, n), grow(g.preds, n)
-	g.idxBack = grow(g.idxBack, 2*ne+2*n)
+	g.succs, g.preds = buf.Grow(g.succs, n), buf.Grow(g.preds, n)
+	g.idxBack = buf.Grow(g.idxBack, 2*ne+2*n)
 	back := g.idxBack
 	sc, pc := back[2*ne:2*ne+n], back[2*ne+n:]
 	clear(sc)
@@ -416,8 +419,8 @@ func (g *Graph) buildIndex() {
 // graphs.
 func (g *Graph) rebuildAdjacency() {
 	n, ne := len(g.succs), len(g.Edges)
-	g.succPtrs, g.predPtrs = grow(g.succPtrs, n), grow(g.predPtrs, n)
-	g.ptrBack = grow(g.ptrBack, 2*ne)
+	g.succPtrs, g.predPtrs = buf.Grow(g.succPtrs, n), buf.Grow(g.predPtrs, n)
+	g.ptrBack = buf.Grow(g.ptrBack, 2*ne)
 	back := g.ptrBack
 	si, pi := 0, ne
 	for v := 0; v < n; v++ {
@@ -434,17 +437,6 @@ func (g *Graph) rebuildAdjacency() {
 		}
 		g.predPtrs[v] = back[p0:pi:pi]
 	}
-}
-
-// grow returns s with length n, reusing its storage when large enough
-// and growing it geometrically otherwise, so a graph that grows a few
-// nodes per splice reallocates only now and then. The contents are
-// unspecified; callers overwrite or clear them.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		s = slices.Grow(s[:0], n)
-	}
-	return s[:n]
 }
 
 // NumNodes returns the number of instructions in the graph.

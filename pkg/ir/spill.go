@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
 
@@ -75,8 +76,9 @@ func (g *Graph) SpliceSpill(defID int, reg VReg) (*Spill, error) {
 	}
 	// Consumers of this specific definition, with their dependence
 	// distances (Build emits one true edge per consumer per register).
-	cons, dist := g.cons[:0], g.dist[:0]
-	for _, e := range g.Succs(defID) {
+	succs := g.Succs(defID)
+	cons, dist := buf.Grow(g.cons[:0], len(succs))[:0], buf.Grow(g.dist[:0], len(succs))[:0]
+	for _, e := range succs {
 		if e.Kind != DepTrue || e.Reg != reg {
 			continue
 		}
@@ -107,7 +109,7 @@ func (g *Graph) SpliceSpill(defID int, reg VReg) (*Spill, error) {
 // untouched.
 func (g *Graph) SpliceLiveInSpill(reg VReg) (*Spill, error) {
 	l := g.Loop
-	cons := g.cons[:0]
+	cons := buf.Grow(g.cons[:0], l.NumInstrs())[:0]
 	for id, in := range l.Instrs {
 		if slices.Contains(in.Defs, reg) {
 			return nil, fmt.Errorf("ir: live-in spill: %s is defined by instruction %d of loop %q", reg, id, l.Name)
@@ -130,7 +132,7 @@ func (g *Graph) SpliceLiveInSpill(reg VReg) (*Spill, error) {
 }
 
 // spillInstr is a spill instruction with room for its one operand,
-// carved from batches (Graph.spillFree) so most splices allocate none.
+// carved from a slab (Graph.spillSlab) so most splices allocate none.
 type spillInstr struct {
 	Instruction
 	reg [1]VReg
@@ -147,7 +149,7 @@ func (g *Graph) splice(reg VReg, storeAfter int, cons, dist []int) *Spill {
 	if storeAfter >= 0 {
 		add++
 	}
-	consumer := grow(g.mark, n)
+	consumer := buf.Grow(g.mark, n)
 	clear(consumer)
 	g.mark = consumer
 	for _, c := range cons {
@@ -155,7 +157,7 @@ func (g *Graph) splice(reg VReg, storeAfter int, cons, dist []int) *Spill {
 	}
 	sp := &g.spill
 	sp.StoreID = -1
-	sp.ReloadIDs, sp.ReloadRegs, sp.OldToNew = grow(sp.ReloadIDs, k), grow(sp.ReloadRegs, k), grow(sp.OldToNew, n)
+	sp.ReloadIDs, sp.ReloadRegs, sp.OldToNew = buf.Grow(sp.ReloadIDs, k), buf.Grow(sp.ReloadRegs, k), buf.Grow(sp.OldToNew, n)
 	shift := 0
 	for i := 0; i < n; i++ {
 		shift += consumer[i]
@@ -168,13 +170,14 @@ func (g *Graph) splice(reg VReg, storeAfter int, cons, dist []int) *Spill {
 	// Move the instructions back to front into the grown body (a slot is
 	// only written once everything at or above it has moved) and drop
 	// the spill code into the gaps. Reload registers number the
-	// consumers in body order, so they count down from the last.
-	if len(g.spillFree) < add {
-		g.spillFree = make([]spillInstr, max(add, n))
+	// consumers in body order, so they count down from the last. A full
+	// slab is replaced, not grown: the loop points into it.
+	if g.spillUsed+add > len(g.spillSlab) {
+		g.spillSlab, g.spillUsed = make([]spillInstr, max(add, n, 2*len(g.spillSlab))), 0
 	}
-	code := g.spillFree[:add:add]
-	g.spillFree = g.spillFree[add:]
-	l.Instrs = slices.Grow(l.Instrs, add)[:n+add]
+	code := g.spillSlab[g.spillUsed : g.spillUsed+add : g.spillUsed+add]
+	g.spillUsed += add
+	l.Instrs = buf.Grow(l.Instrs, n+add)
 	j := k
 	for i := n - 1; i >= 0; i-- {
 		in, ni := l.Instrs[i], sp.OldToNew[i]
@@ -219,7 +222,11 @@ func (g *Graph) splice(reg VReg, storeAfter int, cons, dist []int) *Spill {
 		e.From, e.To = sp.OldToNew[e.From], sp.OldToNew[e.To]
 		return e
 	}
-	out := g.spare[:0]
+	// The splice adds at most 3k+2 edges: a true, an anti and an output
+	// edge per reload; for a definition's spill also the store's true and
+	// anti edge and a memory edge per consumer, whose true and anti edges
+	// of reg go.
+	out := buf.Grow(g.spare[:0], len(g.Edges)+3*k+2)[:0]
 	derived := false
 	for _, e := range g.Edges[:g.nReg] {
 		if e.Reg != reg {
@@ -227,7 +234,7 @@ func (g *Graph) splice(reg VReg, storeAfter int, cons, dist []int) *Spill {
 			continue
 		}
 		if !derived {
-			dv, uv := g.defSites[:0], g.useSites[:0]
+			dv, uv := buf.Grow(g.defSites[:0], n+add)[:0], buf.Grow(g.useSites[:0], n+add)[:0]
 			for i, in := range l.Instrs {
 				if slices.Contains(in.Defs, reg) {
 					dv = append(dv, i)
@@ -265,9 +272,9 @@ func (g *Graph) splice(reg VReg, storeAfter int, cons, dist []int) *Spill {
 func (g *Graph) Clone() *Graph { return g.CloneInto(nil) }
 
 // CloneInto is Clone reusing the storage of dst: its loop, instructions,
-// operands, edges and adjacency arrays are all overwritten, so nothing
-// may still depend on them, and dst must not be g. A nil dst allocates
-// fresh storage.
+// operands, CarriedUses maps, spill instructions, edges and adjacency
+// arrays are all overwritten, so nothing may still depend on them, and
+// dst must not be g. A nil dst allocates fresh storage.
 func (g *Graph) CloneInto(dst *Graph) *Graph {
 	if dst == nil {
 		dst = &Graph{Loop: &Loop{}}
@@ -278,14 +285,24 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 	}
 	// The instructions and their operands live in two flat arrays; the
 	// operand array is sized up front so carving never reallocates it.
-	dst.instrBack, dst.regBack = grow(dst.instrBack, n), grow(dst.regBack, total)[:0]
-	dst.Loop.Name, dst.Loop.Instrs = l.Name, grow(dst.Loop.Instrs, n)
+	dst.instrBack, dst.regBack = buf.Grow(dst.instrBack, n), buf.Grow(dst.regBack, total)[:0]
+	dst.Loop.Name, dst.Loop.Instrs = l.Name, buf.Grow(dst.Loop.Instrs, n)
 	for i, src := range l.Instrs {
 		in := &dst.instrBack[i]
+		carried := in.CarriedUses // dst's own map from an earlier clone, if any
 		*in = *src
-		in.Defs, in.Uses, in.CarriedUses = dst.carve(src.Defs), dst.carve(src.Uses), maps.Clone(src.CarriedUses)
+		in.Defs, in.Uses, in.CarriedUses = dst.carve(src.Defs), dst.carve(src.Uses), nil
+		if src.CarriedUses != nil {
+			if carried == nil {
+				carried = make(map[VReg]int, len(src.CarriedUses))
+			}
+			clear(carried)
+			maps.Copy(carried, src.CarriedUses)
+			in.CarriedUses = carried
+		}
 		dst.Loop.Instrs[i] = in
 	}
+	dst.spillUsed = 0
 	dst.Edges = append(dst.Edges[:0], g.Edges...)
 	dst.m, dst.opts, dst.nextReg, dst.nReg = g.m, g.opts, g.nextReg, g.nReg
 	dst.buildIndex()

@@ -254,8 +254,16 @@ func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sc
 	if err != nil {
 		return sched.Attempt{Err: err}
 	}
-	if out != nil && out.Graph == st.own {
-		st.own = nil // the schedule keeps the spill-augmented loop and graph
+	switch {
+	case out == nil || out.Graph != st.own:
+	case excess == 0:
+		st.own = nil // a fitting schedule ends the search: it keeps own
+	default:
+		// An overflowing schedule gets an exact-size copy of the
+		// spill-augmented loop and graph; own, grown by this attempt's
+		// spills, serves the next attempt.
+		out.Graph = st.own.Clone()
+		out.Loop = out.Graph.Loop
 	}
 	if rec != nil {
 		hits, misses := st.wc.Stats()
@@ -293,8 +301,10 @@ func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 		if u < 0 {
 			completed = true
 			st.compact()
-			out := st.schedule(s.Name())
-			if err := out.Validate(); err != nil {
+			// Validate the live placement in place; only a schedule the
+			// attempt returns is copied out of it.
+			st.check = sched.Schedule{Loop: st.loop, Machine: st.m, Graph: st.g, II: ii, Placements: st.plc}
+			if err := st.check.Validate(); err != nil {
 				return nil, completed, 0, fmt.Errorf("mirs: internal: schedule failed validation at II=%d: %w", ii, err)
 			}
 			// The tracker now holds every lifetime of the complete
@@ -304,14 +314,15 @@ func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 				excess += st.track.Excess(ci)
 			}
 			if excess == 0 {
-				return out, completed, 0, nil
+				return st.schedule(s.Name()), completed, 0, nil
 			}
 			// Some register file overflows: spill and keep scheduling (the
-			// spill code is now unplaced). When out of victims or budget,
-			// hand the complete overflowing schedule back and let the II
-			// search decide.
+			// spill code is now unplaced). When out of victims or budget —
+			// relieve then leaves the placement as it was — hand the
+			// complete overflowing schedule back and let the II search
+			// decide.
 			if !st.relieve(true) {
-				return out, completed, excess, nil
+				return st.schedule(s.Name()), completed, excess, nil
 			}
 			continue
 		}

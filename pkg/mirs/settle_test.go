@@ -5,8 +5,10 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
+	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/regpress"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
@@ -208,9 +210,9 @@ func refVictim(st *state, cluster, minLen int) (int, ir.VReg, bool) {
 			}
 		}
 	}
-	if st.ii >= minLen {
+	if nc := st.m.NumClusters(); st.ii >= minLen {
 		for r := 0; r < st.nregs; r++ {
-			if st.liveIn[cluster*st.nregs+r] <= 0 {
+			if st.liveIn[r*nc+cluster] <= 0 {
 				continue
 			}
 			reg := ir.VReg(r)
@@ -235,11 +237,106 @@ func refVictim(st *state, cluster, minLen int) (int, ir.VReg, bool) {
 // auditor recounts the pick and victim bookkeeping of a state in its
 // own scratch and tallies what it saw. rebound is set when the state's
 // loop may have changed since the last check: a new attempt or a spill.
+// mrt, track and hb are the scratch of the spill audit's rebuilds.
 type auditor struct {
 	nbr, eligible, liveIns, uses, readers []int32
 	carried, seen                         []bool
 	rebound                               bool
 	events, audits, queries, empty        int
+	spills                                int
+
+	mrt   *sched.MRT
+	track *regpress.Tracker
+	hb    sched.HeightBuf
+}
+
+// checkSpill compares every table a spill migrates instead of rebuilding
+// against a rebuild from the state's placement, loop and graph: the
+// reservation table (unit occupancy, transfers per bus cycle and their
+// edge counts) against a fresh table the placements are re-seated in,
+// the pressure account against a fresh tracker charged with every
+// lifetime of the placement, each definition slot's charged lifetimes
+// against life.AppendOfDef, and the heights against HeightBuf.Heights.
+func (a *auditor) checkSpill(st *state) error {
+	a.spills++
+	if a.mrt == nil {
+		var err error
+		if a.mrt, err = sched.NewMRT(st.m, st.ii); err != nil {
+			return err
+		}
+		if a.track, err = regpress.NewTracker(st.m, st.ii); err != nil {
+			return err
+		}
+	}
+	a.mrt.Reset(st.ii)
+	for id, p := range st.plc {
+		if st.placed[id] {
+			if err := a.mrt.Reserve(p.Cluster, p.Slot, p.Cycle, id); err != nil {
+				return fmt.Errorf("re-seating the placements: %v", err)
+			}
+		}
+	}
+	var keys []sched.Transfer
+	for i := range st.g.Edges {
+		e := &st.g.Edges[i]
+		if e.Kind != ir.DepTrue || e.From == e.To || !st.placed[e.From] || !st.placed[e.To] ||
+			st.plc[e.From].Cluster == st.plc[e.To].Cluster {
+			continue
+		}
+		tr := sched.Transfer{From: e.From, Reg: e.Reg, Dest: st.plc[e.To].Cluster,
+			Cycle: sched.TransferCycle(st.m, st.loop, st.plc, e.From)}
+		if err := a.mrt.AddTransfer(tr); err != nil {
+			return fmt.Errorf("re-seating transfer %+v: %v", tr, err)
+		}
+		keys = append(keys, tr)
+	}
+	for ci := range st.m.Clusters {
+		for slot := range st.m.Clusters[ci].Units {
+			for c := 0; c < st.ii; c++ {
+				if got, want := st.mrt.At(ci, slot, c), a.mrt.At(ci, slot, c); got != want {
+					return fmt.Errorf("MRT cluster %d slot %d cycle %d holds %d, rebuilt %d", ci, slot, c, got, want)
+				}
+			}
+		}
+	}
+	for c := 0; c < st.ii; c++ {
+		want := slices.Clone(a.mrt.TransferProducersAt(c))
+		if got := st.mrt.TransferProducersAt(c); st.mrt.BusUsed(c) != a.mrt.BusUsed(c) || !slices.Equal(got, want) {
+			return fmt.Errorf("bus cycle %d: %d transfers from %v, rebuilt %d from %v", c, st.mrt.BusUsed(c), got, a.mrt.BusUsed(c), want)
+		}
+	}
+	for _, tr := range keys {
+		if got, want := st.mrt.TransferRefs(tr.From, tr.Reg, tr.Dest), a.mrt.TransferRefs(tr.From, tr.Reg, tr.Dest); got != want {
+			return fmt.Errorf("transfer of %s from %d to cluster %d shared by %d edges, rebuilt %d", tr.Reg, tr.From, tr.Dest, got, want)
+		}
+	}
+
+	a.track.Reset(st.ii)
+	for _, lt := range life.Lifetimes(st.lview) {
+		a.track.AddLifetime(lt)
+	}
+	for ci := range st.m.Clusters {
+		for c := 0; c < st.ii; c++ {
+			if got, want := st.track.PressureAt(ci, c), a.track.PressureAt(ci, c); got != want {
+				return fmt.Errorf("pressure on cluster %d at cycle %d is %d, rebuilt %d", ci, c, got, want)
+			}
+		}
+	}
+	for id := 0; id < st.loop.NumInstrs(); id++ {
+		for fi := st.defBase[id]; fi < st.defBase[id+1]; fi++ {
+			if want := life.AppendOfDef(nil, st.lview, id, st.defRegs[fi]); !slices.Equal(st.charged[fi], want) {
+				return fmt.Errorf("definition of %s by %d charges %v, AppendOfDef %v", st.defRegs[fi], id, st.charged[fi], want)
+			}
+		}
+	}
+	height, err := a.hb.Heights(st.g)
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(st.height, height) {
+		return fmt.Errorf("heights %v, recomputed %v", st.height, height)
+	}
+	return nil
 }
 
 // check recounts the bookkeeping of st from its placement, graph and
@@ -256,7 +353,7 @@ func (a *auditor) check(st *state) error {
 		a.rebound = false
 	}
 	n, nc := st.loop.NumInstrs(), st.m.NumClusters()
-	a.nbr = resizeInt32s(a.nbr, n)
+	a.nbr = buf.Zeroed(a.nbr, n)
 	for i := range st.g.Edges {
 		if e := &st.g.Edges[i]; e.From != e.To {
 			if st.placed[e.From] {
@@ -270,7 +367,7 @@ func (a *auditor) check(st *state) error {
 	if !slices.Equal(st.nbr, a.nbr) {
 		return fmt.Errorf("placed-neighbour counts %v, recounted %v", st.nbr, a.nbr)
 	}
-	a.eligible, a.liveIns = resizeInt32s(a.eligible, len(st.minLens)*nc), resizeInt32s(a.liveIns, nc)
+	a.eligible, a.liveIns = buf.Zeroed(a.eligible, len(st.minLens)*nc), buf.Zeroed(a.liveIns, nc)
 	for id := 0; id < n; id++ {
 		for fi := st.defBase[id]; fi < st.defBase[id+1]; fi++ {
 			if st.noSpill[id] || st.defUses[fi] == 0 {
@@ -293,7 +390,7 @@ func (a *auditor) check(st *state) error {
 	}
 	for ci := 0; ci < nc; ci++ {
 		for r := 0; r < st.nregs; r++ {
-			if st.liveIn[ci*st.nregs+r] > 0 {
+			if st.liveIn[r*nc+ci] > 0 {
 				a.liveIns[ci]++
 			}
 		}
@@ -325,7 +422,7 @@ func (a *auditor) check(st *state) error {
 // each register's readers.
 func (a *auditor) checkLoopTables(st *state) error {
 	n := st.loop.NumInstrs()
-	a.seen = resizeBools(a.seen, n)
+	a.seen = buf.Zeroed(a.seen, n)
 	for i, id := range st.order {
 		if id < 0 || id >= n || a.seen[id] {
 			return fmt.Errorf("pick order %v is not a permutation of %d instructions", st.order, n)
@@ -341,7 +438,7 @@ func (a *auditor) checkLoopTables(st *state) error {
 		return fmt.Errorf("pick order %v is not a permutation of %d instructions", st.order, n)
 	}
 
-	a.uses, a.carried = resizeInt32s(a.uses, len(st.defRegs)), resizeBools(a.carried, len(st.defRegs))
+	a.uses, a.carried = buf.Zeroed(a.uses, len(st.defRegs)), buf.Zeroed(a.carried, len(st.defRegs))
 	for id := 0; id < n; id++ {
 		for fi := st.defBase[id]; fi < st.defBase[id+1]; fi++ {
 			a.carried[fi] = true
@@ -356,7 +453,7 @@ func (a *auditor) checkLoopTables(st *state) error {
 	if !slices.Equal(st.defUses, a.uses) || !slices.Equal(st.defCarried, a.carried) {
 		return fmt.Errorf("definition uses %v carried %v, recounted %v %v", st.defUses, st.defCarried, a.uses, a.carried)
 	}
-	a.readers = resizeInt32s(a.readers, st.nregs)
+	a.readers = buf.Zeroed(a.readers, st.nregs)
 	for _, in := range st.loop.Instrs {
 		for j, u := range in.Uses {
 			if !slices.Contains(in.Uses[:j], u) {
@@ -398,6 +495,12 @@ func pickAndVictim(t *testing.T, l *ir.Loop, m *machine.Machine, a *auditor) {
 				if err := a.check(st); err != nil {
 					t.Fatalf("%s on %s at II=%d after %s: %v", l.Name, m.Name, st.ii, event, err)
 				}
+				if event != "spill" {
+					return
+				}
+				if err := a.checkSpill(st); err != nil {
+					t.Fatalf("%s on %s at II=%d after spill %d: %v", l.Name, m.Name, st.ii, a.spills, err)
+				}
 			}
 			at.st = st
 		}
@@ -415,7 +518,8 @@ func pickAndVictim(t *testing.T, l *ir.Loop, m *machine.Machine, a *auditor) {
 // recount after every commit, release and spill, and nextUnplaced and
 // victim must answer as the full scans do — on the register-starved
 // machine and below its saturation floor, where spills renumber the
-// loop on nearly every attempt.
+// loop on nearly every attempt. After a spill every table the spill
+// migrated must also equal a rebuild (auditor.checkSpill).
 func TestPickAndVictimSettle(t *testing.T) {
 	loops := gen.Corpus(1, 60)
 	for _, m := range []*machine.Machine{machine.Tight(), tight6()} {
@@ -423,9 +527,13 @@ func TestPickAndVictimSettle(t *testing.T) {
 		for _, l := range loops {
 			pickAndVictim(t, l, m, &a)
 		}
-		t.Logf("%s: %d events, %d audited, %d victim queries, %d without a victim", m.Name, a.events, a.audits, a.queries, a.empty)
+		t.Logf("%s: %d events, %d audited, %d spills audited, %d victim queries, %d without a victim",
+			m.Name, a.events, a.audits, a.spills, a.queries, a.empty)
 		if a.empty == 0 || a.empty == a.queries {
 			t.Errorf("%s: victim found a candidate on %d of %d queries; both answers must be checked", m.Name, a.queries-a.empty, a.queries)
+		}
+		if a.spills == 0 {
+			t.Errorf("%s: no spill was audited", m.Name)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package mirs
 
 import (
-	"fmt"
 	"slices"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
-	"github.com/paper-repo-growth/mirs/pkg/sched"
+	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 )
 
@@ -90,9 +90,9 @@ func (st *state) victim(cluster, bar int) (int, ir.VReg, bool) {
 	}
 	// Live-ins consumed on this cluster: whole-kernel lifetimes, reload
 	// traffic equal to their number of consuming instructions.
-	if st.ii >= minLen {
+	if nc := st.m.NumClusters(); st.ii >= minLen {
 		for r := 0; r < st.nregs; r++ {
-			if st.liveIn[cluster*st.nregs+r] <= 0 {
+			if st.liveIn[r*nc+cluster] <= 0 {
 				continue
 			}
 			c := cand{id: -1, reg: ir.VReg(r), length: st.ii, uses: int(st.readers[r])}
@@ -146,17 +146,21 @@ func (st *state) relieve(final bool) bool {
 
 // applySpill splices spill code for (id, reg) into the loop — a
 // store/reload pair for a definition, reloads only for a live-in (id ==
-// -1) — and migrates every piece of scheduling state to the new
-// instruction numbering. Placed instructions keep their placements — the
-// spliced spill code is exactly the unplaced remainder, so the spill is
-// scheduled *inside* the ongoing schedule rather than restarting it.
+// -1) — and migrates the scheduling state to the new instruction
+// numbering (migrateSpill). Placed instructions keep their placements —
+// the spliced spill code is exactly the unplaced remainder, so the spill
+// is scheduled *inside* the ongoing schedule rather than restarting it.
 // The first spill of an attempt moves it onto state-owned copies of the
-// request's loop and graph (see state.own); later spills splice in place.
+// request's loop, graph and heights (see state.own); later spills splice
+// in place.
 func (st *state) applySpill(id int, reg ir.VReg) bool {
 	if st.g != st.own {
 		st.own = st.g.CloneInto(st.own)
 		st.g, st.loop = st.own, st.own.Loop
+		st.lview.Loop, st.lview.Graph = st.loop, st.g
 		st.ownLiveInUses()
+		st.ownHeight = append(st.ownHeight[:0], st.height...)
+		st.height = st.ownHeight
 	}
 	var sp *ir.Spill
 	var err error
@@ -181,93 +185,7 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 		st.rec.Emit(trace.Event{Kind: trace.KindSpill, II: int32(st.ii), Op: int32(id),
 			Cluster: -1, Cycle: -1, Reg: int32(reg), Arg: stores, Aux: int64(len(sp.ReloadIDs))})
 	}
-
-	n := st.loop.NumInstrs()
-	// The force budget is a per-instruction allowance (maxRetries × n);
-	// spill code grows n, so it earns budget at the same rate. Without
-	// this, heavy spilling starves the budget that was sized for the
-	// original body and placement dies half-done at every II.
-	st.budget += st.maxRetries * (n - len(sp.OldToNew))
-	st.plc = spread(st.plc, sp.OldToNew, n)
-	st.placed = spread(st.placed, sp.OldToNew, n)
-	st.noSpill = spread(st.noSpill, sp.OldToNew, n)
-	st.forcedAt = spread(st.forcedAt, sp.OldToNew, n)
-	if id >= 0 {
-		st.noSpill[sp.OldToNew[id]] = true // a spilled value is not spilled twice
-	}
-	if sp.StoreID >= 0 {
-		st.noSpill[sp.StoreID] = true
-	}
-	for _, rid := range sp.ReloadIDs {
-		st.noSpill[rid] = true
-	}
-	// Only a live-in spill changes live-in uses: its consumers read their
-	// reloads instead.
-	st.liveInUses = spread(st.liveInUses, sp.OldToNew, n)
-	st.ownRows = st.liveInUses
-	if id < 0 {
-		for _, rid := range sp.ReloadIDs {
-			c := rid + 1
-			st.liveInUses[c] = slices.DeleteFunc(st.liveInUses[c], func(v ir.VReg) bool { return v == reg })
-		}
-	}
-	// Failures below this point would leave the state half-migrated, and
-	// none can occur for a well-formed spill (the spliced graph is acyclic
-	// intra-iteration, II is unchanged, and the re-seated reservations are
-	// the surviving subset of what was reserved before), so they panic as
-	// internal bugs rather than corrupting the in-flight schedule.
-	height, err := st.hb.Heights(st.g)
-	if err != nil {
-		panic(fmt.Sprintf("mirs: spill of %s (def %d): %v", reg, id, err))
-	}
-	st.height = height
-
-	st.mrt.Reset(st.ii)
-	st.track.Reset(st.ii)
-	st.wc.Reset(st.g, st.m, st.ii)
-	st.rebindLoop()
-	st.settleOrder(sp.OldToNew)
-
-	// Re-seat the surviving placements in the fresh MRT: unit slots,
-	// then bus transfers (one per cross-cluster true edge with both ends
-	// placed — the same set that was reserved before the renumbering, so
-	// neither step can conflict), then the pressure account and the
-	// placed-neighbour counts.
-	for nid := 0; nid < n; nid++ {
-		if !st.placed[nid] {
-			continue
-		}
-		p := st.plc[nid]
-		if err := st.mrt.Reserve(p.Cluster, p.Slot, p.Cycle, nid); err != nil {
-			panic(fmt.Sprintf("mirs: re-seating instruction %d after spill: %v", nid, err))
-		}
-	}
-	for i := range st.g.Edges {
-		e := &st.g.Edges[i]
-		if e.Kind != ir.DepTrue || e.From == e.To || !st.placed[e.From] || !st.placed[e.To] {
-			continue
-		}
-		if st.plc[e.From].Cluster == st.plc[e.To].Cluster {
-			continue
-		}
-		tr := sched.Transfer{From: e.From, Reg: e.Reg, Dest: st.plc[e.To].Cluster,
-			Cycle: sched.TransferCycle(st.m, st.loop, st.plc, e.From)}
-		if err := st.mrt.AddTransfer(tr); err != nil {
-			panic(fmt.Sprintf("mirs: re-seating transfer of %s from %d to cluster %d at cycle %d after spill: %v",
-				tr.Reg, e.From, tr.Dest, tr.Cycle, err))
-		}
-	}
-	st.nbr = resizeInt32s(st.nbr, n)
-	for nid := 0; nid < n; nid++ {
-		if !st.placed[nid] {
-			continue
-		}
-		for _, d := range st.loop.Instrs[nid].Defs {
-			st.refreshDef(nid, d)
-		}
-		st.liveInAdjust(nid, 1)
-		st.neighboursPlaced(nid, 1)
-	}
+	st.migrateSpill(sp, id, reg)
 	if st.audit != nil {
 		st.audit("spill")
 	}
@@ -277,11 +195,222 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 	// old slot, and every empty window costs a forced placement; ejecting
 	// up front lets the reload seat itself and the consumer follow it.
 	// The splice puts each reload immediately before its consumer, so the
-	// consumer is always the next instruction.
+	// consumer is always the next instruction. Each ejection re-charges
+	// the consumer's producers.
 	for _, rid := range sp.ReloadIDs {
 		if c := rid + 1; st.placed[c] {
 			st.unplace(c)
 		}
 	}
 	return true
+}
+
+// migrateSpill carries the scheduling state across the splice sp of
+// (id, reg) — id and every table still in the numbering from before it
+// — patching only what the splice changed: every placement keeps its
+// cycle, so the per-instruction and per-slot tables move through
+// OldToNew and the reservation table is renumbered in place. What the
+// splice rewired is re-derived: the transfers of the removed true edges
+// id → consumer, the spilled definition's lifetime (it now reaches only
+// its store), a live-in's refcounts on its rewired consumers, the use
+// counts of the spilled and reload slots, and the heights and
+// placed-neighbour counts of the instructions whose edges changed.
+func (st *state) migrateSpill(sp *ir.Spill, id int, reg ir.VReg) {
+	n, nc := st.loop.NumInstrs(), st.m.NumClusters()
+	// The spilled definition stops being a victim: withdraw its
+	// eligibility while its slot still counts it.
+	if id >= 0 {
+		st.countEligible(id, st.defSlot(id, reg), -1)
+	}
+	// The force budget is a per-instruction allowance (maxRetries × n);
+	// spill code grows n, so it earns budget at the same rate. Without
+	// this, heavy spilling starves the budget that was sized for the
+	// original body and placement dies half-done at every II.
+	st.budget += st.maxRetries * (n - len(sp.OldToNew))
+	st.plc = spread(st.plc, sp.OldToNew, n)
+	st.placed = spread(st.placed, sp.OldToNew, n)
+	st.noSpill = spread(st.noSpill, sp.OldToNew, n)
+	st.forcedAt = spread(st.forcedAt, sp.OldToNew, n)
+	st.nbr = spread(st.nbr, sp.OldToNew, n)
+	st.height = spread(st.height, sp.OldToNew, n)
+	st.ownHeight = st.height
+	st.liveInUses = spread(st.liveInUses, sp.OldToNew, n)
+	st.ownRows = st.liveInUses
+	st.spreadSlots(sp.OldToNew, len(sp.ReloadIDs))
+	st.mrt.Renumber(sp.OldToNew)
+	if id >= 0 {
+		id = sp.OldToNew[id]
+		st.noSpill[id] = true // a spilled value is not spilled twice
+		st.noSpill[sp.StoreID] = true
+	}
+	for _, rid := range sp.ReloadIDs {
+		st.noSpill[rid] = true
+	}
+
+	// Registers: the reloads define fresh ones, read once each, and every
+	// rewired consumer stopped reading reg, which the store now reads.
+	oldRegs := st.nregs
+	for _, r := range sp.ReloadRegs {
+		st.nregs = max(st.nregs, int(r)+1)
+	}
+	st.liveIn = buf.Grow(st.liveIn, st.nregs*nc)
+	clear(st.liveIn[oldRegs*nc:])
+	st.readers = buf.Grow(st.readers, st.nregs)
+	clear(st.readers[oldRegs:])
+	for _, r := range sp.ReloadRegs {
+		st.readers[r] = 1
+	}
+	st.readers[reg] -= int32(len(sp.ReloadIDs))
+	if id >= 0 {
+		st.readers[reg]++
+	}
+
+	// The instructions whose dependence edges the splice rewrote: the
+	// definition and use sites of reg, the consumers and the spill code.
+	st.touched = st.touched[:0]
+	for x, in := range st.loop.Instrs {
+		if slices.Contains(in.Defs, reg) || slices.Contains(in.Uses, reg) {
+			st.touched = append(st.touched, x)
+		}
+	}
+	for _, rid := range sp.ReloadIDs {
+		st.touched = append(st.touched, rid, rid+1)
+	}
+
+	for _, rid := range sp.ReloadIDs {
+		c := rid + 1
+		ci := st.plc[c].Cluster
+		if id < 0 {
+			// The consumer reads its reload instead of the live-in.
+			st.liveInUses[c] = slices.DeleteFunc(st.liveInUses[c], func(v ir.VReg) bool { return v == reg })
+			if i := int(reg)*nc + ci; st.placed[c] {
+				if st.liveIn[i]--; st.liveIn[i] == 0 {
+					st.track.RemoveLifetime(life.Lifetime{Reg: reg, Def: -1, Cluster: ci, Start: 0, End: st.ii - 1})
+					st.liveIns[ci]--
+				}
+			}
+			continue
+		}
+		// The true edge id → c is gone, and with it its transfer.
+		if c != id && st.placed[c] && st.placed[id] && st.plc[id].Cluster != ci {
+			st.mrt.RemoveTransfer(id, reg, ci)
+		}
+	}
+	for _, rid := range sp.ReloadIDs {
+		st.countUses(rid)
+	}
+	if id >= 0 {
+		st.countUses(id)
+		st.refreshDef(id, reg)
+	}
+	for _, x := range st.touched {
+		st.countNeighbours(x)
+	}
+	st.settleHeights()
+	st.settleOrder(sp.OldToNew)
+	st.wc.Reset(st.g, st.m, st.ii)
+}
+
+// spreadSlots carries the definition-slot tables (defBase, defRegs,
+// charged, defUses, defCarried) across a splice that added added
+// definitions: every old instruction's slots move with it back to front,
+// their lifetimes renamed to its new ID, and the spill code gets fresh
+// empty slots (their use counts are the caller's to set).
+func (st *state) spreadSlots(oldToNew []int, added int) {
+	n, nOld := st.loop.NumInstrs(), len(oldToNew)
+	oldEnd := st.defBase[nOld]
+	total := oldEnd + added
+	st.defBase = buf.Grow(st.defBase, n+1)
+	st.defRegs = buf.Grow(st.defRegs, total)
+	st.charged = buf.Grow(st.charged, total)
+	st.defUses = buf.Grow(st.defUses, total)
+	st.defCarried = buf.Grow(st.defCarried, total)
+	st.defBase[n] = total
+	next, nid := total, n-1
+	for old := nOld - 1; old >= -1; old-- {
+		stop := -1
+		if old >= 0 {
+			stop = oldToNew[old]
+		}
+		for ; nid > stop; nid-- { // spill code
+			defs := st.loop.Instrs[nid].Defs
+			next -= len(defs)
+			st.defBase[nid] = next
+			for j, r := range defs {
+				st.defRegs[next+j], st.charged[next+j] = r, st.block(1) // a reload has one consumer
+			}
+		}
+		if old < 0 || oldToNew[old] == old {
+			break // nothing was inserted below: the rest stays put
+		}
+		start := st.defBase[old]
+		next -= oldEnd - start
+		copy(st.defRegs[next:], st.defRegs[start:oldEnd])
+		copy(st.charged[next:], st.charged[start:oldEnd])
+		copy(st.defUses[next:], st.defUses[start:oldEnd])
+		copy(st.defCarried[next:], st.defCarried[start:oldEnd])
+		if nid != old {
+			for _, lts := range st.charged[next : next+oldEnd-start] {
+				for i := range lts {
+					lts[i].Def = nid
+				}
+			}
+		}
+		st.defBase[nid] = next
+		oldEnd, nid = start, nid-1
+	}
+}
+
+// countNeighbours recounts x's placed-neighbour count from its edges.
+func (st *state) countNeighbours(x int) {
+	k := int32(0)
+	for _, e := range st.g.Succs(x) {
+		if e.To != x && st.placed[e.To] {
+			k++
+		}
+	}
+	for _, e := range st.g.Preds(x) {
+		if e.From != x && st.placed[e.From] {
+			k++
+		}
+	}
+	st.nbr[x] = k
+}
+
+// settleHeights brings the heights up to date after a splice from the
+// instructions in touched — the only ones whose outgoing edges changed —
+// up through their distance-0 predecessors, in sweeps down the body: a
+// recomputed height that changed dirties the predecessors, and a sweep
+// repeats only for a predecessor it has already passed.
+func (st *state) settleHeights() {
+	dirty := buf.Zeroed(st.dirty, st.loop.NumInstrs())
+	st.dirty = dirty
+	for _, x := range st.touched {
+		dirty[x] = true
+	}
+	for again := true; again; {
+		again = false
+		for x := len(dirty) - 1; x >= 0; x-- {
+			if !dirty[x] {
+				continue
+			}
+			dirty[x] = false
+			h := 0
+			for _, e := range st.g.Succs(x) {
+				if e.Distance == 0 {
+					h = max(h, e.Latency+st.height[e.To])
+				}
+			}
+			if h == st.height[x] {
+				continue
+			}
+			st.height[x] = h
+			for _, e := range st.g.Preds(x) {
+				if e.Distance == 0 {
+					dirty[e.From] = true
+					again = again || e.From > x
+				}
+			}
+		}
+	}
 }

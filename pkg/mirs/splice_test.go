@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
@@ -128,20 +129,20 @@ func TestReturnedScheduleOwnsItsGraph(t *testing.T) {
 	want.requireUnchanged(t, first)
 }
 
-// TestSpillPathAllocs gates the allocations of a spilling Schedule, which
-// internal/core's TestCompileAllocs (unified and paper-4cluster only)
-// never exercises. Each spill used to rebuild the loop and graph — 29755
-// allocs for hydro and 9989 for fir8 on tight — where it now splices
-// them in place. The limits are the measured counts plus 25% headroom,
-// the convention TestCompileAllocs follows.
+// TestSpillPathAllocs gates the allocations of a spilling Schedule of an
+// example loop. Each spill used to rebuild the loop and graph — 29755
+// allocs for hydro and 9989 for fir8 on tight — and then every table of
+// the scheduling state (622 and 519); it now splices the graph in place
+// and migrates the state. The limits are the measured counts plus 25%
+// headroom, the convention TestCompileAllocs follows.
 func TestSpillPathAllocs(t *testing.T) {
 	m := machine.Tight()
 	for _, tc := range []struct {
 		l     *ir.Loop
 		limit float64
 	}{
-		{ir.Hydro(), 566 * 1.25},
-		{ir.FIR8(), 463 * 1.25},
+		{ir.Hydro(), 238 * 1.25},
+		{ir.FIR8(), 231 * 1.25},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := New().Schedule(&sched.Request{Loop: tc.l, Machine: m}); err != nil {
@@ -150,6 +151,43 @@ func TestSpillPathAllocs(t *testing.T) {
 		})
 		if allocs > tc.limit {
 			t.Errorf("%s on tight: %.0f allocs per Schedule, limit %.0f", tc.l.Name, allocs, tc.limit)
+		}
+	}
+}
+
+// BenchmarkSpillPath times MIRS on the register-starved machine over the
+// loops of gen.Corpus(1, 240) that spill there, with the graph and MII
+// built outside the timed loop: allocs/op and the CPU profile are those
+// of the placement search with spill insertion in it. Run with
+// -benchmem.
+func BenchmarkSpillPath(b *testing.B) {
+	m := machine.Tight()
+	var reqs []*sched.Request
+	for _, l := range gen.Corpus(1, 240) {
+		g, err := ir.Build(l, m, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mii, err := sched.ComputeMII(g, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := &sched.Request{Loop: l, Machine: m, Graph: g, MII: &mii}
+		s, err := New().Schedule(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Stats["spill_stores"]+s.Stats["spill_loads"] > 0 {
+			reqs = append(reqs, req)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, req := range reqs {
+			if _, err := New().Schedule(req); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

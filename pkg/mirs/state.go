@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
@@ -63,32 +64,37 @@ type state struct {
 	// reads (life.LiveInUses), the refcount basis of liveInAdjust.
 	liveInUses [][]ir.VReg
 	// own is the storage of the spill-augmented graph (and own.Loop of
-	// the loop), ownRows/ownRegs of its live-in rows and hb of its
+	// the loop), ownRows/ownRegs of its live-in rows and ownHeight of its
 	// heights; the request's are shared by every attempt and never
-	// written. A schedule returned from an attempt keeps own, so
-	// AttemptII drops it; otherwise the next attempt reuses it.
-	own     *ir.Graph
-	ownRows [][]ir.VReg
-	ownRegs []ir.VReg
-	hb      sched.HeightBuf
-	// liveIn holds the live-in refcounts densely: liveIn[ci*nregs+reg]
-	// counts cluster ci's placed consumers of live-in register reg.
+	// written. An overflowing schedule returned from an attempt gets a
+	// copy of own (see AttemptII), so every attempt of the request reuses
+	// it; a fitting one, which ends the search, keeps it.
+	own       *ir.Graph
+	ownRows   [][]ir.VReg
+	ownRegs   []ir.VReg
+	ownHeight []int
+	// liveIn holds the live-in refcounts densely: liveIn[reg*nc+ci]
+	// counts cluster ci's placed consumers of live-in register reg, so
+	// the table grows at its end as spills add registers.
 	liveIn []int32
 	nregs  int
 	// The charged lifetimes per definition, densely indexed: definition
 	// (id, reg) lives at the flat slot defBase[id] <= fi < defBase[id+1]
 	// with defRegs[fi] == reg; registers ascend within an instruction so
 	// victim scans reproduce the sorted-map iteration order. A slot's
-	// slice is truncated and refilled in place on every refresh.
-	defBase []int
-	defRegs []ir.VReg
-	charged [][]life.Lifetime
+	// slice is a block carved from ltFree, the unused end of the newest
+	// slab ltSlab, and is truncated and refilled in place on every
+	// refresh; a reset rewinds the slab (see block).
+	defBase        []int
+	defRegs        []ir.VReg
+	charged        [][]life.Lifetime
+	ltSlab, ltFree []life.Lifetime
 
 	// What victim reads per definition slot and register, derived from
-	// the loop and graph by rebindLoop: defUses[fi] counts the true
-	// edges reading slot fi (0 marks a dead value), defCarried[fi] is
-	// whether all of them are loop-carried, and readers[r] counts the
-	// instructions reading register r.
+	// the loop and graph by rebindLoop and patched by each spill:
+	// defUses[fi] counts the true edges reading slot fi (0 marks a dead
+	// value), defCarried[fi] is whether all of them are loop-carried,
+	// and readers[r] counts the instructions reading register r.
 	defUses    []int32
 	defCarried []bool
 	readers    []int32
@@ -111,8 +117,11 @@ type state struct {
 	nbr   []int32
 	order []int
 
+	check    sched.Schedule   // the complete placement tryII validates
 	seenDefs []defKey         // refreshAround dedup scratch
 	trs      []sched.Transfer // transfer enumeration scratch
+	touched  []int            // instructions a splice rewired (migrateSpill)
+	dirty    []bool           // height update worklist (settleHeights)
 
 	memLat, busLat int
 
@@ -199,11 +208,11 @@ func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int
 	st.mrt.Reset(ii)
 	st.track.Reset(ii)
 	st.wc.Reset(g, st.m, ii)
-	st.plc = resizePlacements(st.plc, n)
-	st.placed = resizeBools(st.placed, n)
-	st.noSpill = resizeBools(st.noSpill, n)
-	st.forcedAt = resizeInts(st.forcedAt, n)
-	st.nbr = resizeInt32s(st.nbr, n)
+	st.plc = buf.Zeroed(st.plc, n)
+	st.placed = buf.Zeroed(st.placed, n)
+	st.noSpill = buf.Zeroed(st.noSpill, n)
+	st.forcedAt = buf.Zeroed(st.forcedAt, n)
+	st.nbr = buf.Zeroed(st.nbr, n)
 	st.order = append(st.order[:0], order...)
 	st.budget = maxRetries * n
 	st.maxRetries = maxRetries
@@ -213,34 +222,27 @@ func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int
 	st.rebindLoop()
 }
 
-// rebindLoop refreshes every table derived from the current loop/graph
-// pair: the life view binding, the dense live-in refcounts and the
-// charged-lifetime slots. Call it from reset and after a spill swaps the
-// loop.
+// rebindLoop derives every table that depends on the loop/graph pair
+// from scratch: the life view binding, the dense live-in refcounts, the
+// charged-lifetime slots and victim's per-slot and per-register counts.
+// reset calls it; a spill patches the tables instead (migrateSpill).
 func (st *state) rebindLoop() {
 	st.lview.Loop, st.lview.Graph, st.lview.Machine, st.lview.II = st.loop, st.g, st.m, st.ii
 
 	st.nregs = 0
 	for _, in := range st.loop.Instrs {
 		for _, v := range in.Defs {
-			if int(v)+1 > st.nregs {
-				st.nregs = int(v) + 1
-			}
+			st.nregs = max(st.nregs, int(v)+1)
 		}
 		for _, v := range in.Uses {
-			if int(v)+1 > st.nregs {
-				st.nregs = int(v) + 1
-			}
+			st.nregs = max(st.nregs, int(v)+1)
 		}
 	}
-	st.liveIn = resizeInt32s(st.liveIn, st.m.NumClusters()*st.nregs)
+	nc := st.m.NumClusters()
+	st.liveIn = buf.Zeroed(st.liveIn, st.nregs*nc)
 
 	n := st.loop.NumInstrs()
-	if cap(st.defBase) < n+1 {
-		st.defBase = make([]int, n+1)
-	} else {
-		st.defBase = st.defBase[:n+1]
-	}
+	st.defBase = buf.Grow(st.defBase, n+1)
 	st.defRegs = st.defRegs[:0]
 	for i, in := range st.loop.Instrs {
 		st.defBase[i] = len(st.defRegs)
@@ -250,39 +252,30 @@ func (st *state) rebindLoop() {
 		slices.Sort(st.defRegs[st.defBase[i]:])
 	}
 	st.defBase[n] = len(st.defRegs)
-	if cap(st.charged) < len(st.defRegs) {
-		charged := make([][]life.Lifetime, len(st.defRegs))
-		copy(charged, st.charged)
-		st.charged = charged
-	} else {
-		st.charged = st.charged[:len(st.defRegs)]
+	st.defUses = buf.Grow(st.defUses, len(st.defRegs))
+	st.defCarried = buf.Grow(st.defCarried, len(st.defRegs))
+	for id := 0; id < n; id++ {
+		st.countUses(id)
 	}
-	for i := range st.charged {
-		st.charged[i] = st.charged[i][:0]
+	// Blocks from the previous attempt are dead: rewind the newest slab,
+	// or replace it when the loop's slots do not fit.
+	need := 0
+	for _, uses := range st.defUses {
+		need += st.blockLen(uses)
+	}
+	if len(st.ltSlab) < need {
+		st.ltSlab = make([]life.Lifetime, need)
+	}
+	st.ltFree = st.ltSlab
+	st.charged = buf.Grow(st.charged, len(st.defRegs))
+	for fi := range st.charged {
+		st.charged[fi] = st.block(st.defUses[fi])
 	}
 
 	// Nothing is charged yet, so nothing is eligible.
-	nc := st.m.NumClusters()
-	st.eligible = resizeInt32s(st.eligible, len(st.minLens)*nc)
-	st.liveIns = resizeInt32s(st.liveIns, nc)
-	st.defUses = resizeInt32s(st.defUses, len(st.defRegs))
-	st.defCarried = resizeBools(st.defCarried, len(st.defRegs))
-	for fi := range st.defCarried {
-		st.defCarried[fi] = true
-	}
-	for id := 0; id < n; id++ {
-		for _, e := range st.g.Succs(id) {
-			if e.Kind != ir.DepTrue {
-				continue
-			}
-			fi := st.defSlot(id, e.Reg)
-			st.defUses[fi]++
-			if e.Distance == 0 {
-				st.defCarried[fi] = false
-			}
-		}
-	}
-	st.readers = resizeInt32s(st.readers, st.nregs)
+	st.eligible = buf.Zeroed(st.eligible, len(st.minLens)*nc)
+	st.liveIns = buf.Zeroed(st.liveIns, nc)
+	st.readers = buf.Zeroed(st.readers, st.nregs)
 	for _, in := range st.loop.Instrs {
 		for j, u := range in.Uses {
 			if !slices.Contains(in.Uses[:j], u) {
@@ -290,6 +283,43 @@ func (st *state) rebindLoop() {
 			}
 		}
 	}
+}
+
+// countUses derives defUses and defCarried for the definition slots of
+// instruction id from its outgoing true edges.
+func (st *state) countUses(id int) {
+	for fi := st.defBase[id]; fi < st.defBase[id+1]; fi++ {
+		st.defUses[fi], st.defCarried[fi] = 0, true
+	}
+	for _, e := range st.g.Succs(id) {
+		if e.Kind != ir.DepTrue {
+			continue
+		}
+		fi := st.defSlot(id, e.Reg)
+		st.defUses[fi]++
+		if e.Distance == 0 {
+			st.defCarried[fi] = false
+		}
+	}
+}
+
+// blockLen is the most lifetimes a definition with the given number of
+// consumers charges: the local one and one bus-delivered copy per other
+// cluster a consumer sits on.
+func (st *state) blockLen(uses int32) int { return min(st.m.NumClusters(), 1+int(uses)) }
+
+// block carves an empty charged slot for a definition with the given
+// number of consumers, blockLen long, so the slot never has to grow. A
+// full slab is replaced, not grown: the charged slots point into it.
+func (st *state) block(uses int32) []life.Lifetime {
+	k := st.blockLen(uses)
+	if len(st.ltFree) < k {
+		st.ltSlab = make([]life.Lifetime, max(2*len(st.ltSlab), k))
+		st.ltFree = st.ltSlab
+	}
+	b := st.ltFree[:0:k]
+	st.ltFree = st.ltFree[k:]
+	return b
 }
 
 // pickOrder lists the instructions by descending height, ties by
@@ -370,59 +400,18 @@ func (st *state) ownLiveInUses() {
 // to n, each s[old] moves to s[oldToNew[old]] back to front (oldToNew
 // increases) and the inserted instructions' slots are zeroed.
 func spread[T any](s []T, oldToNew []int, n int) []T {
-	s = slices.Grow(s, n-len(s))[:n]
+	s = buf.Grow(s, n)
 	next := n
 	for old := len(oldToNew) - 1; old >= 0; old-- {
 		now := oldToNew[old]
 		clear(s[now+1 : next])
+		if now == old {
+			return s // nothing was inserted below: the rest stays put
+		}
 		s[now] = s[old]
 		next = now
 	}
 	clear(s[:next])
-	return s
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-func resizePlacements(s []sched.Placement, n int) []sched.Placement {
-	if cap(s) < n {
-		return make([]sched.Placement, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = sched.Placement{}
-	}
 	return s
 }
 
@@ -877,9 +866,9 @@ func (st *state) countEligible(id, fi int, delta int32) {
 // lifetimes for the live-in registers x consumes, one per consuming
 // cluster, reference-counted across that cluster's consumers.
 func (st *state) liveInAdjust(x, delta int) {
-	ci := st.plc[x].Cluster
+	ci, nc := st.plc[x].Cluster, st.m.NumClusters()
 	for _, u := range st.liveInUses[x] {
-		i := ci*st.nregs + int(u)
+		i := int(u)*nc + ci
 		st.liveIn[i] += int32(delta)
 		lt := life.Lifetime{Reg: u, Def: -1, Cluster: ci, Start: 0, End: st.ii - 1}
 		if delta > 0 && st.liveIn[i] == 1 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
@@ -37,21 +38,16 @@ func NewTracker(m *machine.Machine, ii int) (*Tracker, error) {
 }
 
 // Reset zeroes the account and retargets it to a (possibly different)
-// II, reusing the per-cluster count rows when their capacity allows.
-// Schedulers call it once per candidate II so the incremental pressure
-// path allocates nothing across an II search.
+// II, reusing the per-cluster count rows, which grow with amortised
+// capacity. Schedulers call it once per candidate II so the incremental
+// pressure path allocates next to nothing across an II search.
 func (t *Tracker) Reset(ii int) {
 	if ii < 1 {
 		panic(fmt.Sprintf("regpress: tracker reset to II %d < 1", ii))
 	}
 	t.ii = ii
 	for ci := range t.counts {
-		if cap(t.counts[ci]) < ii {
-			t.counts[ci] = make([]int, ii)
-			continue
-		}
-		t.counts[ci] = t.counts[ci][:ii]
-		clear(t.counts[ci])
+		t.counts[ci] = buf.Zeroed(t.counts[ci], ii)
 	}
 }
 

@@ -209,21 +209,20 @@ func soleClusterFor(req *Request) int {
 
 // placementOrder returns the intra-iteration topological order, with ties
 // broken by descending dependence height (longest latency path to a sink
-// through distance-0 edges), the classic list-scheduling priority.
+// through distance-0 edges), the classic list-scheduling priority. The
+// topological order is the one Heights walks; it is sorted in place, and
+// Heights' scratch holds first each node's topological position and then
+// which nodes are emitted.
 func placementOrder(g *ir.Graph) ([]int, error) {
-	topo, err := g.IntraTopoOrder()
+	var hb HeightBuf
+	height, err := hb.Heights(g)
 	if err != nil {
 		return nil, err
 	}
-	height, err := Heights(g)
-	if err != nil {
-		return nil, err
-	}
-	pos := make([]int, g.NumNodes())
-	for i, v := range topo {
+	order, pos := hb.topo, hb.indeg
+	for i, v := range order {
 		pos[v] = i
 	}
-	order := append([]int(nil), topo...)
 	slices.SortStableFunc(order, func(a, b int) int {
 		return cmp.Or(cmp.Compare(height[b], height[a]), cmp.Compare(pos[a], pos[b]))
 	})
@@ -231,23 +230,24 @@ func placementOrder(g *ir.Graph) ([]int, error) {
 	// node has high height; re-impose topology with a stable insertion
 	// pass: process sorted candidates, emitting each only once all its
 	// distance-0 predecessors are emitted.
-	emitted := make([]bool, g.NumNodes())
+	emitted := pos
+	clear(emitted)
 	ready := func(v int) bool {
 		for _, e := range g.Preds(v) {
-			if e.Distance == 0 && !emitted[e.From] {
+			if e.Distance == 0 && emitted[e.From] == 0 {
 				return false
 			}
 		}
 		return true
 	}
-	var final []int
+	final := make([]int, 0, len(order))
 	for len(final) < len(order) {
 		progress := false
 		for _, v := range order {
-			if emitted[v] || !ready(v) {
+			if emitted[v] != 0 || !ready(v) {
 				continue
 			}
-			emitted[v] = true
+			emitted[v] = 1
 			final = append(final, v)
 			progress = true
 		}

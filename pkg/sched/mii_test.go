@@ -161,8 +161,10 @@ func TestResMIIUnsupportedClass(t *testing.T) {
 // the race detector adds a few) and ComputeMII as many as on the first
 // loop — RecMII's scratch — plus one for the critical component when
 // there is one. Nothing is allocated per register, edge or component.
+// The list scheduler's placementOrder, run once per request, is pinned
+// the same way: Heights' one array and the order it returns.
 func TestFrontEndAllocs(t *testing.T) {
-	buildAllocs, miiAllocs := -1.0, -1.0
+	buildAllocs, miiAllocs, orderAllocs := -1.0, -1.0, -1.0
 	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
 		for _, l := range gen.Corpus(1, 240) {
 			var g *ir.Graph
@@ -182,13 +184,18 @@ func TestFrontEndAllocs(t *testing.T) {
 			if mii.CriticalSCC != nil {
 				allocs--
 			}
+			order := testing.AllocsPerRun(10, func() {
+				if _, err := placementOrder(g); err != nil {
+					t.Fatal(err)
+				}
+			})
 			if buildAllocs < 0 {
-				buildAllocs, miiAllocs = build, allocs
-				t.Logf("Build %.0f allocs, ComputeMII %.0f (+1 with a critical component)", build, allocs)
+				buildAllocs, miiAllocs, orderAllocs = build, allocs, order
+				t.Logf("Build %.0f allocs, ComputeMII %.0f (+1 with a critical component), list placementOrder %.0f", build, allocs, order)
 			}
-			if build != buildAllocs || allocs != miiAllocs {
-				t.Fatalf("%s on %s: Build %.0f allocs, ComputeMII %.0f without the critical component; want %.0f and %.0f",
-					l.Name, m.Name, build, allocs, buildAllocs, miiAllocs)
+			if build != buildAllocs || allocs != miiAllocs || order != orderAllocs {
+				t.Fatalf("%s on %s: Build %.0f allocs, ComputeMII %.0f without the critical component, placementOrder %.0f; want %.0f, %.0f and %.0f",
+					l.Name, m.Name, build, allocs, order, buildAllocs, miiAllocs, orderAllocs)
 			}
 		}
 	}

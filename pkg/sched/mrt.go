@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
@@ -169,7 +170,8 @@ func NewMRT(m *machine.Machine, ii int) (*MRT, error) {
 }
 
 // Reset empties the table and retargets it to a (possibly different) II,
-// reusing the backing arrays and the machine-derived lookup tables. It is
+// reusing the backing arrays, which grow with amortised capacity, and the
+// machine-derived lookup tables. It is
 // how II-search loops keep the steady-state placement path allocation
 // free: one NewMRT per schedule request, one Reset per candidate II.
 func (t *MRT) Reset(ii int) {
@@ -177,32 +179,29 @@ func (t *MRT) Reset(ii int) {
 		panic(fmt.Sprintf("sched: MRT reset to II %d < 1", ii))
 	}
 	t.ii = ii
-	nUnits := t.unitBase[len(t.unitBase)-1]
-	if need := nUnits * ii; cap(t.occ) < need {
-		t.occ = make([]int32, need)
-	} else {
-		t.occ = t.occ[:need]
-	}
+	t.occ = buf.Grow(t.occ[:0], t.unitBase[len(t.unitBase)-1]*ii)
 	for i := range t.occ {
 		t.occ[i] = -1
 	}
-	if need := t.mach.NumClusters() * ii; cap(t.busy) < need {
-		t.busy = make([]uint64, need)
-	} else {
-		t.busy = t.busy[:need]
-		for i := range t.busy {
-			t.busy[i] = 0
-		}
-	}
-	if cap(t.busUsed) < ii {
-		t.busUsed = make([]int, ii)
-	} else {
-		t.busUsed = t.busUsed[:ii]
-		for i := range t.busUsed {
-			t.busUsed[i] = 0
-		}
-	}
+	t.busy = buf.Zeroed(t.busy, t.mach.NumClusters()*ii)
+	t.busUsed = buf.Zeroed(t.busUsed, ii)
 	t.busRefs = t.busRefs[:0]
+}
+
+// Renumber carries the table across a renumbering of the instructions
+// that keeps every reservation where it is: each occupant and each
+// transfer producer id becomes oldToNew[id]. A scheduler that inserts
+// instructions into the loop it is scheduling (a spill splice) renumbers
+// its table instead of re-reserving every placement.
+func (t *MRT) Renumber(oldToNew []int) {
+	for i, id := range t.occ {
+		if id >= 0 {
+			t.occ[i] = int32(oldToNew[id])
+		}
+	}
+	for i := range t.busRefs {
+		t.busRefs[i].from = oldToNew[t.busRefs[i].from]
+	}
 }
 
 // II returns the table's initiation interval.
@@ -344,6 +343,16 @@ func (t *MRT) RemoveTransfer(from int, reg ir.VReg, dest int) {
 		t.busRefs[i] = t.busRefs[last]
 		t.busRefs = t.busRefs[:last]
 	}
+}
+
+// TransferRefs returns how many dependence edges share the transfer
+// (producer from, register reg, destination cluster dest), or 0 when no
+// such transfer holds a bus.
+func (t *MRT) TransferRefs(from int, reg ir.VReg, dest int) int {
+	if i := t.findTransfer(from, reg, dest); i >= 0 {
+		return t.busRefs[i].refs
+	}
+	return 0
 }
 
 // BusUsed returns the number of distinct transfers occupying buses at the

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
@@ -128,17 +129,22 @@ type WindowCache struct {
 	m  *machine.Machine
 	ii int
 	nc int
-	// est/lst/bounded are indexed id*nc+cluster; estOK/lstOK say whether
-	// the entry is current.
-	est, lst     []int32
-	bounded      []bool
-	estOK, lstOK []bool
+	// win is indexed id*nc+cluster.
+	win []window
 	// hits/misses count memoised lookups served from cache vs
 	// recomputed, reset with the cache. Plain int64 increments: the
 	// counters exist so a tracing backend can emit per-II cache
 	// aggregates (trace.KindCacheHit/Miss) without paying a per-lookup
 	// event.
 	hits, misses int64
+}
+
+// window is one cached (instruction, cluster) entry: the earliest
+// start, the latest start and whether a placed successor bounds it, with
+// estOK/lstOK saying whether each half is current.
+type window struct {
+	est, lst              int32
+	bounded, estOK, lstOK bool
 }
 
 // NewWindowCache returns an empty cache for graph g on machine m at the
@@ -150,29 +156,12 @@ func NewWindowCache(g *ir.Graph, m *machine.Machine, ii int) *WindowCache {
 }
 
 // Reset rebinds the cache to a (possibly new) graph and II and clears
-// every entry, reusing the backing arrays when the shape allows. Call it
-// at the start of each candidate II and whenever the graph is swapped
-// (e.g. after spill materialisation renumbers instructions).
+// every entry, reusing the backing array, which grows with amortised
+// capacity. Call it at the start of each candidate II and whenever the
+// graph changes (e.g. after a spill splice renumbers instructions).
 func (wc *WindowCache) Reset(g *ir.Graph, m *machine.Machine, ii int) {
 	wc.g, wc.m, wc.ii, wc.nc = g, m, ii, m.NumClusters()
-	need := g.NumNodes() * wc.nc
-	if cap(wc.est) < need {
-		wc.est = make([]int32, need)
-		wc.lst = make([]int32, need)
-		wc.bounded = make([]bool, need)
-		wc.estOK = make([]bool, need)
-		wc.lstOK = make([]bool, need)
-	} else {
-		wc.est = wc.est[:need]
-		wc.lst = wc.lst[:need]
-		wc.bounded = wc.bounded[:need]
-		wc.estOK = wc.estOK[:need]
-		wc.lstOK = wc.lstOK[:need]
-		for i := range wc.estOK {
-			wc.estOK[i] = false
-			wc.lstOK[i] = false
-		}
-	}
+	wc.win = buf.Zeroed(wc.win, g.NumNodes()*wc.nc)
 	wc.hits, wc.misses = 0, 0
 }
 
@@ -193,24 +182,20 @@ func (wc *WindowCache) Invalidate(x int) {
 }
 
 func (wc *WindowCache) invalidateOne(id int) {
-	base := id * wc.nc
-	for c := 0; c < wc.nc; c++ {
-		wc.estOK[base+c] = false
-		wc.lstOK[base+c] = false
-	}
+	clear(wc.win[id*wc.nc : (id+1)*wc.nc])
 }
 
 // EarliestStart is the memoised EarliestStart scan.
 func (wc *WindowCache) EarliestStart(plc []Placement, placed []bool, id, cluster int) int {
-	i := id*wc.nc + cluster
-	if !wc.estOK[i] {
-		wc.est[i] = int32(EarliestStart(wc.g, wc.m, plc, placed, wc.ii, id, cluster))
-		wc.estOK[i] = true
+	w := &wc.win[id*wc.nc+cluster]
+	if !w.estOK {
+		w.est = int32(EarliestStart(wc.g, wc.m, plc, placed, wc.ii, id, cluster))
+		w.estOK = true
 		wc.misses++
 	} else {
 		wc.hits++
 	}
-	return int(wc.est[i])
+	return int(w.est)
 }
 
 // Window is the memoised Window scan: the inclusive [est, lst] interval
@@ -218,17 +203,17 @@ func (wc *WindowCache) EarliestStart(plc []Placement, placed []bool, id, cluster
 // placed successor bounds it.
 func (wc *WindowCache) Window(plc []Placement, placed []bool, id, cluster int) (est, lst int) {
 	est = wc.EarliestStart(plc, placed, id, cluster)
-	i := id*wc.nc + cluster
-	if !wc.lstOK[i] {
+	w := &wc.win[id*wc.nc+cluster]
+	if !w.lstOK {
 		l, bounded := LatestStart(wc.g, wc.m, plc, placed, wc.ii, id, cluster)
-		wc.lst[i], wc.bounded[i] = int32(l), bounded
-		wc.lstOK[i] = true
+		w.lst, w.bounded = int32(l), bounded
+		w.lstOK = true
 		wc.misses++
 	} else {
 		wc.hits++
 	}
-	lst = int(wc.lst[i])
-	if !wc.bounded[i] || lst > est+wc.ii-1 {
+	lst = int(w.lst)
+	if !w.bounded || lst > est+wc.ii-1 {
 		lst = est + wc.ii - 1
 	}
 	return est, lst
@@ -242,16 +227,18 @@ func Heights(g *ir.Graph) ([]int, error) {
 	return b.Heights(g)
 }
 
-// HeightBuf is the reusable storage of Heights, the result and the
-// topological-order scratch. The zero value is ready to use.
+// HeightBuf is the reusable storage of Heights: the result, the
+// intra-iteration topological order it walks and that order's scratch,
+// carved from one array. The zero value is ready to use.
 type HeightBuf struct{ height, topo, indeg []int }
 
 // Heights is Heights computed into b, allocation-free once b has grown
 // to the graph. The result stays valid until the next call.
 func (b *HeightBuf) Heights(g *ir.Graph) ([]int, error) {
 	n := g.NumNodes()
-	if cap(b.indeg) < n { // with headroom: spills grow the graph a few nodes at a time
-		b.height, b.topo, b.indeg = make([]int, n, 2*n), make([]int, 0, 2*n), make([]int, n, 2*n)
+	if cap(b.indeg) < n {
+		back := make([]int, 3*n)
+		b.height, b.topo, b.indeg = back[:n:n], back[n:n:2*n], back[2*n:]
 	}
 	var err error
 	if b.topo, err = g.IntraTopoOrderInto(b.topo, b.indeg[:n]); err != nil {
