@@ -39,11 +39,11 @@ func benchMachines() []struct {
 // optimisation lands.
 func TestCompileAllocs(t *testing.T) {
 	measured := map[string]float64{
-		"list x Unified":       421,
-		"list x Paper4Cluster": 564,
-		"mirs x Unified":       652,
-		"mirs x Paper4Cluster": 845,
-		"mirs x Tight":         11396,
+		"list x Unified":       397,
+		"list x Paper4Cluster": 498,
+		"mirs x Unified":       628,
+		"mirs x Paper4Cluster": 769,
+		"mirs x Tight":         9326,
 	}
 	check := func(key string, be sched.Scheduler, m *machine.Machine, loops []*ir.Loop) {
 		want, ok := measured[key]

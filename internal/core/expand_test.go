@@ -55,7 +55,7 @@ func TestMVEOnHighPressureLoops(t *testing.T) {
 			if err != nil {
 				t.Fatalf("strict compile: %v", err)
 			}
-			relaxed, err := ir.Build(l, m, &ir.BuildOptions{OutputLatency: 1, RenameCopies: 3})
+			relaxed, err := ir.Build(l, m, &ir.BuildOptions{RenameCopies: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestMVEOnHighPressureLoops(t *testing.T) {
 // schedule and, at worst, fail validation mid-search.
 func TestRelaxedGraphSurvivesSpilling(t *testing.T) {
 	m := machine.Tight()
-	relaxed := &ir.BuildOptions{OutputLatency: 1, RenameCopies: 3}
+	relaxed := &ir.BuildOptions{RenameCopies: 3}
 	spilled := 0
 	for _, l := range append(ir.ExampleLoops(), gen.Corpus(1, 120)...) {
 		g, err := ir.Build(l, m, relaxed)
@@ -164,7 +164,7 @@ func TestMVERemovesRecurrencePenalty(t *testing.T) {
 	if strict.Schedule.II != 3 {
 		t.Fatalf("strict II = %d, want 3 (wrap-around recurrence)", strict.Schedule.II)
 	}
-	relaxed, err := ir.Build(l, m, &ir.BuildOptions{OutputLatency: 1, RenameCopies: 3})
+	relaxed, err := ir.Build(l, m, &ir.BuildOptions{RenameCopies: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

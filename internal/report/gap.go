@@ -9,9 +9,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 )
@@ -134,38 +132,17 @@ func (f *GapFile) Recompute() {
 
 // Marshal renders the file as indented JSON in canonical row order —
 // the byte layout CI diffs across double runs.
-func (f *GapFile) Marshal() ([]byte, error) {
-	f.Sort()
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("report: marshal gap: %w", err)
-	}
-	return append(data, '\n'), nil
-}
+func (f *GapFile) Marshal() ([]byte, error) { return marshal(f) }
 
 // WriteFile emits the canonical JSON rendering to path.
-func (f *GapFile) WriteFile(path string) error {
-	data, err := f.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("report: write %s: %w", path, err)
-	}
-	return nil
-}
+func (f *GapFile) WriteFile(path string) error { return writeFile(path, f) }
 
 // ReadGapFile parses an artifact written by WriteFile (or by hand).
 func ReadGapFile(path string) (*GapFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("report: read %s: %w", path, err)
-	}
 	var f GapFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("report: parse %s: %w", path, err)
+	if err := readFile(path, &f); err != nil {
+		return nil, err
 	}
-	f.Sort()
 	return &f, nil
 }
 

@@ -66,18 +66,37 @@ func (f *File) Sort() {
 // Marshal renders the file as indented JSON with rows in canonical
 // order — every byte is a function of the row set alone, never of map
 // iteration or insertion order.
-func (f *File) Marshal() ([]byte, error) {
-	f.Sort()
-	data, err := json.MarshalIndent(f, "", "  ")
+func (f *File) Marshal() ([]byte, error) { return marshal(f) }
+
+// WriteFile emits the canonical JSON rendering to path.
+func (f *File) WriteFile(path string) error { return writeFile(path, f) }
+
+// ReadFile parses an artifact written by WriteFile (or by hand).
+func ReadFile(path string) (*File, error) {
+	var f File
+	if err := readFile(path, &f); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
+// artifact is what File and GapFile share: rows with a canonical order.
+type artifact interface{ Sort() }
+
+// marshal renders a as indented JSON with its rows in canonical order
+// and a trailing newline.
+func marshal(a artifact) ([]byte, error) {
+	a.Sort()
+	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("report: marshal: %w", err)
 	}
 	return append(data, '\n'), nil
 }
 
-// WriteFile emits the canonical JSON rendering to path.
-func (f *File) WriteFile(path string) error {
-	data, err := f.Marshal()
+// writeFile writes marshal's rendering of a to path.
+func writeFile(path string, a artifact) error {
+	data, err := marshal(a)
 	if err != nil {
 		return err
 	}
@@ -87,18 +106,17 @@ func (f *File) WriteFile(path string) error {
 	return nil
 }
 
-// ReadFile parses an artifact written by WriteFile (or by hand).
-func ReadFile(path string) (*File, error) {
+// readFile parses the JSON artifact at path into a and sorts its rows.
+func readFile(path string, a artifact) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("report: read %s: %w", path, err)
+		return fmt.Errorf("report: read %s: %w", path, err)
 	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("report: parse %s: %w", path, err)
+	if err := json.Unmarshal(data, a); err != nil {
+		return fmt.Errorf("report: parse %s: %w", path, err)
 	}
-	f.Sort()
-	return &f, nil
+	a.Sort()
+	return nil
 }
 
 // Regression is one gate violation found by Compare.

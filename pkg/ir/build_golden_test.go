@@ -19,7 +19,7 @@ func goldenGraphs(tb testing.TB, visit func(*ir.Graph)) {
 	tb.Helper()
 	loops := append(ir.ExampleLoops(), gen.Corpus(1, 240)...)
 	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
-		for _, opts := range []*ir.BuildOptions{nil, {OutputLatency: 1, RenameCopies: 3}} {
+		for _, opts := range []*ir.BuildOptions{nil, {RenameCopies: 3}} {
 			for _, l := range loops {
 				g, err := ir.Build(l, m, opts)
 				if err != nil {

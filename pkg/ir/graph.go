@@ -84,24 +84,21 @@ type Graph struct {
 	// register; edges added by AddEdge follow.
 	nReg int
 
-	succs [][]int // node -> indices into Edges (outgoing)
-	preds [][]int // node -> indices into Edges (incoming)
+	// succs and preds are the adjacency views Succs and Preds return,
+	// each node's edges in ascending edge order. buildIndex rebuilds them
+	// at the end of Build and after every mutation, so the accessors are
+	// allocation-free and safe for concurrent readers of a graph that is
+	// no longer being mutated. Both directions share one backing array,
+	// whose pointers go stale if Edges reallocates.
+	succs, preds [][]*Edge
 
-	// succPtrs/predPtrs are the prebuilt adjacency views Succs and Preds
-	// return. They are (re)built eagerly — at the end of Build and after
-	// every mutation — so the accessors are allocation-free and safe for
-	// concurrent readers of a graph that is no longer being mutated.
-	// All rows share one backing array; pointers go stale if Edges
-	// reallocates, which is why mutation rebuilds them immediately.
-	succPtrs [][]*Edge
-	predPtrs [][]*Edge
-
-	// Storage that splices and CloneInto reuse: index and view backing,
-	// the previous edge array, the last Spill, the spill instruction slab
-	// and how much of it the loop uses, a clone's flat instructions and
-	// operands, and scratch.
-	idxBack                              []int
+	// Storage that splices and CloneInto reuse: the adjacency rows, their
+	// backing and per-row degrees, the previous edge array, the last
+	// Spill, the spill instruction slab and how much of it the loop uses,
+	// a clone's flat instructions and operands, and scratch.
+	rows                                 [][]*Edge
 	ptrBack                              []*Edge
+	deg                                  []int
 	spare                                []Edge
 	spill                                Spill
 	spillSlab                            []spillInstr
@@ -111,14 +108,8 @@ type Graph struct {
 	cons, dist, mark, defSites, useSites []int
 }
 
-// BuildOptions tunes dependence-edge latencies and distances.
+// BuildOptions tunes dependence-edge distances.
 type BuildOptions struct {
-	// AntiLatency is the latency of anti edges. The default 0 lets a
-	// redefinition issue in the same cycle as the last read, which
-	// matches a VLIW that reads operands at issue.
-	AntiLatency int
-	// OutputLatency is the latency of output edges; default 1.
-	OutputLatency int
 	// RenameCopies is the number of rotating register copies the
 	// scheduler may assume modulo variable expansion
 	// (sched.Schedule.Expand) will allocate per register. The default 1
@@ -161,7 +152,7 @@ func Build(l *Loop, m *machine.Machine, opts *BuildOptions) (*Graph, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	o := BuildOptions{AntiLatency: 0, OutputLatency: 1, RenameCopies: 1}
+	o := BuildOptions{RenameCopies: 1}
 	if opts != nil {
 		o = *opts
 	}
@@ -250,8 +241,13 @@ func Build(l *Loop, m *machine.Machine, opts *BuildOptions) (*Graph, error) {
 // (non-empty) and its distinct use sites uv, both in body order. Build
 // runs it once per defined register; the splices rerun it for the
 // registers they rewire.
+//
+// Anti edges have latency 0: a redefinition may issue in the same cycle
+// as the last read, which matches a VLIW that reads operands at issue.
+// Output edges have latency 1.
 func (g *Graph) appendRegEdges(dst []Edge, v VReg, dv, uv []int) []Edge {
-	l, m, o := g.Loop, g.m, &g.opts
+	const antiLatency, outputLatency = 0, 1
+	l, m, copies := g.Loop, g.m, g.opts.RenameCopies
 	last := dv[len(dv)-1]
 
 	// True edges: each use reads its reaching definition.
@@ -292,17 +288,16 @@ func (g *Graph) appendRegEdges(dst []Edge, v VReg, dv, uv []int) []Edge {
 			} else if u <= dv[0] {
 				delta = 1 // no definition precedes the use: a wrap-around read
 			}
-			dist := o.RenameCopies - delta
-			if dist < 0 {
-				dist = 0
-			}
-			if u == dv[0] && dist < 1 {
+			dist := max(copies-delta, 0)
+			if u == dv[0] {
 				// A self anti edge (the instruction reads what it
-				// writes) is vacuous at distance >= 1 but would be
-				// unsatisfiable at 0 under a positive AntiLatency.
-				dist = 1
+				// writes) is vacuous at distance >= 1, but at distance
+				// 0 it would be an intra-iteration cycle, which
+				// IntraTopoOrder, every scheduler's placement order,
+				// rejects.
+				dist = max(dist, 1)
 			}
-			dst = append(dst, Edge{From: u, To: dv[0], Kind: DepAnti, Distance: dist, Latency: o.AntiLatency, Reg: v})
+			dst = append(dst, Edge{From: u, To: dv[0], Kind: DepAnti, Distance: dist, Latency: antiLatency, Reg: v})
 			continue
 		}
 		to, dist := -1, 0
@@ -315,7 +310,7 @@ func (g *Graph) appendRegEdges(dst []Edge, v VReg, dv, uv []int) []Edge {
 		if to == -1 {
 			to, dist = dv[0], 1
 		}
-		dst = append(dst, Edge{From: u, To: to, Kind: DepAnti, Distance: dist, Latency: o.AntiLatency, Reg: v})
+		dst = append(dst, Edge{From: u, To: to, Kind: DepAnti, Distance: dist, Latency: antiLatency, Reg: v})
 	}
 
 	// Output edges: chain successive definitions, wrapping around.
@@ -323,13 +318,13 @@ func (g *Graph) appendRegEdges(dst []Edge, v VReg, dv, uv []int) []Edge {
 	// RenameCopies — the same copy name recurs only every k
 	// iterations.
 	for i := 0; i+1 < len(dv); i++ {
-		dst = append(dst, Edge{From: dv[i], To: dv[i+1], Kind: DepOutput, Distance: 0, Latency: o.OutputLatency, Reg: v})
+		dst = append(dst, Edge{From: dv[i], To: dv[i+1], Kind: DepOutput, Distance: 0, Latency: outputLatency, Reg: v})
 	}
 	wrapOut := 1
 	if single {
-		wrapOut = o.RenameCopies
+		wrapOut = copies
 	}
-	return append(dst, Edge{From: last, To: dv[0], Kind: DepOutput, Distance: wrapOut, Latency: o.OutputLatency, Reg: v})
+	return append(dst, Edge{From: last, To: dv[0], Kind: DepOutput, Distance: wrapOut, Latency: outputLatency, Reg: v})
 }
 
 func carriedDistance(in *Instruction, v VReg) (int, bool) {
@@ -341,7 +336,7 @@ func carriedDistance(in *Instruction, v VReg) (int, bool) {
 }
 
 // AddEdge appends an edge (typically a DepMem ordering constraint) and
-// keeps the adjacency lists consistent. It returns an error if the edge
+// rebuilds the adjacency index. It returns an error if the edge
 // references unknown nodes or has a negative distance or latency.
 func (g *Graph) AddEdge(e Edge) error {
 	n := g.NumNodes()
@@ -357,85 +352,33 @@ func (g *Graph) AddEdge(e Edge) error {
 	if e.Distance == 0 && e.From == e.To {
 		return fmt.Errorf("ir: self edge %d->%d with distance 0 is unsatisfiable", e.From, e.To)
 	}
-	idx := len(g.Edges)
-	grew := len(g.Edges) == cap(g.Edges)
 	g.Edges = append(g.Edges, e)
-	g.succs[e.From] = append(g.succs[e.From], idx)
-	g.preds[e.To] = append(g.preds[e.To], idx)
-	// Keep the pointer views current. When the edge array grew in place
-	// the existing views stay valid and only the new edge's pointer is
-	// appended (the per-node rows are capacity-capped, so the append
-	// copies the row rather than clobbering a neighbour's); when append
-	// reallocated the array, every cached pointer went stale and the
-	// views are rebuilt — reallocation is geometric, so a batch of
-	// AddEdge calls stays amortised O(1) per edge.
-	if g.succPtrs != nil {
-		if grew {
-			g.rebuildAdjacency()
-		} else {
-			ep := &g.Edges[idx]
-			g.succPtrs[e.From] = append(g.succPtrs[e.From], ep)
-			g.predPtrs[e.To] = append(g.predPtrs[e.To], ep)
-		}
-	}
+	g.buildIndex()
 	return nil
 }
 
-// buildIndex constructs the succs/preds index in CSR style — exact
-// per-node counts first, then one backing array shared by both
-// directions and reused across rebuilds — and then the pointer views.
-// Rows are capacity-capped so a later AddEdge append copies the row
-// instead of clobbering a neighbour's.
+// buildIndex rebuilds the Succs/Preds views in CSR style: per-row
+// degrees first, then one backing array that both directions share,
+// each row capacity-capped to its degree. All storage is reused across
+// rebuilds.
 func (g *Graph) buildIndex() {
 	n, ne := g.Loop.NumInstrs(), len(g.Edges)
-	g.succs, g.preds = buf.Grow(g.succs, n), buf.Grow(g.preds, n)
-	g.idxBack = buf.Grow(g.idxBack, 2*ne+2*n)
-	back := g.idxBack
-	sc, pc := back[2*ne:2*ne+n], back[2*ne+n:]
-	clear(sc)
-	clear(pc)
+	g.rows, g.ptrBack = buf.Grow(g.rows, 2*n), buf.Grow(g.ptrBack, 2*ne)
+	g.deg = buf.Zeroed(g.deg, 2*n)
+	g.succs, g.preds = g.rows[:n:n], g.rows[n:]
 	for i := range g.Edges {
-		sc[g.Edges[i].From]++
-		pc[g.Edges[i].To]++
+		g.deg[g.Edges[i].From]++
+		g.deg[n+g.Edges[i].To]++
 	}
-	so, po := 0, ne
-	for v := 0; v < n; v++ {
-		g.succs[v] = back[so : so : so+sc[v]]
-		so += sc[v]
-		g.preds[v] = back[po : po : po+pc[v]]
-		po += pc[v]
+	o := 0
+	for r, d := range g.deg {
+		g.rows[r] = g.ptrBack[o : o : o+d]
+		o += d
 	}
 	for i := range g.Edges {
 		e := &g.Edges[i]
-		g.succs[e.From] = append(g.succs[e.From], i)
-		g.preds[e.To] = append(g.preds[e.To], i)
-	}
-	g.rebuildAdjacency()
-}
-
-// rebuildAdjacency regenerates the pointer views Succs/Preds hand out
-// into one backing array shared by both directions and reused across
-// rebuilds, so even per-AddEdge rebuilds stay cheap on loop-sized
-// graphs.
-func (g *Graph) rebuildAdjacency() {
-	n, ne := len(g.succs), len(g.Edges)
-	g.succPtrs, g.predPtrs = buf.Grow(g.succPtrs, n), buf.Grow(g.predPtrs, n)
-	g.ptrBack = buf.Grow(g.ptrBack, 2*ne)
-	back := g.ptrBack
-	si, pi := 0, ne
-	for v := 0; v < n; v++ {
-		s0 := si
-		for _, ei := range g.succs[v] {
-			back[si] = &g.Edges[ei]
-			si++
-		}
-		g.succPtrs[v] = back[s0:si:si]
-		p0 := pi
-		for _, ei := range g.preds[v] {
-			back[pi] = &g.Edges[ei]
-			pi++
-		}
-		g.predPtrs[v] = back[p0:pi:pi]
+		g.succs[e.From] = append(g.succs[e.From], e)
+		g.preds[e.To] = append(g.preds[e.To], e)
 	}
 }
 
@@ -445,22 +388,12 @@ func (g *Graph) NumNodes() int { return len(g.succs) }
 // Succs returns the outgoing edges of node id. The returned slice is a
 // shared adjacency view: callers must not mutate it, and it is
 // invalidated by the next AddEdge or splice.
-func (g *Graph) Succs(id int) []*Edge {
-	if g.succPtrs == nil {
-		g.rebuildAdjacency()
-	}
-	return g.succPtrs[id]
-}
+func (g *Graph) Succs(id int) []*Edge { return g.succs[id] }
 
 // Preds returns the incoming edges of node id. The returned slice is a
 // shared adjacency view: callers must not mutate it, and it is
 // invalidated by the next AddEdge or splice.
-func (g *Graph) Preds(id int) []*Edge {
-	if g.predPtrs == nil {
-		g.rebuildAdjacency()
-	}
-	return g.predPtrs[id]
-}
+func (g *Graph) Preds(id int) []*Edge { return g.preds[id] }
 
 // IntraTopoOrder returns the nodes in a topological order of the
 // intra-iteration (distance-0) subgraph, which is always acyclic for a
@@ -490,8 +423,7 @@ func (g *Graph) IntraTopoOrderInto(order, indeg []int) ([]int, error) {
 		}
 	}
 	for head := 0; head < len(order); head++ {
-		for _, ei := range g.succs[order[head]] {
-			e := &g.Edges[ei]
+		for _, e := range g.succs[order[head]] {
 			if e.Distance != 0 {
 				continue
 			}

@@ -376,7 +376,7 @@ func checkSpliceSequence(t *testing.T, l *ir.Loop, m *machine.Machine, opts *ir.
 
 var (
 	canned  = []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()}
-	relaxed = &ir.BuildOptions{AntiLatency: 1, OutputLatency: 1, RenameCopies: 3}
+	relaxed = &ir.BuildOptions{RenameCopies: 3}
 )
 
 // TestSpliceMatchesRebuild is the differential guard over ExampleLoops

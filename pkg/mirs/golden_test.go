@@ -99,3 +99,52 @@ func TestSearchGolden(t *testing.T) {
 		t.Fatalf("%d schedules, hash %#x; want %d, %#x", schedules, f.h, wantSchedules, wantHash)
 	}
 }
+
+// lookupFloor is a Recorder that checks each attempt's window-cache
+// aggregates against a floor its other events imply: every committed
+// placement first looked a window up (place's scan or force's earliest
+// start), and every window miss is a lookup of its own.
+type lookupFloor struct {
+	t                       *testing.T
+	floor, lookups, spilled int64
+	attempts, withSpills    int
+}
+
+// Emit implements trace.Recorder.
+func (f *lookupFloor) Emit(e trace.Event) {
+	switch e.Kind {
+	case trace.KindIIStart:
+		f.floor, f.lookups, f.spilled = 0, 0, 0
+	case trace.KindPlace, trace.KindWindowMiss:
+		f.floor++
+	case trace.KindSpill:
+		f.spilled++
+	case trace.KindCacheHit, trace.KindCacheMiss:
+		f.lookups += e.Arg
+	case trace.KindIIEnd:
+		f.attempts++
+		if f.spilled > 0 {
+			f.withSpills++
+		}
+		if f.lookups < f.floor {
+			f.t.Errorf("II %d with %d spills: %d window lookups reported, but its placements and window misses need %d",
+				e.II, f.spilled, f.lookups, f.floor)
+		}
+	}
+}
+
+// TestCacheStatsSpanSpills: an attempt's window-cache aggregates count
+// every lookup it made, those before its spills included — a spill
+// rebinds the cache to the spliced graph but keeps its counters.
+func TestCacheStatsSpanSpills(t *testing.T) {
+	f := &lookupFloor{t: t}
+	for _, l := range gen.Corpus(1, 60) {
+		if _, err := New().Schedule(&sched.Request{Loop: l, Machine: machine.Tight(), Recorder: f}); err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+	}
+	if f.withSpills == 0 {
+		t.Fatalf("none of %d attempts spilled", f.attempts)
+	}
+	t.Logf("%d attempts, %d with spills", f.attempts, f.withSpills)
+}

@@ -241,6 +241,7 @@ func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sc
 	st.req = at.req
 	st.steps = 0
 	st.reset(at.req.Loop, at.g, ii, at.s.maxRetries, at.maxSpills, at.height, at.order, at.liveInUses)
+	hits0, misses0 := st.wc.Stats()
 	if rec != nil {
 		// Arg carries the MII on the first attempt so a profile can
 		// report the search's starting point without recomputing it.
@@ -267,8 +268,8 @@ func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sc
 	}
 	if rec != nil {
 		hits, misses := st.wc.Stats()
-		rec.Emit(trace.Event{Kind: trace.KindCacheHit, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: hits})
-		rec.Emit(trace.Event{Kind: trace.KindCacheMiss, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: misses})
+		rec.Emit(trace.Event{Kind: trace.KindCacheHit, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: hits - hits0})
+		rec.Emit(trace.Event{Kind: trace.KindCacheMiss, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: misses - misses0})
 		done := int64(0)
 		if completed && excess == 0 {
 			done = 1

@@ -124,7 +124,7 @@ func TestExpandRemovesWrapPenalty(t *testing.T) {
 		t.Fatalf("default graph allowed II=%d; wrap-around anti edges should force >= the multiply latency", strict.II)
 	}
 
-	relaxed, err := ir.Build(l, m, &ir.BuildOptions{OutputLatency: 1, RenameCopies: 3})
+	relaxed, err := ir.Build(l, m, &ir.BuildOptions{RenameCopies: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestExpandAllocs(t *testing.T) {
 			scheds = append(scheds, s)
 		}
 	}
-	relaxed, err := ir.Build(ir.LongChain(), machine.Unified(), &ir.BuildOptions{OutputLatency: 1, RenameCopies: 3})
+	relaxed, err := ir.Build(ir.LongChain(), machine.Unified(), &ir.BuildOptions{RenameCopies: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestRecMIIMatchesReference(t *testing.T) {
 	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
 		for _, copies := range []int{1, 3} {
 			for _, l := range loops {
-				g, err := ir.Build(l, m, &ir.BuildOptions{OutputLatency: 1, RenameCopies: copies})
+				g, err := ir.Build(l, m, &ir.BuildOptions{RenameCopies: copies})
 				if err != nil {
 					t.Fatalf("Build(%s on %s): %v", l.Name, m.Name, err)
 				}

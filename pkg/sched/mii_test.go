@@ -156,9 +156,9 @@ func TestResMIIUnsupportedClass(t *testing.T) {
 
 // TestFrontEndAllocs pins the allocations of the per-loop front end as
 // constants: on every loop of gen.Corpus(1, 240) and every canned
-// machine, ir.Build makes as many as on the first loop (9 — the graph,
-// its site table, its edge array and its adjacency index and views;
-// the race detector adds a few) and ComputeMII as many as on the first
+// machine, ir.Build makes as many as on the first loop (6 — the graph,
+// its site table, its edge array, and the adjacency rows, their backing
+// and their degree counts; the race detector adds a few) and ComputeMII as many as on the first
 // loop — RecMII's scratch — plus one for the critical component when
 // there is one. Nothing is allocated per register, edge or component.
 // The list scheduler's placementOrder, run once per request, is pinned

@@ -214,14 +214,15 @@ func (s *Schedule) Validate() error {
 		return fmt.Errorf("sched: %d placements for %d instructions", len(s.Placements), n)
 	}
 	// Dense occupancy check: one flat (unit, cycle mod II) array instead
-	// of a map — Validate runs several times per compilation (after
-	// every II attempt, inside the pressure analysis), so its constant
-	// cost matters.
+	// of a map, carved from one allocation with the per-cycle bus counts
+	// — Validate runs on every complete placement MIRS reaches and
+	// inside the pressure analysis, so its constant cost matters.
 	totalUnits := 0
 	for ci := range s.Machine.Clusters {
 		totalUnits += len(s.Machine.Clusters[ci].Units)
 	}
-	occupied := make([]int32, totalUnits*s.II)
+	scratch := make([]int32, (totalUnits+1)*s.II)
+	occupied, busAt := scratch[:totalUnits*s.II], scratch[totalUnits*s.II:]
 	for i := range occupied {
 		occupied[i] = -1
 	}
@@ -263,35 +264,30 @@ func (s *Schedule) Validate() error {
 	}
 	// Bus bandwidth: distinct transfers per (producer, register,
 	// destination cluster), each claiming a bus at the cycle the value
-	// leaves the producer. The tracking maps are allocated lazily — a
-	// single-cluster placement (the common case on unified machines)
-	// never crosses clusters and pays nothing here.
-	type xfer struct {
-		from int
-		reg  ir.VReg
-		dest int
-	}
-	var seen map[xfer]bool
-	var busAt []int
+	// leaves the producer. A transfer is counted at its first edge in
+	// the producer's successors, which is also its first in Edges.
 	for i := range s.Graph.Edges {
 		e := &s.Graph.Edges[i]
-		if e.Kind != ir.DepTrue || s.Placements[e.From].Cluster == s.Placements[e.To].Cluster {
+		dest := s.Placements[e.To].Cluster
+		if e.Kind != ir.DepTrue || s.Placements[e.From].Cluster == dest || s.firstTransferEdge(e.From, e.Reg, dest) != e {
 			continue
 		}
-		k := xfer{e.From, e.Reg, s.Placements[e.To].Cluster}
-		if seen == nil {
-			seen = map[xfer]bool{}
-			busAt = make([]int, s.II)
-		}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
 		cyc := TransferCycle(s.Machine, s.Loop, s.Placements, e.From) % s.II
 		busAt[cyc]++
-		if cap := s.Machine.BusCount(); busAt[cyc] > cap {
+		if cap := s.Machine.BusCount(); int(busAt[cyc]) > cap {
 			return fmt.Errorf("sched: bus bandwidth exceeded at cycle %d (mod II=%d): %d transfers, %d buses (last: %s from instruction %d to cluster %d)",
-				cyc, s.II, busAt[cyc], cap, e.Reg, e.From, k.dest)
+				cyc, s.II, busAt[cyc], cap, e.Reg, e.From, dest)
+		}
+	}
+	return nil
+}
+
+// firstTransferEdge returns the first true edge out of from that carries
+// reg to an instruction on cluster dest.
+func (s *Schedule) firstTransferEdge(from int, reg ir.VReg, dest int) *ir.Edge {
+	for _, e := range s.Graph.Succs(from) {
+		if e.Kind == ir.DepTrue && e.Reg == reg && s.Placements[e.To].Cluster == dest {
+			return e
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -371,6 +372,37 @@ func TestValidateRejectsDoubleBookedBus(t *testing.T) {
 	}
 	if err := s2.Validate(); err != nil {
 		t.Errorf("broadcast to one cluster double-booked the bus: %v", err)
+	}
+}
+
+// TestValidateAllocs: Validate makes one allocation, its scratch array,
+// however many cross-cluster transfers the schedule carries.
+func TestValidateAllocs(t *testing.T) {
+	m := machine.Paper4Cluster()
+	crossing := 0
+	for _, l := range ir.ExampleLoops() {
+		g := buildGraph(t, l, m)
+		s, err := ListScheduler{}.Schedule(&Request{Loop: l, Machine: m, Graph: g})
+		if err != nil {
+			t.Fatalf("Schedule(%s): %v", l.Name, err)
+		}
+		if !slices.ContainsFunc(g.Edges, func(e ir.Edge) bool {
+			return e.Kind == ir.DepTrue && s.Placements[e.From].Cluster != s.Placements[e.To].Cluster
+		}) {
+			continue
+		}
+		crossing++
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := s.Validate(); err != nil {
+				t.Fatalf("Validate(%s): %v", l.Name, err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("Validate(%s) made %v allocations, want 1", l.Name, allocs)
+		}
+	}
+	if crossing == 0 {
+		t.Fatal("no example schedule crosses clusters")
 	}
 }
 

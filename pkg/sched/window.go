@@ -132,8 +132,8 @@ type WindowCache struct {
 	// win is indexed id*nc+cluster.
 	win []window
 	// hits/misses count memoised lookups served from cache vs
-	// recomputed, reset with the cache. Plain int64 increments: the
-	// counters exist so a tracing backend can emit per-II cache
+	// recomputed since the cache was created. Plain int64 increments:
+	// the counters exist so a tracing backend can emit per-II cache
 	// aggregates (trace.KindCacheHit/Miss) without paying a per-lookup
 	// event.
 	hits, misses int64
@@ -162,11 +162,12 @@ func NewWindowCache(g *ir.Graph, m *machine.Machine, ii int) *WindowCache {
 func (wc *WindowCache) Reset(g *ir.Graph, m *machine.Machine, ii int) {
 	wc.g, wc.m, wc.ii, wc.nc = g, m, ii, m.NumClusters()
 	wc.win = buf.Zeroed(wc.win, g.NumNodes()*wc.nc)
-	wc.hits, wc.misses = 0, 0
 }
 
-// Stats returns the lookup counters since the last Reset: lookups
-// served from the cache and lookups that recomputed a scan.
+// Stats returns the lookup counters since the cache was created: lookups
+// served from the cache and lookups that recomputed a scan. Reset keeps
+// them, so a caller counting one II attempt, spills included, takes the
+// difference across it.
 func (wc *WindowCache) Stats() (hits, misses int64) { return wc.hits, wc.misses }
 
 // Invalidate clears the cached windows affected by a change to x's

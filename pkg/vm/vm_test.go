@@ -61,7 +61,7 @@ func compileOpts(t *testing.T, be sched.Scheduler, l *ir.Loop, m *machine.Machin
 // exceed 1 and a use's reaching distance decides which renamed copy it
 // reads; the strict graph alone leaves that distance unexercised.
 func TestDifferentialExamples(t *testing.T) {
-	relaxed := &ir.BuildOptions{OutputLatency: 1, RenameCopies: 3}
+	relaxed := &ir.BuildOptions{RenameCopies: 3}
 	for _, graph := range []struct {
 		prefix string
 		opts   *ir.BuildOptions
