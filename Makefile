@@ -65,13 +65,14 @@ profile:
 
 # The one gate, the same command CI runs: compile and differentially
 # execute the gate corpora, build the optimality-gap table, and fail on
-# any compile failure, execution mismatch, or ΣII / ΣMaxLive / Σcycles /
-# Σbundles / gap regression vs BENCH_baseline.json and GAP_baseline.json.
+# any compile failure or execution mismatch, or unless the rows and the
+# table equal BENCH_baseline.json and GAP_baseline.json byte for byte
+# (a failure names every moved row and field).
 compare:
 	go run ./cmd/msched compare
 
 # Refresh BENCH_baseline.json and GAP_baseline.json after an intentional
-# quality or code change; commit the result.
+# quality or code change; it prints what it changes. Commit the result.
 baseline:
 	go run ./cmd/msched compare -update-baseline
 

@@ -27,12 +27,12 @@
 // canned machine) and the small-loop gap corpus (exact backend and
 // MIRS × canned machine), executes every compilation differentially,
 // and joins the gap corpus into the optimality-gap table. Any compile
-// failure, timeout or execution mismatch fails it (exit 1), as does
-// any ΣII, ΣMaxLive, Σcycles or Σbundles regression against
-// BENCH_baseline.json or a lost proof, changed proved optimum or grown
-// II gap against GAP_baseline.json. -update-baseline rewrites both
-// files instead — the one-command local refresh after an intentional
-// change.
+// failure, timeout or execution mismatch fails it (exit 1), and so does
+// any byte of the quality rows or the gap table that differs from
+// BENCH_baseline.json or GAP_baseline.json, in either direction; the
+// failure names every moved row and field. -update-baseline rewrites
+// both files instead, printing the same diff — the one-command local
+// refresh after an intentional change.
 package main
 
 import (
@@ -93,8 +93,8 @@ func usage(w io.Writer) {
             (exit 1 on any compile failure or execution mismatch)
   gen       print generated loops
   compare   compile, execute and gate the quality, cycle and optimality-gap
-            rows against BENCH_baseline.json and GAP_baseline.json
-            (-update-baseline to refresh both)
+            rows on byte identity with BENCH_baseline.json and
+            GAP_baseline.json (-update-baseline to refresh both)
   trace     compile one loop with the flight recorder attached and
             explain the II search (optional Chrome trace export)
   exec      compile one loop, emit VLIW bundles, and differentially
@@ -485,8 +485,9 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 // runCompare is the one gate. In a single sweep it compiles and
 // executes the gate corpora (gateSpec.corpora; the gap corpus last),
 // fails on any failure among them, joins the gap corpus into the
-// optimality-gap table and then either gates the rows and the table
-// against their baselines or (-update-baseline) rewrites them.
+// optimality-gap table and then either requires the rows and the table
+// to equal their baselines byte for byte, printing report.Diff's lines
+// where they do not, or (-update-baseline) rewrites them.
 func runCompare(corpora []driver.Spec, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("msched compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -517,45 +518,59 @@ func runCompare(corpora []driver.Spec, args []string, stdout, stderr io.Writer) 
 		}
 	}
 
+	gate := []struct {
+		path string
+		art  report.Artifact
+	}{{*baseline, current}, {*gapBaseline, gf}}
 	if *update {
-		if err := current.WriteFile(*baseline); err != nil {
-			fmt.Fprintln(stderr, "msched compare:", err)
-			return 1
-		}
-		if err := gf.WriteFile(*gapBaseline); err != nil {
-			fmt.Fprintln(stderr, "msched compare:", err)
-			return 1
+		for _, g := range gate {
+			// A refresh prints what it changes, so the diff can go into
+			// the commit that carries the new baseline.
+			if old, err := os.ReadFile(g.path); err == nil {
+				lines, err := report.Diff(old, g.art)
+				printDiff(stdout, "updating "+g.path, lines, err)
+			}
+			if err := g.art.WriteFile(g.path); err != nil {
+				fmt.Fprintln(stderr, "msched compare:", err)
+				return 1
+			}
 		}
 		fmt.Fprintf(stdout, "baselines updated: %s (%d rows), %s (%d rows)\n", *baseline, len(current.Rows), *gapBaseline, len(gf.Rows))
 		return 0
 	}
-	base, err := report.ReadFile(*baseline)
-	if err != nil {
-		fmt.Fprintf(stderr, "msched compare: %v\n(run 'msched compare -update-baseline' to create it)\n", err)
+	differ := 0
+	for _, g := range gate {
+		old, err := os.ReadFile(g.path)
+		if err != nil {
+			fmt.Fprintf(stderr, "msched compare: %v\n(run 'msched compare -update-baseline' to create it)\n", err)
+			return 1
+		}
+		if lines, err := report.Diff(old, g.art); err != nil || len(lines) > 0 {
+			printDiff(stderr, "msched compare: "+g.path+" differs from this run", lines, err)
+			differ++
+		}
+	}
+	if differ > 0 {
+		fmt.Fprintf(stderr, "msched compare: %d baseline(s) differ; if the change is intended, refresh with -update-baseline and record the diff\n", differ)
 		return 1
 	}
-	gapBase, err := report.ReadGapFile(*gapBaseline)
-	if err != nil {
-		fmt.Fprintf(stderr, "msched compare: %v\n(run 'msched compare -update-baseline' to create it)\n", err)
-		return 1
-	}
-	regs, unbaselined := report.Compare(base, current)
-	for _, u := range unbaselined {
-		fmt.Fprintf(stdout, "note: %s has no baseline row yet (refresh with -update-baseline)\n", u)
-	}
-	for _, r := range regs {
-		fmt.Fprintln(stderr, "REGRESSION:", r)
-	}
-	gapRegs := report.CompareGap(gapBase, gf)
-	for _, s := range gapRegs {
-		fmt.Fprintln(stderr, "GAP REGRESSION:", s)
-	}
-	if len(regs)+len(gapRegs) > 0 {
-		fmt.Fprintf(stderr, "msched compare: %d regression(s) vs %s, %d vs %s\n", len(regs), *baseline, len(gapRegs), *gapBaseline)
-		return 1
-	}
-	fmt.Fprintf(stdout, "gate clean: %d rows no worse than %s, %d rows no worse than %s\n", len(base.Rows), *baseline, len(gapBase.Rows), *gapBaseline)
+	fmt.Fprintf(stdout, "gate clean: %s (%d rows) and %s (%d rows) match this run byte for byte\n", *baseline, len(current.Rows), *gapBaseline, len(gf.Rows))
 	return 0
+}
+
+// printDiff prints report.Diff's lines under a title, as "baseline ->
+// current", or the error Diff returned.
+func printDiff(w io.Writer, title string, lines []string, err error) {
+	if err != nil {
+		fmt.Fprintf(w, "%s: %v\n", title, err)
+		return
+	}
+	if len(lines) > 0 {
+		fmt.Fprintf(w, "%s (baseline -> current):\n", title)
+	}
+	for _, l := range lines {
+		fmt.Fprintln(w, "  "+l)
+	}
 }
 
 // writeArtifacts writes compare's current results into dir as

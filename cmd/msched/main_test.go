@@ -300,10 +300,26 @@ func freshGate(t *testing.T) (compare func(extra ...string) (int, string, string
 	return compare, base, gapBase
 }
 
+// readJSON parses the artifact at path into v.
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCompareGateEndToEnd drives the one-gate workflow through the CLI:
 // refresh both baselines, gate clean with byte-identical artifacts
-// across two runs, then tighten the quality baseline one way at a time —
-// ΣII, then Σcycles — and require each to fail the gate naming the row.
+// across two runs, then doctor the quality baseline one way at a time —
+// a ΣII better than this run, a Σcycles worse than it, a row this run
+// lacks — and require each to fail the gate naming the row, the field
+// and both values. Gating is exact: a baseline worse than the current
+// run fails too. A refresh over a doctored baseline prints the same
+// lines before it rewrites the file.
 func TestCompareGateEndToEnd(t *testing.T) {
 	compare, base, _ := freshGate(t)
 	dir := t.TempDir()
@@ -323,30 +339,42 @@ func TestCompareGateEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Each injection tightens a baseline below what the schedulers
-	// actually achieve, as if a previous commit had been better, and is
-	// undone before the next one.
-	f, err := report.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var f report.File
+	readJSON(t, base, &f)
 	clean := append([]report.Row(nil), f.Rows...)
+	r := clean[0]
 	for _, inj := range []struct {
-		metric string
-		bump   func(r *report.Row)
+		name, want string
+		doctor     func(rows []report.Row) []report.Row
 	}{
-		{"sum_ii", func(r *report.Row) { r.SumII-- }},
-		{"sum_cycles", func(r *report.Row) { r.SumCycles-- }},
+		{"better baseline", fmt.Sprintf("%s: sum_ii %d -> %d", r.Key(), r.SumII-1, r.SumII),
+			func(rows []report.Row) []report.Row { rows[0].SumII--; return rows }},
+		{"worse baseline", fmt.Sprintf("%s: sum_cycles %d -> %d", r.Key(), r.SumCycles+1, r.SumCycles),
+			func(rows []report.Row) []report.Row { rows[0].SumCycles++; return rows }},
+		{"stale row", "examples|smt|unified: missing from current results",
+			func(rows []report.Row) []report.Row {
+				return append(rows, report.Row{Backend: "smt", Machine: "unified", Corpus: "examples", Loops: 8})
+			}},
 	} {
-		f.Rows = append([]report.Row(nil), clean...)
-		inj.bump(&f.Rows[0])
+		f.Rows = inj.doctor(append([]report.Row(nil), clean...))
 		if err := f.WriteFile(base); err != nil {
 			t.Fatal(err)
 		}
-		code, _, errOut := compare()
-		if code != 1 || !strings.Contains(errOut, inj.metric+" regressed") || !strings.Contains(errOut, f.Rows[0].Key()) {
-			t.Fatalf("injected %s regression not caught (code %d):\n%s", inj.metric, code, errOut)
+		code, out, errOut := compare()
+		if code != 1 || strings.Contains(out, "gate clean") || !strings.Contains(errOut, inj.want) ||
+			!strings.Contains(errOut, base+" differs from this run (baseline -> current)") {
+			t.Fatalf("%s: want exit 1 naming %q, got %d:\n%s", inj.name, inj.want, code, errOut)
 		}
+	}
+
+	// The stale row is still in the baseline: a refresh names it, then
+	// the gate is clean again.
+	code, out, errOut = compare("-update-baseline")
+	if code != 0 || !strings.Contains(out, "updating "+base+" (baseline -> current):\n  examples|smt|unified: missing from current results\n") {
+		t.Fatalf("refresh must print the rows it changes, got %d:\n%s%s", code, out, errOut)
+	}
+	if code, out, errOut := compare(); code != 0 || !strings.Contains(out, "gate clean") {
+		t.Fatalf("gate after refresh must pass, got %d: %s%s", code, out, errOut)
 	}
 }
 
@@ -413,15 +441,14 @@ func TestCompareFailsOnGapCorpusFailure(t *testing.T) {
 	}
 }
 
-// TestCompareGapEndToEnd corrupts the gap baseline of the one gate two
-// ways — a changed proved optimum and a tightened II gap — and requires
-// each to fail the gate naming the row.
+// TestCompareGapEndToEnd doctors the gap baseline of the one gate —
+// a different proved optimum, a smaller II gap, a larger one, another
+// conflict budget — and requires each to fail the gate naming the row
+// (or header field), the JSON field and both values.
 func TestCompareGapEndToEnd(t *testing.T) {
 	compare, _, gapBase := freshGate(t)
-	gf, err := report.ReadGapFile(gapBase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var gf report.GapFile
+	readJSON(t, gapBase, &gf)
 	victim := -1
 	for i, r := range gf.Rows {
 		if r.Proved && r.MirsII > 0 {
@@ -432,23 +459,26 @@ func TestCompareGapEndToEnd(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no proved row in the gap baseline to corrupt")
 	}
-	// A baseline claiming a different proved optimum must read as an
-	// encoding-semantics alarm; a baseline claiming a smaller gap must
-	// read as a MIRS regression.
-	gf.Rows[victim].OptII++
-	if err := gf.WriteFile(gapBase); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, errOut := compare(); code != 1 || !strings.Contains(errOut, "optimal II changed") || !strings.Contains(errOut, gf.Rows[victim].Loop) {
-		t.Fatalf("changed proved optimum not caught (code %d):\n%s", code, errOut)
-	}
-	gf.Rows[victim].OptII--
-	gf.Rows[victim].IIGap--
-	if err := gf.WriteFile(gapBase); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, errOut := compare(); code != 1 || !strings.Contains(errOut, "II gap grew") {
-		t.Fatalf("grown II gap not caught (code %d):\n%s", code, errOut)
+	r := gf.Rows[victim]
+	clean := append([]report.GapRow(nil), gf.Rows...)
+	for _, inj := range []struct {
+		want   string
+		doctor func(f *report.GapFile)
+	}{
+		{fmt.Sprintf("%s: opt_ii %d -> %d", r.Key(), r.OptII+1, r.OptII), func(f *report.GapFile) { f.Rows[victim].OptII++ }},
+		{fmt.Sprintf("%s: ii_gap %d -> %d", r.Key(), r.IIGap-1, r.IIGap), func(f *report.GapFile) { f.Rows[victim].IIGap-- }},
+		{fmt.Sprintf("%s: ii_gap %d -> %d", r.Key(), r.IIGap+1, r.IIGap), func(f *report.GapFile) { f.Rows[victim].IIGap++ }},
+		{fmt.Sprintf("budget %d -> %d", gf.Budget+1, gf.Budget), func(f *report.GapFile) { f.Budget++ }},
+	} {
+		f := gf
+		f.Rows = append([]report.GapRow(nil), clean...)
+		inj.doctor(&f)
+		if err := f.WriteFile(gapBase); err != nil {
+			t.Fatal(err)
+		}
+		if code, _, errOut := compare(); code != 1 || !strings.Contains(errOut, inj.want) {
+			t.Fatalf("want exit 1 naming %q, got %d:\n%s", inj.want, code, errOut)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ func TestCompileAllocs(t *testing.T) {
 		"list x Paper4Cluster": 498,
 		"mirs x Unified":       628,
 		"mirs x Paper4Cluster": 769,
-		"mirs x Tight":         9326,
+		"mirs x Tight":         8408,
 	}
 	check := func(key string, be sched.Scheduler, m *machine.Machine, loops []*ir.Loop) {
 		want, ok := measured[key]

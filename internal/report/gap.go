@@ -1,18 +1,14 @@
 // gap.go is the optimality-gap artifact: per-loop × machine rows
 // comparing the exact backend (pkg/opt) against the paper's MIRS on a
 // seeded small-loop corpus, plus the aggregate summary `msched compare`
-// prints and gates against GAP_baseline.json. Unlike the
-// trajectory rows in report.go — aggregates over whole corpora — gap
-// rows are per-loop, because a proof of optimality is a per-loop fact:
+// prints; the gate holds the whole file byte-identical to
+// GAP_baseline.json. Unlike the trajectory rows in report.go —
+// aggregates over whole corpora — gap rows are per-loop, because a proof of optimality is a per-loop fact:
 // the gap columns are only meaningful where opt completed its UNSAT
 // certificates below the final II.
 package report
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // GapRow is one loop × machine line of the optimality-gap table. The
 // opt-side fields come straight from the exact backend's schedule stats
@@ -46,9 +42,8 @@ type GapRow struct {
 	MirsErr     string `json:"mirs_err,omitempty"`
 	// IIGap = MirsII − OptII and MaxLiveGap = MirsMaxLive − OptMaxLive,
 	// filled only when Proved and MIRS compiled: the measured distance
-	// from optimum. IIGap is gated (it must not grow vs baseline);
-	// MaxLiveGap is informational and may be negative — opt ignores
-	// pressure, so MIRS can legitimately beat it on MaxLive.
+	// from optimum. MaxLiveGap may be negative — opt ignores pressure,
+	// so MIRS can legitimately beat it on MaxLive.
 	IIGap      int `json:"ii_gap,omitempty"`
 	MaxLiveGap int `json:"max_live_gap,omitempty"`
 }
@@ -99,8 +94,7 @@ func (f *GapFile) Sort() {
 }
 
 // Recompute rebuilds Summary from the rows. Builders call it after
-// filling Rows; ReadGapFile trusts the stored summary (it is part of
-// the byte-diffed artifact).
+// filling Rows.
 func (f *GapFile) Recompute() {
 	s := GapSummary{Rows: len(f.Rows)}
 	for _, r := range f.Rows {
@@ -136,115 +130,3 @@ func (f *GapFile) Marshal() ([]byte, error) { return marshal(f) }
 
 // WriteFile emits the canonical JSON rendering to path.
 func (f *GapFile) WriteFile(path string) error { return writeFile(path, f) }
-
-// ReadGapFile parses an artifact written by WriteFile (or by hand).
-func ReadGapFile(path string) (*GapFile, error) {
-	var f GapFile
-	if err := readFile(path, &f); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// keyDiff renders a key-set difference for gate messages: the count
-// plus the first limit keys, so a population failure names the rows
-// instead of leaving the reader to diff two JSON files by hand.
-func keyDiff(label string, keys []string, limit int) string {
-	sort.Strings(keys)
-	shown := keys
-	suffix := ""
-	if len(shown) > limit {
-		shown = shown[:limit]
-		suffix = ", ..."
-	}
-	return fmt.Sprintf("%d %s row(s): %s%s", len(keys), label, strings.Join(shown, ", "), suffix)
-}
-
-// CompareGap gates the current gap table against the baseline. The
-// structural checks come first — same corpus, same budget, same row
-// population (a mismatch names the first 5 missing/extra row keys) —
-// because none of the per-row checks mean anything across different
-// populations. Per matched row, three things may never happen without a
-// deliberate baseline refresh:
-//
-//   - a proof is lost (baseline proved, current did not): the solver or
-//     encoder got slower or weaker;
-//   - a proved optimal II changed: optimality is a property of (loop,
-//     machine), so a changed proved value means the encoding's
-//     semantics changed — a correctness alarm, not a quality drift;
-//   - the II gap grew on a proved row: MIRS regressed relative to the
-//     measured optimum.
-//
-// New proofs, shrunk gaps and MaxLive movement pass silently (MaxLive
-// is informational; opt does not optimise it). Violations come back as
-// human-readable strings, sorted, empty meaning the gate is clean.
-func CompareGap(baseline, current *GapFile) []string {
-	var v []string
-	if baseline.Corpus != current.Corpus {
-		v = append(v, fmt.Sprintf("corpus changed: %q vs baseline %q — gap tables not comparable, refresh the baseline", current.Corpus, baseline.Corpus))
-	}
-	if baseline.Budget != current.Budget {
-		v = append(v, fmt.Sprintf("conflict budget changed: %d vs baseline %d — proofs not comparable, refresh the baseline", current.Budget, baseline.Budget))
-	}
-	if len(v) > 0 {
-		return v
-	}
-	cur := map[string]GapRow{}
-	for _, r := range current.Rows {
-		cur[r.Key()] = r
-	}
-	base := map[string]GapRow{}
-	var missing []string
-	for _, b := range baseline.Rows {
-		base[b.Key()] = b
-		if _, ok := cur[b.Key()]; !ok {
-			missing = append(missing, b.Key())
-		}
-	}
-	var extra []string
-	for _, c := range current.Rows {
-		if _, ok := base[c.Key()]; !ok {
-			extra = append(extra, c.Key())
-		}
-	}
-	if len(missing) > 0 || len(extra) > 0 {
-		msg := "population changed vs baseline"
-		if len(missing) > 0 {
-			msg += " — missing " + keyDiff("baseline", missing, 5)
-		}
-		if len(extra) > 0 {
-			msg += " — extra " + keyDiff("unbaselined", extra, 5)
-		}
-		return []string{msg + " (refresh with -update-baseline)"}
-	}
-	for _, b := range baseline.Rows {
-		c := cur[b.Key()]
-		if !b.Proved {
-			continue
-		}
-		switch {
-		case !c.Proved:
-			v = append(v, fmt.Sprintf("%s: optimality proof lost (baseline proved II=%d, current %s)", b.Key(), b.OptII, gapStatus(c)))
-		case c.OptII != b.OptII:
-			v = append(v, fmt.Sprintf("%s: proved optimal II changed %d -> %d — encoding semantics changed, investigate before refreshing", b.Key(), b.OptII, c.OptII))
-		case b.MirsII > 0 && c.MirsII > 0 && c.IIGap > b.IIGap:
-			v = append(v, fmt.Sprintf("%s: II gap grew %d -> %d (mirs II %d vs proved optimum %d)", b.Key(), b.IIGap, c.IIGap, c.MirsII, c.OptII))
-		}
-	}
-	sort.Strings(v)
-	return v
-}
-
-// gapStatus names a row's opt-side outcome for gate messages.
-func gapStatus(r GapRow) string {
-	switch {
-	case r.Proved:
-		return fmt.Sprintf("proved II=%d", r.OptII)
-	case r.OptII > 0:
-		return fmt.Sprintf("feasible II=%d, proof incomplete", r.OptII)
-	case r.OptErr != "":
-		return "opt failed: " + r.OptErr
-	default:
-		return "opt found nothing"
-	}
-}

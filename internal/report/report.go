@@ -3,7 +3,7 @@
 // (cmd/msched): per backend × machine × corpus rows of summed
 // schedule-quality and emitted-code metrics, emitted with a fully
 // deterministic byte layout so CI can diff artifacts across runs and
-// gate on regressions.
+// gate on byte identity with a committed baseline.
 //
 // Determinism is the point of this package. Rows are sorted by
 // (corpus, backend, machine) before they are emitted, and every field
@@ -12,10 +12,13 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
+	"strings"
 )
 
 // Row is one backend × machine × corpus line of the trajectory: the
@@ -29,20 +32,19 @@ type Row struct {
 	// "gen:seed=1,n=200", ...). Rows from different corpora are never
 	// comparable.
 	Corpus string `json:"corpus"`
-	// Loops is the population size; a baseline row only gates against a
-	// current row of the same size.
+	// Loops is the population size.
 	Loops int `json:"loops"`
-	// SumII is the summed initiation interval over the corpus (gated).
+	// SumII is the summed initiation interval over the corpus.
 	SumII int `json:"sum_ii"`
-	// SumMaxLive is the summed steady-state register pressure (gated).
+	// SumMaxLive is the summed steady-state register pressure.
 	SumMaxLive int `json:"sum_max_live"`
-	// SumUnroll is the summed kernel unroll factor (informational —
-	// unroll trades against II by design).
+	// SumUnroll is the summed kernel unroll factor (unroll trades
+	// against II by design).
 	SumUnroll int `json:"sum_unroll"`
 	// SumCycles is the summed issue span of the emitted MVE programs
 	// (vm.Report.MVECycles) and SumBundles their summed code size
-	// (vm.Report.MVEBundles), both gated. They are zero, and absent from
-	// the JSON, unless the compilations were differentially executed.
+	// (vm.Report.MVEBundles). They are zero, and absent from the JSON,
+	// unless the compilations were differentially executed.
 	SumCycles  int `json:"sum_cycles,omitempty"`
 	SumBundles int `json:"sum_bundles,omitempty"`
 }
@@ -71,21 +73,16 @@ func (f *File) Marshal() ([]byte, error) { return marshal(f) }
 // WriteFile emits the canonical JSON rendering to path.
 func (f *File) WriteFile(path string) error { return writeFile(path, f) }
 
-// ReadFile parses an artifact written by WriteFile (or by hand).
-func ReadFile(path string) (*File, error) {
-	var f File
-	if err := readFile(path, &f); err != nil {
-		return nil, err
-	}
-	return &f, nil
+// Artifact is what File and GapFile share: keyed rows in a canonical
+// order, rendered by one byte layout.
+type Artifact interface {
+	Sort()
+	WriteFile(path string) error
 }
-
-// artifact is what File and GapFile share: rows with a canonical order.
-type artifact interface{ Sort() }
 
 // marshal renders a as indented JSON with its rows in canonical order
 // and a trailing newline.
-func marshal(a artifact) ([]byte, error) {
+func marshal(a Artifact) ([]byte, error) {
 	a.Sort()
 	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
@@ -95,7 +92,7 @@ func marshal(a artifact) ([]byte, error) {
 }
 
 // writeFile writes marshal's rendering of a to path.
-func writeFile(path string, a artifact) error {
+func writeFile(path string, a Artifact) error {
 	data, err := marshal(a)
 	if err != nil {
 		return err
@@ -106,91 +103,94 @@ func writeFile(path string, a artifact) error {
 	return nil
 }
 
-// readFile parses the JSON artifact at path into a and sorts its rows.
-func readFile(path string, a artifact) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("report: read %s: %w", path, err)
+// Diff compares current with baseline, the bytes of a committed
+// artifact of the same type. It returns nil when current's canonical
+// rendering equals baseline byte for byte. Otherwise it returns one
+// line per difference, as "baseline -> current": a changed header field
+// ("budget 10000 -> 999"), a row present on one side only, or a
+// changed row naming each moved field by its JSON name
+// ("examples|mirs|tight: sum_ii 96 -> 97"). The gap summary is derived
+// from the rows and is not diffed; when nothing but such bytes differ,
+// the one line says so.
+func Diff(baseline []byte, current Artifact) ([]string, error) {
+	data, err := marshal(current)
+	if err != nil || bytes.Equal(data, baseline) {
+		return nil, err
 	}
-	if err := json.Unmarshal(data, a); err != nil {
-		return fmt.Errorf("report: parse %s: %w", path, err)
+	base := reflect.New(reflect.TypeOf(current).Elem())
+	if err := json.Unmarshal(baseline, base.Interface()); err != nil {
+		return nil, fmt.Errorf("report: parse baseline: %w", err)
 	}
-	a.Sort()
-	return nil
-}
-
-// Regression is one gate violation found by Compare.
-type Regression struct {
-	// Row keys the offending backend × machine × corpus combination.
-	Row string
-	// Metric is "sum_ii", "sum_max_live", "sum_cycles", "sum_bundles",
-	// "missing" or "population".
-	Metric string
-	// Baseline and Current are the compared values (zero for structural
-	// violations).
-	Baseline, Current int
-}
-
-// String renders the regression for gate logs.
-func (r Regression) String() string {
-	switch r.Metric {
-	case "missing":
-		return fmt.Sprintf("%s: row missing from current results (baseline stale? run with -update-baseline)", r.Row)
-	case "population":
-		return fmt.Sprintf("%s: population changed (%d loops vs baseline %d) — sums not comparable, refresh the baseline", r.Row, r.Current, r.Baseline)
-	}
-	return fmt.Sprintf("%s: %s regressed %d -> %d", r.Row, r.Metric, r.Baseline, r.Current)
-}
-
-// Compare gates current against baseline: for every baseline row the
-// current results must contain a same-key row over the same population
-// whose SumII, SumMaxLive, SumCycles and SumBundles are no worse.
-// SumUnroll is informational (unroll trades against II by design).
-// Extra current rows — new backends, machines or corpora not yet in the
-// baseline — are reported via the second return so callers can warn
-// that the baseline wants refreshing without failing the gate.
-func Compare(baseline, current *File) (regs []Regression, unbaselined []string) {
-	cur := map[string]Row{}
-	for _, r := range current.Rows {
-		cur[r.Key()] = r
-	}
-	seen := map[string]bool{}
-	for _, b := range baseline.Rows {
-		seen[b.Key()] = true
-		c, ok := cur[b.Key()]
-		if !ok {
-			regs = append(regs, Regression{Row: b.Key(), Metric: "missing"})
-			continue
+	var lines []string
+	bv, cv := base.Elem(), reflect.ValueOf(current).Elem()
+	for i := 0; i < bv.NumField(); i++ {
+		switch name := jsonName(bv.Type().Field(i)); bv.Field(i).Kind() {
+		case reflect.Slice:
+			lines = append(lines, diffRows(bv.Field(i), cv.Field(i))...)
+		case reflect.Struct: // the summary, a function of the rows
+		default:
+			lines = append(lines, diffField(name, bv.Field(i), cv.Field(i))...)
 		}
-		if c.Loops != b.Loops {
-			regs = append(regs, Regression{Row: b.Key(), Metric: "population", Baseline: b.Loops, Current: c.Loops})
-			continue
+	}
+	if len(lines) == 0 {
+		lines = []string{"rows and header match; only the bytes outside them differ (summary or layout)"}
+	}
+	return lines, nil
+}
+
+// diffRows lists the rows of two row slices that differ, by key.
+func diffRows(base, cur reflect.Value) []string {
+	index := func(rows reflect.Value) map[string]reflect.Value {
+		m := make(map[string]reflect.Value, rows.Len())
+		for i := 0; i < rows.Len(); i++ {
+			m[rows.Index(i).Interface().(interface{ Key() string }).Key()] = rows.Index(i)
 		}
-		for _, m := range []struct {
-			name     string
-			was, now int
-		}{
-			{"sum_ii", b.SumII, c.SumII},
-			{"sum_max_live", b.SumMaxLive, c.SumMaxLive},
-			{"sum_cycles", b.SumCycles, c.SumCycles},
-			{"sum_bundles", b.SumBundles, c.SumBundles},
-		} {
-			if m.now > m.was {
-				regs = append(regs, Regression{Row: b.Key(), Metric: m.name, Baseline: m.was, Current: m.now})
+		return m
+	}
+	b, c := index(base), index(cur)
+	keys := make([]string, 0, len(b)+len(c))
+	for k := range b {
+		keys = append(keys, k)
+	}
+	for k := range c {
+		if _, ok := b[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var lines []string
+	for _, k := range keys {
+		br, inBase := b[k]
+		cr, inCur := c[k]
+		var moved []string
+		switch {
+		case !inCur:
+			moved = []string{"missing from current results"}
+		case !inBase:
+			moved = []string{"not in baseline"}
+		default:
+			for i := 0; i < br.NumField(); i++ {
+				moved = append(moved, diffField(jsonName(br.Type().Field(i)), br.Field(i), cr.Field(i))...)
 			}
 		}
-	}
-	for _, r := range current.Rows {
-		if !seen[r.Key()] {
-			unbaselined = append(unbaselined, r.Key())
+		if len(moved) > 0 {
+			lines = append(lines, k+": "+strings.Join(moved, ", "))
 		}
 	}
-	sort.Slice(regs, func(i, j int) bool {
-		if regs[i].Row != regs[j].Row {
-			return regs[i].Row < regs[j].Row
-		}
-		return regs[i].Metric < regs[j].Metric
-	})
-	sort.Strings(unbaselined)
-	return regs, unbaselined
+	return lines
+}
+
+// diffField renders one moved field as "name baseline -> current",
+// strings quoted; it returns nothing when the values are equal.
+func diffField(name string, base, cur reflect.Value) []string {
+	if base.Equal(cur) {
+		return nil
+	}
+	return []string{fmt.Sprintf("%s %#v -> %#v", name, base.Interface(), cur.Interface())}
+}
+
+// jsonName is the name a struct field is marshalled under.
+func jsonName(f reflect.StructField) string {
+	name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return name
 }

@@ -2,7 +2,10 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -42,8 +45,12 @@ func TestRoundTrip(t *testing.T) {
 	if err := f.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var back File
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Rows) != 3 || back.Rows[2].SumCycles != 4321 || back.Rows[2].SumBundles != 77 {
@@ -51,66 +58,110 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompareGates covers the gate semantics: clean pass, injected
-// SumII, MaxLive, cycle and bundle regressions, a missing row, a
-// population change, and unbaselined extra rows staying non-gating.
+// diff runs Diff of current against base's canonical bytes.
+func diff(t *testing.T, base, current Artifact) []string {
+	t.Helper()
+	data, err := marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := Diff(data, current)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// wantLines fails t unless got is exactly want.
+func wantLines(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("diff lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestDiffIdentical: equal artifacts have no diff, whatever the order
+// their rows were built in.
+func TestDiffIdentical(t *testing.T) {
+	shuffled := sample()
+	shuffled.Rows[0], shuffled.Rows[2] = shuffled.Rows[2], shuffled.Rows[0]
+	wantLines(t, diff(t, sample(), shuffled))
+	wantLines(t, diff(t, gapFixture(), gapFixture()))
+}
+
+// TestCompareGates: a moved trajectory field is named with its JSON
+// name and both values, whichever way it moved — the gate has no
+// "better".
 func TestCompareGates(t *testing.T) {
-	base := sample()
+	cur := sample()
+	cur.Rows[0].SumII++         // examples|mirs|unified, worse
+	cur.Rows[1].SumMaxLive -= 5 // examples|list|unified, better
+	cur.Rows[0].SumCycles--
+	wantLines(t, diff(t, sample(), cur),
+		"examples|list|unified: sum_max_live 95 -> 90",
+		"examples|mirs|unified: sum_ii 20 -> 21, sum_cycles 4321 -> 4320")
+}
 
-	if regs, extra := Compare(base, sample()); len(regs) != 0 || len(extra) != 0 {
-		t.Fatalf("identical files should gate clean, got %v / %v", regs, extra)
-	}
+// TestCompareGapViolations: a lost proof, a changed optimum, a moved gap
+// and a new opt error are each named as a changed field of their row.
+func TestCompareGapViolations(t *testing.T) {
+	gap := gapFixture()
+	gap.Rows[0].OptII, gap.Rows[0].Proved = 4, false
+	gap.Rows[1].IIGap = 0
+	gap.Rows[2].OptErr = "budget"
+	gap.Recompute()
+	wantLines(t, diff(t, gapFixture(), gap),
+		"gap0000-balanced|unified: opt_ii 3 -> 4, proved true -> false",
+		"gap0001-tiny|unified: ii_gap 1 -> 0",
+		`gap0002-wide|tight: opt_err "" -> "budget"`)
+}
 
-	worse := sample()
-	worse.Rows[0].SumII++ // mirs x unified
-	worse.Rows[1].SumMaxLive += 5
-	regs, _ := Compare(base, worse)
-	if len(regs) != 2 {
-		t.Fatalf("want 2 regressions, got %v", regs)
-	}
-	// Canonical regression order: sorted by row key.
-	if regs[0].Metric != "sum_max_live" || regs[1].Metric != "sum_ii" {
-		t.Fatalf("unexpected regression set: %v", regs)
-	}
-	for _, r := range regs {
-		if r.String() == "" {
-			t.Fatal("empty regression rendering")
-		}
-	}
+// TestDiffMissingExtraRows: a row on one side only is named by its key.
+func TestDiffMissingExtraRows(t *testing.T) {
+	cur := &File{Rows: sample().Rows[:2]}
+	cur.Rows = append(cur.Rows, Row{Backend: "smt", Machine: "unified", Corpus: "examples", Loops: 8})
+	wantLines(t, diff(t, sample(), cur),
+		"examples|list|paper-4cluster: missing from current results",
+		"examples|smt|unified: not in baseline")
 
-	// The emitted-code columns gate the same way: more cycles or more
-	// bundles than the baseline fails the row.
-	slower := sample()
-	slower.Rows[0].SumCycles++
-	slower.Rows[0].SumBundles += 3
-	regs, _ = Compare(base, slower)
-	if len(regs) != 2 || regs[0].Metric != "sum_bundles" || regs[1].Metric != "sum_cycles" ||
-		regs[1].Baseline != 4321 || regs[1].Current != 4322 {
-		t.Fatalf("want sum_bundles and sum_cycles regressions, got %v", regs)
-	}
+	gap := gapFixture()
+	gap.Rows = append(gap.Rows[1:], GapRow{Loop: "gap0009-new", Machine: "tight", MII: 1, OptII: 1, Proved: true})
+	gap.Recompute()
+	wantLines(t, diff(t, gapFixture(), gap),
+		"gap0000-balanced|unified: missing from current results",
+		"gap0009-new|tight: not in baseline")
+}
 
-	better := sample()
-	better.Rows[0].SumII--
-	better.Rows[0].SumCycles--
-	if regs, _ := Compare(base, better); len(regs) != 0 {
-		t.Fatalf("improvement must not gate: %v", regs)
-	}
+// TestDiffGapHeader: a changed corpus or conflict budget is named.
+func TestDiffGapHeader(t *testing.T) {
+	gap := gapFixture()
+	gap.Corpus, gap.Budget = "gap:seed=2,n=3,max-ops=12", 999
+	wantLines(t, diff(t, gapFixture(), gap),
+		`corpus "gap:seed=1,n=3,max-ops=12" -> "gap:seed=2,n=3,max-ops=12"`,
+		"budget 10000 -> 999")
+}
 
-	missing := &File{Rows: sample().Rows[:2]}
-	if regs, _ := Compare(base, missing); len(regs) != 1 || regs[0].Metric != "missing" {
-		t.Fatalf("want one missing-row regression, got %v", regs)
-	}
+// TestDiffOutsideRows: a baseline whose rows and header match but whose
+// other bytes do not — a hand-edited summary, a re-indented file —
+// still differs, and the diff says where; one that does not parse is an
+// error.
+func TestDiffOutsideRows(t *testing.T) {
+	const only = "rows and header match; only the bytes outside them differ (summary or layout)"
+	edited := gapFixture()
+	edited.Summary.SumIIGap = 7
+	wantLines(t, diff(t, edited, gapFixture()), only)
 
-	repop := sample()
-	repop.Rows[2].Loops = 9
-	if regs, _ := Compare(base, repop); len(regs) != 1 || regs[0].Metric != "population" {
-		t.Fatalf("want one population regression, got %v", regs)
+	compact, err := json.Marshal(sample())
+	if err != nil {
+		t.Fatal(err)
 	}
+	lines, err := Diff(compact, sample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines(t, lines, only)
 
-	extra := sample()
-	extra.Rows = append(extra.Rows, Row{Backend: "smt", Machine: "unified", Corpus: "examples", Loops: 8})
-	regs, unb := Compare(base, extra)
-	if len(regs) != 0 || len(unb) != 1 || unb[0] != "examples|smt|unified" {
-		t.Fatalf("extra rows must warn, not gate: %v / %v", regs, unb)
+	if _, err := Diff([]byte("{"), sample()); err == nil || !strings.Contains(err.Error(), "parse baseline") {
+		t.Fatalf("truncated baseline: got %v, want a parse error", err)
 	}
 }

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -395,10 +396,18 @@ func (g *Graph) Succs(id int) []*Edge { return g.succs[id] }
 // invalidated by the next AddEdge or splice.
 func (g *Graph) Preds(id int) []*Edge { return g.preds[id] }
 
+// ErrIntraCycle marks a dependence cycle that never crosses an
+// iteration boundary (every edge at distance 0), whatever its latency.
+// No modulo schedule of a well-formed loop has one; IntraTopoOrder and
+// sched.ComputeMII fail with it, so every backend refuses such a graph.
+// Match it with errors.Is.
+var ErrIntraCycle = errors.New("ir: intra-iteration dependence cycle")
+
 // IntraTopoOrder returns the nodes in a topological order of the
 // intra-iteration (distance-0) subgraph, which is always acyclic for a
 // well-formed loop: every cycle in a dependence graph must cross an
-// iteration boundary. Schedulers use this as their placement order.
+// iteration boundary. Schedulers use this as their placement order; a
+// distance-0 cycle fails with ErrIntraCycle.
 func (g *Graph) IntraTopoOrder() ([]int, error) {
 	n := g.NumNodes()
 	return g.IntraTopoOrderInto(make([]int, 0, n), make([]int, n))
@@ -434,7 +443,7 @@ func (g *Graph) IntraTopoOrderInto(order, indeg []int) ([]int, error) {
 		}
 	}
 	if len(order) != n {
-		return nil, fmt.Errorf("ir: intra-iteration dependence cycle in loop %q", g.Loop.Name)
+		return nil, fmt.Errorf("%w in loop %q", ErrIntraCycle, g.Loop.Name)
 	}
 	return order, nil
 }

@@ -44,7 +44,9 @@ type Instruction struct {
 	// CarriedUses marks uses (by VReg) that read the value produced by
 	// the *previous* iteration rather than the current one — the y[i-1]
 	// of a first-order recurrence. The DDG builder turns each into a
-	// loop-carried true dependence with distance CarriedUses[v].
+	// loop-carried true dependence with distance CarriedUses[v]. Graph
+	// clones share the map, so it is never written once built: a spill
+	// splice installs a new one.
 	CarriedUses map[VReg]int
 	// SpillOf records, on OpSpillReload instructions only, which virtual
 	// register's value the reload reproduces. Paired reloads also carry a

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"github.com/paper-repo-growth/mirs/internal/buf"
@@ -206,9 +205,18 @@ func (g *Graph) splice(reg VReg, storeAfter int, cons, dist []int) *Spill {
 			}
 		}
 		if _, carried := in.CarriedUses[reg]; carried && storeAfter >= 0 {
-			if delete(in.CarriedUses, reg); len(in.CarriedUses) == 0 {
-				in.CarriedUses = nil
+			// Clones share CarriedUses maps, so the map is replaced,
+			// never written.
+			var kept map[VReg]int
+			for v, d := range in.CarriedUses {
+				if v != reg {
+					if kept == nil {
+						kept = make(map[VReg]int, len(in.CarriedUses)-1)
+					}
+					kept[v] = d
+				}
 			}
+			in.CarriedUses = kept
 		}
 	}
 	g.nextReg += VReg(k)
@@ -266,15 +274,16 @@ func (g *Graph) splice(reg VReg, storeAfter int, cons, dist []int) *Spill {
 	return sp
 }
 
-// Clone returns a deep copy of g and its loop, operand slices and
-// CarriedUses maps included, so the copy can be spliced while g stays
-// intact.
+// Clone returns a deep copy of g and its loop, operand slices included,
+// so the copy can be spliced while g stays intact. CarriedUses maps are
+// shared: nothing writes one once it is built, and a splice installs a
+// new map instead.
 func (g *Graph) Clone() *Graph { return g.CloneInto(nil) }
 
 // CloneInto is Clone reusing the storage of dst: its loop, instructions,
-// operands, CarriedUses maps, spill instructions, edges and adjacency
-// arrays are all overwritten, so nothing may still depend on them, and
-// dst must not be g. A nil dst allocates fresh storage.
+// operands, spill instructions, edges and adjacency arrays are all
+// overwritten, so nothing may still depend on them, and dst must not be
+// g. A nil dst allocates fresh storage.
 func (g *Graph) CloneInto(dst *Graph) *Graph {
 	if dst == nil {
 		dst = &Graph{Loop: &Loop{}}
@@ -289,17 +298,8 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 	dst.Loop.Name, dst.Loop.Instrs = l.Name, buf.Grow(dst.Loop.Instrs, n)
 	for i, src := range l.Instrs {
 		in := &dst.instrBack[i]
-		carried := in.CarriedUses // dst's own map from an earlier clone, if any
 		*in = *src
-		in.Defs, in.Uses, in.CarriedUses = dst.carve(src.Defs), dst.carve(src.Uses), nil
-		if src.CarriedUses != nil {
-			if carried == nil {
-				carried = make(map[VReg]int, len(src.CarriedUses))
-			}
-			clear(carried)
-			maps.Copy(carried, src.CarriedUses)
-			in.CarriedUses = carried
-		}
+		in.Defs, in.Uses = dst.carve(src.Defs), dst.carve(src.Uses)
 		dst.Loop.Instrs[i] = in
 	}
 	dst.spillUsed = 0

@@ -95,6 +95,13 @@ func TestMaterializeSpillCarriedConsumer(t *testing.T) {
 	if _, still := fadd.CarriedUses[4]; still {
 		t.Error("rewritten consumer still declares a carried use of v4")
 	}
+	// Clones share CarriedUses maps: the splice must have replaced the
+	// clone's, leaving the source still reading v4 two iterations back.
+	for what, in := range map[string]*Instruction{"source graph": g.Loop.Instrs[1], "source loop": l.Instrs[1]} {
+		if d, ok := in.CarriedUses[4]; !ok || d != 2 || len(in.CarriedUses) != 1 {
+			t.Errorf("splicing a clone changed the %s's carried uses: %v", what, in.CarriedUses)
+		}
+	}
 	reload := sp.OldToNew[1] - 1
 	e := findEdge(sg, sp.StoreID, reload, DepMem)
 	if e == nil {

@@ -141,8 +141,8 @@ func TestSpillPathAllocs(t *testing.T) {
 		l     *ir.Loop
 		limit float64
 	}{
-		{ir.Hydro(), 223 * 1.25},
-		{ir.FIR8(), 214 * 1.25},
+		{ir.Hydro(), 167 * 1.25},
+		{ir.FIR8(), 158 * 1.25},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := New().Schedule(&sched.Request{Loop: tc.l, Machine: m}); err != nil {

@@ -31,8 +31,8 @@ type MII struct {
 
 // ComputeMII returns the MII decomposition for graph g on machine m. It
 // fails if the loop uses an operation class no functional unit supports,
-// or if the graph has an intra-iteration cycle (total distance 0), which
-// no II can satisfy.
+// or, with ir.ErrIntraCycle, if the graph has an intra-iteration cycle
+// (total distance 0), which no well-formed loop has.
 func ComputeMII(g *ir.Graph, m *machine.Machine) (MII, error) {
 	res, critClass, err := ResMII(g.Loop, m)
 	if err != nil {
@@ -100,13 +100,18 @@ func ResMII(l *ir.Loop, m *machine.Machine) (int, machine.OpClass, error) {
 // internal edge is evaluated as it pops, finding by binary search the
 // smallest II such that no cycle has positive slack latency -
 // II*distance. The first component maximising that II is critical. An
-// acyclic graph yields RecMII = 1 and a nil SCC.
+// acyclic graph yields RecMII = 1 and a nil SCC. A graph with a
+// distance-0 cycle fails first, with ir.ErrIntraCycle.
 //
-// All scratch — Tarjan's numbering, its two stacks, the component labels
-// and the longest-path values — lives in one array allocated per call.
+// All scratch — Tarjan's numbering, its two stacks, the component
+// labels and the longest-path values, and before them the topological
+// check's queue and in-degrees — lives in one array allocated per call.
 func RecMII(g *ir.Graph) (int, []int, error) {
 	n := g.NumNodes()
 	scratch := make([]int, 7*n)
+	if _, err := g.IntraTopoOrderInto(scratch[:0:n], scratch[n:2*n]); err != nil {
+		return 0, nil, err
+	}
 	index, low, comp := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
 	stack, frames, next := scratch[3*n:3*n:4*n], scratch[4*n:4*n:5*n], scratch[5*n:6*n]
 	dist := scratch[6*n:]
@@ -156,11 +161,7 @@ func RecMII(g *ir.Graph) (int, []int, error) {
 			for _, w := range members {
 				comp[w] = comps
 			}
-			ii, cyclic, err := componentMinII(g, members, comp, comps, dist)
-			if err != nil {
-				return 0, nil, err
-			}
-			if cyclic && ii > rec {
+			if ii, cyclic := componentMinII(g, members, comp, comps, dist); cyclic && ii > rec {
 				rec, critical, critLen = ii, comps, len(members)
 			}
 			comps++
@@ -183,12 +184,12 @@ func RecMII(g *ir.Graph) (int, []int, error) {
 // cycle with positive slack latency - II*distance, and reports whether
 // the component has an internal edge at all (a singleton has one only
 // through a self edge; without one there is no recurrence and no bound).
-// Feasibility is monotone in II because every cycle inside a component
-// of a valid dependence graph has total distance >= 1, so binary search
-// applies. The upper bound is the sum of internal edge latencies: any
-// cycle's latency is at most that sum while its distance is at least 1.
-// dist is scratch indexed by node.
-func componentMinII(g *ir.Graph, members, comp []int, id int, dist []int) (int, bool, error) {
+// Feasibility is monotone in II because every cycle of a graph without
+// distance-0 cycles (RecMII checks first) has total distance >= 1, so
+// binary search applies. The upper bound is the sum of internal edge
+// latencies: any cycle's latency is at most that sum while its distance
+// is at least 1. dist is scratch indexed by node.
+func componentMinII(g *ir.Graph, members, comp []int, id int, dist []int) (int, bool) {
 	latSum, cyclic := 0, false
 	for _, v := range members {
 		for _, e := range g.Succs(v) {
@@ -199,16 +200,9 @@ func componentMinII(g *ir.Graph, members, comp []int, id int, dist []int) (int, 
 		}
 	}
 	if !cyclic {
-		return 0, false, nil
+		return 0, false
 	}
-	hi := max(latSum, 1)
-	if !componentFeasible(g, members, comp, id, dist, hi) {
-		// Name the members in the order Tarjan's algorithm pops them.
-		popped := slices.Clone(members)
-		slices.Reverse(popped)
-		return 0, true, fmt.Errorf("sched: recurrence over %v unsatisfiable at II=%d (distance-0 cycle?)", popped, hi)
-	}
-	lo := 1
+	lo, hi := 1, max(latSum, 1)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if componentFeasible(g, members, comp, id, dist, mid) {
@@ -217,7 +211,7 @@ func componentMinII(g *ir.Graph, members, comp []int, id int, dist []int) (int, 
 			lo = mid + 1
 		}
 	}
-	return lo, true, nil
+	return lo, true
 }
 
 // componentFeasible reports whether, at the given II, component id has

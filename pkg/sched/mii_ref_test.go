@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -104,24 +105,27 @@ func FuzzRecMII(f *testing.F) {
 var distanceZeroCycle = []byte{2, 0x10, 0, 1, 0x01, 0, 1, 0x22, 1, 3}
 
 // TestRecMIIDistanceZeroCycle: a recurrence without an iteration
-// boundary fails with the reference's error, naming the members in pop
-// order and the bound the binary search started from.
+// boundary fails with ir.ErrIntraCycle naming the loop, at latency 1
+// (no II satisfies it) and at latency 0 (every II would, but the graph
+// is not a well-formed loop's), like the reference.
 func TestRecMIIDistanceZeroCycle(t *testing.T) {
-	l := &ir.Loop{Name: "zero"}
-	for i := 0; i < 3; i++ {
-		l.Instrs = append(l.Instrs, &ir.Instruction{ID: i, Op: "nop", Class: machine.ClassALU})
-	}
-	g := buildGraph(t, l, machine.Unified())
-	for _, e := range []ir.Edge{{From: 0, To: 1, Kind: ir.DepMem, Latency: 1}, {From: 1, To: 0, Kind: ir.DepMem, Latency: 1}} {
-		if err := g.AddEdge(e); err != nil {
-			t.Fatal(err)
+	for _, lat := range []int{0, 1} {
+		l := &ir.Loop{Name: "zero"}
+		for i := 0; i < 3; i++ {
+			l.Instrs = append(l.Instrs, &ir.Instruction{ID: i, Op: "nop", Class: machine.ClassALU})
 		}
+		g := buildGraph(t, l, machine.Unified())
+		for _, e := range []ir.Edge{{From: 0, To: 1, Kind: ir.DepMem, Latency: lat}, {From: 1, To: 0, Kind: ir.DepMem, Latency: lat}} {
+			if err := g.AddEdge(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _, err := RecMII(g)
+		if want := `ir: intra-iteration dependence cycle in loop "zero"`; !errors.Is(err, ir.ErrIntraCycle) || fmt.Sprint(err) != want {
+			t.Fatalf("latency %d: RecMII error %v, want %s", lat, err, want)
+		}
+		sameRecMII(t, "zero", g)
 	}
-	_, _, err := RecMII(g)
-	if want := "sched: recurrence over [1 0] unsatisfiable at II=2 (distance-0 cycle?)"; fmt.Sprint(err) != want {
-		t.Fatalf("RecMII error %v, want %s", err, want)
-	}
-	sameRecMII(t, "zero", g)
 }
 
 // TestSCCsPartition: the reference's components partition the nodes.
@@ -157,6 +161,9 @@ func TestSCCsPartition(t *testing.T) {
 // maximising that II is critical. An acyclic graph yields RecMII = 1 and
 // a nil SCC.
 func refRecMII(g *ir.Graph) (int, []int, error) {
+	if _, err := g.IntraTopoOrder(); err != nil {
+		return 0, nil, err
+	}
 	rec, critical := 1, []int(nil)
 	for _, scc := range refSCCs(g) {
 		if !refSCCHasCycle(g, scc) {
@@ -279,7 +286,7 @@ func refSCCMinII(g *ir.Graph, scc []int) (int, error) {
 		hi = 1
 	}
 	if !refSCCFeasible(g, scc, pos, dist, hi) {
-		return 0, fmt.Errorf("sched: recurrence over %v unsatisfiable at II=%d (distance-0 cycle?)", scc, hi)
+		return 0, fmt.Errorf("sched: recurrence over %v unsatisfiable at II=%d", scc, hi)
 	}
 	lo := 1
 	for lo < hi {
