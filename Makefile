@@ -23,7 +23,8 @@ race:
 # execution of emitted programs on pkg/vm, then the exact backend (CNF
 # building + CDCL search) over the gap grid, then lowering of expanded
 # kernels to bundles. Allocations per full-pipeline compile are pinned
-# by TestCompileAllocs, per spilling schedule by TestSpillPathAllocs,
+# by TestCompileAllocs, per compile + emit + verify by
+# TestPipelineAllocs, per spilling schedule by TestSpillPathAllocs,
 # per loop of the front end by TestFrontEndAllocs, per opt grid pass by
 # TestOptAllocs, per oracle pass by TestVerifyAllocs, per emit pass by
 # TestEmitAllocs and per expansion by TestExpandAllocs in `make test`;

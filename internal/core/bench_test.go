@@ -1,14 +1,17 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"github.com/paper-repo-growth/mirs/pkg/emit"
 	"github.com/paper-repo-growth/mirs/pkg/gen"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/mirs"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
+	"github.com/paper-repo-growth/mirs/pkg/vm"
 )
 
 // benchMachines is the machine grid the benchmarks sweep.
@@ -67,6 +70,44 @@ func TestCompileAllocs(t *testing.T) {
 		}
 	}
 	check("mirs x Tight", mirs.New(), machine.Tight(), gen.Corpus(1, 60))
+}
+
+// TestPipelineAllocs pins heap allocations per pass of the whole path a
+// benchmark job takes — CompileWithOpts, emit.Emit and vm.VerifyProgram
+// at predicated trips {Stages, Trip+1, 512} under the loop's ExecSeed —
+// over gen.Corpus(1, 24) by the list backend on each canned machine:
+// the list-longtrip workload's shape, where emission and the
+// differential oracle dominate. TestCompileAllocs stops before emit and
+// verify. Limits are the Go 1.24 linux/amd64 measurements plus 25%.
+func TestPipelineAllocs(t *testing.T) {
+	measured := map[string]float64{"unified": 1965, "paper-4cluster": 2458, "tight": 2318}
+	loops := gen.Corpus(1, 24)
+	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
+		allocs := testing.AllocsPerRun(2, func() {
+			for _, l := range loops {
+				r, err := CompileWithOpts(context.Background(), sched.ListScheduler{}, l, m, Opts{})
+				if err != nil {
+					t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
+				}
+				prog, err := emit.Emit(r.Expanded)
+				if err != nil {
+					t.Fatalf("%s on %s: emit: %v", l.Name, m.Name, err)
+				}
+				opts := vm.Options{Seed: ExecSeed(l.Name), PredTrips: []int{prog.Stages, prog.Trip + 1, 512}}
+				rep, err := vm.VerifyProgram(r.Expanded, prog, opts)
+				if err != nil {
+					t.Fatalf("%s on %s: exec: %v", l.Name, m.Name, err)
+				}
+				if !rep.OK() {
+					t.Fatal(rep.String())
+				}
+			}
+		})
+		t.Logf("%s: %.0f allocs per corpus pass", m.Name, allocs)
+		if limit := measured[m.Name] * 1.25; allocs > limit {
+			t.Errorf("%s: %.0f allocs per corpus pass, limit %.0f (measured %.0f)", m.Name, allocs, limit, measured[m.Name])
+		}
+	}
 }
 
 // BenchmarkPlacement isolates the steady-state placement path: the

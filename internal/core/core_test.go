@@ -153,24 +153,37 @@ func TestCompileRejectsUnschedulableLoop(t *testing.T) {
 
 // TestBackendsRefuseIntraCycle: a dependence cycle that never crosses
 // an iteration boundary is refused by every backend with
-// ir.ErrIntraCycle, at latency 1 (no II satisfies it) and at latency 0.
-// At latency 0 MII computation used to succeed, list and MIRS then
-// failed with an unnamed error and opt scheduled the graph.
+// ir.ErrIntraCycle, at latency 1 (no II satisfies it) and at latency 0,
+// whether the backend computes MII itself or the request supplies one
+// (as CompileWithOpts does). At latency 0 MII computation used to
+// succeed, list and MIRS then failed with an unnamed error and opt
+// scheduled the graph; with a supplied MII, which skips ComputeMII, opt
+// scheduled it too.
 func TestBackendsRefuseIntraCycle(t *testing.T) {
 	m := machine.Unified()
 	for _, lat := range []int{0, 1} {
 		for _, be := range append(Backends(), Opt(0)) {
-			g, err := ir.Build(ir.DotProduct(), m, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range []ir.Edge{{From: 0, To: 1, Kind: ir.DepMem, Latency: lat}, {From: 1, To: 0, Kind: ir.DepMem, Latency: lat}} {
-				if err := g.AddEdge(e); err != nil {
+			for _, supplied := range []bool{false, true} {
+				g, err := ir.Build(ir.DotProduct(), m, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if _, err := be.Schedule(&sched.Request{Loop: g.Loop, Machine: m, Graph: g}); !errors.Is(err, ir.ErrIntraCycle) {
-				t.Errorf("%s, latency %d: got %v, want ir.ErrIntraCycle", be.Name(), lat, err)
+				mii, err := sched.ComputeMII(g, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range []ir.Edge{{From: 0, To: 1, Kind: ir.DepMem, Latency: lat}, {From: 1, To: 0, Kind: ir.DepMem, Latency: lat}} {
+					if err := g.AddEdge(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				req := &sched.Request{Loop: g.Loop, Machine: m, Graph: g}
+				if supplied {
+					req.MII = &mii
+				}
+				if _, err := be.Schedule(req); !errors.Is(err, ir.ErrIntraCycle) {
+					t.Errorf("%s, latency %d, supplied MII %v: got %v, want ir.ErrIntraCycle", be.Name(), lat, supplied, err)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/pkg/emit"
@@ -61,13 +62,8 @@ func TestExecAllBackendsAgree(t *testing.T) {
 					if !bytes.Equal(st.Mem[:obs], ref.Mem[:obs]) {
 						t.Errorf("observable memory differs from the sequential reference")
 					}
-					for v, want := range ref.RegFinal {
-						if got, ok := st.RegFinal[v]; !ok || got != want {
-							t.Errorf("final %s = %d (present %v), reference %d", v, got, ok, want)
-						}
-					}
-					if len(st.RegFinal) != len(ref.RegFinal) {
-						t.Errorf("%d final registers, reference has %d", len(st.RegFinal), len(ref.RegFinal))
+					if !slices.Equal(st.RegFinal, ref.RegFinal) {
+						t.Errorf("final registers %v, reference %v", st.RegFinal, ref.RegFinal)
 					}
 				})
 			}

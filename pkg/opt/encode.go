@@ -63,7 +63,11 @@ type xferGroup struct {
 	cons []int // consumer instruction ids, From != To
 }
 
-func newAnalysis(req *sched.Request, g *ir.Graph, mii sched.MII, maxII int) *analysis {
+// newAnalysis derives the attempt-independent tables. It fails with
+// ir.ErrIntraCycle on a distance-0 dependence cycle, which no II
+// satisfies and which sched.ComputeMII catches only when the request
+// leaves MII to Prepare.
+func newAnalysis(req *sched.Request, g *ir.Graph, mii sched.MII, maxII int) (*analysis, error) {
 	m := req.Machine
 	a := &analysis{
 		req:    req,
@@ -85,6 +89,15 @@ func newAnalysis(req *sched.Request, g *ir.Graph, mii sched.MII, maxII int) *ana
 	a.lat = make([]int, a.n)
 	nu := len(a.units)
 	compat, unitIdx := make([]int, a.n*nu), make([]int, a.n*nu)
+	// Until they are filled, the two tables are the order check's
+	// scratch: a queue and in-degrees of a.n entries each.
+	order, indeg := compat[:0], unitIdx
+	if nu == 0 {
+		order, indeg = make([]int, 0, a.n), make([]int, a.n)
+	}
+	if _, err := g.IntraTopoOrderInto(order, indeg); err != nil {
+		return nil, err
+	}
 	for i, in := range req.Loop.Instrs {
 		a.lat[i] = m.Latency(in.Class)
 		a.unitIdx[i] = unitIdx[i*nu : (i+1)*nu : (i+1)*nu]
@@ -102,7 +115,7 @@ func newAnalysis(req *sched.Request, g *ir.Graph, mii sched.MII, maxII int) *ana
 		a.symm = clustersInterchangeable(m)
 		a.groups = transferGroups(g)
 	}
-	return a
+	return a, nil
 }
 
 // transferGroups collects the potential bus transfers in

@@ -95,8 +95,12 @@ func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempt
 	if err != nil {
 		return nil, nil, err
 	}
+	ana, err := newAnalysis(req, g, mii, maxII)
+	if err != nil {
+		return nil, nil, err
+	}
 	sw := &optSweep{LinearSweep: sched.LinearSweep{Last: maxII - mii.MII}, req: req, maxII: maxII}
-	at := optAttempter{ana: newAnalysis(req, g, mii, maxII), budget: s.opts.Budget}
+	at := optAttempter{ana: ana, budget: s.opts.Budget}
 	return sw, func() sched.Attempter {
 		cp := at
 		return &cp

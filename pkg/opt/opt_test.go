@@ -247,7 +247,10 @@ func TestWorkspaceMatchesNewSolver(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
 		}
-		ana := newAnalysis(req, g, mii, maxII)
+		ana, err := newAnalysis(req, g, mii, maxII)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
+		}
 		for ii := mii.MII; ii <= mii.MII+2; ii++ {
 			fresh := (&encoder{s: sat.New()}).build(ana, ii)
 			st := fresh.s.Solve(budget, nil)

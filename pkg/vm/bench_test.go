@@ -1,6 +1,8 @@
 package vm_test
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/pkg/emit"
@@ -58,10 +60,10 @@ func verifyAll(tb testing.TB, jobs []verifyJob) {
 // BenchmarkVerifyProgram measures the differential oracle alone: the
 // verifyCorpus programs are compiled and emitted once per machine
 // outside the timed loop, and one op verifies every program — decoding
-// it, one sequential reference pass to trip 512 with snapshots at the
-// smaller trips, the MVE plan, and the predicated plan at trips {Trip,
-// Stages, Trip+1, 512}. Run with -benchmem: allocs/op is what the
-// per-program decode and per-run bookkeeping show up in.
+// it, one resumable sequential reference pass to trip 512, the MVE plan,
+// and the predicated plan at trips {Trip, Stages, Trip+1, 512}. Run with
+// -benchmem: allocs/op is what the per-program decode and any per-run
+// bookkeeping show up in.
 func BenchmarkVerifyProgram(b *testing.B) {
 	for _, m := range machines() {
 		b.Run(m.Name, func(b *testing.B) {
@@ -75,18 +77,46 @@ func BenchmarkVerifyProgram(b *testing.B) {
 	}
 }
 
-// TestVerifyAllocs pins the oracle's allocations per pass over the
-// BenchmarkVerifyProgram corpus, the TestCompileAllocs way: the
-// committed counts were measured with Go 1.24 and get 25% headroom. A
-// program decoded per run instead of once per VerifyProgram, or a
-// reference run per trip instead of one pass, multiplies them.
+// TestVerifyAllocs pins the oracle's allocations and bytes per pass
+// over the BenchmarkVerifyProgram corpus, the TestOptAllocs way: the
+// committed counts were measured with Go 1.24 on linux/amd64 and get 25%
+// headroom. It also holds every single VerifyProgram call to
+// maxVerifyAllocs: the oracle allocates per program — one arena, one
+// ring, the bound semantics and the report — so a table decoded per
+// run, a reference state per trip or a label formatted per run shows
+// up on every program, not only in the pass total.
 func TestVerifyAllocs(t *testing.T) {
-	measured := map[string]float64{"unified": 1918, "paper-4cluster": 1919, "tight": 1906}
+	const maxVerifyAllocs = 24
+	measured := map[string]struct{ allocs, kib uint64 }{
+		"unified":        {393, 561},
+		"paper-4cluster": {394, 571},
+		"tight":          {380, 543},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, m := range machines() {
 		jobs := verifyCorpus(t, m)
-		allocs := testing.AllocsPerRun(2, func() { verifyAll(t, jobs) })
-		if limit := measured[m.Name] * 1.25; allocs > limit {
-			t.Errorf("%s: %.0f allocs per corpus pass, limit %.0f (measured %.0f)", m.Name, allocs, limit, measured[m.Name])
+		verifyAll(t, jobs)
+		allocs, kib := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		for range 2 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			verifyAll(t, jobs)
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+			kib = min(kib, (after.TotalAlloc-before.TotalAlloc)/1024)
+		}
+		want := measured[m.Name]
+		if limit := float64(want.allocs) * 1.25; float64(allocs) > limit {
+			t.Errorf("%s: %d allocs per corpus pass, limit %.0f (measured %d)", m.Name, allocs, limit, want.allocs)
+		}
+		if limit := float64(want.kib) * 1.25; float64(kib) > limit {
+			t.Errorf("%s: %d KiB allocated per corpus pass, limit %.0f (measured %d)", m.Name, kib, limit, want.kib)
+		}
+		t.Logf("%s: %d allocs, %d KiB per corpus pass", m.Name, allocs, kib)
+		for _, j := range jobs {
+			if n := testing.AllocsPerRun(2, func() { verifyAll(t, []verifyJob{j}) }); n > maxVerifyAllocs {
+				t.Errorf("%s on %s: %.0f allocs per VerifyProgram, limit %d", j.prog.Loop.Name, m.Name, n, maxVerifyAllocs)
+			}
 		}
 	}
 }

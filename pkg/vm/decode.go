@@ -127,6 +127,46 @@ func (sem *Semantics) checkMemLen() error {
 	return nil
 }
 
+// arena backs one call's decoded tables and machine state: one array
+// per element type, sized by a counting pass (sizes) and carved into
+// capacity-capped slices, so decoding and running a program allocate a
+// fixed handful of times whatever its size, trip counts or run count.
+type arena struct {
+	dops []dop
+	i32  []int32
+	ints []int
+	u64  []uint64
+	mem  []byte
+	outs []LiveOut
+}
+
+// sizes is the counting pass's result: how many elements of each type
+// an arena must hold.
+type sizes struct{ dops, i32, ints, u64, mem, outs int }
+
+// alloc makes the arena: one allocation per element type.
+func (sz *sizes) alloc() *arena {
+	return &arena{
+		dops: make([]dop, sz.dops),
+		i32:  make([]int32, sz.i32),
+		ints: make([]int, sz.ints),
+		u64:  make([]uint64, sz.u64),
+		mem:  make([]byte, sz.mem),
+		outs: make([]LiveOut, sz.outs),
+	}
+}
+
+// carve cuts the first k elements off *buf as a capacity-capped slice,
+// nil when k is 0.
+func carve[T any](buf *[]T, k int) []T {
+	if k == 0 {
+		return nil
+	}
+	s := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return s
+}
+
 // plan is an emitted program decoded for the pipelined executor. Its
 // locations are flat: the register files of all clusters back to back,
 // then the frame slots, so a location is one index into a value array.
@@ -180,35 +220,16 @@ func (p *plan) flat(l emit.Loc) (i int, ok bool) {
 	return i, i < end
 }
 
-// decodeProgram decodes prog for execution against sem. A latency or
-// transfer delay below 1 is an error — such a commit would land in a
-// cycle whose writebacks were already applied — reported for the first
-// offending kernel op, else recorded in mveErr for the first offending
-// prologue or epilogue op.
-func decodeProgram(sem *Semantics, prog *emit.Program) (*plan, error) {
-	if err := sem.checkMemLen(); err != nil {
-		return nil, err
-	}
-	m := prog.Machine
-	p := &plan{sem: sem, prog: prog, code: code{k: sem.K}, longest: 1}
-	p.clusterBase = make([]int, m.NumClusters())
-	for ci := range p.clusterBase {
-		p.clusterBase[ci] = p.frameBase
-		p.frameBase += m.RegsPerCluster(ci)
-	}
-	p.init = make([]uint64, p.frameBase+len(prog.Frame))
-	for ci, names := range prog.Names {
-		for idx, name := range names {
-			p.init[p.clusterBase[ci]+idx] = sem.initReg(name.Reg)
-		}
-	}
-	for idx, fs := range prog.Frame {
-		p.init[p.frameBase+idx] = sem.initReg(fs.Name.Reg)
-	}
+// segments are an emitted program's bundles in timeline order.
+func segments(prog *emit.Program) [3][]emit.Bundle {
+	return [3][]emit.Bundle{prog.Prologue, prog.Kernel, prog.Epilogue}
+}
 
-	nb, nops, nargs := 0, 0, 0
-	segs := [3][]emit.Bundle{prog.Prologue, prog.Kernel, prog.Epilogue}
-	for _, seg := range segs {
+// planShape counts prog's bundle index entries (one per bundle plus
+// the closing one), ops and operand slots.
+func planShape(prog *emit.Program) (nb, nops, nargs int) {
+	nb = 1
+	for _, seg := range segments(prog) {
 		nb += len(seg)
 		for bi := range seg {
 			nops += len(seg[bi].Ops)
@@ -218,9 +239,57 @@ func decodeProgram(sem *Semantics, prog *emit.Program) (*plan, error) {
 			}
 		}
 	}
-	p.bundles = make([]int32, 0, nb+1)
-	p.ops = make([]dop, 0, nops)
-	p.args = make([]int32, 0, nargs)
+	return nb, nops, nargs
+}
+
+// countPlan adds what plan.decode and one run state carve for prog
+// against sem: the op and operand tables, the bundle index, the cluster
+// bases, the initial and working register images, the last-writer
+// table, the initial and working memory images and the live-outs.
+func (sz *sizes) countPlan(sem *Semantics, prog *emit.Program) {
+	m := prog.Machine
+	image := len(prog.Frame)
+	for ci := range m.NumClusters() {
+		image += m.RegsPerCluster(ci)
+	}
+	nb, nops, nargs := planShape(prog)
+	sz.dops += nops
+	sz.i32 += nb + nargs
+	sz.ints += m.NumClusters() + image
+	sz.u64 += 2 * image
+	sz.mem += 2 * sem.MemLen()
+	sz.outs += len(sem.outs)
+}
+
+// decode decodes prog for execution against sem into p, carving its
+// tables from a (sized by countPlan). A latency or transfer delay below
+// 1 is an error — such a commit would land in a cycle whose writebacks
+// were already applied — reported for the first offending kernel op,
+// else recorded in mveErr for the first offending prologue or epilogue
+// op. The caller has checked sem.checkMemLen.
+func (p *plan) decode(sem *Semantics, prog *emit.Program, a *arena) error {
+	m := prog.Machine
+	*p = plan{sem: sem, prog: prog, code: code{k: sem.K}, longest: 1}
+	p.clusterBase = carve(&a.ints, m.NumClusters())
+	for ci := range p.clusterBase {
+		p.clusterBase[ci] = p.frameBase
+		p.frameBase += m.RegsPerCluster(ci)
+	}
+	p.init = carve(&a.u64, p.frameBase+len(prog.Frame))
+	for ci, names := range prog.Names {
+		for idx, name := range names {
+			p.init[p.clusterBase[ci]+idx] = sem.initReg(name.Reg)
+		}
+	}
+	for idx, fs := range prog.Frame {
+		p.init[p.frameBase+idx] = sem.initReg(fs.Name.Reg)
+	}
+
+	nb, nops, nargs := planShape(prog)
+	segs := segments(prog)
+	p.bundles = carve(&a.i32, nb)[:0]
+	p.ops = carve(&a.dops, nops)[:0]
+	p.args = carve(&a.i32, nargs)[:0]
 	var timing [3]error
 	for si, seg := range segs {
 		for bi := range seg {
@@ -229,7 +298,7 @@ func decodeProgram(sem *Semantics, prog *emit.Program) (*plan, error) {
 			for oi := range seg[bi].Ops {
 				bad, err := p.decodeOp(&seg[bi].Ops[oi])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if timing[si] == nil {
 					timing[si] = bad
@@ -245,15 +314,16 @@ func decodeProgram(sem *Semantics, prog *emit.Program) (*plan, error) {
 	}
 	p.bundles = append(p.bundles, int32(len(p.ops)))
 	if timing[1] != nil {
-		return nil, timing[1]
+		return timing[1]
 	}
 	p.mveErr = timing[0]
 	if p.mveErr == nil {
 		p.mveErr = timing[2]
 	}
 
-	p.mem = sem.NewMemImage()
-	return p, nil
+	p.mem = carve(&a.mem, sem.MemLen())
+	sem.fillMemImage(p.mem)
+	return nil
 }
 
 // decodeOp appends one emitted op. A latency or transfer delay below 1

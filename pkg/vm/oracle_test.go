@@ -2,6 +2,8 @@ package vm
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"slices"
 	"testing"
 
@@ -73,8 +75,15 @@ var faults = []fault{
 // pins the deterministic total caught, and requires a catch per kind: a
 // weakened oracle (an operand rule that ignores order, a writeback that
 // no longer lands, a comparison that skips live-outs) lowers the count.
+// The test also pins an FNV-1a hash of every fault run's mismatch lines,
+// in report order, measured before the oracle's reference became a
+// resumable cursor: the reports, not only the verdicts, must stay put.
 func TestOracleCatchesFaults(t *testing.T) {
-	const wantCaught = 847 // swapped sources 319, redirected defs 343, dropped transfers 185
+	const (
+		wantCaught = 847 // swapped sources 319, redirected defs 343, dropped transfers 185
+		wantHash   = 0x20596976faba0dd1
+	)
+	h := fnv.New64a()
 	injected := make([]int, len(faults))
 	caught := make([]int, len(faults))
 	x := uint64(0x6661756c74) // "fault"
@@ -96,6 +105,10 @@ func TestOracleCatchesFaults(t *testing.T) {
 			if !rep.OK() {
 				caught[k]++
 			}
+			fmt.Fprintf(h, "%s, %s:\n", gc.at, f.name)
+			for _, line := range rep.Mismatches {
+				io.WriteString(h, line+"\n")
+			}
 		}
 	}
 	total := 0
@@ -108,5 +121,8 @@ func TestOracleCatchesFaults(t *testing.T) {
 	}
 	if total != wantCaught {
 		t.Errorf("%d faults caught, want %d: %s", total, wantCaught, fmt.Sprint(caught))
+	}
+	if got := h.Sum64(); got != wantHash {
+		t.Errorf("mismatch reports hash to %#x, want %#x", got, uint64(wantHash))
 	}
 }

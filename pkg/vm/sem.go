@@ -157,19 +157,20 @@ func bind(l *ir.Loop, g *ir.Graph, seed uint64, slackK int) (*Semantics, error) 
 	// Reaching definitions per use position, from the graph's true edges
 	// (highest-indexed edge wins, matching the renaming derivation in
 	// pkg/sched, so semantics and renaming can never disagree about which
-	// value a use reads).
+	// value a use reads). The operand lists and the spill pairing below
+	// are carved from one array.
 	nuses := 0
 	for _, in := range l.Instrs {
 		nuses += len(in.Uses)
 	}
-	back := make([]srcRef, nuses)
-	for j := range back {
-		back[j] = srcRef{site: -1}
+	refs := make([]srcRef, nuses+n)
+	for j := range refs {
+		refs[j] = srcRef{site: -1}
 	}
-	srcs := make([][]srcRef, n)
 	for id, in := range l.Instrs {
-		srcs[id], back = back[:len(in.Uses):len(in.Uses)], back[len(in.Uses):]
+		sem.ops[id].srcs = carve(&refs, len(in.Uses))
 	}
+	pair := refs
 	maxDist := 1
 	for i := range g.Edges {
 		e := &g.Edges[i]
@@ -178,7 +179,7 @@ func bind(l *ir.Loop, g *ir.Graph, seed uint64, slackK int) (*Semantics, error) 
 		}
 		for j, uv := range l.Instrs[e.To].Uses {
 			if uv == e.Reg {
-				srcs[e.To][j] = srcRef{site: int32(e.From), dist: int32(e.Distance)}
+				sem.ops[e.To].srcs[j] = srcRef{site: int32(e.From), dist: int32(e.Distance)}
 				if e.Distance > maxDist {
 					maxDist = e.Distance
 				}
@@ -186,28 +187,24 @@ func bind(l *ir.Loop, g *ir.Graph, seed uint64, slackK int) (*Semantics, error) 
 		}
 	}
 
-	// Spill pairing: a reload's incoming DepMem edge from a spill store
-	// names the slot group and distance it reads.
-	group := map[int]int{}
+	// Spill pairing: each spill store owns the next slot group, and a
+	// reload's incoming DepMem edge from a spill store names the group
+	// and distance it reads.
 	for id, in := range l.Instrs {
 		if in.Op == ir.OpSpillStore {
 			if len(in.Uses) == 0 {
 				return nil, fmt.Errorf("vm: bind: spill store %d of loop %q has no operand", id, l.Name)
 			}
-			group[id] = sem.Groups
+			sem.ops[id].kind, sem.ops[id].memIdx = opSpillStore, sem.Groups
 			sem.Groups++
 		}
-	}
-	pair := make([]srcRef, n)
-	for i := range pair {
-		pair[i] = srcRef{site: -1}
 	}
 	for i := range g.Edges {
 		e := &g.Edges[i]
 		if e.Kind != ir.DepMem || l.Instrs[e.To].Op != ir.OpSpillReload {
 			continue
 		}
-		if _, isStore := group[e.From]; isStore {
+		if l.Instrs[e.From].Op == ir.OpSpillStore {
 			pair[e.To] = srcRef{site: int32(e.From), dist: int32(e.Distance)}
 			if e.Distance > maxDist {
 				maxDist = e.Distance
@@ -225,15 +222,13 @@ func bind(l *ir.Loop, g *ir.Graph, seed uint64, slackK int) (*Semantics, error) 
 	ord := 0
 	for id, in := range l.Instrs {
 		op := &sem.ops[id]
-		op.srcs = srcs[id]
 		switch {
 		case in.Op == ir.OpSpillStore:
-			op.kind = opSpillStore
-			op.memIdx = group[id]
+			// kind and group set with the pairing above
 		case in.Op == ir.OpSpillReload:
 			if p := pair[id]; p.site >= 0 {
 				op.kind = opSpillReload
-				op.memIdx = group[int(p.site)]
+				op.memIdx = sem.ops[p.site].memIdx
 				op.pairDist = int(p.dist)
 			} else {
 				op.kind = opLiveInReload
@@ -321,6 +316,13 @@ func (sem *Semantics) ObservableLen() int {
 // before iteration 0 observe exactly what the sequential dataflow does.
 func (sem *Semantics) NewMemImage() []byte {
 	mem := make([]byte, sem.MemLen())
+	sem.fillMemImage(mem)
+	return mem
+}
+
+// fillMemImage writes the initial memory into mem, a zeroed buffer of
+// MemLen bytes.
+func (sem *Semantics) fillMemImage(mem []byte) {
 	for li := 0; li < sem.NLoads; li++ {
 		for w := 0; w < 64; w++ {
 			v := splitmix64(sem.Seed ^ 0x8532_9e20_94c3_1f00 ^ uint64(li)<<32 ^ uint64(w))
@@ -337,7 +339,6 @@ func (sem *Semantics) NewMemImage() []byte {
 			binary.LittleEndian.PutUint64(mem[base+s*8:], init)
 		}
 	}
-	return mem
 }
 
 // slotAddr is slot s of spill group g, in the band after all store

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 )
@@ -23,18 +22,24 @@ func RunSequential(sem *Semantics, trip int) (*State, error) {
 	if err := checkTrip("sequential run", trip); err != nil {
 		return nil, err
 	}
-	h, err := decodeSeq(sem)
-	if err != nil {
+	if err := sem.checkMemLen(); err != nil {
 		return nil, err
 	}
-	return h.run(sem.NewMemImage(), []int{trip})[0], nil
+	var sz sizes
+	sz.countSeq(sem)
+	h := new(history)
+	if err := h.decode(sem, sz.alloc()); err != nil {
+		return nil, err
+	}
+	return h.advance(trip), nil
 }
 
-// history is the sequential executor's decoded form. Its value array is
-// a ring of rows, one per iteration, holding each value a later use can
-// read: a column per (instruction, defined register), and a column per
-// live-in register read. A row's width and the row count are powers of
-// two, so an operand slot is a fixed offset from the current row —
+// history is the sequential executor, decoded and resumable: advance
+// runs it on from the iterations it has executed. Its value array is a
+// ring of rows, one per iteration, holding each value a later use can
+// read: a column per (instruction, defined register) and a column per
+// use of a live-in register. A row's width and the row count are powers
+// of two, so an operand slot is a fixed offset from the current row —
 // column - dist*width — and the ring wraps with one mask. The row count
 // exceeds every dependence distance, so a reaching value is still in
 // the ring when its consumer reads it; every row starts as the columns'
@@ -44,151 +49,150 @@ type history struct {
 	code
 	sem   *Semantics
 	shift int
-	rows  int
-	// row is the initial content of every row.
-	row []uint64
+	// hist is the ring of rows; mem the memory image the run writes.
+	hist []uint64
+	mem  []byte
 	// outCols are the live-outs' columns, parallel to sem.outs.
 	outCols []int32
+	// done counts the iterations executed; st is the state after them,
+	// as of the last advance.
+	done int
+	st   State
 }
 
-// decodeSeq decodes sem for the sequential executor: one dop per
-// instruction, its sources as row offsets, its defs as columns.
-func decodeSeq(sem *Semantics) (*history, error) {
-	if err := sem.checkMemLen(); err != nil {
-		return nil, err
-	}
-	l := sem.Loop
-	n := l.NumInstrs()
-	h := &history{sem: sem, code: code{k: sem.K, ops: make([]dop, n)}}
-
-	// Columns: each instruction's distinct defined registers, then each
-	// distinct live-in register a use reads.
-	first := make([]int32, n+1)
-	nuses, ndefs := 0, 0
-	for _, in := range l.Instrs {
-		nuses, ndefs = nuses+len(in.Uses), ndefs+len(in.Defs)
-	}
-	regs := make([]ir.VReg, 0, ndefs+nuses)
-	for id, in := range l.Instrs {
-		first[id] = int32(len(regs))
-		for _, d := range in.Defs {
-			if !slices.Contains(regs[first[id]:], d) {
-				regs = append(regs, d)
+// seqShape counts the sequential executor's columns — one per defined
+// register of each instruction, then one per live-in use — its operand
+// slots, and its rows.
+func seqShape(sem *Semantics) (cols, nargs, rows int) {
+	for id, in := range sem.Loop.Instrs {
+		cols += len(in.Defs)
+		for _, r := range sem.ops[id].srcs {
+			if r.site < 0 {
+				cols++
 			}
 		}
+		nargs += len(in.Defs) + len(in.Uses)
 	}
-	first[n] = int32(len(regs))
+	return cols, nargs, 1 << bits.Len(uint(sem.histLen-1))
+}
+
+// countSeq adds what history.decode carves for sem: one op per
+// instruction, the operand slots, each instruction's first column, the
+// live-out columns and values, the row ring and the memory image.
+func (sz *sizes) countSeq(sem *Semantics) {
+	n := sem.Loop.NumInstrs()
+	cols, nargs, rows := seqShape(sem)
+	sz.dops += n
+	sz.i32 += nargs + n + 1 + len(sem.outs)
+	sz.u64 += rows << bits.Len(uint(max(cols, 1)-1))
+	sz.mem += sem.MemLen()
+	sz.outs += len(sem.outs)
+}
+
+// decode decodes sem for the sequential executor into h, carving its
+// tables from a (sized by countSeq): one dop per instruction, its
+// sources as row offsets, its defs as columns. The caller has checked
+// sem.checkMemLen.
+func (h *history) decode(sem *Semantics, a *arena) error {
+	l := sem.Loop
+	n := l.NumInstrs()
+	cols, nargs, rows := seqShape(sem)
+	*h = history{sem: sem, code: code{k: sem.K, ops: carve(&a.dops, n)}}
+	h.shift = bits.Len(uint(max(cols, 1) - 1))
+	h.hist = carve(&a.u64, rows<<h.shift)
+	row := h.hist[:1<<h.shift]
+
+	// Columns: each instruction's defined registers, then each live-in
+	// use. first[id] is instruction id's first def column.
+	first := carve(&a.i32, n+1)
+	c := int32(0)
+	for id, in := range l.Instrs {
+		first[id] = c
+		for _, d := range in.Defs {
+			row[c] = sem.initReg(d)
+			c++
+		}
+	}
+	first[n] = c
 	defCol := func(site int, v ir.VReg) int32 {
-		for c := first[site]; c < first[site+1]; c++ {
-			if regs[c] == v {
-				return c
+		for j, d := range l.Instrs[site].Defs {
+			if d == v {
+				return first[site] + int32(j)
 			}
 		}
 		return -1
 	}
-	nargs := int(first[n]) + nuses
-	h.args = make([]int32, 0, nargs)
-	h.rows = 1 << bits.Len(uint(sem.histLen-1))
-	liveIn := first[n]
-	// The sources are placed once the row width is known; collect them
-	// as (column, dist) first.
-	type slot struct{ col, dist int32 }
-	slots := make([]slot, 0, nargs-int(first[n]))
+	h.args = carve(&a.i32, nargs)[:0]
 	for id, in := range l.Instrs {
+		d, err := sem.decodeOp(id)
+		if err != nil {
+			return err
+		}
+		d.off = int32(len(h.args))
 		for j, r := range sem.ops[id].srcs {
 			v := in.Uses[j]
 			if r.site < 0 {
-				c := int32(slices.Index(regs[liveIn:], v))
-				if c < 0 {
-					c = int32(len(regs)) - liveIn
-					regs = append(regs, v)
-				}
-				slots = append(slots, slot{liveIn + c, 0})
+				row[c] = sem.initReg(v)
+				h.args = append(h.args, c)
+				c++
 				continue
 			}
-			c := defCol(int(r.site), v)
-			if c < 0 {
-				return nil, fmt.Errorf("vm: decode: instruction %d reads %s from instruction %d, which does not define it", id, v, r.site)
+			col := defCol(int(r.site), v)
+			if col < 0 {
+				return fmt.Errorf("vm: decode: instruction %d reads %s from instruction %d, which does not define it", id, v, r.site)
 			}
-			slots = append(slots, slot{c, r.dist})
+			h.args = append(h.args, col-r.dist<<h.shift)
 		}
-	}
-	h.shift = bits.Len(uint(max(len(regs), 1) - 1))
-	h.row = make([]uint64, 1<<h.shift)
-	for c, v := range regs {
-		h.row[c] = sem.initReg(v)
-	}
-
-	si := 0
-	for id := range l.Instrs {
-		d, err := sem.decodeOp(id)
-		if err != nil {
-			return nil, err
-		}
-		d.off = int32(len(h.args))
-		for range d.nSrc {
-			s := slots[si]
-			si++
-			h.args = append(h.args, s.col-s.dist<<h.shift)
-		}
-		d.nDef = uint16(first[id+1] - first[id])
-		for c := first[id]; c < first[id+1]; c++ {
-			h.args = append(h.args, c)
+		d.nDef = uint16(len(in.Defs))
+		for k := range in.Defs {
+			h.args = append(h.args, first[id]+int32(k))
 		}
 		h.ops[id] = d
 	}
+	for r := len(row); r < len(h.hist); r += len(row) {
+		copy(h.hist[r:], row)
+	}
 
-	h.outCols = make([]int32, len(sem.outs))
+	h.outCols = carve(&a.i32, len(sem.outs))
+	h.st = State{RegFinal: carve(&a.outs, len(sem.outs)), ObservableLen: sem.ObservableLen()}
 	for k, o := range sem.outs {
 		h.outCols[k] = defCol(o.site, o.reg)
+		h.st.RegFinal[k].Reg = o.reg
 	}
-	return h, nil
+	h.mem = carve(&a.mem, sem.MemLen())
+	sem.fillMemImage(h.mem)
+	h.st.Mem = h.mem
+	return nil
 }
 
-// run executes iterations up to the largest of trips on mem, which must
-// hold the initial image, and returns one state per trip. trips must be
-// ascending and distinct. The reference is prefix-stable — iteration i
-// never depends on a later one — so the state after t iterations of one
-// long run is exactly an independent run of t: each trip's state is a
-// snapshot taken as the run passes it, and the last takes mem itself.
-func (h *history) run(mem []byte, trips []int) []*State {
-	n := len(h.ops)
-	rowLen := 1 << h.shift
-	mask := h.rows*rowLen - 1
-	hist := make([]uint64, h.rows*rowLen)
-	for r := 0; r < len(hist); r += rowLen {
-		copy(hist[r:], h.row)
-	}
-	states := make([]*State, len(trips))
-	next := 0
-	for i := 0; next < len(trips); i++ {
+// advance runs the reference on to trip iterations, which must be at
+// least 1 and no fewer than it has run, and returns the state after
+// them. The reference is prefix-stable — iteration i never depends on a
+// later one — so the state after t iterations of one long run is
+// exactly an independent run of t: advancing through ascending trips
+// yields each trip's reference in turn. The state is h's own: its
+// memory and live-outs move on with the next advance.
+func (h *history) advance(trip int) *State {
+	mask := len(h.hist) - 1
+	for ; h.done < trip; h.done++ {
+		i := h.done
 		cur := (i << h.shift) & mask
 		for k := range h.ops {
 			op := &h.ops[k]
-			out, wAddr, wVal := h.apply(op, i, mem, hist, cur, mask)
+			out, wAddr, wVal := h.apply(op, i, h.mem, h.hist, cur, mask)
 			if wAddr >= 0 {
-				binary.LittleEndian.PutUint64(mem[wAddr:], wVal)
+				binary.LittleEndian.PutUint64(h.mem[wAddr:], wVal)
 			}
 			at := op.off + int32(op.nSrc)
 			for _, c := range h.args[at : at+int32(op.nDef)] {
-				hist[cur+int(c)] = out
+				h.hist[cur+int(c)] = out
 			}
-		}
-		if trip := trips[next]; i+1 == trip {
-			st := &State{
-				Mem: mem, RegFinal: make(map[ir.VReg]uint64, len(h.outCols)), Trip: trip,
-				Cycles:        trip * n,
-				ObservableLen: h.sem.ObservableLen(),
-			}
-			if next+1 < len(trips) {
-				st.Mem = slices.Clone(mem)
-			}
-			for k, o := range h.sem.outs {
-				st.RegFinal[o.reg] = hist[cur+int(h.outCols[k])]
-			}
-			states[next] = st
-			next++
 		}
 	}
-	return states
+	cur := ((trip - 1) << h.shift) & mask
+	for k, c := range h.outCols {
+		h.st.RegFinal[k].Val = h.hist[cur+int(c)]
+	}
+	h.st.Trip, h.st.Cycles = trip, trip*len(h.ops)
+	return &h.st
 }

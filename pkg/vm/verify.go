@@ -80,10 +80,17 @@ func Verify(ek *sched.ExpandedKernel, opts Options) (*Report, error) {
 }
 
 // VerifyProgram is Verify for callers that already emitted the program
-// (the exec explainer, which also wants the listing). It decodes the
-// program once for all its runs, and runs the sequential reference once,
-// up to the largest trip, taking each trip's reference as the run
-// passes it. Every trip must be at most MaxTrip.
+// (the exec explainer, which also wants the listing). Every trip must be
+// at most MaxTrip.
+//
+// It works per program, not per run: a counting pass sizes one arena
+// for the decoded program, the decoded sequential reference and the run
+// state, and the runs then allocate nothing. The reference is one
+// resumable pass: the runs go in ascending trip order, the reference is
+// advanced to each trip, and each pipelined run at that trip is
+// compared against it in place. Report.Trips and Report.Mismatches keep
+// the documented run order — MVE first, then the predicated trips — and
+// an error is the one the first failing run in that order returns.
 func VerifyProgram(ek *sched.ExpandedKernel, prog *emit.Program, opts Options) (*Report, error) {
 	seed := opts.Seed
 	if seed == 0 {
@@ -114,53 +121,81 @@ func VerifyProgram(ek *sched.ExpandedKernel, prog *emit.Program, opts Options) (
 	}
 	// The predicated plan's trips in run order: the MVE trip first,
 	// then each requested trip >= 1 once.
-	pred := make([]int, 0, len(trips)+1)
-	for _, trip := range append([]int{prog.Trip}, trips...) {
-		if trip >= 1 && !slices.Contains(pred, trip) {
-			pred = append(pred, trip)
+	rep.Trips = make([]int, 1, len(trips)+1)
+	rep.Trips[0] = prog.Trip
+	for _, trip := range trips {
+		if trip >= 1 && !slices.Contains(rep.Trips, trip) {
+			rep.Trips = append(rep.Trips, trip)
 		}
 	}
-	for _, trip := range pred {
+	for _, trip := range rep.Trips {
 		if err := checkTrip("verify", trip); err != nil {
 			return nil, err
 		}
 	}
-
-	p, err := decodeProgram(sem, prog)
-	if err != nil {
+	if err := sem.checkMemLen(); err != nil {
 		return nil, err
 	}
-	h, err := decodeSeq(sem)
-	if err != nil {
+
+	var sz sizes
+	sz.countPlan(sem, prog)
+	sz.countSeq(sem)
+	sz.ints += len(rep.Trips)
+	a := sz.alloc()
+	var p plan
+	var h history
+	if err := p.decode(sem, prog, a); err != nil {
 		return nil, err
 	}
-	sorted := slices.Clone(pred)
-	slices.Sort(sorted)
-	refs := h.run(slices.Clone(p.mem), sorted)
-	ref := func(trip int) *State {
-		i, _ := slices.BinarySearch(sorted, trip)
-		return refs[i]
-	}
-	want := ref(prog.Trip)
-	rep.SeqCycles = want.Cycles
-
-	m := p.newRunState()
-	mve, err := p.run(m, ModeMVE, prog.Trip)
-	if err != nil {
+	if err := h.decode(sem, a); err != nil {
 		return nil, err
 	}
-	rep.MVECycles = mve.Cycles
-	rep.Mismatches = append(rep.Mismatches, DiffStates("mve", mve, want, len(want.Mem))...)
+	m := p.newRunState(a)
+	rep.SeqCycles = prog.Trip * len(h.ops)
 
-	for _, trip := range pred {
-		got, err := p.run(m, ModePredicated, trip)
+	// Run k is the MVE plan for k = 0, else the predicated plan at
+	// rep.Trips[k-1]; found[k] holds its mismatch lines, and the first
+	// failing run in that order decides the error.
+	var found [][]string
+	errRun, runErr := len(rep.Trips)+1, error(nil)
+	check := func(k int, got *State, err error, want *State, rt runTag) {
 		if err != nil {
-			return nil, err
+			if k < errRun {
+				errRun, runErr = k, err
+			}
+			return
 		}
-		rep.Trips = append(rep.Trips, trip)
-		want = ref(trip)
-		rep.Mismatches = append(rep.Mismatches,
-			DiffStates(fmt.Sprintf("pred@%d", trip), got, want, len(want.Mem))...)
+		if diffs := diffStates(rt, got, want, len(want.Mem)); len(diffs) > 0 {
+			if found == nil {
+				found = make([][]string, len(rep.Trips)+1)
+			}
+			found[k] = diffs
+		}
+	}
+	order := carve(&a.ints, len(rep.Trips))
+	copy(order, rep.Trips)
+	slices.Sort(order)
+	for _, trip := range order {
+		want := h.advance(trip)
+		if trip == prog.Trip {
+			got, err := p.run(m, ModeMVE, trip)
+			check(0, got, err, want, runTag{mode: "mve", trip: -1})
+			if err == nil {
+				rep.MVECycles = got.Cycles
+			}
+		}
+		k := 1 + slices.Index(rep.Trips, trip)
+		if k > errRun {
+			continue
+		}
+		got, err := p.run(m, ModePredicated, trip)
+		check(k, got, err, want, runTag{mode: "pred", trip: trip})
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	for _, diffs := range found {
+		rep.Mismatches = append(rep.Mismatches, diffs...)
 	}
 	return rep, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/paper-repo-growth/mirs/pkg/emit"
-	"github.com/paper-repo-growth/mirs/pkg/ir"
 )
 
 // Mode selects which of the emitted program's execution plans the
@@ -72,11 +71,17 @@ func RunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*State
 	if err := checkTrip("run", trip); err != nil {
 		return nil, err
 	}
-	p, err := decodeProgram(sem, prog)
-	if err != nil {
+	if err := sem.checkMemLen(); err != nil {
 		return nil, err
 	}
-	return p.run(p.newRunState(), mode, trip)
+	var sz sizes
+	sz.countPlan(sem, prog)
+	a := sz.alloc()
+	p := new(plan)
+	if err := p.decode(sem, prog, a); err != nil {
+		return nil, err
+	}
+	return p.run(p.newRunState(a), mode, trip)
 }
 
 // checkProgram rejects a semantics/program pair no plan can run.
@@ -94,51 +99,61 @@ func checkProgram(sem *Semantics, prog *emit.Program) error {
 }
 
 // runState is the mutable state of pipelined runs: the flat register
-// image, its last-writer table, memory, and the writeback rings. A run
-// resets it, so one serves every run of a VerifyProgram.
+// image, its last-writer table, memory, the live-outs and the writeback
+// ring. A run resets it, so one serves every run of a VerifyProgram.
 type runState struct {
 	vals []uint64
 	// last holds the issue cycle of the write that owns each location,
 	// -1 before the first.
 	last []int
 	mem  []byte
-	// regs is the live-out map of the last run's State.
-	regs map[ir.VReg]uint64
-	// The writeback rings: bucket c&mask holds the commits landing at
-	// cycle c, and is truncated, keeping its backing array, once applied.
-	// Every delay is in [1, longest] and the ring has more than longest
-	// buckets, so a commit issued at c lands in a later bucket, never in
-	// c's own, and bucket c&mask is drained at c before the first commit
-	// for the ring's next lap can be queued (at c+1 at the earliest).
-	// Cycles issue in order, so each bucket fills in (issue cycle, slot)
-	// order — the order later-issue-wins needs — and is applied front to
-	// back without sorting.
-	ringR [][]regCommit
-	ringW [][]memCommit
-	mask  int
+	// The writeback ring: bucket c&mask holds the commits landing at
+	// cycle c, and is truncated, keeping its backing arrays, once
+	// applied. Every delay is in [1, longest] and the ring has more than
+	// longest buckets, so a commit issued at c lands in a later bucket,
+	// never in c's own, and bucket c&mask is drained at c before the
+	// first commit for the ring's next lap can be queued (at c+1 at the
+	// earliest). Cycles issue in order, so each bucket fills in (issue
+	// cycle, slot) order — the order later-issue-wins needs — and is
+	// applied front to back without sorting.
+	ring []bucket
+	mask int
+	// st is the last run's State; its RegFinal lists the live-outs in
+	// sem.outs order, which is register order.
+	st State
 }
 
-func (p *plan) newRunState() *runState {
+// bucket is one ring slot: the register and memory commits landing in
+// one cycle.
+type bucket struct {
+	r []regCommit
+	w []memCommit
+}
+
+// newRunState carves a run state for p from a (sized by countPlan) and
+// allocates its writeback ring.
+func (p *plan) newRunState(a *arena) *runState {
 	depth := 1
 	for depth <= p.longest {
 		depth <<= 1
 	}
 	m := &runState{
-		vals:  make([]uint64, len(p.init)),
-		last:  make([]int, len(p.init)),
-		mem:   make([]byte, len(p.mem)),
-		regs:  make(map[ir.VReg]uint64, len(p.sem.outs)),
-		ringR: make([][]regCommit, depth),
-		ringW: make([][]memCommit, depth),
-		mask:  depth - 1,
+		vals: carve(&a.u64, len(p.init)),
+		last: carve(&a.ints, len(p.init)),
+		mem:  carve(&a.mem, len(p.mem)),
+		ring: make([]bucket, depth),
+		mask: depth - 1,
+		st:   State{RegFinal: carve(&a.outs, len(p.sem.outs)), ObservableLen: p.sem.ObservableLen()},
+	}
+	for k, o := range p.sem.outs {
+		m.st.RegFinal[k].Reg = o.reg
 	}
 	// Each bucket starts with room for one bundle's writes, cut from one
 	// array with full slice expressions, so a bucket that outgrows it
 	// moves to its own array instead of spilling into its neighbour.
 	r, w := make([]regCommit, depth*p.regWrites), make([]memCommit, depth*p.memWrites)
-	for b := 0; b < depth; b++ {
-		m.ringR[b] = r[b*p.regWrites : b*p.regWrites : (b+1)*p.regWrites]
-		m.ringW[b] = w[b*p.memWrites : b*p.memWrites : (b+1)*p.memWrites]
+	for b := range m.ring {
+		m.ring[b] = bucket{r: carve(&r, p.regWrites)[:0], w: carve(&w, p.memWrites)[:0]}
 	}
 	return m
 }
@@ -147,19 +162,20 @@ func (p *plan) newRunState() *runState {
 // first, skipping any a later-issued write already owns, then stores —
 // empties the bucket and returns how many commits it held.
 func (m *runState) writeback(b int) int {
-	rs, ws := m.ringR[b], m.ringW[b]
-	for _, rc := range rs {
+	bk := &m.ring[b]
+	for _, rc := range bk.r {
 		if rc.issue < m.last[rc.loc] {
 			continue // stale: a later-issued write already owns the location
 		}
 		m.last[rc.loc] = rc.issue
 		m.vals[rc.loc] = rc.val
 	}
-	for _, wc := range ws {
+	for _, wc := range bk.w {
 		binary.LittleEndian.PutUint64(m.mem[wc.addr:], wc.val)
 	}
-	m.ringR[b], m.ringW[b] = rs[:0], ws[:0]
-	return len(rs) + len(ws)
+	n := len(bk.r) + len(bk.w)
+	bk.r, bk.w = bk.r[:0], bk.w[:0]
+	return n
 }
 
 // commit queues the writes of op's instance issued at cycle c — its
@@ -167,27 +183,27 @@ func (m *runState) writeback(b int) int {
 // and returns how many it queued.
 func (m *runState) commit(op *dop, args []int32, c int, out uint64, wAddr int, wVal uint64) int {
 	n := int(op.nDef) + int(op.nXfer)
-	wb := (c + int(op.lat)) & m.mask
+	wb := &m.ring[(c+int(op.lat))&m.mask]
 	if wAddr >= 0 {
-		m.ringW[wb] = append(m.ringW[wb], memCommit{addr: wAddr, val: wVal})
+		wb.w = append(wb.w, memCommit{addr: wAddr, val: wVal})
 		n++
 	}
 	at := op.off + int32(op.nSrc)
 	for _, d := range args[at : at+int32(op.nDef)] {
-		m.ringR[wb] = append(m.ringR[wb], regCommit{loc: d, val: out, issue: c})
+		wb.r = append(wb.r, regCommit{loc: d, val: out, issue: c})
 	}
 	at += int32(op.nDef)
 	xs := args[at : at+2*int32(op.nXfer)]
 	for x := 0; x < len(xs); x += 2 {
-		xb := (c + int(xs[x+1])) & m.mask
-		m.ringR[xb] = append(m.ringR[xb], regCommit{loc: xs[x], val: out, issue: c})
+		xb := &m.ring[(c+int(xs[x+1]))&m.mask]
+		xb.r = append(xb.r, regCommit{loc: xs[x], val: out, issue: c})
 	}
 	return n
 }
 
 // run executes one plan of p at trip on m, which it first resets to the
-// initial image. The returned state's Mem and RegFinal are m's: they are
-// valid until m runs again.
+// initial image. The returned state is m's own: it is valid until m
+// runs again.
 func (p *plan) run(m *runState, mode Mode, trip int) (*State, error) {
 	if mode == ModeMVE && p.mveErr != nil {
 		return nil, p.mveErr
@@ -198,9 +214,8 @@ func (p *plan) run(m *runState, mode Mode, trip int) (*State, error) {
 		m.last[i] = -1
 	}
 	copy(m.mem, p.mem)
-	clear(m.regs)
-	for b := range m.ringR {
-		m.ringR[b], m.ringW[b] = m.ringR[b][:0], m.ringW[b][:0]
+	for b := range m.ring {
+		m.ring[b].r, m.ring[b].w = m.ring[b].r[:0], m.ring[b].w[:0]
 	}
 	vals, mem, rmask := m.vals, m.mem, m.mask
 	ops, args, bundles := p.ops, p.args, p.bundles
@@ -257,23 +272,20 @@ func (p *plan) run(m *runState, mode Mode, trip int) (*State, error) {
 		}
 	}
 
-	st := &State{
-		Mem: mem, RegFinal: m.regs, Trip: trip,
-		Cycles:        issueSpan,
-		ObservableLen: p.sem.ObservableLen(),
-	}
+	st := &m.st
+	st.Mem, st.Trip, st.Cycles = mem, trip, issueSpan
 	// Live-outs: each observable register's final value sits in the
 	// renamed copy iteration trip-1 wrote, on the last defining site's
 	// cluster.
 	ek := p.sem.ek
-	for _, o := range p.sem.outs {
+	for k, o := range p.sem.outs {
 		name := ek.Name(o.reg, trip-1)
 		loc, ok := prog.LocOf(ek.Schedule.Placements[o.site].Cluster, name)
 		if !ok {
 			return nil, fmt.Errorf("vm: run: no location for live-out %s (site %d)", name, o.site)
 		}
 		i, _ := p.flat(loc)
-		st.RegFinal[o.reg] = vals[i]
+		st.RegFinal[k].Val = vals[i]
 	}
 	return st, nil
 }

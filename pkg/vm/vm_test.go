@@ -112,24 +112,11 @@ func runAll(t *testing.T, ek *sched.ExpandedKernel, prog *emit.Program, seed uin
 		}
 		fmt.Fprintf(&buf, "%s@%d trip=%d\n", run.mode, run.trip, st.Trip)
 		buf.Write(st.Mem)
-		for _, v := range sortedRegs(st.RegFinal) {
-			fmt.Fprintf(&buf, "%s=%d\n", v, st.RegFinal[v])
+		for _, lo := range st.RegFinal {
+			fmt.Fprintf(&buf, "%s=%d\n", lo.Reg, lo.Val)
 		}
 	}
 	return buf.Bytes()
-}
-
-func sortedRegs(m map[ir.VReg]uint64) []ir.VReg {
-	out := make([]ir.VReg, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // TestMetamorphicRelabel: loop and mnemonic names are labels, not
@@ -326,6 +313,60 @@ func TestRunProgramAllocsIndependentOfTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestVerifyProgramAllocsIndependentOfTrips: VerifyProgram allocates
+// per program, so the trip counts it runs and how many it is given do
+// not change its count — the default PredTrips, list-longtrip's
+// {Stages, Trip+1, 512} and {1, 2, 3, 512} allocate alike.
+func TestVerifyProgramAllocsIndependentOfTrips(t *testing.T) {
+	for _, be := range backends() {
+		for _, m := range machines() {
+			for _, l := range ir.ExampleLoops() {
+				ek, prog := compile(t, be, l, m)
+				allocs := func(trips []int) float64 {
+					return testing.AllocsPerRun(5, func() {
+						rep, err := vm.VerifyProgram(ek, prog, vm.Options{PredTrips: trips})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !rep.OK() {
+							t.Fatal(rep.String())
+						}
+					})
+				}
+				base := allocs(nil)
+				for _, trips := range [][]int{{prog.Stages, prog.Trip + 1, 512}, {1, 2, 3, 512}} {
+					if n := allocs(trips); n != base {
+						t.Errorf("%s on %s by %s: %v allocs at trips %v, %v at the default trips",
+							l.Name, m.Name, be.Name(), n, trips, base)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDiffStatesLiveOuts: DiffStates names a live-out either side lacks
+// — one only the reference has is missing, one only the run has is
+// unexpected (it used to go unreported, since only the reference's
+// registers were walked) — and a differing value, in register order.
+func TestDiffStatesLiveOuts(t *testing.T) {
+	want := &vm.State{Trip: 4, RegFinal: []vm.LiveOut{{Reg: 1, Val: 10}, {Reg: 3, Val: 30}, {Reg: 5, Val: 50}}}
+	got := &vm.State{Trip: 4, RegFinal: []vm.LiveOut{{Reg: 2, Val: 20}, {Reg: 3, Val: 31}, {Reg: 5, Val: 50}, {Reg: 7, Val: 70}}}
+	diffs := vm.DiffStates("run", got, want, 0)
+	wantDiffs := []string{
+		"run: live-out v1 missing",
+		"run: unexpected live-out v2 = 0000000000000014",
+		"run: live-out v3 = 000000000000001f, want 000000000000001e",
+		"run: unexpected live-out v7 = 0000000000000046",
+	}
+	if strings.Join(diffs, "\n") != strings.Join(wantDiffs, "\n") {
+		t.Errorf("DiffStates:\n%s\nwant:\n%s", strings.Join(diffs, "\n"), strings.Join(wantDiffs, "\n"))
+	}
+	if d := vm.DiffStates("run", want, want, 0); d != nil {
+		t.Errorf("identical states differ: %q", d)
 	}
 }
 

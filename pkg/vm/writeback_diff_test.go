@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"reflect"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -25,7 +25,7 @@ import (
 // emitted programs — a generated corpus through both heuristic backends
 // on every canned machine, under the MVE plan and the predicated plan at
 // several trips. refRunSequential is the per-trip sequential reference,
-// which the one-pass snapshots must reproduce at every trip. Both
+// which the resumable reference must reproduce at every trip. Both
 // references evaluate operations with eval, the closure-based rule the
 // decoded tables replaced. Each decoded executor is a pure
 // representation change; any divergence is a bug.
@@ -138,14 +138,26 @@ func refRunSequential(sem *Semantics, trip int) (*State, error) {
 		}
 	}
 	st := &State{
-		Mem: mem, RegFinal: map[ir.VReg]uint64{}, Trip: trip,
+		Mem: mem, Trip: trip,
 		Cycles:        trip * n,
 		ObservableLen: sem.ObservableLen(),
 	}
+	final := map[ir.VReg]uint64{}
 	for v, site := range sem.finalSites() {
-		st.RegFinal[v] = hist[site][(trip-1)%h]
+		final[v] = hist[site][(trip-1)%h]
 	}
+	st.RegFinal = sortedLiveOuts(final)
 	return st, nil
+}
+
+// sortedLiveOuts lists the references' live-out map in register order,
+// the form State.RegFinal takes.
+func sortedLiveOuts(final map[ir.VReg]uint64) []LiveOut {
+	var outs []LiveOut
+	for _, v := range slices.Sorted(maps.Keys(final)) {
+		outs = append(outs, LiveOut{v, final[v]})
+	}
+	return outs
 }
 
 // refCommit is the reference's in-flight register write; seq breaks
@@ -302,10 +314,11 @@ func refRunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*St
 	}
 
 	st := &State{
-		Mem: mem, RegFinal: map[ir.VReg]uint64{}, Trip: trip,
+		Mem: mem, Trip: trip,
 		Cycles:        issueSpan,
 		ObservableLen: sem.ObservableLen(),
 	}
+	final := map[ir.VReg]uint64{}
 	// Live-outs: each observable register's final value sits in the
 	// renamed copy iteration trip-1 wrote, on the last defining site's
 	// cluster.
@@ -316,8 +329,9 @@ func refRunProgram(sem *Semantics, prog *emit.Program, mode Mode, trip int) (*St
 		if !ok {
 			return nil, fmt.Errorf("vm: run: no location for live-out %s (site %d)", name, site)
 		}
-		st.RegFinal[v] = readLoc(loc)
+		final[v] = readLoc(loc)
 	}
+	st.RegFinal = sortedLiveOuts(final)
 	return st, nil
 }
 
@@ -414,7 +428,7 @@ func TestWritebackRingDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference: %v", at, err)
 				}
-				if !bytes.Equal(got.Mem, want.Mem) || !reflect.DeepEqual(got.RegFinal, want.RegFinal) ||
+				if !bytes.Equal(got.Mem, want.Mem) || !slices.Equal(got.RegFinal, want.RegFinal) ||
 					got.Cycles != want.Cycles || got.Trip != want.Trip {
 					t.Errorf("%s: ring and reference disagree (cycles %d vs %d): %v",
 						at, got.Cycles, want.Cycles, DiffStates("ring", got, want, len(want.Mem)))
@@ -427,14 +441,13 @@ func TestWritebackRingDifferential(t *testing.T) {
 	}
 }
 
-// TestSequentialTripExtension pins the one-pass sequential reference
-// against refRunSequential over the diffGrid compilations. The pass runs
-// once to the largest trip and snapshots memory and live-outs as it
-// passes each smaller one, which is sound only because the reference is
-// prefix-stable: the first t iterations of a longer run are exactly a
-// run of t. Every snapshot at trips {1, Stages, Trip, Trip+1, 512} must
-// equal an independent reference run of that trip, and RunSequential
-// must agree at Trip.
+// TestSequentialTripExtension pins the resumable sequential reference
+// against refRunSequential over the diffGrid compilations. One history
+// is advanced through ascending trips, which is sound only because the
+// reference is prefix-stable: the first t iterations of a longer run
+// are exactly a run of t. The state after each advance, at trips {1,
+// Stages, Trip, Trip+1, 512}, must equal an independent reference run
+// of that trip, and RunSequential must agree at Trip.
 func TestSequentialTripExtension(t *testing.T) {
 	for _, gc := range diffGrid(t) {
 		sem, err := Bind(gc.ek, DefaultSeed)
@@ -447,21 +460,22 @@ func TestSequentialTripExtension(t *testing.T) {
 		}
 		trip := prog.Trip
 		trips := slices.Compact(slices.Sorted(slices.Values([]int{1, prog.Stages, trip, trip + 1, 512})))
-		h, err := decodeSeq(sem)
-		if err != nil {
+		var sz sizes
+		sz.countSeq(sem)
+		h := new(history)
+		if err := h.decode(sem, sz.alloc()); err != nil {
 			t.Fatalf("%s: %v", gc.at, err)
 		}
-		got := h.run(sem.NewMemImage(), trips)
 		single, err := RunSequential(sem, trip)
 		if err != nil {
 			t.Fatalf("%s: %v", gc.at, err)
 		}
-		for i, tr := range trips {
+		for _, tr := range trips {
 			want, err := refRunSequential(sem, tr)
 			if err != nil {
 				t.Fatalf("%s: reference: %v", gc.at, err)
 			}
-			sameState(t, fmt.Sprintf("%s, snapshot at trip %d", gc.at, tr), got[i], want)
+			sameState(t, fmt.Sprintf("%s, advanced to trip %d", gc.at, tr), h.advance(tr), want)
 			if tr == trip {
 				sameState(t, fmt.Sprintf("%s, RunSequential at trip %d", gc.at, tr), single, want)
 			}
@@ -472,7 +486,7 @@ func TestSequentialTripExtension(t *testing.T) {
 // sameState fails t unless got and want are identical states.
 func sameState(t *testing.T, at string, got, want *State) {
 	t.Helper()
-	if !bytes.Equal(got.Mem, want.Mem) || !reflect.DeepEqual(got.RegFinal, want.RegFinal) ||
+	if !bytes.Equal(got.Mem, want.Mem) || !slices.Equal(got.RegFinal, want.RegFinal) ||
 		got.Cycles != want.Cycles || got.Trip != want.Trip || got.ObservableLen != want.ObservableLen {
 		t.Errorf("%s: decoded and reference disagree (cycles %d vs %d): %v",
 			at, got.Cycles, want.Cycles, DiffStates("decoded", got, want, len(want.Mem)))
