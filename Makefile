@@ -25,6 +25,9 @@ race:
 # kernels to bundles. Allocations per full-pipeline compile are pinned
 # by TestCompileAllocs, per compile + emit + verify by
 # TestPipelineAllocs, per spilling schedule by TestSpillPathAllocs,
+# per MIRS request settling at its first II by TestMIRSRequestAllocs,
+# per pressure analysis by TestAnalyzeAllocs, per list-scheduler
+# placement check by TestValidateAllocs,
 # per loop of the front end by TestFrontEndAllocs, per opt grid pass by
 # TestOptAllocs, per oracle pass by TestVerifyAllocs, per emit pass by
 # TestEmitAllocs and per expansion by TestExpandAllocs in `make test`;

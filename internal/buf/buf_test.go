@@ -32,3 +32,36 @@ func TestGrowKeepsPrefixAndAmortises(t *testing.T) {
 		t.Errorf("Zeroed(…, 10) = %v", z)
 	}
 }
+
+// TestSlabCountsThenCarves: before Alloc Take only counts; after it the
+// same takes carve capacity-capped, disjoint tables from one array.
+func TestSlabCountsThenCarves(t *testing.T) {
+	var s Slab[int]
+	take := func() (a, b, c []int) { return s.Take(3), s.Take(0), s.Take(2) }
+	if a, b, c := take(); a != nil || b != nil || c != nil {
+		t.Fatal("Take returned a table before Alloc")
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		s = Slab[int]{n: 5}
+		s.Alloc()
+	})
+	if allocs != 1 {
+		t.Errorf("Alloc made %v allocations, want 1", allocs)
+	}
+	s = Slab[int]{}
+	take()
+	s.Alloc()
+	a, b, c := take()
+	if len(a) != 3 || cap(a) != 3 || b != nil || len(c) != 2 || cap(c) != 2 {
+		t.Fatalf("carved len/cap %d/%d, %v, %d/%d; want 3/3, nil, 2/2", len(a), cap(a), b, len(c), cap(c))
+	}
+	a = append(a, 9)
+	if c[0] != 0 {
+		t.Error("appending past a carved table overwrote the next one")
+	}
+	var empty Slab[int]
+	empty.Take(0)
+	if allocs := testing.AllocsPerRun(1, empty.Alloc); allocs != 0 {
+		t.Errorf("an empty slab's Alloc made %v allocations", allocs)
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
@@ -358,9 +359,9 @@ func Emit(ek *sched.ExpandedKernel) (*Program, error) {
 		*op = Op{
 			ID: id, Cluster: pl.Cluster, Slot: pl.Slot,
 			Latency: m.Latency(in.Class), Iter: iter,
-			Defs:  carve(&locs, len(in.Defs)),
-			Srcs:  carve(&locs, len(in.Uses)),
-			Xfers: carve(&xfers, routeAt[id+1]-routeAt[id]),
+			Defs:  buf.Carve(&locs, len(in.Defs)),
+			Srcs:  buf.Carve(&locs, len(in.Uses)),
+			Xfers: buf.Carve(&xfers, routeAt[id+1]-routeAt[id]),
 		}
 		for j := range op.Defs {
 			if op.Defs[j], err = p.locate(pl.Cluster, ek.Def(id, j, iter)); err != nil {
@@ -448,17 +449,6 @@ func instances(ek *sched.ExpandedKernel, trip int, f func(id, iter, b int)) {
 			}
 		}
 	}
-}
-
-// carve cuts the first k elements off *buf as a capacity-capped slice,
-// nil when k is 0.
-func carve[T any](buf *[]T, k int) []T {
-	if k == 0 {
-		return nil
-	}
-	s := (*buf)[:k:k]
-	*buf = (*buf)[k:]
-	return s
 }
 
 // locate is LocOf with a missing location as an error.

@@ -94,13 +94,67 @@ type View struct {
 // the live-in ranges of LiveIns. Unplaced instructions contribute
 // nothing — on a complete schedule this is the full pressure picture.
 func Lifetimes(v *View) []Lifetime {
+	in := liveInTable(v)
+	n := 0
+	for _, c := range in.consuming {
+		if c {
+			n++
+		}
+	}
+	for id, ins := range v.Loop.Instrs {
+		for _, d := range ins.Defs {
+			n += countOfDef(v, id, d)
+		}
+	}
 	var out []Lifetime
-	for id, in := range v.Loop.Instrs {
-		for _, d := range in.Defs {
+	if n > 0 {
+		out = make([]Lifetime, 0, n)
+	}
+	for id, ins := range v.Loop.Instrs {
+		for _, d := range ins.Defs {
 			out = AppendOfDef(out, v, id, d)
 		}
 	}
-	return appendLiveIns(out, v)
+	return in.appendTo(out, v.II)
+}
+
+// countOfDef is len(OfDef(v, id, reg)) without enumerating: one local
+// lifetime plus one per distinct remote cluster a placed consumer of
+// the definition sits on, none while id is unplaced.
+func countOfDef(v *View, id int, reg ir.VReg) int {
+	_, home, ok := v.At(id)
+	if !ok {
+		return 0
+	}
+	n := 1
+	succs := v.Graph.Succs(id)
+	for i, e := range succs {
+		cl, ok := remoteUse(v, e, reg, home)
+		if !ok {
+			continue
+		}
+		seen := false
+		for _, f := range succs[:i] {
+			if c, ok := remoteUse(v, f, reg, home); ok && c == cl {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			n++
+		}
+	}
+	return n
+}
+
+// remoteUse reports the cluster of e's consumer when e is a true edge
+// reading reg whose consumer is placed off the home cluster.
+func remoteUse(v *View, e *ir.Edge, reg ir.VReg, home int) (int, bool) {
+	if e.Kind != ir.DepTrue || e.Reg != reg {
+		return 0, false
+	}
+	_, cl, ok := v.At(e.To)
+	return cl, ok && cl != home
 }
 
 // OfDef enumerates the live ranges created by instruction id's
@@ -186,41 +240,62 @@ func AppendOfDef(dst []Lifetime, v *View, id int, reg ir.VReg) []Lifetime {
 // clusters ascending within a register. Only placed consumers charge a
 // cluster.
 func LiveIns(v *View) []Lifetime {
-	return appendLiveIns(nil, v)
+	return liveInTable(v).appendTo(nil, v.II)
 }
 
-// appendLiveIns is LiveIns appending into dst, with the (register,
-// cluster) consumption matrix held in one flat bool slice instead of
-// nested maps.
-func appendLiveIns(dst []Lifetime, v *View) []Lifetime {
-	uses := LiveInUses(v.Loop)
+// liveIns is the (register, cluster) consumption matrix of a view's
+// live-in registers: consuming[reg*nc+ci] says a placed instruction on
+// cluster ci reads live-in reg.
+type liveIns struct {
+	nc        int
+	consuming []bool
+}
+
+// liveInTable fills the matrix in one allocation, which also holds the
+// per-register flags of what the loop defines; a loop reading no
+// register allocates nothing.
+func liveInTable(v *View) liveIns {
 	nc := v.Machine.NumClusters()
-	maxReg := ir.VReg(-1)
-	for _, us := range uses {
-		for _, u := range us {
-			if u > maxReg {
-				maxReg = u
-			}
+	nregs := 0
+	for _, in := range v.Loop.Instrs {
+		for _, d := range in.Defs {
+			nregs = max(nregs, int(d)+1)
+		}
+		for _, u := range in.Uses {
+			nregs = max(nregs, int(u)+1)
 		}
 	}
-	if maxReg < 0 {
-		return dst
+	if nregs == 0 {
+		return liveIns{nc: nc}
 	}
-	consuming := make([]bool, (int(maxReg)+1)*nc)
-	for id := range v.Loop.Instrs {
+	back := make([]bool, nregs*(1+nc))
+	defined, consuming := back[:nregs], back[nregs:]
+	for _, in := range v.Loop.Instrs {
+		for _, d := range in.Defs {
+			defined[d] = true
+		}
+	}
+	for id, in := range v.Loop.Instrs {
 		_, cl, ok := v.At(id)
 		if !ok {
 			continue
 		}
-		for _, u := range uses[id] {
-			consuming[int(u)*nc+cl] = true
+		for _, u := range in.Uses {
+			if !defined[u] {
+				consuming[int(u)*nc+cl] = true
+			}
 		}
 	}
-	for reg := ir.VReg(0); reg <= maxReg; reg++ {
-		for ci := 0; ci < nc; ci++ {
-			if consuming[int(reg)*nc+ci] {
-				dst = append(dst, Lifetime{Reg: reg, Def: -1, Cluster: ci, Start: 0, End: v.II - 1})
-			}
+	return liveIns{nc: nc, consuming: consuming}
+}
+
+// appendTo appends the whole-kernel lifetime at II ii of every consumed
+// (register, cluster) pair, registers ascending, clusters ascending
+// within a register.
+func (t liveIns) appendTo(dst []Lifetime, ii int) []Lifetime {
+	for i, c := range t.consuming {
+		if c {
+			dst = append(dst, Lifetime{Reg: ir.VReg(i / t.nc), Def: -1, Cluster: i % t.nc, Start: 0, End: ii - 1})
 		}
 	}
 	return dst
@@ -238,28 +313,36 @@ func LiveInUses(l *ir.Loop) [][]ir.VReg {
 		}
 		nuses += len(in.Uses)
 	}
-	defined := make([]bool, maxDef+1)
+	return LiveInUsesInto(make([][]ir.VReg, len(l.Instrs)), make([]ir.VReg, 0, nuses), make([]bool, maxDef+1), l)
+}
+
+// LiveInUsesInto is LiveInUses on supplied storage: rows, one per
+// instruction, are capacity-capped slices of regs' spare capacity (the
+// loop's operand count always suffices), and defined, at least one
+// longer than the largest register the loop defines, is scratch.
+func LiveInUsesInto(rows [][]ir.VReg, regs []ir.VReg, defined []bool, l *ir.Loop) [][]ir.VReg {
+	clear(defined)
 	for _, in := range l.Instrs {
 		for _, d := range in.Defs {
 			defined[d] = true
 		}
 	}
-	// The rows share one capacity-capped backing array; an instruction
-	// reads a handful of registers, so a linear scan of its row so far
-	// finds repeats.
-	regs := make([]ir.VReg, 0, nuses)
-	out := make([][]ir.VReg, len(l.Instrs))
+	// An instruction reads a handful of registers, so a linear scan of
+	// its row so far finds repeats.
+	regs = regs[:0]
+	rows = rows[:len(l.Instrs)]
 	for id, in := range l.Instrs {
 		lo := len(regs)
 		for _, u := range in.Uses {
-			if (u <= maxDef && defined[u]) || slices.Contains(regs[lo:], u) {
+			if (int(u) < len(defined) && defined[u]) || slices.Contains(regs[lo:], u) {
 				continue
 			}
 			regs = append(regs, u)
 		}
+		rows[id] = nil
 		if len(regs) > lo {
-			out[id] = regs[lo:len(regs):len(regs)]
+			rows[id] = regs[lo:len(regs):len(regs)]
 		}
 	}
-	return out
+	return rows
 }

@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
-	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 )
@@ -91,10 +90,10 @@ func (s *Scheduler) Schedule(req *sched.Request) (*sched.Schedule, error) { retu
 
 // Probe implements sched.Prober: the MIRS II search as a candidate-keyed
 // sweep whose keys are the candidate IIs themselves. The sweep and every
-// attempter share the graph, MII, heights, pick order and live-in
-// analysis read-only;
-// each attempter owns a full pooled scheduler state (MRT, pressure
-// tracker, window cache, spill-augmented loop clones).
+// attempter share the graph and MII read-only; each attempter owns a
+// full scheduler state (MRT, pressure tracker, window cache, the
+// request's heights, pick order and live-in rows, spill-augmented loop
+// clones), carved from one arena at its first attempt.
 func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempter, error) {
 	g, mii, maxII, err := sched.Prepare(req)
 	if err != nil {
@@ -111,27 +110,13 @@ func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempt
 	if maxSpills < 0 {
 		maxSpills = 2 * req.Loop.NumInstrs()
 	}
-	height, err := sched.Heights(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	order := pickOrder(height)
 	sw := &iiSweep{
 		LinearSweep: sched.LinearSweep{Cursor: mii.MII, Last: maxII},
 		req:         req,
 		mii:         mii.MII,
 		bestExcess:  -1,
 	}
-	at := attempter{
-		s:          s,
-		req:        req,
-		g:          g,
-		mii:        mii.MII,
-		maxSpills:  maxSpills,
-		height:     height,
-		order:      order,
-		liveInUses: life.LiveInUses(req.Loop),
-	}
+	at := attempter{s: s, req: req, g: g, mii: mii.MII, maxSpills: maxSpills}
 	return sw, func() sched.Attempter {
 		cp := at
 		return &cp
@@ -209,20 +194,16 @@ func (w *iiSweep) Result() (*sched.Schedule, error) {
 		w.req.Loop.Name, w.req.Machine.Name, w.Last)
 }
 
-// attempter runs one candidate II per call on its own pooled state,
-// reusing the per-request analyses (graph, MII, heights, pick order,
-// live-in uses) across candidates. The state is built on the first
-// attempt, sized for that candidate, and reset for every later one.
+// attempter runs one candidate II per call on its own state. The state
+// is built on the first attempt, sized for that candidate, and reset for
+// every later one.
 type attempter struct {
-	s          *Scheduler
-	req        *sched.Request
-	g          *ir.Graph
-	mii        int
-	maxSpills  int
-	height     []int
-	order      []int
-	liveInUses [][]ir.VReg
-	st         *state
+	s         *Scheduler
+	req       *sched.Request
+	g         *ir.Graph
+	mii       int
+	maxSpills int
+	st        *state
 }
 
 // AttemptII implements sched.Attempter: one candidate II on a freshly
@@ -240,7 +221,7 @@ func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sc
 	st.rec = rec
 	st.req = at.req
 	st.steps = 0
-	st.reset(at.req.Loop, at.g, ii, at.s.maxRetries, at.maxSpills, at.height, at.order, at.liveInUses)
+	st.reset(at.req.Loop, at.g, ii, at.s.maxRetries, at.maxSpills)
 	hits0, misses0 := st.wc.Stats()
 	if rec != nil {
 		// Arg carries the MII on the first attempt so a profile can

@@ -312,7 +312,7 @@ func (a *auditor) checkSpill(st *state) error {
 	}
 
 	a.track.Reset(st.ii)
-	for _, lt := range life.Lifetimes(st.lview) {
+	for _, lt := range life.Lifetimes(&st.lview) {
 		a.track.AddLifetime(lt)
 	}
 	for ci := range st.m.Clusters {
@@ -324,7 +324,7 @@ func (a *auditor) checkSpill(st *state) error {
 	}
 	for id := 0; id < st.loop.NumInstrs(); id++ {
 		for fi := st.defBase[id]; fi < st.defBase[id+1]; fi++ {
-			if want := life.AppendOfDef(nil, st.lview, id, st.defRegs[fi]); !slices.Equal(st.charged[fi], want) {
+			if want := life.AppendOfDef(nil, &st.lview, id, st.defRegs[fi]); !slices.Equal(st.charged[fi], want) {
 				return fmt.Errorf("definition of %s by %d charges %v, AppendOfDef %v", st.defRegs[fi], id, st.charged[fi], want)
 			}
 		}

@@ -20,23 +20,28 @@ import (
 // placement loop consults cheaply and which settles each complete
 // placement (it then holds exactly regpress.Analyze's counts).
 //
-// One state value serves a whole Schedule call: reset retargets it to
-// the next candidate II while reusing every backing allocation — the
-// MRT, the pressure tracker, the window cache and the dense bookkeeping
-// tables below — so the steady-state placement path allocates nothing.
+// One state value serves a whole Schedule call. newState sizes every
+// table for the request's loop at its first candidate II in one counting
+// pass and carves them all — the MRT, the pressure tracker, the window
+// cache, the request's heights, pick order and live-in rows, the dense
+// bookkeeping tables below and the placement loop's scratch — from one
+// arena, a dozen allocations whatever the loop's size. reset retargets
+// the state to the next candidate II while reusing every table; only a
+// table that a spill or a larger II outgrows grows (buf.Grow), so the
+// steady-state placement path allocates nothing.
 type state struct {
 	m      *machine.Machine
 	ii     int
 	loop   *ir.Loop
 	g      *ir.Graph
-	mrt    *sched.MRT
-	track  *regpress.Tracker
+	mrt    sched.MRT
+	track  regpress.Tracker
 	plc    []sched.Placement
 	placed []bool
 	height []int
 	// wc memoises deadline-window scans; every placement mutation goes
 	// through commit/unplace, which invalidate the affected entries.
-	wc *sched.WindowCache
+	wc sched.WindowCache
 	// noSpill marks instructions whose definitions must not be selected
 	// as spill victims: spill stores/reloads themselves and definitions
 	// already spilled once, which keeps spilling from feeding on its own
@@ -59,10 +64,17 @@ type state struct {
 	// accessor closure is bound to the state and reads the *current*
 	// plc/placed/loop fields, so II retries and spill swaps need no
 	// re-closure.
-	lview *life.View
+	lview life.View
 	// liveInUses[i] are the distinct live-in registers instruction i
 	// reads (life.LiveInUses), the refcount basis of liveInAdjust.
 	liveInUses [][]ir.VReg
+	// The request's analyses of its own loop and graph, computed once
+	// by newState and read by every reset: the heights, the pick order
+	// (every instruction by descending height, ties by ascending ID)
+	// and the live-in rows. A spill edits the state's copies, never
+	// these.
+	reqHeight, reqOrder []int
+	reqLiveInUses       [][]ir.VReg
 	// own is the storage of the spill-augmented graph (and own.Loop of
 	// the loop), ownRows/ownRegs of its live-in rows and ownHeight of its
 	// heights; the request's are shared by every attempt and never
@@ -111,14 +123,13 @@ type state struct {
 
 	// The pick bookkeeping of nextUnplaced: nbr[i] counts the dependence
 	// edges joining i to a placed other instruction (kept by commit and
-	// release), and order lists every instruction by descending height,
-	// ties by ascending ID (copied from the request's at reset,
-	// re-settled after each spill).
+	// release), and order lists every instruction in pick order (copied
+	// from reqOrder at reset, re-settled after each spill).
 	nbr   []int32
 	order []int
 
 	check    sched.Schedule   // the complete placement tryII validates
-	seenDefs []defKey         // refreshAround dedup scratch
+	seenDefs []int            // refreshAround dedup scratch: definition slots
 	trs      []sched.Transfer // transfer enumeration scratch
 	touched  []int            // instructions a splice rewired (migrateSpill)
 	dirty    []bool           // height update worklist (settleHeights)
@@ -157,54 +168,150 @@ func (st *state) poll() error {
 	return st.req.Cancelled()
 }
 
-type defKey struct {
-	id  int
-	reg ir.VReg
+// arena is the storage of one request's scheduling state: the element
+// types the sched and regpress tables share, and the lifetime and
+// register tables of the state itself (see sched.Arena).
+type arena struct {
+	sched.Arena
+	lts     buf.Slab[life.Lifetime]
+	charged buf.Slab[[]life.Lifetime]
+	regs    buf.Slab[ir.VReg]
+	rows    buf.Slab[[]ir.VReg]
 }
 
-// newState allocates the reusable scheduling infrastructure for one
-// Schedule call: the reservation table, pressure tracker, window cache
-// and the life-view closure, initially sized for candidate II ii. It
-// does not ready the state for scheduling — callers must reset before
-// use (and once per subsequent candidate II).
+func (a *arena) alloc() {
+	a.Arena.Alloc()
+	a.lts.Alloc()
+	a.charged.Alloc()
+	a.regs.Alloc()
+	a.rows.Alloc()
+}
+
+// analysisScratch is what newState computes the request's analyses in
+// and then drops: the heights' topological scratch, the live-in rows'
+// registers and the defined-register flags.
+type analysisScratch struct {
+	hb      sched.HeightBuf
+	regs    []ir.VReg
+	defined []bool
+}
+
+// newState builds the scheduling state of one Schedule call for graph g
+// (and its loop) on machine m, first at candidate II ii: one counting
+// pass sizes the arena, one allocation per element type backs every
+// table, and the request's heights, pick order and live-in rows are
+// computed into it. It does not ready the state for scheduling —
+// callers must reset before use (and once per subsequent candidate II).
+// It fails on an intra-iteration dependence cycle.
 func newState(g *ir.Graph, m *machine.Machine, ii int) (*state, error) {
-	mrt, err := sched.NewMRT(m, ii)
-	if err != nil {
-		return nil, err
-	}
-	track, err := regpress.NewTracker(m, ii)
-	if err != nil {
-		return nil, err
+	if ii < 1 {
+		return nil, fmt.Errorf("mirs: candidate II %d < 1", ii)
 	}
 	st := &state{
 		m:      m,
-		mrt:    mrt,
-		track:  track,
-		wc:     sched.NewWindowCache(g, m, ii),
 		memLat: m.Latency(machine.ClassMem),
 		busLat: m.BusLatency(),
 	}
 	st.minLens = [2]int{2*st.memLat + 1, st.memLat}
-	st.lview = &life.View{At: func(id int) (int, int, bool) {
+	var a arena
+	st.carve(&a, g, ii)
+	a.alloc()
+	sc := st.carve(&a, g, ii)
+	height, err := sc.hb.Heights(g)
+	if err != nil {
+		return nil, err
+	}
+	st.reqHeight = height
+	for i := range st.reqOrder {
+		st.reqOrder[i] = i
+	}
+	settle(st.reqOrder, height)
+	st.reqLiveInUses = life.LiveInUsesInto(st.reqLiveInUses, sc.regs, sc.defined, g.Loop)
+	st.lview.At = func(id int) (int, int, bool) {
 		if !st.placed[id] {
 			return 0, 0, false
 		}
 		p := st.plc[id]
 		return p.Cycle, p.Cluster, true
-	}}
+	}
 	return st, nil
 }
 
-// reset retargets the state to candidate II ii over (loop, g), reusing
-// every backing allocation. height, order and liveInUses are the
-// request's analyses of (g, loop): its heights, pick order and live-in
-// uses, shared read-only by every attempt.
-func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int, height, order []int, liveInUses [][]ir.VReg) {
+// carve takes every table of the state from a, each sized for g's loop
+// at II ii as reset and the placement loop use it, and returns the
+// scratch the request's analyses are computed in. Before a.alloc it
+// only counts (see buf.Slab).
+func (st *state) carve(a *arena, g *ir.Graph, ii int) analysisScratch {
+	n, nc := g.Loop.NumInstrs(), st.m.NumClusters()
+	// nregs, defs and uses count registers and operands; lts is the
+	// charged-lifetime slab rebindLoop lays out; preds and trs are the
+	// most true-dependence producers, and true edges, of one
+	// instruction: the dedup and transfer scratch bounds.
+	nregs, defs, uses, lts, preds, trs := 0, 0, 0, 0, 0, 0
+	for id, in := range g.Loop.Instrs {
+		defs += len(in.Defs)
+		uses += len(in.Uses)
+		for _, v := range in.Uses {
+			nregs = max(nregs, int(v)+1)
+		}
+		for _, v := range in.Defs {
+			nregs = max(nregs, int(v)+1)
+			k := int32(0)
+			for _, e := range g.Succs(id) {
+				if e.Kind == ir.DepTrue && e.Reg == v {
+					k++
+				}
+			}
+			lts += st.blockLen(k)
+		}
+		p, s := 0, 0
+		for _, e := range g.Preds(id) {
+			if e.Kind == ir.DepTrue {
+				p++
+			}
+		}
+		for _, e := range g.Succs(id) {
+			if e.Kind == ir.DepTrue {
+				s++
+			}
+		}
+		preds, trs = max(preds, p), max(trs, p+s)
+	}
+
+	st.mrt.Carve(&a.Arena, st.m, ii)
+	st.track.Carve(&a.Arena, st.m, ii)
+	st.wc.Carve(&a.Arena, n, st.m)
+	st.plc = a.Placements(n)
+	st.placed, st.noSpill = a.Bools(n), a.Bools(n)
+	st.forcedAt = a.Ints(n)
+	st.nbr = a.Int32s(n)
+	st.order, st.reqOrder = a.Ints(n), a.Ints(n)
+	st.reqLiveInUses = a.rows.Take(n)
+	st.liveIn = a.Int32s(nregs * nc)
+	st.defBase = a.Ints(n + 1)
+	st.defRegs = a.regs.Take(defs)
+	st.defUses, st.defCarried = a.Int32s(defs), a.Bools(defs)
+	st.charged = a.charged.Take(defs)
+	st.ltSlab = a.lts.Take(lts)
+	st.readers = a.Int32s(nregs)
+	st.eligible, st.liveIns = a.Int32s(len(st.minLens)*nc), a.Int32s(nc)
+	st.seenDefs = a.Ints(preds)
+	st.trs = a.Transfers(trs)
+
+	var sc analysisScratch
+	sc.hb.Carve(&a.Arena, n)
+	sc.regs, sc.defined = a.regs.Take(uses), a.Bools(nregs)
+	return sc
+}
+
+// reset retargets the state to candidate II ii over the request's loop
+// and graph g, reusing every table.
+func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int) {
 	n := loop.NumInstrs()
 	st.ii = ii
 	st.loop, st.g = loop, g
-	st.height = height
-	st.liveInUses = liveInUses
+	st.height = st.reqHeight
+	st.liveInUses = st.reqLiveInUses
 	st.mrt.Reset(ii)
 	st.track.Reset(ii)
 	st.wc.Reset(g, st.m, ii)
@@ -213,7 +320,7 @@ func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int
 	st.noSpill = buf.Zeroed(st.noSpill, n)
 	st.forcedAt = buf.Zeroed(st.forcedAt, n)
 	st.nbr = buf.Zeroed(st.nbr, n)
-	st.order = append(st.order[:0], order...)
+	st.order = append(st.order[:0], st.reqOrder...)
 	st.budget = maxRetries * n
 	st.maxRetries = maxRetries
 	st.spills = 0
@@ -258,14 +365,8 @@ func (st *state) rebindLoop() {
 		st.countUses(id)
 	}
 	// Blocks from the previous attempt are dead: rewind the newest slab,
-	// or replace it when the loop's slots do not fit.
-	need := 0
-	for _, uses := range st.defUses {
-		need += st.blockLen(uses)
-	}
-	if len(st.ltSlab) < need {
-		st.ltSlab = make([]life.Lifetime, need)
-	}
+	// which newState sized for the request's loop (a spill only ever
+	// replaces it with a larger one).
 	st.ltFree = st.ltSlab
 	st.charged = buf.Grow(st.charged, len(st.defRegs))
 	for fi := range st.charged {
@@ -320,17 +421,6 @@ func (st *state) block(uses int32) []life.Lifetime {
 	b := st.ltFree[:0:k]
 	st.ltFree = st.ltFree[k:]
 	return b
-}
-
-// pickOrder lists the instructions by descending height, ties by
-// ascending ID: the priority nextUnplaced scans in.
-func pickOrder(height []int) []int {
-	order := make([]int, len(height))
-	for i := range order {
-		order[i] = i
-	}
-	settle(order, height)
-	return order
 }
 
 // settleOrder restores the pick order after a spill renumbered the
@@ -809,16 +899,8 @@ func (st *state) refreshAround(x int) {
 		if e.Kind != ir.DepTrue {
 			continue
 		}
-		k := defKey{e.From, e.Reg}
-		dup := false
-		for _, s := range st.seenDefs {
-			if s == k {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			st.seenDefs = append(st.seenDefs, k)
+		if fi := st.defSlot(e.From, e.Reg); !slices.Contains(st.seenDefs, fi) {
+			st.seenDefs = append(st.seenDefs, fi)
 			st.refreshDef(e.From, e.Reg)
 		}
 	}
@@ -836,7 +918,7 @@ func (st *state) refreshDef(id int, reg ir.VReg) {
 	for _, lt := range st.charged[fi] {
 		st.track.RemoveLifetime(lt)
 	}
-	lts := life.AppendOfDef(st.charged[fi][:0], st.lview, id, reg)
+	lts := life.AppendOfDef(st.charged[fi][:0], &st.lview, id, reg)
 	for _, lt := range lts {
 		st.track.AddLifetime(lt)
 	}

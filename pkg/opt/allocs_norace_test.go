@@ -4,4 +4,4 @@ package opt_test
 
 // The grid-pass counts TestOptAllocs bounds, measured without the race
 // detector.
-const optAllocsMeasured, optKiBMeasured = 6486, 786
+const optAllocsMeasured, optKiBMeasured = 2510, 577

@@ -7,4 +7,4 @@ package opt_test
 // quarter of its Puts, so about one formula in four is built on a new
 // solver: the highest counts of 20 race runs. Building every formula on
 // a new solver made 13 584 allocations and 59 694 KiB here.
-const optAllocsMeasured, optKiBMeasured = 10258, 28031
+const optAllocsMeasured, optKiBMeasured = 5739, 26526

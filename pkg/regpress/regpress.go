@@ -74,15 +74,20 @@ func Analyze(s *sched.Schedule) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("regpress: invalid schedule: %w", err)
 	}
+	// PerCycle, the cluster rows and MaxLivePerCluster are
+	// capacity-capped tables of one array.
+	nc := s.Machine.NumClusters()
+	back := make([]int, (nc+1)*s.II+nc)
 	r := &Result{
 		Machine:           s.Machine,
 		II:                s.II,
-		PerCycle:          make([]int, s.II),
-		PerCluster:        make([][]int, s.Machine.NumClusters()),
-		MaxLivePerCluster: make([]int, s.Machine.NumClusters()),
+		PerCycle:          back[:s.II:s.II],
+		PerCluster:        make([][]int, nc),
+		MaxLivePerCluster: back[(nc+1)*s.II:],
 	}
 	for ci := range r.PerCluster {
-		r.PerCluster[ci] = make([]int, s.II)
+		lo := (ci + 1) * s.II
+		r.PerCluster[ci] = back[lo : lo+s.II : lo+s.II]
 	}
 	r.Lifetimes = life.Lifetimes(s.LifeView())
 	for _, lt := range r.Lifetimes {

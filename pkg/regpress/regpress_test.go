@@ -229,3 +229,37 @@ func TestFitsDetectsOverflow(t *testing.T) {
 		t.Errorf("Fits = true with MaxLive %d on a 2-register file", r.MaxLivePerCluster[0])
 	}
 }
+
+// TestAnalyzeAllocs pins the allocations of one Analyze call on every
+// example loop scheduled on each canned machine: the result, one array
+// behind its per-cycle tables, the cluster-row headers, the lifetimes
+// sized by an exact count, the live-in table and Validate's scratch.
+// Per-row tables and lifetimes grown by append made 10 to 20.
+func TestAnalyzeAllocs(t *testing.T) {
+	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
+		most := 0.0
+		for _, l := range ir.ExampleLoops() {
+			s, err := sched.ListScheduler{}.Schedule(&sched.Request{Loop: l, Machine: m})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
+			}
+			r, err := Analyze(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(r.Lifetimes) != len(r.Lifetimes) {
+				t.Errorf("%s on %s: %d lifetimes in a slice of capacity %d", l.Name, m.Name, len(r.Lifetimes), cap(r.Lifetimes))
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := Analyze(s); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 6 {
+				t.Errorf("%s on %s: Analyze made %v allocations, want at most 6", l.Name, m.Name, allocs)
+			}
+			most = max(most, allocs)
+		}
+		t.Logf("%s: at most %v allocations per Analyze", m.Name, most)
+	}
+}

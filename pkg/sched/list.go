@@ -159,8 +159,7 @@ func (at *listAttempter) AttemptII(_ context.Context, cand int, rec trace.Record
 			rec.Emit(trace.Event{Kind: trace.KindIIStart, II: int32(ii), Op: -1, Cluster: int32(onlyCluster), Cycle: -1, Reg: -1})
 		}
 	}
-	s, ok := at.ls.tryII(at.req, at.g, at.order, ii, onlyCluster, at.sc, rec)
-	valid := ok && s.Validate() == nil
+	valid := at.ls.tryII(at.req, at.g, at.order, ii, onlyCluster, at.sc, rec) && at.sc.valid(at.req, at.g, ii)
 	if rec != nil {
 		completed := int64(0)
 		if valid {
@@ -171,7 +170,10 @@ func (at *listAttempter) AttemptII(_ context.Context, cand int, rec trace.Record
 	if !valid {
 		return Attempt{}
 	}
-	return Attempt{Schedule: s, Completed: true}
+	s := at.sc.check
+	s.Placements = append([]Placement(nil), s.Placements...)
+	s.By = at.ls.Name()
+	return Attempt{Schedule: &s, Completed: true}
 }
 
 // soleClusterFor returns the index of the cluster with the most
@@ -259,13 +261,28 @@ func placementOrder(g *ir.Graph) ([]int, error) {
 }
 
 // listScratch is the state one attempter reuses across its attempts:
-// the reservation table, the placement buffers and a transfer scratch
-// slice. Nothing in the per-candidate placement loop allocates.
+// the reservation table, the placement buffers, a transfer scratch
+// slice, and the schedule and tables a complete placement is checked
+// with. Nothing in the per-candidate placement loop allocates, and
+// neither does rejecting a placement that breaks a loop-carried edge.
 type listScratch struct {
 	mrt    *MRT
 	placed []bool
 	plc    []Placement
 	trs    []Transfer
+	check  Schedule
+	tables []int32
+}
+
+// valid checks the complete placement in plc at II ii in place. The
+// greedy pass honours only the edges from already-placed producers, so
+// a loop-carried edge into an earlier-placed consumer can break; only a
+// placement that passes is copied out.
+func (sc *listScratch) valid(req *Request, g *ir.Graph, ii int) bool {
+	sc.check = Schedule{Loop: req.Loop, Machine: req.Machine, Graph: g, II: ii, Placements: sc.plc}
+	var v violation
+	v, sc.tables = sc.check.check(sc.tables)
+	return v.kind == noViolation
 }
 
 func newListScratch(m *machine.Machine, g *ir.Graph, ii int) (*listScratch, error) {
@@ -280,13 +297,12 @@ func newListScratch(m *machine.Machine, g *ir.Graph, ii int) (*listScratch, erro
 	}, nil
 }
 
-// tryII attempts one greedy placement pass at a fixed II. A non-negative
-// onlyCluster restricts every placement to that cluster (the bus-free
-// fallback mode). ok=false means some instruction found no free slot
-// within its II-cycle window. On success the returned schedule owns a
-// fresh copy of the placements, so the scratch stays reusable. rec is
-// the attempt's recorder.
-func (ls ListScheduler) tryII(req *Request, g *ir.Graph, order []int, ii, onlyCluster int, sc *listScratch, rec trace.Recorder) (*Schedule, bool) {
+// tryII attempts one greedy placement pass at a fixed II into sc.plc. A
+// non-negative onlyCluster restricts every placement to that cluster
+// (the bus-free fallback mode). It reports false when some instruction
+// found no free slot within its II-cycle window. rec is the attempt's
+// recorder.
+func (ls ListScheduler) tryII(req *Request, g *ir.Graph, order []int, ii, onlyCluster int, sc *listScratch, rec trace.Recorder) bool {
 	m := req.Machine
 	sc.mrt.Reset(ii)
 	mrt := sc.mrt
@@ -341,14 +357,14 @@ func (ls ListScheduler) tryII(req *Request, g *ir.Graph, order []int, ii, onlyCl
 				rec.Emit(trace.Event{Kind: trace.KindWindowMiss, II: int32(ii), Op: int32(id),
 					Cluster: -1, Cycle: -1, Reg: -1, Label: in.Op})
 			}
-			return nil, false
+			return false
 		}
 		if err := mrt.Reserve(best.cluster, best.slot, best.cycle, id); err != nil {
-			return nil, false
+			return false
 		}
 		sc.trs = AppendPlacementTransfers(sc.trs[:0], g, m, req.Loop, plc, placed, id, best.cluster, best.cycle)
 		if _, err := mrt.AddTransfers(sc.trs); err != nil {
-			return nil, false
+			return false
 		}
 		plc[id] = Placement{Cycle: best.cycle, Cluster: best.cluster, Slot: best.slot}
 		placed[id] = true
@@ -357,12 +373,5 @@ func (ls ListScheduler) tryII(req *Request, g *ir.Graph, order []int, ii, onlyCl
 				Cluster: int32(best.cluster), Cycle: int32(best.cycle), Reg: -1})
 		}
 	}
-	return &Schedule{
-		Loop:       req.Loop,
-		Machine:    m,
-		Graph:      g,
-		II:         ii,
-		Placements: append([]Placement(nil), plc...),
-		By:         ls.Name(),
-	}, true
+	return true
 }

@@ -25,7 +25,9 @@ import (
 // (cluster, op class) when the table is created. Probe, place and release
 // are O(1) in allocations — nothing on the steady-state placement path
 // touches the heap — and Reset lets a scheduler reuse one table (and its
-// machine-derived lookup tables) across an entire II search.
+// machine-derived lookup tables) across an entire II search. Every
+// array is carved from an Arena (Carve), so a table is ready in one
+// allocation per element type, bounded transfer list included.
 //
 // Buses are MRT resources too: every cross-cluster true dependence needs
 // one bus at the cycle the value leaves the producer, and at most
@@ -59,17 +61,17 @@ type MRT struct {
 
 	busCap  int
 	busUsed []int      // transfers per cycle mod ii
-	busRefs []busEntry // live transfers; linear scan (transfer counts are small)
-	prods   []int      // scratch for TransferProducersAt
+	busRefs []busEntry // live transfers; linear scan (at most busCap*ii)
+	prods   []int      // scratch for TransferProducersAt (at most busCap)
 }
 
 // busEntry is one reference-counted transfer occupying a bus.
 type busEntry struct {
-	from  int
-	reg   ir.VReg
-	dest  int
-	cycle int // mod ii
-	refs  int // dependence edges sharing this transfer
+	from  int32
+	reg   int32
+	dest  int32
+	cycle int32 // mod ii
+	refs  int32 // dependence edges sharing this transfer
 }
 
 // Transfer names one inter-cluster value movement: producer instruction
@@ -158,22 +160,40 @@ func NewMRT(m *machine.Machine, ii int) (*MRT, error) {
 	if ii < 1 {
 		return nil, fmt.Errorf("sched: MRT with II %d < 1", ii)
 	}
+	t := new(MRT)
+	var a Arena
+	t.Carve(&a, m, ii)
+	a.Alloc()
+	t.Carve(&a, m, ii)
+	t.Reset(ii)
+	return t, nil
+}
+
+// Carve binds t to machine m and takes its arrays from a, sized for II
+// ii (>= 1): the occupancy and busy rows, the per-cycle bus counts, and
+// the transfer list and producer scratch at the most a kernel can hold,
+// busCap per cycle. Reset readies the table for use.
+func (t *MRT) Carve(a *Arena, m *machine.Machine, ii int) {
 	tab := tablesFor(m)
-	t := &MRT{
+	*t = MRT{
 		mach:     m,
 		busCap:   tab.busCap,
 		unitBase: tab.unitBase,
 		pref:     tab.pref,
+		occ:      a.Int32s(tab.unitBase[len(tab.unitBase)-1] * ii),
+		busy:     a.u64.Take(m.NumClusters() * ii),
+		busUsed:  a.Ints(ii),
+		busRefs:  a.bus.Take(tab.busCap * ii),
+		prods:    a.Ints(tab.busCap),
 	}
-	t.Reset(ii)
-	return t, nil
 }
 
 // Reset empties the table and retargets it to a (possibly different) II,
 // reusing the backing arrays, which grow with amortised capacity, and the
 // machine-derived lookup tables. It is
 // how II-search loops keep the steady-state placement path allocation
-// free: one NewMRT per schedule request, one Reset per candidate II.
+// free: one NewMRT or Carve per schedule request, one Reset per
+// candidate II.
 func (t *MRT) Reset(ii int) {
 	if ii < 1 {
 		panic(fmt.Sprintf("sched: MRT reset to II %d < 1", ii))
@@ -200,7 +220,7 @@ func (t *MRT) Renumber(oldToNew []int) {
 		}
 	}
 	for i := range t.busRefs {
-		t.busRefs[i].from = oldToNew[t.busRefs[i].from]
+		t.busRefs[i].from = int32(oldToNew[t.busRefs[i].from])
 	}
 }
 
@@ -278,7 +298,7 @@ func (t *MRT) FreeSlot(cluster, cycle int, class machine.OpClass) (slot int, ok 
 func (t *MRT) findTransfer(from int, reg ir.VReg, dest int) int {
 	for i := range t.busRefs {
 		e := &t.busRefs[i]
-		if e.from == from && e.reg == reg && e.dest == dest {
+		if int(e.from) == from && ir.VReg(e.reg) == reg && int(e.dest) == dest {
 			return i
 		}
 	}
@@ -307,7 +327,7 @@ func (t *MRT) AddTransfer(tr Transfer) error {
 		return ErrBusBusy
 	}
 	t.busUsed[c]++
-	t.busRefs = append(t.busRefs, busEntry{from: tr.From, reg: tr.Reg, dest: tr.Dest, cycle: c, refs: 1})
+	t.busRefs = append(t.busRefs, busEntry{from: int32(tr.From), reg: int32(tr.Reg), dest: int32(tr.Dest), cycle: int32(c), refs: 1})
 	return nil
 }
 
@@ -350,7 +370,7 @@ func (t *MRT) RemoveTransfer(from int, reg ir.VReg, dest int) {
 // such transfer holds a bus.
 func (t *MRT) TransferRefs(from int, reg ir.VReg, dest int) int {
 	if i := t.findTransfer(from, reg, dest); i >= 0 {
-		return t.busRefs[i].refs
+		return int(t.busRefs[i].refs)
 	}
 	return 0
 }
@@ -371,8 +391,8 @@ func (t *MRT) TransferProducersAt(cycle int) []int {
 	c := t.mod(cycle)
 	out := t.prods[:0]
 	for i := range t.busRefs {
-		if t.busRefs[i].cycle == c {
-			out = append(out, t.busRefs[i].from)
+		if int(t.busRefs[i].cycle) == c {
+			out = append(out, int(t.busRefs[i].from))
 		}
 	}
 	sort.Ints(out)

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/life"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
@@ -203,45 +204,74 @@ func (s *Schedule) EdgeLatency(e *ir.Edge) int {
 // It returns nil for a valid schedule and a descriptive error for the
 // first violation found.
 func (s *Schedule) Validate() error {
+	v, _ := s.check(nil)
+	return v.err(s)
+}
+
+// violation is the first constraint check finds broken, with what
+// Validate's message names: kind says which check failed, id and other
+// are instructions, e the offending edge, cycle a kernel cycle and
+// count a transfer count. The zero value is no violation.
+type violation struct {
+	kind      violationKind
+	id, other int
+	e         *ir.Edge
+	cycle     int
+	count     int
+}
+
+type violationKind uint8
+
+const (
+	noViolation violationKind = iota
+	badII
+	missingParts
+	placementCount
+	unscheduled
+	badCluster
+	badSlot
+	unsupported
+	slotConflict
+	dependence
+	busBandwidth
+)
+
+// check is Validate without the formatting: the first violation, found
+// with scratch (grown to (units+1)*II and returned) as its occupancy and
+// bus tables, so a caller that keeps the scratch checks placements
+// without allocating. A dense occupancy array instead of a map matters:
+// MIRS validates every complete placement it reaches and the list
+// scheduler every greedy pass.
+func (s *Schedule) check(scratch []int32) (violation, []int32) {
 	if s.II < 1 {
-		return fmt.Errorf("sched: II %d < 1", s.II)
+		return violation{kind: badII}, scratch
 	}
 	if s.Loop == nil || s.Machine == nil || s.Graph == nil {
-		return fmt.Errorf("sched: schedule missing loop, machine or graph")
+		return violation{kind: missingParts}, scratch
 	}
-	n := s.Loop.NumInstrs()
-	if len(s.Placements) != n {
-		return fmt.Errorf("sched: %d placements for %d instructions", len(s.Placements), n)
+	if len(s.Placements) != s.Loop.NumInstrs() {
+		return violation{kind: placementCount}, scratch
 	}
-	// Dense occupancy check: one flat (unit, cycle mod II) array instead
-	// of a map, carved from one allocation with the per-cycle bus counts
-	// — Validate runs on every complete placement MIRS reaches and
-	// inside the pressure analysis, so its constant cost matters.
 	totalUnits := 0
 	for ci := range s.Machine.Clusters {
 		totalUnits += len(s.Machine.Clusters[ci].Units)
 	}
-	scratch := make([]int32, (totalUnits+1)*s.II)
+	scratch = buf.Zeroed(scratch, (totalUnits+1)*s.II)
 	occupied, busAt := scratch[:totalUnits*s.II], scratch[totalUnits*s.II:]
 	for i := range occupied {
 		occupied[i] = -1
 	}
 	for id, p := range s.Placements {
 		in := s.Loop.Instrs[id]
-		if p.Cycle < 0 {
-			return fmt.Errorf("sched: instruction %d (%s) unscheduled (cycle %d)", id, in.Op, p.Cycle)
-		}
-		if p.Cluster < 0 || p.Cluster >= s.Machine.NumClusters() {
-			return fmt.Errorf("sched: instruction %d on invalid cluster %d", id, p.Cluster)
-		}
-		cl := &s.Machine.Clusters[p.Cluster]
-		if p.Slot < 0 || p.Slot >= len(cl.Units) {
-			return fmt.Errorf("sched: instruction %d on invalid slot %d of cluster %q", id, p.Slot, cl.Name)
-		}
-		fu := &cl.Units[p.Slot]
-		if !fu.Supports(in.Class) {
-			return fmt.Errorf("sched: instruction %d (%s, class %q) on unit %q.%q which does not support it",
-				id, in.Op, in.Class, cl.Name, fu.Name)
+		switch {
+		case p.Cycle < 0:
+			return violation{kind: unscheduled, id: id}, scratch
+		case p.Cluster < 0 || p.Cluster >= s.Machine.NumClusters():
+			return violation{kind: badCluster, id: id}, scratch
+		case p.Slot < 0 || p.Slot >= len(s.Machine.Clusters[p.Cluster].Units):
+			return violation{kind: badSlot, id: id}, scratch
+		case !s.Machine.Clusters[p.Cluster].Units[p.Slot].Supports(in.Class):
+			return violation{kind: unsupported, id: id}, scratch
 		}
 		unit := p.Slot
 		for ci := 0; ci < p.Cluster; ci++ {
@@ -249,17 +279,14 @@ func (s *Schedule) Validate() error {
 		}
 		key := unit*s.II + p.Cycle%s.II
 		if other := occupied[key]; other != -1 {
-			return fmt.Errorf("sched: instructions %d and %d both occupy cluster %d slot %d cycle %d (mod II=%d)",
-				other, id, p.Cluster, p.Slot, p.Cycle%s.II, s.II)
+			return violation{kind: slotConflict, id: id, other: int(other)}, scratch
 		}
 		occupied[key] = int32(id)
 	}
 	for i := range s.Graph.Edges {
 		e := &s.Graph.Edges[i]
-		need := s.Start(e.From) + s.EdgeLatency(e) - e.Distance*s.II
-		if s.Start(e.To) < need {
-			return fmt.Errorf("sched: %s dependence %d->%d (dist %d, lat %d) violated: start(%d)=%d < %d under II=%d",
-				e.Kind, e.From, e.To, e.Distance, s.EdgeLatency(e), e.To, s.Start(e.To), need, s.II)
+		if s.Start(e.To) < s.Start(e.From)+s.EdgeLatency(e)-e.Distance*s.II {
+			return violation{kind: dependence, e: e}, scratch
 		}
 	}
 	// Bus bandwidth: distinct transfers per (producer, register,
@@ -274,10 +301,49 @@ func (s *Schedule) Validate() error {
 		}
 		cyc := TransferCycle(s.Machine, s.Loop, s.Placements, e.From) % s.II
 		busAt[cyc]++
-		if cap := s.Machine.BusCount(); int(busAt[cyc]) > cap {
-			return fmt.Errorf("sched: bus bandwidth exceeded at cycle %d (mod II=%d): %d transfers, %d buses (last: %s from instruction %d to cluster %d)",
-				cyc, s.II, busAt[cyc], cap, e.Reg, e.From, dest)
+		if int(busAt[cyc]) > s.Machine.BusCount() {
+			return violation{kind: busBandwidth, e: e, cycle: cyc, count: int(busAt[cyc])}, scratch
 		}
+	}
+	return violation{}, scratch
+}
+
+// err formats v as Validate reports it, nil for no violation.
+func (v violation) err(s *Schedule) error {
+	var in *ir.Instruction
+	var p Placement
+	if v.kind >= unscheduled && v.kind <= slotConflict {
+		in, p = s.Loop.Instrs[v.id], s.Placements[v.id]
+	}
+	switch v.kind {
+	case badII:
+		return fmt.Errorf("sched: II %d < 1", s.II)
+	case missingParts:
+		return fmt.Errorf("sched: schedule missing loop, machine or graph")
+	case placementCount:
+		return fmt.Errorf("sched: %d placements for %d instructions", len(s.Placements), s.Loop.NumInstrs())
+	case unscheduled:
+		return fmt.Errorf("sched: instruction %d (%s) unscheduled (cycle %d)", v.id, in.Op, p.Cycle)
+	case badCluster:
+		return fmt.Errorf("sched: instruction %d on invalid cluster %d", v.id, p.Cluster)
+	case badSlot:
+		return fmt.Errorf("sched: instruction %d on invalid slot %d of cluster %q", v.id, p.Slot, s.Machine.Clusters[p.Cluster].Name)
+	case unsupported:
+		cl := &s.Machine.Clusters[p.Cluster]
+		return fmt.Errorf("sched: instruction %d (%s, class %q) on unit %q.%q which does not support it",
+			v.id, in.Op, in.Class, cl.Name, cl.Units[p.Slot].Name)
+	case slotConflict:
+		return fmt.Errorf("sched: instructions %d and %d both occupy cluster %d slot %d cycle %d (mod II=%d)",
+			v.other, v.id, p.Cluster, p.Slot, p.Cycle%s.II, s.II)
+	case dependence:
+		e := v.e
+		return fmt.Errorf("sched: %s dependence %d->%d (dist %d, lat %d) violated: start(%d)=%d < %d under II=%d",
+			e.Kind, e.From, e.To, e.Distance, s.EdgeLatency(e), e.To, s.Start(e.To),
+			s.Start(e.From)+s.EdgeLatency(e)-e.Distance*s.II, s.II)
+	case busBandwidth:
+		e := v.e
+		return fmt.Errorf("sched: bus bandwidth exceeded at cycle %d (mod II=%d): %d transfers, %d buses (last: %s from instruction %d to cluster %d)",
+			v.cycle, s.II, v.count, s.Machine.BusCount(), e.Reg, e.From, s.Placements[e.To].Cluster)
 	}
 	return nil
 }

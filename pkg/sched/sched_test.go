@@ -400,6 +400,33 @@ func TestValidateAllocs(t *testing.T) {
 		if allocs != 1 {
 			t.Errorf("Validate(%s) made %v allocations, want 1", l.Name, allocs)
 		}
+
+		// The rejected case: a producer moved whole IIs later keeps its
+		// kernel slot and bus cycle but breaks its edge. The check the
+		// list attempter runs on kept tables allocates nothing either way.
+		e := g.Edges[slices.IndexFunc(g.Edges, func(e ir.Edge) bool { return e.Distance == 0 && e.From != e.To })]
+		bad := *s
+		bad.Placements = slices.Clone(s.Placements)
+		bad.Placements[e.From].Cycle += 10 * s.II
+		_, tables := bad.check(nil)
+		for _, c := range []*Schedule{s, &bad} {
+			want := noViolation
+			if c == &bad {
+				want = dependence
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				var v violation
+				if v, tables = c.check(tables); v.kind != want {
+					t.Fatalf("check(%s) found violation kind %d, want %d", l.Name, v.kind, want)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("check(%s) on kept tables made %v allocations, want 0", l.Name, allocs)
+			}
+		}
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "violated") {
+			t.Errorf("Validate of the broken %s schedule: %v, want a dependence violation", l.Name, err)
+		}
 	}
 	if crossing == 0 {
 		t.Fatal("no example schedule crosses clusters")

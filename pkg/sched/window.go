@@ -155,6 +155,12 @@ func NewWindowCache(g *ir.Graph, m *machine.Machine, ii int) *WindowCache {
 	return wc
 }
 
+// Carve takes the cache's entries from a, sized for n instructions on
+// machine m. Reset binds it to a graph and II.
+func (wc *WindowCache) Carve(a *Arena, n int, m *machine.Machine) {
+	wc.win = a.win.Take(n * m.NumClusters())
+}
+
 // Reset rebinds the cache to a (possibly new) graph and II and clears
 // every entry, reusing the backing array, which grows with amortised
 // capacity. Call it at the start of each candidate II and whenever the
@@ -232,6 +238,11 @@ func Heights(g *ir.Graph) ([]int, error) {
 // intra-iteration topological order it walks and that order's scratch,
 // carved from one array. The zero value is ready to use.
 type HeightBuf struct{ height, topo, indeg []int }
+
+// Carve takes b's storage from a, sized for graphs of n nodes.
+func (b *HeightBuf) Carve(a *Arena, n int) {
+	b.height, b.topo, b.indeg = a.Ints(n), a.Ints(n), a.Ints(n)
+}
 
 // Heights is Heights computed into b, allocation-free once b has grown
 // to the graph. The result stays valid until the next call.

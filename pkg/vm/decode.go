@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/emit"
 )
 
@@ -156,17 +157,6 @@ func (sz *sizes) alloc() *arena {
 	}
 }
 
-// carve cuts the first k elements off *buf as a capacity-capped slice,
-// nil when k is 0.
-func carve[T any](buf *[]T, k int) []T {
-	if k == 0 {
-		return nil
-	}
-	s := (*buf)[:k:k]
-	*buf = (*buf)[k:]
-	return s
-}
-
 // plan is an emitted program decoded for the pipelined executor. Its
 // locations are flat: the register files of all clusters back to back,
 // then the frame slots, so a location is one index into a value array.
@@ -270,12 +260,12 @@ func (sz *sizes) countPlan(sem *Semantics, prog *emit.Program) {
 func (p *plan) decode(sem *Semantics, prog *emit.Program, a *arena) error {
 	m := prog.Machine
 	*p = plan{sem: sem, prog: prog, code: code{k: sem.K}, longest: 1}
-	p.clusterBase = carve(&a.ints, m.NumClusters())
+	p.clusterBase = buf.Carve(&a.ints, m.NumClusters())
 	for ci := range p.clusterBase {
 		p.clusterBase[ci] = p.frameBase
 		p.frameBase += m.RegsPerCluster(ci)
 	}
-	p.init = carve(&a.u64, p.frameBase+len(prog.Frame))
+	p.init = buf.Carve(&a.u64, p.frameBase+len(prog.Frame))
 	for ci, names := range prog.Names {
 		for idx, name := range names {
 			p.init[p.clusterBase[ci]+idx] = sem.initReg(name.Reg)
@@ -287,9 +277,9 @@ func (p *plan) decode(sem *Semantics, prog *emit.Program, a *arena) error {
 
 	nb, nops, nargs := planShape(prog)
 	segs := segments(prog)
-	p.bundles = carve(&a.i32, nb)[:0]
-	p.ops = carve(&a.dops, nops)[:0]
-	p.args = carve(&a.i32, nargs)[:0]
+	p.bundles = buf.Carve(&a.i32, nb)[:0]
+	p.ops = buf.Carve(&a.dops, nops)[:0]
+	p.args = buf.Carve(&a.i32, nargs)[:0]
 	var timing [3]error
 	for si, seg := range segs {
 		for bi := range seg {
@@ -321,7 +311,7 @@ func (p *plan) decode(sem *Semantics, prog *emit.Program, a *arena) error {
 		p.mveErr = timing[2]
 	}
 
-	p.mem = carve(&a.mem, sem.MemLen())
+	p.mem = buf.Carve(&a.mem, sem.MemLen())
 	sem.fillMemImage(p.mem)
 	return nil
 }

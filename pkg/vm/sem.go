@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
@@ -168,7 +169,7 @@ func bind(l *ir.Loop, g *ir.Graph, seed uint64, slackK int) (*Semantics, error) 
 		refs[j] = srcRef{site: -1}
 	}
 	for id, in := range l.Instrs {
-		sem.ops[id].srcs = carve(&refs, len(in.Uses))
+		sem.ops[id].srcs = buf.Carve(&refs, len(in.Uses))
 	}
 	pair := refs
 	maxDist := 1

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 )
 
@@ -97,14 +98,14 @@ func (h *history) decode(sem *Semantics, a *arena) error {
 	l := sem.Loop
 	n := l.NumInstrs()
 	cols, nargs, rows := seqShape(sem)
-	*h = history{sem: sem, code: code{k: sem.K, ops: carve(&a.dops, n)}}
+	*h = history{sem: sem, code: code{k: sem.K, ops: buf.Carve(&a.dops, n)}}
 	h.shift = bits.Len(uint(max(cols, 1) - 1))
-	h.hist = carve(&a.u64, rows<<h.shift)
+	h.hist = buf.Carve(&a.u64, rows<<h.shift)
 	row := h.hist[:1<<h.shift]
 
 	// Columns: each instruction's defined registers, then each live-in
 	// use. first[id] is instruction id's first def column.
-	first := carve(&a.i32, n+1)
+	first := buf.Carve(&a.i32, n+1)
 	c := int32(0)
 	for id, in := range l.Instrs {
 		first[id] = c
@@ -122,7 +123,7 @@ func (h *history) decode(sem *Semantics, a *arena) error {
 		}
 		return -1
 	}
-	h.args = carve(&a.i32, nargs)[:0]
+	h.args = buf.Carve(&a.i32, nargs)[:0]
 	for id, in := range l.Instrs {
 		d, err := sem.decodeOp(id)
 		if err != nil {
@@ -153,13 +154,13 @@ func (h *history) decode(sem *Semantics, a *arena) error {
 		copy(h.hist[r:], row)
 	}
 
-	h.outCols = carve(&a.i32, len(sem.outs))
-	h.st = State{RegFinal: carve(&a.outs, len(sem.outs)), ObservableLen: sem.ObservableLen()}
+	h.outCols = buf.Carve(&a.i32, len(sem.outs))
+	h.st = State{RegFinal: buf.Carve(&a.outs, len(sem.outs)), ObservableLen: sem.ObservableLen()}
 	for k, o := range sem.outs {
 		h.outCols[k] = defCol(o.site, o.reg)
 		h.st.RegFinal[k].Reg = o.reg
 	}
-	h.mem = carve(&a.mem, sem.MemLen())
+	h.mem = buf.Carve(&a.mem, sem.MemLen())
 	sem.fillMemImage(h.mem)
 	h.st.Mem = h.mem
 	return nil

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/emit"
 	"github.com/paper-repo-growth/mirs/pkg/sched"
 )
@@ -172,7 +173,7 @@ func VerifyProgram(ek *sched.ExpandedKernel, prog *emit.Program, opts Options) (
 			found[k] = diffs
 		}
 	}
-	order := carve(&a.ints, len(rep.Trips))
+	order := buf.Carve(&a.ints, len(rep.Trips))
 	copy(order, rep.Trips)
 	slices.Sort(order)
 	for _, trip := range order {

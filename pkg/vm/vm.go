@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/emit"
 )
 
@@ -138,12 +139,12 @@ func (p *plan) newRunState(a *arena) *runState {
 		depth <<= 1
 	}
 	m := &runState{
-		vals: carve(&a.u64, len(p.init)),
-		last: carve(&a.ints, len(p.init)),
-		mem:  carve(&a.mem, len(p.mem)),
+		vals: buf.Carve(&a.u64, len(p.init)),
+		last: buf.Carve(&a.ints, len(p.init)),
+		mem:  buf.Carve(&a.mem, len(p.mem)),
 		ring: make([]bucket, depth),
 		mask: depth - 1,
-		st:   State{RegFinal: carve(&a.outs, len(p.sem.outs)), ObservableLen: p.sem.ObservableLen()},
+		st:   State{RegFinal: buf.Carve(&a.outs, len(p.sem.outs)), ObservableLen: p.sem.ObservableLen()},
 	}
 	for k, o := range p.sem.outs {
 		m.st.RegFinal[k].Reg = o.reg
@@ -153,7 +154,7 @@ func (p *plan) newRunState(a *arena) *runState {
 	// moves to its own array instead of spilling into its neighbour.
 	r, w := make([]regCommit, depth*p.regWrites), make([]memCommit, depth*p.memWrites)
 	for b := range m.ring {
-		m.ring[b] = bucket{r: carve(&r, p.regWrites)[:0], w: carve(&w, p.memWrites)[:0]}
+		m.ring[b] = bucket{r: buf.Carve(&r, p.regWrites)[:0], w: buf.Carve(&w, p.memWrites)[:0]}
 	}
 	return m
 }
