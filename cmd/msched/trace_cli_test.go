@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -76,21 +78,60 @@ func TestTraceCommandProfileJSON(t *testing.T) {
 }
 
 // TestTraceOptVerdicts pins that the exact backend's trace tells a
-// proof from a hole: fir8 on tight runs out of conflict budget at its
-// MII of 5, while gap0009-storm (a gap-corpus loop, found by its
-// gap.json name) is proved infeasible at its MII of 2. Each attempt
-// names the conflicts it spent.
+// proof from a hole: g0129-storm on paper-4cluster runs out of conflict
+// budget at its MII of 8, while gap0009-storm on tight (a gap-corpus
+// loop, found by its gap.json name) is proved infeasible at its MII of
+// 2. Each attempt names the conflicts it spent.
 func TestTraceOptVerdicts(t *testing.T) {
-	for _, c := range []struct{ loop, want string }{
-		{"fir8", "II=5   budget exhausted (10000 conflicts)"},
-		{"gap0009-storm", "II=2   infeasible (proof, 195 conflicts)"},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-seed", "1", "-i", "129", "-machine", "paper-4cluster"}, "II=8   budget exhausted (10000 conflicts)"},
+		{[]string{"-loop", "gap0009-storm", "-machine", "tight"}, "II=2   infeasible (proof, 195 conflicts)"},
 	} {
-		code, out, errOut := capture(t, "trace", "-backend", "opt", "-loop", c.loop, "-machine", "tight")
+		code, out, errOut := capture(t, append([]string{"trace", "-backend", "opt"}, c.args...)...)
 		if code != 0 {
-			t.Fatalf("trace %s failed: %s", c.loop, errOut)
+			t.Fatalf("trace %v failed: %s", c.args, errOut)
 		}
 		if !strings.Contains(out, c.want) || !strings.Contains(out, "fits (") || strings.Contains(out, "gave up") {
-			t.Fatalf("%s report lacks %q and a conflict-counted fit, or still says gave up:\n%s", c.loop, c.want, out)
+			t.Fatalf("%v report lacks %q and a conflict-counted fit, or still says gave up:\n%s", c.args, c.want, out)
 		}
 	}
+}
+
+// TestTraceHeadlineIsReturnedII: over the register-starved machine's
+// generated loops, the report's header names the II of the schedule the
+// compilation returned (the "result:" line), not the last candidate the
+// search tried, and no attempt but the returned one reads "fits" (or,
+// when it overflows, "returned"). At an
+// overflow plateau the search returns its least overflowing schedule,
+// which the header used to skip: -i 87 read "why II=300" against a
+// returned II of 21.
+func TestTraceHeadlineIsReturnedII(t *testing.T) {
+	header := regexp.MustCompile(`^why II=(\d+) `)
+	result := regexp.MustCompile(`(?m)^result: .*?: II=(\d+) `)
+	returned := regexp.MustCompile(`(?m)^  II=(\d+) +(fits|returned, )`)
+	plateaus := 0
+	for i := 0; i < 120; i++ {
+		code, out, errOut := capture(t, "trace", "-seed", "1", "-i", strconv.Itoa(i), "-machine", "tight")
+		if code != 0 {
+			t.Fatalf("trace -i %d failed: %s", i, errOut)
+		}
+		h, r := header.FindStringSubmatch(out), result.FindStringSubmatch(out)
+		if h == nil || r == nil || h[1] != r[1] {
+			t.Fatalf("-i %d: header and result disagree on the II:\n%s", i, out)
+		}
+		ret := returned.FindAllStringSubmatch(out, -1)
+		if len(ret) != 1 || ret[0][1] != h[1] || strings.Count(out, " fits ") != 0 && ret[0][2] != "fits" {
+			t.Fatalf("-i %d: want exactly the returned II=%s to read fits or returned:\n%s", i, h[1], out)
+		}
+		if ret[0][2] != "fits" {
+			plateaus++
+		}
+	}
+	if plateaus == 0 {
+		t.Fatal("no loop returned an overflowing schedule; the plateau case went unchecked")
+	}
+	t.Logf("%d of 120 loops returned an overflowing schedule", plateaus)
 }

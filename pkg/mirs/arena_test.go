@@ -15,7 +15,9 @@ import (
 // the sweep and attempter, the state and the one array per element type
 // its tables are carved from, Validate's scratch, and the returned
 // schedule with its placements and stats. The count must not depend on
-// the loop's size; growing the tables one by one made 52 to 63.
+// the loop's size; growing the tables one by one made 52 to 63. Nor may
+// it depend on the tests that ran before: the MRT's machine tables are
+// carved with the rest (sched.TestMRTAllocsIndependentOfMachines).
 func TestMIRSRequestAllocs(t *testing.T) {
 	const limit = 25
 	m := machine.Paper4Cluster()

@@ -19,7 +19,7 @@ const (
 // searchFold is a Recorder that folds the search trajectory into one
 // FNV-1a hash as it happens: every placement, ejection, forced
 // placement, window miss, victim, spill and compaction with all its
-// fields, and every attempt's start and verdict. The window cache's
+// scalar fields, and every attempt's start and end. The window cache's
 // per-attempt hit and miss counts are bookkeeping, not decisions, and
 // stay out. It counts forced placements and attempts on the side.
 type searchFold struct {
@@ -46,27 +46,33 @@ func (f *searchFold) Emit(e trace.Event) {
 	case trace.KindIIStart:
 		f.attempts++
 	}
-	f.fold(int64(e.Kind), int64(e.II), int64(e.Op), int64(e.Cluster), int64(e.Cycle), int64(e.Reg), e.Arg, e.Aux)
+	returned := int64(0)
+	if e.Returned {
+		returned = 1
+	}
+	f.fold(int64(e.Kind), int64(e.II), int64(e.Op), int64(e.Cluster), int64(e.Cycle), int64(e.Reg), e.Arg, e.Aux, returned)
 }
 
-// TestSearchGolden pins the MIRS search trajectory — the event stream
-// of every attempt, the final II and placements, and the logical
-// counters (spill stores and loads, ejections, forced placements,
-// attempts) — folded into one FNV-1a hash over gen.Corpus(1, 240) on the
+// TestSearchGolden pins the MIRS search over gen.Corpus(1, 240) on the
 // register-starved machine, the same machine cut to 6 registers and the
-// four-cluster one. The constant was measured while a spill still
-// rebuilt every table of the scheduling state from scratch; a change to
-// how that state is carried across a spill that changes any decision
-// fails here.
+// four-cluster one in two FNV-1a hashes. The outcome hash folds every
+// returned schedule — its II, loop size, placements and Stats but
+// ii_over_mii, which moves with the MII the search starts from — so a
+// change that only prunes attempts no schedule can come from keeps it.
+// The trajectory hash folds the event stream of every attempt and the
+// running counts of forced placements and attempts, so any change to a
+// search decision moves it.
 func TestSearchGolden(t *testing.T) {
 	if testing.Short() || raceBuild {
 		t.Skip("schedules 720 loops; single-threaded, so the race detector has nothing to check")
 	}
 	const (
-		wantSchedules = 720
-		wantHash      = uint64(0x73c34e33a40dd88d)
+		wantSchedules  = 720
+		wantOutcome    = uint64(0x5999b9b61835a75b)
+		wantTrajectory = uint64(0xc7ee07a941d64e45)
 	)
 	f := &searchFold{h: fnvOffset}
+	out := &searchFold{h: fnvOffset}
 	loops := gen.Corpus(1, 240)
 	schedules := 0
 	for _, m := range []*machine.Machine{machine.Tight(), tight6(), machine.Paper4Cluster()} {
@@ -76,27 +82,33 @@ func TestSearchGolden(t *testing.T) {
 				t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
 			}
 			schedules++
-			f.fold(int64(s.II), int64(s.Loop.NumInstrs()))
+			out.fold(int64(s.II), int64(s.Loop.NumInstrs()))
 			for _, p := range s.Placements {
-				f.fold(int64(p.Cycle), int64(p.Cluster), int64(p.Slot))
+				out.fold(int64(p.Cycle), int64(p.Cluster), int64(p.Slot))
 			}
 			keys := make([]string, 0, len(s.Stats))
 			for k := range s.Stats {
-				keys = append(keys, k)
+				if k != "ii_over_mii" {
+					keys = append(keys, k)
+				}
 			}
 			slices.Sort(keys)
 			for _, k := range keys {
 				for i := 0; i < len(k); i++ {
-					f.fold(int64(k[i]))
+					out.fold(int64(k[i]))
 				}
-				f.fold(int64(s.Stats[k]))
+				out.fold(int64(s.Stats[k]))
 			}
 			f.fold(int64(f.forces), int64(f.attempts))
 		}
 	}
-	t.Logf("%d schedules, %d attempts, %d forced placements, hash %#x", schedules, f.attempts, f.forces, f.h)
-	if schedules != wantSchedules || f.h != wantHash {
-		t.Fatalf("%d schedules, hash %#x; want %d, %#x", schedules, f.h, wantSchedules, wantHash)
+	t.Logf("%d schedules, outcome hash %#x; %d attempts, %d forced placements, trajectory hash %#x",
+		schedules, out.h, f.attempts, f.forces, f.h)
+	if schedules != wantSchedules || out.h != wantOutcome {
+		t.Errorf("%d schedules, outcome hash %#x; want %d, %#x", schedules, out.h, wantSchedules, wantOutcome)
+	}
+	if f.h != wantTrajectory {
+		t.Errorf("trajectory hash %#x; want %#x", f.h, wantTrajectory)
 	}
 }
 

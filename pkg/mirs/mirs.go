@@ -19,7 +19,10 @@
 // lifetime, fewest uses, per the paper — splices a store/reload pair
 // into the live dependence graph as new IR instructions with memory
 // dependence edges (ir.Graph.SpliceSpill), and schedules the spill code
-// inside the ongoing schedule. Only when the budget is exhausted does II escalate.
+// inside the ongoing schedule. II escalates when the budget is exhausted,
+// or at once when spill code has raised the loop's resource bound
+// (sched.ResTable) above the candidate II: spills are never undone
+// within an attempt, so no complete placement can exist after that.
 //
 // Some loops cannot be made to fit at any II: once every long lifetime
 // has been spilled, what remains is short-lifetime congestion from the
@@ -252,10 +255,14 @@ func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sc
 		rec.Emit(trace.Event{Kind: trace.KindCacheHit, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: hits - hits0})
 		rec.Emit(trace.Event{Kind: trace.KindCacheMiss, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: misses - misses0})
 		done := int64(0)
-		if completed && excess == 0 {
+		if completed {
 			done = 1
 		}
-		rec.Emit(trace.Event{Kind: trace.KindIIEnd, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: done, Aux: int64(excess)})
+		e := trace.Event{Kind: trace.KindIIEnd, Returned: out != nil, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: done, Aux: int64(excess)}
+		if st.doomed > 0 {
+			e.Label, e.Aux = trace.VerdictDoomed, int64(st.doomed)
+		}
+		rec.Emit(e)
 	}
 	return sched.Attempt{Schedule: out, Completed: completed, Excess: excess}
 }
@@ -267,7 +274,8 @@ func (at *attempter) AttemptII(_ context.Context, ii int, rec trace.Recorder) sc
 // budget first. completed reports whether a full placement (pressure
 // aside) was ever reached at this II, which the sweep uses to attribute
 // II increases to spilling. A nil schedule with nil error means
-// "escalate II".
+// "escalate II": the force budget ran out, or a spill doomed the attempt
+// (state.doomed).
 func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 	ii := st.ii
 	completed := false
@@ -278,6 +286,12 @@ func (s *Scheduler) tryII(st *state) (*sched.Schedule, bool, int, error) {
 		// when one pathological II would churn for milliseconds more.
 		if err := st.poll(); err != nil {
 			return nil, completed, 0, err
+		}
+		if st.doomed > 0 {
+			// A spill left the loop needing more issue slots than II ×
+			// units offer (state.res): no complete placement exists at
+			// this II any more.
+			return nil, completed, 0, nil
 		}
 		u := st.nextUnplaced()
 		if u < 0 {

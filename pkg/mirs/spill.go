@@ -6,6 +6,7 @@ import (
 	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/life"
+	"github.com/paper-repo-growth/mirs/pkg/machine"
 	"github.com/paper-repo-growth/mirs/pkg/trace"
 )
 
@@ -123,7 +124,8 @@ func (st *state) victim(cluster, bar int) (int, ir.VReg, bool) {
 // complete placement (final) lifetimes are fully known, so relief then
 // relaxes to anything longer than a single memory access before giving
 // up. It returns false when there is nothing (more) it can do: no
-// overflow, no victim, or spill budget exhausted.
+// overflow, no victim, spill budget exhausted, or an attempt a spill
+// has already doomed.
 func (st *state) relieve(final bool) bool {
 	worst, excess := -1, 0
 	for ci := range st.m.Clusters {
@@ -131,7 +133,7 @@ func (st *state) relieve(final bool) bool {
 			worst, excess = ci, e
 		}
 	}
-	if worst == -1 || st.spills >= st.maxSpill {
+	if worst == -1 || st.spills >= st.maxSpill || st.doomed > 0 {
 		return false
 	}
 	id, reg, ok := st.victim(worst, 0)
@@ -173,10 +175,18 @@ func (st *state) applySpill(id int, reg ir.VReg) bool {
 		return false
 	}
 	st.spills++
+	added := len(sp.ReloadIDs)
 	if sp.StoreID >= 0 {
 		st.spillStores++
+		added++
 	}
 	st.spillLoads += len(sp.ReloadIDs)
+	// Spill code is memory operations (ir.SpliceSpill): the loop now
+	// needs that many more memory-port slots.
+	st.res.Add(machine.ClassMem, added)
+	if b := st.res.Bound(); b > st.ii {
+		st.doomed = b
+	}
 	if st.rec != nil {
 		stores := int64(0)
 		if sp.StoreID >= 0 {

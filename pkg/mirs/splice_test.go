@@ -142,8 +142,8 @@ func TestSpillPathAllocs(t *testing.T) {
 		l     *ir.Loop
 		limit float64
 	}{
-		{ir.Hydro(), 128 * 1.25},
-		{ir.FIR8(), 118 * 1.25},
+		{ir.Hydro(), 127 * 1.25},
+		{ir.FIR8(), 107 * 1.25},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := New().Schedule(&sched.Request{Loop: tc.l, Machine: m}); err != nil {

@@ -54,6 +54,12 @@ type state struct {
 	maxRetries int // per-instruction budget rate; spill growth adds at this rate
 	spills     int
 	maxSpill   int
+	// res is the resource bound of the attempt's own loop, kept as spill
+	// code joins it; doomed is that bound once a spill has raised it past
+	// the II (0 until then). No spill is undone within an attempt, so a
+	// doomed attempt can never complete, and tryII escalates at once.
+	res    sched.ResTable
+	doomed int
 	// Backend counters, materialised as Schedule.Stats by schedule().
 	ejections, spillStores, spillLoads int
 
@@ -227,6 +233,11 @@ func newState(g *ir.Graph, m *machine.Machine, ii int) (*state, error) {
 	}
 	settle(st.reqOrder, height)
 	st.reqLiveInUses = life.LiveInUsesInto(st.reqLiveInUses, sc.regs, sc.defined, g.Loop)
+	// Spill code is memory operations, so the bound tracks the memory
+	// class even before the loop has any.
+	if err := st.res.Init(g.Loop, m, machine.ClassMem); err != nil {
+		return nil, err
+	}
 	st.lview.At = func(id int) (int, int, bool) {
 		if !st.placed[id] {
 			return 0, 0, false
@@ -297,6 +308,7 @@ func (st *state) carve(a *arena, g *ir.Graph, ii int) analysisScratch {
 	st.eligible, st.liveIns = a.Int32s(len(st.minLens)*nc), a.Int32s(nc)
 	st.seenDefs = a.Ints(preds)
 	st.trs = a.Transfers(trs)
+	st.res.Carve(&a.Arena, g.Loop, st.m, machine.ClassMem)
 
 	var sc analysisScratch
 	sc.hb.Carve(&a.Arena, n)
@@ -325,6 +337,8 @@ func (st *state) reset(loop *ir.Loop, g *ir.Graph, ii, maxRetries, maxSpills int
 	st.maxRetries = maxRetries
 	st.spills = 0
 	st.maxSpill = maxSpills
+	st.res.Count(loop)
+	st.doomed = 0
 	st.ejections, st.spillStores, st.spillLoads = 0, 0, 0
 	st.rebindLoop()
 }

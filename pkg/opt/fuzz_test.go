@@ -13,7 +13,8 @@ import (
 // backend against the Validate oracle: whatever loop the fuzzer invents
 // (through the generator's knob space) and whatever conflict budget it
 // picks, every model opt decodes must pass Schedule.Validate and sit at
-// II >= MII, and whenever the sweep proves optimality its II must not
+// II >= MII — in particular at or above the resource bound ResMII of the
+// loop it schedules — and whenever the sweep proves optimality its II must not
 // exceed the list scheduler's. AttemptII already refuses invalid decodes
 // with an error instead of escalating II, so a seed that makes
 // Schedule() return a validation error is an encoder bug by definition.
@@ -62,6 +63,9 @@ func FuzzOptAgreesWithValidate(f *testing.F) {
 			}
 			if sc.II < mii.MII {
 				t.Fatalf("%s on %s: II %d below MII %d", l.Name, m.Name, sc.II, mii.MII)
+			}
+			if res, err := sched.ResMII(sc.Loop, m); err != nil || sc.II < res {
+				t.Fatalf("%s on %s: II %d below the resource bound %d of the scheduled loop (%v)", l.Name, m.Name, sc.II, res, err)
 			}
 			if sc.Stats["opt_proved"] == 1 {
 				if ls, lerr := (sched.ListScheduler{}).Schedule(&sched.Request{Loop: l, Machine: m}); lerr == nil && sc.II > ls.II {

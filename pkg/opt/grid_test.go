@@ -45,8 +45,8 @@ func scheduleGrid(tb testing.TB, s *opt.Scheduler, loops []*ir.Loop, ms []*machi
 func TestOptTrajectory(t *testing.T) {
 	loops, ms := gapGrid()
 	conflicts, unsatBelow := scheduleGrid(t, opt.New(), loops, ms)
-	if conflicts != 8104 || unsatBelow != 29 {
-		t.Fatalf("Σopt_conflicts = %d, Σopt_unsat_below = %d; want 8104 and 29", conflicts, unsatBelow)
+	if conflicts != 3669 || unsatBelow != 20 {
+		t.Fatalf("Σopt_conflicts = %d, Σopt_unsat_below = %d; want 3669 and 20", conflicts, unsatBelow)
 	}
 }
 

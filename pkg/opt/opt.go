@@ -204,7 +204,7 @@ func (at *optAttempter) AttemptII(_ context.Context, cand int, rec trace.Recorde
 	conflicts := int(enc.s.Conflicts())
 	emitEnd := func(complete int64, verdict string) {
 		if rec != nil {
-			e := trace.Event{Kind: trace.KindIIEnd, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: complete}
+			e := trace.Event{Kind: trace.KindIIEnd, Returned: verdict == trace.VerdictSat, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: complete}
 			if verdict != "" {
 				e.Aux, e.Label = int64(conflicts), verdict
 			}

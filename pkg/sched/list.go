@@ -165,7 +165,7 @@ func (at *listAttempter) AttemptII(_ context.Context, cand int, rec trace.Record
 		if valid {
 			completed = 1
 		}
-		rec.Emit(trace.Event{Kind: trace.KindIIEnd, II: int32(ii), Op: -1, Cluster: int32(onlyCluster), Cycle: -1, Reg: -1, Arg: completed})
+		rec.Emit(trace.Event{Kind: trace.KindIIEnd, Returned: valid, II: int32(ii), Op: -1, Cluster: int32(onlyCluster), Cycle: -1, Reg: -1, Arg: completed})
 	}
 	if !valid {
 		return Attempt{}

@@ -3,9 +3,8 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/paper-repo-growth/mirs/internal/buf"
 	"github.com/paper-repo-growth/mirs/pkg/ir"
@@ -22,7 +21,7 @@ import (
 // The table is dense: occupancy lives in one flat array indexed by
 // (unit, cycle mod II) with a per-(cluster, cycle) bitset of busy slots,
 // and the unit-preference order FreeSlot scans is precomputed per
-// (cluster, op class) when the table is created. Probe, place and release
+// (cluster, op class) when the table is carved. Probe, place and release
 // are O(1) in allocations — nothing on the steady-state placement path
 // touches the heap — and Reset lets a scheduler reuse one table (and its
 // machine-derived lookup tables) across an entire II search. Every
@@ -49,15 +48,19 @@ type MRT struct {
 	// i) for the first 64 slots of the cluster; wider clusters fall back
 	// to reading occ directly.
 	busy []uint64
-	// pref[class][cluster] lists the cluster's unit indices supporting the
-	// class, least flexible first (fewest supported classes, ties by
+	// The machine's classes, numbered by first appearance in unit order:
+	// class k is named by entry classRef[3k:3k+3] = (cluster, unit, i) of
+	// the machine, Units[unit].Classes[i]. prefs[prefOff[k*nc+cluster]:
+	// prefOff[k*nc+cluster+1]] lists the cluster's unit indices supporting
+	// class k, least flexible first (fewest supported classes, ties by
 	// index) — the order FreeSlot probes, so multi-class units stay
 	// available for operations with no alternative.
-	pref map[machine.OpClass][][]uint16
-	// lastClass/lastPref memoise the most recent pref lookup; placement
+	classRef, prefOff, prefs []int32
+	// lastClass/lastK memoise the most recent class lookup (lastK -1: the
+	// machine has no unit for it, -2: nothing looked up yet); placement
 	// loops probe many cycles for one instruction, so the class repeats.
 	lastClass machine.OpClass
-	lastPref  [][]uint16
+	lastK     int
 
 	busCap  int
 	busUsed []int      // transfers per cycle mod ii
@@ -89,72 +92,6 @@ type Transfer struct {
 	Cycle int
 }
 
-// mrtTable holds the immutable machine-derived lookup tables every MRT
-// over one machine shares: the global unit index base per cluster and
-// the per-class unit preference orders. Cached per *Machine — drivers
-// reuse a handful of machine values across thousands of compilations,
-// so the derivation runs once per machine, not once per table. The
-// cache is bounded (mrtTableCacheCap): a process sweeping unboundedly
-// many distinct machine values falls back to building tables per call
-// instead of pinning every Machine forever. Mutating a Machine after
-// its first NewMRT is not supported (cached tables would go stale).
-type mrtTable struct {
-	unitBase []int
-	pref     map[machine.OpClass][][]uint16
-	busCap   int
-}
-
-// mrtTableCacheCap bounds mrtTables. Far above any realistic canned
-// machine set, far below a leak.
-const mrtTableCacheCap = 128
-
-var (
-	mrtTables     sync.Map // *machine.Machine -> *mrtTable
-	mrtTableCount atomic.Int32
-)
-
-func tablesFor(m *machine.Machine) *mrtTable {
-	if v, ok := mrtTables.Load(m); ok {
-		return v.(*mrtTable)
-	}
-	t := &mrtTable{
-		busCap:   m.BusCount(),
-		unitBase: make([]int, m.NumClusters()+1),
-		pref:     map[machine.OpClass][][]uint16{},
-	}
-	base := 0
-	for ci := range m.Clusters {
-		t.unitBase[ci] = base
-		base += len(m.Clusters[ci].Units)
-	}
-	t.unitBase[m.NumClusters()] = base
-	for _, class := range m.Classes() {
-		byCluster := make([][]uint16, m.NumClusters())
-		for ci := range m.Clusters {
-			units := m.Clusters[ci].Units
-			var order []uint16
-			for ui := range units {
-				if units[ui].Supports(class) {
-					order = append(order, uint16(ui))
-				}
-			}
-			sort.SliceStable(order, func(a, b int) bool {
-				return len(units[order[a]].Classes) < len(units[order[b]].Classes)
-			})
-			byCluster[ci] = order
-		}
-		t.pref[class] = byCluster
-	}
-	if mrtTableCount.Load() >= mrtTableCacheCap {
-		return t // cache full: hand back an uncached table
-	}
-	v, loaded := mrtTables.LoadOrStore(m, t)
-	if !loaded {
-		mrtTableCount.Add(1)
-	}
-	return v.(*mrtTable)
-}
-
 // NewMRT returns an empty reservation table for machine m at the given II.
 func NewMRT(m *machine.Machine, ii int) (*MRT, error) {
 	if ii < 1 {
@@ -170,22 +107,100 @@ func NewMRT(m *machine.Machine, ii int) (*MRT, error) {
 }
 
 // Carve binds t to machine m and takes its arrays from a, sized for II
-// ii (>= 1): the occupancy and busy rows, the per-cycle bus counts, and
+// ii (>= 1): the machine's unit numbering and per-class unit preference
+// orders, the occupancy and busy rows, the per-cycle bus counts, and
 // the transfer list and producer scratch at the most a kernel can hold,
 // busCap per cycle. Reset readies the table for use.
 func (t *MRT) Carve(a *Arena, m *machine.Machine, ii int) {
-	tab := tablesFor(m)
+	nc, units, entries := m.NumClusters(), 0, 0
+	for ci := range m.Clusters {
+		for ui := range m.Clusters[ci].Units {
+			units++
+			entries += len(m.Clusters[ci].Units[ui].Classes)
+		}
+	}
+	classes, busCap := forEachClass(m, nil), m.BusCount()
 	*t = MRT{
 		mach:     m,
-		busCap:   tab.busCap,
-		unitBase: tab.unitBase,
-		pref:     tab.pref,
-		occ:      a.Int32s(tab.unitBase[len(tab.unitBase)-1] * ii),
-		busy:     a.u64.Take(m.NumClusters() * ii),
+		busCap:   busCap,
+		lastK:    -2,
+		unitBase: a.Ints(nc + 1),
+		classRef: a.Int32s(3 * classes),
+		prefOff:  a.Int32s(classes*nc + 1),
+		prefs:    a.Int32s(entries),
+		occ:      a.Int32s(units * ii),
+		busy:     a.u64.Take(nc * ii),
 		busUsed:  a.Ints(ii),
-		busRefs:  a.bus.Take(tab.busCap * ii),
-		prods:    a.Ints(tab.busCap),
+		busRefs:  a.bus.Take(busCap * ii),
+		prods:    a.Ints(busCap),
 	}
+	if t.unitBase != nil { // carved, not counted: fill the machine tables
+		t.deriveTables()
+	}
+}
+
+// forEachClass calls f, when not nil, once per class of machine m in
+// order of first appearance over its clusters, units and their class
+// entries, with the class's number and the position (cluster, unit,
+// entry) of its first entry, and returns the number of classes.
+func forEachClass(m *machine.Machine, f func(k, ci, ui, i int)) int {
+	var buf [16]machine.OpClass
+	seen := buf[:0]
+	for ci := range m.Clusters {
+		for ui := range m.Clusters[ci].Units {
+			for i, c := range m.Clusters[ci].Units[ui].Classes {
+				if slices.Contains(seen, c) {
+					continue
+				}
+				if f != nil {
+					f(len(seen), ci, ui, i)
+				}
+				seen = append(seen, c)
+			}
+		}
+	}
+	return len(seen)
+}
+
+// deriveTables fills the unit numbering and the preference orders of
+// t's machine into the carved tables.
+func (t *MRT) deriveTables() {
+	m, nc := t.mach, t.mach.NumClusters()
+	base := 0
+	for ci := range m.Clusters {
+		t.unitBase[ci] = base
+		base += len(m.Clusters[ci].Units)
+	}
+	forEachClass(m, func(k, ci, ui, i int) {
+		t.classRef[3*k], t.classRef[3*k+1], t.classRef[3*k+2] = int32(ci), int32(ui), int32(i)
+	})
+	t.unitBase[nc] = base
+	t.prefs = t.prefs[:0]
+	for k := 0; k < len(t.classRef)/3; k++ {
+		class := t.className(k)
+		for ci := range m.Clusters {
+			t.prefOff[k*nc+ci] = int32(len(t.prefs))
+			units := m.Clusters[ci].Units
+			start := len(t.prefs)
+			for ui := range units {
+				if !units[ui].Supports(class) {
+					continue
+				}
+				// Insert after every unit as flexible or less: stable.
+				t.prefs = append(t.prefs, int32(ui))
+				for j := len(t.prefs) - 1; j > start && len(units[t.prefs[j-1]].Classes) > len(units[ui].Classes); j-- {
+					t.prefs[j-1], t.prefs[j] = t.prefs[j], t.prefs[j-1]
+				}
+			}
+		}
+	}
+	t.prefOff[len(t.prefOff)-1] = int32(len(t.prefs))
+}
+
+// className returns the name of the machine's class k.
+func (t *MRT) className(k int) machine.OpClass {
+	r := t.classRef[3*k : 3*k+3]
+	return t.mach.Clusters[r[0]].Units[r[1]].Classes[r[2]]
 }
 
 // Reset empties the table and retargets it to a (possibly different) II,
@@ -272,16 +287,23 @@ func (t *MRT) Release(cluster, slot, cycle int) int {
 // branch. The preference order is precomputed; the probe itself is a
 // bitset test per candidate unit.
 func (t *MRT) FreeSlot(cluster, cycle int, class machine.OpClass) (slot int, ok bool) {
-	if class != t.lastClass || t.lastPref == nil {
-		t.lastClass, t.lastPref = class, t.pref[class]
+	if class != t.lastClass || t.lastK == -2 {
+		t.lastClass, t.lastK = class, -1
+		for k := 0; k < len(t.classRef)/3; k++ {
+			if t.className(k) == class {
+				t.lastK = k
+				break
+			}
+		}
 	}
-	if t.lastPref == nil {
+	if t.lastK < 0 {
 		return 0, false
 	}
 	c := t.mod(cycle)
 	busy := t.busy[cluster*t.ii+c]
 	base := t.unitBase[cluster] * t.ii
-	for _, ui := range t.lastPref[cluster] {
+	row := t.lastK*t.mach.NumClusters() + cluster
+	for _, ui := range t.prefs[t.prefOff[row]:t.prefOff[row+1]] {
 		if ui < 64 {
 			if busy&(1<<uint(ui)) == 0 {
 				return int(ui), true

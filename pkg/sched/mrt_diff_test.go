@@ -162,13 +162,35 @@ func (r *diffRNG) next() uint64 {
 
 func (r *diffRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
+// mixedMachine is a two-cluster machine whose units list their classes
+// in different orders and numbers, so the preference orders FreeSlot
+// follows differ per class and per cluster.
+func mixedMachine() *machine.Machine {
+	return machine.NewBuilder("mixed").
+		Latency(machine.ClassALU, 1).
+		Latency(machine.ClassMul, 2).
+		Latency(machine.ClassMem, 2).
+		Latency(machine.ClassBranch, 1).
+		Bus("xbus", 1, 1).
+		Cluster("c0", 8,
+			machine.FU("u0", machine.ClassMem, machine.ClassALU),
+			machine.FU("u1", machine.ClassALU),
+			machine.FU("u2", machine.ClassBranch, machine.ClassALU, machine.ClassMul)).
+		Cluster("c1", 8,
+			machine.FU("u0", machine.ClassMul),
+			machine.FU("u1", machine.ClassALU, machine.ClassMem),
+			machine.FU("u2", machine.ClassMem),
+			machine.FU("u3", machine.ClassBranch, machine.ClassMem)).
+		MustBuild()
+}
+
 // TestMRTDifferential drives the dense MRT and the reference map MRT
 // through identical operation sequences — classes and registers sampled
-// from generated corpora, all three canned machines, several IIs with a
-// mid-sequence Reset — and asserts every observable return value
-// matches.
+// from generated corpora, the three canned machines and mixedMachine,
+// several IIs with a mid-sequence Reset — and asserts every observable
+// return value matches.
 func TestMRTDifferential(t *testing.T) {
-	machines := []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()}
+	machines := []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight(), mixedMachine()}
 	loops := gen.Corpus(11, 12)
 	for mi, m := range machines {
 		for li, loop := range loops {
@@ -285,5 +307,32 @@ func TestMRTResetIndependence(t *testing.T) {
 			rng := diffRNG(uint64(ii) * 1234567)
 			runDiffOps(t, m, loop, pooled, newRefMRT(m, ii), &rng, ii)
 		}
+	}
+}
+
+// TestMRTAllocsIndependentOfMachines: a table derives its machine's unit
+// numbering and preference orders into its own arena, so what NewMRT
+// allocates does not depend on how many machine values the process has
+// seen. A cache keyed by machine pointer and capped at 128 entries used
+// to stop caching after the 128th value, after which every table built
+// its lookups anew (91 allocations here instead of 5), which made the
+// allocation pins of later tests depend on the tests before them.
+func TestMRTAllocsIndependentOfMachines(t *testing.T) {
+	measure := func() float64 {
+		m := machine.Paper4Cluster()
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewMRT(m, 7); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	before := measure()
+	for i := 0; i < 200; i++ {
+		if _, err := NewMRT(machine.Tight(), 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := measure(); after != before {
+		t.Fatalf("NewMRT makes %v allocations after 200 other machine values, %v before", after, before)
 	}
 }

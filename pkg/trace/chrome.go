@@ -20,6 +20,10 @@ type Meta struct {
 	Loop    string
 	Machine string
 	Backend string
+	// II is the II of the schedule the compilation returned, which the
+	// events alone do not tell: a search that finds no fitting schedule
+	// returns its least overflowing one, not its last.
+	II int
 }
 
 // chromeEvent is one trace-event row. Field order is fixed by the
@@ -69,11 +73,14 @@ func WriteChrome(w io.Writer, meta Meta, events []Event) error {
 		case KindIIEnd:
 			ce.Name = fmt.Sprintf("II=%d", e.II)
 			ce.Phase = "E"
-			ce.Args = map[string]any{"completed": e.Arg == 1}
-			if e.Label != "" {
-				ce.Args["verdict"], ce.Args["conflicts"] = e.Label, e.Aux
-			} else {
+			ce.Args = map[string]any{"completed": e.Arg == 1, "returned": e.Returned}
+			switch e.Label {
+			case "":
 				ce.Args["excess"] = e.Aux
+			case VerdictDoomed:
+				ce.Args["verdict"], ce.Args["bound"] = e.Label, e.Aux
+			default:
+				ce.Args["verdict"], ce.Args["conflicts"] = e.Label, e.Aux
 			}
 		default:
 			ce.Name = e.Kind.String()

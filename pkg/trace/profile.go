@@ -8,7 +8,7 @@ import (
 
 // This file folds a recorded event stream into the aggregated search
 // profile behind `msched trace`: per-candidate-II event counts, per-op
-// search effort, and the spill attribution of the final attempt — the
+// search effort, and the spill attribution of the returned attempt — the
 // numbers that answer "why did this loop land at II=k with s spills".
 // Everything is deterministic in the event stream: rows are sorted,
 // never map-ordered.
@@ -17,16 +17,21 @@ import (
 type Attempt struct {
 	// II is the candidate initiation interval.
 	II int `json:"ii"`
-	// Completed reports whether a full placement was reached; Excess is
-	// the residual register overflow at completion (0 = the schedule
-	// fit and the search stopped here).
+	// Completed reports whether a full placement was reached at some
+	// point of the attempt; Returned whether the attempt returned a
+	// schedule, and Excess that schedule's residual register overflow
+	// (0 = it fits).
 	Completed bool `json:"completed"`
+	Returned  bool `json:"returned"`
 	Excess    int  `json:"excess"`
-	// Verdict is the exact backend's solver verdict on the candidate
-	// (VerdictSat, VerdictUnsat or VerdictUnknown; empty for the
-	// heuristics), and Conflicts the conflicts the solver spent on it.
+	// Verdict is the event's verdict label: the exact backend's solver
+	// verdict on the candidate (VerdictSat, VerdictUnsat or
+	// VerdictUnknown) with the Conflicts the solver spent on it, or
+	// VerdictDoomed for a MIRS attempt whose spill code raised its
+	// loop's resource bound to Bound, above the II. Empty otherwise.
 	Verdict   string `json:"verdict,omitempty"`
 	Conflicts int    `json:"conflicts,omitempty"`
+	Bound     int    `json:"bound,omitempty"`
 	// Per-kind event counts inside the attempt.
 	Places       int `json:"places"`
 	WindowMisses int `json:"window_misses"`
@@ -56,9 +61,9 @@ type OpStats struct {
 	WindowMisses int    `json:"window_misses"`
 }
 
-// VictimStat is one spilled value of the *final* attempt — the spill
-// attribution of the schedule the search actually returned. Op is -1
-// for a live-in value.
+// VictimStat is one spilled value of the attempt whose schedule the
+// search returned — its spill attribution. Op is -1 for a live-in
+// value.
 type VictimStat struct {
 	Op         int    `json:"op"`
 	Label      string `json:"label,omitempty"`
@@ -78,8 +83,9 @@ type Profile struct {
 	Machine string `json:"machine"`
 	Backend string `json:"backend"`
 	// MII is the lower bound the search started from (from the first
-	// KindIIStart event); FinalII the last candidate attempted — the
-	// II of the returned schedule when the search ended in success.
+	// KindIIStart event); FinalII the II of the schedule the
+	// compilation returned (Meta.II), which need not be the last
+	// candidate attempted.
 	MII     int `json:"mii"`
 	FinalII int `json:"final_ii"`
 	// Attempts is the per-candidate-II breakdown, in search order.
@@ -88,8 +94,8 @@ type Profile struct {
 	// sorted by descending ejections then op ID. Ops with no ejection,
 	// force or window miss are elided.
 	Ops []OpStats `json:"ops,omitempty"`
-	// Victims is the final attempt's spill attribution, sorted by
-	// (op, reg).
+	// Victims is the returned schedule's spill attribution (see final),
+	// sorted by (op, reg).
 	Victims []VictimStat `json:"victims,omitempty"`
 	// Whole-search totals.
 	TotalEvents    int `json:"total_events"`
@@ -100,10 +106,12 @@ type Profile struct {
 // BuildProfile folds an event stream into a Profile. The stream must
 // come from one compilation (one Buffer).
 func BuildProfile(meta Meta, events []Event) *Profile {
-	p := &Profile{Loop: meta.Loop, Machine: meta.Machine, Backend: meta.Backend}
+	p := &Profile{Loop: meta.Loop, Machine: meta.Machine, Backend: meta.Backend, FinalII: meta.II}
 	ops := map[int]*OpStats{}
 	type vkey struct{ op, reg int }
-	victims := map[vkey]*VictimStat{}
+	// victims is the current attempt's spill attribution; kept the
+	// returned attempt's, once it has closed.
+	victims, kept := map[vkey]*VictimStat{}, map[vkey]*VictimStat(nil)
 	var cur *Attempt
 	var lastVictim *VictimStat
 	opStat := func(e *Event) *OpStats {
@@ -127,7 +135,6 @@ func BuildProfile(meta Meta, events []Event) *Profile {
 		case KindIIStart:
 			p.Attempts = append(p.Attempts, Attempt{II: int(e.II), Events: 1})
 			cur = &p.Attempts[len(p.Attempts)-1]
-			p.FinalII = int(e.II)
 			if len(p.Attempts) == 1 && e.Arg > 0 {
 				p.MII = int(e.Arg)
 			}
@@ -137,11 +144,17 @@ func BuildProfile(meta Meta, events []Event) *Profile {
 			lastVictim = nil
 		case KindIIEnd:
 			if cur != nil {
-				cur.Completed = e.Arg == 1
-				if e.Label != "" {
-					cur.Verdict, cur.Conflicts = e.Label, int(e.Aux)
-				} else {
+				cur.Completed, cur.Returned, cur.Verdict = e.Arg == 1, e.Returned, e.Label
+				switch e.Label {
+				case "":
 					cur.Excess = int(e.Aux)
+				case VerdictDoomed:
+					cur.Bound = int(e.Aux)
+				default:
+					cur.Conflicts = int(e.Aux)
+				}
+				if p.returned(cur) {
+					kept = victims
 				}
 			}
 		case KindPlace:
@@ -213,7 +226,7 @@ func BuildProfile(meta Meta, events []Event) *Profile {
 		}
 		return a.Op < b.Op
 	})
-	for _, v := range victims {
+	for _, v := range kept {
 		p.Victims = append(p.Victims, *v)
 	}
 	sort.Slice(p.Victims, func(i, j int) bool {
@@ -226,18 +239,25 @@ func BuildProfile(meta Meta, events []Event) *Profile {
 	return p
 }
 
-// final returns the last attempt, or nil for an empty profile.
+// returned reports whether a is the attempt whose schedule the
+// compilation returned: it returned one at the returned II.
+func (p *Profile) returned(a *Attempt) bool { return a.Returned && a.II == p.FinalII }
+
+// final returns the attempt whose schedule the compilation returned, or
+// nil when there is none.
 func (p *Profile) final() *Attempt {
-	if len(p.Attempts) == 0 {
-		return nil
+	for i := range p.Attempts {
+		if p.returned(&p.Attempts[i]) {
+			return &p.Attempts[i]
+		}
 	}
-	return &p.Attempts[len(p.Attempts)-1]
+	return nil
 }
 
 // WriteReport renders the human-readable "why this II" explanation:
 // the final II against MII, the candidate-II path with what each
 // attempt spent (events, ejections, spills; the exact backend's verdict
-// and conflicts), the final attempt's spill attribution per op, and the
+// and conflicts), the returned attempt's spill attribution per op, and the
 // ops the search fought hardest over.
 func (p *Profile) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "why II=%d for loop %s on %s (backend %s)\n", p.FinalII, p.Loop, p.Machine, p.Backend)
@@ -253,10 +273,16 @@ func (p *Profile) WriteReport(w io.Writer) {
 			verdict = fmt.Sprintf("infeasible (proof, %d conflicts)", a.Conflicts)
 		case a.Verdict == VerdictUnknown:
 			verdict = fmt.Sprintf("budget exhausted (%d conflicts)", a.Conflicts)
-		case a.Completed && a.Excess == 0:
+		case a.Verdict == VerdictDoomed:
+			verdict = fmt.Sprintf("doomed: ResMII %d > II", a.Bound)
+		case p.returned(a) && a.Excess == 0:
 			verdict = "fits"
-		case a.Completed:
+		case p.returned(a):
+			verdict = fmt.Sprintf("returned, %d register(s) over", a.Excess)
+		case a.Returned:
 			verdict = fmt.Sprintf("complete but %d register(s) over", a.Excess)
+		case a.Completed:
+			verdict = "complete, then gave up"
 		}
 		fmt.Fprintf(w, "  II=%-3d %-34s %5d events: %d placed, %d window misses, %d forced, %d ejected",
 			a.II, verdict, a.Events, a.Places, a.WindowMisses, a.Forces, a.Ejections)
@@ -270,11 +296,11 @@ func (p *Profile) WriteReport(w io.Writer) {
 	}
 	fmt.Fprintf(w, "  ejections: %d across the search", p.TotalEjections)
 	if f := p.final(); f != nil {
-		fmt.Fprintf(w, ", %d in the final attempt", f.Ejections)
+		fmt.Fprintf(w, ", %d in the returned attempt", f.Ejections)
 	}
 	fmt.Fprintln(w)
 	if len(p.Victims) > 0 {
-		fmt.Fprintf(w, "  spill attribution (final schedule):\n")
+		fmt.Fprintf(w, "  spill attribution (returned schedule):\n")
 		for i := range p.Victims {
 			v := &p.Victims[i]
 			who := fmt.Sprintf("op %d", v.Op)
@@ -288,7 +314,7 @@ func (p *Profile) WriteReport(w io.Writer) {
 				who, v.Reg, v.Stores, v.Reloads, v.Length)
 		}
 	} else {
-		fmt.Fprintf(w, "  no spills in the final schedule\n")
+		fmt.Fprintf(w, "  no spills in the returned schedule\n")
 	}
 	if len(p.Ops) > 0 {
 		fmt.Fprintf(w, "  contested ops (all attempts):\n")

@@ -38,10 +38,14 @@ const (
 	// candidate. Arg carries the MII on the first attempt.
 	KindIIStart Kind = iota
 	// KindIIEnd closes the attempt: Arg is 1 when a complete placement
-	// was reached, Aux the residual register overflow (0 = success).
-	// The exact backend, which never spills, labels the event with its
-	// solver's verdict (VerdictSat, VerdictUnsat, VerdictUnknown) and
-	// carries the conflicts the candidate spent in Aux instead.
+	// was reached at some point of it, Returned says whether the attempt
+	// handed a schedule back to the II search, and Aux is that
+	// schedule's residual register overflow (0 = it fits). The exact
+	// backend, which never spills, labels the event with its solver's
+	// verdict (VerdictSat, VerdictUnsat, VerdictUnknown) and carries the
+	// conflicts the candidate spent in Aux instead; a MIRS attempt cut
+	// short by spill code is labelled VerdictDoomed with the resource
+	// bound that doomed it in Aux.
 	KindIIEnd
 	// KindPlace is one committed placement: Op at (Cycle, Cluster).
 	KindPlace
@@ -100,13 +104,17 @@ var kindNames = [...]string{
 	KindCacheMiss:  "cache_miss",
 }
 
-// The exact backend's verdicts on a candidate II, the Label of its
-// KindIIEnd events. VerdictUnsat is a proof that no schedule exists at
-// the II; VerdictUnknown means the conflict budget ran out first.
+// The verdicts a KindIIEnd event's Label can carry. The exact backend
+// labels every candidate II: VerdictUnsat is a proof that no schedule
+// exists at the II; VerdictUnknown means the conflict budget ran out
+// first. VerdictDoomed marks a MIRS attempt whose spill code raised its
+// loop's resource bound above the II, a proof that the attempt could
+// not complete.
 const (
 	VerdictSat     = "sat"
 	VerdictUnsat   = "unsat"
 	VerdictUnknown = "unknown"
+	VerdictDoomed  = "doomed"
 )
 
 // Kinds returns every kind in declaration order — the iteration order
@@ -130,6 +138,8 @@ type Event struct {
 	// Kind classifies the event; the remaining fields are
 	// kind-specific (see the Kind constants).
 	Kind Kind
+	// Returned is set on a KindIIEnd whose attempt returned a schedule.
+	Returned bool
 	// II is the candidate initiation interval the event happened under.
 	II int32
 	// Op is the instruction ID involved, -1 when none (or a live-in).

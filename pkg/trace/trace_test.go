@@ -28,7 +28,7 @@ func synthetic() []Event {
 	b.Emit(Event{Kind: KindSpill, II: 4, Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: 1, Aux: 1})
 	b.Emit(Event{Kind: KindCompact, II: 4, Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: 1})
 	b.Emit(Event{Kind: KindCompact, II: 4, Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: 0})
-	b.Emit(Event{Kind: KindIIEnd, II: 4, Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: 1, Aux: 0})
+	b.Emit(Event{Kind: KindIIEnd, Returned: true, II: 4, Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: 1, Aux: 0})
 	return b.Events()
 }
 
@@ -106,7 +106,7 @@ func TestChromeExportDeterministicAndValid(t *testing.T) {
 }
 
 func TestProfileAggregation(t *testing.T) {
-	p := BuildProfile(Meta{Loop: "l", Machine: "m", Backend: "mirs"}, synthetic())
+	p := BuildProfile(Meta{Loop: "l", Machine: "m", Backend: "mirs", II: 4}, synthetic())
 	if p.MII != 3 || p.FinalII != 4 {
 		t.Fatalf("MII=%d FinalII=%d, want 3/4", p.MII, p.FinalII)
 	}
@@ -117,8 +117,8 @@ func TestProfileAggregation(t *testing.T) {
 	if a0.Completed || a0.Excess != 2 {
 		t.Fatalf("attempt 0 = %+v, want incomplete with excess 2", a0)
 	}
-	if !a1.Completed || a1.Excess != 0 {
-		t.Fatalf("attempt 1 = %+v, want completed", a1)
+	if !a1.Completed || !a1.Returned || a1.Excess != 0 {
+		t.Fatalf("attempt 1 = %+v, want completed and returned", a1)
 	}
 	if a0.WindowMisses != 1 || a0.Forces != 1 || a0.Ejections != 1 {
 		t.Fatalf("attempt 0 counts wrong: %+v", a0)
@@ -129,8 +129,8 @@ func TestProfileAggregation(t *testing.T) {
 	if p.TotalEjections != 1 || p.TotalForces != 1 {
 		t.Fatalf("totals wrong: %+v", p)
 	}
-	// Victims reflect the final attempt only: one selection, 1 store, 1
-	// reload (not the II=3 attempt's 2 reloads).
+	// Victims reflect the returned attempt only: one selection, 1 store,
+	// 1 reload (not the II=3 attempt's 2 reloads).
 	if len(p.Victims) != 1 {
 		t.Fatalf("%d victims, want 1", len(p.Victims))
 	}
@@ -151,7 +151,7 @@ func TestProfileAggregation(t *testing.T) {
 }
 
 func TestReportNamesTheEssentials(t *testing.T) {
-	p := BuildProfile(Meta{Loop: "myloop", Machine: "tight", Backend: "mirs"}, synthetic())
+	p := BuildProfile(Meta{Loop: "myloop", Machine: "tight", Backend: "mirs", II: 4}, synthetic())
 	var sb strings.Builder
 	p.WriteReport(&sb)
 	out := sb.String()
@@ -160,7 +160,7 @@ func TestReportNamesTheEssentials(t *testing.T) {
 		"MII=3",
 		"final II=4",
 		"ejections: 1 across the search",
-		"spill attribution (final schedule):",
+		"spill attribution (returned schedule):",
 		"op 2 (fmul) v7: 1 store(s), 1 reload(s)",
 	} {
 		if !strings.Contains(out, want) {
@@ -182,9 +182,9 @@ func TestReportSolverVerdicts(t *testing.T) {
 	}{{0, VerdictUnsat, 195}, {0, VerdictUnknown, 10000}, {1, VerdictSat, 8}} {
 		ii := int32(2 + i)
 		b.Emit(Event{Kind: KindIIStart, II: ii, Op: -1, Cluster: -1, Cycle: -1, Reg: -1})
-		b.Emit(Event{Kind: KindIIEnd, II: ii, Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: end.arg, Aux: end.confl, Label: end.verdict})
+		b.Emit(Event{Kind: KindIIEnd, Returned: end.verdict == VerdictSat, II: ii, Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: end.arg, Aux: end.confl, Label: end.verdict})
 	}
-	p := BuildProfile(Meta{Loop: "l", Machine: "tight", Backend: "opt"}, b.Events())
+	p := BuildProfile(Meta{Loop: "l", Machine: "tight", Backend: "opt", II: 4}, b.Events())
 	for i, want := range []Attempt{
 		{II: 2, Verdict: VerdictUnsat, Conflicts: 195},
 		{II: 3, Verdict: VerdictUnknown, Conflicts: 10000},
@@ -206,6 +206,60 @@ func TestReportSolverVerdicts(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, sb.String())
 		}
+	}
+}
+
+// TestReportHeuristicVerdicts pins how a MIRS search that never fits
+// reads: the header names the II of the least overflowing schedule the
+// search returned, not the last candidate; only that attempt reads
+// "returned", its spills are the ones attributed, an attempt that
+// completed and then gave up says so, and a doomed attempt names the
+// bound that doomed it.
+func TestReportHeuristicVerdicts(t *testing.T) {
+	b := &Buffer{}
+	for _, a := range []struct {
+		ii        int32
+		completed int64
+		returned  bool
+		aux       int64
+		label     string
+		reloads   int64
+	}{
+		{5, 1, true, 3, "", 1},
+		{6, 1, true, 2, "", 2},
+		{7, 1, false, 9, VerdictDoomed, 4},
+		{8, 1, false, 0, "", 3},
+		{9, 1, true, 2, "", 5},
+	} {
+		b.Emit(Event{Kind: KindIIStart, II: a.ii, Op: -1, Cluster: -1, Cycle: -1, Reg: -1})
+		b.Emit(Event{Kind: KindVictim, II: a.ii, Op: 1, Cluster: 0, Cycle: -1, Reg: 3, Arg: 6})
+		b.Emit(Event{Kind: KindSpill, II: a.ii, Op: 1, Cluster: -1, Cycle: -1, Reg: 3, Arg: 1, Aux: a.reloads})
+		b.Emit(Event{Kind: KindIIEnd, Returned: a.returned, II: a.ii, Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: a.completed, Aux: a.aux, Label: a.label})
+	}
+	p := BuildProfile(Meta{Loop: "l", Machine: "tight", Backend: "mirs", II: 6}, b.Events())
+	if len(p.Victims) != 1 || p.Victims[0].Reloads != 2 {
+		t.Fatalf("victims %+v, want the II=6 attempt's one spill with 2 reloads", p.Victims)
+	}
+	if a := p.Attempts[2]; a.Verdict != VerdictDoomed || a.Bound != 9 || a.Excess != 0 {
+		t.Fatalf("doomed attempt = %+v", a)
+	}
+	var sb strings.Builder
+	p.WriteReport(&sb)
+	out := sb.String()
+	for _, want := range []string{
+		"why II=6 for loop l on tight",
+		"II=5   complete but 3 register(s) over",
+		"II=6   returned, 2 register(s) over",
+		"II=7   doomed: ResMII 9 > II",
+		"II=8   complete, then gave up",
+		"II=9   complete but 2 register(s) over",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "fits") {
+		t.Fatalf("no attempt fit, but the report says one did:\n%s", out)
 	}
 }
 
