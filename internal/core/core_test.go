@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -239,10 +240,38 @@ func TestBackendsRefuseIntraCycle(t *testing.T) {
 	}
 }
 
+// TestUnbuiltMachineFailsByName: a machine literal that never went
+// through Builder.Build or FromJSON has no class tables, and every
+// backend refuses it with machine.ErrNotBuilt — from CompileWithOpts,
+// and from Schedule with or without a supplied MII — instead of
+// panicking on a missing table.
+func TestUnbuiltMachineFailsByName(t *testing.T) {
+	u := machine.Unified()
+	lit := &machine.Machine{Name: "literal", Clusters: u.Clusters, Buses: u.Buses, Latencies: u.Latencies}
+	g, err := ir.Build(ir.FIR8(), u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mii, err := sched.ComputeMII(g, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, be := range append(Backends(), Opt(0)) {
+		if _, err := CompileWithOpts(context.Background(), be, ir.FIR8(), lit, Opts{}); !errors.Is(err, machine.ErrNotBuilt) {
+			t.Errorf("%s: CompileWithOpts: %v, want machine.ErrNotBuilt", be.Name(), err)
+		}
+		for _, req := range []*sched.Request{{Loop: ir.FIR8(), Machine: lit}, {Loop: g.Loop, Machine: lit, Graph: g, MII: &mii}} {
+			if _, err := be.Schedule(req); !errors.Is(err, machine.ErrNotBuilt) {
+				t.Errorf("%s: Schedule (supplied MII %v): %v, want machine.ErrNotBuilt", be.Name(), req.MII != nil, err)
+			}
+		}
+	}
+}
+
 // TestConcurrentRuns is the -race regression for the batch driver's
 // concurrency: many CompileWith calls running at once over one shared
-// machine and the package-level caches (unit-preference tables). Any
-// mutable sharing between compilations shows up as a race report here.
+// machine and its class tables. Any mutable sharing between
+// compilations shows up as a race report here.
 func TestConcurrentRuns(t *testing.T) {
 	loops := gen.Corpus(11, 24)
 	m := machine.Paper4Cluster()

@@ -4,7 +4,8 @@ import "fmt"
 
 // Builder assembles a Machine incrementally. Methods return the builder
 // for chaining; errors are accumulated and reported by Build, which also
-// runs Machine.Validate so a successfully built machine is always valid.
+// runs Machine.Validate so a successfully built machine is always valid,
+// and then numbers its classes and units.
 //
 //	m, err := machine.NewBuilder("demo").
 //		Latency(machine.ClassALU, 1).
@@ -65,6 +66,7 @@ func (b *Builder) Build() (*Machine, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	m.derive()
 	return &m, nil
 }
 

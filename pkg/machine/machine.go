@@ -10,15 +10,16 @@
 // are private to a cluster, and buses that move values between clusters
 // with a fixed transfer latency.
 //
-// Machines are usually constructed with the Builder (see builder.go) or
-// loaded from JSON with FromJSON; both paths run Validate so downstream
-// packages can assume a well-formed description.
+// Machines are constructed with the Builder (see builder.go) or loaded
+// from JSON with FromJSON; both paths run Validate and then number the
+// machine's classes and units once (see classes.go), so downstream
+// packages can assume a well-formed description and look up which units
+// serve a class.
 package machine
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // OpClass identifies a class of operations that contend for the same kind
@@ -106,6 +107,10 @@ type Machine struct {
 	// result latency in cycles (producer issues at t, a same-cluster
 	// consumer can issue at t+Latencies[class]).
 	Latencies map[OpClass]int `json:"latencies"`
+
+	// tables is the class and unit numbering construction derives;
+	// read-only afterwards, so concurrent schedulers share it.
+	tables classTables
 }
 
 // NumClusters returns the number of clusters.
@@ -143,39 +148,6 @@ func (m *Machine) BusCount() int {
 	return n
 }
 
-// UnitsForClass counts, across the whole machine, how many functional
-// units can execute operations of class c. It is the denominator of the
-// resource-constrained lower bound on the initiation interval (ResMII).
-func (m *Machine) UnitsForClass(c OpClass) int {
-	n := 0
-	for ci := range m.Clusters {
-		for ui := range m.Clusters[ci].Units {
-			if m.Clusters[ci].Units[ui].Supports(c) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Classes returns the sorted set of operation classes some unit supports.
-func (m *Machine) Classes() []OpClass {
-	set := map[OpClass]bool{}
-	for ci := range m.Clusters {
-		for ui := range m.Clusters[ci].Units {
-			for _, c := range m.Clusters[ci].Units[ui].Classes {
-				set[c] = true
-			}
-		}
-	}
-	out := make([]OpClass, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // RegsPerCluster returns the architectural register count of cluster ci —
 // the capacity a register allocator maps renamed kernel values onto; names
 // beyond it overflow to stack-frame slots (pkg/emit). It returns 0 for an
@@ -199,8 +171,10 @@ func (m *Machine) TotalRegisters() int {
 // Validate checks structural invariants: at least one cluster, every
 // cluster has at least one unit and a positive register file, names are
 // unique at their scope, every declared class has a positive latency,
-// every class used by a unit has a latency entry, and multi-cluster
-// machines declare at least one bus with non-negative latency.
+// every class used by a unit has a latency entry, no cluster has more
+// than MaxUnits units nor the machine more than MaxClasses classes, and
+// multi-cluster machines declare at least one bus with non-negative
+// latency. It allocates nothing on a valid machine.
 func (m *Machine) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("machine: empty name")
@@ -219,6 +193,9 @@ func (m *Machine) Validate() error {
 		clusterNames[cl.Name] = true
 		if len(cl.Units) == 0 {
 			return fmt.Errorf("machine %q: cluster %q has no functional units", m.Name, cl.Name)
+		}
+		if len(cl.Units) > MaxUnits {
+			return fmt.Errorf("machine %q: cluster %q has %d units: %w", m.Name, cl.Name, len(cl.Units), ErrTooManyUnits)
 		}
 		unitNames := map[string]bool{}
 		for ui, fu := range cl.Units {
@@ -241,6 +218,10 @@ func (m *Machine) Validate() error {
 		if cl.RegFile.Size <= 0 {
 			return fmt.Errorf("machine %q: cluster %q register file size %d must be positive", m.Name, cl.Name, cl.RegFile.Size)
 		}
+	}
+	var classes [MaxClasses + 1]OpClass
+	if m.listClasses(classes[:]) > MaxClasses {
+		return fmt.Errorf("machine %q: %w", m.Name, ErrTooManyClasses)
 	}
 	for c, l := range m.Latencies {
 		if l <= 0 {
@@ -275,7 +256,7 @@ func (m *Machine) ToJSON() ([]byte, error) {
 }
 
 // FromJSON parses and validates a machine description produced by ToJSON
-// (or written by hand).
+// (or written by hand), and numbers its classes and units.
 func FromJSON(data []byte) (*Machine, error) {
 	var m Machine
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -284,5 +265,6 @@ func FromJSON(data []byte) (*Machine, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	m.derive()
 	return &m, nil
 }

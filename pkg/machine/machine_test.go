@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// unitsFor counts the units of m that support class c.
+func unitsFor(m *Machine, c OpClass) int {
+	n := 0
+	for ci := range m.Clusters {
+		for ui := range m.Clusters[ci].Units {
+			if m.Clusters[ci].Units[ui].Supports(c) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func TestCannedConfigsValidate(t *testing.T) {
 	for _, m := range []*Machine{Unified(), Paper4Cluster(), Tight()} {
 		if err := m.Validate(); err != nil {
@@ -29,8 +42,8 @@ func TestTightShape(t *testing.T) {
 			m.TotalRegisters(), Paper4Cluster().TotalRegisters())
 	}
 	// Dedicated memory ports: spill code must not contend with multiplies.
-	if got := m.UnitsForClass(ClassMem); got != 4 {
-		t.Errorf("UnitsForClass(mem) = %d, want 4", got)
+	if got := unitsFor(m, ClassMem); got != 4 {
+		t.Errorf("units for mem = %d, want 4", got)
 	}
 	if got := m.BusCount(); got != 2 {
 		t.Errorf("BusCount = %d, want 2", got)
@@ -42,8 +55,8 @@ func TestUnifiedShape(t *testing.T) {
 	if got := m.NumClusters(); got != 1 {
 		t.Fatalf("NumClusters = %d, want 1", got)
 	}
-	if got := m.UnitsForClass(ClassALU); got != 4 {
-		t.Errorf("UnitsForClass(alu) = %d, want 4", got)
+	if got := unitsFor(m, ClassALU); got != 4 {
+		t.Errorf("units for alu = %d, want 4", got)
 	}
 	if got := m.BusLatency(); got != 0 {
 		t.Errorf("BusLatency = %d, want 0 on unified machine", got)
@@ -67,8 +80,8 @@ func TestPaper4ClusterShape(t *testing.T) {
 	if got := m.TotalRegisters(); got != 64 {
 		t.Errorf("TotalRegisters = %d, want 64 (same budget as unified)", got)
 	}
-	if got := m.UnitsForClass(ClassMem); got != 4 {
-		t.Errorf("UnitsForClass(mem) = %d, want 4", got)
+	if got := unitsFor(m, ClassMem); got != 4 {
+		t.Errorf("units for mem = %d, want 4", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package mirs
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/paper-repo-growth/mirs/internal/buf"
@@ -559,16 +560,6 @@ func (st *state) nextUnplaced() int {
 	return seed
 }
 
-// clusterSupports reports whether any unit of cluster ci executes class.
-func (st *state) clusterSupports(ci int, class machine.OpClass) bool {
-	for ui := range st.m.Clusters[ci].Units {
-		if st.m.Clusters[ci].Units[ui].Supports(class) {
-			return true
-		}
-	}
-	return false
-}
-
 // transfersFor lists the bus transfers that placing u on (cluster, cycle)
 // creates against already-placed neighbours. The returned slice is the
 // state's scratch buffer, invalidated by the next call.
@@ -615,7 +606,7 @@ func (st *state) scanLate(u int) bool {
 // deadline window on some cluster; when no such position exists it falls
 // back to a forced placement that ejects the conflicts.
 func (st *state) place(u int) bool {
-	class := st.loop.Instrs[u].Class
+	class := st.m.ClassID(st.loop.Instrs[u].Class)
 	late := st.scanLate(u)
 	type cand struct {
 		ci, t, slot, ntrs int
@@ -638,7 +629,7 @@ func (st *state) place(u int) bool {
 		return a.ci < b.ci
 	}
 	for ci := 0; ci < st.m.NumClusters(); ci++ {
-		if !st.clusterSupports(ci, class) {
+		if st.m.UnitMask(ci, class) == 0 {
 			continue
 		}
 		est, lst := st.wc.Window(st.plc, st.placed, u, ci)
@@ -748,12 +739,12 @@ func (st *state) force(u int) bool {
 		return false
 	}
 	st.budget--
-	class := st.loop.Instrs[u].Class
+	class := st.m.ClassID(st.loop.Instrs[u].Class)
 
 	// Target the cluster with the smallest earliest start.
 	ci, est := -1, 0
 	for c := 0; c < st.m.NumClusters(); c++ {
-		if !st.clusterSupports(c, class) {
+		if st.m.UnitMask(c, class) == 0 {
 			continue
 		}
 		e := st.wc.EarliestStart(st.plc, st.placed, u, c)
@@ -775,10 +766,8 @@ func (st *state) force(u int) bool {
 	slot, ok := st.mrt.FreeSlot(ci, t, class)
 	if !ok {
 		victim, vslot := -1, -1
-		for ui := range st.m.Clusters[ci].Units {
-			if !st.m.Clusters[ci].Units[ui].Supports(class) {
-				continue
-			}
+		for b := st.m.UnitMask(ci, class); b != 0; b &= b - 1 {
+			ui := bits.TrailingZeros64(b)
 			occ := st.mrt.At(ci, ui, t)
 			if occ < 0 {
 				continue

@@ -102,9 +102,10 @@ func newAnalysis(req *sched.Request, g *ir.Graph, mii sched.MII, maxII int) (*an
 		a.lat[i] = m.Latency(in.Class)
 		a.unitIdx[i] = unitIdx[i*nu : (i+1)*nu : (i+1)*nu]
 		a.compat[i] = compat[i*nu : i*nu : (i+1)*nu]
+		class := m.ClassID(in.Class)
 		for u, ur := range a.units {
 			a.unitIdx[i][u] = -1
-			if m.Clusters[ur.cluster].Units[ur.slot].Supports(in.Class) {
+			if m.UnitMask(ur.cluster, class)>>ur.slot&1 != 0 {
 				a.unitIdx[i][u] = len(a.compat[i])
 				a.compat[i] = append(a.compat[i], u)
 			}
@@ -144,7 +145,7 @@ func transferGroups(g *ir.Graph) []xferGroup {
 }
 
 // clustersInterchangeable reports whether every cluster carries the
-// same unit shape slot by slot (same class sets in the same order).
+// same unit shape slot by slot: the same units serving each class.
 // Buses are a machine-wide pool and the encoder ignores register files,
 // so relabeling clusters of such a machine maps valid schedules to
 // valid schedules — the precondition for the symmetry-breaking clauses.
@@ -152,21 +153,13 @@ func clustersInterchangeable(m *machine.Machine) bool {
 	if len(m.Clusters) < 2 {
 		return false
 	}
-	c0 := &m.Clusters[0]
 	for ci := 1; ci < len(m.Clusters); ci++ {
-		c := &m.Clusters[ci]
-		if len(c.Units) != len(c0.Units) {
+		if len(m.Clusters[ci].Units) != len(m.Clusters[0].Units) {
 			return false
 		}
-		for ui := range c.Units {
-			a, b := c0.Units[ui].Classes, c.Units[ui].Classes
-			if len(a) != len(b) {
+		for k := 0; k < m.NumClasses(); k++ {
+			if m.UnitMask(ci, k) != m.UnitMask(0, k) {
 				return false
-			}
-			for k := range a {
-				if a[k] != b[k] {
-					return false
-				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
@@ -181,29 +182,23 @@ func (at *listAttempter) AttemptII(_ context.Context, cand int, rec trace.Record
 // or -1 when no single cluster covers the loop — then the single-cluster
 // fallback cannot apply.
 func soleClusterFor(req *Request) int {
-	classes := map[machine.OpClass]bool{}
+	m := req.Machine
+	var classes uint64 // the loop's class IDs
 	for _, in := range req.Loop.Instrs {
-		classes[in.Class] = true
+		k := m.ClassID(in.Class)
+		if k < 0 {
+			return -1
+		}
+		classes |= 1 << k
 	}
 	best, bestUnits := -1, 0
-	for ci := range req.Machine.Clusters {
-		cl := &req.Machine.Clusters[ci]
+	for ci := range m.Clusters {
 		covers := true
-		for c := range classes {
-			supported := false
-			for ui := range cl.Units {
-				if cl.Units[ui].Supports(c) {
-					supported = true
-					break
-				}
-			}
-			if !supported {
-				covers = false
-				break
-			}
+		for b := classes; b != 0 && covers; b &= b - 1 {
+			covers = m.UnitMask(ci, bits.TrailingZeros64(b)) != 0
 		}
-		if covers && len(cl.Units) > bestUnits {
-			best, bestUnits = ci, len(cl.Units)
+		if covers && len(m.Clusters[ci].Units) > bestUnits {
+			best, bestUnits = ci, len(m.Clusters[ci].Units)
 		}
 	}
 	return best
@@ -314,6 +309,7 @@ func (ls ListScheduler) tryII(req *Request, g *ir.Graph, order []int, ii, onlyCl
 
 	for _, id := range order {
 		in := req.Loop.Instrs[id]
+		class := m.ClassID(in.Class)
 		type cand struct{ cycle, cluster, slot, ntr int }
 		best := cand{cycle: -1}
 		for ci := 0; ci < m.NumClusters(); ci++ {
@@ -328,7 +324,7 @@ func (ls ListScheduler) tryII(req *Request, g *ir.Graph, order []int, ii, onlyCl
 			// bandwidth left for the transfers the placement implies,
 			// this cluster cannot take the instruction at this II.
 			for t := est; t < est+ii; t++ {
-				slot, ok := mrt.FreeSlot(ci, t, in.Class)
+				slot, ok := mrt.FreeSlot(ci, t, class)
 				if !ok {
 					continue
 				}

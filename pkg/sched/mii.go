@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
@@ -70,21 +71,21 @@ func ResMII(l *ir.Loop, m *machine.Machine) (int, error) {
 const maxHallClasses = 8
 
 // ResTable is the resource bound of a loop as a table a spill can
-// update: the loop's operation classes, and per set of them the loop's
-// operations in the set and the machine's units serving any class in
-// it. With k <= maxHallClasses classes set s holds the classes whose
-// bits are set in s+1, so there are 2^k - 1 sets; a loop with more
-// classes tracks every class of the machine, in sets 0..k-1 one class
-// each and in set k all of them. Either way the last set holds every
-// tracked class. The units are fixed by Init; the operation counts
-// follow Count and Add, so a scheduler that splices spill code into its
-// loop keeps the bound of the loop it is scheduling by adding the spill
-// code's operations.
+// update: the loop's operation classes, as a set of the machine's class
+// IDs, and per set of them the loop's operations in the set and the
+// machine's units serving any class in it. Tracked class i is the i-th
+// lowest ID in the set. With k <= maxHallClasses classes set s holds
+// the classes whose bits are set in s+1, so there are 2^k - 1 sets; a
+// loop with more classes tracks every class of the machine, in sets
+// 0..k-1 one class each and in set k all of them. Either way the last
+// set holds every tracked class. The units are fixed by Init; the
+// operation counts follow Count and Add, so a scheduler that splices
+// spill code into its loop keeps the bound of the loop it is scheduling
+// by adding the spill code's operations.
 type ResTable struct {
 	m     *machine.Machine
-	k     int  // classes tracked
-	all   bool // the loop has more than maxHallClasses classes
-	names [maxHallClasses]machine.OpClass
+	track uint64 // tracked class IDs, bit k for the machine's class k
+	all   bool   // the loop has more than maxHallClasses classes
 	ops   []int
 	units []int
 }
@@ -94,8 +95,11 @@ type ResTable struct {
 // yet but may, such as the memory class of spill code; "" for none),
 // the units serving each set, and l's operation counts. The count
 // tables keep their storage when it is large enough. Init fails if l
-// uses a class no unit of m serves.
+// uses a class no unit of m serves, or with machine.ErrNotBuilt.
 func (t *ResTable) Init(l *ir.Loop, m *machine.Machine, extra machine.OpClass) error {
+	if err := m.CheckBuilt(); err != nil {
+		return err
+	}
 	t.collect(l, m, extra)
 	n := t.sets()
 	if cap(t.ops) < n || cap(t.units) < n {
@@ -104,38 +108,32 @@ func (t *ResTable) Init(l *ir.Loop, m *machine.Machine, extra machine.OpClass) e
 	// Re-slicing in place keeps a caller's stack storage on the stack.
 	t.ops, t.units = t.ops[:n], t.units[:n]
 	clear(t.units)
-	for ci := range m.Clusters {
-		for ui := range m.Clusters[ci].Units {
-			fu := &m.Clusters[ci].Units[ui]
-			mask, served := 0, false
-			for i := 0; i < t.k; i++ {
-				if !fu.Supports(t.class(i)) {
-					continue
-				}
-				served = true
-				if t.all {
-					t.units[i]++
-				} else {
-					mask |= 1 << i
-				}
+	if t.all {
+		for ci := range m.Clusters {
+			for k := 0; k < n-1; k++ {
+				t.units[k] += bits.OnesCount64(m.UnitMask(ci, k))
 			}
-			if t.all {
-				if served {
-					t.units[t.k]++
-				}
-				continue
-			}
-			for s := range t.units {
-				if (s+1)&mask != 0 {
-					t.units[s]++
-				}
+		}
+		t.units[n-1] = m.NumUnits() // every unit serves some class
+	} else {
+		var ids [maxHallClasses]int
+		for i, b := 0, t.track; b != 0; i, b = i+1, b&(b-1) {
+			ids[i] = bits.TrailingZeros64(b)
+		}
+		// served[s]: the cluster's units serving some class of set s-1;
+		// s&(s-1) is s without its lowest class.
+		var served [1 << maxHallClasses]uint64
+		for ci := range m.Clusters {
+			for s := 1; s <= n; s++ {
+				served[s] = served[s&(s-1)] | m.UnitMask(ci, ids[bits.TrailingZeros(uint(s))])
+				t.units[s-1] += bits.OnesCount64(served[s])
 			}
 		}
 	}
 	t.Count(l)
 	if n == 0 || t.ops[n-1] < len(l.Instrs) { // some operation went uncounted
 		for _, in := range l.Instrs {
-			if t.index(in.Class) < 0 {
+			if m.ClassID(in.Class) < 0 {
 				return fmt.Errorf("sched: machine %q has no unit for class %q used by loop %q", m.Name, in.Class, l.Name)
 			}
 		}
@@ -151,66 +149,39 @@ func (t *ResTable) Carve(a *Arena, l *ir.Loop, m *machine.Machine, extra machine
 }
 
 // collect gathers the classes l uses that m serves, plus extra when m
-// serves it, in order of first use.
+// serves it; past maxHallClasses of them, every class of m.
 func (t *ResTable) collect(l *ir.Loop, m *machine.Machine, extra machine.OpClass) {
-	t.m, t.k, t.all = m, 0, false
+	t.m, t.track = m, 0
 	for _, in := range l.Instrs {
-		t.track(in.Class)
-	}
-	if extra != "" {
-		t.track(extra)
-	}
-}
-
-// track starts tracking class c if t's machine serves it. The
-// maxHallClasses+1-th class switches the table to tracking every class
-// of the machine.
-func (t *ResTable) track(c machine.OpClass) {
-	if t.all || t.index(c) >= 0 || t.m.UnitsForClass(c) == 0 {
-		return
-	}
-	if t.k < maxHallClasses {
-		t.names[t.k] = c
-		t.k++
-		return
-	}
-	t.all, t.k = true, 0
-	for t.class(t.k) != "" {
-		t.k++
-	}
-}
-
-// class returns the name of tracked class i; with all, the machine's
-// i-th class in order of first appearance, "" past the last.
-func (t *ResTable) class(i int) machine.OpClass {
-	if !t.all {
-		return t.names[i]
-	}
-	var name machine.OpClass
-	forEachClass(t.m, func(k, ci, ui, j int) {
-		if k == i {
-			name = t.m.Clusters[ci].Units[ui].Classes[j]
+		if k := m.ClassID(in.Class); k >= 0 {
+			t.track |= 1 << k
 		}
-	})
-	return name
+	}
+	if k := m.ClassID(extra); k >= 0 {
+		t.track |= 1 << k
+	}
+	t.all = bits.OnesCount64(t.track) > maxHallClasses
+	if t.all {
+		t.track = ^uint64(0) >> (64 - m.NumClasses())
+	}
 }
 
 // index returns the tracked index of class c, or -1.
 func (t *ResTable) index(c machine.OpClass) int {
-	for i := 0; i < t.k; i++ {
-		if t.class(i) == c {
-			return i
-		}
+	k := t.m.ClassID(c)
+	if k < 0 || t.track>>k&1 == 0 {
+		return -1
 	}
-	return -1
+	return bits.OnesCount64(t.track & (1<<k - 1))
 }
 
 // sets is the number of class sets the table tracks.
 func (t *ResTable) sets() int {
+	k := bits.OnesCount64(t.track)
 	if t.all {
-		return t.k + 1
+		return k + 1
 	}
-	return 1<<t.k - 1
+	return 1<<k - 1
 }
 
 // Count resets the operation counts to those of loop l; an operation of
@@ -230,8 +201,8 @@ func (t *ResTable) Count(l *ir.Loop) {
 		}
 	}
 	for s := range t.ops {
-		for i := 0; i < t.k; i++ {
-			if (s+1)>>i&1 != 0 {
+		for i, b := 0, s+1; b != 0; i, b = i+1, b>>1 {
+			if b&1 != 0 {
 				t.ops[s] += per[i]
 			}
 		}
@@ -246,7 +217,7 @@ func (t *ResTable) Add(c machine.OpClass, n int) {
 	case i < 0:
 	case t.all:
 		t.ops[i] += n
-		t.ops[t.k] += n
+		t.ops[len(t.ops)-1] += n
 	default:
 		for s := range t.ops {
 			if (s+1)>>i&1 != 0 {

@@ -151,16 +151,16 @@ func TestResMIIUnsupportedClass(t *testing.T) {
 }
 
 // TestFrontEndAllocs pins the allocations of the per-loop front end as
-// constants: on every loop of gen.Corpus(1, 240) and every canned
-// machine, ir.Build makes as many as on the first loop (6 — the graph,
-// its site table, its edge array, and the adjacency rows, their backing
-// and their degree counts; the race detector adds a few) and ComputeMII
-// one — RecMII's scratch; ResMII's table stays on the stack — plus one
-// for the critical component when there is one. Nothing is allocated
-// per register, edge or component. The list scheduler's placementOrder, run once per request, is pinned
-// the same way: Heights' one array and the order it returns.
+// constants on every loop of gen.Corpus(1, 240) and every canned
+// machine: ir.Build makes 6 (the graph, its site table, its edge array,
+// and the adjacency rows, their backing and their degree counts) and
+// ComputeMII one — RecMII's scratch; ResMII's table stays on the stack —
+// plus one for the critical component when there is one. Nothing is
+// allocated per register, edge or component. The list scheduler's
+// placementOrder, run once per request, makes 2: Heights' one array and
+// the order it returns.
 func TestFrontEndAllocs(t *testing.T) {
-	buildAllocs, miiAllocs, orderAllocs := -1.0, -1.0, -1.0
+	const buildAllocs, miiAllocs, orderAllocs = 6, 1, 2
 	for _, m := range []*machine.Machine{machine.Unified(), machine.Paper4Cluster(), machine.Tight()} {
 		for _, l := range gen.Corpus(1, 240) {
 			var g *ir.Graph
@@ -185,15 +185,8 @@ func TestFrontEndAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if buildAllocs < 0 {
-				buildAllocs, miiAllocs, orderAllocs = build, allocs, order
-				t.Logf("Build %.0f allocs, ComputeMII %.0f (+1 with a critical component), list placementOrder %.0f", build, allocs, order)
-				if miiAllocs != 1 {
-					t.Fatalf("ComputeMII makes %.0f allocations without the critical component; want 1, RecMII's scratch (ResMII's table stays on the stack)", miiAllocs)
-				}
-			}
 			if build != buildAllocs || allocs != miiAllocs || order != orderAllocs {
-				t.Fatalf("%s on %s: Build %.0f allocs, ComputeMII %.0f without the critical component, placementOrder %.0f; want %.0f, %.0f and %.0f",
+				t.Fatalf("%s on %s: Build %.0f allocs, ComputeMII %.0f without the critical component, placementOrder %.0f; want %d, %d and %d",
 					l.Name, m.Name, build, allocs, order, buildAllocs, miiAllocs, orderAllocs)
 			}
 		}

@@ -3,7 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 
 	"github.com/paper-repo-growth/mirs/internal/buf"
@@ -20,13 +20,13 @@ import (
 //
 // The table is dense: occupancy lives in one flat array indexed by
 // (unit, cycle mod II) with a per-(cluster, cycle) bitset of busy slots,
-// and the unit-preference order FreeSlot scans is precomputed per
-// (cluster, op class) when the table is carved. Probe, place and release
-// are O(1) in allocations — nothing on the steady-state placement path
-// touches the heap — and Reset lets a scheduler reuse one table (and its
-// machine-derived lookup tables) across an entire II search. Every
-// array is carved from an Arena (Carve), so a table is ready in one
-// allocation per element type, bounded transfer list included.
+// and the machine's own class tables (machine.Machine.UnitTiers) give
+// the units FreeSlot may take, so a probe is a few mask operations.
+// Probe, place and release are O(1) in allocations — nothing on the
+// steady-state placement path touches the heap — and Reset lets a
+// scheduler reuse one table across an entire II search. Every array is
+// carved from an Arena (Carve), so a table is ready in one allocation
+// per element type, bounded transfer list included.
 //
 // Buses are MRT resources too: every cross-cluster true dependence needs
 // one bus at the cycle the value leaves the producer, and at most
@@ -38,29 +38,12 @@ type MRT struct {
 	mach *machine.Machine
 	ii   int
 
-	// occ is the flat occupancy array: occ[(unitBase[cluster]+slot)*ii +
-	// cycle] holds the occupying instruction ID, or -1 when free. Rows are
-	// re-sliced from one backing array on Reset.
+	// occ is the flat occupancy array: occ[(mach.UnitBase(cluster)+slot)*ii
+	// + cycle] holds the occupying instruction ID, or -1 when free.
 	occ []int32
-	// unitBase[cluster] is the global index of the cluster's slot 0.
-	unitBase []int
-	// busy[cluster*ii+cycle] is the bitset of occupied slots (bit i = slot
-	// i) for the first 64 slots of the cluster; wider clusters fall back
-	// to reading occ directly.
+	// busy[cluster*ii+cycle] is the bitset of occupied slots (bit i =
+	// slot i; machine.Validate caps a cluster at 64 units).
 	busy []uint64
-	// The machine's classes, numbered by first appearance in unit order:
-	// class k is named by entry classRef[3k:3k+3] = (cluster, unit, i) of
-	// the machine, Units[unit].Classes[i]. prefs[prefOff[k*nc+cluster]:
-	// prefOff[k*nc+cluster+1]] lists the cluster's unit indices supporting
-	// class k, least flexible first (fewest supported classes, ties by
-	// index) — the order FreeSlot probes, so multi-class units stay
-	// available for operations with no alternative.
-	classRef, prefOff, prefs []int32
-	// lastClass/lastK memoise the most recent class lookup (lastK -1: the
-	// machine has no unit for it, -2: nothing looked up yet); placement
-	// loops probe many cycles for one instruction, so the class repeats.
-	lastClass machine.OpClass
-	lastK     int
 
 	busCap  int
 	busUsed []int      // transfers per cycle mod ii
@@ -92,10 +75,15 @@ type Transfer struct {
 	Cycle int
 }
 
-// NewMRT returns an empty reservation table for machine m at the given II.
+// NewMRT returns an empty reservation table for machine m at the given
+// II. It fails with machine.ErrNotBuilt for a machine that skipped
+// construction.
 func NewMRT(m *machine.Machine, ii int) (*MRT, error) {
 	if ii < 1 {
 		return nil, fmt.Errorf("sched: MRT with II %d < 1", ii)
+	}
+	if err := m.CheckBuilt(); err != nil {
+		return nil, err
 	}
 	t := new(MRT)
 	var a Arena
@@ -107,105 +95,24 @@ func NewMRT(m *machine.Machine, ii int) (*MRT, error) {
 }
 
 // Carve binds t to machine m and takes its arrays from a, sized for II
-// ii (>= 1): the machine's unit numbering and per-class unit preference
-// orders, the occupancy and busy rows, the per-cycle bus counts, and
+// ii (>= 1): the occupancy and busy rows, the per-cycle bus counts, and
 // the transfer list and producer scratch at the most a kernel can hold,
 // busCap per cycle. Reset readies the table for use.
 func (t *MRT) Carve(a *Arena, m *machine.Machine, ii int) {
-	nc, units, entries := m.NumClusters(), 0, 0
-	for ci := range m.Clusters {
-		for ui := range m.Clusters[ci].Units {
-			units++
-			entries += len(m.Clusters[ci].Units[ui].Classes)
-		}
-	}
-	classes, busCap := forEachClass(m, nil), m.BusCount()
+	busCap := m.BusCount()
 	*t = MRT{
-		mach:     m,
-		busCap:   busCap,
-		lastK:    -2,
-		unitBase: a.Ints(nc + 1),
-		classRef: a.Int32s(3 * classes),
-		prefOff:  a.Int32s(classes*nc + 1),
-		prefs:    a.Int32s(entries),
-		occ:      a.Int32s(units * ii),
-		busy:     a.u64.Take(nc * ii),
-		busUsed:  a.Ints(ii),
-		busRefs:  a.bus.Take(busCap * ii),
-		prods:    a.Ints(busCap),
+		mach:    m,
+		busCap:  busCap,
+		occ:     a.Int32s(m.NumUnits() * ii),
+		busy:    a.u64.Take(m.NumClusters() * ii),
+		busUsed: a.Ints(ii),
+		busRefs: a.bus.Take(busCap * ii),
+		prods:   a.Ints(busCap),
 	}
-	if t.unitBase != nil { // carved, not counted: fill the machine tables
-		t.deriveTables()
-	}
-}
-
-// forEachClass calls f, when not nil, once per class of machine m in
-// order of first appearance over its clusters, units and their class
-// entries, with the class's number and the position (cluster, unit,
-// entry) of its first entry, and returns the number of classes.
-func forEachClass(m *machine.Machine, f func(k, ci, ui, i int)) int {
-	var buf [16]machine.OpClass
-	seen := buf[:0]
-	for ci := range m.Clusters {
-		for ui := range m.Clusters[ci].Units {
-			for i, c := range m.Clusters[ci].Units[ui].Classes {
-				if slices.Contains(seen, c) {
-					continue
-				}
-				if f != nil {
-					f(len(seen), ci, ui, i)
-				}
-				seen = append(seen, c)
-			}
-		}
-	}
-	return len(seen)
-}
-
-// deriveTables fills the unit numbering and the preference orders of
-// t's machine into the carved tables.
-func (t *MRT) deriveTables() {
-	m, nc := t.mach, t.mach.NumClusters()
-	base := 0
-	for ci := range m.Clusters {
-		t.unitBase[ci] = base
-		base += len(m.Clusters[ci].Units)
-	}
-	forEachClass(m, func(k, ci, ui, i int) {
-		t.classRef[3*k], t.classRef[3*k+1], t.classRef[3*k+2] = int32(ci), int32(ui), int32(i)
-	})
-	t.unitBase[nc] = base
-	t.prefs = t.prefs[:0]
-	for k := 0; k < len(t.classRef)/3; k++ {
-		class := t.className(k)
-		for ci := range m.Clusters {
-			t.prefOff[k*nc+ci] = int32(len(t.prefs))
-			units := m.Clusters[ci].Units
-			start := len(t.prefs)
-			for ui := range units {
-				if !units[ui].Supports(class) {
-					continue
-				}
-				// Insert after every unit as flexible or less: stable.
-				t.prefs = append(t.prefs, int32(ui))
-				for j := len(t.prefs) - 1; j > start && len(units[t.prefs[j-1]].Classes) > len(units[ui].Classes); j-- {
-					t.prefs[j-1], t.prefs[j] = t.prefs[j], t.prefs[j-1]
-				}
-			}
-		}
-	}
-	t.prefOff[len(t.prefOff)-1] = int32(len(t.prefs))
-}
-
-// className returns the name of the machine's class k.
-func (t *MRT) className(k int) machine.OpClass {
-	r := t.classRef[3*k : 3*k+3]
-	return t.mach.Clusters[r[0]].Units[r[1]].Classes[r[2]]
 }
 
 // Reset empties the table and retargets it to a (possibly different) II,
-// reusing the backing arrays, which grow with amortised capacity, and the
-// machine-derived lookup tables. It is
+// reusing the backing arrays, which grow with amortised capacity. It is
 // how II-search loops keep the steady-state placement path allocation
 // free: one NewMRT or Carve per schedule request, one Reset per
 // candidate II.
@@ -214,7 +121,7 @@ func (t *MRT) Reset(ii int) {
 		panic(fmt.Sprintf("sched: MRT reset to II %d < 1", ii))
 	}
 	t.ii = ii
-	t.occ = buf.Grow(t.occ[:0], t.unitBase[len(t.unitBase)-1]*ii)
+	t.occ = buf.Grow(t.occ[:0], t.mach.NumUnits()*ii)
 	for i := range t.occ {
 		t.occ[i] = -1
 	}
@@ -247,21 +154,19 @@ func (t *MRT) mod(cycle int) int { return ((cycle % t.ii) + t.ii) % t.ii }
 // At returns the instruction occupying (cluster, slot, cycle mod II), or
 // -1 when the slot is free.
 func (t *MRT) At(cluster, slot, cycle int) int {
-	return int(t.occ[(t.unitBase[cluster]+slot)*t.ii+t.mod(cycle)])
+	return int(t.occ[(t.mach.UnitBase(cluster)+slot)*t.ii+t.mod(cycle)])
 }
 
 // Reserve claims (cluster, slot, cycle mod II) for instruction id. It
 // fails if the slot is already taken.
 func (t *MRT) Reserve(cluster, slot, cycle, id int) error {
 	c := t.mod(cycle)
-	i := (t.unitBase[cluster]+slot)*t.ii + c
+	i := (t.mach.UnitBase(cluster)+slot)*t.ii + c
 	if cur := t.occ[i]; cur != -1 {
 		return fmt.Errorf("sched: cluster %d slot %d cycle %d already holds instruction %d", cluster, slot, c, cur)
 	}
 	t.occ[i] = int32(id)
-	if slot < 64 {
-		t.busy[cluster*t.ii+c] |= 1 << uint(slot)
-	}
+	t.busy[cluster*t.ii+c] |= 1 << slot
 	return nil
 }
 
@@ -269,47 +174,26 @@ func (t *MRT) Reserve(cluster, slot, cycle, id int) error {
 // instruction ID or -1 if the slot was already free.
 func (t *MRT) Release(cluster, slot, cycle int) int {
 	c := t.mod(cycle)
-	i := (t.unitBase[cluster]+slot)*t.ii + c
+	i := (t.mach.UnitBase(cluster)+slot)*t.ii + c
 	id := t.occ[i]
 	t.occ[i] = -1
-	if slot < 64 {
-		t.busy[cluster*t.ii+c] &^= 1 << uint(slot)
-	}
+	t.busy[cluster*t.ii+c] &^= 1 << slot
 	return int(id)
 }
 
 // FreeSlot returns a free slot on the given cluster at the given cycle
-// whose functional unit supports class, or ok=false when the cycle row is
-// full for that class. Among free candidates it picks the least flexible
-// unit (fewest supported classes, ties by index), so that multi-class
-// units stay available for the operations that have no alternative —
-// e.g. plain ALU ops avoid the one ALU slot that can also issue the
-// branch. The preference order is precomputed; the probe itself is a
-// bitset test per candidate unit.
-func (t *MRT) FreeSlot(cluster, cycle int, class machine.OpClass) (slot int, ok bool) {
-	if class != t.lastClass || t.lastK == -2 {
-		t.lastClass, t.lastK = class, -1
-		for k := 0; k < len(t.classRef)/3; k++ {
-			if t.className(k) == class {
-				t.lastK = k
-				break
-			}
-		}
-	}
-	if t.lastK < 0 {
-		return 0, false
-	}
-	c := t.mod(cycle)
-	busy := t.busy[cluster*t.ii+c]
-	base := t.unitBase[cluster] * t.ii
-	row := t.lastK*t.mach.NumClusters() + cluster
-	for _, ui := range t.prefs[t.prefOff[row]:t.prefOff[row+1]] {
-		if ui < 64 {
-			if busy&(1<<uint(ui)) == 0 {
-				return int(ui), true
-			}
-		} else if t.occ[base+int(ui)*t.ii+c] == -1 {
-			return int(ui), true
+// whose functional unit serves class (a machine.Machine.ClassID), or
+// ok=false when the cycle row is full for that class. Among free
+// candidates it picks the least flexible unit (fewest supported
+// classes, ties by index), so that multi-class units stay available for
+// the operations that have no alternative — e.g. plain ALU ops avoid
+// the one ALU slot that can also issue the branch: the first of the
+// class's preference tiers with a free unit, and its lowest free unit.
+func (t *MRT) FreeSlot(cluster, cycle, class int) (slot int, ok bool) {
+	free := ^t.busy[cluster*t.ii+t.mod(cycle)]
+	for _, tier := range t.mach.UnitTiers(cluster, class) {
+		if f := free & tier; f != 0 {
+			return bits.TrailingZeros64(f), true
 		}
 	}
 	return 0, false

@@ -226,7 +226,7 @@ func runDiffOps(t *testing.T, m *machine.Machine, loop *ir.Loop, mrt *MRT, ref *
 		cycle := rng.intn(3*ii) - ii // exercise negative-cycle folding
 		switch rng.intn(6) {
 		case 0, 1: // probe + maybe place
-			slot, ok := mrt.FreeSlot(cluster, cycle, in.Class)
+			slot, ok := mrt.FreeSlot(cluster, cycle, m.ClassID(in.Class))
 			rslot, rok := ref.FreeSlot(cluster, cycle, in.Class)
 			if slot != rslot || ok != rok {
 				t.Fatalf("FreeSlot(%d,%d,%s) = (%d,%v), ref (%d,%v) [loop %s, %s, II=%d]",
@@ -310,13 +310,13 @@ func TestMRTResetIndependence(t *testing.T) {
 	}
 }
 
-// TestMRTAllocsIndependentOfMachines: a table derives its machine's unit
-// numbering and preference orders into its own arena, so what NewMRT
-// allocates does not depend on how many machine values the process has
-// seen. A cache keyed by machine pointer and capped at 128 entries used
-// to stop caching after the 128th value, after which every table built
-// its lookups anew (91 allocations here instead of 5), which made the
-// allocation pins of later tests depend on the tests before them.
+// TestMRTAllocsIndependentOfMachines: a table reads its machine's own
+// class tables, so what NewMRT allocates does not depend on how many
+// machine values the process has seen. A cache keyed by machine pointer
+// and capped at 128 entries used to stop caching after the 128th value,
+// after which every table built its lookups anew (91 allocations here
+// instead of 5), which made the allocation pins of later tests depend on
+// the tests before them.
 func TestMRTAllocsIndependentOfMachines(t *testing.T) {
 	measure := func() float64 {
 		m := machine.Paper4Cluster()

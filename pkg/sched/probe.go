@@ -131,10 +131,14 @@ func Drive(req *Request, p Prober) (*Schedule, error) {
 // to at least MII: flat start cycles never exceed the summed effective
 // latencies plus one resource stall per instruction, and any II past
 // that satisfies every loop-carried edge, so a search up to it
-// terminates.
+// terminates. A machine that skipped construction fails with
+// machine.ErrNotBuilt.
 func Prepare(req *Request) (*ir.Graph, MII, int, error) {
 	if req == nil || req.Loop == nil || req.Machine == nil {
 		return nil, MII{}, 0, errors.New("sched: request missing loop or machine")
+	}
+	if err := req.Machine.CheckBuilt(); err != nil {
+		return nil, MII{}, 0, err
 	}
 	var err error
 	g := req.Graph

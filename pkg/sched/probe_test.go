@@ -223,3 +223,32 @@ func TestPrepare(t *testing.T) {
 		}
 	}
 }
+
+// TestUnbuiltMachine: a machine literal that skipped construction has
+// no class tables; the entry points that read them fail with
+// machine.ErrNotBuilt instead of indexing a missing table.
+func TestUnbuiltMachine(t *testing.T) {
+	u := machine.Unified()
+	lit := &machine.Machine{Name: "literal", Clusters: u.Clusters, Latencies: u.Latencies}
+	g, err := ir.Build(ir.FIR8(), u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Prepare(&Request{Loop: ir.FIR8(), Machine: lit}); !errors.Is(err, machine.ErrNotBuilt) {
+		t.Errorf("Prepare: %v", err)
+	}
+	if _, err := ComputeMII(g, lit); !errors.Is(err, machine.ErrNotBuilt) {
+		t.Errorf("ComputeMII: %v", err)
+	}
+	if _, err := NewMRT(lit, 3); !errors.Is(err, machine.ErrNotBuilt) {
+		t.Errorf("NewMRT: %v", err)
+	}
+	s, err := ListScheduler{}.Schedule(&Request{Loop: ir.FIR8(), Machine: u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Machine = lit
+	if err := s.Validate(); !errors.Is(err, machine.ErrNotBuilt) {
+		t.Errorf("Validate: %v", err)
+	}
+}

@@ -24,7 +24,11 @@ func refResMII(l *ir.Loop, m *machine.Machine) int {
 		}
 	}
 	for _, in := range l.Instrs {
-		if m.UnitsForClass(in.Class) == 0 {
+		served := false
+		for _, fu := range units {
+			served = served || fu.Supports(in.Class)
+		}
+		if !served {
 			return 0
 		}
 	}
@@ -82,9 +86,12 @@ func fuzzResInput(data []byte) (*ir.Loop, *machine.Machine) {
 		data = data[1:]
 		return b
 	}
-	m := &machine.Machine{Name: "fuzz"}
+	b := machine.NewBuilder("fuzz").Bus("xbus", 1, 1)
+	for _, class := range fuzzClasses {
+		b.Latency(class, 1)
+	}
 	for ci := 0; ci < 1+int(next()%2); ci++ {
-		cl := machine.Cluster{Name: fmt.Sprintf("c%d", ci)}
+		var units []machine.FunctionalUnit
 		for ui := 0; ui < 1+int(next()%4); ui++ {
 			fu := machine.FunctionalUnit{Name: fmt.Sprintf("u%d", ui)}
 			mask := 1 + next()%15
@@ -93,15 +100,15 @@ func fuzzResInput(data []byte) (*ir.Loop, *machine.Machine) {
 					fu.Classes = append(fu.Classes, class)
 				}
 			}
-			cl.Units = append(cl.Units, fu)
+			units = append(units, fu)
 		}
-		m.Clusters = append(m.Clusters, cl)
+		b.Cluster(fmt.Sprintf("c%d", ci), 8, units...)
 	}
 	l := &ir.Loop{Name: "fuzz"}
 	for id := 0; id < int(next()%17); id++ {
 		l.Instrs = append(l.Instrs, &ir.Instruction{ID: id, Op: "op", Class: fuzzClasses[next()%4]})
 	}
-	return l, m
+	return l, b.MustBuild()
 }
 
 // checkResMII fails t unless ResMII agrees with the matching reference
@@ -152,18 +159,19 @@ func TestResMIIMatchesReference(t *testing.T) {
 // reference) and never below the per-class bound.
 func TestResMIIManyClasses(t *testing.T) {
 	const k = maxHallClasses + 2
-	m := &machine.Machine{Name: "wide", Clusters: []machine.Cluster{{Name: "c0"}}}
+	b := machine.NewBuilder("wide")
+	var units []machine.FunctionalUnit
 	l := &ir.Loop{Name: "wide"}
 	for c := 0; c < k; c++ {
 		class := machine.OpClass(fmt.Sprintf("k%02d", c))
+		b.Latency(class, 1)
 		// Unit c serves class c and the next one; class c has c+1 ops.
-		m.Clusters[0].Units = append(m.Clusters[0].Units, machine.FunctionalUnit{
-			Name: fmt.Sprintf("u%d", c), Classes: []machine.OpClass{class, machine.OpClass(fmt.Sprintf("k%02d", (c+1)%k))},
-		})
+		units = append(units, machine.FU(fmt.Sprintf("u%d", c), class, machine.OpClass(fmt.Sprintf("k%02d", (c+1)%k))))
 		for i := 0; i <= c; i++ {
 			l.Instrs = append(l.Instrs, &ir.Instruction{ID: len(l.Instrs), Op: "op", Class: class})
 		}
 	}
+	m := b.Cluster("c0", 8, units...).MustBuild()
 	got, err := ResMII(l, m)
 	if err != nil {
 		t.Fatal(err)
@@ -174,5 +182,40 @@ func TestResMIIManyClasses(t *testing.T) {
 	}
 	if want := refResMII(l, m); got > want || got < perClass {
 		t.Fatalf("ResMII = %d, want within [per-class %d, matching %d]", got, perClass, want)
+	}
+}
+
+// TestResMIIExactOnManyClassMachine: the Hall sets range over the loop's
+// classes, not the machine's, so a loop of maxHallClasses classes gets
+// the exact bound on a machine with more. One unit serves both k00 and
+// k01, so with n operations of each the exact bound is 2n, where the
+// per-class and whole-loop bounds give only n and 2.
+func TestResMIIExactOnManyClassMachine(t *testing.T) {
+	const k = maxHallClasses + 4
+	class := func(c int) machine.OpClass { return machine.OpClass(fmt.Sprintf("k%02d", c)) }
+	b := machine.NewBuilder("many")
+	units := []machine.FunctionalUnit{machine.FU("shared", class(0), class(1))}
+	for c := 0; c < k; c++ {
+		b.Latency(class(c), 1)
+		if c > 1 {
+			units = append(units, machine.FU(fmt.Sprintf("u%d", c), class(c)))
+		}
+	}
+	m := b.Cluster("c0", 8, units...).MustBuild()
+	for n := 1; n <= 4; n++ {
+		l := &ir.Loop{Name: "many"}
+		for c := 0; c < maxHallClasses; c++ {
+			ops := 1
+			if c < 2 {
+				ops = n
+			}
+			for i := 0; i < ops; i++ {
+				l.Instrs = append(l.Instrs, &ir.Instruction{ID: len(l.Instrs), Op: "op", Class: class(c)})
+			}
+		}
+		checkResMII(t, l, m)
+		if got, err := ResMII(l, m); err != nil || got != 2*n {
+			t.Fatalf("ResMII = %d (%v), want %d", got, err, 2*n)
+		}
 	}
 }

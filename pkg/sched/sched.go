@@ -188,8 +188,9 @@ func (s *Schedule) EdgeLatency(e *ir.Edge) int {
 // Validate checks that the schedule is well formed and respects every
 // machine and dependence constraint:
 //
-//   - II >= 1 and every instruction has a placement inside the machine
-//     (valid cluster, valid slot, non-negative cycle);
+//   - II >= 1, the machine was constructed (machine.ErrNotBuilt
+//     otherwise), and every instruction has a placement inside the
+//     machine (valid cluster, valid slot, non-negative cycle);
 //   - the slot's functional unit supports the instruction's class;
 //   - no two instructions occupy the same (cluster, slot, cycle mod II)
 //     — the modulo resource constraint;
@@ -226,6 +227,7 @@ const (
 	noViolation violationKind = iota
 	badII
 	missingParts
+	unbuiltMachine
 	placementCount
 	unscheduled
 	badCluster
@@ -249,13 +251,14 @@ func (s *Schedule) check(scratch []int32) (violation, []int32) {
 	if s.Loop == nil || s.Machine == nil || s.Graph == nil {
 		return violation{kind: missingParts}, scratch
 	}
+	m := s.Machine
+	if m.CheckBuilt() != nil {
+		return violation{kind: unbuiltMachine}, scratch
+	}
 	if len(s.Placements) != s.Loop.NumInstrs() {
 		return violation{kind: placementCount}, scratch
 	}
-	totalUnits := 0
-	for ci := range s.Machine.Clusters {
-		totalUnits += len(s.Machine.Clusters[ci].Units)
-	}
+	totalUnits := m.NumUnits()
 	scratch = buf.Zeroed(scratch, (totalUnits+1)*s.II)
 	occupied, busAt := scratch[:totalUnits*s.II], scratch[totalUnits*s.II:]
 	for i := range occupied {
@@ -266,18 +269,14 @@ func (s *Schedule) check(scratch []int32) (violation, []int32) {
 		switch {
 		case p.Cycle < 0:
 			return violation{kind: unscheduled, id: id}, scratch
-		case p.Cluster < 0 || p.Cluster >= s.Machine.NumClusters():
+		case p.Cluster < 0 || p.Cluster >= m.NumClusters():
 			return violation{kind: badCluster, id: id}, scratch
-		case p.Slot < 0 || p.Slot >= len(s.Machine.Clusters[p.Cluster].Units):
+		case p.Slot < 0 || p.Slot >= len(m.Clusters[p.Cluster].Units):
 			return violation{kind: badSlot, id: id}, scratch
-		case !s.Machine.Clusters[p.Cluster].Units[p.Slot].Supports(in.Class):
+		case m.UnitMask(p.Cluster, m.ClassID(in.Class))>>p.Slot&1 == 0:
 			return violation{kind: unsupported, id: id}, scratch
 		}
-		unit := p.Slot
-		for ci := 0; ci < p.Cluster; ci++ {
-			unit += len(s.Machine.Clusters[ci].Units)
-		}
-		key := unit*s.II + p.Cycle%s.II
+		key := (m.UnitBase(p.Cluster)+p.Slot)*s.II + p.Cycle%s.II
 		if other := occupied[key]; other != -1 {
 			return violation{kind: slotConflict, id: id, other: int(other)}, scratch
 		}
@@ -320,6 +319,8 @@ func (v violation) err(s *Schedule) error {
 		return fmt.Errorf("sched: II %d < 1", s.II)
 	case missingParts:
 		return fmt.Errorf("sched: schedule missing loop, machine or graph")
+	case unbuiltMachine:
+		return s.Machine.CheckBuilt()
 	case placementCount:
 		return fmt.Errorf("sched: %d placements for %d instructions", len(s.Placements), s.Loop.NumInstrs())
 	case unscheduled:

@@ -205,7 +205,7 @@ func TestMRT(t *testing.T) {
 		t.Error("Reserve accepted a conflicting claim")
 	}
 	// FreeSlot must skip the busy unit but find another ALU.
-	slot, ok := mrt.FreeSlot(0, 1, machine.ClassALU)
+	slot, ok := mrt.FreeSlot(0, 1, m.ClassID(machine.ClassALU))
 	if !ok || slot == 0 {
 		t.Errorf("FreeSlot = (%d, %v), want a free non-zero ALU slot", slot, ok)
 	}
