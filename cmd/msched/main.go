@@ -325,7 +325,10 @@ func printExecVerify(w io.Writer, reps ...*driver.Report) (mismatches int) {
 	return mismatches
 }
 
-// printSummary renders the paper-style aggregate table for humans.
+// printSummary renders the paper-style aggregate table for humans. Its
+// at-MII column is the share of compiled loops whose II equals the MII
+// the search started from: max(ResMII, RecMII), or RecMII + 1 where
+// sched.ComputeMII lifted it on a clustered machine.
 func printSummary(w io.Writer, rep *driver.Report) {
 	fmt.Fprintf(w, "corpus %s: %d loops x %d backend-machine combos = %d compilations, %d failures\n",
 		rep.Corpus, rep.Loops, len(rep.Combos), rep.Jobs, rep.Failures)

@@ -76,7 +76,7 @@ func cmdTrace(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	meta := trace.Meta{Loop: loop.Name, Machine: m.Name, Backend: be.Name(), II: r.Schedule.II}
+	meta := trace.Meta{Loop: loop.Name, Machine: m.Name, Backend: be.Name(), II: r.Schedule.II, MIIWhy: r.MII.Explain(loop, m)}
 	p := trace.BuildProfile(meta, buf.Events())
 	p.WriteReport(stdout)
 	fmt.Fprintf(stdout, "result: %s\n", r.Summary())

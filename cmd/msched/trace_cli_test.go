@@ -79,16 +79,19 @@ func TestTraceCommandProfileJSON(t *testing.T) {
 
 // TestTraceOptVerdicts pins that the exact backend's trace tells a
 // proof from a hole: g0129-storm on paper-4cluster runs out of conflict
-// budget at its MII of 8, while gap0009-storm on tight (a gap-corpus
+// budget at its MII of 8, while gap0009-storm on unified (a gap-corpus
 // loop, found by its gap.json name) is proved infeasible at its MII of
-// 2. Each attempt names the conflicts it spent.
+// 2. Each attempt names the conflicts it spent. On tight the same loop
+// starts at 3: the header says which operations no cluster seats at
+// RecMII 2.
 func TestTraceOptVerdicts(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-seed", "1", "-i", "129", "-machine", "paper-4cluster"}, "II=8   budget exhausted (10000 conflicts)"},
-		{[]string{"-loop", "gap0009-storm", "-machine", "tight"}, "II=2   infeasible (proof, 195 conflicts)"},
+		{[]string{"-loop", "gap0009-storm", "-machine", "unified"}, "II=2   infeasible (proof, 128 conflicts)"},
+		{[]string{"-loop", "gap0009-storm", "-machine", "tight"}, "MII 3 = RecMII 2 + 1: ops {"},
 	} {
 		code, out, errOut := capture(t, append([]string{"trace", "-backend", "opt"}, c.args...)...)
 		if code != 0 {

@@ -25,7 +25,9 @@ type Result struct {
 	// may schedule an augmented clone instead; Schedule.Loop and
 	// Schedule.Graph are the versions the placements actually refer to.
 	Graph *ir.Graph
-	// MII is the initiation-interval lower bound max(ResMII, RecMII).
+	// MII is the initiation-interval lower bound every backend starts
+	// from: max(ResMII, RecMII), plus the cluster lift (MII.Lift) when a
+	// recurrence no cluster can seat rules out II = RecMII.
 	MII sched.MII
 	// Schedule is the valid modulo schedule the backend produced.
 	Schedule *sched.Schedule
@@ -47,14 +49,19 @@ type Result struct {
 }
 
 // Summary renders a one-line result digest for logs and CLIs: the II
-// against its lower bound, steady-state pressure, and the kernel unroll
+// against its lower bound (ResMII, RecMII and, when MII is above both,
+// the cluster lift), steady-state pressure, and the kernel unroll
 // factor expansion needs. Backends that spill
 // also report their store/reload traffic and the II increase pressure
 // cost them (from Schedule.Stats).
 func (r *Result) Summary() string {
-	s := fmt.Sprintf("%s on %s: II=%d (ResMII=%d RecMII=%d) stages=%d MaxLive=%d unroll=%d by %s",
+	lift := ""
+	if r.MII.Lift > 0 {
+		lift = fmt.Sprintf(" +%d cluster lift", r.MII.Lift)
+	}
+	s := fmt.Sprintf("%s on %s: II=%d (ResMII=%d RecMII=%d%s) stages=%d MaxLive=%d unroll=%d by %s",
 		r.Schedule.Loop.Name, r.Schedule.Machine.Name, r.Schedule.II,
-		r.MII.Res, r.MII.Rec, r.Schedule.StageCount(), r.Pressure.MaxLive,
+		r.MII.Res, r.MII.Rec, lift, r.Schedule.StageCount(), r.Pressure.MaxLive,
 		r.Expanded.Unroll, r.Schedule.By)
 	if st := r.Schedule.Stats; st != nil && st["spill_stores"]+st["spill_loads"] > 0 {
 		s += fmt.Sprintf(" spills=%d/%d(+%dII)", st["spill_stores"], st["spill_loads"], st["spill_ii_increase"])
@@ -130,11 +137,13 @@ func CompileWithOpts(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *mach
 	if err != nil {
 		return nil, err
 	}
-	mii, err := sched.ComputeMII(g, m)
-	if err != nil {
+	// The request reads the bound where the result keeps it, so the
+	// bound is not allocated on its own.
+	res := &Result{Graph: g}
+	if res.MII, err = sched.ComputeMII(g, m); err != nil {
 		return nil, err
 	}
-	req := &sched.Request{Ctx: ctx, Loop: l, Machine: m, Graph: g, MII: &mii, Recorder: opts.Recorder}
+	req := &sched.Request{Ctx: ctx, Loop: l, Machine: m, Graph: g, MII: &res.MII, Recorder: opts.Recorder}
 	out, err := s.Schedule(req)
 	if err != nil {
 		return nil, fmt.Errorf("core: backend %q: %w", s.Name(), err)
@@ -153,7 +162,7 @@ func CompileWithOpts(ctx context.Context, s sched.Scheduler, l *ir.Loop, m *mach
 	if err != nil {
 		return nil, fmt.Errorf("core: backend %q: %w", s.Name(), err)
 	}
-	res := &Result{Graph: g, MII: mii, Schedule: out, Pressure: press, Expanded: ek}
+	res.Schedule, res.Pressure, res.Expanded = out, press, ek
 	if opts.Exec {
 		res.Verified, err = vm.Verify(ek, vm.Options{Seed: ExecSeed(l.Name)})
 		if err != nil {

@@ -115,8 +115,9 @@ type Combo struct {
 	SumMII     int `json:"sum_mii"`
 	SumMaxLive int `json:"sum_max_live"`
 	SumUnroll  int `json:"sum_unroll"`
-	// AtMII counts loops scheduled exactly at their lower bound; together
-	// with IIOverMII it is the II-vs-MII distribution.
+	// AtMII counts loops scheduled exactly at their lower bound, the MII
+	// the search starts from (sched.ComputeMII, cluster lift included);
+	// together with IIOverMII it is the II-vs-MII distribution.
 	AtMII int `json:"at_mii"`
 	// IIOverMII is the histogram of II − MII, ascending by delta.
 	IIOverMII []HistBin `json:"ii_over_mii,omitempty"`

@@ -20,13 +20,16 @@ type GapRow struct {
 	Loop    string `json:"loop"`
 	Machine string `json:"machine"`
 	Ops     int    `json:"ops"`
-	// MII is the shared lower bound max(ResMII, RecMII).
+	// MII is the shared lower bound every backend starts from:
+	// max(ResMII, RecMII), or RecMII + 1 where sched.ComputeMII proves
+	// II = RecMII infeasible on a clustered machine.
 	MII int `json:"mii"`
 	// OptII is the exact backend's II (0 when opt found nothing within
 	// budget); Proved marks a complete optimality proof — every candidate
 	// below OptII answered UNSAT. UnsatBelow counts those certificates:
 	// Proved with OptII > MII means the MII itself was proven infeasible
-	// (the UNSAT-at-MII certificate), not merely unreached.
+	// (the UNSAT-at-MII certificate), not merely unreached. An II the
+	// cluster lift rules out lies below MII and needs no certificate.
 	OptII      int  `json:"opt_ii,omitempty"`
 	Proved     bool `json:"proved,omitempty"`
 	UnsatBelow int  `json:"unsat_below,omitempty"`

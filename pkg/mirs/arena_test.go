@@ -1,6 +1,7 @@
 package mirs
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"github.com/paper-repo-growth/mirs/pkg/gen"
@@ -18,8 +19,11 @@ import (
 // the loop's size; growing the tables one by one made 52 to 63. Nor may
 // it depend on the tests that ran before: the MRT's machine tables are
 // carved with the rest (sched.TestMRTAllocsIndependentOfMachines).
+// The collector is off while it counts: a cycle that lands inside a
+// measurement adds runtime allocations to that loop's count alone.
 func TestMIRSRequestAllocs(t *testing.T) {
 	const limit = 25
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	m := machine.Paper4Cluster()
 	s := New()
 	counts := map[float64][]string{}

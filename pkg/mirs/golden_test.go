@@ -62,14 +62,22 @@ func (f *searchFold) Emit(e trace.Event) {
 // The trajectory hash folds the event stream of every attempt and the
 // running counts of forced placements and attempts, so any change to a
 // search decision moves it.
+//
+// The cluster lift in sched.ComputeMII moved both: the search no longer
+// attempts II = RecMII where that II has no schedule, which dropped 142
+// attempts and 18 852 forced placements, and left every II, loop size
+// and placement as it was. One stat moved: g0064-mulchain on tight6
+// reads spill_ii_increase 2, not 3, because its attempt at II 9, which
+// completed only after a spill cut the anti edges that make II 9
+// infeasible for its original graph, is no longer made.
 func TestSearchGolden(t *testing.T) {
 	if testing.Short() || raceBuild {
 		t.Skip("schedules 720 loops; single-threaded, so the race detector has nothing to check")
 	}
 	const (
 		wantSchedules  = 720
-		wantOutcome    = uint64(0x5999b9b61835a75b)
-		wantTrajectory = uint64(0xc7ee07a941d64e45)
+		wantOutcome    = uint64(0x8a4062dcbd2a7016)
+		wantTrajectory = uint64(0xcdbfb5067887857a)
 	)
 	f := &searchFold{h: fnvOffset}
 	out := &searchFold{h: fnvOffset}

@@ -36,7 +36,7 @@ import (
 type analysis struct {
 	req   *sched.Request
 	g     *ir.Graph
-	mii   sched.MII
+	mii   int // the II the search starts from
 	maxII int
 	n     int
 
@@ -67,7 +67,7 @@ type xferGroup struct {
 // ir.ErrIntraCycle on a distance-0 dependence cycle, which no II
 // satisfies and which sched.ComputeMII catches only when the request
 // leaves MII to Prepare.
-func newAnalysis(req *sched.Request, g *ir.Graph, mii sched.MII, maxII int) (*analysis, error) {
+func newAnalysis(req *sched.Request, g *ir.Graph, mii, maxII int) (*analysis, error) {
 	m := req.Machine
 	a := &analysis{
 		req:    req,

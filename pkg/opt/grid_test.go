@@ -41,12 +41,70 @@ func scheduleGrid(tb testing.TB, s *opt.Scheduler, loops []*ir.Loop, ms []*machi
 // TestOptTrajectory pins the solver's trajectory over the grid. Conflict
 // counts depend on variable numbering, clause order, watch order and
 // decision order, so a storage change that perturbs any of them
-// moves the sum even when every schedule survives.
+// moves the sum even when every schedule survives. The sums also
+// follow the MII the search starts from: the cluster lift took them
+// from 3669 and 20.
 func TestOptTrajectory(t *testing.T) {
 	loops, ms := gapGrid()
 	conflicts, unsatBelow := scheduleGrid(t, opt.New(), loops, ms)
-	if conflicts != 3669 || unsatBelow != 20 {
-		t.Fatalf("Σopt_conflicts = %d, Σopt_unsat_below = %d; want 3669 and 20", conflicts, unsatBelow)
+	if conflicts != 800 || unsatBelow != 1 {
+		t.Fatalf("Σopt_conflicts = %d, Σopt_unsat_below = %d; want 800 and 1", conflicts, unsatBelow)
+	}
+}
+
+// TestClusterLiftAgreesWithOpt checks sched.ComputeMII's cluster lift
+// against the exact backend on the grid. Every lifted row is one opt
+// proves infeasible at the paper's MII, max(ResMII, RecMII): started
+// there, its only UNSAT certificate is that II. No row's optimum lies
+// below its MII. And paper-4cluster with a bus of latency 0, where the
+// lift's argument does not hold, lifts no row.
+func TestClusterLiftAgreesWithOpt(t *testing.T) {
+	loops, ms := gapGrid()
+	free := machine.Paper4Cluster()
+	free.Name += "-bus0"
+	free.Buses[0].Latency = 0
+	s := opt.New()
+	lifted := 0
+	for _, m := range append(ms, free) {
+		for _, l := range loops {
+			g, err := ir.Build(l, m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mii, err := sched.ComputeMII(g, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m == free {
+				if mii.Lift != 0 {
+					t.Errorf("%s on %s: lifted to %d without bus latency", l.Name, m.Name, mii.MII)
+				}
+				continue
+			}
+			sc, err := s.Schedule(&sched.Request{Loop: l, Machine: m, Graph: g, MII: &mii})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
+			}
+			if sc.II < mii.MII {
+				t.Errorf("%s on %s: opt II %d below MII %d", l.Name, m.Name, sc.II, mii.MII)
+			}
+			if mii.Lift == 0 {
+				continue
+			}
+			lifted++
+			paper := sched.MII{Res: mii.Res, Rec: mii.Rec, MII: mii.Rec, CriticalSCC: mii.CriticalSCC}
+			sc, err = s.Schedule(&sched.Request{Loop: l, Machine: m, Graph: g, MII: &paper})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
+			}
+			if sc.Stats["opt_unsat_below"] != 1 || sc.II != mii.MII {
+				t.Errorf("%s on %s from II %d: II %d, %d UNSAT certificate(s); want II %d after one",
+					l.Name, m.Name, paper.MII, sc.II, sc.Stats["opt_unsat_below"], mii.MII)
+			}
+		}
+	}
+	if lifted != 19 {
+		t.Errorf("%d rows lifted; want 19", lifted)
 	}
 }
 

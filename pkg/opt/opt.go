@@ -95,7 +95,7 @@ func (s *Scheduler) Probe(req *sched.Request) (sched.Sweep, func() sched.Attempt
 	if err != nil {
 		return nil, nil, err
 	}
-	ana, err := newAnalysis(req, g, mii, maxII)
+	ana, err := newAnalysis(req, g, mii.MII, maxII)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -185,11 +185,11 @@ type optAttempter struct {
 // only cancellation is timing-dependent. ctx is unused (see
 // sched.Attempter); the solver polls the request's own context.
 func (at *optAttempter) AttemptII(_ context.Context, cand int, rec trace.Recorder) sched.Attempt {
-	ii := at.ana.mii.MII + cand
+	ii := at.ana.mii + cand
 	if rec != nil {
 		mark := int64(0)
 		if cand == 0 {
-			mark = int64(at.ana.mii.MII)
+			mark = int64(at.ana.mii)
 		}
 		rec.Emit(trace.Event{Kind: trace.KindIIStart, II: int32(ii), Op: -1, Cluster: -1, Cycle: -1, Reg: -1, Arg: mark})
 	}

@@ -229,7 +229,9 @@ func TestOptGenCorpusSmall(t *testing.T) {
 // conflicts with the same model as on a new solver. The loops vary in
 // size and machine, so each formula lands on tables and chunks the
 // previous one left dirty; the small budget cuts fir8's solve at its
-// paper-4cluster MII off.
+// paper-4cluster MII off. Where the cluster lift raised MII, the
+// formulas start one II lower, at RecMII, which has no schedule: they
+// are the UNSAT solves.
 func TestWorkspaceMatchesNewSolver(t *testing.T) {
 	const budget = 300
 	reqs := []*sched.Request{{Loop: ir.FIR8(), Machine: machine.Tight()}, {Loop: ir.FIR8(), Machine: machine.Paper4Cluster()}}
@@ -248,11 +250,11 @@ func TestWorkspaceMatchesNewSolver(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
 		}
-		ana, err := newAnalysis(req, g, mii, maxII)
+		ana, err := newAnalysis(req, g, mii.MII, maxII)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
 		}
-		for ii := mii.MII; ii <= mii.MII+2; ii++ {
+		for ii := mii.MII - mii.Lift; ii <= mii.MII+2; ii++ {
 			fresh := (&encoder{s: sat.New()}).build(ana, ii)
 			st := fresh.s.Solve(budget, nil)
 			rst := reused.build(ana, ii).s.Solve(budget, nil)

@@ -1,17 +1,25 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
+	"strings"
 
 	"github.com/paper-repo-growth/mirs/pkg/ir"
 	"github.com/paper-repo-growth/mirs/pkg/machine"
 )
 
 // MII is the minimum-initiation-interval lower bound of a loop on a
-// machine, decomposed into its two components as in Rau's modulo
-// scheduling framework and the MIRS paper: II can never go below the
-// resource bound ResMII nor the recurrence bound RecMII.
+// machine. Rau's modulo scheduling framework and the MIRS paper take it
+// as max(ResMII, RecMII): II can never go below the resource bound
+// ResMII nor the recurrence bound RecMII. On a clustered machine it can
+// be one higher (Lift): a recurrence with no slack at II = RecMII must
+// keep its true dependences on one cluster, because a bus transfer adds
+// latency the cycle cannot absorb, and when no cluster has the units to
+// seat those operations at their fixed offsets, II = RecMII has no
+// schedule (see ComputeMII).
 type MII struct {
 	// Res is the resource-constrained bound: over every set of the
 	// operation classes the loop uses, ceil(#ops in the set / #units
@@ -21,29 +29,112 @@ type MII struct {
 	// no dependence cycle demands more latency than Distance*II
 	// provides, maximised over strongly connected components.
 	Rec int
-	// MII is max(Res, Rec).
+	// Lift is 1 when II = max(Res, Rec) = Rec is proved infeasible by a
+	// recurrence no cluster can seat (Pinned), 0 otherwise.
+	Lift int
+	// MII is max(Res, Rec) + Lift, where every backend's search starts.
 	MII int
 	// CriticalSCC is the strongly connected component (instruction IDs,
 	// ascending) that determines Rec; nil when the graph is acyclic.
 	CriticalSCC []int
+	// Pinned is the group behind a lift: the instructions (IDs,
+	// ascending) that must share one cluster at fixed offsets at II =
+	// Rec, and that no cluster seats. PinnedAt[i] is Pinned[i]'s issue
+	// cycle mod Rec relative to Pinned[0]'s. Both are nil without a
+	// lift.
+	Pinned, PinnedAt []int
 }
 
 // ComputeMII returns the MII decomposition for graph g on machine m. It
 // fails if the loop uses an operation class no functional unit supports,
 // or, with ir.ErrIntraCycle, if the graph has an intra-iteration cycle
 // (total distance 0), which no well-formed loop has.
+//
+// Beyond the paper's max(ResMII, RecMII), it lifts MII to RecMII + 1
+// when it proves II = RecMII infeasible on a clustered machine
+// (RecMII >= ResMII, BusLatency >= 1). At II = RecMII, with edge weights
+// w(e) = latency - RecMII*distance, some cycles may weigh exactly 0; a
+// larger II makes every cycle negative (each has distance >= 1), so
+// RecMII is the only II to check and the lift is at most 1. Let pi be
+// longest-path potentials (pi(to) - pi(from) >= w(e) on every edge). Any
+// schedule t at this II satisfies t(to) - t(from) >= w(e), plus the bus
+// latency on a true edge that crosses clusters. Around a zero-weight
+// cycle both t's and pi's differences sum to 0 while each is at least
+// w(e), so every edge of the cycle holds with equality: none of its true
+// edges may cross clusters, and t - pi is constant along it. The edges
+// where pi(to) - pi(from) = w(e) ("tight"), taken inside the strongly
+// connected components of the tight subgraph ("rigid classes"), are
+// exactly the edges of zero-weight cycles. So the operations joined by
+// tight true edges inside a rigid class form a group that shares one
+// cluster, and the group's operations with equal pi mod II issue in one
+// kernel cycle, each needing a unit of its own. If for some group no
+// cluster passes Hall's condition at every such residue, no schedule
+// exists at RecMII; summed over the residues the same condition covers
+// the group's II issue slots per unit as well.
 func ComputeMII(g *ir.Graph, m *machine.Machine) (MII, error) {
 	res, err := ResMII(g.Loop, m)
 	if err != nil {
 		return MII{}, err
 	}
-	rec, critSCC, err := RecMII(g)
-	if err != nil {
-		return MII{}, err
+	return recurrences(g, m, res)
+}
+
+// Explain says why MII exceeds max(Res, Rec) for loop l on m, naming the
+// pinned group and, per cluster, a kernel cycle of it the cluster cannot
+// seat; "" without a lift.
+func (x MII) Explain(l *ir.Loop, m *machine.Machine) string {
+	if x.Lift == 0 {
+		return ""
 	}
-	out := MII{Res: res, Rec: rec, CriticalSCC: critSCC}
-	out.MII = max(out.Res, out.Rec)
-	return out, nil
+	var b strings.Builder
+	fmt.Fprintf(&b, "MII %d = RecMII %d + %d: ops %s must share a cluster at fixed offsets mod %d; no cluster seats them",
+		x.MII, x.Rec, x.Lift, idSet(x.Pinned), x.Rec)
+	why := make([]string, len(m.Clusters))
+	var ops []int
+	for ci := range m.Clusters {
+		for off := 0; off < x.Rec && why[ci] == ""; off++ {
+			ops = ops[:0]
+			for i, v := range x.Pinned {
+				if x.PinnedAt[i] == off {
+					ops = append(ops, v)
+				}
+			}
+			set, need, have := hallDeficit(l, m, ci, ops)
+			if set == 0 {
+				continue
+			}
+			var names []string
+			var in []int
+			for _, v := range ops {
+				c := l.Instrs[v].Class
+				if set>>m.ClassID(c)&1 != 0 {
+					in = append(in, v)
+					if !slices.Contains(names, string(c)) {
+						names = append(names, string(c))
+					}
+				}
+			}
+			why[ci] = fmt.Sprintf("ops %s (%s) at offset %d need %d units and find %d",
+				idSet(in), strings.Join(names, "/"), off, need, have)
+		}
+	}
+	if slices.Equal(why[1:], why[:len(why)-1]) {
+		fmt.Fprintf(&b, ": on each, %s", why[0])
+		return b.String()
+	}
+	for ci, w := range why {
+		sep := "; "
+		if ci == 0 {
+			sep = ": "
+		}
+		fmt.Fprintf(&b, "%s%s: %s", sep, m.Clusters[ci].Name, w)
+	}
+	return b.String()
+}
+
+// idSet renders instruction IDs as "{1 4 7}".
+func idSet(ids []int) string {
+	return "{" + strings.Trim(fmt.Sprint(ids), "[]") + "}"
 }
 
 // ResMII computes the resource-constrained lower bound of l on m: the
@@ -248,24 +339,72 @@ func (t *ResTable) Bound() int {
 // II*distance. The first component maximising that II is critical. An
 // acyclic graph yields RecMII = 1 and a nil SCC. A graph with a
 // distance-0 cycle fails first, with ir.ErrIntraCycle.
-//
-// All scratch — Tarjan's numbering, its two stacks, the component
-// labels and the longest-path values, and before them the topological
-// check's queue and in-degrees — lives in one array allocated per call.
 func RecMII(g *ir.Graph) (int, []int, error) {
+	out, err := recurrences(g, nil, 0)
+	return out.Rec, out.CriticalSCC, err
+}
+
+// recurrences is RecMII, and on machine m (nil for none) with resource
+// bound res the MII with ComputeMII's cluster lift. All scratch —
+// Tarjan's numbering, its two stacks, the component labels and the
+// longest-path values, before them the topological check's queue and
+// in-degrees, and after them the lift's rows, which Pinned and PinnedAt
+// keep — lives in one array allocated per call.
+func recurrences(g *ir.Graph, m *machine.Machine, res int) (MII, error) {
 	n := g.NumNodes()
 	scratch := make([]int, 7*n)
 	if _, err := g.IntraTopoOrderInto(scratch[:0:n], scratch[n:2*n]); err != nil {
-		return 0, nil, err
+		return MII{}, err
 	}
-	index, low, comp := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
-	stack, frames, next := scratch[3*n:3*n:4*n], scratch[4*n:4*n:5*n], scratch[5*n:6*n]
+	t := sccs{index: scratch[:n], low: scratch[n : 2*n], comp: scratch[2*n : 3*n],
+		stack: scratch[3*n : 3*n : 4*n], frames: scratch[4*n : 4*n : 5*n], next: scratch[5*n : 6*n]}
 	dist := scratch[6*n:]
+	rec, critical, critLen := 1, -1, 0
+	t.run(g, nil, func(members []int, id int) {
+		if ii, cyclic := componentMinII(g, members, t.comp, id, dist); cyclic && ii > rec {
+			rec, critical, critLen = ii, id, len(members)
+		}
+	})
+	out := MII{Res: res, Rec: rec, MII: max(res, rec)}
+	if critical >= 0 {
+		out.CriticalSCC = make([]int, 0, critLen)
+		for v, c := range t.comp {
+			if c == critical {
+				out.CriticalSCC = append(out.CriticalSCC, v)
+			}
+		}
+	}
+	// A recurrence that II = 1 already satisfies never becomes critical,
+	// yet at RecMII = 1 it may have no slack either.
+	if m != nil && rec >= res && m.BusLatency() >= 1 {
+		if out.Pinned, out.PinnedAt = clusterLift(g, m, rec, &t, dist); out.Pinned != nil {
+			out.Lift, out.MII = 1, rec+1
+		}
+	}
+	return out, nil
+}
+
+// sccs is the state of Tarjan's algorithm over a graph's nodes, as rows
+// of a caller's scratch: the DFS numbering, the low links, the component
+// labels, each node's successor cursor, and the two stacks (empty, with
+// room for every node).
+type sccs struct {
+	index, low, comp, next []int
+	stack, frames          []int
+}
+
+// run labels in comp the strongly connected components of g's subgraph
+// of the edges keep accepts (nil keeps every edge), numbered as they pop
+// — in reverse topological order — and passes each to popped, when it
+// is non-nil, with its members in stack order.
+func (t *sccs) run(g *ir.Graph, keep func(*ir.Edge) bool, popped func(members []int, id int)) {
+	index, low, comp, next := t.index, t.low, t.comp, t.next
+	stack, frames := t.stack[:0], t.frames[:0]
 	for v := range index {
 		index[v], comp[v] = -1, -1
 	}
-	rec, critical, critLen, counter, comps := 1, -1, 0, 0, 0
-	for root := 0; root < n; root++ {
+	counter, comps := 0, 0
+	for root := range index {
 		if index[root] != -1 {
 			continue
 		}
@@ -277,9 +416,12 @@ func RecMII(g *ir.Graph) (int, []int, error) {
 		for len(frames) > 0 {
 			v := frames[len(frames)-1]
 			if succ := g.Succs(v); next[v] < len(succ) {
-				w := succ[next[v]].To
+				e := succ[next[v]]
 				next[v]++
-				if index[w] == -1 {
+				if keep != nil && !keep(e) {
+					continue
+				}
+				if w := e.To; index[w] == -1 {
 					index[w], low[w], next[w] = counter, counter, 0
 					counter++
 					stack, frames = append(stack, w), append(frames, w)
@@ -307,22 +449,173 @@ func RecMII(g *ir.Graph) (int, []int, error) {
 			for _, w := range members {
 				comp[w] = comps
 			}
-			if ii, cyclic := componentMinII(g, members, comp, comps, dist); cyclic && ii > rec {
-				rec, critical, critLen = ii, comps, len(members)
+			if popped != nil {
+				popped(members, comps)
 			}
 			comps++
 		}
 	}
-	if critical < 0 {
-		return rec, nil, nil
+}
+
+// clusterLift proves II = rec infeasible on m when it can (see
+// ComputeMII): it returns the pinned group, IDs ascending, and each
+// member's offset mod rec from the first, or nil. It reuses t's rows and
+// pi, which end up holding the group and the potentials.
+func clusterLift(g *ir.Graph, m *machine.Machine, rec int, t *sccs, pi []int) (pinned, at []int) {
+	if !potentials(g, pi, rec) {
+		return nil, nil
 	}
-	scc := make([]int, 0, critLen)
-	for v, c := range comp {
-		if c == critical {
-			scc = append(scc, v)
+	tight := func(e *ir.Edge) bool { return pi[e.To]-pi[e.From] == e.Latency-rec*e.Distance }
+	t.run(g, tight, nil)
+	// Union the operations joined by a tight true edge inside one rigid
+	// class (a component of the tight subgraph) into groups, rooted at
+	// their lowest ID.
+	rigid, root := t.comp, t.index
+	for v := range root {
+		root[v] = v
+	}
+	joined := false
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		if e.Kind == ir.DepTrue && rigid[e.From] == rigid[e.To] && tight(e) {
+			if a, b := find(root, e.From), find(root, e.To); a != b {
+				root[max(a, b)] = min(a, b)
+				joined = true
+			}
 		}
 	}
-	return rec, scc, nil
+	if !joined {
+		return nil, nil
+	}
+	size := t.low
+	clear(size)
+	for v := range root {
+		root[v] = find(root, v)
+		size[root[v]]++
+	}
+	// The members of every group of two or more, by group and residue.
+	list := t.stack[:0]
+	for v, r := range root {
+		if size[r] > 1 {
+			list = append(list, v)
+		}
+	}
+	slices.SortFunc(list, func(a, b int) int {
+		return cmp.Or(cmp.Compare(root[a], root[b]), cmp.Compare(pi[a]%rec, pi[b]%rec))
+	})
+	for i, j := 0, 0; i < len(list); i = j {
+		for j = i + 1; j < len(list) && root[list[j]] == root[list[i]]; j++ {
+		}
+		if group := list[i:j]; !seatable(g.Loop, m, group, pi, rec) {
+			pinned, at = t.next[:len(group)], t.frames[:len(group)]
+			copy(pinned, group)
+			slices.Sort(pinned)
+			for k, v := range pinned {
+				at[k] = ((pi[v]-pi[pinned[0]])%rec + rec) % rec
+			}
+			return pinned, at
+		}
+	}
+	return nil, nil
+}
+
+// find returns the root of v's set in the union-find forest root,
+// halving the path as it goes.
+func find(root []int, v int) int {
+	for root[v] != v {
+		root[v] = root[root[v]]
+		v = root[v]
+	}
+	return v
+}
+
+// potentials sets pi to longest-path values at the given II over every
+// edge of g from all-zero starts, so that pi(to) - pi(from) >= latency -
+// ii*distance on every edge. It reports false if they do not settle, as
+// happens only below RecMII. Rounds run in ID order, which intra-
+// iteration edges follow, so only loop-carried edges cost extra rounds.
+func potentials(g *ir.Graph, pi []int, ii int) bool {
+	clear(pi)
+	for range len(pi) + 1 {
+		changed := false
+		for v := range pi {
+			for _, e := range g.Succs(v) {
+				if d := pi[v] + e.Latency - ii*e.Distance; d > pi[e.To] {
+					pi[e.To] = d
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			return true
+		}
+	}
+	return false
+}
+
+// seatable reports whether some cluster of m can seat group, whose
+// members issue at pi plus a common constant mod ii and are sorted by pi
+// mod ii: at every residue, each member needs a unit of its own.
+func seatable(l *ir.Loop, m *machine.Machine, group, pi []int, ii int) bool {
+	for ci := range m.Clusters {
+		fits := true
+		for i, j := 0, 0; i < len(group) && fits; i = j {
+			for j = i + 1; j < len(group) && pi[group[j]]%ii == pi[group[i]]%ii; j++ {
+			}
+			set, _, _ := hallDeficit(l, m, ci, group[i:j])
+			fits = set == 0
+		}
+		if fits {
+			return true
+		}
+	}
+	return false
+}
+
+// hallDeficit checks that ops, to issue in one cycle on cluster ci of m,
+// can each have a unit of their own. By Hall's theorem they can unless
+// some set of their classes has more ops than units of the cluster serve
+// any class of the set; it returns the first such set found (bit k for
+// class ID k) with both counts, or a zero set. Past maxHallClasses
+// classes only each class alone and all of them are checked. Every op's
+// class must be one some unit of m serves.
+func hallDeficit(l *ir.Loop, m *machine.Machine, ci int, ops []int) (set uint64, need, have int) {
+	var per [machine.MaxClasses]int
+	var all uint64
+	for _, v := range ops {
+		k := m.ClassID(l.Instrs[v].Class)
+		per[k]++
+		all |= 1 << k
+	}
+	deficit := func(s uint64) bool {
+		var served uint64
+		set, need = s, 0
+		for b := s; b != 0; b &= b - 1 {
+			k := bits.TrailingZeros64(b)
+			need += per[k]
+			served |= m.UnitMask(ci, k)
+		}
+		have = bits.OnesCount64(served)
+		return need > have
+	}
+	if bits.OnesCount64(all) <= maxHallClasses {
+		// Every nonempty subset of all, ascending.
+		for s := -all & all; s != 0; s = (s - all) & all {
+			if deficit(s) {
+				return set, need, have
+			}
+		}
+		return 0, 0, 0
+	}
+	for b := all; b != 0; b &= b - 1 {
+		if deficit(b & -b) {
+			return set, need, have
+		}
+	}
+	if deficit(all) {
+		return set, need, have
+	}
+	return 0, 0, 0
 }
 
 // componentMinII finds the smallest II >= 1 at which component id — its

@@ -97,8 +97,8 @@ func TestComputeMIITableDriven(t *testing.T) {
 			if got.MII != tc.wantMII {
 				t.Errorf("MII = %d, want %d", got.MII, tc.wantMII)
 			}
-			if got.MII != max(got.Res, got.Rec) {
-				t.Errorf("MII = %d != max(Res=%d, Rec=%d)", got.MII, got.Res, got.Rec)
+			if got.MII != max(got.Res, got.Rec)+got.Lift {
+				t.Errorf("MII = %d != max(Res=%d, Rec=%d) + Lift %d", got.MII, got.Res, got.Rec, got.Lift)
 			}
 			if tc.wantCritSCC != nil {
 				gotSCC := append([]int(nil), got.CriticalSCC...)

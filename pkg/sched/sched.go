@@ -1,7 +1,8 @@
 // Package sched defines the modulo-scheduling layer: the pluggable
 // Scheduler interface, the Schedule result type keyed by (cycle, slot,
-// cluster), the modulo reservation table, and the MII lower bound
-// MII = max(ResMII, RecMII).
+// cluster), the modulo reservation table, and the MII lower bound:
+// max(ResMII, RecMII), one higher when a recurrence no cluster can seat
+// rules out II = RecMII (see ComputeMII).
 //
 // The package deliberately separates the *contract* (Scheduler, Schedule,
 // Schedule.Validate) from any particular algorithm so alternative

@@ -24,6 +24,9 @@ type Meta struct {
 	// events alone do not tell: a search that finds no fitting schedule
 	// returns its least overflowing one, not its last.
 	II int
+	// MIIWhy says why the search started above max(ResMII, RecMII)
+	// (sched.MII.Explain); empty when it did not.
+	MIIWhy string
 }
 
 // chromeEvent is one trace-event row. Field order is fixed by the

@@ -88,6 +88,8 @@ type Profile struct {
 	// candidate attempted.
 	MII     int `json:"mii"`
 	FinalII int `json:"final_ii"`
+	// MIIWhy is Meta.MIIWhy: why MII exceeds max(ResMII, RecMII).
+	MIIWhy string `json:"mii_why,omitempty"`
 	// Attempts is the per-candidate-II breakdown, in search order.
 	Attempts []Attempt `json:"attempts"`
 	// Ops is the per-instruction search effort, every attempt folded,
@@ -106,7 +108,7 @@ type Profile struct {
 // BuildProfile folds an event stream into a Profile. The stream must
 // come from one compilation (one Buffer).
 func BuildProfile(meta Meta, events []Event) *Profile {
-	p := &Profile{Loop: meta.Loop, Machine: meta.Machine, Backend: meta.Backend, FinalII: meta.II}
+	p := &Profile{Loop: meta.Loop, Machine: meta.Machine, Backend: meta.Backend, FinalII: meta.II, MIIWhy: meta.MIIWhy}
 	ops := map[int]*OpStats{}
 	type vkey struct{ op, reg int }
 	// victims is the current attempt's spill attribution; kept the
@@ -255,7 +257,8 @@ func (p *Profile) final() *Attempt {
 }
 
 // WriteReport renders the human-readable "why this II" explanation:
-// the final II against MII, the candidate-II path with what each
+// the final II against MII (and why MII exceeds max(ResMII, RecMII),
+// when it does), the candidate-II path with what each
 // attempt spent (events, ejections, spills; the exact backend's verdict
 // and conflicts), the returned attempt's spill attribution per op, and the
 // ops the search fought hardest over.
@@ -263,6 +266,9 @@ func (p *Profile) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "why II=%d for loop %s on %s (backend %s)\n", p.FinalII, p.Loop, p.Machine, p.Backend)
 	fmt.Fprintf(w, "  MII=%d, final II=%d (+%d), %d candidate II(s), %d events\n",
 		p.MII, p.FinalII, p.FinalII-p.MII, len(p.Attempts), p.TotalEvents)
+	if p.MIIWhy != "" {
+		fmt.Fprintf(w, "  %s\n", p.MIIWhy)
+	}
 	for i := range p.Attempts {
 		a := &p.Attempts[i]
 		verdict := "gave up"
